@@ -8,16 +8,14 @@
 //! reduction on CPU includes transferring the pEdge matrix from GPU to
 //! CPU").
 
-use imagekit::ImageF32;
 use simgpu::context::Context;
-use simgpu::cost::{CostCounters, OpCounts};
 
-use crate::cpu::stages as cpu_stages;
 use crate::gpu::kernels::reduction::{
     reduction_stage1_kernel, reduction_stage2_kernel, stage1_groups, ReductionStrategy,
 };
 use crate::gpu::kernels::upscale::upscale_border_gpu;
 use crate::gpu::kernels::KernelTuning;
+use crate::gpu::pipeline::{border_elems, border_host_counters, host_sum_counters};
 use crate::params::{device_stride, SCALE};
 
 /// Simulated time of the two-stage GPU reduction of `n` elements,
@@ -43,10 +41,7 @@ pub fn reduction_gpu_time(
     } else {
         let mut part = vec![0.0f32; groups];
         q.enqueue_read(&partials, &mut part).expect("read partials");
-        let mut c = CostCounters::new();
-        c.charge_ops_n(&OpCounts::ZERO.adds(1), groups as u64);
-        c.global_read_scalar = groups as u64 * 4;
-        q.charge_host("host:reduction_stage2", &c);
+        q.charge_host("host:reduction_stage2", &host_sum_counters(groups));
     }
     q.elapsed()
 }
@@ -59,10 +54,7 @@ pub fn reduction_cpu_time(ctx: &Context, n: usize) -> f64 {
     let src = ctx.buffer_from("pEdge", &data);
     let mut host = vec![0.0f32; n];
     q.enqueue_read(&src, &mut host).expect("read pEdge");
-    let mut c = CostCounters::new();
-    c.charge_ops_n(&OpCounts::ZERO.adds(1), n as u64);
-    c.global_read_scalar = n as u64 * 4;
-    q.charge_host("host:reduction", &c);
+    q.charge_host("host:reduction", &host_sum_counters(n));
     q.elapsed()
 }
 
@@ -82,7 +74,8 @@ pub fn border_gpu_time(ctx: &Context, w: usize, h: usize) -> f64 {
 
 /// Simulated time of the CPU upscale-border for a `w × h` image:
 /// downscaled matrix read back, host interpolation, border region written
-/// to the device.
+/// to the device — charged exactly as the pipeline's CPU border stage
+/// charges them.
 pub fn border_cpu_time(ctx: &Context, w: usize, h: usize) -> f64 {
     let (w4, h4) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let mut q = ctx.queue();
@@ -90,15 +83,11 @@ pub fn border_cpu_time(ctx: &Context, w: usize, h: usize) -> f64 {
     down.fill_from(&vec![1.0f32; w4 * h4]);
     let mut host = vec![0.0f32; w4 * h4];
     q.enqueue_read(&down, &mut host).expect("read down");
-    let down_img = ImageF32::from_vec(w4, h4, host);
-    let mut up_host = ImageF32::zeros(w, h);
-    let counters = cpu_stages::upscale_border_into(&down_img, &mut up_host);
-    q.charge_host("host:upscale_border", &counters);
-    let border_bytes = (4 * w + 4 * (h - 4)) as u64 * 4;
+    q.charge_host("host:upscale_border", &border_host_counters(w, h));
     q.charge_bulk(
         "write:up_border",
         simgpu::queue::CommandKind::WriteBuffer,
-        border_bytes,
+        border_elems(w, h) * 4,
     );
     q.elapsed()
 }

@@ -52,27 +52,19 @@ pub(crate) fn downscale_launch(
     let desc = grid2d("downscale", wd, hd);
     let src = src.clone();
     let access = summarize(&launch, &desc, |groups| {
-        downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h)
+        downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h, tune)
     });
     let dview = down.write_view();
-    // Per full block: 15 adds + 1 mul for the mean, plus index arithmetic.
-    let per_item = OpCounts::ZERO.adds(15).muls(1).plus(&tune.idx_ops());
-    let idx_ops = tune.idx_ops();
     launch.dispatch(q, &desc, access, &[down], move |g| {
         // Row-segment form: each output row of the group reads its four
         // source rows as contiguous slices and accumulates the 4×4 block
         // sums in the same dy-major/dx-minor order as
-        // [`math::downscale_pixel`] (bit-identical results), with the
-        // per-thread traffic — 16 scalar loads, 1 scalar store — charged
-        // in bulk. Ragged blocks (right column with w % 4 != 0, bottom row
-        // with h % 4 != 0) fall back to per-element loads of the pixels
-        // that exist, in the same dy-major order as the CPU partial-block
-        // path.
+        // [`math::downscale_pixel`] (bit-identical results). Ragged blocks
+        // (right column with w % 4 != 0, bottom row with h % 4 != 0) fall
+        // back to per-element loads of the pixels that exist, in the same
+        // dy-major order as the CPU partial-block path.
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_full = 0u64;
-        let mut tail_adds = 0u64;
-        let mut n_tail = 0u64;
         let mut scratch = [0.0f32; super::GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -91,7 +83,6 @@ pub(crate) fn downscale_launch(
             };
             if full_end > x_start {
                 let span = full_end - x_start;
-                n_full += span as u64;
                 let row_out = &mut scratch[..span];
                 let rows: [&[f32]; SCALE] = std::array::from_fn(|dy| {
                     src.view.slice_raw(
@@ -112,24 +103,17 @@ pub(crate) fn downscale_launch(
             }
             for i in full_end..x_end {
                 let bw = (w - SCALE * i).min(SCALE);
-                n_tail += 1;
-                tail_adds += (bw * bh) as u64 - 1;
                 let mut s = 0.0f32;
                 for dy in 0..bh {
                     for dx in 0..bw {
-                        s += g.load(
-                            &src.view,
-                            src.idx((SCALE * i + dx) as isize, (SCALE * j + dy) as isize),
-                        );
+                        s += src
+                            .view
+                            .get_raw(src.idx((SCALE * i + dx) as isize, (SCALE * j + dy) as isize));
                     }
                 }
-                g.store(&dview, j * wd + i, s * (1.0 / (bw * bh) as f32));
+                dview.set_raw(j * wd + i, s * (1.0 / (bw * bh) as f32));
             }
         }
-        g.charge_global_n(64, 0, 4, 0, n_full);
-        g.charge_n(&per_item, n_full);
-        g.charge_n(&OpCounts::ZERO.adds(1), tail_adds);
-        g.charge_n(&OpCounts::ZERO.muls(1).plus(&idx_ops), n_tail);
     })
 }
 
@@ -137,6 +121,9 @@ pub(crate) fn downscale_launch(
 /// read their source rows as slices (16 loads per block, exact); the
 /// ragged right column and bottom row fall back to per-element loads of
 /// the pixels that exist. Every covered downscaled row is written in full.
+/// A full block costs 15 adds and a mul plus index arithmetic; a ragged
+/// block of `k` samples costs `k - 1` adds and the same mul and index
+/// arithmetic.
 pub(crate) fn downscale_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -144,11 +131,12 @@ pub(crate) fn downscale_access(
     down: BufRef,
     w: usize,
     h: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let rows = covered_rows(desc, &groups, hd);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr == 0 {
         return s;
     }
@@ -198,6 +186,12 @@ pub(crate) fn downscale_access(
     s.charge_global_n(64, 0, 4, 0, n_full);
     s.charge_global_n(4, 0, 0, 0, tail_reads);
     s.charge_global_n(0, 0, 4, 0, tail_stores);
+    // Each ragged block is one store; its samples are its reads.
+    let idx = tune.idx_ops();
+    let c = &mut s.charged;
+    c.charge_ops_n(&OpCounts::ZERO.adds(15).muls(1).plus(&idx), n_full);
+    c.charge_ops_n(&OpCounts::ZERO.adds(1), tail_reads - tail_stores);
+    c.charge_ops_n(&OpCounts::ZERO.muls(1).plus(&idx), tail_stores);
     s
 }
 
@@ -208,6 +202,20 @@ mod tests {
     use imagekit::generate;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+
+    #[test]
+    fn row_splits_declare_the_whole_grid() {
+        use crate::gpu::kernels::split_check::{assert_splits_merge, sources, SHAPES, TUNINGS};
+        for (w, h) in SHAPES {
+            let desc = grid2d("downscale", w.div_ceil(SCALE), h.div_ceil(SCALE));
+            let down = BufRef::f32("down", w.div_ceil(SCALE) * h.div_ceil(SCALE));
+            for (src, tune) in [sources(w, h).0, sources(w, h).1].iter().zip(TUNINGS) {
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    downscale_access(&desc, g, src, down.clone(), w, h, tune)
+                });
+            }
+        }
+    }
 
     #[test]
     fn matches_cpu_reference_exactly() {

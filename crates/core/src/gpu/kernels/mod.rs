@@ -10,8 +10,13 @@
 //! unroll-last-two-wavefronts).
 //!
 //! All kernels are *functionally real* — they produce the same pixels as
-//! the CPU reference, enforced bit-exactly by the test suite — while
-//! charging the cost model for the access pattern they embody.
+//! the CPU reference, enforced bit-exactly by the test suite. Their cost is
+//! not counted while they run: each kernel family's closed-form `*_access`
+//! constructor declares, for any work-group range, both the windows the
+//! dispatch touches and its full [`simgpu::cost::CostCounters`] (traffic,
+//! ops, barriers, divergence, LDS, groups/lanes/items) for the access
+//! pattern it embodies. The queue charges that declaration, and the static
+//! verifier and the cost predictor call the very same constructors.
 
 pub mod downscale;
 pub mod perror;
@@ -158,10 +163,10 @@ impl Launch<'_> {
         }
     }
 
-    /// Dispatches `f` over `desc` per the launch mode, declaring `access`
-    /// (its statically verified [`AccessSummary`]) to the queue first.
-    /// Sliced launches return a zero [`KernelTime`]: the simulated cost is
-    /// charged at commit, not here.
+    /// Dispatches `f` over `desc` per the launch mode, with `access` (its
+    /// closed-form declaration for [`Launch::groups`]) as the dispatch's
+    /// one cost declaration. Sliced launches return a zero [`KernelTime`]:
+    /// the simulated cost is charged at commit, not here.
     pub(crate) fn dispatch<F>(
         self,
         q: &mut CommandQueue,
@@ -174,18 +179,9 @@ impl Launch<'_> {
         F: Fn(&mut GroupCtx) + Sync,
     {
         match self {
-            Launch::Full => {
-                q.declare_access(access)?;
-                q.run(desc, outputs, f)
-            }
-            Launch::Slice(rows, acc) => {
-                let [gx, _] = desc.num_groups();
-                let range = rows.start * gx..rows.end * gx;
-                if range.is_empty() {
-                    return Ok(KernelTime::default());
-                }
-                q.declare_access(access)?;
-                q.run_sliced(desc, outputs, range, acc, f)?;
+            Launch::Full => q.run(desc, access, outputs, f),
+            Launch::Slice(_, acc) => {
+                q.run_sliced(desc, access, outputs, acc, f)?;
                 Ok(KernelTime::default())
             }
         }
@@ -299,6 +295,79 @@ pub fn grid2d(name: &str, nx: usize, ny: usize) -> KernelDesc {
 /// Builds a 1-D dispatch of `n` items in groups of `group`, rounded up.
 pub fn grid1d(name: &str, n: usize, group: usize) -> KernelDesc {
     KernelDesc::new_1d(name, round_up(n, group), group)
+}
+
+/// Shared checks for the per-family declaration tests: any row split of a
+/// grid must declare, merged, exactly what the whole grid declares.
+#[cfg(test)]
+pub(crate) mod split_check {
+    use super::*;
+    use simgpu::cost::CostCounters;
+
+    /// The ragged and tiny shapes every family is split-checked on.
+    pub(crate) const SHAPES: [(usize, usize); 4] = [(1001, 701), (1023, 769), (5, 7), (3, 3)];
+
+    /// Both instruction-selection variants (their op recipes differ).
+    pub(crate) const TUNINGS: [KernelTuning; 2] = [
+        KernelTuning { others: false },
+        KernelTuning { others: true },
+    ];
+
+    /// The raw original (`pad = 0`) and the padded upload (`pad = 1`, at
+    /// the device stride) of a `w × h` frame, as the kernels see them.
+    pub(crate) fn sources(w: usize, h: usize) -> (SrcInfo, SrcInfo) {
+        let pw = crate::params::device_stride(w) + 2;
+        let raw = SrcInfo {
+            buf: BufRef::f32("original", w * h),
+            pitch: w,
+            pad: 0,
+        };
+        let padded = SrcInfo {
+            buf: BufRef::f32("padded", pw * (h + 2)),
+            pitch: pw,
+            pad: 1,
+        };
+        (raw, padded)
+    }
+
+    /// Asserts that every split of `desc`'s grid into contiguous slices of
+    /// whole `unit`-group runs (group rows for 2-D grids, single groups
+    /// for 1-D ones) declares, with the commit's merge, exactly the
+    /// whole-grid counters — field for field, `items`, `groups` and
+    /// `local_alloc_bytes` included. Covers every 2- and 3-way split over
+    /// up to 48 cut points (evenly spread beyond that, empty slices
+    /// included) and the finest split.
+    pub(crate) fn assert_splits_merge(
+        desc: &KernelDesc,
+        unit: usize,
+        build: impl Fn(std::ops::Range<usize>) -> AccessSummary,
+    ) {
+        let n = desc.total_groups() / unit;
+        let full = build(0..desc.total_groups()).charged;
+        let merged = |cuts: &[usize]| {
+            let mut c = CostCounters::new();
+            let mut start = 0;
+            for &end in cuts.iter().chain(std::iter::once(&n)) {
+                c.merge(&build(start * unit..end * unit).charged);
+                start = end;
+            }
+            c
+        };
+        let points: Vec<usize> = (0..=48.min(n)).map(|i| i * n / 48.min(n).max(1)).collect();
+        for (i, &a) in points.iter().enumerate() {
+            assert_eq!(merged(&[a]), full, "{}: split at {a} of {n}", desc.name);
+            for &b in &points[i..] {
+                assert_eq!(
+                    merged(&[a, b]),
+                    full,
+                    "{}: split at {a}, {b} of {n}",
+                    desc.name
+                );
+            }
+        }
+        let finest: Vec<usize> = (1..n).collect();
+        assert_eq!(merged(&finest), full, "{}: finest split of {n}", desc.name);
+    }
 }
 
 #[cfg(test)]

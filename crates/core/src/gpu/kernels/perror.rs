@@ -58,20 +58,17 @@ pub(crate) fn perror_launch(
             w,
             h,
             ws,
+            tune,
         )
     });
     let pview = perr.write_view();
     let src = src.clone();
     let up = up.clone();
-    let per_item = OpCounts::ZERO.adds(1).plus(&tune.idx_ops());
     // Row-span form: the subtraction runs over contiguous row slices
-    // (autovectorized or dispatched via [`simd::sub_span`]). Charges are
-    // exact — two 4 B loads and one 4 B store per covered pixel, the same
-    // bytes the per-item form charged through `load`/`store`.
+    // (autovectorized or dispatched via [`simd::sub_span`]).
     launch.dispatch(q, &desc, access, &[perr], move |g| {
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_items = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -80,7 +77,6 @@ pub(crate) fn perror_launch(
                 continue;
             }
             let span = (x_start + gw).min(w) - x_start;
-            n_items += span as u64;
             let o = src
                 .view
                 .slice_raw(src.idx(x_start as isize, y as isize), span);
@@ -89,15 +85,14 @@ pub(crate) fn perror_launch(
             simd::sub_span(o, u, row_out);
             pview.set_span_raw(y * ws + x_start, row_out);
         }
-        g.charge_global_n(8, 0, 4, 0, n_items);
-        g.charge_n(&per_item, n_items);
     })
 }
 
 /// Closed-form access summary of the pError dispatch for the flat group
 /// range `groups`: per covered row, one `w`-element read of the original
 /// and upscaled rows plus one `w`-element write of the pError row. Charges
-/// are exact (ratio 1).
+/// are exact (ratio 1): two 4 B loads, one 4 B store and one subtraction
+/// plus index arithmetic per covered pixel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn perror_access(
     desc: &KernelDesc,
@@ -108,9 +103,10 @@ pub(crate) fn perror_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     let nr = rows.len();
     if nr > 0 {
         s.push(
@@ -119,7 +115,10 @@ pub(crate) fn perror_access(
         );
         s.push(AccessWindow::read(up, rows.start * ws, w).by_y(nr, ws));
         s.push(AccessWindow::write(perr, rows.start * ws, w).by_y(nr, ws));
-        s.charge_global_n(8, 0, 4, 0, (w * nr) as u64);
+        let n = (w * nr) as u64;
+        s.charge_global_n(8, 0, 4, 0, n);
+        s.charged
+            .charge_ops_n(&OpCounts::ZERO.adds(1).plus(&tune.idx_ops()), n);
     }
     s
 }
@@ -131,6 +130,21 @@ mod tests {
     use imagekit::generate;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+
+    #[test]
+    fn row_splits_declare_the_whole_grid() {
+        use crate::gpu::kernels::split_check::{assert_splits_merge, sources, SHAPES, TUNINGS};
+        for (w, h) in SHAPES {
+            let ws = crate::params::device_stride(w);
+            let desc = grid2d("perror", w, h);
+            let (up, perr) = (BufRef::f32("up", ws * h), BufRef::f32("pError", ws * h));
+            for (src, tune) in [sources(w, h).0, sources(w, h).1].iter().zip(TUNINGS) {
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    perror_access(&desc, g, src, up.clone(), perr.clone(), w, h, ws, tune)
+                });
+            }
+        }
+    }
 
     #[test]
     fn matches_cpu_reference_exactly() {

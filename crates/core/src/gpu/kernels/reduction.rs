@@ -87,25 +87,30 @@ pub fn reduction_stage1_range_kernel(
         });
     }
     let desc = stage1_desc(n, strategy);
-    q.declare_access(stage1_access(
+    let access = stage1_access(
         &desc,
         0..desc.total_groups(),
         src.info(),
         partials.info(),
         offset,
         n,
-    ))?;
+        strategy,
+    );
     let body = stage1_body(src.clone(), partials.write_view(), offset, n, strategy);
-    let t = q.run(&desc, &[partials], body)?;
+    let t = q.run(&desc, access, &[partials], body)?;
     Ok((groups, t))
 }
 
 /// Closed-form access summary of a stage-1 dispatch over a flat group
 /// range: full groups read their [`ELEMS_PER_GROUP`]-element span
-/// contiguously (charged in bulk, 8 scalar loads per thread), the ragged
-/// last group loads each of its existing elements exactly once, and every
-/// group stores its one partial sum. The charge is exact, so the ratio
-/// stays 1.
+/// contiguously (8 scalar loads per thread), the ragged last group loads
+/// each of its existing elements exactly once, and every group stores its
+/// one partial sum. The charge is exact, so the ratio stays 1.
+///
+/// Every group, full or ragged, costs the same work: the add-during-load
+/// pass charges its full per-thread recipe unconditionally (128 threads ×
+/// (8 adds + 8 cmps + 1 mul)) plus 127 tree adds, and the tree's
+/// barriers, divergence and LDS traffic depend only on the strategy.
 pub(crate) fn stage1_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -113,11 +118,28 @@ pub(crate) fn stage1_access(
     partials: BufRef,
     offset: usize,
     n: usize,
+    strategy: ReductionStrategy,
 ) -> AccessSummary {
-    let mut s = AccessSummary::new(&desc.name, groups.clone(), desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups.clone());
     if groups.is_empty() {
         return s;
     }
+    let ng = groups.len() as u64;
+    let (barriers, divergent, local) = match strategy {
+        // Load barrier + one per tree step (64..1).
+        ReductionStrategy::NoUnroll => (8, 0, 2040),
+        // Load barrier only; the last wavefront diverges lock-step.
+        ReductionStrategy::UnrollOne => (1, 6, 2040),
+        // Load barrier + the halves-combining barrier; both wavefronts
+        // diverge through their half-trees.
+        ReductionStrategy::UnrollTwo => (2, 12, 2032),
+    };
+    let c = &mut s.charged;
+    c.charge_ops_n(&OpCounts::ZERO.adds(1151).cmps(1024).muls(128), ng);
+    c.barriers += barriers * ng;
+    c.divergent_branches += divergent * ng;
+    c.local_bytes += local * ng;
+    c.local_alloc_bytes = 4 * RED_GROUP as u64;
     let full = n / ELEMS_PER_GROUP;
     let nf = groups.end.min(full).saturating_sub(groups.start);
     if nf > 0 {
@@ -190,16 +212,9 @@ pub(crate) fn reduction_stage1_sliced(
         });
     }
     let desc = stage1_desc(n, strategy);
-    q.declare_access(stage1_access(
-        &desc,
-        groups.clone(),
-        src.info(),
-        partials.info(),
-        0,
-        n,
-    ))?;
+    let access = stage1_access(&desc, groups, src.info(), partials.info(), 0, n, strategy);
     let body = stage1_body(src.clone(), partials.write_view(), 0, n, strategy);
-    q.run_sliced(&desc, &[partials], groups, acc, body)
+    q.run_sliced(&desc, access, &[partials], acc, body)
 }
 
 /// The stage-1 kernel body, shared by the monolithic and sliced entries.
@@ -210,11 +225,6 @@ fn stage1_body(
     n: usize,
     strategy: ReductionStrategy,
 ) -> impl Fn(&mut GroupCtx) + Sync {
-    // Per thread: ELEMS-1 adds for the load pass plus ELEMS bounds compares.
-    let per_thread = OpCounts::ZERO
-        .adds(ELEMS_PER_THREAD as u64)
-        .cmps(ELEMS_PER_THREAD as u64)
-        .muls(1);
     move |g| {
         g.alloc_local(RED_GROUP);
         let base = g.group_id[0] * ELEMS_PER_GROUP;
@@ -223,8 +233,7 @@ fn stage1_body(
         // `base + k*RED_GROUP ..+RED_GROUP` (one element per lid), so the
         // host loop is branch-free and autovectorizes. Each lid still
         // accumulates its 8 elements in identical k-order, so the partial
-        // sums are bit-identical to the lid-major form; the charged
-        // traffic (8 scalar loads per thread) is also unchanged.
+        // sums are bit-identical to the lid-major form.
         if base + ELEMS_PER_GROUP <= n {
             // The span loads are attributed to lane 0 — global reads never
             // conflict with each other, so one-lane attribution is safe.
@@ -238,7 +247,6 @@ fn stage1_body(
                 g.begin_item([lid, 0]);
                 g.local_write(lid, s);
             }
-            g.charge_global_n(4 * ELEMS_PER_THREAD as u64, 0, 0, 0, RED_GROUP as u64);
         } else {
             for lid in 0..RED_GROUP {
                 g.begin_item([lid, 0]);
@@ -246,7 +254,7 @@ fn stage1_body(
                 for k in 0..ELEMS_PER_THREAD {
                     let idx = base + k * RED_GROUP + lid;
                     if idx < n {
-                        s += g.load(&src, offset + idx);
+                        s += src.get_raw(offset + idx);
                     }
                 }
                 g.local_write(lid, s);
@@ -259,7 +267,6 @@ fn stage1_body(
                 let a = g.local_read(lid);
                 let b = g.local_read(lid + step);
                 g.local_write(lid, a + b);
-                g.counters.ops.add += 1;
             }
         };
         match strategy {
@@ -272,7 +279,7 @@ fn stage1_body(
                 }
                 g.begin_item([0, 0]);
                 let s = g.local_read(0);
-                g.store(&out, g.group_id[0], s);
+                out.set_raw(g.group_id[0], s);
             }
             ReductionStrategy::UnrollOne => {
                 // One synchronised step brings the live set into the last
@@ -281,12 +288,11 @@ fn stage1_body(
                 let mut step = 32;
                 while step >= 1 {
                     tree_step(g, 0, step);
-                    g.divergent(1);
                     step /= 2;
                 }
                 g.begin_item([0, 0]);
                 let s = g.local_read(0);
-                g.store(&out, g.group_id[0], s);
+                out.set_raw(g.group_id[0], s);
             }
             ReductionStrategy::UnrollTwo => {
                 // Each wavefront reduces its own half without barriers...
@@ -294,7 +300,6 @@ fn stage1_body(
                     let mut step = 32;
                     while step >= 1 {
                         tree_step(g, half, step);
-                        g.divergent(1);
                         step /= 2;
                     }
                 }
@@ -304,11 +309,9 @@ fn stage1_body(
                 g.begin_item([0, 0]);
                 let a = g.local_read(0);
                 let b = g.local_read(64);
-                g.counters.ops.add += 1;
-                g.store(&out, g.group_id[0], a + b);
+                out.set_raw(g.group_id[0], a + b);
             }
         }
-        g.charge_n(&per_thread, RED_GROUP as u64);
     }
 }
 
@@ -321,26 +324,17 @@ pub fn reduction_stage2_kernel(
     result: &Buffer<f32>,
 ) -> Result<KernelTime> {
     let desc = stage2_desc();
-    q.declare_access(stage2_access(
-        &desc,
-        partials.info(),
-        n_partials,
-        result.info(),
-    ))?;
+    let access = stage2_access(&desc, partials.info(), n_partials, result.info());
     let partials = partials.clone();
     let out = result.write_view();
-    let per_thread_loads = n_partials.div_ceil(RED_GROUP) as u64;
-    let per_thread = OpCounts::ZERO
-        .adds(per_thread_loads + 7)
-        .cmps(per_thread_loads);
-    let t = q.run(&desc, &[result], move |g| {
+    let t = q.run(&desc, access, &[result], move |g| {
         g.alloc_local(RED_GROUP);
         for lid in 0..RED_GROUP {
             g.begin_item([lid, 0]);
             let mut s = 0.0f32;
             let mut i = lid;
             while i < n_partials {
-                s += g.load(&partials, i);
+                s += partials.get_raw(i);
                 i += RED_GROUP;
             }
             g.local_write(lid, s);
@@ -356,32 +350,43 @@ pub fn reduction_stage2_kernel(
             }
             if step > 32 {
                 g.barrier();
-            } else {
-                g.divergent(1);
             }
             step /= 2;
         }
         g.begin_item([0, 0]);
         let s = g.local_read(0);
-        g.store(&out, 0, s);
-        g.charge_n(&per_thread, RED_GROUP as u64);
+        out.set_raw(0, s);
     })?;
     Ok(t)
 }
 
 /// Closed-form access summary of the stage-2 dispatch: the single group
 /// strided-loads every partial exactly once and stores the one total.
+/// Each of the 128 threads costs one add and one compare per strided load
+/// plus seven tree adds; the tree takes two barriers (after the load and
+/// the 64-wide step), then diverges through the last wavefront's six
+/// steps.
 pub(crate) fn stage2_access(
     desc: &KernelDesc,
     partials: BufRef,
     n_partials: usize,
     result: BufRef,
 ) -> AccessSummary {
-    let mut s = AccessSummary::new(&desc.name, 0..desc.total_groups(), desc.total_groups());
+    let mut s = AccessSummary::new(desc, 0..desc.total_groups());
     s.push(AccessWindow::read(partials, 0, n_partials));
     s.push(AccessWindow::write(result, 0, 1));
     s.charge_global_n(4, 0, 0, 0, n_partials as u64);
     s.charge_global_n(0, 0, 4, 0, 1);
+    let loads = n_partials.div_ceil(RED_GROUP) as u64;
+    let c = &mut s.charged;
+    c.charge_ops_n(
+        &OpCounts::ZERO.adds(loads + 7).cmps(loads),
+        RED_GROUP as u64,
+    );
+    c.barriers += 2;
+    c.divergent_branches += 6;
+    c.local_bytes += 2040;
+    c.local_alloc_bytes = 4 * RED_GROUP as u64;
     s
 }
 
@@ -390,6 +395,28 @@ mod tests {
     use super::*;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+
+    #[test]
+    fn group_splits_declare_the_whole_grid() {
+        use crate::gpu::kernels::split_check::{assert_splits_merge, SHAPES};
+        for (w, h) in SHAPES {
+            let n = crate::params::device_stride(w) * h;
+            let (src, partials) = (
+                BufRef::f32("pEdge", n),
+                BufRef::f32("partials", stage1_groups(n)),
+            );
+            for strategy in [
+                ReductionStrategy::NoUnroll,
+                ReductionStrategy::UnrollOne,
+                ReductionStrategy::UnrollTwo,
+            ] {
+                let desc = stage1_desc(n, strategy);
+                assert_splits_merge(&desc, 1, |g| {
+                    stage1_access(&desc, g, src.clone(), partials.clone(), 0, n, strategy)
+                });
+            }
+        }
+    }
 
     fn sum_gpu(data: &[f32], strategy: ReductionStrategy) -> (f32, f64) {
         let ctx = Context::with_validation(DeviceSpec::firepro_w8000());

@@ -84,26 +84,16 @@ pub(crate) fn preliminary_launch(
             w,
             h,
             ws,
+            tune,
         )
     });
     let out = prelim.write_view();
     let (up, pedge, perr) = (up.clone(), pedge.clone(), perr.clone());
-    // strength: div + add + pow + mul + 2 cmp; preliminary: mul + add.
-    let per_item = OpCounts::ZERO
-        .divs(1)
-        .adds(2)
-        .pows(1)
-        .muls(2)
-        .cmps(2)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Row-span form: three contiguous loads and one store per pixel, run
-    // span-at-a-time through [`simd::preliminary_span`]. Charges are exact
-    // (12 B read + 4 B write per pixel), identical to the per-item form.
+    // span-at-a-time through [`simd::preliminary_span`].
     launch.dispatch(q, &desc, access, &[prelim], move |g| {
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -112,7 +102,6 @@ pub(crate) fn preliminary_launch(
                 continue;
             }
             let span = (x_start + gw).min(w) - x_start;
-            n += span as u64;
             let i = y * ws + x_start;
             let row_out = &mut scratch[..span];
             simd::preliminary_span(
@@ -125,15 +114,15 @@ pub(crate) fn preliminary_launch(
             );
             out.set_span_raw(i, row_out);
         }
-        g.charge_global_n(12, 0, 4, 0, n);
-        g.charge_n(&per_item, n);
-        g.divergent(n * clamp_div);
     })
 }
 
 /// Closed-form access summary of the preliminary dispatch: per covered
 /// row, `w`-element reads of the up/pEdge/pError rows and a `w`-element
-/// write of the prelim row. Charges are exact (ratio 1).
+/// write of the prelim row. Charges are exact (ratio 1): 12 B read and
+/// 4 B written per pixel, the strength curve (div + add + pow + mul +
+/// 2 cmp) and the preliminary mul + add, plus a divergent clamp without
+/// built-in selects.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn preliminary_access(
     desc: &KernelDesc,
@@ -145,16 +134,21 @@ pub(crate) fn preliminary_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr > 0 {
         s.push(AccessWindow::read(up, rows.start * ws, w).by_y(nr, ws));
         s.push(AccessWindow::read(pedge, rows.start * ws, w).by_y(nr, ws));
         s.push(AccessWindow::read(perr, rows.start * ws, w).by_y(nr, ws));
         s.push(AccessWindow::write(prelim, rows.start * ws, w).by_y(nr, ws));
-        s.charge_global_n(12, 0, 4, 0, (w * nr) as u64);
+        let n = (w * nr) as u64;
+        s.charge_global_n(12, 0, 4, 0, n);
+        let per_item = OpCounts::ZERO.divs(1).adds(2).pows(1).muls(2).cmps(2);
+        s.charged.charge_ops_n(&per_item.plus(&tune.idx_ops()), n);
+        s.charged.divergent_branches += n * tune.clamp_divergence();
     }
     s
 }
@@ -208,14 +202,8 @@ pub(crate) fn overshoot_launch(
     let out = finalbuf.write_view();
     let src = src.clone();
     let prelim = prelim.clone();
-    let per_body = OpCounts::ZERO
-        .cmps(20)
-        .muls(1)
-        .adds(1)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Row-span form: the body clamp runs over contiguous spans through
-    // [`simd::overshoot_span`]. Charged traffic stays the per-pixel
+    // [`simd::overshoot_span`]. Declared traffic stays the per-pixel
     // pattern (prelim + nine window loads + store per body pixel; prelim +
     // store per border pixel); the observed raw reads per body tile row
     // are one prelim span plus three `(blen+2)`-wide source slices, below
@@ -231,15 +219,12 @@ pub(crate) fn overshoot_launch(
             w,
             h,
             ws,
+            tune,
         )
     });
-    let ratio = access.read_ratio;
     launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
-        g.declare_read_overcharge(ratio);
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_body = 0u64;
-        let mut n_border = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -256,11 +241,9 @@ pub(crate) fn overshoot_launch(
                 for (o, &p) in row_out.iter_mut().zip(prow) {
                     *o = math::final_border(p);
                 }
-                n_border += span as u64;
             } else {
                 let body_lo = x_start.max(1);
                 let body_hi = x_end.min(w - 1);
-                let mut row_body = 0u64;
                 if body_hi > body_lo {
                     let blen = body_hi - body_lo;
                     let yi = y as isize;
@@ -281,7 +264,6 @@ pub(crate) fn overshoot_launch(
                         &mut row_out[body_lo - x_start..body_hi - x_start],
                         &params,
                     );
-                    row_body = blen as u64;
                 }
                 // `w >= 3` here, so the two border columns are distinct.
                 for x in [0, w - 1] {
@@ -289,24 +271,19 @@ pub(crate) fn overshoot_launch(
                         row_out[x - x_start] = math::final_border(prow[x - x_start]);
                     }
                 }
-                n_body += row_body;
-                n_border += span as u64 - row_body;
             }
             out.set_span_raw(i, row_out);
         }
-        // Body pixel: prelim + nine window loads (40 B) + store; border
-        // pixel: prelim load + store — identical to the per-item charges.
-        g.charge_global_n(40, 0, 4, 0, n_body);
-        g.charge_global_n(4, 0, 4, 0, n_border);
-        g.charge_n(&per_body, n_body);
-        g.charge_n(&OpCounts::ZERO.cmps(4), n_border);
-        g.divergent((n_body * 2 + n_border) * clamp_div);
     })
 }
 
 /// Closed-form access summary of the overshoot dispatch: per covered row,
 /// a `w`-element prelim read and final write; per interior row, three
 /// `(blen+2)`-wide source slices per body column group (the 3×3 halo).
+/// A body pixel is charged prelim + nine window loads (40 B), a store and
+/// the envelope clamp; a border pixel a prelim load, a store and four
+/// compares. Without built-in selects each body pixel diverges twice and
+/// each border pixel once.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn overshoot_access(
     desc: &KernelDesc,
@@ -317,10 +294,11 @@ pub(crate) fn overshoot_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr == 0 {
         return s;
     }
@@ -345,6 +323,17 @@ pub(crate) fn overshoot_access(
     let n_border = (w * nr) as u64 - n_body;
     s.charge_global_n(40, 0, 4, 0, n_body);
     s.charge_global_n(4, 0, 4, 0, n_border);
+    let c = &mut s.charged;
+    c.charge_ops_n(
+        &OpCounts::ZERO
+            .cmps(20)
+            .muls(1)
+            .adds(1)
+            .plus(&tune.idx_ops()),
+        n_body,
+    );
+    c.charge_ops_n(&OpCounts::ZERO.cmps(4), n_border);
+    c.divergent_branches += (2 * n_body + n_border) * tune.clamp_divergence();
     s
 }
 
@@ -426,19 +415,9 @@ pub(crate) fn sharpness_fused_launch(
     let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
-    // pError(1 add) + strength/preliminary + minmax(16 cmp) + overshoot
-    // branches and clamps (6 cmp) + excursion (mul + add).
-    let per_body = OpCounts::ZERO
-        .adds(4)
-        .divs(1)
-        .pows(1)
-        .muls(3)
-        .cmps(24)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Row-span form, same shape as the vectorized variant below: body
     // pixels run span-at-a-time through [`simd::fused_span`], border
-    // pixels through the exact `fused_pixel(body = false)` path. Charged
+    // pixels through the exact `fused_pixel(body = false)` path. Declared
     // traffic stays the per-pixel pattern (up + pEdge + nine window loads
     // + store per body pixel; up + pEdge + centre + store per border
     // pixel); the observed raw reads per body tile row are the up/pEdge
@@ -455,9 +434,9 @@ pub(crate) fn sharpness_fused_launch(
             w,
             h,
             ws,
+            tune,
         )
     });
-    let ratio = access.read_ratio;
     launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
@@ -468,11 +447,8 @@ pub(crate) fn sharpness_fused_launch(
                 let i = y * ws + x;
                 fused_pixel(&n9, up.get_raw(i), pe.get_raw(i), mean, &params, false)
             };
-        g.declare_read_overcharge(ratio);
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_body = 0u64;
-        let mut n_border = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -487,11 +463,9 @@ pub(crate) fn sharpness_fused_launch(
                 for (j, x) in (x_start..x_end).enumerate() {
                     row_out[j] = border_pixel(x, y, &src, &up, &pedge);
                 }
-                n_border += span as u64;
             } else {
                 let body_lo = x_start.max(1);
                 let body_hi = x_end.min(w - 1);
-                let mut row_body = 0u64;
                 if body_hi > body_lo {
                     let blen = body_hi - body_lo;
                     let yi = y as isize;
@@ -516,7 +490,6 @@ pub(crate) fn sharpness_fused_launch(
                         mean,
                         &params,
                     );
-                    row_body = blen as u64;
                 }
                 // `w >= 3` here, so the two border columns are distinct.
                 for x in [0, w - 1] {
@@ -524,22 +497,9 @@ pub(crate) fn sharpness_fused_launch(
                         row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
                     }
                 }
-                n_body += row_body;
-                n_border += span as u64 - row_body;
             }
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Body pixel: up + pEdge + nine window loads (44 B) + store;
-        // border pixel: up + pEdge + centre (12 B) + store — identical to
-        // the per-item charges.
-        g.charge_global_n(44, 0, 4, 0, n_body);
-        g.charge_global_n(12, 0, 4, 0, n_border);
-        g.charge_n(&per_body, n_body);
-        g.charge_n(
-            &OpCounts::ZERO.adds(3).divs(1).pows(1).muls(2).cmps(6),
-            n_border,
-        );
-        g.divergent((n_body * 2 + n_border) * clamp_div);
     })
 }
 
@@ -547,7 +507,12 @@ pub(crate) fn sharpness_fused_launch(
 /// row, full up/pEdge reads and a full final write (body spans plus the
 /// two border columns union to the whole row); source reads are the 3×3
 /// halo slices over interior rows, single-pixel centre reads on the border
-/// columns, and full centre rows on the border rows.
+/// columns, and full centre rows on the border rows. A body pixel is
+/// charged up + pEdge + nine window loads (44 B), a store, pError (1 add),
+/// strength/preliminary, minmax (16 cmp), the overshoot branches and
+/// clamps (6 cmp) and the excursion (mul + add); a border pixel up +
+/// pEdge + centre (12 B), a store and the border recipe. Without built-in
+/// selects each body pixel diverges twice and each border pixel once.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_access(
     desc: &KernelDesc,
@@ -559,10 +524,11 @@ pub(crate) fn sharpness_fused_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr == 0 {
         return s;
     }
@@ -620,6 +586,14 @@ pub(crate) fn sharpness_fused_access(
     let n_border = (w * nr) as u64 - n_body;
     s.charge_global_n(44, 0, 4, 0, n_body);
     s.charge_global_n(12, 0, 4, 0, n_border);
+    let c = &mut s.charged;
+    let per_body = OpCounts::ZERO.adds(4).divs(1).pows(1).muls(3).cmps(24);
+    c.charge_ops_n(&per_body.plus(&tune.idx_ops()), n_body);
+    c.charge_ops_n(
+        &OpCounts::ZERO.adds(3).divs(1).pows(1).muls(2).cmps(6),
+        n_border,
+    );
+    c.divergent_branches += (2 * n_body + n_border) * tune.clamp_divergence();
     s
 }
 
@@ -695,14 +669,6 @@ pub(crate) fn sharpness_fused_vec4_launch(
     let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
-    let per_thread = OpCounts::ZERO
-        .adds(16)
-        .divs(4)
-        .pows(4)
-        .muls(12)
-        .cmps(96 + 8)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Charged loads are 26 per thread over (ws/4)·h threads; the summary
     // declares the distinct-window events actually observed (3 source
     // halo slices + up/pEdge rows), and carries the exact ratio between
@@ -718,9 +684,9 @@ pub(crate) fn sharpness_fused_vec4_launch(
             w,
             h,
             ws,
+            tune,
         )
     });
-    let ratio = access.read_ratio;
     launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
@@ -733,14 +699,9 @@ pub(crate) fn sharpness_fused_vec4_launch(
             };
         // The group's threads cover `4 * group_size[0]` consecutive pixels
         // per row; the work is done row-segment at a time so the body loop
-        // is branch-free, while the charged traffic below stays exactly
-        // what the per-thread vload4/vstore4 pattern accounts.
-        // As in the vectorized Sobel, the charged overlapping-window
-        // traffic exceeds the distinct elements the row spans touch.
-        g.declare_read_overcharge(ratio);
+        // is branch-free.
         let gw = g.group_size[0];
         let x_start = 4 * g.group_id[0] * gw;
-        let mut n_threads = 0u64;
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -750,7 +711,6 @@ pub(crate) fn sharpness_fused_vec4_launch(
             }
             let x_end = (x_start + 4 * gw).min(ws);
             let span = x_end - x_start;
-            n_threads += (span / 4) as u64;
             let yi = y as isize;
             let row_out = &mut scratch[..span];
             // Stride-padding columns beyond `w` stay zero on every row,
@@ -793,11 +753,6 @@ pub(crate) fn sharpness_fused_vec4_launch(
             }
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Per thread: 3 src vload4 (48 B) + up/pEdge vload4 (32 B) vector
-        // reads, 6 src scalar loads (24 B), one vstore4 (16 B).
-        g.charge_global_n(24, 80, 0, 16, n_threads);
-        g.charge_n(&per_thread, n_threads);
-        g.divergent(n_threads * clamp_div);
     })
 }
 
@@ -805,7 +760,11 @@ pub(crate) fn sharpness_fused_vec4_launch(
 /// like [`sharpness_fused_access`] but over the `ws/4 × h` thread grid —
 /// writes cover the full `ws`-wide stride rows (padding columns are
 /// zeroed), and the interior body spans are unconditional per column group
-/// (`blen` may be zero, still issuing the two-element halo loads).
+/// (`blen` may be zero, still issuing the two-element halo loads). Every
+/// covered thread is charged the per-thread `vload4`/`vstore4` pattern —
+/// 3 source vload4 (48 B) + up/pEdge vload4 (32 B) vector reads, 6 source
+/// scalar loads (24 B), one vstore4 (16 B) — four pixels of fused
+/// arithmetic, and without built-in selects one divergent branch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_vec4_access(
     desc: &KernelDesc,
@@ -817,10 +776,11 @@ pub(crate) fn sharpness_fused_vec4_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr == 0 {
         return s;
     }
@@ -864,7 +824,17 @@ pub(crate) fn sharpness_fused_vec4_access(
             .by_y(nir, src.pitch),
         );
     }
-    s.charge_global_n(24, 80, 0, 16, ((ws / 4) * nr) as u64);
+    let n_threads = ((ws / 4) * nr) as u64;
+    s.charge_global_n(24, 80, 0, 16, n_threads);
+    let per_thread = OpCounts::ZERO
+        .adds(16)
+        .divs(4)
+        .pows(4)
+        .muls(12)
+        .cmps(96 + 8);
+    s.charged
+        .charge_ops_n(&per_thread.plus(&tune.idx_ops()), n_threads);
+    s.charged.divergent_branches += n_threads * tune.clamp_divergence();
     s
 }
 
@@ -875,6 +845,37 @@ mod tests {
     use imagekit::{generate, ImageF32};
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+
+    #[test]
+    fn row_splits_declare_the_whole_grid() {
+        use crate::gpu::kernels::split_check::{assert_splits_merge, sources, SHAPES, TUNINGS};
+        for (w, h) in SHAPES {
+            let ws = crate::params::device_stride(w);
+            let buf = |label: &str| BufRef::f32(label, ws * h);
+            let (raw, padded) = sources(w, h);
+            for tune in TUNINGS {
+                let desc = grid2d("preliminary", w, h);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    let (up, pe, perr) = (buf("up"), buf("pEdge"), buf("pError"));
+                    preliminary_access(&desc, g, up, pe, perr, buf("prelim"), w, h, ws, tune)
+                });
+                let desc = grid2d("overshoot", w, h);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    overshoot_access(&desc, g, &raw, buf("prelim"), buf("final"), w, h, ws, tune)
+                });
+                let desc = grid2d("sharpness", w, h);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    let (up, pe, out) = (buf("up"), buf("pEdge"), buf("final"));
+                    sharpness_fused_access(&desc, g, &padded, up, pe, out, w, h, ws, tune)
+                });
+                let desc = grid2d("sharpness_vec4", ws / 4, h);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    let (up, pe, out) = (buf("up"), buf("pEdge"), buf("final"));
+                    sharpness_fused_vec4_access(&desc, g, &padded, up, pe, out, w, h, ws, tune)
+                });
+            }
+        }
+    }
 
     struct Fixture {
         img: ImageF32,

@@ -25,8 +25,9 @@
 //! fast path uses `sqrt`, pinned against `powf(0.5)` by the math tests.
 //!
 //! This module never touches `GroupCtx` or the cost model: spans operate
-//! on plain slices, and all charging stays in the kernels
-//! (`scripts/lint_invariants.sh` rule 6).
+//! on plain slices, and a dispatch's cost is its kernel's closed-form
+//! access declaration, fixed before any span runs. `std::arch` stays in
+//! this module (`scripts/lint_invariants.sh` rule 4).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -57,29 +57,29 @@ pub(crate) fn sobel_scalar_launch(
     let desc = grid2d("sobel", w, h);
     let out = pedge.write_view();
     let src = src.clone();
-    let per_item = OpCounts::ZERO
-        .adds(11)
-        .muls(4)
-        .cmps(2)
-        .plus(&tune.idx_ops());
-    let border_div = tune.clamp_divergence();
     // Row-span form: each group walks its 16-column tile row by row, so
     // the stencil runs over contiguous slices (autovectorized by rustc or
-    // dispatched to the explicit backends via [`simd::sobel_span`]).
-    // Charged traffic stays exactly the per-pixel pattern of the one-item-
-    // per-pixel form: eight window loads + one store per body pixel, one
-    // zero store per border pixel. The observed raw reads are the three
-    // `(blen+2)`-wide row slices per tile row, which stay below the
-    // charged windows for every width except `w == 3` (one-pixel body
+    // dispatched to the explicit backends via [`simd::sobel_span`]). The
+    // declared traffic stays exactly the per-pixel pattern of the
+    // one-item-per-pixel form: eight window loads + one store per body
+    // pixel, one zero store per border pixel. The observed raw reads are
+    // the three `(blen+2)`-wide row slices per tile row, which stay below
+    // the charged windows for every width except `w == 3` (one-pixel body
     // spans), so narrow images keep the exact per-item path.
     let access = summarize(&launch, &desc, |groups| {
-        sobel_scalar_access(&desc, groups, &SrcInfo::of(&src), pedge.info(), w, h, ws)
+        sobel_scalar_access(
+            &desc,
+            groups,
+            &SrcInfo::of(&src),
+            pedge.info(),
+            w,
+            h,
+            ws,
+            tune,
+        )
     });
-    let ratio = access.read_ratio;
     launch.dispatch(q, &desc, access, &[pedge], move |g| {
         if w < 4 {
-            let mut n_body = 0u64;
-            let mut n_border = 0u64;
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [x, y] = g.global_id(l);
@@ -87,35 +87,28 @@ pub(crate) fn sobel_scalar_launch(
                     continue;
                 }
                 if x == 0 || y == 0 || x == w - 1 || y == h - 1 {
-                    n_border += 1;
-                    g.store(&out, y * ws + x, 0.0);
+                    out.set_raw(y * ws + x, 0.0);
                     continue;
                 }
-                n_body += 1;
                 let (xi, yi) = (x as isize, y as isize);
+                let at = |dx: isize, dy: isize| src.view.get_raw(src.idx(xi + dx, yi + dy));
                 let n = [
-                    g.load(&src.view, src.idx(xi - 1, yi - 1)),
-                    g.load(&src.view, src.idx(xi, yi - 1)),
-                    g.load(&src.view, src.idx(xi + 1, yi - 1)),
-                    g.load(&src.view, src.idx(xi - 1, yi)),
+                    at(-1, -1),
+                    at(0, -1),
+                    at(1, -1),
+                    at(-1, 0),
                     0.0, // centre value is unused by the operator
-                    g.load(&src.view, src.idx(xi + 1, yi)),
-                    g.load(&src.view, src.idx(xi - 1, yi + 1)),
-                    g.load(&src.view, src.idx(xi, yi + 1)),
-                    g.load(&src.view, src.idx(xi + 1, yi + 1)),
+                    at(1, 0),
+                    at(-1, 1),
+                    at(0, 1),
+                    at(1, 1),
                 ];
-                g.store(&out, y * ws + x, math::sobel_pixel(&n));
+                out.set_raw(y * ws + x, math::sobel_pixel(&n));
             }
-            g.charge_n(&per_item, n_body);
-            g.charge_n(&OpCounts::ZERO.cmps(4), n_border + n_body);
-            g.divergent(n_border * border_div);
             return;
         }
-        g.declare_read_overcharge(ratio);
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_body = 0u64;
-        let mut n_border = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -129,7 +122,6 @@ pub(crate) fn sobel_scalar_launch(
             // Zero first: the border columns/rows the body span below does
             // not overwrite store zero, as in the per-pixel form.
             row_out.fill(0.0);
-            let mut row_body = 0u64;
             if y > 0 && y < h - 1 {
                 let body_lo = x_start.max(1);
                 let body_hi = x_end.min(w - 1);
@@ -151,21 +143,10 @@ pub(crate) fn sobel_scalar_launch(
                         r2,
                         &mut row_out[body_lo - x_start..body_hi - x_start],
                     );
-                    row_body = blen as u64;
                 }
             }
-            n_body += row_body;
-            n_border += span as u64 - row_body;
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Eight window loads (32 B) + one store (4 B) per body pixel; one
-        // zero store (4 B) per border pixel — identical to the per-item
-        // charges above.
-        g.charge_global_n(32, 0, 4, 0, n_body);
-        g.charge_global_n(0, 0, 4, 0, n_border);
-        g.charge_n(&per_item, n_body);
-        g.charge_n(&OpCounts::ZERO.cmps(4), n_border + n_body);
-        g.divergent(n_border * border_div);
     })
 }
 
@@ -173,7 +154,11 @@ pub(crate) fn sobel_scalar_launch(
 /// row, a full `w`-element pEdge write; source reads are the eight
 /// per-pixel neighbour windows for narrow images (`w < 4`, the exact
 /// per-item path) or three `(blen+2)`-wide halo slices per body column
-/// group otherwise.
+/// group otherwise. A body pixel costs eight window loads (32 B), one
+/// store and the operator's arithmetic; a border pixel one zero store and,
+/// without built-in selects, a divergent branch; every pixel four
+/// compares.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sobel_scalar_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -182,10 +167,11 @@ pub(crate) fn sobel_scalar_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr == 0 {
         return s;
     }
@@ -228,6 +214,17 @@ pub(crate) fn sobel_scalar_access(
     let n_border = (w * nr) as u64 - n_body;
     s.charge_global_n(32, 0, 4, 0, n_body);
     s.charge_global_n(0, 0, 4, 0, n_border);
+    let c = &mut s.charged;
+    c.charge_ops_n(
+        &OpCounts::ZERO
+            .adds(11)
+            .muls(4)
+            .cmps(2)
+            .plus(&tune.idx_ops()),
+        n_body,
+    );
+    c.charge_ops_n(&OpCounts::ZERO.cmps(4), n_body + n_border);
+    c.divergent_branches += n_border * tune.clamp_divergence();
     s
 }
 
@@ -281,34 +278,27 @@ pub(crate) fn sobel_vec4_launch(
     let desc = grid2d("sobel_vec4", ws / 4, h);
     let out = pedge.write_view();
     let src = src.clone();
-    // Per thread: 4 pixels × (11 add + 4 mul + 2 cmp) + border selects.
-    let per_thread = OpCounts::ZERO
-        .adds(44)
-        .muls(16)
-        .cmps(8 + 4)
-        .plus(&tune.idx_ops());
     // Charged loads are 18 per thread over (ws/4)·h threads; the summary
     // declares the halo-slice events actually observed and carries the
     // exact ratio between the two.
     let access = summarize(&launch, &desc, |groups| {
-        sobel_vec4_access(&desc, groups, &SrcInfo::of(&src), pedge.info(), w, h, ws)
+        sobel_vec4_access(
+            &desc,
+            groups,
+            &SrcInfo::of(&src),
+            pedge.info(),
+            w,
+            h,
+            ws,
+            tune,
+        )
     });
-    let ratio = access.read_ratio;
     launch.dispatch(q, &desc, access, &[pedge], move |g| {
         // Row-segment form: the group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
-        // the host autovectorizes it, while the charged traffic stays
-        // exactly the per-thread 3×vload4 + 6 loads + vstore4 pattern
-        // (border-row threads load their windows too before zeroing, so
-        // every covered thread charges the full window).
-        // The charged traffic (18 loads per thread, windows overlapping by
-        // design) exceeds the distinct elements the row-span form touches;
-        // declare the worst-case ratio so the drift audit stays exact-or-
-        // declared.
-        g.declare_read_overcharge(ratio);
+        // the host autovectorizes it.
         let gw = g.group_size[0];
         let x_start = 4 * g.group_id[0] * gw;
-        let mut n_threads = 0u64;
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -318,7 +308,6 @@ pub(crate) fn sobel_vec4_launch(
             }
             let x_end = (x_start + 4 * gw).min(ws);
             let span = x_end - x_start;
-            n_threads += (span / 4) as u64;
             let row_out = &mut scratch[..span];
             // Zero everything the body loop below does not overwrite: the
             // image border columns and the stride-padding tail beyond `w`
@@ -352,17 +341,18 @@ pub(crate) fn sobel_vec4_launch(
             }
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Per thread: one 3-row window = 3 vload4 (48 B) + 6 scalar loads
-        // (24 B), one vstore4 (16 B).
-        g.charge_global_n(24, 48, 0, 16, n_threads);
-        g.charge_n(&per_thread, n_threads);
     })
 }
 
 /// Closed-form access summary of the vectorized Sobel dispatch: per
 /// covered row, a full `ws`-element pEdge write (padding columns are
 /// zeroed); source reads are the unconditional halo slices per column
-/// group over interior rows (border rows load nothing).
+/// group over interior rows (border rows load nothing). Every covered
+/// thread is charged the per-thread `vload4`/`vstore4` pattern — one
+/// 3-row window of 3 vload4 (48 B) + 6 scalar loads (24 B), one vstore4
+/// (16 B) — and four pixels of arithmetic plus the border selects
+/// (border-row threads load their windows too before zeroing).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sobel_vec4_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -371,10 +361,11 @@ pub(crate) fn sobel_vec4_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let rows = covered_rows(desc, &groups, h);
     let nr = rows.len();
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if nr == 0 {
         return s;
     }
@@ -394,7 +385,16 @@ pub(crate) fn sobel_vec4_access(
             );
         }
     }
-    s.charge_global_n(24, 48, 0, 16, ((ws / 4) * nr) as u64);
+    let n_threads = ((ws / 4) * nr) as u64;
+    s.charge_global_n(24, 48, 0, 16, n_threads);
+    s.charged.charge_ops_n(
+        &OpCounts::ZERO
+            .adds(44)
+            .muls(16)
+            .cmps(8 + 4)
+            .plus(&tune.idx_ops()),
+        n_threads,
+    );
     s
 }
 
@@ -405,6 +405,26 @@ mod tests {
     use imagekit::generate;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+
+    #[test]
+    fn row_splits_declare_the_whole_grid() {
+        use crate::gpu::kernels::split_check::{assert_splits_merge, sources, SHAPES, TUNINGS};
+        for (w, h) in SHAPES {
+            let ws = crate::params::device_stride(w);
+            let pedge = BufRef::f32("pEdge", ws * h);
+            let (raw, padded) = sources(w, h);
+            for tune in TUNINGS {
+                let desc = grid2d("sobel", w, h);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    sobel_scalar_access(&desc, g, &raw, pedge.clone(), w, h, ws, tune)
+                });
+                let desc = grid2d("sobel_vec4", ws / 4, h);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    sobel_vec4_access(&desc, g, &padded, pedge.clone(), w, h, ws, tune)
+                });
+            }
+        }
+    }
 
     fn gpu_ctx() -> Context {
         Context::with_validation(DeviceSpec::firepro_w8000())

@@ -71,29 +71,21 @@ pub(crate) fn upscale_center_scalar_launch(
     let desc = grid2d("upscale_center", nx, ny);
     let down = down.clone();
     let upv = up.write_view();
-    // Per interpolated value: 6 mul + 3 add; index arithmetic per block.
-    let per_value = OpCounts::ZERO.muls(6).adds(3);
-    let idx_ops = tune.idx_ops();
     // Segment form: blocks whose whole 4×4 output tile is interior
     // (clamp-free) share their downscaled row segments and run through the
     // interpolation spans ([`simd::interp4_span`] + [`simd::lerp_span`]),
     // hoisting the column interpolants exactly like the vectorized
     // variant — the identical multiplies/adds in the identical order, so
     // identical bits. Clamped edge blocks keep the exact per-block path.
-    // Charged traffic stays the per-block pattern (four scalar loads,
+    // Declared traffic stays the per-block pattern (four scalar loads,
     // sixteen scalar stores); the fast segment observes `2·(seg+1)` raw
     // reads against `4·seg` charged, covered by the declared ratio.
     let access = summarize(&launch, &desc, |groups| {
-        upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws)
+        upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    let ratio = access.read_ratio;
     launch.dispatch(q, &desc, access, &[up], move |g| {
-        g.declare_read_overcharge(ratio);
         let gw = g.group_size[0];
         let b_start = g.group_id[0] * gw;
-        let mut n_blocks = 0u64;
-        let mut n_vals = 0u64;
-        let mut n_fast = 0u64;
         let mut tops = [0.0f32; 4 * GROUP_2D[0]];
         let mut bots = [0.0f32; 4 * GROUP_2D[0]];
         let mut out_row = [0.0f32; 4 * GROUP_2D[0]];
@@ -114,9 +106,6 @@ pub(crate) fn upscale_center_scalar_launch(
             };
             if fast_end > b_start {
                 let seg = fast_end - b_start;
-                n_blocks += seg as u64;
-                n_fast += seg as u64;
-                n_vals += 16 * seg as u64;
                 let r0 = down.slice_raw(bj * wd + b_start, seg + 1);
                 let r1 = down.slice_raw((bj + 1) * wd + b_start, seg + 1);
                 simd::interp4_span(r0, &mut tops[..4 * seg]);
@@ -128,11 +117,10 @@ pub(crate) fn upscale_center_scalar_launch(
                 }
             }
             for bi in fast_end.max(b_start)..b_end {
-                n_blocks += 1;
-                let d00 = g.load(&down, bj * wd + bi);
-                let d01 = g.load(&down, bj * wd + bi + 1);
-                let d10 = g.load(&down, (bj + 1) * wd + bi);
-                let d11 = g.load(&down, (bj + 1) * wd + bi + 1);
+                let d00 = down.get_raw(bj * wd + bi);
+                let d01 = down.get_raw(bj * wd + bi + 1);
+                let d10 = down.get_raw((bj + 1) * wd + bi);
+                let d11 = down.get_raw((bj + 1) * wd + bi + 1);
                 for r in 0..SCALE {
                     let y = SCALE * bj + 2 + r;
                     if y > h - 3 {
@@ -143,21 +131,11 @@ pub(crate) fn upscale_center_scalar_launch(
                         if x > w - 3 {
                             break;
                         }
-                        n_vals += 1;
-                        g.store(
-                            &upv,
-                            y * ws + x,
-                            math::upscale_value(d00, d01, d10, d11, r, c),
-                        );
+                        upv.set_raw(y * ws + x, math::upscale_value(d00, d01, d10, d11, r, c));
                     }
                 }
             }
         }
-        // Fast blocks: the per-block four scalar loads (16 B) and sixteen
-        // scalar stores (64 B), charged in bulk.
-        g.charge_global_n(16, 0, 64, 0, n_fast);
-        g.charge_n(&per_value, n_vals);
-        g.charge_n(&idx_ops, n_blocks);
     })
 }
 
@@ -168,7 +146,9 @@ pub(crate) fn upscale_center_scalar_launch(
 /// row slices per work-group column and write one 4-row strided tile,
 /// while the ragged right-edge blocks keep per-element loads and clamped
 /// stores. The clamped bottom block row (at most one) is fully
-/// per-element.
+/// per-element. Every interpolated value costs 6 mul + 3 add, every block
+/// its index arithmetic.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn upscale_center_scalar_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -177,11 +157,12 @@ pub(crate) fn upscale_center_scalar_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let (nx, ny) = (wd - 1, hd - 1);
     let rows = covered_rows(desc, &groups, ny);
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if rows.is_empty() {
         return s;
     }
@@ -270,7 +251,28 @@ pub(crate) fn upscale_center_scalar_access(
     s.charge_global_n(16, 0, 64, 0, (nfr * fc) as u64);
     s.charge_global_n(4, 0, 0, 0, slow_loads);
     s.charge_global_n(0, 0, 4, 0, slow_stores);
+    let c = &mut s.charged;
+    c.charge_ops_n(&INTERP_VALUE, center_values(&rows, w, h));
+    c.charge_ops_n(&tune.idx_ops(), (nx * rows.len()) as u64);
     s
+}
+
+/// Arithmetic of one interpolated center value: 6 mul + 3 add.
+const INTERP_VALUE: OpCounts = OpCounts {
+    mul: 6,
+    add: 3,
+    ..OpCounts::ZERO
+};
+
+/// Interpolated values the center kernels write for the block rows
+/// `rows`: the live output rows of each block row (`y ≤ h - 3`) times the
+/// `w - 4` interior columns.
+fn center_values(rows: &std::ops::Range<usize>, w: usize, h: usize) -> u64 {
+    let live_rows: usize = rows
+        .clone()
+        .map(|bj| (h - 4).saturating_sub(SCALE * bj).min(SCALE))
+        .sum();
+    (live_rows * (w - 4)) as u64
 }
 
 /// Vectorized upscale-center kernel: one thread per *four horizontally
@@ -308,16 +310,10 @@ pub(crate) fn upscale_center_vec4_launch(
     let desc = grid2d("upscale_center_vec4", nx_threads, ny);
     let down = down.clone();
     let upv = up.write_view();
-    // Per interpolated value: 6 mul + 3 add (the fast path hoists shared
-    // factors but charges the same per-value recipe).
-    let per_value = OpCounts::ZERO.muls(6).adds(3);
     let access = summarize(&launch, &desc, |groups| {
-        upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws)
+        upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
     launch.dispatch(q, &desc, access, &[up], move |g| {
-        let mut n_vals = 0u64;
-        let mut n_threads = 0u64;
-        let mut n_fast = 0u64;
         for l in items(g.group_size) {
             g.begin_item(l);
             let [t, bj] = g.global_id(l);
@@ -325,7 +321,6 @@ pub(crate) fn upscale_center_vec4_launch(
             if bi0 >= nx || bj >= ny {
                 continue;
             }
-            n_threads += 1;
             // Fast path: all four blocks exist, the 5-wide row segments
             // are in bounds, and the whole 16×4 output tile is interior
             // (the two clamp conditions are automatically true for
@@ -336,11 +331,7 @@ pub(crate) fn upscale_center_vec4_launch(
                 // multiplies/adds in the identical order, each computed
                 // once instead of four times — and the four vstore4s of
                 // one output row written as a 16-wide span so the host
-                // loop autovectorizes. The thread's charged traffic
-                // (2 vload4 + 2 scalar loads, 16 vstore4) is accounted in
-                // bulk below, unchanged.
-                n_fast += 1;
-                n_vals += 64;
+                // loop autovectorizes.
                 let r0 = down.slice_raw(bj * wd + bi0, 5);
                 let r1 = down.slice_raw((bj + 1) * wd + bi0, 5);
                 let mut tops = [0.0f32; 16];
@@ -362,19 +353,15 @@ pub(crate) fn upscale_center_vec4_launch(
                 let base = (bj + dr) * wd;
                 if bi0 + 3 < wd {
                     // Aligned interior: one vload4 + one scalar.
-                    let v = g.vload4(&down, base + bi0);
-                    row[..4].copy_from_slice(&v);
+                    down.read_into(base + bi0, &mut row[..4]);
                     if bi0 + 4 < wd {
-                        row[4] = g.load(&down, base + bi0 + 4);
+                        row[4] = down.get_raw(base + bi0 + 4);
                     }
                 } else {
                     // Row tail (wd not a multiple of 4): scalar loads of
                     // whatever columns exist.
-                    for (k, slot) in row.iter_mut().enumerate() {
-                        if bi0 + k < wd {
-                            *slot = g.load(&down, base + bi0 + k);
-                        }
-                    }
+                    let cnt = wd - bi0;
+                    down.read_into(base + bi0, &mut row[..cnt]);
                 }
             }
             for k in 0..4 {
@@ -399,8 +386,7 @@ pub(crate) fn upscale_center_vec4_launch(
                         for (c, slot) in out.iter_mut().enumerate() {
                             *slot = math::upscale_value(d00, d01, d10, d11, r, c);
                         }
-                        g.vstore4(&upv, y * ws + x0, out);
-                        n_vals += 4;
+                        upv.set4_raw(y * ws + x0, out);
                     } else {
                         // Ragged right edge: clamped scalar stores.
                         for c in 0..SCALE {
@@ -408,22 +394,12 @@ pub(crate) fn upscale_center_vec4_launch(
                             if x > w - 3 {
                                 break;
                             }
-                            n_vals += 1;
-                            g.store(
-                                &upv,
-                                y * ws + x,
-                                math::upscale_value(d00, d01, d10, d11, r, c),
-                            );
+                            upv.set_raw(y * ws + x, math::upscale_value(d00, d01, d10, d11, r, c));
                         }
                     }
                 }
             }
         }
-        g.charge_n(&per_value, n_vals);
-        g.charge_n(&OpCounts::ZERO.cmps(4).plus(&tune.idx_ops()), n_threads);
-        // Fast-path threads: 2 vload4 (32 B) + 2 scalar loads (8 B) in,
-        // 16 vstore4 (256 B) out.
-        g.charge_global_n(8, 32, 0, 256, n_fast);
     })
 }
 
@@ -433,8 +409,12 @@ pub(crate) fn upscale_center_vec4_launch(
 /// read two 5-wide strided slices and write one 16-wide 4-row tile each;
 /// slow threads mirror the kernel's per-thread fallback (vload4 + scalar
 /// tail loads, vstore4 or clamped scalar stores per block), with charges
-/// split by scalar/vector class exactly as `g.load`/`g.vload4`/`g.store`/
-/// `g.vstore4` charge them. The charge is exact, so the ratio stays 1.
+/// split by scalar/vector class as an OpenCL kernel's `vload4`/`vstore4`
+/// and scalar accesses would issue them. The charge is exact, so the
+/// ratio stays 1. Every interpolated value costs 6 mul + 3 add (the fast
+/// path hoists shared factors but is charged the same recipe), every
+/// thread four compares and its index arithmetic.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn upscale_center_vec4_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -443,12 +423,13 @@ pub(crate) fn upscale_center_vec4_access(
     w: usize,
     h: usize,
     ws: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let (nx, ny) = (wd - 1, hd - 1);
     let nt = nx.div_ceil(4);
     let rows = covered_rows(desc, &groups, ny);
-    let mut s = AccessSummary::new(&desc.name, groups, desc.total_groups());
+    let mut s = AccessSummary::new(desc, groups);
     if rows.is_empty() {
         return s;
     }
@@ -537,6 +518,12 @@ pub(crate) fn upscale_center_vec4_access(
     s.charge_global_n(0, 16, 0, 0, vload);
     s.charge_global_n(0, 0, 4, 0, sstore);
     s.charge_global_n(0, 0, 0, 16, vstore);
+    let c = &mut s.charged;
+    c.charge_ops_n(&INTERP_VALUE, center_values(&rows, w, h));
+    c.charge_ops_n(
+        &OpCounts::ZERO.cmps(4).plus(&tune.idx_ops()),
+        (nt * rows.len()) as u64,
+    );
     s
 }
 
@@ -574,8 +561,6 @@ pub fn upscale_border_gpu(
         let down = down.clone();
         let upv = up.write_view();
         let companion = if dst_row == 0 { 1 } else { h - 1 };
-        let per_item = OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&tune.idx_ops());
-        let replicate_item = OpCounts::ZERO.cmps(2).plus(&tune.idx_ops());
         let access = upscale_border_row_access(
             &desc,
             down.info(),
@@ -585,11 +570,9 @@ pub fn upscale_border_gpu(
             src_row,
             dst_row,
             companion,
+            tune,
         );
         let t = Launch::Full.dispatch(q, &desc, access, &[up], move |g| {
-            let mut n = 0u64;
-            let mut n_repl = 0u64;
-            let mut corner_events = 0u64;
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bi, _] = g.global_id(l);
@@ -600,17 +583,15 @@ pub fn upscale_border_gpu(
                     // Single downscaled column: no pair to interpolate —
                     // replicate the one value across both rows, exactly as
                     // the CPU reference does.
-                    n_repl += 1;
-                    let v = g.load(&down, src_row);
+                    let v = down.get_raw(src_row);
                     for x in 0..w {
-                        g.store(&upv, dst_row * ws + x, v);
-                        g.store(&upv, companion * ws + x, v);
+                        upv.set_raw(dst_row * ws + x, v);
+                        upv.set_raw(companion * ws + x, v);
                     }
                     continue;
                 }
-                n += 1;
-                let a = g.load(&down, src_row * wd + bi);
-                let b = g.load(&down, src_row * wd + bi + 1);
+                let a = down.get_raw(src_row * wd + bi);
+                let b = down.get_raw(src_row * wd + bi + 1);
                 let mut vals = [0.0f32; SCALE];
                 for (ph, v) in vals.iter_mut().enumerate() {
                     *v = math::border_interp(a, b, ph);
@@ -618,32 +599,27 @@ pub fn upscale_border_gpu(
                 for (ph, &v) in vals.iter().enumerate() {
                     let x = SCALE * bi + 2 + ph;
                     if x <= w - 3 {
-                        g.store(&upv, dst_row * ws + x, v);
-                        g.store(&upv, companion * ws + x, v);
+                        upv.set_raw(dst_row * ws + x, v);
+                        upv.set_raw(companion * ws + x, v);
                     }
                 }
                 if bi == 0 {
                     // Outer-left columns copy the phase-0 value.
-                    corner_events += 1;
                     for x in 0..2 {
-                        g.store(&upv, dst_row * ws + x, vals[0]);
-                        g.store(&upv, companion * ws + x, vals[0]);
+                        upv.set_raw(dst_row * ws + x, vals[0]);
+                        upv.set_raw(companion * ws + x, vals[0]);
                     }
                 }
                 if bi == wd - 2 {
                     // Outer-right columns copy the value at x = w-3 (the
                     // tail phase; 3 for multiple-of-4 widths).
-                    corner_events += 1;
                     let v = vals[w + 3 - SCALE * wd];
                     for x in [w - 2, w - 1] {
-                        g.store(&upv, dst_row * ws + x, v);
-                        g.store(&upv, companion * ws + x, v);
+                        upv.set_raw(dst_row * ws + x, v);
+                        upv.set_raw(companion * ws + x, v);
                     }
                 }
             }
-            g.charge_n(&per_item, n);
-            g.charge_n(&replicate_item, n_repl);
-            g.divergent(corner_events);
         })?;
         times.push(t);
     }
@@ -659,7 +635,6 @@ pub fn upscale_border_gpu(
         let down = down.clone();
         let upv = up.write_view();
         let companion = if dst_col == 0 { 1 } else { w - 1 };
-        let per_item = OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&tune.idx_ops());
         let access = upscale_border_col_access(
             &desc,
             down.info(),
@@ -670,29 +645,27 @@ pub fn upscale_border_gpu(
             src_col,
             dst_col,
             companion,
+            tune,
         );
         let t = Launch::Full.dispatch(q, &desc, access, &[up], move |g| {
-            let mut n = 0u64;
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bj, _] = g.global_id(l);
                 if bj >= hd - 1 {
                     continue;
                 }
-                n += 1;
-                let a = g.load(&down, bj * wd + src_col);
-                let b = g.load(&down, (bj + 1) * wd + src_col);
+                let a = down.get_raw(bj * wd + src_col);
+                let b = down.get_raw((bj + 1) * wd + src_col);
                 for ph in 0..SCALE {
                     let y = SCALE * bj + 2 + ph;
                     if y > h - 3 {
                         break;
                     }
                     let v = math::border_interp(a, b, ph);
-                    g.store(&upv, y * ws + dst_col, v);
-                    g.store(&upv, y * ws + companion, v);
+                    upv.set_raw(y * ws + dst_col, v);
+                    upv.set_raw(y * ws + companion, v);
                 }
             }
-            g.charge_n(&per_item, n);
         })?;
         times.push(t);
     }
@@ -705,7 +678,9 @@ pub fn upscale_border_gpu(
 /// of `x ∈ [2, w-3]` is stored exactly once per output row, with the
 /// corner items adding the two outermost columns on each side. A
 /// single-column downscaled grid replicates its one value across both
-/// rows.
+/// rows. Each interpolating item costs the [`border_item`] recipe, and the
+/// two corner items each take an extra divergent branch; the replicating
+/// item only compares.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn upscale_border_row_access(
     desc: &KernelDesc,
@@ -716,15 +691,18 @@ pub(crate) fn upscale_border_row_access(
     src_row: usize,
     dst_row: usize,
     companion: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let wd = w.div_ceil(SCALE);
-    let mut s = AccessSummary::new(&desc.name, 0..desc.total_groups(), desc.total_groups());
+    let mut s = AccessSummary::new(desc, 0..desc.total_groups());
     if wd == 1 {
         s.push(AccessWindow::read(down, src_row, 1));
         s.push(AccessWindow::write(up.clone(), dst_row * ws, w));
         s.push(AccessWindow::write(up, companion * ws, w));
         s.charge_global_n(4, 0, 0, 0, 1);
         s.charge_global_n(0, 0, 4, 0, 2 * w as u64);
+        s.charged
+            .charge_ops_n(&OpCounts::ZERO.cmps(2).plus(&tune.idx_ops()), 1);
         return s;
     }
     s.push(AccessWindow::read(down, src_row * wd, 2).by_x(wd - 1, 1));
@@ -735,7 +713,15 @@ pub(crate) fn upscale_border_row_access(
     }
     s.charge_global_n(4, 0, 0, 0, 2 * (wd as u64 - 1));
     s.charge_global_n(0, 0, 4, 0, 2 * w as u64);
+    s.charged.charge_ops_n(&border_item(tune), wd as u64 - 1);
+    s.charged.divergent_branches += 2;
     s
+}
+
+/// Arithmetic of one interpolating border item: the 4-phase lerp (8 mul +
+/// 4 add), two bounds compares, and index arithmetic.
+fn border_item(tune: KernelTuning) -> OpCounts {
+    OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&tune.idx_ops())
 }
 
 /// Closed-form access summary of one vertical border-column dispatch: item
@@ -743,7 +729,7 @@ pub(crate) fn upscale_border_row_access(
 /// (interior rows read twice) and each `y ∈ [2, h-3]` is stored exactly
 /// once to both output columns. A single-row downscaled grid leaves the
 /// dispatch with no live items (the border rows already covered
-/// everything).
+/// everything). Each live item costs the [`border_item`] recipe.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn upscale_border_col_access(
     desc: &KernelDesc,
@@ -755,9 +741,10 @@ pub(crate) fn upscale_border_col_access(
     src_col: usize,
     dst_col: usize,
     companion: usize,
+    tune: KernelTuning,
 ) -> AccessSummary {
     let hd = h.div_ceil(SCALE);
-    let mut s = AccessSummary::new(&desc.name, 0..desc.total_groups(), desc.total_groups());
+    let mut s = AccessSummary::new(desc, 0..desc.total_groups());
     if hd < 2 {
         return s;
     }
@@ -770,6 +757,7 @@ pub(crate) fn upscale_border_col_access(
     s.push(AccessWindow::write(up, 2 * ws + companion, 1).by_y(h - 4, ws));
     s.charge_global_n(4, 0, 0, 0, 2 * (hd as u64 - 1));
     s.charge_global_n(0, 0, 4, 0, 2 * (h as u64 - 4));
+    s.charged.charge_ops_n(&border_item(tune), hd as u64 - 1);
     s
 }
 
@@ -780,6 +768,29 @@ mod tests {
     use imagekit::{generate, ImageF32};
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+
+    #[test]
+    fn row_splits_declare_the_whole_grid() {
+        use crate::gpu::kernels::split_check::{assert_splits_merge, SHAPES, TUNINGS};
+        for (w, h) in SHAPES {
+            let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+            if wd < 2 || hd < 2 {
+                continue; // no center dispatch: the border kernels cover it
+            }
+            let ws = crate::params::device_stride(w);
+            let (down, up) = (BufRef::f32("down", wd * hd), BufRef::f32("up", ws * h));
+            for tune in TUNINGS {
+                let desc = grid2d("upscale_center", wd - 1, hd - 1);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    upscale_center_scalar_access(&desc, g, down.clone(), up.clone(), w, h, ws, tune)
+                });
+                let desc = grid2d("upscale_center_vec4", (wd - 1).div_ceil(4), hd - 1);
+                assert_splits_merge(&desc, desc.num_groups()[0], |g| {
+                    upscale_center_vec4_access(&desc, g, down.clone(), up.clone(), w, h, ws, tune)
+                });
+            }
+        }
+    }
 
     fn setup(wi: usize, hi: usize, seed: u64) -> (ImageF32, ImageF32) {
         let img = generate::natural(wi, hi, seed);

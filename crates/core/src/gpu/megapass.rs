@@ -23,22 +23,24 @@
 //!   fusion off, the pError → preliminary → overshoot chain runs
 //!   band-by-band so each band's intermediates stay cache-resident.
 //!
-//! **Charge equivalence.** Sliced dispatches merge their [`CostCounters`]
-//! into a [`SlicedDispatch`] accumulator and record *nothing*; the
-//! executor commits each kernel once per frame via
-//! [`CommandQueue::commit_sliced`], which audits and charges the merged
-//! totals. Counter merging is a sum (plus max for the occupancy fields),
-//! so any partition of a grid folds to bit-identical counters, and
-//! simulated kernel time is a pure function of those counters — the
-//! committed record is bit-identical to the monolithic one. Host, transfer
+//! **Charge equivalence.** Each slice declares the [`CostCounters`] of its
+//! group range through the kernel's closed-form access constructor;
+//! sliced dispatches merge those declarations into a [`SlicedDispatch`]
+//! accumulator and record *nothing*; the executor commits each kernel
+//! once per frame via [`CommandQueue::commit_sliced`], which audits and
+//! charges the merged totals. Counter merging is a sum (plus max for the
+//! occupancy fields), and every constructor declares any partition of a
+//! grid so that it folds to the whole-grid counters bit for bit; simulated
+//! kernel time is a pure function of those counters — the committed
+//! record is bit-identical to the monolithic one. Host, transfer
 //! and sync commands are emitted by the same shared [`GpuPipeline`]
 //! helpers at call sites with the same pending-work status, and commits
 //! are ordered to reproduce the monolithic record stream exactly (the
 //! virtual clock sums record durations in order, and floating-point
 //! addition is not associative — a reordered stream could drift by an
-//! ulp). This module therefore never calls any `charge_*` API itself
-//! (lint-enforced): all cost flows through the kernels' own per-group
-//! accounting.
+//! ulp). This module therefore never charges cost itself: all kernel cost
+//! is the kernels' own declarations, and host-side charges stay in the
+//! pipeline's host stages (lint-enforced).
 //!
 //! [`CostCounters`]: simgpu::cost::CostCounters
 //! [`CommandQueue::commit_sliced`]: simgpu::queue::CommandQueue::commit_sliced

@@ -17,7 +17,7 @@
 use imagekit::ImageF32;
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
-use simgpu::cost::CostCounters;
+use simgpu::cost::{CostCounters, OpCounts};
 use simgpu::queue::{CommandKind, CommandQueue};
 use simgpu::span::SpanKind;
 use simgpu::timing::host_memcpy_time;
@@ -492,41 +492,22 @@ impl GpuPipeline {
         // Only the border cells of the scratch are written here and only
         // they are read below, so stale interior values from a previous
         // frame are harmless.
-        let counters = cpu_stages::upscale_border_into(&res.down_host, &mut res.up_host);
-        q.charge_host("host:upscale_border", &counters);
-        // Write exactly the border region into the device buffer. The
-        // row/column lists are deduplicated for tiny shapes (h = 3 makes
-        // row 1 both "second" and "second-to-last").
+        cpu_stages::upscale_border_into(&res.down_host, &mut res.up_host);
+        q.charge_host("host:upscale_border", &border_host_counters(w, h));
+        // Write exactly the border region into the device buffer: the
+        // border rows in full, then the border columns of the body rows.
         let upv = res.up.write_view();
-        let mut border_elems = 0u64;
-        // Fixed, sorted lists — adjacent duplicates (h = 3 makes row 1
-        // both "second" and "second-to-last") are skipped in place, so the
-        // per-frame path stays allocation-free.
-        let rows = [0, 1, h - 2, h - 1];
-        let mut prev = usize::MAX;
-        for &y in &rows {
-            if y == prev {
-                continue;
-            }
-            prev = y;
+        for y in border_lines(h) {
             for x in 0..w {
                 upv.set_raw(y * ws + x, res.up_host.get(x, y));
-                border_elems += 1;
             }
         }
-        let cols = [0, 1, w - 2, w - 1];
         for y in 2..=h.saturating_sub(3) {
-            let mut prev = usize::MAX;
-            for &x in &cols {
-                if x == prev {
-                    continue;
-                }
-                prev = x;
+            for x in border_lines(w) {
                 upv.set_raw(y * ws + x, res.up_host.get(x, y));
-                border_elems += 1;
             }
         }
-        let bytes = border_elems * 4;
+        let bytes = border_elems(w, h) * 4;
         if self.opts.data_transfer {
             q.charge_bulk("write:up_border", CommandKind::WriteBuffer, bytes);
         } else {
@@ -574,10 +555,7 @@ impl GpuPipeline {
         // f64 accumulation, identical to the CPU reference stage, so
         // the base GPU pipeline reproduces the CPU output bit-exactly.
         let sum: f64 = host.iter().map(|&v| f64::from(v)).sum();
-        let mut c = CostCounters::new();
-        c.charge_ops_n(&simgpu::cost::OpCounts::ZERO.adds(1), ns as u64);
-        c.global_read_scalar = ns as u64 * 4;
-        q.charge_host("host:reduction", &c);
+        q.charge_host("host:reduction", &host_sum_counters(ns));
         Ok((sum / n as f64) as f32)
     }
 
@@ -611,10 +589,7 @@ impl GpuPipeline {
             // Stage 2 on the host: small partial array crosses the bus.
             let part = &mut res.reduction_host[..groups];
             self.read_back(q, partials, part)?;
-            let mut c = CostCounters::new();
-            c.charge_ops_n(&simgpu::cost::OpCounts::ZERO.adds(1), groups as u64);
-            c.global_read_scalar = groups as u64 * 4;
-            q.charge_host("host:reduction_stage2", &c);
+            q.charge_host("host:reduction_stage2", &host_sum_counters(groups));
             let mut sum = 0.0f32;
             for &v in part.iter() {
                 sum += v;
@@ -622,6 +597,73 @@ impl GpuPipeline {
             Ok(sum / n as f32)
         }
     }
+}
+
+/// Host-side cost of summing `n` f32 values read back from the device: one
+/// add and one 4-byte read each. The one recipe of both `host:reduction`
+/// (the whole pEdge matrix) and `host:reduction_stage2` (the stage-1
+/// partials), shared by the pipeline, the ablation probes and the
+/// predictor.
+pub fn host_sum_counters(n: usize) -> CostCounters {
+    let mut c = CostCounters::new();
+    c.charge_ops_n(&OpCounts::ZERO.adds(1), n as u64);
+    c.global_read_scalar = n as u64 * 4;
+    c
+}
+
+/// The two outer lines at each end of an axis of length `n ≥ 3`
+/// (`0, 1, n-2, n-1`), in order, with the duplicate a 3-long axis produces
+/// (line 1 is both second and second-to-last) skipped. Fixed-size, so the
+/// per-frame border path stays allocation-free.
+fn border_lines(n: usize) -> impl Iterator<Item = usize> {
+    let lines = [0, 1, n - 2, n - 1];
+    (0..4)
+        .filter(move |&i| i == 0 || lines[i] != lines[i - 1])
+        .map(move |i| lines[i])
+}
+
+/// Elements the CPU border path writes back to the device: the border
+/// rows in full plus the border columns of body rows `2 ..= h-3`,
+/// deduplicated for tiny shapes. The one count of the `write:up_border`
+/// transfer, shared by the pipeline, the ablation probe and the predictor.
+pub fn border_elems(w: usize, h: usize) -> u64 {
+    let rows = border_lines(h).count() * w;
+    let cols = border_lines(w).count() * (2..h.saturating_sub(2)).len();
+    (rows + cols) as u64
+}
+
+/// Host-side cost counters of the CPU upscale-border stage, the closed
+/// form of `cpu::stages::upscale_border_into`'s counted loops: `host:
+/// upscale_border` as the pipeline, the ablation probe and the predictor
+/// charge it.
+pub fn border_host_counters(w: usize, h: usize) -> CostCounters {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let mut interp = 0u64;
+    let mut copied = 0u64;
+    // Two horizontal border-row passes.
+    for _ in 0..2 {
+        if wd >= 2 {
+            for bi in 0..wd - 1 {
+                interp += (w as i64 - 4 - 4 * bi as i64).clamp(0, 4) as u64;
+            }
+            copied += 4;
+        } else {
+            copied += w as u64;
+        }
+        copied += w as u64; // companion-row copy
+    }
+    // Two vertical border-column passes over body rows 2 ..= h-3.
+    for _ in 0..2 {
+        for bj in 0..hd.saturating_sub(1) {
+            interp += (h as i64 - 4 - 4 * bj as i64).clamp(0, 4) as u64;
+        }
+        copied += (2..h.saturating_sub(2)).len() as u64; // companion-column copy
+    }
+    let mut c = CostCounters::new();
+    c.charge_ops_n(&OpCounts::ZERO.muls(2).adds(1), interp);
+    c.global_read_scalar = (interp * 2 + copied) * 4;
+    c.global_write_scalar = (interp + copied + 8) * 4;
+    c
 }
 
 /// Builds a [`RunReport`] from the queue's recorded commands.
@@ -847,7 +889,7 @@ impl PipelinePlan {
 
     /// Drains the access-summary log of the most recently executed frame,
     /// in commit order. Populated only when the context was built with
-    /// [`Context::with_access_required`]; the static/dynamic agreement
+    /// [`Context::with_access_log`]; the static/dynamic agreement
     /// tests compare this against
     /// [`crate::gpu::verify::enumerate_access`].
     pub fn take_access_log(&mut self) -> Vec<simgpu::access::AccessSummary> {
@@ -885,6 +927,40 @@ mod tests {
 
     fn vctx() -> Context {
         Context::with_validation(DeviceSpec::firepro_w8000())
+    }
+
+    #[test]
+    fn border_elems_counts_tiny_shapes() {
+        // 3×3: rows {0,1,2} cover everything; the column loop is empty.
+        assert_eq!(border_elems(3, 3), 9);
+        // 3×9: rows {0,1,7,8} × 3 = 12, columns {0,1,2} on rows 2..=6 = 15.
+        assert_eq!(border_elems(3, 9), 27);
+        // 8×8: rows {0,1,6,7} = 32, columns {0,1,6,7} on rows 2..=5 = 16.
+        assert_eq!(border_elems(8, 8), 48);
+    }
+
+    #[test]
+    fn border_host_counters_match_the_counted_cpu_stage() {
+        // For multiple-of-4 shapes every interpolation window is full:
+        // 2 row passes × 15 windows × 4 + 2 column passes × 15 × 4 = 240.
+        let c = border_host_counters(64, 64);
+        assert_eq!(c.ops.mul, 240 * 2);
+        assert_eq!(c.ops.add, 240);
+        // The closed form is exactly what the CPU stage counts, ragged and
+        // tiny shapes included.
+        for (w, h) in [
+            (64usize, 64usize),
+            (3, 3),
+            (3, 9),
+            (8, 3),
+            (1001, 701),
+            (1023, 769),
+        ] {
+            let down = ImageF32::zeros(w.div_ceil(SCALE), h.div_ceil(SCALE));
+            let mut up = ImageF32::zeros(w, h);
+            let counted = cpu_stages::upscale_border_into(&down, &mut up);
+            assert_eq!(border_host_counters(w, h), counted, "{w}x{h}");
+        }
     }
 
     fn img64() -> ImageF32 {

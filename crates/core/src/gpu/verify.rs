@@ -6,10 +6,11 @@
 //! [`GpuPipeline::run`] symbolically: for a `(w, h)` shape, an
 //! [`OptConfig`], a [`Tuning`] and a [`Schedule`] it produces — in commit
 //! order — every kernel dispatch the frame would issue, each carrying the
-//! same closed-form [`AccessSummary`] slices the live kernels declare
-//! (the identical `*_access` constructors are called with buffer
-//! descriptions built from pure arithmetic, so no device, queue or pixel
-//! data is involved). [`verify_static`] then proves, per dispatch:
+//! same closed-form [`AccessSummary`] slices the live kernels declare,
+//! cost counters included (the identical `*_access` constructors are
+//! called with buffer descriptions built from pure arithmetic, so no
+//! device, queue or pixel data is involved). [`verify_static`] then
+//! proves, per dispatch:
 //!
 //! * **(a) bounds** — every declared window stays inside its buffer,
 //!   including the ragged tails of non-multiple-of-4 shapes;
@@ -23,16 +24,16 @@
 //! * **(d) coverage** — the slices of a banded dispatch exactly partition
 //!   the grid: no gap, no overlap.
 //!
-//! The static schedule cannot rot silently: the executed pipeline declares
-//! the same summaries through [`CommandQueue::declare_access`] (where the
-//! sanitizer cross-validates them against observed per-element traffic and
-//! the post-run audit against the actually-charged counters), and the
-//! agreement test compares [`CommandQueue::take_access_log`] of a live run
-//! against this module's enumeration, slice for slice.
+//! The static schedule cannot rot silently: the executed pipeline hands
+//! the same summaries to [`CommandQueue::run`] (which charges exactly
+//! their counters, and where the sanitizer audits them against observed
+//! per-element traffic), and the agreement test compares
+//! [`CommandQueue::take_access_log`] of a live run against this module's
+//! enumeration, slice for slice.
 //!
 //! [`GpuPipeline::run`]: crate::gpu::GpuPipeline::run
 //! [`CommandQueue::commit_sliced`]: simgpu::queue::CommandQueue::commit_sliced
-//! [`CommandQueue::declare_access`]: simgpu::queue::CommandQueue::declare_access
+//! [`CommandQueue::run`]: simgpu::queue::CommandQueue::run
 //! [`CommandQueue::take_access_log`]: simgpu::queue::CommandQueue::take_access_log
 
 use std::ops::Range;
@@ -40,6 +41,7 @@ use std::ops::Range;
 use simgpu::access::{
     verify_partition, verify_summary, AccessError, AccessSummary, BufRef, VerifyStats,
 };
+use simgpu::cost::CostCounters;
 use simgpu::kernel::KernelDesc;
 
 use crate::gpu::kernels::downscale::downscale_access;
@@ -55,7 +57,7 @@ use crate::gpu::kernels::upscale::{
     upscale_border_col_access, upscale_border_row_access, upscale_center_scalar_access,
     upscale_center_vec4_access,
 };
-use crate::gpu::kernels::{grid1d, grid2d, SrcInfo, GROUP_2D};
+use crate::gpu::kernels::{grid1d, grid2d, KernelTuning, SrcInfo, GROUP_2D};
 use crate::gpu::megapass::{downscale_cursor, effective_group_rows, stage1_cursor};
 use crate::gpu::opts::{OptConfig, Tuning};
 use crate::gpu::Schedule;
@@ -73,6 +75,19 @@ pub struct StaticDispatch {
     pub desc: KernelDesc,
     /// Per-slice summaries, in execution order.
     pub slices: Vec<AccessSummary>,
+}
+
+impl StaticDispatch {
+    /// The counters the committed kernel record carries: the slices'
+    /// declarations folded with the same merge
+    /// [`simgpu::queue::CommandQueue::commit_sliced`] applies.
+    pub fn counters(&self) -> CostCounters {
+        let mut c = CostCounters::new();
+        for s in &self.slices {
+            c.merge(&s.charged);
+        }
+        c
+    }
 }
 
 /// The verdict of [`verify_static`]: every enumerated dispatch proved
@@ -202,7 +217,7 @@ fn check_dispatch(d: &StaticDispatch) -> Result<(), AccessError> {
     // charge reads it does not declare (its halo lives in a neighbouring
     // slice); the whole dispatch must still balance.
     let declared_r: u64 = d.slices.iter().map(|s| s.declared_read_bytes()).sum();
-    let charged_r: u64 = d.slices.iter().map(|s| s.charged.reads()).sum();
+    let charged_r = d.counters().global_read_bytes();
     let ratio = d.slices.iter().fold(1.0f64, |m, s| m.max(s.read_ratio));
     if charged_r != declared_r && charged_r as f64 > declared_r as f64 * ratio {
         return Err(AccessError::RatioExceeded {
@@ -235,6 +250,7 @@ struct Frame {
     reduction_out: Option<BufRef>,
     perror: Option<BufRef>,
     prelim: Option<BufRef>,
+    tune: KernelTuning,
 }
 
 impl Frame {
@@ -277,6 +293,9 @@ impl Frame {
                 .then(|| BufRef::f32("reduction_out", 1)),
             perror: (!opts.kernel_fusion).then(|| BufRef::f32("pError", ns)),
             prelim: (!opts.kernel_fusion).then(|| BufRef::f32("prelim", ns)),
+            tune: KernelTuning {
+                others: opts.others,
+            },
         }
     }
 
@@ -341,6 +360,7 @@ fn border_dispatches(f: &Frame) -> Vec<StaticDispatch> {
             src_row,
             dst_row,
             companion,
+            f.tune,
         );
         out.push(raw(desc, s));
     }
@@ -360,6 +380,7 @@ fn border_dispatches(f: &Frame) -> Vec<StaticDispatch> {
             src_col,
             dst_col,
             companion,
+            f.tune,
         );
         out.push(raw(desc, s));
     }
@@ -373,12 +394,12 @@ fn center_dispatch(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Stat
     if opts.vectorization {
         let desc = grid2d("upscale_center_vec4", nx.div_ceil(4), ny);
         make(desc.clone(), slices, |g| {
-            upscale_center_vec4_access(&desc, g, f.down.clone(), f.up.clone(), w, h, ws)
+            upscale_center_vec4_access(&desc, g, f.down.clone(), f.up.clone(), w, h, ws, f.tune)
         })
     } else {
         let desc = grid2d("upscale_center", nx, ny);
         make(desc.clone(), slices, |g| {
-            upscale_center_scalar_access(&desc, g, f.down.clone(), f.up.clone(), w, h, ws)
+            upscale_center_scalar_access(&desc, g, f.down.clone(), f.up.clone(), w, h, ws, f.tune)
         })
     }
 }
@@ -389,12 +410,12 @@ fn sobel_dispatch(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Stati
     if opts.vectorization {
         let desc = grid2d("sobel_vec4", ws / 4, h);
         make(desc.clone(), slices, |g| {
-            sobel_vec4_access(&desc, g, &f.padded_src, f.pedge.clone(), w, h, ws)
+            sobel_vec4_access(&desc, g, &f.padded_src, f.pedge.clone(), w, h, ws, f.tune)
         })
     } else {
         let desc = grid2d("sobel", w, h);
         make(desc.clone(), slices, |g| {
-            sobel_scalar_access(&desc, g, &f.main_src, f.pedge.clone(), w, h, ws)
+            sobel_scalar_access(&desc, g, &f.main_src, f.pedge.clone(), w, h, ws, f.tune)
         })
     }
 }
@@ -404,7 +425,7 @@ fn downscale_dispatch(f: &Frame, slices: &[Range<usize>]) -> StaticDispatch {
     let (w, h) = (f.w, f.h);
     let desc = grid2d("downscale", f.w4, f.h4);
     make(desc.clone(), slices, |g| {
-        downscale_access(&desc, g, &f.main_src, f.down.clone(), w, h)
+        downscale_access(&desc, g, &f.main_src, f.down.clone(), w, h, f.tune)
     })
 }
 
@@ -413,9 +434,13 @@ fn downscale_dispatch(f: &Frame, slices: &[Range<usize>]) -> StaticDispatch {
 fn stage1_dispatch(f: &Frame, tuning: &Tuning, slices: &[Range<usize>]) -> StaticDispatch {
     let desc = stage1_desc(f.ns, tuning.reduction_strategy);
     let partials = f.partials.clone().expect("gpu reduction declares partials");
+    let strategy = tuning.reduction_strategy;
     let slices = slices
         .iter()
-        .map(|g| stage1_access(&desc, g.clone(), f.pedge.clone(), partials.clone(), 0, f.ns))
+        .map(|g| {
+            let (src, out) = (f.pedge.clone(), partials.clone());
+            stage1_access(&desc, g.clone(), src, out, 0, f.ns, strategy)
+        })
         .collect();
     StaticDispatch { desc, slices }
 }
@@ -439,6 +464,7 @@ fn tail_dispatches(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Vec<
                     w,
                     h,
                     ws,
+                    f.tune,
                 )
             })
         } else {
@@ -454,6 +480,7 @@ fn tail_dispatches(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Vec<
                     w,
                     h,
                     ws,
+                    f.tune,
                 )
             })
         };
@@ -475,6 +502,7 @@ fn tail_dispatches(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Vec<
                 w,
                 h,
                 ws,
+                f.tune,
             )
         }),
         make(pr_desc.clone(), slices, |g| {
@@ -488,6 +516,7 @@ fn tail_dispatches(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Vec<
                 w,
                 h,
                 ws,
+                f.tune,
             )
         }),
         make(ov_desc.clone(), slices, |g| {
@@ -500,6 +529,7 @@ fn tail_dispatches(f: &Frame, opts: &OptConfig, slices: &[Range<usize>]) -> Vec<
                 w,
                 h,
                 ws,
+                f.tune,
             )
         }),
     ]

@@ -8,11 +8,11 @@
 //! functions the executing [`simgpu::queue::CommandQueue`] would call, in
 //! the identical order. Because the executed virtual clock is itself an
 //! ordered `f64` sum (`clock += duration` per command) and every duration
-//! is a pure function of integer work counters that this module computes
-//! in closed form, the prediction is `.to_bits()`-identical to what
-//! running the pipeline reports — not merely close. The agreement sweep in
-//! `tests/tune.rs` enforces that across all 64 configs, both schedules and
-//! multiple device profiles.
+//! is a pure function of integer work counters known in closed form, the
+//! prediction is `.to_bits()`-identical to what running the pipeline
+//! reports — not merely close. The agreement sweep in `tests/tune.rs`
+//! enforces that across all 64 configs, both schedules and multiple device
+//! profiles.
 //!
 //! Banded schedules need no separate model: the megapass commits each
 //! sliced kernel as the one record the monolithic schedule would have
@@ -20,22 +20,19 @@
 //! one replay covers every band height.
 //!
 //! This module must stay execution-free — no pipelines, no queues, no
-//! buffers (a lint rule enforces it). The per-kernel arithmetic recipes
-//! below mirror the `charge_n` calls in `crate::gpu::kernels`; global
-//! traffic is not duplicated here but taken from the verified access
-//! summaries, which the sanitizer audits against executed counters.
+//! buffers (a lint rule enforces it). It holds no cost recipe of its own:
+//! a kernel's counters are its declared access summaries folded exactly as
+//! the queue commits them (the very declarations the executor charges),
+//! and the host stages use the pipeline's shared recipes.
 
-use simgpu::cost::{CostCounters, OpCounts};
 use simgpu::device::{CpuSpec, DeviceSpec};
-use simgpu::kernel::KernelDesc;
 use simgpu::timing::{
     bulk_transfer_time, cpu_stage_time, host_memcpy_time, kernel_time, map_transfer_time,
     rect_transfer_time,
 };
 
-use crate::gpu::kernels::reduction::{stage1_groups, ReductionStrategy};
-use crate::gpu::kernels::KernelTuning;
-use crate::gpu::verify::StaticDispatch;
+use crate::gpu::kernels::reduction::stage1_groups;
+use crate::gpu::pipeline::{border_elems, border_host_counters, host_sum_counters};
 use crate::gpu::{enumerate_access, OptConfig, Schedule, Tuning};
 use crate::params::{device_stride, SCALE};
 
@@ -61,7 +58,7 @@ pub struct Prediction {
     pub commands: Vec<PredictedCommand>,
 }
 
-/// Frame geometry shared by every recipe, mirroring
+/// Frame geometry of the replayed transfers, mirroring
 /// `gpu::pipeline::FrameResources`.
 struct Geom {
     w: usize,
@@ -184,8 +181,7 @@ pub fn predict_frame(
                 d.desc.name
             ));
         }
-        let c = kernel_counters(d, &g, opts)?;
-        clk.push(&d.desc.name, kernel_time(dev, &c).total_s);
+        clk.push(&d.desc.name, kernel_time(dev, &d.counters()).total_s);
         Ok(())
     };
 
@@ -265,10 +261,10 @@ pub fn predict_frame(
             } else {
                 clk.push("map-read:partials", map_transfer_time(t, bytes));
             }
-            let mut c = CostCounters::new();
-            c.charge_ops_n(&OpCounts::ZERO.adds(1), groups as u64);
-            c.global_read_scalar = groups as u64 * 4;
-            clk.push("host:reduction_stage2", cpu_stage_time(cpu, &c));
+            clk.push(
+                "host:reduction_stage2",
+                cpu_stage_time(cpu, &host_sum_counters(groups)),
+            );
         }
     } else {
         let bytes = (g.ns * 4) as u64;
@@ -277,10 +273,10 @@ pub fn predict_frame(
         } else {
             clk.push("map-read:pEdge", map_transfer_time(t, bytes));
         }
-        let mut c = CostCounters::new();
-        c.charge_ops_n(&OpCounts::ZERO.adds(1), g.ns as u64);
-        c.global_read_scalar = g.ns as u64 * 4;
-        clk.push("host:reduction", cpu_stage_time(cpu, &c));
+        clk.push(
+            "host:reduction",
+            cpu_stage_time(cpu, &host_sum_counters(g.ns)),
+        );
     }
 
     // ---- sharpening tail ----------------------------------------------
@@ -327,274 +323,9 @@ pub fn predict_frame(
     })
 }
 
-/// Reconstructs the merged cost counters of one dispatch: global traffic
-/// from the verified access summaries, arithmetic/barriers/divergence/LDS
-/// from the closed-form per-kernel recipes below.
-fn kernel_counters(d: &StaticDispatch, g: &Geom, opts: &OptConfig) -> Result<CostCounters, String> {
-    let mut c = CostCounters::new();
-    for s in &d.slices {
-        c.global_read_scalar += s.charged.read_scalar;
-        c.global_read_vector += s.charged.read_vector;
-        c.global_write_scalar += s.charged.write_scalar;
-        c.global_write_vector += s.charged.write_vector;
-    }
-    c.groups = d.desc.total_groups() as u64;
-    c.group_lanes = d.desc.group_lanes() as u64;
-    kernel_work(&d.desc, g, opts, &mut c)?;
-    Ok(c)
-}
-
-/// The non-traffic half of each kernel's counters, matching the
-/// `charge_n` / `barrier` / `divergent` / LDS calls of the kernel bodies
-/// in `crate::gpu::kernels` exactly.
-fn kernel_work(
-    desc: &KernelDesc,
-    g: &Geom,
-    opts: &OptConfig,
-    c: &mut CostCounters,
-) -> Result<(), String> {
-    let tune = KernelTuning {
-        others: opts.others,
-    };
-    let idx = tune.idx_ops();
-    let cd = tune.clamp_divergence();
-    let (w, h) = (g.w as u64, g.h as u64);
-    let n = g.n as u64;
-    let (wd, hd) = (g.wd as u64, g.hd as u64);
-    // Per-item bundles of the row/column border kernels.
-    let border_item = OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&idx);
-    // Body/border pixel counts of the w×h stencil kernels.
-    let n_body = w.saturating_sub(2) * h.saturating_sub(2);
-    let n_border = n - n_body;
-    match desc.name.as_str() {
-        "downscale" => {
-            // Full 4×4 blocks vs ragged edge blocks: a block of k samples
-            // charges k-1 adds, one mul, and the index recipe.
-            let n_full = (g.w / SCALE) as u64 * (g.h / SCALE) as u64;
-            let n_tail = wd * hd - n_full;
-            let tail_adds = (n - 16 * n_full) - n_tail;
-            c.charge_ops_n(&OpCounts::ZERO.adds(15).muls(1).plus(&idx), n_full);
-            c.charge_ops_n(&OpCounts::ZERO.adds(1), tail_adds);
-            c.charge_ops_n(&OpCounts::ZERO.muls(1).plus(&idx), n_tail);
-        }
-        "upscale_border_top" | "upscale_border_bottom" => {
-            if wd == 1 {
-                // Single downscaled column: one replicating item.
-                c.charge_ops_n(&OpCounts::ZERO.cmps(2).plus(&idx), 1);
-            } else {
-                c.charge_ops_n(&border_item, wd - 1);
-                // The two corner items each take their extra branch.
-                c.divergent_branches += 2;
-            }
-        }
-        "upscale_border_left" | "upscale_border_right" => {
-            c.charge_ops_n(&border_item, hd - 1);
-        }
-        "upscale_center" => {
-            let n_vals = w.saturating_sub(4) * h.saturating_sub(4);
-            let n_blocks = (wd - 1) * (hd - 1);
-            c.charge_ops_n(&OpCounts::ZERO.muls(6).adds(3), n_vals);
-            c.charge_ops_n(&idx, n_blocks);
-        }
-        "upscale_center_vec4" => {
-            let n_vals = w.saturating_sub(4) * h.saturating_sub(4);
-            let n_threads = ((g.wd - 1).div_ceil(4) * (g.hd - 1)) as u64;
-            c.charge_ops_n(&OpCounts::ZERO.muls(6).adds(3), n_vals);
-            c.charge_ops_n(&OpCounts::ZERO.cmps(4).plus(&idx), n_threads);
-        }
-        "sobel" => {
-            c.charge_ops_n(&OpCounts::ZERO.adds(11).muls(4).cmps(2).plus(&idx), n_body);
-            c.charge_ops_n(&OpCounts::ZERO.cmps(4), n);
-            c.divergent_branches += n_border * cd;
-        }
-        "sobel_vec4" => {
-            let n_threads = (g.ws / 4 * g.h) as u64;
-            c.charge_ops_n(
-                &OpCounts::ZERO.adds(44).muls(16).cmps(12).plus(&idx),
-                n_threads,
-            );
-        }
-        "perror" => {
-            c.charge_ops_n(&OpCounts::ZERO.adds(1).plus(&idx), n);
-        }
-        "preliminary" => {
-            c.charge_ops_n(
-                &OpCounts::ZERO
-                    .divs(1)
-                    .adds(2)
-                    .pows(1)
-                    .muls(2)
-                    .cmps(2)
-                    .plus(&idx),
-                n,
-            );
-            c.divergent_branches += n * cd;
-        }
-        "overshoot" => {
-            c.charge_ops_n(&OpCounts::ZERO.cmps(20).muls(1).adds(1).plus(&idx), n_body);
-            c.charge_ops_n(&OpCounts::ZERO.cmps(4), n_border);
-            c.divergent_branches += (2 * n_body + n_border) * cd;
-        }
-        "sharpness" => {
-            c.charge_ops_n(
-                &OpCounts::ZERO
-                    .adds(4)
-                    .divs(1)
-                    .pows(1)
-                    .muls(3)
-                    .cmps(24)
-                    .plus(&idx),
-                n_body,
-            );
-            c.charge_ops_n(
-                &OpCounts::ZERO.adds(3).divs(1).pows(1).muls(2).cmps(6),
-                n_border,
-            );
-            c.divergent_branches += (2 * n_body + n_border) * cd;
-        }
-        "sharpness_vec4" => {
-            let n_threads = (g.ws / 4 * g.h) as u64;
-            c.charge_ops_n(
-                &OpCounts::ZERO
-                    .adds(16)
-                    .divs(4)
-                    .pows(4)
-                    .muls(12)
-                    .cmps(104)
-                    .plus(&idx),
-                n_threads,
-            );
-            c.divergent_branches += n_threads * cd;
-        }
-        "reduction_stage1" | "reduction_stage1_unroll1" | "reduction_stage1_unroll2" => {
-            let strategy = match desc.name.as_str() {
-                "reduction_stage1" => ReductionStrategy::NoUnroll,
-                "reduction_stage1_unroll1" => ReductionStrategy::UnrollOne,
-                _ => ReductionStrategy::UnrollTwo,
-            };
-            stage1_work(strategy, c.groups, c);
-        }
-        "reduction_stage2" => {
-            stage2_work(stage1_groups(g.ns) as u64, c);
-        }
-        other => return Err(format!("predictor has no recipe for kernel {other}")),
-    }
-    Ok(())
-}
-
-/// Per-group stage-1 reduction work, identical for full and ragged
-/// groups: the add-during-load pass charges its full per-thread recipe
-/// unconditionally, and the tree shape depends only on the strategy.
-pub(super) fn stage1_work(strategy: ReductionStrategy, groups: u64, c: &mut CostCounters) {
-    // 128 threads × (8 adds + 8 cmps + 1 mul) for the load pass, plus 127
-    // tree adds (126 half-tree + 1 combine for UnrollTwo).
-    c.charge_ops_n(&OpCounts::ZERO.adds(1151).cmps(1024).muls(128), groups);
-    let (barriers, divergent, local) = match strategy {
-        // Load barrier + one per tree step (64..1).
-        ReductionStrategy::NoUnroll => (8, 0, 2040),
-        // Load barrier only; the last wavefront diverges lock-step.
-        ReductionStrategy::UnrollOne => (1, 6, 2040),
-        // Load barrier + the halves-combining barrier; both wavefronts
-        // diverge through their half-trees.
-        ReductionStrategy::UnrollTwo => (2, 12, 2032),
-    };
-    c.barriers += barriers * groups;
-    c.divergent_branches += divergent * groups;
-    c.local_bytes += local * groups;
-    c.local_alloc_bytes = c.local_alloc_bytes.max(512);
-}
-
-/// Stage-2 reduction work for one 128-lane group strided-summing
-/// `n_partials` stage-1 partials.
-pub(super) fn stage2_work(n_partials: u64, c: &mut CostCounters) {
-    let ptl = n_partials.div_ceil(128);
-    c.charge_ops_n(&OpCounts::ZERO.adds(ptl + 7).cmps(ptl), 128);
-    c.barriers += 2;
-    c.divergent_branches += 6;
-    c.local_bytes += 2040;
-    c.local_alloc_bytes = c.local_alloc_bytes.max(512);
-}
-
-/// Host-side cost counters of the CPU upscale-border stage, the closed
-/// form of `cpu::stages::upscale_border_into`'s counted loops.
-pub(super) fn border_host_counters(w: usize, h: usize) -> CostCounters {
-    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-    let mut interp = 0u64;
-    let mut copied = 0u64;
-    // Two horizontal border-row passes.
-    for _ in 0..2 {
-        if wd >= 2 {
-            for bi in 0..wd - 1 {
-                interp += (w as i64 - 4 - 4 * bi as i64).clamp(0, 4) as u64;
-            }
-            copied += 4;
-        } else {
-            copied += w as u64;
-        }
-        copied += w as u64; // companion-row copy
-    }
-    // Two vertical border-column passes over body rows 2 ..= h-3.
-    for _ in 0..2 {
-        for bj in 0..hd.saturating_sub(1) {
-            interp += (h as i64 - 4 - 4 * bj as i64).clamp(0, 4) as u64;
-        }
-        copied += (2..h.saturating_sub(2)).len() as u64; // companion-column copy
-    }
-    let mut c = CostCounters::new();
-    c.charge_ops_n(&OpCounts::ZERO.muls(2).adds(1), interp);
-    c.global_read_scalar = (interp * 2 + copied) * 4;
-    c.global_write_scalar = (interp + copied + 8) * 4;
-    c
-}
-
-/// Elements the CPU border path writes back to the device: the four
-/// border rows and the four border columns of the body rows, with
-/// adjacent duplicates skipped for tiny shapes.
-fn border_elems(w: usize, h: usize) -> u64 {
-    let mut elems = 0u64;
-    let rows = [0, 1, h - 2, h - 1];
-    let mut prev = usize::MAX;
-    for &y in &rows {
-        if y == prev {
-            continue;
-        }
-        prev = y;
-        elems += w as u64;
-    }
-    let cols = [0, 1, w - 2, w - 1];
-    for _y in 2..=h.saturating_sub(3) {
-        let mut prev = usize::MAX;
-        for &x in &cols {
-            if x == prev {
-                continue;
-            }
-            prev = x;
-            elems += 1;
-        }
-    }
-    elems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn border_elems_counts_tiny_shapes() {
-        // 3×3: rows {0,1,2} cover everything; the column loop is empty.
-        assert_eq!(border_elems(3, 3), 9);
-        // 8×8: rows {0,1,6,7} = 32, columns {0,1,6,7} on rows 2..=5 = 16.
-        assert_eq!(border_elems(8, 8), 48);
-    }
-
-    #[test]
-    fn border_host_counters_match_multiple_of_four_closed_form() {
-        // For multiple-of-4 shapes every interpolation window is full:
-        // 2 row passes × 15 windows × 4 + 2 column passes × 15 × 4 = 240.
-        let c = border_host_counters(64, 64);
-        assert_eq!(c.ops.mul, 240 * 2);
-        assert_eq!(c.ops.add, 240);
-    }
 
     #[test]
     fn predict_rejects_tiny_shapes() {

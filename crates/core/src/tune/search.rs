@@ -25,17 +25,21 @@
 //! of [`TuneReport::to_registry`] so committed metric baselines stay
 //! deterministic.
 
-use simgpu::cost::{CostCounters, OpCounts};
+use simgpu::access::BufRef;
 use simgpu::device::{CpuSpec, DeviceSpec};
 use simgpu::metrics::MetricsRegistry;
 use simgpu::timing::{bulk_transfer_time, cpu_stage_time, kernel_time};
 
-use crate::gpu::kernels::reduction::{stage1_groups, ReductionStrategy};
-use crate::gpu::kernels::KernelTuning;
+use crate::gpu::kernels::reduction::{
+    stage1_access, stage1_desc, stage1_groups, stage2_access, stage2_desc, ReductionStrategy,
+};
+use crate::gpu::kernels::upscale::{upscale_border_col_access, upscale_border_row_access};
+use crate::gpu::kernels::{grid1d, KernelTuning};
+use crate::gpu::pipeline::{border_elems, border_host_counters, host_sum_counters};
 use crate::gpu::{OptConfig, Schedule, Tuning};
 use crate::params::{device_stride, SCALE};
 
-use super::predict::{border_host_counters, predict_frame, stage1_work, stage2_work};
+use super::predict::predict_frame;
 
 /// How [`search`] walks the candidate space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,43 +385,11 @@ pub fn search_pixel_invariant(
 // bit for bit (the autotune tests cross-check them against the executed
 // versions). Each replays the probe's command durations in the same
 // order an executing queue would sum them — no syncs, always-bulk
-// readbacks, default kernel tuning — so `crate::autotune` can keep its
+// readbacks, default kernel tuning — costing every kernel with the
+// declaration its own access constructor returns and every host stage
+// with the pipeline's shared recipe, so `crate::autotune` can keep its
 // exact decision semantics while evaluating in microseconds.
 // ---------------------------------------------------------------------------
-
-/// Counters of a standalone stage-1 reduction dispatch over `n` elements.
-fn stage1_counters(n: usize, strategy: ReductionStrategy) -> CostCounters {
-    let groups = stage1_groups(n) as u64;
-    let mut c = CostCounters::new();
-    // Every element is loaded once (full groups coalesce 8 per thread,
-    // the ragged tail loads singly — 4 bytes per element either way) and
-    // each group stores one partial.
-    c.global_read_scalar = n as u64 * 4;
-    c.global_write_scalar = groups * 4;
-    c.groups = groups;
-    c.group_lanes = 128;
-    stage1_work(strategy, groups, &mut c);
-    c
-}
-
-/// Counters of the single-group stage-2 dispatch over `n_partials`.
-fn stage2_counters(n_partials: usize) -> CostCounters {
-    let mut c = CostCounters::new();
-    c.global_read_scalar = n_partials as u64 * 4;
-    c.global_write_scalar = 4;
-    c.groups = 1;
-    c.group_lanes = 128;
-    stage2_work(n_partials as u64, &mut c);
-    c
-}
-
-/// Host-side stage-2 finish: read `n` partials, sum them.
-fn host_sum_counters(n: usize) -> CostCounters {
-    let mut c = CostCounters::new();
-    c.charge_ops_n(&OpCounts::ZERO.adds(1), n as u64);
-    c.global_read_scalar = n as u64 * 4;
-    c
-}
 
 /// Predicted seconds of the GPU reduction probe: stage 1 over `n`
 /// elements, then either the device stage 2 plus a one-element readback
@@ -431,9 +403,22 @@ pub fn reduction_gpu_model(
     stage2_threshold: usize,
 ) -> f64 {
     let groups = stage1_groups(n);
-    let mut t = kernel_time(dev, &stage1_counters(n, strategy)).total_s;
+    let (src, partials) = (BufRef::f32("pEdge", n), BufRef::f32("partials", groups));
+    let desc = stage1_desc(n, strategy);
+    let stage1 = stage1_access(
+        &desc,
+        0..desc.total_groups(),
+        src,
+        partials.clone(),
+        0,
+        n,
+        strategy,
+    );
+    let mut t = kernel_time(dev, &stage1.charged).total_s;
     if groups > stage2_threshold {
-        t += kernel_time(dev, &stage2_counters(groups)).total_s;
+        let out = BufRef::f32("reduction_out", 1);
+        let stage2 = stage2_access(&stage2_desc(), partials, groups, out);
+        t += kernel_time(dev, &stage2.charged).total_s;
         t += bulk_transfer_time(&dev.transfer, 4);
     } else {
         t += bulk_transfer_time(&dev.transfer, groups as u64 * 4);
@@ -451,52 +436,21 @@ pub fn reduction_cpu_model(dev: &DeviceSpec, cpu: &CpuSpec, n: usize) -> f64 {
     t
 }
 
-/// Counters of one border row kernel (top or bottom) at width `w`.
-fn border_row_counters(w: usize) -> CostCounters {
-    let idx = KernelTuning::default().idx_ops();
-    let wd = w.div_ceil(SCALE);
-    let mut c = CostCounters::new();
-    c.groups = (wd - 1).max(1).div_ceil(64) as u64;
-    c.group_lanes = 64;
-    if wd == 1 {
-        c.charge_ops_n(&OpCounts::ZERO.cmps(2).plus(&idx), 1);
-        c.global_read_scalar = 4;
-    } else {
-        c.charge_ops_n(
-            &OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&idx),
-            wd as u64 - 1,
-        );
-        c.divergent_branches += 2;
-        c.global_read_scalar = 4 * 2 * (wd as u64 - 1);
-    }
-    c.global_write_scalar = 4 * 2 * w as u64;
-    c
-}
-
-/// Counters of one border column kernel (left or right) at height `h`.
-fn border_col_counters(h: usize) -> CostCounters {
-    let idx = KernelTuning::default().idx_ops();
-    let hd = h.div_ceil(SCALE);
-    let mut c = CostCounters::new();
-    c.groups = (hd - 1).max(1).div_ceil(64) as u64;
-    c.group_lanes = 64;
-    if hd >= 2 {
-        c.charge_ops_n(
-            &OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&idx),
-            hd as u64 - 1,
-        );
-        c.global_read_scalar = 4 * 2 * (hd as u64 - 1);
-        c.global_write_scalar = 4 * 2 * (h as u64 - 4);
-    }
-    c
-}
-
 /// Predicted seconds of the GPU border probe: the four border kernels
-/// (top, bottom, left, right), nothing else. Bit-identical to
+/// (top, bottom, left, right), nothing else. The two row kernels declare
+/// identical counters, as do the two column kernels. Bit-identical to
 /// `gpu::ablate::border_gpu_time`.
 pub fn border_gpu_model(dev: &DeviceSpec, w: usize, h: usize) -> f64 {
-    let row = kernel_time(dev, &border_row_counters(w)).total_s;
-    let col = kernel_time(dev, &border_col_counters(h)).total_s;
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let ws = device_stride(w);
+    let tune = KernelTuning::default();
+    let (down, up) = (BufRef::f32("down", wd * hd), BufRef::f32("up", ws * h));
+    let row_desc = grid1d("upscale_border_top", (wd - 1).max(1), 64);
+    let row = upscale_border_row_access(&row_desc, down.clone(), up.clone(), w, ws, 0, 0, 1, tune);
+    let col_desc = grid1d("upscale_border_left", (hd - 1).max(1), 64);
+    let col = upscale_border_col_access(&col_desc, down, up, wd, h, ws, 0, 0, 1, tune);
+    let row = kernel_time(dev, &row.charged).total_s;
+    let col = kernel_time(dev, &col.charged).total_s;
     let mut t = row;
     t += row;
     t += col;
@@ -511,8 +465,7 @@ pub fn border_cpu_model(dev: &DeviceSpec, cpu: &CpuSpec, w: usize, h: usize) -> 
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let mut t = bulk_transfer_time(&dev.transfer, (wd * hd * 4) as u64);
     t += cpu_stage_time(cpu, &border_host_counters(w, h));
-    let border_bytes = ((4 * w + 4 * (h - 4)) * 4) as u64;
-    t += bulk_transfer_time(&dev.transfer, border_bytes);
+    t += bulk_transfer_time(&dev.transfer, border_elems(w, h) * 4);
     t
 }
 

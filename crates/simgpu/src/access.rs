@@ -1,11 +1,13 @@
 //! Declarative per-dispatch access summaries and their static checker.
 //!
-//! Every kernel dispatch can declare, *before it runs*, a compact affine
+//! Every kernel dispatch declares, *before it runs*, a compact affine
 //! description of everything it will touch: per buffer, a set of
 //! [`AccessWindow`]s (base index + contiguous row extent + two repeat
-//! axes), plus the exact bytes it charges the cost model split by
-//! scalar/vector class. [`verify_summary`] then proves in closed form,
-//! without executing the kernel:
+//! axes), plus the dispatch's full [`CostCounters`] — global traffic split
+//! by scalar/vector class, arithmetic ops, barriers, divergence, LDS and
+//! the group/lane/item counts. The queue charges exactly those counters;
+//! nothing is counted while the kernel runs. [`verify_summary`] then
+//! proves in closed form, without executing the kernel:
 //!
 //! * **(a) bounds** — every window stays inside its buffer, ragged
 //!   vec4-aligned tails included;
@@ -21,23 +23,24 @@
 //!   [`verify_partition`] proves the slices exactly tile the grid: no gap,
 //!   no overlap.
 //!
-//! Summaries cannot rot. After execution the queue compares the summary's
-//! charged bytes against the counters the kernel actually charged
-//! ([`AccessSummary::charged_matches`]), and sanitized runs additionally
-//! compare the declared window bytes against the per-element traffic
-//! observed by the shadow sanitizer — any drift is reported as a
-//! [`crate::sanitize::Violation::SummaryDrift`].
+//! Declared once, charged once; the sanitizer audits declared against
+//! observed. Sanitized runs compare the declared window bytes against the
+//! per-element traffic the shadow sanitizer observes
+//! ([`crate::sanitize::Violation::SummaryDrift`]) and the charged bytes
+//! against the same observation
+//! ([`crate::sanitize::Violation::AccountingDrift`]), so a declaration
+//! cannot rot silently.
 //!
 //! A window's "vector width" is not separate metadata: vectorized access
-//! shows up as charged bytes in the vector class ([`ChargedBytes`]), which
-//! the post-run counter comparison checks per class, while the window
-//! geometry describes the element footprint that both bounds and the
-//! sanitizer's shadow traffic are defined over.
+//! shows up as charged bytes in the vector class of the counters, while
+//! the window geometry describes the element footprint that both bounds
+//! and the sanitizer's shadow traffic are defined over.
 
 use std::fmt;
 use std::ops::Range;
 
 use crate::cost::CostCounters;
+use crate::kernel::KernelDesc;
 
 /// Whether an [`AccessWindow`] is loaded or stored by the dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,34 +174,9 @@ impl AccessWindow {
     }
 }
 
-/// Bytes a dispatch charges the cost model, split by access class exactly
-/// as [`CostCounters`] splits them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChargedBytes {
-    /// Scalar-class global read bytes.
-    pub read_scalar: u64,
-    /// Vector-class global read bytes.
-    pub read_vector: u64,
-    /// Scalar-class global write bytes.
-    pub write_scalar: u64,
-    /// Vector-class global write bytes.
-    pub write_vector: u64,
-}
-
-impl ChargedBytes {
-    /// Total charged read bytes across classes.
-    pub fn reads(&self) -> u64 {
-        self.read_scalar + self.read_vector
-    }
-
-    /// Total charged write bytes across classes.
-    pub fn writes(&self) -> u64 {
-        self.write_scalar + self.write_vector
-    }
-}
-
 /// The declarative access summary of one kernel dispatch (or one slice of
-/// a banded dispatch): grid geometry, affine windows, and charged bytes.
+/// a banded dispatch): grid geometry, affine windows, and the cost
+/// counters the dispatch is charged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessSummary {
     /// Kernel name (must match the dispatched [`crate::kernel::KernelDesc`]).
@@ -209,23 +187,32 @@ pub struct AccessSummary {
     pub total_groups: usize,
     /// Declared access windows (empty windows are dropped on push).
     pub windows: Vec<AccessWindow>,
-    /// Bytes the dispatch charges the cost model, by class.
-    pub charged: ChargedBytes,
+    /// The cost counters of the covered group range — the only thing the
+    /// queue charges for the dispatch.
+    pub charged: CostCounters,
     /// Declared read-overcharge ratio: the audit bound is
     /// `charged_reads ≤ declared_reads × read_ratio`.
     pub read_ratio: f64,
 }
 
 impl AccessSummary {
-    /// An empty summary for `kernel` covering the flat group range
-    /// `groups` of a grid with `total_groups` work-groups.
-    pub fn new(kernel: impl Into<String>, groups: Range<usize>, total_groups: usize) -> Self {
+    /// An empty summary of `desc` covering the flat group range `groups`:
+    /// no windows and no work yet, but the group, lane and item counts of
+    /// the range already declared.
+    pub fn new(desc: &KernelDesc, groups: Range<usize>) -> Self {
+        let lanes = desc.group_lanes() as u64;
+        let charged = CostCounters {
+            groups: groups.len() as u64,
+            group_lanes: lanes,
+            items: groups.len() as u64 * lanes,
+            ..CostCounters::default()
+        };
         AccessSummary {
-            kernel: kernel.into(),
+            kernel: desc.name.clone(),
             groups,
-            total_groups,
+            total_groups: desc.total_groups(),
             windows: Vec::new(),
-            charged: ChargedBytes::default(),
+            charged,
             read_ratio: 1.0,
         }
     }
@@ -237,8 +224,7 @@ impl AccessSummary {
         }
     }
 
-    /// Mirrors [`crate::kernel::GroupCtx::charge_global_n`]: per-item bytes
-    /// by class, times `n` items.
+    /// Declares global traffic: per-item bytes by class, times `n` items.
     pub fn charge_global_n(
         &mut self,
         scalar_read: u64,
@@ -247,10 +233,10 @@ impl AccessSummary {
         vector_write: u64,
         n: u64,
     ) {
-        self.charged.read_scalar += scalar_read * n;
-        self.charged.read_vector += vector_read * n;
-        self.charged.write_scalar += scalar_write * n;
-        self.charged.write_vector += vector_write * n;
+        self.charged.global_read_scalar += scalar_read * n;
+        self.charged.global_read_vector += vector_read * n;
+        self.charged.global_write_scalar += scalar_write * n;
+        self.charged.global_write_vector += vector_write * n;
     }
 
     /// Sum of declared read bytes over all windows.
@@ -283,52 +269,12 @@ impl AccessSummary {
     /// `.max(4.0)` floor, which masked undercharge on ragged shapes.
     pub fn exact_read_ratio(&self) -> f64 {
         let declared = self.declared_read_bytes();
-        let charged = self.charged.reads();
+        let charged = self.charged.global_read_bytes();
         if charged <= declared || declared == 0 {
             1.0
         } else {
             charged as f64 / declared as f64 * 1.01
         }
-    }
-
-    /// Checks the summary's charged bytes against the counters the kernel
-    /// actually charged, per class. This is the anti-rot half of the
-    /// accounting proof: the closed-form charge formula in the summary
-    /// must reproduce the kernel's real `charge_global_n` calls exactly.
-    pub fn charged_matches(&self, counters: &CostCounters) -> Result<(), AccessError> {
-        let pairs = [
-            (
-                "read-scalar",
-                self.charged.read_scalar,
-                counters.global_read_scalar,
-            ),
-            (
-                "read-vector",
-                self.charged.read_vector,
-                counters.global_read_vector,
-            ),
-            (
-                "write-scalar",
-                self.charged.write_scalar,
-                counters.global_write_scalar,
-            ),
-            (
-                "write-vector",
-                self.charged.write_vector,
-                counters.global_write_vector,
-            ),
-        ];
-        for (class, summary, counted) in pairs {
-            if summary != counted {
-                return Err(AccessError::ChargeDrift {
-                    kernel: self.kernel.clone(),
-                    class,
-                    summary,
-                    counted,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -396,12 +342,6 @@ pub enum AccessError {
         /// Human-readable description of the gap or overlap.
         detail: String,
     },
-    /// A dispatch ran without declaring a summary while declarations are
-    /// required.
-    Undeclared {
-        /// Kernel that was dispatched.
-        kernel: String,
-    },
     /// The summary's grid geometry does not match the dispatch it was
     /// declared for.
     GridMismatch {
@@ -409,18 +349,6 @@ pub enum AccessError {
         kernel: String,
         /// Human-readable description of the mismatch.
         detail: String,
-    },
-    /// Post-run check: the summary's charged bytes differ from what the
-    /// kernel actually charged (the closed-form formula rotted).
-    ChargeDrift {
-        /// Kernel that was dispatched.
-        kernel: String,
-        /// Counter class that drifted.
-        class: &'static str,
-        /// Bytes the summary declared as charged.
-        summary: u64,
-        /// Bytes the kernel actually charged.
-        counted: u64,
     },
 }
 
@@ -479,24 +407,9 @@ impl fmt::Display for AccessError {
                 f,
                 "sliced dispatch of kernel `{kernel}` does not partition the grid: {detail}"
             ),
-            AccessError::Undeclared { kernel } => write!(
-                f,
-                "kernel `{kernel}` dispatched without an access summary while declarations \
-                 are required"
-            ),
             AccessError::GridMismatch { kernel, detail } => write!(
                 f,
                 "access summary for kernel `{kernel}` does not match its dispatch: {detail}"
-            ),
-            AccessError::ChargeDrift {
-                kernel,
-                class,
-                summary,
-                counted,
-            } => write!(
-                f,
-                "access summary for kernel `{kernel}`: summary says {summary} charged \
-                 {class} bytes, kernel actually charged {counted}"
             ),
         }
     }
@@ -609,15 +522,15 @@ pub fn verify_summary(s: &AccessSummary) -> Result<(), AccessError> {
     }
     // (c) accounting: writes exact, reads dominated and ratio-bounded.
     let declared_w = s.declared_write_bytes();
-    if s.charged.writes() != declared_w {
+    if s.charged.global_write_bytes() != declared_w {
         return Err(AccessError::WriteChargeMismatch {
             kernel: s.kernel.clone(),
             declared: declared_w,
-            charged: s.charged.writes(),
+            charged: s.charged.global_write_bytes(),
         });
     }
     let declared_r = s.declared_read_bytes();
-    let charged_r = s.charged.reads();
+    let charged_r = s.charged.global_read_bytes();
     if charged_r < declared_r {
         return Err(AccessError::ReadUndercharge {
             kernel: s.kernel.clone(),
@@ -714,10 +627,10 @@ impl VerifyStats {
         let dr = s.declared_read_bytes();
         self.declared_read_bytes += dr;
         self.declared_write_bytes += s.declared_write_bytes();
-        self.charged_read_bytes += s.charged.reads();
-        self.charged_write_bytes += s.charged.writes();
+        self.charged_read_bytes += s.charged.global_read_bytes();
+        self.charged_write_bytes += s.charged.global_write_bytes();
         if dr > 0 {
-            let slack = s.read_ratio - s.charged.reads() as f64 / dr as f64;
+            let slack = s.read_ratio - s.charged.global_read_bytes() as f64 / dr as f64;
             if slack > self.max_ratio_slack {
                 self.max_ratio_slack = slack;
             }
@@ -756,9 +669,14 @@ mod tests {
         BufRef::f32("b", len)
     }
 
+    /// A 1-D dispatch of `groups` single-lane groups.
+    fn desc(groups: usize) -> KernelDesc {
+        KernelDesc::new_1d("k", groups, 1)
+    }
+
     fn clean_summary() -> AccessSummary {
         // A perror-like dispatch: 2 read rows + 1 write row per image row.
-        let mut s = AccessSummary::new("k", 0..4, 4);
+        let mut s = AccessSummary::new(&desc(4), 0..4);
         s.push(AccessWindow::read(buf(1024), 0, 16).by_y(8, 32));
         s.push(AccessWindow::read(BufRef::f32("up", 1024), 0, 16).by_y(8, 32));
         s.push(AccessWindow::write(BufRef::f32("out", 1024), 0, 16).by_y(8, 32));
@@ -807,7 +725,7 @@ mod tests {
     #[test]
     fn overlapping_write_windows_are_rejected() {
         // Internal overlap: row stride smaller than the span.
-        let mut s = AccessSummary::new("k", 0..1, 1);
+        let mut s = AccessSummary::new(&desc(1), 0..1);
         s.push(AccessWindow::write(buf(1024), 0, 16).by_y(4, 8));
         s.charge_global_n(0, 0, 4, 0, 64);
         assert!(matches!(
@@ -815,7 +733,7 @@ mod tests {
             Err(AccessError::WriteOverlap { .. })
         ));
         // Pairwise overlap: two windows sharing an interval.
-        let mut s = AccessSummary::new("k", 0..1, 1);
+        let mut s = AccessSummary::new(&desc(1), 0..1);
         s.push(AccessWindow::write(buf(1024), 0, 32));
         s.push(AccessWindow::write(buf(1024), 16, 32));
         s.charge_global_n(0, 0, 4, 0, 64);
@@ -827,7 +745,7 @@ mod tests {
 
     #[test]
     fn column_bands_of_same_period_are_disjoint() {
-        let mut s = AccessSummary::new("k", 0..1, 1);
+        let mut s = AccessSummary::new(&desc(1), 0..1);
         // Columns [0,4) and [8,16) of a 32-wide row, 8 rows: interleaved
         // intervals, provably disjoint by the modulo rule.
         s.push(AccessWindow::write(buf(256), 0, 4).by_y(8, 32));
@@ -839,14 +757,14 @@ mod tests {
     #[test]
     fn undercharging_summary_is_rejected() {
         let mut s = clean_summary();
-        s.charged.read_scalar = 100; // far below the declared 1024 B
+        s.charged.global_read_scalar = 100; // far below the declared 1024 B
         assert!(matches!(
             verify_summary(&s),
             Err(AccessError::ReadUndercharge { .. })
         ));
         // Writes must match exactly, in either direction.
         let mut s = clean_summary();
-        s.charged.write_scalar += 4;
+        s.charged.global_write_scalar += 4;
         assert!(matches!(
             verify_summary(&s),
             Err(AccessError::WriteChargeMismatch { .. })
@@ -872,6 +790,17 @@ mod tests {
     }
 
     #[test]
+    fn new_declares_the_range_geometry() {
+        let d = KernelDesc::new("k", [64, 32], [16, 8]);
+        let s = AccessSummary::new(&d, 4..10);
+        assert_eq!(s.total_groups, 16);
+        assert_eq!(s.charged.groups, 6);
+        assert_eq!(s.charged.group_lanes, 128);
+        assert_eq!(s.charged.items, 6 * 128);
+        assert_eq!(s.charged.global_bytes(), 0);
+    }
+
+    #[test]
     fn partition_detects_gap_and_overlap() {
         assert_eq!(verify_partition("k", 10, &[0..4, 4..10]), Ok(()));
         assert_eq!(verify_partition("k", 10, &[4..10, 0..4, 2..2]), Ok(()));
@@ -886,25 +815,6 @@ mod tests {
         assert!(matches!(
             verify_partition("k", 10, &[0..4, 4..8]),
             Err(AccessError::CoverageGap { .. })
-        ));
-    }
-
-    #[test]
-    fn charged_matches_catches_formula_rot() {
-        let s = clean_summary();
-        let mut c = CostCounters {
-            global_read_scalar: s.charged.read_scalar,
-            global_write_scalar: s.charged.write_scalar,
-            ..CostCounters::default()
-        };
-        assert_eq!(s.charged_matches(&c), Ok(()));
-        c.global_read_scalar += 4;
-        assert!(matches!(
-            s.charged_matches(&c),
-            Err(AccessError::ChargeDrift {
-                class: "read-scalar",
-                ..
-            })
         ));
     }
 }

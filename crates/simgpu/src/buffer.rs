@@ -2,8 +2,10 @@
 //!
 //! A [`Buffer`] owns a slab of device memory. Kernels do not touch buffers
 //! directly; they capture cheap, clonable [`GlobalView`] (read) and
-//! [`GlobalWriteView`] (write) handles and go through the
-//! [`crate::kernel::GroupCtx`] accessors, which do the cost accounting.
+//! [`GlobalWriteView`] (write) handles and access memory through them.
+//! The views count nothing — a dispatch's cost is its declared
+//! [`crate::access::AccessSummary`] — but they feed the sanitizer's
+//! shadow state, which audits that declaration against what ran.
 //!
 //! # Safety model
 //!
@@ -406,10 +408,9 @@ impl<T: Scalar> GlobalView<T> {
         self.inner.len() == 0
     }
 
-    /// Raw, *unaccounted* element read. Prefer
-    /// [`GroupCtx::load`](crate::kernel::GroupCtx::load), which charges the
-    /// cost model; this accessor exists for index arithmetic setup and
-    /// host-side checks.
+    /// Element read. Like every view accessor it counts nothing: a
+    /// dispatch's cost is its declared
+    /// [`AccessSummary`](crate::access::AccessSummary).
     #[inline]
     pub fn get_raw(&self, idx: usize) -> T {
         if let Some(sh) = &self.inner.shadow {
@@ -433,12 +434,9 @@ impl<T: Scalar> GlobalView<T> {
         unsafe { *self.ptr.add(idx) }
     }
 
-    /// Raw, *unaccounted* bulk read of `out.len()` consecutive elements
-    /// starting at `idx` — one bounds check for the whole run, so hot
-    /// kernel loops that charge their traffic explicitly (via
-    /// [`GroupCtx::charge`](crate::kernel::GroupCtx::charge) /
-    /// [`GroupCtx::charge_global_n`](crate::kernel::GroupCtx::charge_global_n))
-    /// stay vectorizable.
+    /// Bulk read of `out.len()` consecutive elements starting at `idx` —
+    /// one bounds check for the whole run, so hot kernel loops stay
+    /// vectorizable.
     #[inline]
     pub fn read_into(&self, idx: usize, out: &mut [T]) {
         if let Some(sh) = &self.inner.shadow {
@@ -473,7 +471,7 @@ impl<T: Scalar> GlobalView<T> {
         }
     }
 
-    /// Raw, *unaccounted* read of four consecutive elements.
+    /// Read of four consecutive elements.
     #[inline]
     pub fn get4_raw(&self, idx: usize) -> [T; 4] {
         let mut q = [T::default(); 4];
@@ -481,7 +479,7 @@ impl<T: Scalar> GlobalView<T> {
         q
     }
 
-    /// Raw, *unaccounted* borrow of `len` consecutive elements starting at
+    /// Borrow of `len` consecutive elements starting at
     /// `idx`, for span-at-a-time kernel loops (the returned slice borrows
     /// the view, so the storage stays alive). Callers rely on the dispatch
     /// invariant: no work-item writes this buffer while the slice is held.
@@ -551,8 +549,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         self.inner.len() == 0
     }
 
-    /// Raw, *unaccounted* element write. Prefer
-    /// [`GroupCtx::store`](crate::kernel::GroupCtx::store).
+    /// Element write.
     #[inline]
     pub fn set_raw(&self, idx: usize, v: T) {
         if let Some(sh) = &self.inner.shadow {
@@ -590,7 +587,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         }
     }
 
-    /// Raw, *unaccounted* element read from a writable view (used by
+    /// Element read from a writable view (used by
     /// read-modify-write stages).
     #[inline]
     pub fn get_raw(&self, idx: usize) -> T {
@@ -654,7 +651,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         }
     }
 
-    /// Raw, *unaccounted* write of four consecutive elements — one bounds
+    /// Write of four consecutive elements — one bounds
     /// check. Falls back to per-element stores when validation marks are
     /// kept, so write-race detection still sees every element.
     #[inline]
@@ -681,7 +678,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         }
     }
 
-    /// Raw, *unaccounted* write of a span of consecutive elements. Like
+    /// Write of a span of consecutive elements. Like
     /// [`GlobalWriteView::set4_raw`], per-element stores under validation
     /// (so write-race marks stay element-accurate), memcpy otherwise.
     #[inline]

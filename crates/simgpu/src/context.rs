@@ -32,9 +32,9 @@ pub struct Context {
     /// Shared sanitizer state (shadow-access recorder); `None` when the
     /// sanitizer is off. Clones share the same recorder.
     sanitize: Option<Arc<SanitizeShared>>,
-    /// When true, queues require every kernel dispatch to declare an
-    /// access summary and retain the verified summaries in their log.
-    require_access: bool,
+    /// When true, queues retain every dispatch's verified access summary
+    /// in their log.
+    keep_access_log: bool,
     /// Span-ring capacity for queues created from this context; `None`
     /// disables span tracing (the default).
     span_capacity: Option<usize>,
@@ -52,7 +52,7 @@ impl Context {
             pooling: true,
             dispatch_threads: 0,
             sanitize: None,
-            require_access: false,
+            keep_access_log: false,
             span_capacity: None,
         }
     }
@@ -89,15 +89,13 @@ impl Context {
         self
     }
 
-    /// Requires every kernel dispatch on queues created from this context
-    /// to declare a statically verified
-    /// [`AccessSummary`](crate::access::AccessSummary) first — an
-    /// undeclared dispatch is a hard error — and retains the verified
-    /// summaries in [`CommandQueue::access_log`] for static-vs-dynamic
-    /// agreement checks. Observation-only: pixels and simulated seconds
-    /// are unchanged.
-    pub fn with_access_required(mut self) -> Self {
-        self.require_access = true;
+    /// Retains every dispatch's verified
+    /// [`AccessSummary`](crate::access::AccessSummary) in
+    /// [`CommandQueue::access_log`] on queues created from this context,
+    /// for static-vs-dynamic agreement checks. Observation-only: pixels
+    /// and simulated seconds are unchanged.
+    pub fn with_access_log(mut self) -> Self {
+        self.keep_access_log = true;
         self
     }
 
@@ -173,11 +171,6 @@ impl Context {
         self.sanitize.is_some()
     }
 
-    /// Whether kernel dispatches must declare access summaries.
-    pub fn requires_access(&self) -> bool {
-        self.require_access
-    }
-
     /// Whether queues created from this context record spans.
     pub fn spans_enabled(&self) -> bool {
         self.span_capacity.is_some()
@@ -232,7 +225,7 @@ impl Context {
             self.cpu.clone(),
             self.dispatch_threads,
             self.sanitize.clone(),
-            self.require_access,
+            self.keep_access_log,
             self.span_capacity,
         )
     }

@@ -1,10 +1,12 @@
 //! Cost accounting shared by the simulated device and the CPU model.
 //!
-//! Kernels (and the CPU reference pipeline) describe *what work they did* —
-//! arithmetic operations by class, bytes moved through each level of the
-//! memory hierarchy, synchronisation events — and the timing model in
-//! [`crate::timing`] converts those counts into simulated seconds for a
-//! particular [`crate::device::DeviceSpec`].
+//! A kernel dispatch *declares* the work it does — arithmetic operations
+//! by class, bytes moved through each level of the memory hierarchy,
+//! synchronisation events — as the [`CostCounters`] of its
+//! [`crate::access::AccessSummary`], computed in closed form before it
+//! runs; the CPU reference pipeline counts its loops the same way. The
+//! timing model in [`crate::timing`] converts those counts into simulated
+//! seconds for a particular [`crate::device::DeviceSpec`].
 //!
 //! Counting at this granularity is what makes the paper's optimizations
 //! *visible* to the simulator: kernel fusion removes global-memory bytes and
@@ -139,10 +141,17 @@ impl CostCounters {
 
     /// Total bytes moved through global memory (reads + writes, any width).
     pub fn global_bytes(&self) -> u64 {
-        self.global_read_scalar
-            + self.global_read_vector
-            + self.global_write_scalar
-            + self.global_write_vector
+        self.global_read_bytes() + self.global_write_bytes()
+    }
+
+    /// Bytes read from global memory, scalar and vector classes together.
+    pub fn global_read_bytes(&self) -> u64 {
+        self.global_read_scalar + self.global_read_vector
+    }
+
+    /// Bytes written to global memory, scalar and vector classes together.
+    pub fn global_write_bytes(&self) -> u64 {
+        self.global_write_scalar + self.global_write_vector
     }
 
     /// Charges one op bundle, `n` times.
@@ -150,13 +159,8 @@ impl CostCounters {
         self.ops = self.ops.plus(&per_item.times(n));
     }
 
-    /// Charges a single op bundle.
-    pub fn charge_ops(&mut self, ops: &OpCounts) {
-        self.ops = self.ops.plus(ops);
-    }
-
-    /// Merges another counter set into this one (used when reducing the
-    /// per-work-group counters of a parallel dispatch).
+    /// Merges another counter set into this one (used when folding the
+    /// per-slice declarations of a sliced dispatch).
     pub fn merge(&mut self, o: &CostCounters) {
         self.ops = self.ops.plus(&o.ops);
         self.global_read_scalar += o.global_read_scalar;

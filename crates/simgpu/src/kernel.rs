@@ -8,14 +8,14 @@
 //! lockstep structure an OpenCL kernel with `barrier(CLK_LOCAL_MEM_FENCE)`
 //! has, without needing per-item coroutines.
 //!
-//! All data access goes through the `GroupCtx` accessors so the cost model
-//! sees every byte: [`GroupCtx::load`]/[`GroupCtx::store`] count as scalar
-//! accesses, [`GroupCtx::vload4`]/[`GroupCtx::vstore4`] as vector accesses
-//! (better coalescing — the paper's Section V-D), and local memory has its
-//! own counters.
+//! A kernel closure only computes pixels: global memory goes through the
+//! buffer views directly, and nothing here counts work. What a dispatch
+//! costs is declared up front, in closed form, by the
+//! [`crate::access::AccessSummary`] handed to
+//! [`crate::queue::CommandQueue::run`]; the context keeps only what the
+//! semantics and the sanitizer need — the item cursor, local (LDS)
+//! scratch, and barriers.
 
-use crate::buffer::{GlobalView, GlobalWriteView, Scalar};
-use crate::cost::{CostCounters, OpCounts};
 use crate::error::{Error, Result};
 use crate::sanitize::GroupSan;
 
@@ -107,7 +107,8 @@ pub fn items(group_size: [usize; 2]) -> impl Iterator<Item = [usize; 2]> {
 
 /// Per-work-group execution context handed to kernel closures.
 ///
-/// Owns this group's cost counters and local (LDS) scratch memory.
+/// Owns this group's identity, local (LDS) scratch memory and sanitizer
+/// state.
 pub struct GroupCtx {
     /// This group's coordinates in the grid.
     pub group_id: [usize; 2],
@@ -115,11 +116,9 @@ pub struct GroupCtx {
     pub group_size: [usize; 2],
     /// Grid size in groups.
     pub num_groups: [usize; 2],
-    /// Work accounting for this group; merged after the dispatch.
-    pub counters: CostCounters,
     local: Vec<f32>,
     /// Sanitizer state for this group; `Some` only under a sanitized
-    /// context. Observation only — never touches `counters`.
+    /// context. Observation only.
     san: Option<GroupSan>,
 }
 
@@ -130,15 +129,10 @@ impl GroupCtx {
     }
 
     pub(crate) fn new_with(desc: &KernelDesc, group_id: [usize; 2], san: Option<GroupSan>) -> Self {
-        let mut counters = CostCounters::new();
-        counters.groups = 1;
-        counters.group_lanes = desc.group_lanes() as u64;
-        counters.items = desc.group_lanes() as u64;
         GroupCtx {
             group_id,
             group_size: desc.group,
             num_groups: desc.num_groups(),
-            counters,
             local: Vec::new(),
             san,
         }
@@ -163,19 +157,6 @@ impl GroupCtx {
         }
     }
 
-    /// Declares that this kernel deliberately charges up to `ratio`× the
-    /// global read bytes it actually performs (e.g. vectorized stencil
-    /// kernels charging redundant window loads the paper's GPU would
-    /// issue). The sanitizer's drift audit then accepts
-    /// `observed <= charged <= observed * ratio` for reads; writes must
-    /// always match exactly. No-op (and free) on unsanitized contexts.
-    #[inline]
-    pub fn declare_read_overcharge(&mut self, ratio: f64) {
-        if let Some(s) = &self.san {
-            s.declare_read_overcharge(ratio);
-        }
-    }
-
     /// Global coordinates of a local item.
     #[inline]
     pub fn global_id(&self, local: [usize; 2]) -> [usize; 2] {
@@ -193,71 +174,21 @@ impl GroupCtx {
         g[1] * width + g[0]
     }
 
-    // ---- global memory -------------------------------------------------
-
-    /// Scalar load: one element, charged as a scalar global access.
-    #[inline]
-    pub fn load<T: Scalar>(&mut self, view: &GlobalView<T>, idx: usize) -> T {
-        self.counters.global_read_scalar += std::mem::size_of::<T>() as u64;
-        view.get_raw(idx)
-    }
-
-    /// Vector load of four consecutive elements (`vload4`), charged as a
-    /// vector global access (coalesces better than four scalar loads).
-    #[inline]
-    pub fn vload4<T: Scalar>(&mut self, view: &GlobalView<T>, idx: usize) -> [T; 4] {
-        self.counters.global_read_vector += 4 * std::mem::size_of::<T>() as u64;
-        [
-            view.get_raw(idx),
-            view.get_raw(idx + 1),
-            view.get_raw(idx + 2),
-            view.get_raw(idx + 3),
-        ]
-    }
-
-    /// Scalar store.
-    #[inline]
-    pub fn store<T: Scalar>(&mut self, view: &GlobalWriteView<T>, idx: usize, v: T) {
-        self.counters.global_write_scalar += std::mem::size_of::<T>() as u64;
-        view.set_raw(idx, v);
-    }
-
-    /// Vector store of four consecutive elements (`vstore4`).
-    #[inline]
-    pub fn vstore4<T: Scalar>(&mut self, view: &GlobalWriteView<T>, idx: usize, v: [T; 4]) {
-        self.counters.global_write_vector += 4 * std::mem::size_of::<T>() as u64;
-        view.set_raw(idx, v[0]);
-        view.set_raw(idx + 1, v[1]);
-        view.set_raw(idx + 2, v[2]);
-        view.set_raw(idx + 3, v[3]);
-    }
-
-    /// Scalar load from a *writable* view (read-modify-write patterns).
-    #[inline]
-    pub fn load_mut<T: Scalar>(&mut self, view: &GlobalWriteView<T>, idx: usize) -> T {
-        self.counters.global_read_scalar += std::mem::size_of::<T>() as u64;
-        view.get_raw(idx)
-    }
-
     // ---- local (LDS) memory --------------------------------------------
 
     /// Allocates (or reallocates) this group's local scratch of `n` f32
-    /// elements, zero-initialised. Mirrors `__local float[n]`; the
-    /// allocation size feeds the occupancy model (a compute unit can only
-    /// keep as many groups resident as its LDS can hold).
+    /// elements, zero-initialised. Mirrors `__local float[n]`.
     pub fn alloc_local(&mut self, n: usize) {
         self.local.clear();
         self.local.resize(n, 0.0);
-        self.counters.local_alloc_bytes = self.counters.local_alloc_bytes.max(4 * n as u64);
         if let Some(s) = &mut self.san {
             s.on_alloc_local(n);
         }
     }
 
-    /// Reads one element of local memory, charged to LDS traffic.
+    /// Reads one element of local memory.
     #[inline]
     pub fn local_read(&mut self, idx: usize) -> f32 {
-        self.counters.local_bytes += 4;
         if let Some(s) = &mut self.san {
             if !s.local_read(idx, self.local.len()) {
                 // Out of bounds: recorded; recover with zero.
@@ -267,10 +198,9 @@ impl GroupCtx {
         self.local[idx]
     }
 
-    /// Writes one element of local memory, charged to LDS traffic.
+    /// Writes one element of local memory.
     #[inline]
     pub fn local_write(&mut self, idx: usize, v: f32) {
-        self.counters.local_bytes += 4;
         if let Some(s) = &mut self.san {
             if !s.local_write(idx, self.local.len()) {
                 // Out of bounds: recorded; recover by dropping the store.
@@ -287,65 +217,20 @@ impl GroupCtx {
 
     // ---- synchronisation & control flow --------------------------------
 
-    /// Work-group barrier (`barrier(CLK_LOCAL_MEM_FENCE)`): stalls every
-    /// lane of the group for the device's barrier cost.
+    /// Work-group barrier (`barrier(CLK_LOCAL_MEM_FENCE)`). Its cost is
+    /// declared with the dispatch; here it only orders local-memory phases
+    /// for the sanitizer.
     #[inline]
     pub fn barrier(&mut self) {
-        self.counters.barriers += 1;
         if let Some(s) = &mut self.san {
             s.on_barrier();
         }
-    }
-
-    /// Records one divergent-branch event: the wavefront executes both
-    /// sides of a condition that differs across its lanes.
-    #[inline]
-    pub fn divergent(&mut self, events: u64) {
-        self.counters.divergent_branches += events;
-    }
-
-    // ---- arithmetic accounting -----------------------------------------
-
-    /// Charges one op bundle.
-    #[inline]
-    pub fn charge(&mut self, ops: &OpCounts) {
-        self.counters.charge_ops(ops);
-    }
-
-    /// Charges an op bundle `n` times (per-item recipe × items).
-    #[inline]
-    pub fn charge_n(&mut self, ops: &OpCounts, n: u64) {
-        self.counters.charge_ops_n(ops, n);
-    }
-
-    /// Charges global-memory traffic in bulk, in bytes per access class.
-    ///
-    /// Hot kernels whose access pattern is fixed per work-item can read
-    /// through the raw view accessors (`get_raw` / `read_into` /
-    /// `set4_raw`) and charge the identical byte totals here once per item
-    /// (or once per group with `n` items), instead of paying a counter
-    /// update on every element. The cost model sees exactly the same
-    /// traffic either way.
-    #[inline]
-    pub fn charge_global_n(
-        &mut self,
-        scalar_read: u64,
-        vector_read: u64,
-        scalar_write: u64,
-        vector_write: u64,
-        n: u64,
-    ) {
-        self.counters.global_read_scalar += scalar_read * n;
-        self.counters.global_read_vector += vector_read * n;
-        self.counters.global_write_scalar += scalar_write * n;
-        self.counters.global_write_vector += vector_write * n;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::Buffer;
 
     fn desc() -> KernelDesc {
         KernelDesc::new("k", [64, 32], [16, 8])
@@ -398,74 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn accessors_account_bytes() {
-        let buf: Buffer<f32> = Buffer::new("b", 64, false);
-        buf.fill_from(&(0..64).map(|i| i as f32).collect::<Vec<_>>());
-        let mut g = GroupCtx::new(&desc(), [0, 0]);
-        let r = buf.view();
-        let w = buf.write_view();
-        let x = g.load(&r, 10);
-        assert_eq!(x, 10.0);
-        let v = g.vload4(&r, 4);
-        assert_eq!(v, [4.0, 5.0, 6.0, 7.0]);
-        g.store(&w, 0, 99.0);
-        g.vstore4(&w, 20, [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(g.counters.global_read_scalar, 4);
-        assert_eq!(g.counters.global_read_vector, 16);
-        assert_eq!(g.counters.global_write_scalar, 4);
-        assert_eq!(g.counters.global_write_vector, 16);
-        assert_eq!(buf.snapshot()[0], 99.0);
-        assert_eq!(buf.snapshot()[22], 3.0);
-    }
-
-    #[test]
-    fn load_mut_reads_through_write_view() {
-        let buf: Buffer<f32> = Buffer::new("b", 8, false);
-        buf.fill_from(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        let mut g = GroupCtx::new(&desc(), [0, 0]);
-        let w = buf.write_view();
-        let v = g.load_mut(&w, 5);
-        assert_eq!(v, 5.0);
-        g.store(&w, 5, v * 2.0);
-        assert_eq!(buf.snapshot()[5], 10.0);
-        assert_eq!(g.counters.global_read_scalar, 4);
-    }
-
-    #[test]
-    fn alloc_local_records_peak_allocation() {
-        let mut g = GroupCtx::new(&desc(), [0, 0]);
-        g.alloc_local(64);
-        assert_eq!(g.counters.local_alloc_bytes, 256);
-        // Re-allocation keeps the peak.
-        g.alloc_local(16);
-        assert_eq!(g.counters.local_alloc_bytes, 256);
-        g.alloc_local(128);
-        assert_eq!(g.counters.local_alloc_bytes, 512);
-    }
-
-    #[test]
-    fn local_memory_roundtrip_and_accounting() {
+    fn local_memory_roundtrip() {
         let mut g = GroupCtx::new(&desc(), [0, 0]);
         g.alloc_local(256);
         assert_eq!(g.local_len(), 256);
         g.local_write(3, 1.5);
         assert_eq!(g.local_read(3), 1.5);
-        assert_eq!(g.counters.local_bytes, 8);
         // Fresh allocation is zeroed.
         assert_eq!(g.local_read(200), 0.0);
-    }
-
-    #[test]
-    fn sync_and_ops_accounting() {
-        let mut g = GroupCtx::new(&desc(), [0, 0]);
-        g.barrier();
-        g.barrier();
-        g.divergent(5);
-        g.charge_n(&OpCounts::ZERO.adds(2).pows(1), 10);
-        assert_eq!(g.counters.barriers, 2);
-        assert_eq!(g.counters.divergent_branches, 5);
-        assert_eq!(g.counters.ops.add, 20);
-        assert_eq!(g.counters.ops.pow, 10);
-        assert_eq!(g.counters.group_lanes, 128);
+        // Re-allocation resizes and zeroes.
+        g.alloc_local(16);
+        assert_eq!(g.local_len(), 16);
+        assert_eq!(g.local_read(3), 0.0);
     }
 }

@@ -28,11 +28,15 @@
 //!   its NDRange.
 //!
 //! Kernels are closures invoked per *work-group* with a
-//! [`GroupCtx`](kernel::GroupCtx); they iterate their work-items and access
-//! global memory through accounting accessors (`load`, `vload4`, `store`,
-//! `vstore4`), local memory through `local_read`/`local_write`, and
-//! synchronise with `barrier()`. See the [`kernel`] module docs for why this
-//! reproduces OpenCL barrier semantics faithfully.
+//! [`GroupCtx`](kernel::GroupCtx); they iterate their work-items, access
+//! global memory through the buffer views, local memory through
+//! `local_read`/`local_write`, and synchronise with `barrier()`. See the
+//! [`kernel`] module docs for why this reproduces OpenCL barrier semantics
+//! faithfully. A closure computes pixels and nothing else: each dispatch
+//! hands the queue an [`AccessSummary`](access::AccessSummary) that
+//! declares, in closed form, the windows it touches and the
+//! [`CostCounters`](cost::CostCounters) it costs. Declared once, charged
+//! once; the sanitizer audits declared against observed.
 //!
 //! ## Example
 //!
@@ -47,17 +51,21 @@
 //! let a = ctx.buffer::<f32>("a", 1024);
 //! q.enqueue_write(&a, &src).unwrap();
 //!
-//! // y[i] = 2*x[i] on the device.
+//! // y[i] = 2*x[i] on the device, declared as one 4-byte load, one
+//! // 4-byte store and one multiply per item.
 //! let y = ctx.buffer::<f32>("y", 1024);
 //! let (av, yv) = (a.view(), y.write_view());
-//! let per_item = OpCounts::ZERO.muls(1);
-//! q.run(&KernelDesc::new_1d("double", 1024, 256), &[&y], |g| {
+//! let desc = KernelDesc::new_1d("double", 1024, 256);
+//! let mut decl = AccessSummary::new(&desc, 0..desc.total_groups());
+//! decl.push(AccessWindow::read(av.info(), 0, 1024));
+//! decl.push(AccessWindow::write(yv.info(), 0, 1024));
+//! decl.charge_global_n(4, 0, 4, 0, 1024);
+//! decl.charged.charge_ops_n(&OpCounts::ZERO.muls(1), 1024);
+//! q.run(&desc, decl, &[&y], |g| {
 //!     for l in items(g.group_size) {
 //!         let i = g.global_index(l, 1024);
-//!         let x = g.load(&av, i);
-//!         g.store(&yv, i, 2.0 * x);
+//!         yv.set_raw(i, 2.0 * av.get_raw(i));
 //!     }
-//!     g.charge_n(&per_item, g.counters.items);
 //! }).unwrap();
 //!
 //! let mut out = vec![0.0f32; 1024];
@@ -86,9 +94,7 @@ pub mod trace;
 
 /// Convenient glob-import of the common types.
 pub mod prelude {
-    pub use crate::access::{
-        AccessError, AccessSummary, AccessWindow, BufRef, ChargedBytes, Role, VerifyStats,
-    };
+    pub use crate::access::{AccessError, AccessSummary, AccessWindow, BufRef, Role, VerifyStats};
     pub use crate::buffer::{Buffer, GlobalView, GlobalWriteView, Scalar};
     pub use crate::context::Context;
     pub use crate::cost::{CostCounters, OpCounts};

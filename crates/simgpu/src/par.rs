@@ -1,8 +1,8 @@
 //! Host-side parallelism for simulated work-group dispatch.
 //!
 //! The simulator executes work-groups functionally on the host. This
-//! module provides the small scoped-thread fan-out used by
-//! [`crate::queue::CommandQueue::run`] — a dependency-free replacement for
+//! module provides the small scoped-thread fan-out used by kernel dispatch
+//! ([`crate::queue::CommandQueue::run`]) — a dependency-free replacement for
 //! the rayon pool the seed used, which keeps the workspace buildable
 //! offline. Work is handed out in chunks through an atomic cursor so
 //! uneven groups (reduction tails, border kernels) still balance.
@@ -22,64 +22,32 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f(i)` for every `i` in `0..total` on up to `threads` workers and
-/// folds the per-call results with `merge`, seeding each worker with
-/// `zero()`. Falls back to a plain loop when one worker suffices.
-///
-/// `merge` order is unspecified; callers must use an associative,
-/// commutative merge (cost-counter sums are).
-pub fn map_reduce<R, Z, F, M>(total: usize, threads: usize, zero: Z, f: F, merge: M) -> R
+/// Runs `f(i)` for every `i` in `0..total` on up to `threads` workers.
+/// Falls back to a plain loop when one worker suffices.
+pub fn for_each_index<F>(total: usize, threads: usize, f: F)
 where
-    R: Send,
-    Z: Fn() -> R + Sync,
-    F: Fn(usize) -> R + Sync,
-    M: Fn(R, R) -> R + Sync,
+    F: Fn(usize) + Sync,
 {
     let threads = threads.clamp(1, total.max(1));
     if threads == 1 {
-        let mut acc = zero();
-        for i in 0..total {
-            acc = merge(acc, f(i));
-        }
-        return acc;
+        (0..total).for_each(f);
+        return;
     }
     // Chunked work-stealing: large enough chunks to amortise the atomic,
     // small enough that a slow chunk cannot serialise the dispatch.
     let chunk = (total / (threads * 8)).max(1);
     let cursor = AtomicUsize::new(0);
-    let workers: Vec<R> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut acc = zero();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= total {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(total) {
-                            acc = merge(acc, f(i));
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatch worker panicked"))
-            .collect()
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= total {
+                    break;
+                }
+                (start..(start + chunk).min(total)).for_each(&f);
+            });
+        }
     });
-    workers.into_iter().fold(zero(), &merge)
-}
-
-/// Runs `f(i)` for every `i` in `0..total` on up to `threads` workers,
-/// discarding results. Convenience wrapper over [`map_reduce`].
-pub fn for_each_index<F>(total: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    map_reduce(total, threads, || (), f, |(), ()| ());
 }
 
 #[cfg(test)]
@@ -88,26 +56,16 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn map_reduce_sums_all_indices() {
-        for threads in [1, 2, 7, 64] {
-            let sum = map_reduce(1000, threads, || 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(sum, 999 * 1000 / 2, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn zero_total_returns_zero() {
-        assert_eq!(map_reduce(0, 4, || 7u64, |_| 1, |a, b| a + b), 7);
-    }
-
-    #[test]
     fn for_each_visits_every_index_once() {
-        let n = 4096;
-        let marks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        for_each_index(n, 8, |i| {
-            marks[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1));
+        for threads in [1, 2, 8] {
+            let n = 4096;
+            let marks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            for_each_index(n, threads, |i| {
+                marks[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1));
+        }
+        for_each_index(0, 4, |_| panic!("no indices to visit"));
     }
 
     #[test]

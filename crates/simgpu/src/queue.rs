@@ -2,13 +2,14 @@
 //!
 //! Commands execute *functionally* right away (kernels run in parallel over
 //! work-groups on scoped host threads; transfers copy memory) while their
-//! *simulated*
-//! duration is computed from the timing model and appended to the queue's
-//! virtual clock. Because the queue is in-order — like the paper's OpenCL
-//! command queue with the default execution mode — virtual time is simply
-//! the sum of command durations, plus explicit [`CommandQueue::finish`]
-//! synchronisation overheads (which the paper's Section V-F optimization
-//! removes).
+//! *simulated* duration is computed from the timing model and appended to
+//! the queue's virtual clock. A kernel's duration comes from the
+//! [`CostCounters`] its [`AccessSummary`] declares — the queue charges
+//! that declaration and nothing else. Because the queue is in-order — like
+//! the paper's OpenCL command queue with the default execution mode —
+//! virtual time is simply the sum of command durations, plus explicit
+//! [`CommandQueue::finish`] synchronisation overheads (which the paper's
+//! Section V-F optimization removes).
 //!
 //! Every command leaves a [`CommandRecord`]; the per-stage breakdowns of
 //! the paper's Fig. 13 are produced by aggregating these records by name.
@@ -93,58 +94,36 @@ impl<T: Scalar> WriteTracked for Buffer<T> {
 /// The banded (megapass) scheduler cuts a dispatch into row-band slices so
 /// each band's data stays cache-resident on the host, but the cost model
 /// must see exactly the dispatch a whole-grid [`CommandQueue::run`] would
-/// have produced. Counters merge across slices with the same associative,
-/// commutative merge the per-group reduction uses, so the record committed
-/// by [`CommandQueue::commit_sliced`] carries bit-identical counters — and
-/// therefore a bit-identical [`kernel_time`] — to the monolithic dispatch.
-/// Nothing is recorded on the queue (and the simulated clock does not
-/// move) until commit.
-#[derive(Debug)]
+/// have produced. The slices' declared counters fold with the associative,
+/// commutative u64 [`CostCounters::merge`]; because each kernel's
+/// closed-form declaration of a group range sums to its whole-grid
+/// declaration, the record committed by [`CommandQueue::commit_sliced`]
+/// carries bit-identical counters — and therefore a bit-identical
+/// [`kernel_time`] — to the monolithic dispatch. Nothing is recorded on
+/// the queue (and the simulated clock does not move) until commit.
+#[derive(Debug, Default)]
 pub struct SlicedDispatch {
+    /// Declared counters merged across slices.
     counters: CostCounters,
-    groups_done: usize,
+    /// Window-declared read bytes summed across slices and the largest
+    /// declared read ratio, for the merged ratio bound at commit.
+    declared_read_bytes: u64,
+    read_ratio: f64,
     /// Sanitizer-observed traffic summed across slices; audited once at
     /// commit against the merged counters.
     observed_read_bytes: u64,
     observed_write_bytes: u64,
-    declared_ratio: f64,
-    slices: usize,
     /// Flat group range of every non-empty slice, checked at commit to
     /// exactly partition the grid (static property d).
     ranges: Vec<std::ops::Range<usize>>,
-    /// Access summaries declared per slice (when the kernels declare them).
+    /// Slice declarations, retained only for a queue keeping its access log.
     access: Vec<AccessSummary>,
 }
 
 impl SlicedDispatch {
     /// A fresh accumulator for one logical dispatch.
     pub fn new() -> Self {
-        SlicedDispatch {
-            counters: CostCounters::new(),
-            groups_done: 0,
-            observed_read_bytes: 0,
-            observed_write_bytes: 0,
-            declared_ratio: 1.0,
-            slices: 0,
-            ranges: Vec::new(),
-            access: Vec::new(),
-        }
-    }
-
-    /// Work-groups executed so far across all slices.
-    pub fn groups_done(&self) -> usize {
-        self.groups_done
-    }
-
-    /// Number of slices executed so far.
-    pub fn slices(&self) -> usize {
-        self.slices
-    }
-}
-
-impl Default for SlicedDispatch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -167,14 +146,10 @@ pub struct CommandQueue {
     /// Sanitizer handle inherited from the creating context; `Some` only
     /// for sanitized contexts.
     sanitize: Option<Arc<SanitizeShared>>,
-    /// When true, every kernel dispatch must declare an [`AccessSummary`]
-    /// first (an undeclared dispatch is a hard [`AccessError::Undeclared`])
-    /// and declared summaries are retained in [`Self::access_log`].
-    require_access: bool,
-    /// Summary declared via [`Self::declare_access`] for the next dispatch.
-    pending_access: Option<AccessSummary>,
-    /// Verified summaries of past dispatches (populated only when
-    /// declarations are required, to bound steady-state memory).
+    /// When true, declared summaries are retained in [`Self::access_log`].
+    keep_access_log: bool,
+    /// Verified summaries of past dispatches (populated only when the log
+    /// is kept, to bound steady-state memory).
     access_log: Vec<AccessSummary>,
     /// Hierarchical span ring; `None` when span tracing is off. Boxed so
     /// the disabled (default) case costs one pointer in the queue.
@@ -198,7 +173,7 @@ impl CommandQueue {
         cpu: CpuSpec,
         dispatch_threads: usize,
         sanitize: Option<Arc<SanitizeShared>>,
-        require_access: bool,
+        keep_access_log: bool,
         span_capacity: Option<usize>,
     ) -> Self {
         CommandQueue {
@@ -211,8 +186,7 @@ impl CommandQueue {
             interner: HashSet::new(),
             name_scratch: String::new(),
             sanitize,
-            require_access,
-            pending_access: None,
+            keep_access_log,
             access_log: Vec::new(),
             spans: span_capacity.map(|c| Box::new(SpanRing::new(c))),
         }
@@ -281,31 +255,9 @@ impl CommandQueue {
 
     // ---- kernel dispatch ------------------------------------------------
 
-    /// Declares the access summary of the *next* kernel dispatch and
-    /// statically verifies it (bounds, write disjointness, accounting) —
-    /// a rejected summary is a typed error before any work runs. The
-    /// dispatch itself then checks the declaration matches its grid and,
-    /// after execution, that the summary's charged bytes equal what the
-    /// kernel actually charged; sanitized runs additionally cross-validate
-    /// the declared windows against the observed shadow traffic.
-    pub fn declare_access(&mut self, summary: AccessSummary) -> Result<()> {
-        if let Some(prev) = &self.pending_access {
-            return Err(Error::Access(AccessError::GridMismatch {
-                kernel: summary.kernel,
-                detail: format!(
-                    "previous declaration for kernel `{}` was never dispatched",
-                    prev.kernel
-                ),
-            }));
-        }
-        access::verify_summary(&summary)?;
-        self.pending_access = Some(summary);
-        Ok(())
-    }
-
     /// Verified summaries retained from declared dispatches. Populated
-    /// only when the context requires access declarations
-    /// ([`crate::context::Context::with_access_required`]); cleared by
+    /// only when the context keeps the access log
+    /// ([`crate::context::Context::with_access_log`]); cleared by
     /// [`Self::reset`] and [`Self::take_access_log`].
     pub fn access_log(&self) -> &[AccessSummary] {
         &self.access_log
@@ -314,30 +266,6 @@ impl CommandQueue {
     /// Takes the retained access summaries, leaving the log empty.
     pub fn take_access_log(&mut self) -> Vec<AccessSummary> {
         std::mem::take(&mut self.access_log)
-    }
-
-    /// Checks a declared summary against the dispatch it was declared for.
-    fn check_declared(
-        a: &AccessSummary,
-        desc: &KernelDesc,
-        groups: std::ops::Range<usize>,
-    ) -> Result<()> {
-        if a.kernel != desc.name || a.total_groups != desc.total_groups() || a.groups != groups {
-            return Err(Error::Access(AccessError::GridMismatch {
-                kernel: desc.name.clone(),
-                detail: format!(
-                    "declared `{}` groups {}..{} of {}, dispatching groups {}..{} of {}",
-                    a.kernel,
-                    a.groups.start,
-                    a.groups.end,
-                    a.total_groups,
-                    groups.start,
-                    groups.end,
-                    desc.total_groups()
-                ),
-            }));
-        }
-        Ok(())
     }
 
     /// Compares the sanitizer's observed per-element traffic against the
@@ -364,129 +292,55 @@ impl CommandQueue {
         }
     }
 
-    /// Dispatches a kernel: runs `f` once per work-group (in parallel),
-    /// merges the per-group cost counters, charges the timing model, and
-    /// checks the listed output buffers for write races.
+    /// Dispatches a kernel over its whole grid: verifies `decl` against
+    /// `desc` before any work runs, executes `f` once per work-group (in
+    /// parallel), checks `outputs` for write races, and charges the timing
+    /// model with `decl`'s counters — the dispatch's one cost declaration.
+    /// `decl` must cover the full grid.
     ///
     /// Returns the timing decomposition of the dispatch.
     pub fn run<F>(
         &mut self,
         desc: &KernelDesc,
+        decl: AccessSummary,
         outputs: &[&dyn WriteTracked],
         f: F,
     ) -> Result<KernelTime>
     where
         F: Fn(&mut GroupCtx) + Sync,
     {
-        let declared = self.pending_access.take();
-        desc.check()?;
-        if let Some(a) = &declared {
-            Self::check_declared(a, desc, 0..desc.total_groups())?;
-        } else if self.require_access {
-            return Err(Error::Access(AccessError::Undeclared {
+        if !decl.covers_full_grid() {
+            return Err(Error::Access(AccessError::GridMismatch {
                 kernel: desc.name.clone(),
+                detail: format!(
+                    "whole-grid dispatch declared groups {}..{} of {}",
+                    decl.groups.start, decl.groups.end, decl.total_groups
+                ),
             }));
         }
-        for out in outputs {
-            out.begin_epoch();
-        }
-        let [gx, _gy] = desc.num_groups();
-        let total = desc.total_groups();
-        let threads = if self.dispatch_threads == 0 {
-            crate::par::default_threads()
-        } else {
-            self.dispatch_threads
-        };
-        let san_epoch = self.sanitize.as_ref().map(|s| s.begin_dispatch(&desc.name));
-        // A panicking kernel closure (e.g. an out-of-bounds assertion on an
-        // unsanitized context) is caught and surfaced as a recoverable
-        // `Error::KernelPanic` instead of tearing the process down.
-        let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        let counters = crate::par::map_reduce(
-            total,
-            threads,
-            CostCounters::new,
-            |gi| {
-                if poisoned.load(Ordering::Relaxed) {
-                    return CostCounters::new();
-                }
-                let gid = [gi % gx, gi / gx];
-                let san = match (&self.sanitize, san_epoch) {
-                    (Some(s), Some(e)) => {
-                        Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes()))
-                    }
-                    _ => None,
-                };
-                let mut ctx = GroupCtx::new_with(desc, gid, san);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx))) {
-                    Ok(()) => ctx.counters,
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "kernel closure panicked".to_string());
-                        let mut g = panic_msg.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(msg);
-                        }
-                        CostCounters::new()
-                    }
-                }
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
-        let panicked = panic_msg.into_inner().unwrap();
+        let (r, w) = self.execute(desc, &decl, outputs, f)?;
         if let Some(sh) = &self.sanitize {
-            if panicked.is_none() {
-                if let Some(a) = &declared {
-                    let (r, w, _) = sh.dispatch_traffic();
-                    Self::cross_validate(sh, a, r, w);
-                }
-                sh.audit(&desc.name, &counters);
-            }
-            sh.end_dispatch();
+            sh.audit_totals(&desc.name, &decl.charged, r, w, decl.read_ratio);
         }
-        if let Some(message) = panicked {
-            return Err(Error::KernelPanic {
-                kernel: desc.name.clone(),
-                message,
-            });
-        }
-        for out in outputs {
-            if let Some(index) = out.race_index() {
-                return Err(Error::WriteRace {
-                    kernel: desc.name.clone(),
-                    index,
-                });
-            }
-        }
-        if let Some(a) = &declared {
-            a.charged_matches(&counters)?;
-        }
-        let t = kernel_time(&self.device, &counters);
-        self.push(&desc.name, CommandKind::Kernel, t.total_s, Some(counters));
-        if self.require_access {
-            if let Some(a) = declared {
-                self.access_log.push(a);
-            }
+        let t = kernel_time(&self.device, &decl.charged);
+        self.push(
+            &desc.name,
+            CommandKind::Kernel,
+            t.total_s,
+            Some(decl.charged),
+        );
+        if self.keep_access_log {
+            self.access_log.push(decl);
         }
         Ok(t)
     }
 
-    /// Executes the contiguous flat-group-index slice `groups` of `desc`'s
-    /// grid, merging the group counters into `acc` without recording any
+    /// Executes the contiguous flat-group-index slice `decl.groups` of
+    /// `desc`'s grid and folds `decl` into `acc` without recording any
     /// command. Flat index `gi` maps to group `[gi % gx, gi / gx]`, exactly
     /// as in [`CommandQueue::run`], so the union of disjoint slices over
     /// `0..desc.total_groups()` performs precisely the monolithic
-    /// dispatch's work — and, because the counter merge is associative and
-    /// commutative, accumulates bit-identical counters regardless of how
-    /// the grid was cut.
+    /// dispatch's work. An empty slice is a no-op.
     ///
     /// Write-race validation and the sanitizer's race/bounds/barrier
     /// analysis run per slice (each slice is its own write epoch and
@@ -494,133 +348,32 @@ impl CommandQueue {
     /// correct slicer gives slices disjoint output rows). The
     /// cost-accounting drift audit is deferred to
     /// [`CommandQueue::commit_sliced`], which compares the slice-summed
-    /// observed traffic against the merged counters once: a single slice
-    /// may legitimately observe zero read bytes while its bulk charge is
-    /// positive.
+    /// observed traffic against the merged declarations once: a single
+    /// slice may legitimately observe zero read bytes while its declared
+    /// charge is positive.
     pub fn run_sliced<F>(
         &mut self,
         desc: &KernelDesc,
+        decl: AccessSummary,
         outputs: &[&dyn WriteTracked],
-        groups: std::ops::Range<usize>,
         acc: &mut SlicedDispatch,
         f: F,
     ) -> Result<()>
     where
         F: Fn(&mut GroupCtx) + Sync,
     {
-        let declared = self.pending_access.take();
-        desc.check()?;
-        if groups.end > desc.total_groups() {
-            return Err(Error::InvalidKernelArgs {
-                kernel: desc.name.clone(),
-                detail: format!(
-                    "sliced dispatch range {}..{} exceeds the grid's {} work-groups",
-                    groups.start,
-                    groups.end,
-                    desc.total_groups()
-                ),
-            });
-        }
-        if groups.is_empty() {
-            // Nothing executes; a declaration for an empty slice (if any)
-            // is discarded rather than leaking onto the next dispatch.
+        if decl.groups.is_empty() {
             return Ok(());
         }
-        if let Some(a) = &declared {
-            Self::check_declared(a, desc, groups.clone())?;
-        } else if self.require_access {
-            return Err(Error::Access(AccessError::Undeclared {
-                kernel: desc.name.clone(),
-            }));
-        }
-        for out in outputs {
-            out.begin_epoch();
-        }
-        let [gx, _gy] = desc.num_groups();
-        let threads = if self.dispatch_threads == 0 {
-            crate::par::default_threads()
-        } else {
-            self.dispatch_threads
-        };
-        let san_epoch = self.sanitize.as_ref().map(|s| s.begin_dispatch(&desc.name));
-        let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        let start = groups.start;
-        let counters = crate::par::map_reduce(
-            groups.len(),
-            threads,
-            CostCounters::new,
-            |i| {
-                if poisoned.load(Ordering::Relaxed) {
-                    return CostCounters::new();
-                }
-                let gi = start + i;
-                let gid = [gi % gx, gi / gx];
-                let san = match (&self.sanitize, san_epoch) {
-                    (Some(s), Some(e)) => {
-                        Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes()))
-                    }
-                    _ => None,
-                };
-                let mut ctx = GroupCtx::new_with(desc, gid, san);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx))) {
-                    Ok(()) => ctx.counters,
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "kernel closure panicked".to_string());
-                        let mut g = panic_msg.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(msg);
-                        }
-                        CostCounters::new()
-                    }
-                }
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
-        let panicked = panic_msg.into_inner().unwrap();
-        if let Some(sh) = &self.sanitize {
-            if panicked.is_none() {
-                let (r, w, ratio) = sh.dispatch_traffic();
-                if let Some(a) = &declared {
-                    Self::cross_validate(sh, a, r, w);
-                }
-                acc.observed_read_bytes += r;
-                acc.observed_write_bytes += w;
-                acc.declared_ratio = acc.declared_ratio.max(ratio);
-            }
-            sh.end_dispatch();
-        }
-        if let Some(message) = panicked {
-            return Err(Error::KernelPanic {
-                kernel: desc.name.clone(),
-                message,
-            });
-        }
-        for out in outputs {
-            if let Some(index) = out.race_index() {
-                return Err(Error::WriteRace {
-                    kernel: desc.name.clone(),
-                    index,
-                });
-            }
-        }
-        if let Some(a) = &declared {
-            a.charged_matches(&counters)?;
-        }
-        acc.counters.merge(&counters);
-        acc.groups_done += groups.len();
-        acc.slices += 1;
-        acc.ranges.push(groups);
-        if let Some(a) = declared {
-            acc.access.push(a);
+        let (r, w) = self.execute(desc, &decl, outputs, f)?;
+        acc.counters.merge(&decl.charged);
+        acc.declared_read_bytes += decl.declared_read_bytes();
+        acc.read_ratio = acc.read_ratio.max(decl.read_ratio);
+        acc.observed_read_bytes += r;
+        acc.observed_write_bytes += w;
+        acc.ranges.push(decl.groups.clone());
+        if self.keep_access_log {
+            acc.access.push(decl);
         }
         if self.spans.is_some() {
             // The clock does not move until commit, so a slice's simulated
@@ -633,40 +386,128 @@ impl CommandQueue {
         Ok(())
     }
 
+    /// The group-execution path shared by [`Self::run`] and
+    /// [`Self::run_sliced`]: checks `decl` against `desc` and verifies it
+    /// statically (bounds, write disjointness, accounting) before any work
+    /// runs, executes `f` once per work-group of `decl.groups` in parallel,
+    /// cross-validates the declared windows against the sanitizer's
+    /// observation, and checks `outputs` for write races. Returns the
+    /// observed global `(read, write)` bytes — zero on unsanitized
+    /// contexts.
+    fn execute<F>(
+        &self,
+        desc: &KernelDesc,
+        decl: &AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        f: F,
+    ) -> Result<(u64, u64)>
+    where
+        F: Fn(&mut GroupCtx) + Sync,
+    {
+        desc.check()?;
+        if decl.kernel != desc.name || decl.total_groups != desc.total_groups() {
+            return Err(Error::Access(AccessError::GridMismatch {
+                kernel: desc.name.clone(),
+                detail: format!(
+                    "declared `{}` over {} groups, dispatching `{}` over {}",
+                    decl.kernel,
+                    decl.total_groups,
+                    desc.name,
+                    desc.total_groups()
+                ),
+            }));
+        }
+        access::verify_summary(decl)?;
+        for out in outputs {
+            out.begin_epoch();
+        }
+        let [gx, _gy] = desc.num_groups();
+        let threads = if self.dispatch_threads == 0 {
+            crate::par::default_threads()
+        } else {
+            self.dispatch_threads
+        };
+        let san_epoch = self.sanitize.as_ref().map(|s| s.begin_dispatch(&desc.name));
+        // A panicking kernel closure (e.g. an out-of-bounds assertion on an
+        // unsanitized context) is caught and surfaced as a recoverable
+        // `Error::KernelPanic` instead of tearing the process down.
+        let panic_msg: Mutex<Option<String>> = Mutex::new(None);
+        let poisoned = AtomicBool::new(false);
+        let start = decl.groups.start;
+        crate::par::for_each_index(decl.groups.len(), threads, |i| {
+            if poisoned.load(Ordering::Relaxed) {
+                return;
+            }
+            let gi = start + i;
+            let san = match (&self.sanitize, san_epoch) {
+                (Some(s), Some(e)) => Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes())),
+                _ => None,
+            };
+            let mut ctx = GroupCtx::new_with(desc, [gi % gx, gi / gx], san);
+            if let Err(payload) =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
+            {
+                poisoned.store(true, Ordering::Relaxed);
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "kernel closure panicked".to_string());
+                panic_msg.lock().unwrap().get_or_insert(msg);
+            }
+        });
+        let panicked = panic_msg.into_inner().unwrap();
+        let mut observed = (0, 0);
+        if let Some(sh) = &self.sanitize {
+            if panicked.is_none() {
+                observed = sh.dispatch_traffic();
+                Self::cross_validate(sh, decl, observed.0, observed.1);
+            }
+            sh.end_dispatch();
+        }
+        if let Some(message) = panicked {
+            return Err(Error::KernelPanic {
+                kernel: desc.name.clone(),
+                message,
+            });
+        }
+        for out in outputs {
+            if let Some(index) = out.race_index() {
+                return Err(Error::WriteRace {
+                    kernel: desc.name.clone(),
+                    index,
+                });
+            }
+        }
+        Ok(observed)
+    }
+
     /// Commits a sliced dispatch: verifies every work-group of `desc`'s
-    /// grid ran exactly once across the accumulated slices, audits the
-    /// summed observed traffic against the merged counters (sanitized
-    /// contexts), and records the *single* kernel command the monolithic
-    /// [`CommandQueue::run`] would have recorded — same name, same
-    /// counters, same [`kernel_time`], so the simulated clock advances
-    /// identically.
+    /// grid ran exactly once across the accumulated slices, checks the
+    /// overcharge-ratio bound and audits the summed observed traffic on
+    /// the merged declarations (sanitized contexts), and records the
+    /// *single* kernel command the monolithic [`CommandQueue::run`] would
+    /// have recorded — same name, same counters, same [`kernel_time`], so
+    /// the simulated clock advances identically.
     pub fn commit_sliced(&mut self, desc: &KernelDesc, acc: SlicedDispatch) -> Result<KernelTime> {
         desc.check()?;
         // Static property (d): the executed slices must exactly tile the
         // grid — a gap or an overlap (even one that happens to sum to the
         // right group count) is a typed verdict, not a silent mis-commit.
         access::verify_partition(&desc.name, desc.total_groups(), &acc.ranges)?;
-        if self.require_access && acc.access.len() != acc.slices {
-            return Err(Error::Access(AccessError::Undeclared {
-                kernel: desc.name.clone(),
-            }));
-        }
         // Static property (c) for sliced dispatches: the overcharge-ratio
         // bound holds on the merged totals (a border-only slice may charge
         // reads while declaring none; the whole dispatch still balances),
         // mirroring how the dynamic audit treats slices.
-        if !acc.access.is_empty() {
-            let declared_r: u64 = acc.access.iter().map(|a| a.declared_read_bytes()).sum();
-            let charged_r: u64 = acc.access.iter().map(|a| a.charged.reads()).sum();
-            let ratio = acc.access.iter().fold(1.0f64, |m, a| m.max(a.read_ratio));
-            if charged_r != declared_r && charged_r as f64 > declared_r as f64 * ratio {
-                return Err(Error::Access(AccessError::RatioExceeded {
-                    kernel: desc.name.clone(),
-                    declared: declared_r,
-                    charged: charged_r,
-                    ratio_bits: ratio.to_bits(),
-                }));
-            }
+        let ratio = acc.read_ratio.max(1.0);
+        let (declared_r, charged_r) = (acc.declared_read_bytes, acc.counters.global_read_bytes());
+        if charged_r != declared_r && charged_r as f64 > declared_r as f64 * ratio {
+            return Err(Error::Access(AccessError::RatioExceeded {
+                kernel: desc.name.clone(),
+                declared: declared_r,
+                charged: charged_r,
+                ratio_bits: ratio.to_bits(),
+            }));
         }
         if let Some(sh) = &self.sanitize {
             sh.audit_totals(
@@ -674,7 +515,7 @@ impl CommandQueue {
                 &acc.counters,
                 acc.observed_read_bytes,
                 acc.observed_write_bytes,
-                acc.declared_ratio,
+                ratio,
             );
         }
         let t = kernel_time(&self.device, &acc.counters);
@@ -684,9 +525,7 @@ impl CommandQueue {
             t.total_s,
             Some(acc.counters),
         );
-        if self.require_access {
-            self.access_log.extend(acc.access);
-        }
+        self.access_log.extend(acc.access);
         Ok(t)
     }
 
@@ -1030,7 +869,6 @@ impl CommandQueue {
         self.clock_s = 0.0;
         self.records.clear();
         self.commands_since_finish = 0;
-        self.pending_access = None;
         self.access_log.clear();
         if let Some(ring) = &mut self.spans {
             ring.clear();
@@ -1081,11 +919,40 @@ impl<T: Scalar> Drop for MapReadGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessWindow;
     use crate::context::Context;
     use crate::cost::OpCounts;
 
     fn ctx() -> Context {
         Context::new(DeviceSpec::firepro_w8000())
+    }
+
+    /// The fill kernel's grid: 64×64 items in 16×16 groups.
+    fn fill_desc() -> KernelDesc {
+        KernelDesc::new("fill", [64, 64], [16, 16])
+    }
+
+    /// Declaration of the fill kernel over flat groups `groups` (whole
+    /// 16-row group rows): every covered item reads and writes its own
+    /// element once and performs one add.
+    fn fill_decl(buf: &Buffer<f32>, groups: std::ops::Range<usize>) -> AccessSummary {
+        let desc = fill_desc();
+        let rows = 16 * groups.start / 4..16 * groups.end / 4;
+        let mut s = AccessSummary::new(&desc, groups);
+        s.push(AccessWindow::read(
+            buf.info(),
+            rows.start * 64,
+            rows.len() * 64,
+        ));
+        s.push(AccessWindow::write(
+            buf.info(),
+            rows.start * 64,
+            rows.len() * 64,
+        ));
+        let n = s.charged.items;
+        s.charge_global_n(4, 0, 4, 0, n);
+        s.charged.charge_ops_n(&OpCounts::ZERO.adds(1), n);
+        s
     }
 
     #[test]
@@ -1103,17 +970,20 @@ mod tests {
     }
 
     #[test]
-    fn kernel_runs_all_groups_and_items() {
+    fn kernel_runs_all_groups_and_charges_the_declaration() {
         let ctx = ctx();
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
         let w = buf.write_view();
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
+        let desc = fill_desc();
+        let mut decl = AccessSummary::new(&desc, 0..16);
+        decl.push(AccessWindow::write(buf.info(), 0, 64 * 64));
+        decl.charge_global_n(0, 0, 4, 0, 64 * 64);
         let t = q
-            .run(&desc, &[&buf], |g| {
+            .run(&desc, decl, &[&buf], |g| {
                 for l in crate::kernel::items(g.group_size) {
                     let idx = g.global_index(l, 64);
-                    g.store(&w, idx, idx as f32);
+                    w.set_raw(idx, idx as f32);
                 }
             })
             .unwrap();
@@ -1129,32 +999,31 @@ mod tests {
         assert_eq!(c.global_write_scalar, 64 * 64 * 4);
     }
 
+    /// Runs the fill kernel whole-grid, or sliced at the given group-row
+    /// cuts (in groups, multiples of 4) and committed.
     fn fill_kernel(
         q: &mut CommandQueue,
         buf: &Buffer<f32>,
         slices: Option<&[usize]>,
     ) -> Result<KernelTime> {
         let w = buf.write_view();
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
+        let desc = fill_desc();
         let body = |g: &mut GroupCtx| {
             for l in crate::kernel::items(g.group_size) {
                 g.begin_item(l);
                 let idx = g.global_index(l, 64);
-                let v = g.load_mut(&w, idx);
-                g.store(&w, idx, v + idx as f32);
-                g.charge(&OpCounts::ZERO.adds(1));
+                w.set_raw(idx, w.get_raw(idx) + idx as f32);
             }
         };
         match slices {
-            None => q.run(&desc, &[buf], body),
+            None => q.run(&desc, fill_decl(buf, 0..16), &[buf], body),
             Some(cuts) => {
                 let mut acc = SlicedDispatch::new();
                 let mut start = 0;
-                for &end in cuts {
-                    q.run_sliced(&desc, &[buf], start..end, &mut acc, body)?;
+                for &end in cuts.iter().chain(&[desc.total_groups()]) {
+                    q.run_sliced(&desc, fill_decl(buf, start..end), &[buf], &mut acc, body)?;
                     start = end;
                 }
-                q.run_sliced(&desc, &[buf], start..desc.total_groups(), &mut acc, body)?;
                 q.commit_sliced(&desc, acc)
             }
         }
@@ -1170,8 +1039,9 @@ mod tests {
         let sliced = ctx();
         let mut qs = sliced.queue();
         let b = sliced.buffer::<f32>("out", 64 * 64);
-        // Deliberately uneven cuts (1, 6, 9 groups) of the 16-group grid.
-        let ts = fill_kernel(&mut qs, &b, Some(&[1, 7])).unwrap();
+        // Deliberately uneven cuts (one, two and one group rows) of the
+        // 16-group grid.
+        let ts = fill_kernel(&mut qs, &b, Some(&[4, 12])).unwrap();
 
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(tm.total_s.to_bits(), ts.total_s.to_bits());
@@ -1203,17 +1073,15 @@ mod tests {
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
         let w = buf.write_view();
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
+        let desc = fill_desc();
         let mut acc = SlicedDispatch::new();
-        q.run_sliced(&desc, &[&buf], 0..4, &mut acc, |g| {
+        q.run_sliced(&desc, fill_decl(&buf, 0..4), &[&buf], &mut acc, |g| {
             for l in crate::kernel::items(g.group_size) {
                 let idx = g.global_index(l, 64);
-                g.store(&w, idx, 1.0);
+                w.set_raw(idx, 1.0);
             }
         })
         .unwrap();
-        assert_eq!(acc.groups_done(), 4);
-        assert_eq!(acc.slices(), 1);
         let err = q.commit_sliced(&desc, acc).unwrap_err();
         assert!(matches!(
             err,
@@ -1229,17 +1097,52 @@ mod tests {
         let ctx = ctx();
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
+        let desc = fill_desc();
         let mut acc = SlicedDispatch::new();
         // Empty slice: fine, a no-op.
-        q.run_sliced(&desc, &[&buf], 3..3, &mut acc, |_| {})
+        let empty = AccessSummary::new(&desc, 3..3);
+        q.run_sliced(&desc, empty, &[&buf], &mut acc, |_| {})
             .unwrap();
-        assert_eq!(acc.groups_done(), 0);
-        // Out-of-grid range: typed error.
+        assert!(acc.ranges.is_empty());
+        // Out-of-grid range: typed error, before anything runs.
         let err = q
-            .run_sliced(&desc, &[&buf], 10..17, &mut acc, |_| {})
+            .run_sliced(
+                &desc,
+                AccessSummary::new(&desc, 10..17),
+                &[&buf],
+                &mut acc,
+                |_| panic!("must not execute"),
+            )
             .unwrap_err();
-        assert!(matches!(err, Error::InvalidKernelArgs { .. }));
+        assert!(matches!(
+            err,
+            Error::Access(AccessError::GridMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn dispatch_rejects_a_declaration_for_another_grid() {
+        let ctx = ctx();
+        let mut q = ctx.queue();
+        let buf = ctx.buffer::<f32>("out", 64 * 64);
+        let desc = fill_desc();
+        let other = KernelDesc::new("fill", [32, 64], [16, 16]);
+        let err = q
+            .run(&desc, AccessSummary::new(&other, 0..8), &[&buf], |_| {})
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Access(AccessError::GridMismatch { .. })
+        ));
+        // A partial range on the whole-grid path is rejected too.
+        let err = q
+            .run(&desc, AccessSummary::new(&desc, 0..8), &[&buf], |_| {})
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Access(AccessError::GridMismatch { .. })
+        ));
+        assert!(q.records().is_empty());
     }
 
     #[test]
@@ -1249,11 +1152,12 @@ mod tests {
         let buf = ctx.buffer::<f32>("out", 16);
         let w = buf.write_view();
         let desc = KernelDesc::new("racy", [64, 1], [8, 1]);
+        let decl = AccessSummary::new(&desc, 0..8);
         let err = q
-            .run(&desc, &[&buf], |g| {
+            .run(&desc, decl, &[&buf], |g| {
                 for l in crate::kernel::items(g.group_size) {
                     // Everyone writes slot local-x: races across groups.
-                    g.store(&w, l[0], 1.0);
+                    w.set_raw(l[0], 1.0);
                 }
             })
             .unwrap_err();

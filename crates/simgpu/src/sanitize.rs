@@ -5,8 +5,8 @@
 //! [`with_sanitize`](crate::context::Context::with_sanitize)), every buffer
 //! carries a *shadow* — per-element last-writer / last-reader words — and
 //! every kernel dispatch runs an analysis pass alongside its functional
-//! execution. The pass observes each global access (through the raw view
-//! accessors every `GroupCtx` accessor funnels into), each local (LDS)
+//! execution. The pass observes each global access (through the buffer
+//! view accessors kernels read and write with), each local (LDS)
 //! access, and each `barrier()`, attributing them to work-items via the
 //! [`GroupCtx::begin_item`](crate::kernel::GroupCtx::begin_item) cursor,
 //! and reports:
@@ -26,11 +26,10 @@
 //!   control flow, detected when the item sweep resumes *past* the lane
 //!   that hit the barrier (some lanes skipped it);
 //! * **accounting drift** — the bytes a dispatch actually touched versus
-//!   what the kernel charged the cost model via `charge_global_n` et al.
-//!   Writes must match exactly; reads must match exactly unless the kernel
-//!   declares a deliberate overcharge ratio (see
-//!   [`GroupCtx::declare_read_overcharge`](crate::kernel::GroupCtx::declare_read_overcharge)),
-//!   modelling kernels that charge redundant window loads;
+//!   what its [`AccessSummary`](crate::access::AccessSummary) declared and
+//!   the queue charged. Writes must match exactly; reads must match exactly
+//!   unless the declaration carries a deliberate overcharge ratio
+//!   (`read_ratio`), modelling kernels that charge redundant window loads;
 //! * **uninitialised reads** (opt-in via
 //!   [`SanitizeConfig::check_uninit_reads`]) — an element read before any
 //!   host transfer or kernel store wrote it; this is the pool-recycling
@@ -398,10 +397,6 @@ pub(crate) struct SanitizeShared {
     /// Global bytes observed this dispatch.
     read_bytes: AtomicU64,
     write_bytes: AtomicU64,
-    /// Max declared read-overcharge ratio this dispatch (f64 bits;
-    /// positive-float bit patterns order like the floats, so fetch_max
-    /// works).
-    declared_ratio_bits: AtomicU64,
     violations: Mutex<Vec<Violation>>,
     dropped: AtomicU64,
     dispatches: AtomicU64,
@@ -418,7 +413,6 @@ impl SanitizeShared {
             kernel: Mutex::new(String::new()),
             read_bytes: AtomicU64::new(0),
             write_bytes: AtomicU64::new(0),
-            declared_ratio_bits: AtomicU64::new(1.0f64.to_bits()),
             violations: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             dispatches: AtomicU64::new(0),
@@ -440,8 +434,6 @@ impl SanitizeShared {
         kernel.clone_into(&mut self.kernel.lock().unwrap());
         self.read_bytes.store(0, Ordering::Relaxed);
         self.write_bytes.store(0, Ordering::Relaxed);
-        self.declared_ratio_bits
-            .store(1.0f64.to_bits(), Ordering::Relaxed);
         self.dispatches.fetch_add(1, Ordering::Relaxed);
         epoch
     }
@@ -451,33 +443,35 @@ impl SanitizeShared {
         self.active.store(false, Ordering::SeqCst);
     }
 
-    /// Audits observed vs charged global traffic for the finished dispatch.
-    pub(crate) fn audit(&self, kernel: &str, counters: &CostCounters) {
-        let (observed_reads, observed_writes, ratio) = self.dispatch_traffic();
+    /// Audits observed vs charged global traffic for the finished dispatch,
+    /// allowing reads up to `ratio`× the observed bytes.
+    #[cfg(test)]
+    pub(crate) fn audit(&self, kernel: &str, counters: &CostCounters, ratio: f64) {
+        let (observed_reads, observed_writes) = self.dispatch_traffic();
         self.audit_totals(kernel, counters, observed_reads, observed_writes, ratio);
     }
 
     /// The traffic observed since `begin_dispatch`: `(read_bytes,
-    /// write_bytes, max declared read-overcharge ratio)`.
+    /// write_bytes)`.
     ///
     /// The sliced-dispatch path ([`crate::queue::CommandQueue::run_sliced`])
     /// harvests these after each slice and sums them, so the drift audit
     /// runs once on the whole-dispatch totals at commit time. Auditing per
     /// slice would false-positive: one slice may legitimately observe zero
     /// read bytes (e.g. a group range covering only border rows that store
-    /// constants) while the kernel's bulk charge for those groups is
-    /// positive — only the totals are required to balance.
-    pub(crate) fn dispatch_traffic(&self) -> (u64, u64, f64) {
+    /// constants) while the declared charge for those groups is positive —
+    /// only the totals are required to balance.
+    pub(crate) fn dispatch_traffic(&self) -> (u64, u64) {
         (
             self.read_bytes.load(Ordering::Relaxed),
             self.write_bytes.load(Ordering::Relaxed),
-            f64::from_bits(self.declared_ratio_bits.load(Ordering::Relaxed)),
         )
     }
 
-    /// Audits explicit observed totals against charged counters. `audit`
-    /// delegates here with the current dispatch's accumulators; the sliced
-    /// commit path passes slice-summed totals instead.
+    /// Audits observed totals against the charged (declared) counters,
+    /// allowing reads up to the declaration's `ratio`× the observed bytes.
+    /// A whole-grid dispatch passes its own traffic; the sliced commit path
+    /// passes slice-summed totals.
     pub(crate) fn audit_totals(
         &self,
         kernel: &str,
@@ -486,8 +480,8 @@ impl SanitizeShared {
         observed_writes: u64,
         ratio: f64,
     ) {
-        let charged_reads = counters.global_read_scalar + counters.global_read_vector;
-        let charged_writes = counters.global_write_scalar + counters.global_write_vector;
+        let charged_reads = counters.global_read_bytes();
+        let charged_writes = counters.global_write_bytes();
         if observed_writes != charged_writes {
             self.record(Violation::AccountingDrift {
                 kernel: kernel.to_string(),
@@ -508,12 +502,6 @@ impl SanitizeShared {
                 charged: charged_reads,
             });
         }
-    }
-
-    pub(crate) fn declare_ratio(&self, ratio: f64) {
-        debug_assert!(ratio >= 1.0 && ratio.is_finite());
-        self.declared_ratio_bits
-            .fetch_max(ratio.to_bits(), Ordering::Relaxed);
     }
 
     pub(crate) fn record(&self, v: Violation) {
@@ -792,10 +780,6 @@ impl GroupSan {
         self.lwriter.resize(n, 0);
         self.lreader.clear();
         self.lreader.resize(n, 0);
-    }
-
-    pub(crate) fn declare_read_overcharge(&self, ratio: f64) {
-        self.shared.declare_ratio(ratio);
     }
 
     #[inline]
@@ -1092,7 +1076,7 @@ mod tests {
         let mut c = CostCounters::new();
         c.global_read_scalar = 32; // exact
         c.global_write_scalar = 4; // exact
-        s.audit("k", &c);
+        s.audit("k", &c, 1.0);
         s.end_dispatch();
         assert!(s.report().is_clean(), "{}", s.report().summary());
 
@@ -1101,7 +1085,7 @@ mod tests {
         sh.on_read(e, 1, 0);
         let mut c = CostCounters::new();
         c.global_read_scalar = 40;
-        s.audit("k2", &c);
+        s.audit("k2", &c, 1.0);
         s.end_dispatch();
         assert_eq!(s.report().violations.len(), 1);
 
@@ -1110,10 +1094,9 @@ mod tests {
         let sh2 = BufferShadow::new(Arc::clone(&s2), "b", 64, 4);
         let e = s2.begin_dispatch("k3");
         sh2.on_read(e, 1, 0);
-        s2.declare_ratio(10.0);
         let mut c = CostCounters::new();
         c.global_read_scalar = 40;
-        s2.audit("k3", &c);
+        s2.audit("k3", &c, 10.0);
         s2.end_dispatch();
         assert!(s2.report().is_clean(), "{}", s2.report().summary());
 
@@ -1124,7 +1107,7 @@ mod tests {
         }
         let mut c = CostCounters::new();
         c.global_read_scalar = 4;
-        s2.audit("k4", &c);
+        s2.audit("k4", &c, 1.0);
         s2.end_dispatch();
         assert_eq!(s2.report().violations.len(), 1);
     }

@@ -2,8 +2,9 @@
 # Repo CI gate: formatting, lints, tier-1 tests, and bench compilation.
 #
 #   ./scripts/ci.sh          # fast gate (includes the token-aware Rust lint,
-#                            # the static access-verification sweep, and the
-#                            # tuner's predicted-vs-executed agreement sweep)
+#                            # the static access-verification sweep, the
+#                            # tuner's predicted-vs-executed agreement sweep,
+#                            # and the end-to-end benchmark's seed-2015 check)
 #   ./scripts/ci.sh --full   # also run the sanitized static-vs-dynamic
 #                            # cross-validation sweep and the full sanitizer
 #                            # sweep (64 configs x four sizes; minutes)
@@ -48,13 +49,27 @@ cargo run --release -q -p sharpness-bench --bin repro -- --verify-static
 echo "== tuner bit-agreement sweep (predicted vs executed, 64 configs x shapes x schedules x devices)"
 # The model-based autotuner's entire claim is that its closed-form cost
 # predictor returns `.to_bits()`-identical seconds to executing the
-# simulated pipeline. This sweep proves it for the full config space on
-# every CI pass, so the predictor can never silently drift from the
-# executor it mirrors.
+# simulated pipeline. Kernel counters agree by construction (both sides
+# use the kernels' own declarations); this sweep proves the replayed
+# command order for the full config space on every CI pass.
 cargo test -q --release --test tune -- --ignored
 
 echo "== metric baselines"
 ./scripts/check_metrics.sh
+
+echo "== end-to-end benchmark package tests"
+cargo test --offline -q --manifest-path e2ebench/Cargo.toml
+
+echo "== end-to-end benchmark seed-2015 check (one short run per workload)"
+# Each run compares its output hash and simulated-time bits with the
+# values stored for seed 2015 and exits non-zero on any difference, so a
+# pixel or cost drift fails CI here, not only the benchmark gate. The
+# command is the one BENCHMARK.json declares.
+for workload in cli_1024 cli_ragged stream_4096 serve_zipf; do
+    cargo run --offline --quiet --release --manifest-path e2ebench/Cargo.toml \
+        --bin bench -- --workload "$workload" --seed 2015 --seconds 1 --trace 0 \
+        > /dev/null
+done
 
 echo "== odd-shape smoke (1001x701 through the CLI, base and optimized)"
 smoke_dir=$(mktemp -d)

@@ -2,7 +2,8 @@
 # Static invariant lint — thin wrapper around the token-aware Rust
 # implementation in src/bin/lint_invariants.rs (comments and string
 # literals are lexed away before any rule matches; see that file for the
-# eight rules and their rationale).
+# eight rules and their rationale). Kernel cost has no lint rule: it is
+# the access declaration `CommandQueue::run` takes, checked by the types.
 #
 #   ./scripts/lint_invariants.sh
 set -euo pipefail

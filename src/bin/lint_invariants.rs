@@ -6,52 +6,50 @@
 //! construct no longer trips the lint and banned calls smuggled into
 //! macro strings no longer hide from it.
 //!
-//! Ten rules, all load-bearing:
+//! Kernel cost needs no rule: a dispatch's cost is the `AccessSummary`
+//! that `CommandQueue::run`/`run_sliced` take as an argument, and kernel
+//! closures have no way to count anything, so the type system already
+//! enforces "declared once, charged once".
+//!
+//! Eight rules, all load-bearing:
 //!
 //! 1. Kernel and CPU-stage hot loops use the shared `math` helpers
 //!    (`math::fmin`/`fmax`/`clampf`), never `f32::min`/`f32::max`/
 //!    `.clamp(` — the std forms branch on NaN semantics and have drifted
 //!    CPU/GPU results before.
-//! 2. Any kernel file reading or writing device memory through the raw
-//!    (uncharged) span accessors must bulk-charge the traffic via
-//!    `charge_global_n`, or the timing model silently undercounts bytes.
-//! 3. Kernel shape preconditions are typed errors, not panics: no
+//! 2. Kernel shape preconditions are typed errors, not panics: no
 //!    `assert!`/`assert_eq!`/`assert_ne!` in non-test kernel code
 //!    (`debug_assert!` on internal invariants stays allowed).
-//! 4. The megapass (banded) executor never charges cost itself — banded
-//!    bit-identity rests on every cost flowing through the kernels' own
-//!    per-group accounting merged by `commit_sliced`.
-//! 5. Telemetry is observation-only: the metric/trace recording paths
+//! 3. Telemetry is observation-only: the metric/trace recording paths
 //!    never mutate the state they observe.
-//! 6. SIMD stays contained and cost-blind: `std::arch` intrinsics and
-//!    feature detection only under `gpu/kernels/simd/`, and the span
-//!    backends never touch the cost model (`charge_*`, `GroupCtx`).
-//! 7. Every `CommandQueue` kernel dispatch declares an `AccessSummary`:
-//!    raw `q.run(`/`q.run_sliced(` calls are confined to the two
-//!    sanctioned dispatch modules (`kernels/mod.rs`, `kernels/
-//!    reduction.rs`), and each such call site there is preceded by a
-//!    `declare_access(` within a few lines. This is the static half of
-//!    the `Context::with_access_required` guarantee: no dispatch path
-//!    can grow that bypasses the access-summary verifier.
-//! 8. Span recording is observation-only, like telemetry: the span
+//! 4. SIMD stays contained: `std::arch` intrinsics and feature detection
+//!    only under `gpu/kernels/simd/`.
+//! 5. Span recording is observation-only, like telemetry: the span
 //!    module and the attribution layer never mutate the state they
 //!    observe, and the queue's span hooks (any line touching the span
 //!    ring) never advance the simulated clock or charge cost — spans
 //!    must be removable without changing a single bit of output.
-//! 9. The service layer (`core::service`) observes but never charges:
+//! 6. The service layer (`core::service`) observes but never charges:
 //!    scheduler, plan cache and traffic generator read frame component
 //!    times and pool/cache counters, but all simulated cost flows through
 //!    the kernels a plan runs — no `charge_*` calls, no simulated-clock
 //!    writes, no device-record mutation. Served pixels and simulated
 //!    seconds must be bit-identical to direct plan execution.
-//! 10. The schedule tuner (`core::tune`) predicts cost without ever
-//!     executing: no pipeline construction, plan preparation, queue
-//!     dispatch, or cost charging anywhere under `crates/core/src/tune/`.
-//!     The tuner's whole claim — thousands of candidates per second,
-//!     `.to_bits()`-identical to execution — rests on the predictor
-//!     replaying the timing model from closed-form counters; a single
-//!     smuggled execution would turn the model search back into
-//!     measure-by-running.
+//! 7. The schedule tuner (`core::tune`) predicts cost without ever
+//!    executing: no pipeline construction, plan preparation, queue
+//!    dispatch, or cost charging anywhere under `crates/core/src/tune/`.
+//!    The tuner's whole claim — thousands of candidates per second,
+//!    `.to_bits()`-identical to execution — rests on the predictor
+//!    replaying the timing model from closed-form counters; a single
+//!    smuggled execution would turn the model search back into
+//!    measure-by-running.
+//! 8. Host-side charges — `charge_host`, `charge_host_seconds`,
+//!    `charge_bulk`, `charge_map`, the queue's only cost entry points that
+//!    are not a kernel declaration — are called only from the pipeline's
+//!    host stages (`gpu/pipeline.rs`) and the ablation probes
+//!    (`gpu/ablate.rs`). Those are public queue methods, so nothing but
+//!    this rule keeps a scheduler, a kernel file or the banded executor
+//!    from charging cost the predictor does not replay.
 
 use std::path::{Path, PathBuf};
 
@@ -305,21 +303,7 @@ impl Lint {
         }
     }
 
-    /// Rule 2: raw span accessors without a bulk byte charge.
-    fn rule_uncharged_spans(&mut self, kernel_files: &[PathBuf]) {
-        for rel in kernel_files {
-            let s = self.read(rel);
-            let raw = ["read_into", "slice_raw", "set_span_raw"];
-            if raw.iter().any(|m| s.contains(m)) && !s.contains("charge_global_n") {
-                self.failures.push(format!(
-                    "lint: {} uses raw span accessors but never calls charge_global_n\n",
-                    rel.display()
-                ));
-            }
-        }
-    }
-
-    /// Rule 3: kernel preconditions must not panic.
+    /// Rule 2: kernel preconditions must not panic.
     fn rule_no_kernel_asserts(&mut self, kernel_files: &[PathBuf]) {
         for rel in kernel_files {
             let s = self.read(rel);
@@ -337,21 +321,7 @@ impl Lint {
         }
     }
 
-    /// Rule 4: the banded executor never charges cost directly.
-    fn rule_megapass_charge_free(&mut self, rel: &Path) {
-        let s = self.read(rel);
-        let hits: Vec<_> = lines(&s, true)
-            .into_iter()
-            .filter(|(_, l)| has_charge_call(l))
-            .collect();
-        self.fail(
-            "megapass executor charges cost directly (must flow through kernel accounting/commit_sliced)",
-            rel,
-            &hits,
-        );
-    }
-
-    /// Rule 5: telemetry recording paths never mutate observed state.
+    /// Rule 3: telemetry recording paths never mutate observed state.
     fn rule_observation_only(&mut self, telemetry_files: &[PathBuf]) {
         for rel in telemetry_files {
             let s = self.read(rel);
@@ -375,42 +345,29 @@ impl Lint {
         }
     }
 
-    /// Rule 6: SIMD contained to its module, and cost-blind inside it.
+    /// Rule 4: SIMD contained to its module.
     fn rule_simd_contained(&mut self, all_files: &[PathBuf], simd_dir: &Path) {
-        for rel in all_files {
-            let in_simd = rel.starts_with(simd_dir);
+        for rel in all_files.iter().filter(|rel| !rel.starts_with(simd_dir)) {
             let s = self.read(rel);
-            if !in_simd {
-                let hits: Vec<_> = lines(&s, false)
-                    .into_iter()
-                    .filter(|(_, l)| {
-                        l.contains("std::arch")
-                            || l.contains("core::arch")
-                            || l.contains("is_x86_feature_detected")
-                            || l.contains("_mm_")
-                            || l.contains("_mm256_")
-                    })
-                    .collect();
-                self.fail(
-                    "std::arch intrinsics/feature detection outside gpu/kernels/simd (keep SIMD behind the dispatch module)",
-                    rel,
-                    &hits,
-                );
-            } else {
-                let hits: Vec<_> = lines(&s, true)
-                    .into_iter()
-                    .filter(|(_, l)| has_charge_call(l) || l.contains("GroupCtx"))
-                    .collect();
-                self.fail(
-                    "simd span module touches the cost model (charges are owned by kernel closures)",
-                    rel,
-                    &hits,
-                );
-            }
+            let hits: Vec<_> = lines(&s, false)
+                .into_iter()
+                .filter(|(_, l)| {
+                    l.contains("std::arch")
+                        || l.contains("core::arch")
+                        || l.contains("is_x86_feature_detected")
+                        || l.contains("_mm_")
+                        || l.contains("_mm256_")
+                })
+                .collect();
+            self.fail(
+                "std::arch intrinsics/feature detection outside gpu/kernels/simd (keep SIMD behind the dispatch module)",
+                rel,
+                &hits,
+            );
         }
     }
 
-    /// Rule 8: span-recording code never mutates observed state. The
+    /// Rule 5: span-recording code never mutates observed state. The
     /// span/attribution files are held to the same predicates as rule 5
     /// (plus simulated-clock writes), and inside the queue any line that
     /// touches the span ring must be a pure read of clock and names.
@@ -449,7 +406,7 @@ impl Lint {
         );
     }
 
-    /// Rule 9: the service layer never charges cost or mutates simulated
+    /// Rule 6: the service layer never charges cost or mutates simulated
     /// state — same predicates as the span rule, applied to every file
     /// under `core/src/service/`.
     fn rule_service_observation_only(&mut self, service_files: &[PathBuf]) {
@@ -477,7 +434,7 @@ impl Lint {
         }
     }
 
-    /// Rule 10: the tuner is execution-free — `core::tune` never builds a
+    /// Rule 7: the tuner is execution-free — `core::tune` never builds a
     /// pipeline, prepares a plan, dispatches a queue command, or charges
     /// cost. Prediction must stay a pure function of the counters.
     fn rule_tune_execution_free(&mut self, tune_files: &[PathBuf]) {
@@ -510,45 +467,35 @@ impl Lint {
         }
     }
 
-    /// Rule 7: every CommandQueue dispatch site declares an AccessSummary.
-    fn rule_declared_dispatches(&mut self, gpu_files: &[PathBuf], sanctioned: &[PathBuf]) {
-        let is_dispatch = |l: &str| {
-            l.contains("q.run(") || l.contains("q.run_sliced(") || l.contains(".run_sliced(")
+    /// Rule 8: host-side charges only from the pipeline's host stages and
+    /// the ablation probes (the simulator itself defines them).
+    fn rule_host_charges_confined(&mut self, all_files: &[PathBuf], sanctioned: &[PathBuf]) {
+        let host_charge = |l: &str| {
+            [
+                "charge_host(",
+                "charge_host_seconds(",
+                "charge_bulk(",
+                "charge_map(",
+            ]
+            .iter()
+            .any(|c| l.contains(c))
         };
-        for rel in gpu_files {
-            let s = self.read(rel);
-            let ls = lines(&s, true);
-            if !sanctioned.contains(rel) {
-                let hits: Vec<_> = ls.into_iter().filter(|(_, l)| is_dispatch(l)).collect();
-                self.fail(
-                    "raw CommandQueue dispatch outside the sanctioned declared-access modules \
-                     (route kernels through gpu/kernels/mod.rs dispatch or declare_access first)",
-                    rel,
-                    &hits,
-                );
-            } else {
-                // Inside the sanctioned modules every dispatch must have a
-                // declare_access within the preceding few lines.
-                const WINDOW: usize = 15;
-                let mut hits = Vec::new();
-                for (idx, (n, l)) in ls.iter().enumerate() {
-                    if !is_dispatch(l) {
-                        continue;
-                    }
-                    let declared = ls[idx.saturating_sub(WINDOW)..=idx]
-                        .iter()
-                        .any(|(_, prev)| prev.contains("declare_access("));
-                    if !declared {
-                        hits.push((*n, *l));
-                    }
-                }
-                self.fail(
-                    "CommandQueue dispatch without a declare_access within the preceding lines \
-                     (every dispatch declares its verified AccessSummary)",
-                    rel,
-                    &hits,
-                );
+        for rel in all_files {
+            if rel.starts_with("crates/simgpu") || sanctioned.contains(rel) {
+                continue;
             }
+            let s = self.read(rel);
+            let hits: Vec<_> = lines(&s, true)
+                .into_iter()
+                .filter(|(_, l)| host_charge(l))
+                .collect();
+            self.fail(
+                "host-side charge outside the pipeline host stages (charge_host/charge_bulk/\
+                 charge_map belong to gpu/pipeline.rs and gpu/ablate.rs; kernel cost is the \
+                 dispatch's declaration)",
+                rel,
+                &hits,
+            );
         }
     }
 }
@@ -572,9 +519,7 @@ fn run(root: &Path) -> i32 {
     hot.push(PathBuf::from("crates/core/src/cpu/stages.rs"));
 
     lint.rule_std_float(&hot);
-    lint.rule_uncharged_spans(&kernel_files);
     lint.rule_no_kernel_asserts(&kernel_files);
-    lint.rule_megapass_charge_free(Path::new("crates/core/src/gpu/megapass.rs"));
     lint.rule_observation_only(&[
         PathBuf::from("crates/core/src/telemetry.rs"),
         PathBuf::from("crates/simgpu/src/metrics.rs"),
@@ -587,16 +532,11 @@ fn run(root: &Path) -> i32 {
         .map(|p| rel(&p))
         .collect();
     lint.rule_simd_contained(&all, Path::new("crates/core/src/gpu/kernels/simd"));
-
-    let gpu_files: Vec<PathBuf> = rust_files(&root.join("crates/core/src/gpu"))
-        .into_iter()
-        .map(|p| rel(&p))
-        .collect();
-    lint.rule_declared_dispatches(
-        &gpu_files,
+    lint.rule_host_charges_confined(
+        &all,
         &[
-            PathBuf::from("crates/core/src/gpu/kernels/mod.rs"),
-            PathBuf::from("crates/core/src/gpu/kernels/reduction.rs"),
+            PathBuf::from("crates/core/src/gpu/pipeline.rs"),
+            PathBuf::from("crates/core/src/gpu/ablate.rs"),
         ],
     );
     lint.rule_spans_observation_only(
@@ -620,7 +560,7 @@ fn run(root: &Path) -> i32 {
     lint.rule_tune_execution_free(&tune_files);
 
     if lint.failures.is_empty() {
-        println!("lint_invariants: OK (10 rules, token-aware)");
+        println!("lint_invariants: OK (8 rules, token-aware)");
         0
     } else {
         for f in &lint.failures {
@@ -715,17 +655,15 @@ mod tests {
         let root = std::env::temp_dir().join(format!("lint-fixture-{}", std::process::id()));
         let kernels = root.join("crates/core/src/gpu/kernels");
         std::fs::create_dir_all(&kernels).unwrap();
-        // Four violations: std clamp (rule 1), raw span without a charge
-        // (rule 2), a bare assert (rule 3), and an undeclared queue
-        // dispatch outside the sanctioned modules (rule 7). A comment
+        // Three violations: std clamp (rule 1), a bare assert (rule 2),
+        // and a host-side charge from a kernel file (rule 8). A comment
         // mentioning `f32::min` must NOT count.
         std::fs::write(
             kernels.join("bad.rs"),
             "// f32::min in prose is fine\n\
              fn k(x: f32) -> f32 {\n\
                  assert!(x > 0.0);\n\
-                 g.slice_raw(0, n);\n\
-                 q.run(&desc, &[], body);\n\
+                 q.charge_host(\"host:k\", &c);\n\
                  x.clamp(0.0, 1.0)\n\
              }\n",
         )
@@ -741,8 +679,8 @@ mod tests {
             std::env::temp_dir().join(format!("lint-service-fixture-{}", std::process::id()));
         let service = root.join("crates/core/src/service");
         std::fs::create_dir_all(&service).unwrap();
-        // Rule 9: a scheduler that charges cost itself would double-count
-        // against the kernels' own accounting.
+        // Rule 6: a scheduler that charges cost itself would double-count
+        // against the kernels' own declarations.
         std::fs::write(
             service.join("scheduler.rs"),
             "fn run(&mut self) {\n\
@@ -760,7 +698,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("lint-tune-fixture-{}", std::process::id()));
         let tune = root.join("crates/core/src/tune");
         std::fs::create_dir_all(&tune).unwrap();
-        // Rule 10: a tuner stage that prepares and runs a real plan is
+        // Rule 7: a tuner stage that prepares and runs a real plan is
         // measure-by-running in disguise. A doc comment mentioning
         // CommandQueue must NOT count, and neither must test code.
         std::fs::write(
@@ -783,7 +721,7 @@ mod tests {
     fn flags_span_code_that_mutates_state() {
         let root = std::env::temp_dir().join(format!("lint-span-fixture-{}", std::process::id()));
         std::fs::create_dir_all(root.join("crates/simgpu/src")).unwrap();
-        // Rule 8: a span module that advances the clock or charges cost
+        // Rule 5: a span module that advances the clock or charges cost
         // breaks the observation-only invariant.
         std::fs::write(
             root.join("crates/simgpu/src/span.rs"),

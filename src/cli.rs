@@ -628,11 +628,6 @@ fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
             } else {
                 Context::new(preset.spec())
             };
-            let ctx = if cli.verify_static {
-                ctx.with_access_required()
-            } else {
-                ctx
-            };
             let report = GpuPipeline::new(ctx.clone(), cli.params, opts)
                 .with_tuning(tuning)
                 .with_schedule(schedule_of(cli))

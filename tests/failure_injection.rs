@@ -2,6 +2,7 @@
 //! catch data races instead of silently corrupting results.
 
 use sharpness::prelude::*;
+use sharpness::simgpu::access::{AccessSummary, AccessWindow};
 use sharpness::simgpu::error::Error;
 use sharpness::simgpu::kernel::{items, KernelDesc};
 
@@ -16,10 +17,14 @@ fn racy_kernel_is_rejected_with_index() {
     let out = ctx.buffer::<f32>("out", 8);
     let w = out.write_view();
     let desc = KernelDesc::new("racy", [32, 1], [8, 1]);
+    // Declared as if each item owned one slot; the kernel disagrees.
+    let mut decl = AccessSummary::new(&desc, 0..4);
+    decl.push(AccessWindow::write(out.info(), 0, 8));
+    decl.charge_global_n(0, 0, 4, 0, 8);
     let err = q
-        .run(&desc, &[&out], |g| {
+        .run(&desc, decl, &[&out], |g| {
             for l in items(g.group_size) {
-                g.store(&w, l[0] % 8, 1.0); // all groups hit the same slots
+                w.set_raw(l[0] % 8, 1.0); // all groups hit the same slots
             }
         })
         .unwrap_err();
@@ -39,10 +44,13 @@ fn race_free_kernel_passes_validation() {
     let out = ctx.buffer::<f32>("out", 32);
     let w = out.write_view();
     let desc = KernelDesc::new("clean", [32, 1], [8, 1]);
-    q.run(&desc, &[&out], |g| {
+    let mut decl = AccessSummary::new(&desc, 0..4);
+    decl.push(AccessWindow::write(out.info(), 0, 32));
+    decl.charge_global_n(0, 0, 4, 0, 32);
+    q.run(&desc, decl, &[&out], |g| {
         for l in items(g.group_size) {
             let i = g.global_id(l)[0];
-            g.store(&w, i, i as f32);
+            w.set_raw(i, i as f32);
         }
     })
     .unwrap();
@@ -66,11 +74,15 @@ fn bad_ndrange_reports_geometry() {
     let ctx = vctx();
     let mut q = ctx.queue();
     let desc = KernelDesc::new("bad", [100, 100], [16, 16]);
-    let err = q.run(&desc, &[], |_| {}).unwrap_err();
+    let decl = AccessSummary::new(&desc, 0..desc.total_groups());
+    let err = q.run(&desc, decl, &[], |_| {}).unwrap_err();
     assert!(matches!(err, Error::InvalidNdRange { .. }));
+    // A zero-sized group has no group count to declare over; the geometry
+    // check rejects it before the declaration is looked at.
+    let valid = KernelDesc::new("bad", [64, 64], [16, 16]);
     let desc = KernelDesc::new("bad", [64, 64], [0, 16]);
     assert!(matches!(
-        q.run(&desc, &[], |_| {}),
+        q.run(&desc, AccessSummary::new(&valid, 0..16), &[], |_| {}),
         Err(Error::EmptyGroup { .. })
     ));
 }

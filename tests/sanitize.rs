@@ -115,19 +115,41 @@ fn fixture_ctx() -> Context {
     Context::sanitized(spec())
 }
 
+/// A fixture dispatch's declaration: `desc` over its whole grid, declaring
+/// `windows` and charging each at exactly its own bytes (scalar class).
+/// The race and bounds fixtures declare the footprint they intend; the
+/// drift fixtures declare deliberately wrong footprints.
+fn declared(desc: &KernelDesc, windows: Vec<AccessWindow>) -> AccessSummary {
+    let mut s = AccessSummary::new(desc, 0..desc.total_groups());
+    for w in windows {
+        match w.role {
+            Role::Read => s.charge_global_n(w.bytes(), 0, 0, 0, 1),
+            Role::Write => s.charge_global_n(0, 0, w.bytes(), 0, 1),
+        }
+        s.push(w);
+    }
+    s
+}
+
 #[test]
 fn fixture_global_write_write_race_is_flagged() {
     let ctx = fixture_ctx();
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 64);
     let w = out.write_view();
-    q.run(&KernelDesc::new_1d("ww_race", 64, 64), &[&out], move |g| {
-        for l in items(g.group_size) {
-            g.begin_item(l);
-            // Every item stores to element 0: 63 write/write conflicts.
-            g.store(&w, 0, l[0] as f32);
-        }
-    })
+    let desc = KernelDesc::new_1d("ww_race", 64, 64);
+    q.run(
+        &desc,
+        declared(&desc, vec![AccessWindow::write(out.info(), 0, 1)]),
+        &[&out],
+        move |g| {
+            for l in items(g.group_size) {
+                g.begin_item(l);
+                // Every item stores to element 0: 63 write/write conflicts.
+                w.set_raw(0, l[0] as f32);
+            }
+        },
+    )
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -146,18 +168,30 @@ fn fixture_global_read_write_race_is_flagged() {
     let mut q = ctx.queue();
     let buf = ctx.buffer::<f32>("rw", 64);
     let (r, w) = (buf.view(), buf.write_view());
-    q.run(&KernelDesc::new_1d("rw_race", 64, 64), &[&buf], move |g| {
-        for l in items(g.group_size) {
-            g.begin_item(l);
-            if l[0] == 0 {
-                // Item 0 reads what item 5 writes, with no ordering
-                // between global accesses of different items.
-                let _ = g.load(&r, 5);
-            } else if l[0] == 5 {
-                g.store(&w, 5, 1.0);
+    let desc = KernelDesc::new_1d("rw_race", 64, 64);
+    q.run(
+        &desc,
+        declared(
+            &desc,
+            vec![
+                AccessWindow::read(buf.info(), 5, 1),
+                AccessWindow::write(buf.info(), 5, 1),
+            ],
+        ),
+        &[&buf],
+        move |g| {
+            for l in items(g.group_size) {
+                g.begin_item(l);
+                if l[0] == 0 {
+                    // Item 0 reads what item 5 writes, with no ordering
+                    // between global accesses of different items.
+                    let _ = r.get_raw(5);
+                } else if l[0] == 5 {
+                    w.set_raw(5, 1.0);
+                }
             }
-        }
-    })
+        },
+    )
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -178,8 +212,10 @@ fn fixture_local_race_across_wavefronts_is_flagged() {
     let w = out.write_view();
     // Lane 0 (wavefront 0) writes local[0]; lane 64 (wavefront 1) reads it
     // in the same barrier phase — not lockstep, so it is a real race.
+    let desc = KernelDesc::new_1d("local_race", 128, 128);
     q.run(
-        &KernelDesc::new_1d("local_race", 128, 128),
+        &desc,
+        declared(&desc, vec![AccessWindow::write(out.info(), 0, 1)]),
         &[&out],
         move |g| {
             g.alloc_local(128);
@@ -187,7 +223,7 @@ fn fixture_local_race_across_wavefronts_is_flagged() {
             g.local_write(0, 3.0);
             g.begin_item([64, 0]);
             let v = g.local_read(0);
-            g.store(&w, 0, v);
+            w.set_raw(0, v);
         },
     )
     .unwrap();
@@ -210,8 +246,10 @@ fn fixture_lockstep_local_access_is_not_flagged() {
     let w = out.write_view();
     // Lanes 0 and 32 share wavefront 0: same-phase accesses execute in
     // lockstep and are exempt (the reduction kernels' unrolled tail).
+    let desc = KernelDesc::new_1d("lockstep", 128, 128);
     q.run(
-        &KernelDesc::new_1d("lockstep", 128, 128),
+        &desc,
+        declared(&desc, vec![AccessWindow::write(out.info(), 0, 1)]),
         &[&out],
         move |g| {
             g.alloc_local(128);
@@ -219,7 +257,7 @@ fn fixture_lockstep_local_access_is_not_flagged() {
             g.local_write(0, 3.0);
             g.begin_item([0, 0]);
             let v = g.local_read(0);
-            g.store(&w, 0, v);
+            w.set_raw(0, v);
         },
     )
     .unwrap();
@@ -232,17 +270,23 @@ fn fixture_barrier_separated_local_reuse_is_not_flagged() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 1);
     let w = out.write_view();
-    q.run(&KernelDesc::new_1d("phases", 128, 128), &[&out], move |g| {
-        g.alloc_local(128);
-        for l in items(g.group_size) {
-            g.begin_item(l);
-            g.local_write(l[0], l[0] as f32);
-        }
-        g.barrier();
-        g.begin_item([0, 0]);
-        let v = g.local_read(127); // written by lane 127 before the barrier
-        g.store(&w, 0, v);
-    })
+    let desc = KernelDesc::new_1d("phases", 128, 128);
+    q.run(
+        &desc,
+        declared(&desc, vec![AccessWindow::write(out.info(), 0, 1)]),
+        &[&out],
+        move |g| {
+            g.alloc_local(128);
+            for l in items(g.group_size) {
+                g.begin_item(l);
+                g.local_write(l[0], l[0] as f32);
+            }
+            g.barrier();
+            g.begin_item([0, 0]);
+            let v = g.local_read(127); // written by lane 127 before the barrier
+            w.set_raw(0, v);
+        },
+    )
     .unwrap();
     assert!(ctx.sanitize_report().unwrap().is_clean());
 }
@@ -255,10 +299,11 @@ fn fixture_global_oob_is_flagged_and_recovered() {
     let (r, w) = (buf.view(), buf.write_view());
     // Both the read and the write land past the end; under sanitize the
     // dispatch still completes (read yields 0.0, write is dropped).
-    q.run(&KernelDesc::new_1d("oob", 64, 64), &[&buf], move |g| {
+    let desc = KernelDesc::new_1d("oob", 64, 64);
+    q.run(&desc, declared(&desc, vec![]), &[&buf], move |g| {
         g.begin_item([0, 0]);
-        let v = g.load(&r, 100);
-        g.store(&w, 200, v + 1.0);
+        let v = r.get_raw(100);
+        w.set_raw(200, v + 1.0);
     })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
@@ -288,15 +333,17 @@ fn fixture_local_oob_is_flagged_and_recovered() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 1);
     let w = out.write_view();
+    let desc = KernelDesc::new_1d("oob_local", 64, 64);
     q.run(
-        &KernelDesc::new_1d("oob_local", 64, 64),
+        &desc,
+        declared(&desc, vec![AccessWindow::write(out.info(), 0, 1)]),
         &[&out],
         move |g| {
             g.alloc_local(16);
             g.begin_item([0, 0]);
             let v = g.local_read(99);
             g.local_write(77, 1.0);
-            g.store(&w, 0, v);
+            w.set_raw(0, v);
         },
     )
     .unwrap();
@@ -327,8 +374,10 @@ fn fixture_divergent_barrier_is_flagged() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 64);
     let w = out.write_view();
+    let desc = KernelDesc::new_1d("div_barrier", 64, 64);
     q.run(
-        &KernelDesc::new_1d("div_barrier", 64, 64),
+        &desc,
+        declared(&desc, vec![AccessWindow::write(out.info(), 0, 64)]),
         &[&out],
         move |g| {
             g.alloc_local(64);
@@ -340,7 +389,7 @@ fn fixture_divergent_barrier_is_flagged() {
                     g.barrier();
                 }
                 let v = g.local_read(l[0]);
-                g.store(&w, l[0], v);
+                w.set_raw(l[0], v);
             }
         },
     )
@@ -359,16 +408,14 @@ fn fixture_uncharged_reads_are_flagged_as_drift() {
     let src = ctx.buffer_from("src", &[1.0f32; 32]);
     let out = ctx.buffer::<f32>("out", 1);
     let (r, w) = (src.view(), out.write_view());
-    q.run(
-        &KernelDesc::new_1d("drift_under", 64, 64),
-        &[&out],
-        move |g| {
-            g.begin_item([0, 0]);
-            // Raw accessor without a matching charge: observed > charged.
-            let v = r.get_raw(3);
-            g.store(&w, 0, v);
-        },
-    )
+    // The declaration omits the kernel's read of `src`: observed > charged.
+    let desc = KernelDesc::new_1d("drift_under", 64, 64);
+    let decl = declared(&desc, vec![AccessWindow::write(out.info(), 0, 1)]);
+    q.run(&desc, decl, &[&out], move |g| {
+        g.begin_item([0, 0]);
+        let v = r.get_raw(3);
+        w.set_raw(0, v);
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -384,18 +431,16 @@ fn fixture_uncharged_reads_are_flagged_as_drift() {
 fn fixture_phantom_charges_are_flagged_as_drift() {
     let ctx = fixture_ctx();
     let mut q = ctx.queue();
-    let out = ctx.buffer::<f32>("out", 1);
+    let out = ctx.buffer::<f32>("out", 11);
     let w = out.write_view();
-    q.run(
-        &KernelDesc::new_1d("drift_over", 64, 64),
-        &[&out],
-        move |g| {
-            g.begin_item([0, 0]);
-            g.store(&w, 0, 1.0);
-            // Charges write traffic that never happened: charged > observed.
-            g.charge_global_n(0, 0, 4, 0, 10);
-        },
-    )
+    // The declaration claims eleven stores; the kernel performs one, so
+    // charged > observed.
+    let desc = KernelDesc::new_1d("drift_over", 64, 64);
+    let decl = declared(&desc, vec![AccessWindow::write(out.info(), 0, 11)]);
+    q.run(&desc, decl, &[&out], move |g| {
+        g.begin_item([0, 0]);
+        w.set_raw(0, 1.0);
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -418,11 +463,23 @@ fn fixture_uninit_read_is_flagged_in_strict_mode() {
     let src = ctx.buffer::<f32>("never_written", 16);
     let out = ctx.buffer::<f32>("out", 1);
     let (r, w) = (src.view(), out.write_view());
-    q.run(&KernelDesc::new_1d("uninit", 64, 64), &[&out], move |g| {
-        g.begin_item([0, 0]);
-        let v = g.load(&r, 4);
-        g.store(&w, 0, v);
-    })
+    let desc = KernelDesc::new_1d("uninit", 64, 64);
+    q.run(
+        &desc,
+        declared(
+            &desc,
+            vec![
+                AccessWindow::read(src.info(), 4, 1),
+                AccessWindow::write(out.info(), 0, 1),
+            ],
+        ),
+        &[&out],
+        move |g| {
+            g.begin_item([0, 0]);
+            let v = r.get_raw(4);
+            w.set_raw(0, v);
+        },
+    )
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report
@@ -439,15 +496,12 @@ fn unsanitized_oob_store_returns_kernel_panic_error() {
     let mut q = ctx.queue();
     let buf = ctx.buffer::<f32>("small", 8);
     let w = buf.write_view();
+    let desc = KernelDesc::new_1d("oob_panic", 64, 64);
     let err = q
-        .run(
-            &KernelDesc::new_1d("oob_panic", 64, 64),
-            &[&buf],
-            move |g| {
-                g.begin_item([0, 0]);
-                g.store(&w, 999, 1.0);
-            },
-        )
+        .run(&desc, declared(&desc, vec![]), &[&buf], move |g| {
+            g.begin_item([0, 0]);
+            w.set_raw(999, 1.0);
+        })
         .unwrap_err();
     match err {
         Error::KernelPanic { kernel, message } => {
@@ -461,12 +515,18 @@ fn unsanitized_oob_store_returns_kernel_panic_error() {
     let before = q.records().len();
     let ok = ctx.buffer::<f32>("ok", 64);
     let w2 = ok.write_view();
-    q.run(&KernelDesc::new_1d("good", 64, 64), &[&ok], move |g| {
-        for l in items(g.group_size) {
-            g.begin_item(l);
-            g.store(&w2, l[0], 1.0);
-        }
-    })
+    let desc = KernelDesc::new_1d("good", 64, 64);
+    q.run(
+        &desc,
+        declared(&desc, vec![AccessWindow::write(ok.info(), 0, 64)]),
+        &[&ok],
+        move |g| {
+            for l in items(g.group_size) {
+                g.begin_item(l);
+                w2.set_raw(l[0], 1.0);
+            }
+        },
+    )
     .unwrap();
     assert_eq!(q.records().len(), before + 1);
 }
@@ -512,11 +572,23 @@ fn recycled_slabs_carry_no_stale_initialised_state() {
     let out = ctx.buffer::<f32>("out", 1);
     let (r, w) = (b.view(), out.write_view());
     let mut q = ctx.queue();
-    q.run(&KernelDesc::new_1d("stale", 64, 64), &[&out], move |g| {
-        g.begin_item([0, 0]);
-        let v = g.load(&r, 0);
-        g.store(&w, 0, v);
-    })
+    let desc = KernelDesc::new_1d("stale", 64, 64);
+    q.run(
+        &desc,
+        declared(
+            &desc,
+            vec![
+                AccessWindow::read(b.info(), 0, 1),
+                AccessWindow::write(out.info(), 0, 1),
+            ],
+        ),
+        &[&out],
+        move |g| {
+            g.begin_item([0, 0]);
+            let v = r.get_raw(0);
+            w.set_raw(0, v);
+        },
+    )
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(

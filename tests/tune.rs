@@ -226,3 +226,40 @@ fn search_never_loses_to_the_paper_default_on_any_preset() {
         }
     }
 }
+
+/// The CPU border probe on shapes below 4 pixels on an axis, where the
+/// write-back deduplicates border rows or columns: the closed-form model,
+/// the executed ablation probe and the pipeline's own three border
+/// records (`read:down`, `host:upscale_border`, `write:up_border`, summed
+/// in that order) agree bit for bit.
+#[test]
+fn cpu_border_model_matches_probe_and_pipeline_on_tiny_shapes() {
+    let opts = OptConfig {
+        data_transfer: true,
+        ..OptConfig::none()
+    };
+    for (w, h) in [(3, 3), (8, 3), (3, 9)] {
+        let ctx = Context::new(DeviceSpec::firepro_w8000());
+        let model = tune::border_cpu_model(ctx.device(), ctx.cpu(), w, h);
+        let probe = sharpness::core::gpu::ablate::border_cpu_time(&ctx, w, h);
+        assert_eq!(model.to_bits(), probe.to_bits(), "{w}x{h}: model vs probe");
+        let r = GpuPipeline::new(ctx, SharpnessParams::default(), opts)
+            .run(&generate::natural(w, h, 3))
+            .unwrap();
+        let stage = |name: &str| {
+            r.stages
+                .iter()
+                .find(|s| &*s.name == name)
+                .unwrap_or_else(|| panic!("{w}x{h}: no {name} record"))
+                .seconds
+        };
+        let mut pipeline = stage("read:down");
+        pipeline += stage("host:upscale_border");
+        pipeline += stage("write:up_border");
+        assert_eq!(
+            model.to_bits(),
+            pipeline.to_bits(),
+            "{w}x{h}: model vs pipeline"
+        );
+    }
+}

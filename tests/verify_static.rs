@@ -57,7 +57,7 @@ fn static_sweep_covers_border_crossover() {
 }
 
 fn dynamic_log(opts: &OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<AccessSummary> {
-    let ctx = Context::with_validation(DeviceSpec::firepro_w8000()).with_access_required();
+    let ctx = Context::with_validation(DeviceSpec::firepro_w8000()).with_access_log();
     let img = generate::natural(w, h, 17);
     let mut plan = GpuPipeline::new(ctx, SharpnessParams::default(), *opts)
         .with_schedule(schedule)
@@ -67,7 +67,7 @@ fn dynamic_log(opts: &OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<
     plan.take_access_log()
 }
 
-/// Agreement: a sanitized live run under `with_access_required` declares
+/// Agreement: a sanitized live run under `with_access_log` declares
 /// exactly the summaries the static enumerator predicts — same kernels,
 /// same slice partition, same windows, same charges, same ratios, in the
 /// same commit order. Any drift between the executor and the static
@@ -123,7 +123,7 @@ fn sanitized_sweep_cross_validates_declarations() {
     cases.push((1001, 701, OptConfig::all()));
     for (w, h, opts) in cases {
         for schedule in [Schedule::Monolithic, Schedule::Banded(64)] {
-            let ctx = Context::sanitized(DeviceSpec::firepro_w8000()).with_access_required();
+            let ctx = Context::sanitized(DeviceSpec::firepro_w8000()).with_access_log();
             let img = generate::natural(w, h, 17);
             let mut plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
                 .with_schedule(schedule)
@@ -160,7 +160,7 @@ fn access_verification_is_observation_only() {
             .run(&img)
             .unwrap();
             let checked = GpuPipeline::new(
-                Context::with_validation(DeviceSpec::firepro_w8000()).with_access_required(),
+                Context::with_validation(DeviceSpec::firepro_w8000()).with_access_log(),
                 SharpnessParams::default(),
                 opts,
             )
