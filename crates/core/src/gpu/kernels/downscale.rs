@@ -55,63 +55,69 @@ pub(crate) fn downscale_launch(
         downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h, tune)
     });
     let dview = down.write_view();
-    launch.dispatch(q, &desc, access, &[down], move |g| {
-        // Row-segment form: each output row of the group reads its four
+    launch.dispatch_rows(q, &desc, access, &[down], move |rc| {
+        // Row-segment form: each output row of a group reads its four
         // source rows as contiguous slices and accumulates the 4×4 block
         // sums in the same dy-major/dx-minor order as
         // [`math::downscale_pixel`] (bit-identical results). Ragged blocks
         // (right column with w % 4 != 0, bottom row with h % 4 != 0) fall
         // back to per-element loads of the pixels that exist, in the same
-        // dy-major order as the CPU partial-block path.
-        let gw = g.group_size[0];
-        let x_start = g.group_id[0] * gw;
+        // dy-major order as the CPU partial-block path. Each output row is
+        // walked across all of the row's groups before the next.
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; super::GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let j = g.group_id[1] * g.group_size[1] + ly;
-            if j >= hd || x_start >= wd {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let j = rc.global_y(ly);
+            if j >= hd {
+                break;
             }
-            let x_end = (x_start + gw).min(wd);
             let bh = (h - SCALE * j).min(SCALE);
-            // Columns whose 4-wide, 4-tall source block is complete; a
-            // short bottom row makes every block in the segment partial.
-            let full_end = if bh == SCALE {
-                x_end.min(w / SCALE)
-            } else {
-                x_start
-            };
-            if full_end > x_start {
-                let span = full_end - x_start;
-                let row_out = &mut scratch[..span];
-                let rows: [&[f32]; SCALE] = std::array::from_fn(|dy| {
-                    src.view.slice_raw(
-                        src.idx((SCALE * x_start) as isize, (SCALE * j + dy) as isize),
-                        SCALE * span,
-                    )
-                });
-                for (i, o) in row_out.iter_mut().enumerate() {
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = gx * gw;
+                if x_start >= wd {
+                    break;
+                }
+                let x_end = (x_start + gw).min(wd);
+                // Columns whose 4-wide, 4-tall source block is complete; a
+                // short bottom row makes every block in the segment partial.
+                let full_end = if bh == SCALE {
+                    x_end.min(w / SCALE)
+                } else {
+                    x_start
+                };
+                if full_end > x_start {
+                    let span = full_end - x_start;
+                    let row_out = &mut scratch[..span];
+                    let rows: [&[f32]; SCALE] = std::array::from_fn(|dy| {
+                        src.view.slice_raw(
+                            src.idx((SCALE * x_start) as isize, (SCALE * j + dy) as isize),
+                            SCALE * span,
+                        )
+                    });
+                    for (i, o) in row_out.iter_mut().enumerate() {
+                        let mut s = 0.0f32;
+                        for row in &rows {
+                            for dx in 0..SCALE {
+                                s += row[SCALE * i + dx];
+                            }
+                        }
+                        *o = s * (1.0 / 16.0);
+                    }
+                    dview.set_span_raw(j * wd + x_start, row_out);
+                }
+                for i in full_end..x_end {
+                    let bw = (w - SCALE * i).min(SCALE);
                     let mut s = 0.0f32;
-                    for row in &rows {
-                        for dx in 0..SCALE {
-                            s += row[SCALE * i + dx];
+                    for dy in 0..bh {
+                        for dx in 0..bw {
+                            s += src.view.get_raw(
+                                src.idx((SCALE * i + dx) as isize, (SCALE * j + dy) as isize),
+                            );
                         }
                     }
-                    *o = s * (1.0 / 16.0);
+                    dview.set_raw(j * wd + i, s * (1.0 / (bw * bh) as f32));
                 }
-                dview.set_span_raw(j * wd + x_start, row_out);
-            }
-            for i in full_end..x_end {
-                let bw = (w - SCALE * i).min(SCALE);
-                let mut s = 0.0f32;
-                for dy in 0..bh {
-                    for dx in 0..bw {
-                        s += src
-                            .view
-                            .get_raw(src.idx((SCALE * i + dx) as isize, (SCALE * j + dy) as isize));
-                    }
-                }
-                dview.set_raw(j * wd + i, s * (1.0 / (bw * bh) as f32));
             }
         }
     })

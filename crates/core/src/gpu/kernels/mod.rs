@@ -17,6 +17,13 @@
 //! ops, barriers, divergence, LDS, groups/lanes/items) for the access
 //! pattern it embodies. The queue charges that declaration, and the static
 //! verifier and the cost predictor call the very same constructors.
+//!
+//! The 2-D row-span kernels (downscale, upscale center, Sobel, pError,
+//! preliminary, overshoot, sharpness) dispatch by work-group row
+//! ([`Launch::dispatch_rows`]): the host walks each image row across all
+//! of a group row's groups before the next, so every plane streams in row
+//! order instead of as one 16-row tile per group. The reduction (local
+//! memory and barriers) and the upscale border kernels dispatch per group.
 
 pub mod downscale;
 pub mod perror;
@@ -30,7 +37,7 @@ use simgpu::access::{AccessSummary, BufRef};
 use simgpu::buffer::GlobalView;
 use simgpu::cost::OpCounts;
 use simgpu::error::Result;
-use simgpu::kernel::{round_up, GroupCtx, KernelDesc};
+use simgpu::kernel::{round_up, GroupCtx, KernelDesc, RowCtx};
 use simgpu::queue::{CommandQueue, SlicedDispatch, WriteTracked};
 use simgpu::timing::KernelTime;
 
@@ -182,6 +189,32 @@ impl Launch<'_> {
             Launch::Full => q.run(desc, access, outputs, f),
             Launch::Slice(_, acc) => {
                 q.run_sliced(desc, access, outputs, acc, f)?;
+                Ok(KernelTime::default())
+            }
+        }
+    }
+
+    /// [`Launch::dispatch`] with the work-group row as the unit of host
+    /// work: `f` runs once per group row and walks each image row across
+    /// all of the row's groups before the next, so the host streams whole
+    /// rows instead of 16-row tiles. Same declaration, records and
+    /// simulated time as per-group execution; for the row-span kernels,
+    /// which use no local memory and no barrier.
+    pub(crate) fn dispatch_rows<F>(
+        self,
+        q: &mut CommandQueue,
+        desc: &KernelDesc,
+        access: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        f: F,
+    ) -> Result<KernelTime>
+    where
+        F: Fn(&mut RowCtx) + Sync,
+    {
+        match self {
+            Launch::Full => q.run_rows(desc, access, outputs, f),
+            Launch::Slice(_, acc) => {
+                q.run_sliced_rows(desc, access, outputs, acc, f)?;
                 Ok(KernelTime::default())
             }
         }

@@ -66,24 +66,29 @@ pub(crate) fn perror_launch(
     let up = up.clone();
     // Row-span form: the subtraction runs over contiguous row slices
     // (autovectorized or dispatched via [`simd::sub_span`]).
-    launch.dispatch(q, &desc, access, &[perr], move |g| {
-        let gw = g.group_size[0];
-        let x_start = g.group_id[0] * gw;
+    launch.dispatch_rows(q, &desc, access, &[perr], move |rc| {
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= w {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let span = (x_start + gw).min(w) - x_start;
-            let o = src
-                .view
-                .slice_raw(src.idx(x_start as isize, y as isize), span);
-            let u = up.slice_raw(y * ws + x_start, span);
-            let row_out = &mut scratch[..span];
-            simd::sub_span(o, u, row_out);
-            pview.set_span_raw(y * ws + x_start, row_out);
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = gx * gw;
+                if x_start >= w {
+                    break;
+                }
+                let span = (x_start + gw).min(w) - x_start;
+                let o = src
+                    .view
+                    .slice_raw(src.idx(x_start as isize, y as isize), span);
+                let u = up.slice_raw(y * ws + x_start, span);
+                let row_out = &mut scratch[..span];
+                simd::sub_span(o, u, row_out);
+                pview.set_span_raw(y * ws + x_start, row_out);
+            }
         }
     })
 }

@@ -91,28 +91,33 @@ pub(crate) fn preliminary_launch(
     let (up, pedge, perr) = (up.clone(), pedge.clone(), perr.clone());
     // Row-span form: three contiguous loads and one store per pixel, run
     // span-at-a-time through [`simd::preliminary_span`].
-    launch.dispatch(q, &desc, access, &[prelim], move |g| {
-        let gw = g.group_size[0];
-        let x_start = g.group_id[0] * gw;
+    launch.dispatch_rows(q, &desc, access, &[prelim], move |rc| {
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= w {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let span = (x_start + gw).min(w) - x_start;
-            let i = y * ws + x_start;
-            let row_out = &mut scratch[..span];
-            simd::preliminary_span(
-                up.slice_raw(i, span),
-                pedge.slice_raw(i, span),
-                perr.slice_raw(i, span),
-                row_out,
-                mean,
-                &params,
-            );
-            out.set_span_raw(i, row_out);
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = gx * gw;
+                if x_start >= w {
+                    break;
+                }
+                let span = (x_start + gw).min(w) - x_start;
+                let i = y * ws + x_start;
+                let row_out = &mut scratch[..span];
+                simd::preliminary_span(
+                    up.slice_raw(i, span),
+                    pedge.slice_raw(i, span),
+                    perr.slice_raw(i, span),
+                    row_out,
+                    mean,
+                    &params,
+                );
+                out.set_span_raw(i, row_out);
+            }
         }
     })
 }
@@ -205,7 +210,7 @@ pub(crate) fn overshoot_launch(
     // Row-span form: the body clamp runs over contiguous spans through
     // [`simd::overshoot_span`]. Declared traffic stays the per-pixel
     // pattern (prelim + nine window loads + store per body pixel; prelim +
-    // store per border pixel); the observed raw reads per body tile row
+    // store per border pixel); the observed raw reads per body row segment
     // are one prelim span plus three `(blen+2)`-wide source slices, below
     // the charged windows for every `blen >= 1`, covered by the exact
     // overlapping-window ratio of the access summary.
@@ -222,57 +227,62 @@ pub(crate) fn overshoot_launch(
             tune,
         )
     });
-    launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
-        let gw = g.group_size[0];
-        let x_start = g.group_id[0] * gw;
+    launch.dispatch_rows(q, &desc, access, &[finalbuf], move |rc| {
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= w {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let x_end = (x_start + gw).min(w);
-            let span = x_end - x_start;
-            let i = y * ws + x_start;
-            let prow = prelim.slice_raw(i, span);
-            let row_out = &mut scratch[..span];
-            if y == 0 || y == h - 1 || w <= 2 {
-                for (o, &p) in row_out.iter_mut().zip(prow) {
-                    *o = math::final_border(p);
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = gx * gw;
+                if x_start >= w {
+                    break;
                 }
-            } else {
-                let body_lo = x_start.max(1);
-                let body_hi = x_end.min(w - 1);
-                if body_hi > body_lo {
-                    let blen = body_hi - body_lo;
-                    let yi = y as isize;
-                    let r0 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                    let r1 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                    let r2 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                    simd::overshoot_span(
-                        r0,
-                        r1,
-                        r2,
-                        &prow[body_lo - x_start..body_hi - x_start],
-                        &mut row_out[body_lo - x_start..body_hi - x_start],
-                        &params,
-                    );
-                }
-                // `w >= 3` here, so the two border columns are distinct.
-                for x in [0, w - 1] {
-                    if x >= x_start && x < x_end {
-                        row_out[x - x_start] = math::final_border(prow[x - x_start]);
+                let x_end = (x_start + gw).min(w);
+                let span = x_end - x_start;
+                let i = y * ws + x_start;
+                let prow = prelim.slice_raw(i, span);
+                let row_out = &mut scratch[..span];
+                if y == 0 || y == h - 1 || w <= 2 {
+                    for (o, &p) in row_out.iter_mut().zip(prow) {
+                        *o = math::final_border(p);
+                    }
+                } else {
+                    let body_lo = x_start.max(1);
+                    let body_hi = x_end.min(w - 1);
+                    if body_hi > body_lo {
+                        let blen = body_hi - body_lo;
+                        let yi = y as isize;
+                        let r0 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                        let r1 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                        let r2 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                        simd::overshoot_span(
+                            r0,
+                            r1,
+                            r2,
+                            &prow[body_lo - x_start..body_hi - x_start],
+                            &mut row_out[body_lo - x_start..body_hi - x_start],
+                            &params,
+                        );
+                    }
+                    // `w >= 3` here, so the two border columns are distinct.
+                    for x in [0, w - 1] {
+                        if x >= x_start && x < x_end {
+                            row_out[x - x_start] = math::final_border(prow[x - x_start]);
+                        }
                     }
                 }
+                out.set_span_raw(i, row_out);
             }
-            out.set_span_raw(i, row_out);
         }
     })
 }
@@ -420,7 +430,7 @@ pub(crate) fn sharpness_fused_launch(
     // pixels through the exact `fused_pixel(body = false)` path. Declared
     // traffic stays the per-pixel pattern (up + pEdge + nine window loads
     // + store per body pixel; up + pEdge + centre + store per border
-    // pixel); the observed raw reads per body tile row are the up/pEdge
+    // pixel); the observed raw reads per body row segment are the up/pEdge
     // spans plus three `(blen+2)`-wide source slices, below the charged
     // windows for every `blen >= 1`, covered by the summary's exact ratio.
     let access = summarize(&launch, &desc, |groups| {
@@ -437,7 +447,7 @@ pub(crate) fn sharpness_fused_launch(
             tune,
         )
     });
-    launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
+    launch.dispatch_rows(q, &desc, access, &[finalbuf], move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -447,58 +457,63 @@ pub(crate) fn sharpness_fused_launch(
                 let i = y * ws + x;
                 fused_pixel(&n9, up.get_raw(i), pe.get_raw(i), mean, &params, false)
             };
-        let gw = g.group_size[0];
-        let x_start = g.group_id[0] * gw;
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= w {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let x_end = (x_start + gw).min(w);
-            let span = x_end - x_start;
-            let row_out = &mut scratch[..span];
-            if y == 0 || y == h - 1 || w <= 2 {
-                for (j, x) in (x_start..x_end).enumerate() {
-                    row_out[j] = border_pixel(x, y, &src, &up, &pedge);
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = gx * gw;
+                if x_start >= w {
+                    break;
                 }
-            } else {
-                let body_lo = x_start.max(1);
-                let body_hi = x_end.min(w - 1);
-                if body_hi > body_lo {
-                    let blen = body_hi - body_lo;
-                    let yi = y as isize;
-                    let r0 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                    let r1 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                    let r2 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                    let up_row = up.slice_raw(y * ws + body_lo, blen);
-                    let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
-                    simd::fused_span(
-                        r0,
-                        r1,
-                        r2,
-                        up_row,
-                        pe_row,
-                        &mut row_out[body_lo - x_start..body_hi - x_start],
-                        mean,
-                        &params,
-                    );
-                }
-                // `w >= 3` here, so the two border columns are distinct.
-                for x in [0, w - 1] {
-                    if x >= x_start && x < x_end {
-                        row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
+                let x_end = (x_start + gw).min(w);
+                let span = x_end - x_start;
+                let row_out = &mut scratch[..span];
+                if y == 0 || y == h - 1 || w <= 2 {
+                    for (j, x) in (x_start..x_end).enumerate() {
+                        row_out[j] = border_pixel(x, y, &src, &up, &pedge);
+                    }
+                } else {
+                    let body_lo = x_start.max(1);
+                    let body_hi = x_end.min(w - 1);
+                    if body_hi > body_lo {
+                        let blen = body_hi - body_lo;
+                        let yi = y as isize;
+                        let r0 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                        let r1 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                        let r2 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                        let up_row = up.slice_raw(y * ws + body_lo, blen);
+                        let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
+                        simd::fused_span(
+                            r0,
+                            r1,
+                            r2,
+                            up_row,
+                            pe_row,
+                            &mut row_out[body_lo - x_start..body_hi - x_start],
+                            mean,
+                            &params,
+                        );
+                    }
+                    // `w >= 3` here, so the two border columns are distinct.
+                    for x in [0, w - 1] {
+                        if x >= x_start && x < x_end {
+                            row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
+                        }
                     }
                 }
+                out.set_span_raw(y * ws + x_start, row_out);
             }
-            out.set_span_raw(y * ws + x_start, row_out);
         }
     })
 }
@@ -687,7 +702,7 @@ pub(crate) fn sharpness_fused_vec4_launch(
             tune,
         )
     });
-    launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
+    launch.dispatch_rows(q, &desc, access, &[finalbuf], move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -697,61 +712,67 @@ pub(crate) fn sharpness_fused_vec4_launch(
                 let i = y * ws + x;
                 fused_pixel(&n9, up.get_raw(i), pe.get_raw(i), mean, &params, false)
             };
-        // The group's threads cover `4 * group_size[0]` consecutive pixels
-        // per row; the work is done row-segment at a time so the body loop
-        // is branch-free.
-        let gw = g.group_size[0];
-        let x_start = 4 * g.group_id[0] * gw;
+        // Each group's threads cover `4 * group_size[0]` consecutive
+        // pixels per row; the work is done row-segment at a time so the
+        // body loop is branch-free, each image row across the row's groups
+        // before the next.
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= ws {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let x_end = (x_start + 4 * gw).min(ws);
-            let span = x_end - x_start;
-            let yi = y as isize;
-            let row_out = &mut scratch[..span];
-            // Stride-padding columns beyond `w` stay zero on every row,
-            // matching the scalar kernels (which never write them).
-            row_out.fill(0.0);
-            if y == 0 || y == h - 1 {
-                for (j, x) in (x_start..x_end.min(w)).enumerate() {
-                    row_out[j] = border_pixel(x, y, &src, &up, &pedge);
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = 4 * gx * gw;
+                if x_start >= ws {
+                    break;
                 }
-            } else {
-                let body_lo = x_start.max(1);
-                let body_hi = x_end.min(w - 1);
-                let blen = body_hi - body_lo;
-                let r0 = src
-                    .view
-                    .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                let r1 = src
-                    .view
-                    .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                let r2 = src
-                    .view
-                    .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                let up_row = up.slice_raw(y * ws + body_lo, blen);
-                let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
-                simd::fused_span(
-                    r0,
-                    r1,
-                    r2,
-                    up_row,
-                    pe_row,
-                    &mut row_out[body_lo - x_start..body_hi - x_start],
-                    mean,
-                    &params,
-                );
-                for x in [0, w - 1] {
-                    if x >= x_start && x < x_end {
-                        row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
+                let x_end = (x_start + 4 * gw).min(ws);
+                let span = x_end - x_start;
+                let yi = y as isize;
+                let row_out = &mut scratch[..span];
+                // Stride-padding columns beyond `w` stay zero on every row,
+                // matching the scalar kernels (which never write them).
+                row_out.fill(0.0);
+                if y == 0 || y == h - 1 {
+                    for (j, x) in (x_start..x_end.min(w)).enumerate() {
+                        row_out[j] = border_pixel(x, y, &src, &up, &pedge);
+                    }
+                } else {
+                    let body_lo = x_start.max(1);
+                    let body_hi = x_end.min(w - 1);
+                    let blen = body_hi - body_lo;
+                    let r0 = src
+                        .view
+                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                    let r1 = src
+                        .view
+                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                    let r2 = src
+                        .view
+                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                    let up_row = up.slice_raw(y * ws + body_lo, blen);
+                    let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
+                    simd::fused_span(
+                        r0,
+                        r1,
+                        r2,
+                        up_row,
+                        pe_row,
+                        &mut row_out[body_lo - x_start..body_hi - x_start],
+                        mean,
+                        &params,
+                    );
+                    for x in [0, w - 1] {
+                        if x >= x_start && x < x_end {
+                            row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
+                        }
                     }
                 }
+                out.set_span_raw(y * ws + x_start, row_out);
             }
-            out.set_span_raw(y * ws + x_start, row_out);
         }
     })
 }

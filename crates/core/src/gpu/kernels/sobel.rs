@@ -7,7 +7,7 @@ use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
-use simgpu::kernel::{items, KernelDesc};
+use simgpu::kernel::KernelDesc;
 use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
@@ -57,13 +57,14 @@ pub(crate) fn sobel_scalar_launch(
     let desc = grid2d("sobel", w, h);
     let out = pedge.write_view();
     let src = src.clone();
-    // Row-span form: each group walks its 16-column tile row by row, so
+    // Row-span form: each group handles its 16-column segment of a row
+    // (every image row walked across the row's groups before the next), so
     // the stencil runs over contiguous slices (autovectorized by rustc or
     // dispatched to the explicit backends via [`simd::sobel_span`]). The
     // declared traffic stays exactly the per-pixel pattern of the
     // one-item-per-pixel form: eight window loads + one store per body
     // pixel, one zero store per border pixel. The observed raw reads are
-    // the three `(blen+2)`-wide row slices per tile row, which stay below
+    // the three `(blen+2)`-wide row slices per segment, which stay below
     // the charged windows for every width except `w == 3` (one-pixel body
     // spans), so narrow images keep the exact per-item path.
     let access = summarize(&launch, &desc, |groups| {
@@ -78,74 +79,84 @@ pub(crate) fn sobel_scalar_launch(
             tune,
         )
     });
-    launch.dispatch(q, &desc, access, &[pedge], move |g| {
+    launch.dispatch_rows(q, &desc, access, &[pedge], move |rc| {
         if w < 4 {
-            for l in items(g.group_size) {
-                g.begin_item(l);
-                let [x, y] = g.global_id(l);
-                if x >= w || y >= h {
-                    continue;
+            // Narrow images: the exact per-item path, each image row
+            // item by item across the row's groups.
+            let gw = rc.group_size[0];
+            for ly in 0..rc.group_size[1] {
+                let y = rc.global_y(ly);
+                for x in rc.groups.start * gw..rc.groups.end * gw {
+                    rc.begin_item(x / gw, [x % gw, ly]);
+                    if x >= w || y >= h {
+                        continue;
+                    }
+                    if x == 0 || y == 0 || x == w - 1 || y == h - 1 {
+                        out.set_raw(y * ws + x, 0.0);
+                        continue;
+                    }
+                    let (xi, yi) = (x as isize, y as isize);
+                    let at = |dx: isize, dy: isize| src.view.get_raw(src.idx(xi + dx, yi + dy));
+                    let n = [
+                        at(-1, -1),
+                        at(0, -1),
+                        at(1, -1),
+                        at(-1, 0),
+                        0.0, // centre value is unused by the operator
+                        at(1, 0),
+                        at(-1, 1),
+                        at(0, 1),
+                        at(1, 1),
+                    ];
+                    out.set_raw(y * ws + x, math::sobel_pixel(&n));
                 }
-                if x == 0 || y == 0 || x == w - 1 || y == h - 1 {
-                    out.set_raw(y * ws + x, 0.0);
-                    continue;
-                }
-                let (xi, yi) = (x as isize, y as isize);
-                let at = |dx: isize, dy: isize| src.view.get_raw(src.idx(xi + dx, yi + dy));
-                let n = [
-                    at(-1, -1),
-                    at(0, -1),
-                    at(1, -1),
-                    at(-1, 0),
-                    0.0, // centre value is unused by the operator
-                    at(1, 0),
-                    at(-1, 1),
-                    at(0, 1),
-                    at(1, 1),
-                ];
-                out.set_raw(y * ws + x, math::sobel_pixel(&n));
             }
             return;
         }
-        let gw = g.group_size[0];
-        let x_start = g.group_id[0] * gw;
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= w {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let x_end = (x_start + gw).min(w);
-            let span = x_end - x_start;
-            let row_out = &mut scratch[..span];
-            // Zero first: the border columns/rows the body span below does
-            // not overwrite store zero, as in the per-pixel form.
-            row_out.fill(0.0);
-            if y > 0 && y < h - 1 {
-                let body_lo = x_start.max(1);
-                let body_hi = x_end.min(w - 1);
-                if body_hi > body_lo {
-                    let blen = body_hi - body_lo;
-                    let yi = y as isize;
-                    let r0 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                    let r1 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                    let r2 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                    simd::sobel_span(
-                        r0,
-                        r1,
-                        r2,
-                        &mut row_out[body_lo - x_start..body_hi - x_start],
-                    );
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = gx * gw;
+                if x_start >= w {
+                    break;
                 }
+                let x_end = (x_start + gw).min(w);
+                let span = x_end - x_start;
+                let row_out = &mut scratch[..span];
+                // Zero first: the border columns/rows the body span below does
+                // not overwrite store zero, as in the per-pixel form.
+                row_out.fill(0.0);
+                if y > 0 && y < h - 1 {
+                    let body_lo = x_start.max(1);
+                    let body_hi = x_end.min(w - 1);
+                    if body_hi > body_lo {
+                        let blen = body_hi - body_lo;
+                        let yi = y as isize;
+                        let r0 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                        let r1 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                        let r2 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                        simd::sobel_span(
+                            r0,
+                            r1,
+                            r2,
+                            &mut row_out[body_lo - x_start..body_hi - x_start],
+                        );
+                    }
+                }
+                out.set_span_raw(y * ws + x_start, row_out);
             }
-            out.set_span_raw(y * ws + x_start, row_out);
         }
     })
 }
@@ -293,53 +304,59 @@ pub(crate) fn sobel_vec4_launch(
             tune,
         )
     });
-    launch.dispatch(q, &desc, access, &[pedge], move |g| {
-        // Row-segment form: the group's threads cover `4 * group_size[0]`
+    launch.dispatch_rows(q, &desc, access, &[pedge], move |rc| {
+        // Row-segment form: each group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
-        // the host autovectorizes it.
-        let gw = g.group_size[0];
-        let x_start = 4 * g.group_id[0] * gw;
+        // the host autovectorizes it; each image row is walked across the
+        // row's groups before the next.
+        let gw = rc.group_size[0];
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let y = g.group_id[1] * g.group_size[1] + ly;
-            if y >= h || x_start >= ws {
-                continue;
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            if y >= h {
+                break;
             }
-            let x_end = (x_start + 4 * gw).min(ws);
-            let span = x_end - x_start;
-            let row_out = &mut scratch[..span];
-            // Zero everything the body loop below does not overwrite: the
-            // image border columns and the stride-padding tail beyond `w`
-            // stay zero, matching the scalar kernel (which never writes
-            // the padding at all — it is zero from allocation).
-            row_out.fill(0.0);
-            if y > 0 && y < h - 1 {
-                let yi = y as isize;
-                let body_lo = x_start.max(1);
-                let body_hi = x_end.min(w - 1);
-                let blen = body_hi - body_lo;
-                let r0 = src
-                    .view
-                    .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                let r1 = src
-                    .view
-                    .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                let r2 = src
-                    .view
-                    .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                // `sobel_pixel` with the window columns i..i+3 in the
-                // identical operation order (left-to-right sums), so the
-                // span is bit-identical to the per-pixel form — pinned by
-                // `vec4_matches_scalar_exactly`.
-                simd::sobel_span(
-                    r0,
-                    r1,
-                    r2,
-                    &mut row_out[body_lo - x_start..body_hi - x_start],
-                );
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let x_start = 4 * gx * gw;
+                if x_start >= ws {
+                    break;
+                }
+                let x_end = (x_start + 4 * gw).min(ws);
+                let span = x_end - x_start;
+                let row_out = &mut scratch[..span];
+                // Zero everything the body loop below does not overwrite: the
+                // image border columns and the stride-padding tail beyond `w`
+                // stay zero, matching the scalar kernel (which never writes
+                // the padding at all — it is zero from allocation).
+                row_out.fill(0.0);
+                if y > 0 && y < h - 1 {
+                    let yi = y as isize;
+                    let body_lo = x_start.max(1);
+                    let body_hi = x_end.min(w - 1);
+                    let blen = body_hi - body_lo;
+                    let r0 = src
+                        .view
+                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                    let r1 = src
+                        .view
+                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                    let r2 = src
+                        .view
+                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                    // `sobel_pixel` with the window columns i..i+3 in the
+                    // identical operation order (left-to-right sums), so the
+                    // span is bit-identical to the per-pixel form — pinned by
+                    // `vec4_matches_scalar_exactly`.
+                    simd::sobel_span(
+                        r0,
+                        r1,
+                        r2,
+                        &mut row_out[body_lo - x_start..body_hi - x_start],
+                    );
+                }
+                out.set_span_raw(y * ws + x_start, row_out);
             }
-            out.set_span_raw(y * ws + x_start, row_out);
         }
     })
 }

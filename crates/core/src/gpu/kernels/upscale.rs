@@ -83,55 +83,63 @@ pub(crate) fn upscale_center_scalar_launch(
     let access = summarize(&launch, &desc, |groups| {
         upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    launch.dispatch(q, &desc, access, &[up], move |g| {
-        let gw = g.group_size[0];
-        let b_start = g.group_id[0] * gw;
+    launch.dispatch_rows(q, &desc, access, &[up], move |rc| {
+        let gw = rc.group_size[0];
         let mut tops = [0.0f32; 4 * GROUP_2D[0]];
         let mut bots = [0.0f32; 4 * GROUP_2D[0]];
         let mut out_row = [0.0f32; 4 * GROUP_2D[0]];
-        for ly in 0..g.group_size[1] {
-            g.begin_item([0, ly]);
-            let bj = g.group_id[1] * g.group_size[1] + ly;
-            if bj >= ny || b_start >= nx {
-                continue;
+        // Fully-interior block columns: all four columns
+        // (`SCALE*bi + 5 <= w-3`) clamp-free.
+        let fast_cols = if w >= 8 { (w - 8) / SCALE + 1 } else { 0 };
+        for ly in 0..rc.group_size[1] {
+            let bj = rc.global_y(ly);
+            if bj >= ny {
+                break;
             }
-            let b_end = (b_start + gw).min(nx);
-            // Fully-interior blocks: all four rows (`SCALE*bj + 5 <= h-3`)
-            // and all four columns (`SCALE*bi + 5 <= w-3`) clamp-free.
-            let fast_cols = if w >= 8 { (w - 8) / SCALE + 1 } else { 0 };
-            let fast_end = if SCALE * bj + 5 <= h - 3 {
-                b_end.min(fast_cols)
-            } else {
-                b_start
-            };
-            if fast_end > b_start {
-                let seg = fast_end - b_start;
-                let r0 = down.slice_raw(bj * wd + b_start, seg + 1);
-                let r1 = down.slice_raw((bj + 1) * wd + b_start, seg + 1);
-                simd::interp4_span(r0, &mut tops[..4 * seg]);
-                simd::interp4_span(r1, &mut bots[..4 * seg]);
-                for (r, [i0, i1]) in INTERP.iter().enumerate() {
-                    let out = &mut out_row[..4 * seg];
-                    simd::lerp_span(*i0, *i1, &tops[..4 * seg], &bots[..4 * seg], out);
-                    upv.set_span_raw((SCALE * bj + 2 + r) * ws + SCALE * b_start + 2, out);
+            // Fully-interior block rows: all four rows (`SCALE*bj + 5 <=
+            // h-3`) clamp-free.
+            let fast_row = SCALE * bj + 5 <= h - 3;
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let b_start = gx * gw;
+                if b_start >= nx {
+                    break;
                 }
-            }
-            for bi in fast_end.max(b_start)..b_end {
-                let d00 = down.get_raw(bj * wd + bi);
-                let d01 = down.get_raw(bj * wd + bi + 1);
-                let d10 = down.get_raw((bj + 1) * wd + bi);
-                let d11 = down.get_raw((bj + 1) * wd + bi + 1);
-                for r in 0..SCALE {
-                    let y = SCALE * bj + 2 + r;
-                    if y > h - 3 {
-                        break;
+                let b_end = (b_start + gw).min(nx);
+                let fast_end = if fast_row {
+                    b_end.min(fast_cols)
+                } else {
+                    b_start
+                };
+                if fast_end > b_start {
+                    let seg = fast_end - b_start;
+                    let r0 = down.slice_raw(bj * wd + b_start, seg + 1);
+                    let r1 = down.slice_raw((bj + 1) * wd + b_start, seg + 1);
+                    simd::interp4_span(r0, &mut tops[..4 * seg]);
+                    simd::interp4_span(r1, &mut bots[..4 * seg]);
+                    for (r, [i0, i1]) in INTERP.iter().enumerate() {
+                        let out = &mut out_row[..4 * seg];
+                        simd::lerp_span(*i0, *i1, &tops[..4 * seg], &bots[..4 * seg], out);
+                        upv.set_span_raw((SCALE * bj + 2 + r) * ws + SCALE * b_start + 2, out);
                     }
-                    for c in 0..SCALE {
-                        let x = SCALE * bi + 2 + c;
-                        if x > w - 3 {
+                }
+                for bi in fast_end.max(b_start)..b_end {
+                    let d00 = down.get_raw(bj * wd + bi);
+                    let d01 = down.get_raw(bj * wd + bi + 1);
+                    let d10 = down.get_raw((bj + 1) * wd + bi);
+                    let d11 = down.get_raw((bj + 1) * wd + bi + 1);
+                    for r in 0..SCALE {
+                        let y = SCALE * bj + 2 + r;
+                        if y > h - 3 {
                             break;
                         }
-                        upv.set_raw(y * ws + x, math::upscale_value(d00, d01, d10, d11, r, c));
+                        for c in 0..SCALE {
+                            let x = SCALE * bi + 2 + c;
+                            if x > w - 3 {
+                                break;
+                            }
+                            upv.set_raw(y * ws + x, math::upscale_value(d00, d01, d10, d11, r, c));
+                        }
                     }
                 }
             }
@@ -313,88 +321,99 @@ pub(crate) fn upscale_center_vec4_launch(
     let access = summarize(&launch, &desc, |groups| {
         upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    launch.dispatch(q, &desc, access, &[up], move |g| {
-        for l in items(g.group_size) {
-            g.begin_item(l);
-            let [t, bj] = g.global_id(l);
-            let bi0 = 4 * t;
-            if bi0 >= nx || bj >= ny {
-                continue;
+    launch.dispatch_rows(q, &desc, access, &[up], move |rc| {
+        // One thread per four blocks; each block row is walked across all
+        // of the row's groups, thread by thread, before the next.
+        let gw = rc.group_size[0];
+        for ly in 0..rc.group_size[1] {
+            let bj = rc.global_y(ly);
+            if bj >= ny {
+                break;
             }
-            // Fast path: all four blocks exist, the 5-wide row segments
-            // are in bounds, and the whole 16×4 output tile is interior
-            // (the two clamp conditions are automatically true for
-            // multiple-of-4 shapes).
-            if bi0 + 3 < nx && SCALE * bi0 + 17 <= w - 3 && SCALE * bj + 5 <= h - 3 {
-                // `upscale_value` is evaluated with the column
-                // interpolants hoisted out of the row loop — the identical
-                // multiplies/adds in the identical order, each computed
-                // once instead of four times — and the four vstore4s of
-                // one output row written as a 16-wide span so the host
-                // loop autovectorizes.
-                let r0 = down.slice_raw(bj * wd + bi0, 5);
-                let r1 = down.slice_raw((bj + 1) * wd + bi0, 5);
-                let mut tops = [0.0f32; 16];
-                let mut bots = [0.0f32; 16];
-                simd::interp4_span(r0, &mut tops);
-                simd::interp4_span(r1, &mut bots);
-                let mut out16 = [0.0f32; 16];
-                for (r, [i0, i1]) in INTERP.iter().enumerate() {
-                    simd::lerp_span(*i0, *i1, &tops, &bots, &mut out16);
-                    upv.set_span_raw((SCALE * bj + 2 + r) * ws + SCALE * bi0 + 2, &out16);
-                }
-                continue;
-            }
-            // Load the two downscaled row segments covering blocks
-            // bi0 .. bi0+3: columns bi0 .. bi0+4 (the 5th column is only
-            // needed — and only in bounds — when block bi0+3 exists).
-            let mut rows = [[0.0f32; 5]; 2];
-            for (dr, row) in rows.iter_mut().enumerate() {
-                let base = (bj + dr) * wd;
-                if bi0 + 3 < wd {
-                    // Aligned interior: one vload4 + one scalar.
-                    down.read_into(base + bi0, &mut row[..4]);
-                    if bi0 + 4 < wd {
-                        row[4] = down.get_raw(base + bi0 + 4);
-                    }
-                } else {
-                    // Row tail (wd not a multiple of 4): scalar loads of
-                    // whatever columns exist.
-                    let cnt = wd - bi0;
-                    down.read_into(base + bi0, &mut row[..cnt]);
-                }
-            }
-            for k in 0..4 {
-                let bi = bi0 + k;
-                if bi >= nx {
+            for t in rc.groups.start * gw..rc.groups.end * gw {
+                rc.begin_item(t / gw, [t % gw, ly]);
+                let bi0 = 4 * t;
+                if bi0 >= nx {
                     break;
                 }
-                let d00 = rows[0][k];
-                let d01 = rows[0][k + 1];
-                let d10 = rows[1][k];
-                let d11 = rows[1][k + 1];
-                for r in 0..SCALE {
-                    let y = SCALE * bj + 2 + r;
-                    if y > h - 3 {
+                // Fast path: all four blocks exist, the 5-wide row segments
+                // are in bounds, and the whole 16×4 output tile is interior
+                // (the two clamp conditions are automatically true for
+                // multiple-of-4 shapes).
+                if bi0 + 3 < nx && SCALE * bi0 + 17 <= w - 3 && SCALE * bj + 5 <= h - 3 {
+                    // `upscale_value` is evaluated with the column
+                    // interpolants hoisted out of the row loop — the identical
+                    // multiplies/adds in the identical order, each computed
+                    // once instead of four times — and the four vstore4s of
+                    // one output row written as a 16-wide span so the host
+                    // loop autovectorizes.
+                    let r0 = down.slice_raw(bj * wd + bi0, 5);
+                    let r1 = down.slice_raw((bj + 1) * wd + bi0, 5);
+                    let mut tops = [0.0f32; 16];
+                    let mut bots = [0.0f32; 16];
+                    simd::interp4_span(r0, &mut tops);
+                    simd::interp4_span(r1, &mut bots);
+                    let mut out16 = [0.0f32; 16];
+                    for (r, [i0, i1]) in INTERP.iter().enumerate() {
+                        simd::lerp_span(*i0, *i1, &tops, &bots, &mut out16);
+                        upv.set_span_raw((SCALE * bj + 2 + r) * ws + SCALE * bi0 + 2, &out16);
+                    }
+                    continue;
+                }
+                // Load the two downscaled row segments covering blocks
+                // bi0 .. bi0+3: columns bi0 .. bi0+4 (the 5th column is only
+                // needed — and only in bounds — when block bi0+3 exists).
+                let mut rows = [[0.0f32; 5]; 2];
+                for (dr, row) in rows.iter_mut().enumerate() {
+                    let base = (bj + dr) * wd;
+                    if bi0 + 3 < wd {
+                        // Aligned interior: one vload4 + one scalar.
+                        down.read_into(base + bi0, &mut row[..4]);
+                        if bi0 + 4 < wd {
+                            row[4] = down.get_raw(base + bi0 + 4);
+                        }
+                    } else {
+                        // Row tail (wd not a multiple of 4): scalar loads of
+                        // whatever columns exist.
+                        let cnt = wd - bi0;
+                        down.read_into(base + bi0, &mut row[..cnt]);
+                    }
+                }
+                for k in 0..4 {
+                    let bi = bi0 + k;
+                    if bi >= nx {
                         break;
                     }
-                    let x0 = SCALE * bi + 2;
-                    if x0 + 3 <= w - 3 {
-                        // Whole 4-wide output row is interior: one vstore4
-                        // (the only case for multiple-of-4 shapes).
-                        let mut out = [0.0f32; 4];
-                        for (c, slot) in out.iter_mut().enumerate() {
-                            *slot = math::upscale_value(d00, d01, d10, d11, r, c);
+                    let d00 = rows[0][k];
+                    let d01 = rows[0][k + 1];
+                    let d10 = rows[1][k];
+                    let d11 = rows[1][k + 1];
+                    for r in 0..SCALE {
+                        let y = SCALE * bj + 2 + r;
+                        if y > h - 3 {
+                            break;
                         }
-                        upv.set4_raw(y * ws + x0, out);
-                    } else {
-                        // Ragged right edge: clamped scalar stores.
-                        for c in 0..SCALE {
-                            let x = x0 + c;
-                            if x > w - 3 {
-                                break;
+                        let x0 = SCALE * bi + 2;
+                        if x0 + 3 <= w - 3 {
+                            // Whole 4-wide output row is interior: one vstore4
+                            // (the only case for multiple-of-4 shapes).
+                            let mut out = [0.0f32; 4];
+                            for (c, slot) in out.iter_mut().enumerate() {
+                                *slot = math::upscale_value(d00, d01, d10, d11, r, c);
                             }
-                            upv.set_raw(y * ws + x, math::upscale_value(d00, d01, d10, d11, r, c));
+                            upv.set4_raw(y * ws + x0, out);
+                        } else {
+                            // Ragged right edge: clamped scalar stores.
+                            for c in 0..SCALE {
+                                let x = x0 + c;
+                                if x > w - 3 {
+                                    break;
+                                }
+                                upv.set_raw(
+                                    y * ws + x,
+                                    math::upscale_value(d00, d01, d10, d11, r, c),
+                                );
+                            }
                         }
                     }
                 }

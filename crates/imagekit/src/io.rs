@@ -100,6 +100,11 @@ fn bad_data(msg: String) -> io::Error {
 }
 
 /// Reads one whitespace-delimited header token, skipping `#` comments.
+/// Longest header token accepted (magic, dimension, maxval or ASCII
+/// sample). Every valid token is far shorter; the cap keeps a header of
+/// endless digits from growing memory without bound.
+pub const MAX_TOKEN: usize = 64;
+
 fn read_token<R: BufRead>(r: &mut R) -> io::Result<String> {
     let mut tok = String::new();
     loop {
@@ -111,9 +116,7 @@ fn read_token<R: BufRead>(r: &mut R) -> io::Result<String> {
         }
         let c = byte[0] as char;
         if c == '#' {
-            // Comment to end of line.
-            let mut line = String::new();
-            r.read_line(&mut line)?;
+            skip_comment(r)?;
             continue;
         }
         if c.is_ascii_whitespace() {
@@ -122,9 +125,36 @@ fn read_token<R: BufRead>(r: &mut R) -> io::Result<String> {
             }
             break;
         }
+        if tok.len() >= MAX_TOKEN {
+            return Err(bad_data(format!(
+                "header token longer than {MAX_TOKEN} bytes"
+            )));
+        }
         tok.push(c);
     }
     Ok(tok)
+}
+
+/// Skips a comment's bytes up to and including the end of its line (or
+/// the end of input), without decoding them: Netpbm comments may hold any
+/// bytes, not only UTF-8.
+fn skip_comment<R: BufRead>(r: &mut R) -> io::Result<()> {
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n' || b == b'\r') {
+            Some(i) => {
+                r.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = buf.len();
+                r.consume(n);
+            }
+        }
+    }
 }
 
 fn parse_token<R: BufRead, T: std::str::FromStr>(r: &mut R) -> io::Result<T> {
@@ -248,6 +278,44 @@ mod tests {
         std::fs::write(&p, format!("P6\n{} 4\n255\n", MAX_DIM + 1)).unwrap();
         assert_eq!(read_ppm(&p).unwrap_err().kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn latin1_comment_parses() {
+        // `# café scan` in Latin-1: the comment is not valid UTF-8, which
+        // a line-decoding skip rejected.
+        let p = tmpfile("k1.pgm");
+        std::fs::write(&p, b"P5\n# caf\xe9 scan\n2 1\n255\n\x10\x20").unwrap();
+        let img = read_pgm(&p).unwrap();
+        assert_eq!(img.pixels(), &[0x10, 0x20]);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn latin1_comment_parses_in_ppm_header() {
+        let p = tmpfile("k2.ppm");
+        std::fs::write(&p, b"P6\n# caf\xe9 scan\n1 1\n255\n\x01\x02\x03").unwrap();
+        let img = read_ppm(&p).unwrap();
+        assert_eq!(img.bytes(), &[1, 2, 3]);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn over_long_header_token_rejected() {
+        let mut body = b"P5\n".to_vec();
+        body.extend(std::iter::repeat_n(b'7', 1 << 20));
+        body.extend(b" 1\n255\n\x00");
+        let p = tmpfile("k3.pgm");
+        std::fs::write(&p, &body).unwrap();
+        let err = read_pgm(&p).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than"), "{err}");
+        std::fs::remove_file(&p).ok();
+        // A token exactly at the cap is still read (and then rejected as a
+        // dimension, not as a token).
+        let at_cap = "1".repeat(MAX_TOKEN);
+        let mut cur = io::Cursor::new(format!("{at_cap} x").into_bytes());
+        assert_eq!(read_token(&mut cur).unwrap(), at_cap);
     }
 
     #[test]

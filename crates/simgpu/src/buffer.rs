@@ -10,9 +10,10 @@
 //! # Safety model
 //!
 //! Work-groups of one dispatch run in parallel (scoped host threads, see
-//! [`crate::par`]). The simulator
-//! relies on the same invariant a real GPU kernel does: *distinct
-//! work-items write distinct elements*. Reads and writes go through raw
+//! [`crate::par`]), one closure call per work-group or per work-group row
+//! ([`crate::kernel`]); a row unit runs its groups in turn on one thread.
+//! The simulator relies on the same invariant a real GPU kernel does:
+//! *distinct work-items write distinct elements*. Reads and writes go through raw
 //! pointers internally; the invariant is checked — not assumed — when the
 //! owning [`crate::context::Context`] enables validation, in which case
 //! every store sets a per-element mark and a second store to the same

@@ -1,23 +1,38 @@
-//! Kernel descriptions and the per-work-group execution context.
+//! Kernel descriptions and the two host execution contexts.
 //!
-//! A kernel in `simgpu` is a Rust closure invoked once per *work-group*
-//! with a [`GroupCtx`]. The closure iterates over its work-items itself
-//! (usually with [`items`]), which makes work-group barriers trivial to
-//! express faithfully: the author simply finishes a phase across all items
-//! before calling [`GroupCtx::barrier`] and starting the next — exactly the
-//! lockstep structure an OpenCL kernel with `barrier(CLK_LOCAL_MEM_FENCE)`
-//! has, without needing per-item coroutines.
+//! A kernel in `simgpu` is a Rust closure. The dispatch call picks the
+//! unit of host work it is invoked for:
+//!
+//! * once per *work-group* with a [`GroupCtx`]
+//!   ([`crate::queue::CommandQueue::run`]). The closure iterates over its
+//!   work-items itself (usually with [`items`]), which makes work-group
+//!   barriers trivial to express faithfully: the author simply finishes a
+//!   phase across all items before calling [`GroupCtx::barrier`] and
+//!   starting the next — exactly the lockstep structure an OpenCL kernel
+//!   with `barrier(CLK_LOCAL_MEM_FENCE)` has, without needing per-item
+//!   coroutines;
+//! * once per *work-group row* with a [`RowCtx`]
+//!   ([`crate::queue::CommandQueue::run_rows`]). The closure walks each
+//!   local row across every group of the run before the next local row,
+//!   so the host streams whole image rows instead of finishing one
+//!   group's narrow tile before starting the next. Each group's work is
+//!   unchanged — only the order differs — and [`RowCtx::begin_item`]
+//!   names the group column, so the sanitizer attributes every access to
+//!   the same (work-group, item) as per-group execution. A row context
+//!   has no local memory and no barrier: a kernel that needs either is
+//!   dispatched per group.
 //!
 //! A kernel closure only computes pixels: global memory goes through the
 //! buffer views directly, and nothing here counts work. What a dispatch
 //! costs is declared up front, in closed form, by the
-//! [`crate::access::AccessSummary`] handed to
-//! [`crate::queue::CommandQueue::run`]; the context keeps only what the
-//! semantics and the sanitizer need — the item cursor, local (LDS)
-//! scratch, and barriers.
+//! [`crate::access::AccessSummary`] handed to the queue; the contexts keep
+//! only what the semantics and the sanitizer need — the item cursor, local
+//! (LDS) scratch, and barriers.
 
 use crate::error::{Error, Result};
-use crate::sanitize::GroupSan;
+use std::sync::Arc;
+
+use crate::sanitize::{item_tag, GroupSan, SanitizeShared};
 
 /// Geometry and identity of one kernel dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +163,8 @@ impl GroupCtx {
     /// their `items()` loop; span-form kernels that handle a whole row per
     /// logical thread call it once per row (row-level attribution — races
     /// *within* one row are not distinguished, which matches the
-    /// one-thread-per-row dispatch shape they model).
+    /// one-thread-per-row dispatch shape they model). Row-dispatched
+    /// kernels use [`RowCtx::begin_item`], which derives the same tags.
     #[inline]
     pub fn begin_item(&mut self, local: [usize; 2]) {
         if let Some(s) = &mut self.san {
@@ -225,6 +241,65 @@ impl GroupCtx {
         if let Some(s) = &mut self.san {
             s.on_barrier();
         }
+    }
+}
+
+/// Per-work-group-row execution context handed to row-dispatched kernel
+/// closures ([`crate::queue::CommandQueue::run_rows`]).
+///
+/// One row unit is the run `groups` of consecutive work-groups in group
+/// row `group_y` — a whole group row unless the dispatch's group range
+/// starts or ends inside it. The kernel loops its local rows outermost and
+/// the run's groups inside, calling [`RowCtx::begin_item`] with the group
+/// column before each group's accesses.
+pub struct RowCtx {
+    /// Grid row (y group coordinate) of every group in the run.
+    pub group_y: usize,
+    /// Group columns (x group coordinates) of the run, left to right.
+    pub groups: std::ops::Range<usize>,
+    /// The work-group size from the [`KernelDesc`].
+    pub group_size: [usize; 2],
+    /// Grid size in groups.
+    pub num_groups: [usize; 2],
+    /// Sanitizer handle and dispatch epoch; `Some` only under a sanitized
+    /// context. Observation only.
+    san: Option<(Arc<SanitizeShared>, u64)>,
+}
+
+impl RowCtx {
+    pub(crate) fn new(
+        desc: &KernelDesc,
+        group_y: usize,
+        groups: std::ops::Range<usize>,
+        san: Option<(Arc<SanitizeShared>, u64)>,
+    ) -> Self {
+        RowCtx {
+            group_y,
+            groups,
+            group_size: desc.group,
+            num_groups: desc.num_groups(),
+            san,
+        }
+    }
+
+    /// Declares which work-item of group column `group_x` the following
+    /// accesses belong to — the same tag [`GroupCtx::begin_item`] gives
+    /// that item in a per-group dispatch. Charges nothing and is a no-op
+    /// on unsanitized contexts.
+    #[inline]
+    pub fn begin_item(&mut self, group_x: usize, local: [usize; 2]) {
+        if let Some((s, epoch)) = &self.san {
+            let group = self.group_y * self.num_groups[0] + group_x;
+            let lanes = self.group_size[0] * self.group_size[1];
+            let lane = (local[1] * self.group_size[0] + local[0]) as u64;
+            s.set_cursor(*epoch, item_tag(group, lanes, lane));
+        }
+    }
+
+    /// Global row of local row `ly`.
+    #[inline]
+    pub fn global_y(&self, ly: usize) -> usize {
+        self.group_y * self.group_size[1] + ly
     }
 }
 

@@ -4,8 +4,8 @@
 //! *Optimizing Image Sharpening Algorithm on GPU* (ICPP 2015). The paper's
 //! experiments ran on an AMD FirePro W8000 over PCI-E; this environment has
 //! neither, so the device is **simulated**: kernels execute functionally on
-//! the host (work-groups in parallel on scoped threads, producing real
-//! pixels) while
+//! the host (work-groups, or whole work-group rows, in parallel on scoped
+//! threads, producing real pixels) while
 //! a calibrated analytical cost model charges simulated time for every
 //! command — kernel launches, ALU work, global/local memory traffic,
 //! barriers, divergence, PCI-E transfers in three modes (bulk, rect,
@@ -27,12 +27,18 @@
 //! * [`KernelDesc`](kernel::KernelDesc) + a closure ≈ a compiled kernel and
 //!   its NDRange.
 //!
-//! Kernels are closures invoked per *work-group* with a
-//! [`GroupCtx`](kernel::GroupCtx); they iterate their work-items, access
-//! global memory through the buffer views, local memory through
-//! `local_read`/`local_write`, and synchronise with `barrier()`. See the
-//! [`kernel`] module docs for why this reproduces OpenCL barrier semantics
-//! faithfully. A closure computes pixels and nothing else: each dispatch
+//! Kernels are closures. Dispatched with
+//! [`run`](queue::CommandQueue::run), a closure is invoked once per
+//! *work-group* with a [`GroupCtx`](kernel::GroupCtx); it iterates its
+//! work-items, accesses global memory through the buffer views, local
+//! memory through `local_read`/`local_write`, and synchronises with
+//! `barrier()`. See the [`kernel`] module docs for why this reproduces
+//! OpenCL barrier semantics faithfully. Dispatched with
+//! [`run_rows`](queue::CommandQueue::run_rows), a closure is invoked once
+//! per *work-group row* with a [`RowCtx`](kernel::RowCtx) and walks each
+//! image row across all of the row's groups before the next — the same
+//! per-group work in a streaming host order, for kernels without local
+//! memory or barriers. A closure computes pixels and nothing else: each dispatch
 //! hands the queue an [`AccessSummary`](access::AccessSummary) that
 //! declares, in closed form, the windows it touches and the
 //! [`CostCounters`](cost::CostCounters) it costs. Declared once, charged
@@ -100,7 +106,7 @@ pub mod prelude {
     pub use crate::cost::{CostCounters, OpCounts};
     pub use crate::device::{CpuSpec, DeviceSpec, TransferModel};
     pub use crate::error::{Error, Result};
-    pub use crate::kernel::{items, round_up, GroupCtx, KernelDesc};
+    pub use crate::kernel::{items, round_up, GroupCtx, KernelDesc, RowCtx};
     pub use crate::metrics::{Counter, Gauge, Histogram, Metric, MetricsRegistry};
     pub use crate::pool::{BufferPool, PoolStats};
     pub use crate::queue::{CommandKind, CommandQueue, CommandRecord};

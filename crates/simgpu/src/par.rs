@@ -4,8 +4,10 @@
 //! module provides the small scoped-thread fan-out used by kernel dispatch
 //! ([`crate::queue::CommandQueue::run`]) — a dependency-free replacement for
 //! the rayon pool the seed used, which keeps the workspace buildable
-//! offline. Work is handed out in chunks through an atomic cursor so
-//! uneven groups (reduction tails, border kernels) still balance.
+//! offline. The indices are the dispatch's units — work-groups, or
+//! work-group rows for row-dispatched kernels. Work is handed out in
+//! chunks through an atomic cursor so uneven units (reduction tails,
+//! border kernels, a ragged last group row) still balance.
 //!
 //! Parallelism is a per-[`crate::context::Context`] knob: a latency-bound
 //! caller uses every host core for one dispatch, while a throughput engine

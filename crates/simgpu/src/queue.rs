@@ -3,7 +3,13 @@
 //! Commands execute *functionally* right away (kernels run in parallel over
 //! work-groups on scoped host threads; transfers copy memory) while their
 //! *simulated* duration is computed from the timing model and appended to
-//! the queue's virtual clock. A kernel's duration comes from the
+//! the queue's virtual clock. The dispatch call picks the unit of host
+//! work: [`CommandQueue::run`] calls the kernel closure once per
+//! work-group, [`CommandQueue::run_rows`] once per work-group row (the
+//! closure walks each image row across the row's groups). Both run the
+//! same groups through one execution loop and charge the same
+//! declaration, so the unit changes host wall time only — never pixels,
+//! records or simulated seconds. A kernel's duration comes from the
 //! [`CostCounters`] its [`AccessSummary`] declares — the queue charges
 //! that declaration and nothing else. Because the queue is in-order — like
 //! the paper's OpenCL command queue with the default execution mode —
@@ -23,7 +29,7 @@ use crate::buffer::{Buffer, Scalar};
 use crate::cost::CostCounters;
 use crate::device::{CpuSpec, DeviceSpec};
 use crate::error::{Error, Result};
-use crate::kernel::{GroupCtx, KernelDesc};
+use crate::kernel::{GroupCtx, KernelDesc, RowCtx};
 use crate::sanitize::{DriftClass, GroupSan, SanitizeShared, Violation};
 use crate::span::{SpanId, SpanKind, SpanRecord, SpanRing};
 use crate::timing::{
@@ -125,6 +131,16 @@ impl SlicedDispatch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The unit of parallel host work a dispatch executes its closure for: one
+/// work-group, or one run of work-groups in a group row. The dispatch call
+/// picks it ([`CommandQueue::run`] / [`CommandQueue::run_sliced`] per
+/// group, [`CommandQueue::run_rows`] / [`CommandQueue::run_sliced_rows`]
+/// per row); both go through the one execution loop.
+enum Unit<'f> {
+    Group(&'f (dyn Fn(&mut GroupCtx) + Sync)),
+    Row(&'f (dyn Fn(&mut RowCtx) + Sync)),
 }
 
 /// An in-order command queue bound to one simulated device and one modeled
@@ -309,6 +325,33 @@ impl CommandQueue {
     where
         F: Fn(&mut GroupCtx) + Sync,
     {
+        self.run_unit(desc, decl, outputs, Unit::Group(&f))
+    }
+
+    /// [`CommandQueue::run`] with the work-group *row* as the unit of host
+    /// work: `f` runs once per group row (rows in parallel) with a
+    /// [`RowCtx`] over the row's groups. Counters, records and simulated
+    /// time are those of the same dispatch run per group.
+    pub fn run_rows<F>(
+        &mut self,
+        desc: &KernelDesc,
+        decl: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        f: F,
+    ) -> Result<KernelTime>
+    where
+        F: Fn(&mut RowCtx) + Sync,
+    {
+        self.run_unit(desc, decl, outputs, Unit::Row(&f))
+    }
+
+    fn run_unit(
+        &mut self,
+        desc: &KernelDesc,
+        decl: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        unit: Unit<'_>,
+    ) -> Result<KernelTime> {
         if !decl.covers_full_grid() {
             return Err(Error::Access(AccessError::GridMismatch {
                 kernel: desc.name.clone(),
@@ -318,7 +361,7 @@ impl CommandQueue {
                 ),
             }));
         }
-        let (r, w) = self.execute(desc, &decl, outputs, f)?;
+        let (r, w) = self.execute(desc, &decl, outputs, unit)?;
         if let Some(sh) = &self.sanitize {
             sh.audit_totals(&desc.name, &decl.charged, r, w, decl.read_ratio);
         }
@@ -362,10 +405,38 @@ impl CommandQueue {
     where
         F: Fn(&mut GroupCtx) + Sync,
     {
+        self.slice_unit(desc, decl, outputs, acc, Unit::Group(&f))
+    }
+
+    /// [`CommandQueue::run_sliced`] with the work-group row as the unit of
+    /// host work, as in [`CommandQueue::run_rows`]. A slice that starts or
+    /// ends inside a group row hands the row's covered groups to `f`.
+    pub fn run_sliced_rows<F>(
+        &mut self,
+        desc: &KernelDesc,
+        decl: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        acc: &mut SlicedDispatch,
+        f: F,
+    ) -> Result<()>
+    where
+        F: Fn(&mut RowCtx) + Sync,
+    {
+        self.slice_unit(desc, decl, outputs, acc, Unit::Row(&f))
+    }
+
+    fn slice_unit(
+        &mut self,
+        desc: &KernelDesc,
+        decl: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        acc: &mut SlicedDispatch,
+        unit: Unit<'_>,
+    ) -> Result<()> {
         if decl.groups.is_empty() {
             return Ok(());
         }
-        let (r, w) = self.execute(desc, &decl, outputs, f)?;
+        let (r, w) = self.execute(desc, &decl, outputs, unit)?;
         acc.counters.merge(&decl.charged);
         acc.declared_read_bytes += decl.declared_read_bytes();
         acc.read_ratio = acc.read_ratio.max(decl.read_ratio);
@@ -386,24 +457,21 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// The group-execution path shared by [`Self::run`] and
-    /// [`Self::run_sliced`]: checks `decl` against `desc` and verifies it
-    /// statically (bounds, write disjointness, accounting) before any work
-    /// runs, executes `f` once per work-group of `decl.groups` in parallel,
-    /// cross-validates the declared windows against the sanitizer's
-    /// observation, and checks `outputs` for write races. Returns the
-    /// observed global `(read, write)` bytes — zero on unsanitized
-    /// contexts.
-    fn execute<F>(
+    /// The one group-execution loop, shared by every dispatch entry point:
+    /// checks `decl` against `desc` and verifies it statically (bounds,
+    /// write disjointness, accounting) before any work runs, executes the
+    /// groups of `decl.groups` in parallel — one closure call per group,
+    /// or per group row covering them, as `unit` says — cross-validates
+    /// the declared windows against the sanitizer's observation, and checks
+    /// `outputs` for write races. Returns the observed global `(read,
+    /// write)` bytes — zero on unsanitized contexts.
+    fn execute(
         &self,
         desc: &KernelDesc,
         decl: &AccessSummary,
         outputs: &[&dyn WriteTracked],
-        f: F,
-    ) -> Result<(u64, u64)>
-    where
-        F: Fn(&mut GroupCtx) + Sync,
-    {
+        unit: Unit<'_>,
+    ) -> Result<(u64, u64)> {
         desc.check()?;
         if decl.kernel != desc.name || decl.total_groups != desc.total_groups() {
             return Err(Error::Access(AccessError::GridMismatch {
@@ -428,25 +496,42 @@ impl CommandQueue {
             self.dispatch_threads
         };
         let san_epoch = self.sanitize.as_ref().map(|s| s.begin_dispatch(&desc.name));
+        let san = || match (&self.sanitize, san_epoch) {
+            (Some(s), Some(e)) => Some((Arc::clone(s), e)),
+            _ => None,
+        };
+        // Units are the groups of the range, or the group rows it touches
+        // (each clipped to the range).
+        let groups = decl.groups.clone();
+        let (first, units) = match unit {
+            Unit::Group(_) => (groups.start, groups.len()),
+            Unit::Row(_) => (
+                groups.start / gx,
+                groups.end.div_ceil(gx) - groups.start / gx,
+            ),
+        };
         // A panicking kernel closure (e.g. an out-of-bounds assertion on an
         // unsanitized context) is caught and surfaced as a recoverable
         // `Error::KernelPanic` instead of tearing the process down.
         let panic_msg: Mutex<Option<String>> = Mutex::new(None);
         let poisoned = AtomicBool::new(false);
-        let start = decl.groups.start;
-        crate::par::for_each_index(decl.groups.len(), threads, |i| {
+        crate::par::for_each_index(units, threads, |i| {
             if poisoned.load(Ordering::Relaxed) {
                 return;
             }
-            let gi = start + i;
-            let san = match (&self.sanitize, san_epoch) {
-                (Some(s), Some(e)) => Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes())),
-                _ => None,
+            let u = first + i;
+            let body = || match unit {
+                Unit::Group(f) => {
+                    let san = san().map(|(s, e)| GroupSan::new(s, e, u, desc.group_lanes()));
+                    f(&mut GroupCtx::new_with(desc, [u % gx, u / gx], san))
+                }
+                Unit::Row(f) => {
+                    let lo = groups.start.max(u * gx) - u * gx;
+                    let hi = groups.end.min((u + 1) * gx) - u * gx;
+                    f(&mut RowCtx::new(desc, u, lo..hi, san()))
+                }
             };
-            let mut ctx = GroupCtx::new_with(desc, [gi % gx, gi / gx], san);
-            if let Err(payload) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
-            {
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
                 poisoned.store(true, Ordering::Relaxed);
                 let msg = payload
                     .downcast_ref::<&str>()
@@ -1143,6 +1228,123 @@ mod tests {
             Error::Access(AccessError::GridMismatch { .. })
         ));
         assert!(q.records().is_empty());
+    }
+
+    /// Runs a recording row kernel over `desc` with `threads` host
+    /// threads, whole-grid (`cuts == None`) or sliced at the given flat
+    /// group cuts (which may fall inside a group row). Returns every row
+    /// unit's `(group_y, run, visits)` in completion order, where `visits`
+    /// lists the unit's `(group_x, local row)` calls in execution order.
+    #[allow(clippy::type_complexity)]
+    fn record_rows(
+        desc: &KernelDesc,
+        threads: usize,
+        cuts: Option<&[usize]>,
+    ) -> Vec<(usize, std::ops::Range<usize>, Vec<(usize, usize)>)> {
+        let ctx = ctx().with_dispatch_threads(threads);
+        let mut q = ctx.queue();
+        let log = Mutex::new(Vec::new());
+        let body = |r: &mut RowCtx| {
+            let mut visits = Vec::new();
+            for ly in 0..r.group_size[1] {
+                for gx in r.groups.clone() {
+                    r.begin_item(gx, [0, ly]);
+                    visits.push((gx, ly));
+                }
+            }
+            log.lock()
+                .unwrap()
+                .push((r.group_y, r.groups.clone(), visits));
+        };
+        let n = desc.total_groups();
+        match cuts {
+            None => {
+                q.run_rows(desc, AccessSummary::new(desc, 0..n), &[], body)
+                    .unwrap();
+            }
+            Some(cuts) => {
+                let mut acc = SlicedDispatch::new();
+                let mut start = 0;
+                for &end in cuts.iter().chain(&[n]) {
+                    let decl = AccessSummary::new(desc, start..end);
+                    q.run_sliced_rows(desc, decl, &[], &mut acc, body).unwrap();
+                    start = end;
+                }
+                q.commit_sliced(desc, acc).unwrap();
+            }
+        }
+        assert_eq!(q.records().len(), 1);
+        log.into_inner().unwrap()
+    }
+
+    #[test]
+    fn row_dispatch_visits_every_group_row_pair_once_in_row_order() {
+        let grids = [
+            KernelDesc::new("ragged", [1008, 704], [16, 16]), // 1001x701
+            KernelDesc::new("one_wide", [16, 80], [16, 16]),
+            KernelDesc::new("one_row", [160, 16], [16, 16]),
+            KernelDesc::new("odd_group", [24, 20], [8, 4]),
+        ];
+        for desc in &grids {
+            let [gx, gy] = desc.num_groups();
+            let n = gx * gy;
+            // Whole grid, whole-group-row slices, and cuts inside rows.
+            let row_cuts: Vec<usize> = (1..gy).step_by(2).map(|r| r * gx).collect();
+            let mid_cuts: Vec<usize> = [gx / 2, gx + 1, n / 2, n - 1]
+                .into_iter()
+                .filter(|&c| c > 0 && c < n)
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            for cuts in [None, Some(&row_cuts[..]), Some(&mid_cuts[..])] {
+                for threads in [1, 2] {
+                    let what = format!("{} cuts {cuts:?} threads {threads}", desc.name);
+                    let units = record_rows(desc, threads, cuts);
+                    let mut seen = vec![0u32; n * desc.group[1]];
+                    for (group_y, run, visits) in &units {
+                        assert!(!run.is_empty() && run.end <= gx, "{what}");
+                        // Local rows outermost, the run's groups inside.
+                        let expected: Vec<(usize, usize)> = (0..desc.group[1])
+                            .flat_map(|ly| run.clone().map(move |x| (x, ly)))
+                            .collect();
+                        assert_eq!(visits, &expected, "{what}: row {group_y}");
+                        for &(x, ly) in visits {
+                            seen[(group_y * gx + x) * desc.group[1] + ly] += 1;
+                        }
+                    }
+                    assert!(seen.iter().all(|&c| c == 1), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_dispatch_panic_is_a_typed_error_and_the_queue_recovers() {
+        for threads in [1, 2] {
+            let ctx = ctx().with_dispatch_threads(threads);
+            let mut q = ctx.queue();
+            let desc = KernelDesc::new("boom", [64, 64], [16, 16]);
+            let err = q
+                .run_rows(&desc, AccessSummary::new(&desc, 0..16), &[], |r| {
+                    if r.group_y == 2 {
+                        panic!("row unit {} failed", r.group_y);
+                    }
+                })
+                .unwrap_err();
+            match err {
+                Error::KernelPanic { kernel, message } => {
+                    assert_eq!(kernel, "boom");
+                    assert!(message.contains("row unit 2 failed"), "{message}");
+                }
+                other => panic!("expected KernelPanic, got {other:?}"),
+            }
+            assert!(q.records().is_empty());
+            // The next dispatch on the same queue runs and records.
+            let buf = ctx.buffer::<f32>("out", 64 * 64);
+            fill_kernel(&mut q, &buf, None).unwrap();
+            assert_eq!(q.records().len(), 1);
+            assert_eq!(buf.snapshot()[64 * 64 - 1], (64 * 64 - 1) as f32);
+        }
     }
 
     #[test]

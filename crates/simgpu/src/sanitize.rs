@@ -712,6 +712,15 @@ impl BufferShadow {
 const LMULTI: u64 = 1 << 31;
 const LLANE_MASK: u64 = LMULTI - 1;
 
+/// The shadow tag of `lane` in flat work-group `group` of a dispatch with
+/// `lanes` items per group: the 1-based flat work-item serial. Per-group
+/// and per-row execution derive it alike, so both attribute an access to
+/// the same item.
+#[inline]
+pub(crate) fn item_tag(group: usize, lanes: usize, lane: u64) -> u64 {
+    (group * lanes) as u64 + lane + 1
+}
+
 /// Per-work-group sanitizer state, owned by the dispatching `GroupCtx`.
 pub(crate) struct GroupSan {
     shared: Arc<SanitizeShared>,
@@ -762,8 +771,8 @@ impl GroupSan {
         }
         self.cur_lane = lane;
         self.have_item = true;
-        let tag = (self.group_serial * self.lanes) as u64 + lane + 1;
-        self.shared.set_cursor(self.epoch, tag);
+        self.shared
+            .set_cursor(self.epoch, item_tag(self.group_serial, self.lanes, lane));
     }
 
     pub(crate) fn on_barrier(&mut self) {

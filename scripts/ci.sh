@@ -78,12 +78,17 @@ trap 'rm -rf "$smoke_dir"' EXIT
     > "$smoke_dir/odd.pgm"
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-all.pgm" \
     --opts all --sanitize --verify-static > /dev/null
+# The scalar row-span kernels (`--opts none`) run sanitized here too,
+# monolithic and banded into 16-row slices, each with static verification.
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-none.pgm" \
-    --opts none > /dev/null
+    --opts none --sanitize --verify-static > /dev/null
+./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-none-banded.pgm" \
+    --opts none --banded=7 --sanitize --verify-static > /dev/null
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-cpu.pgm" \
     --cpu > /dev/null
 # The base GPU config keeps the reduction on the CPU, so its output must
-# match the CPU reference bit-for-bit even on odd shapes.
+# match the CPU reference bit-for-bit even on odd shapes, in both schedules.
+cmp "$smoke_dir/odd-none.pgm" "$smoke_dir/odd-none-banded.pgm"
 cmp "$smoke_dir/odd-none.pgm" "$smoke_dir/odd-cpu.pgm"
 
 echo "== autotune smoke (model-searched schedule on the odd shape, sanitized)"

@@ -452,10 +452,14 @@ impl Lint {
                         || l.contains("run_with_telemetry")
                         || l.contains("q.run(")
                         || l.contains(".run_sliced(")
+                        || l.contains(".run_rows(")
+                        || l.contains(".run_sliced_rows(")
                         // Counter *construction* via CostCounters::charge_*
                         // is the predictor's whole job; what is banned is
-                        // charging a live group context like a kernel does.
+                        // driving a live group or row context like a kernel
+                        // does.
                         || l.contains("GroupCtx")
+                        || l.contains("RowCtx")
                 })
                 .collect();
             self.fail(
@@ -710,6 +714,16 @@ mod tests {
              }\n\
              #[cfg(test)]\n\
              mod tests { fn lockstep() { let p = GpuPipeline::new(c, d, o); } }\n",
+        )
+        .unwrap();
+        let code = run(&root);
+        assert_eq!(code, 1);
+        // A tuner that dispatches a kernel by rows executes just the same.
+        std::fs::write(tune.join("search.rs"), "fn probe() -> f64 { 1.0 }\n").unwrap();
+        assert_eq!(run(&root), 0);
+        std::fs::write(
+            tune.join("search.rs"),
+            "fn probe(q: &mut Queue) { q.run_rows(&desc, decl, &[], |r| {}).unwrap(); }\n",
         )
         .unwrap();
         let code = run(&root);

@@ -204,6 +204,118 @@ fn fixture_global_read_write_race_is_flagged() {
     )));
 }
 
+/// The 2-D fixture grid for row-dispatch attribution: 4 x 2 groups of
+/// 16 x 16 over a 64 x 32 image.
+fn row_fixture_desc(name: &str) -> KernelDesc {
+    KernelDesc::new(name, [64, 32], [16, 16])
+}
+
+/// Violations rendered and sorted, so reports from different execution
+/// orders compare as sets.
+fn sorted_violations(ctx: &Context) -> Vec<String> {
+    let mut v: Vec<String> = ctx
+        .sanitize_report()
+        .unwrap()
+        .violations
+        .iter()
+        .map(|v| format!("{v:?}"))
+        .collect();
+    v.sort();
+    v
+}
+
+#[test]
+fn fixture_row_dispatch_write_write_race_matches_per_group_attribution() {
+    // Groups 1 and 2 of group row 0 (one item each, local row 3) store to
+    // element 7. Row dispatch runs both inside one row unit, yet each
+    // store keeps its own group's item tag, so the sanitizer sees the same
+    // cross-group race a per-group dispatch reports.
+    let racy = |gx: usize, gy: usize, ly: usize| gy == 0 && ly == 3 && (gx == 1 || gx == 2);
+    let decl = |desc: &KernelDesc, out: &Buffer<f32>| {
+        declared(desc, vec![AccessWindow::write(out.info(), 7, 1)])
+    };
+
+    let per_group = fixture_ctx();
+    let mut q = per_group.queue();
+    let out = per_group.buffer::<f32>("out", 64 * 32);
+    let w = out.write_view();
+    let desc = row_fixture_desc("ww_row_race");
+    q.run(&desc, decl(&desc, &out), &[&out], move |g| {
+        for ly in 0..g.group_size[1] {
+            g.begin_item([0, ly]);
+            if racy(g.group_id[0], g.group_id[1], ly) {
+                w.set_raw(7, g.group_id[0] as f32);
+            }
+        }
+    })
+    .unwrap();
+
+    let by_rows = fixture_ctx();
+    let mut q = by_rows.queue();
+    let out = by_rows.buffer::<f32>("out", 64 * 32);
+    let w = out.write_view();
+    q.run_rows(&desc, decl(&desc, &out), &[&out], move |r| {
+        for ly in 0..r.group_size[1] {
+            for gx in r.groups.clone() {
+                r.begin_item(gx, [0, ly]);
+                if racy(gx, r.group_y, ly) {
+                    w.set_raw(7, gx as f32);
+                }
+            }
+        }
+    })
+    .unwrap();
+
+    let rows_report = sorted_violations(&by_rows);
+    assert!(by_rows
+        .sanitize_report()
+        .unwrap()
+        .violations
+        .iter()
+        .any(|v| matches!(
+            v,
+            Violation::GlobalRace {
+                kind: RaceKind::WriteWrite,
+                index: 7,
+                ..
+            }
+        )));
+    assert_eq!(rows_report, sorted_violations(&per_group));
+}
+
+#[test]
+fn fixture_row_dispatch_disjoint_rows_are_clean() {
+    // Each (group, local row) copies its own 16-element span of the image,
+    // walked row-major across the group row: nothing to report.
+    let ctx = fixture_ctx();
+    let mut q = ctx.queue();
+    let src = ctx.buffer_from("src", &(0..64 * 32).map(|i| i as f32).collect::<Vec<_>>());
+    let out = ctx.buffer::<f32>("out", 64 * 32);
+    let (r, w) = (src.view(), out.write_view());
+    let desc = row_fixture_desc("row_copy");
+    let decl = declared(
+        &desc,
+        vec![
+            AccessWindow::read(src.info(), 0, 64).by_y(32, 64),
+            AccessWindow::write(out.info(), 0, 64).by_y(32, 64),
+        ],
+    );
+    q.run_rows(&desc, decl, &[&out], move |rc| {
+        for ly in 0..rc.group_size[1] {
+            let y = rc.global_y(ly);
+            for gx in rc.groups.clone() {
+                rc.begin_item(gx, [0, ly]);
+                let i = y * 64 + gx * 16;
+                w.set_span_raw(i, r.slice_raw(i, 16));
+            }
+        }
+    })
+    .unwrap();
+    let report = ctx.sanitize_report().unwrap();
+    assert!(report.is_clean(), "{}", report.summary());
+    assert_eq!(out.snapshot(), src.snapshot());
+}
+
 #[test]
 fn fixture_local_race_across_wavefronts_is_flagged() {
     let ctx = fixture_ctx();
