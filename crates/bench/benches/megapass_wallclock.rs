@@ -1,28 +1,25 @@
-//! Wall-clock comparison of the kernel span backends and schedules (not a
-//! figure from the paper — the SIMD backends and banding optimize the
-//! *host* cost of running the simulator; pixels and simulated seconds are
-//! bit-identical by construction, so frames/s of real time is the only
-//! number that can move).
+//! Wall-clock comparison of the kernel span backends (not a figure from
+//! the paper — the SIMD backends optimize the *host* cost of running the
+//! simulator; pixels and simulated seconds are bit-identical by
+//! construction, so frames/s of real time is the only number that can
+//! move).
 //!
-//! For each square size the bench runs one persistent plan per
-//! (backend, schedule) configuration over the same frame stream:
-//! the monolithic schedule with the backend forced to `autovec` (the
-//! scalar reference row, speedup 1.0), the monolithic schedule on the
-//! detected SIMD backend, and the cache-blocked banded schedule on the
-//! detected backend. Results land in `MP_OUT` (default the committed
-//! `baselines/BENCH_6.json`, so a re-run refreshes the tracked record).
+//! For each square size the bench runs one persistent plan per backend
+//! over the same frame stream: the backend forced to `autovec` (the
+//! scalar reference row, speedup 1.0), then the detected SIMD backend.
+//! Results land in `MP_OUT` (default the committed `baselines/BENCH_6.json`,
+//! so a re-run refreshes the tracked record).
 //!
 //! Run with `cargo bench --features simd --bench megapass_wallclock`.
 //! Environment knobs: `MP_SIZES` (default `1024,2048,4096`), `MP_FRAMES`
-//! (default 3), `MP_BAND` (band rows; default 0 = auto from the host
-//! cache size), `MP_OUT` (output path).
+//! (default 3), `MP_OUT` (output path).
 
 use std::time::Instant;
 
 use sharpness_bench::benchjson::{self, BenchRow};
 use sharpness_bench::ledger::{self, LedgerEntry};
 use sharpness_bench::workload;
-use sharpness_core::gpu::{BandedStats, GpuPipeline, OptConfig, Schedule};
+use sharpness_core::gpu::{GpuPipeline, OptConfig};
 use sharpness_core::params::SharpnessParams;
 use sharpness_core::simd::{self, Backend};
 use simgpu::context::Context;
@@ -43,13 +40,12 @@ fn env_sizes() -> Vec<usize> {
         .unwrap_or_else(|| vec![1024, 2048, 4096])
 }
 
-/// Times `frames` runs of a persistent plan under `schedule`; returns
-/// frames/s of wall-clock time.
-fn measure(width: usize, frames: usize, schedule: Schedule) -> f64 {
+/// Times `frames` runs of a persistent plan; returns frames/s of
+/// wall-clock time.
+fn measure(width: usize, frames: usize) -> f64 {
     let img = workload(width);
     let ctx = Context::new(DeviceSpec::firepro_w8000());
-    let pipe =
-        GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all()).with_schedule(schedule);
+    let pipe = GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all());
     let mut plan = pipe.prepared(width, width).unwrap();
     let mut out = vec![0.0f32; width * width];
     plan.run_into(&img, &mut out).unwrap(); // warm-up (fills the pool)
@@ -63,15 +59,9 @@ fn measure(width: usize, frames: usize, schedule: Schedule) -> f64 {
 fn main() {
     let sizes = env_sizes();
     let frames = env_usize("MP_FRAMES", 3);
-    let band = env_usize("MP_BAND", 0);
     let out_path = std::env::var("MP_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/BENCH_6.json").to_string()
     });
-    let band_label = if band == 0 {
-        "banded(auto)".to_string()
-    } else {
-        format!("banded({band})")
-    };
 
     println!(
         "megapass_wallclock: {frames} frames per configuration, OptConfig::all(), \
@@ -81,16 +71,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     for &width in &sizes {
-        let stats = BandedStats::for_frame(width, width, &OptConfig::all(), band);
-        // One spans-enabled observation frame per schedule supplies the
-        // attribution data carried by the ledger entries; it runs outside
-        // every timed loop.
-        let mono_shares = ledger::phase_shares(width, Schedule::Monolithic);
-        let band_shares = ledger::phase_shares(width, Schedule::Banded(band));
+        // One spans-enabled observation frame supplies the attribution
+        // data carried by the ledger entries; it runs outside every timed
+        // loop.
+        let shares = ledger::phase_shares(width);
 
-        // Scalar reference: the autovectorized spans, monolithic schedule.
+        // Scalar reference: the autovectorized spans.
         simd::set_backend(Some(Backend::Autovec));
-        let scalar_fps = measure(width, frames, Schedule::Monolithic);
+        let scalar_fps = measure(width, frames);
         rows.push(BenchRow::with_active_backend(
             width,
             "monolithic".to_string(),
@@ -102,29 +90,13 @@ fn main() {
             "monolithic",
             width,
             scalar_fps,
-            mono_shares.clone(),
-        ));
-        // Banding with the scalar spans, to isolate the backend effect at
-        // a fixed schedule.
-        let band_scalar_fps = measure(width, frames, Schedule::Banded(band));
-        rows.push(BenchRow::with_active_backend(
-            width,
-            band_label.clone(),
-            band_scalar_fps,
-            band_scalar_fps / scalar_fps,
-        ));
-        entries.push(LedgerEntry::now(
-            "megapass_wallclock",
-            &band_label,
-            width,
-            band_scalar_fps,
-            band_shares.clone(),
+            shares.clone(),
         ));
 
         // Detected SIMD backend (autovec again when the feature is off).
         simd::set_backend(None);
         let simd_label = simd::active_backend().label();
-        let simd_fps = measure(width, frames, Schedule::Monolithic);
+        let simd_fps = measure(width, frames);
         let simd_speedup = simd_fps / scalar_fps;
         rows.push(BenchRow::with_active_backend(
             width,
@@ -137,35 +109,12 @@ fn main() {
             "monolithic",
             width,
             simd_fps,
-            mono_shares.clone(),
-        ));
-
-        // Cache-blocked banding on top of the SIMD backend.
-        let band_fps = measure(width, frames, Schedule::Banded(band));
-        let band_speedup = band_fps / scalar_fps;
-        rows.push(BenchRow::with_active_backend(
-            width,
-            band_label.clone(),
-            band_fps,
-            band_speedup,
-        ));
-        entries.push(LedgerEntry::now(
-            "megapass_wallclock",
-            &band_label,
-            width,
-            band_fps,
-            band_shares.clone(),
+            shares,
         ));
 
         println!(
-            "  {width:>4}²: autovec {scalar_fps:7.2} fps | {band_label}+autovec \
-             {band_scalar_fps:7.2} fps ({:4.2}x) | {simd_label} {simd_fps:7.2} fps \
-             ({simd_speedup:4.2}x) | {band_label}+{simd_label} {band_fps:7.2} fps \
-             ({band_speedup:4.2}x, {} bands of {} rows, peak resident {:.1} MiB)",
-            band_scalar_fps / scalar_fps,
-            stats.bands,
-            stats.rows_per_band,
-            stats.peak_resident_bytes as f64 / (1 << 20) as f64,
+            "  {width:>4}²: autovec {scalar_fps:7.2} fps | {simd_label} {simd_fps:7.2} fps \
+             ({simd_speedup:4.2}x)"
         );
     }
     benchjson::write(&out_path, "megapass_wallclock", &rows).expect("write bench json");

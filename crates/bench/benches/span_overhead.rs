@@ -2,13 +2,13 @@
 //! paper — spans are observation-only by construction, so the only number
 //! that can move is host frames/s).
 //!
-//! For each square size and schedule the bench times the same persistent
+//! For each square size the bench times the same persistent
 //! plan with spans disabled (the default) and enabled
 //! (`Context::with_spans()`), and reports the on/off frames-per-second
 //! ratio. The acceptance bar is ≤2% overhead (ratio ≥ 0.98). Results land
 //! in `SO_OUT` (default the committed `baselines/BENCH_8.json`); the
-//! `speedup_vs_monolithic` column holds the spans-on/spans-off ratio for
-//! the row's schedule (1.0 rows are the spans-off references).
+//! `speedup_vs_monolithic` column holds the spans-on/spans-off ratio
+//! (1.0 rows are the spans-off references).
 //!
 //! Run with `cargo bench --bench span_overhead`. Environment knobs:
 //! `SO_SIZES` (default `1024,4096`), `SO_FRAMES` (default 3),
@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use sharpness_bench::benchjson::{self, BenchRow};
 use sharpness_bench::workload;
-use sharpness_core::gpu::{GpuPipeline, OptConfig, Schedule};
+use sharpness_core::gpu::{GpuPipeline, OptConfig};
 use sharpness_core::params::SharpnessParams;
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
@@ -41,13 +41,12 @@ fn env_sizes() -> Vec<usize> {
 /// Times `frames` runs of a persistent plan, best of `REPS` repetitions
 /// (max frames/s — the least-disturbed repetition, since the only noise
 /// source on a quiet host is interference slowing a rep down).
-fn measure(width: usize, frames: usize, schedule: Schedule, spans: bool) -> f64 {
+fn measure(width: usize, frames: usize, spans: bool) -> f64 {
     const REPS: usize = 3;
     let img = workload(width);
     let ctx = Context::new(DeviceSpec::firepro_w8000());
     let ctx = if spans { ctx.with_spans() } else { ctx };
-    let pipe =
-        GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all()).with_schedule(schedule);
+    let pipe = GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all());
     let mut plan = pipe.prepared(width, width).unwrap();
     let mut out = vec![0.0f32; width * width];
     plan.run_into(&img, &mut out).unwrap(); // warm-up (fills the pool)
@@ -72,31 +71,26 @@ fn main() {
     println!("span_overhead: {frames} frames per configuration, OptConfig::all()");
     let mut rows = Vec::new();
     for &width in &sizes {
-        for (label, schedule) in [
-            ("monolithic", Schedule::Monolithic),
-            ("banded(auto)", Schedule::Banded(0)),
-        ] {
-            let off = measure(width, frames, schedule, false);
-            let on = measure(width, frames, schedule, true);
-            let ratio = on / off;
-            rows.push(BenchRow::with_active_backend(
-                width,
-                label.to_string(),
-                off,
-                1.0,
-            ));
-            rows.push(BenchRow::with_active_backend(
-                width,
-                format!("{label}+spans"),
-                on,
-                ratio,
-            ));
-            println!(
-                "  {width:>4}² {label:<13}: off {off:7.2} fps | on {on:7.2} fps | \
-                 ratio {ratio:5.3} ({:+.2}% overhead)",
-                (1.0 - ratio) * 100.0
-            );
-        }
+        let off = measure(width, frames, false);
+        let on = measure(width, frames, true);
+        let ratio = on / off;
+        rows.push(BenchRow::with_active_backend(
+            width,
+            "monolithic".to_string(),
+            off,
+            1.0,
+        ));
+        rows.push(BenchRow::with_active_backend(
+            width,
+            "monolithic+spans".to_string(),
+            on,
+            ratio,
+        ));
+        println!(
+            "  {width:>4}²: off {off:7.2} fps | on {on:7.2} fps | \
+             ratio {ratio:5.3} ({:+.2}% overhead)",
+            (1.0 - ratio) * 100.0
+        );
     }
     benchjson::write(&out_path, "span_overhead", &rows).expect("write bench json");
     println!("wrote {out_path}");

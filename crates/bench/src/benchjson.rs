@@ -1,7 +1,6 @@
 //! Minimal JSON emission for the wall-clock benches.
 //!
-//! The self-timed benches (`megapass_wallclock`, `throughput_wallclock`)
-//! record their measurements in `BENCH_<n>.json` files at the repository
+//! The self-timed benches (`megapass_wallclock`, `span_overhead`) record their measurements in `BENCH_<n>.json` files at the repository
 //! root so CI and the README table have machine-readable numbers. The
 //! schema is one object per measurement: square image size, schedule
 //! label, achieved frames per second, and the speedup over the monolithic
@@ -15,7 +14,8 @@ use std::fmt::Write as _;
 pub struct BenchRow {
     /// Square image width (pixels).
     pub width: usize,
-    /// Human-readable schedule label, e.g. `monolithic` or `banded(512)`.
+    /// Human-readable configuration label, e.g. `monolithic` or
+    /// `monolithic+spans`.
     pub schedule: String,
     /// Achieved wall-clock frames per second.
     pub frames_per_s: f64,
@@ -269,7 +269,7 @@ mod tests {
             },
             BenchRow {
                 width: 1024,
-                schedule: "banded(512)".into(),
+                schedule: "monolithic+spans".into(),
                 frames_per_s: 15.0,
                 speedup_vs_monolithic: 1.2,
                 backend: "avx2".into(),
@@ -280,7 +280,7 @@ mod tests {
         assert!(doc.contains("\"host\": {\"cpu_features\": \""), "{doc}");
         assert!(doc.contains("\"simd_compiled\": "), "{doc}");
         assert!(doc.contains("\"width\": 1024"));
-        assert!(doc.contains("\"schedule\": \"banded(512)\""));
+        assert!(doc.contains("\"schedule\": \"monolithic+spans\""));
         assert!(doc.contains("\"backend\": \"avx2\""));
         assert!(doc.contains("\"speedup_vs_monolithic\": 1.2000"));
         // Balanced braces/brackets — crude well-formedness check.

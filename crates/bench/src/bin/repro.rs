@@ -16,8 +16,8 @@
 //! only that verification sweep.
 //!
 //! `--verify-static` runs the static access-summary verifier over every
-//! optimization config × shape (aligned/ragged/odd) × schedule — proving
-//! bounds, write disjointness, byte accounting, and banded slice coverage
+//! optimization config × shape (aligned/ragged/odd) — proving
+//! bounds, write disjointness and byte accounting
 //! without executing a single kernel — and exits non-zero on any failed
 //! proof; alone, it runs only the static sweep.
 //!
@@ -30,7 +30,7 @@
 //! only the metrics.
 
 use sharpness_bench::*;
-use sharpness_core::gpu::{verify_static, GpuPipeline, OptConfig, Schedule, Tuning};
+use sharpness_core::gpu::{verify_static, GpuPipeline, OptConfig, Tuning};
 use sharpness_core::params::SharpnessParams;
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
@@ -78,10 +78,10 @@ fn sanitize_sweep() -> bool {
 }
 
 /// Statically proves the full acceptance grid — all 64 configs × four
-/// shapes × both schedules — without executing a kernel; returns whether
+/// shapes — without executing a kernel; returns whether
 /// every proof succeeded, printing failures as they appear.
 fn verify_static_sweep() -> bool {
-    println!("static verifier sweep — every config/shape/schedule must prove sound");
+    println!("static verifier sweep — every config/shape must prove sound");
     let tuning = Tuning::default();
     let mut clean = true;
     let (mut proofs, mut dispatches, mut windows) = (0u64, 0u64, 0u64);
@@ -96,25 +96,23 @@ fn verify_static_sweep() -> bool {
                 border_gpu: bits & 16 != 0,
                 others: bits & 32 != 0,
             };
-            for schedule in [Schedule::Monolithic, Schedule::Banded(64)] {
-                match verify_static(w, h, &cfg, &tuning, schedule) {
-                    Ok(r) => {
-                        proofs += 1;
-                        dispatches += r.stats.dispatches;
-                        windows += r.stats.windows;
-                        max_slack = max_slack.max(r.stats.max_ratio_slack);
-                    }
-                    Err(e) => {
-                        clean = false;
-                        println!("  {w}x{h} config {bits:06b} {schedule:?}: {e}");
-                    }
+            match verify_static(w, h, &cfg, &tuning) {
+                Ok(r) => {
+                    proofs += 1;
+                    dispatches += r.stats.dispatches;
+                    windows += r.stats.windows;
+                    max_slack = max_slack.max(r.stats.max_ratio_slack);
+                }
+                Err(e) => {
+                    clean = false;
+                    println!("  {w}x{h} config {bits:06b}: {e}");
                 }
             }
         }
     }
     if clean {
         println!(
-            "  {proofs} schedules proved sound ({dispatches} dispatches, {windows} access \
+            "  {proofs} configurations proved sound ({dispatches} dispatches, {windows} access \
              windows; max read-overcharge slack {max_slack:.4})\n"
         );
     }

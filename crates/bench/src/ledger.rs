@@ -1,10 +1,11 @@
 //! The perf ledger: an append-only JSONL history of wall-clock bench runs.
 //!
 //! `BENCH_<n>.json` snapshots are write-only — each re-run overwrites the
-//! last. The ledger keeps the *trajectory*: every `megapass_wallclock` /
-//! `throughput_wallclock` run appends one [`LedgerEntry`] per measured
-//! configuration to `baselines/LEDGER.jsonl` (host fingerprint, backend,
-//! schedule, frames/s, per-phase span shares), and `perf_ledger --check`
+//! last. The ledger keeps the *trajectory*: every self-timed bench run
+//! (`megapass_wallclock`, `service_load`, `tune_model`) appends one
+//! [`LedgerEntry`] per measured configuration to `baselines/LEDGER.jsonl`
+//! (host fingerprint, backend, schedule, frames/s, per-phase span shares),
+//! and `perf_ledger --check`
 //! compares the newest entry of each series against its history,
 //! attributing a regression to the phase whose share of the frame grew.
 //!
@@ -14,7 +15,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use sharpness_core::gpu::{GpuPipeline, OptConfig, Schedule};
+use sharpness_core::gpu::{GpuPipeline, OptConfig};
 use sharpness_core::params::SharpnessParams;
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
@@ -27,13 +28,14 @@ use crate::benchjson::esc;
 pub struct LedgerEntry {
     /// Unix seconds when the measurement was taken.
     pub ts: u64,
-    /// Bench name (`megapass_wallclock`, `throughput_wallclock`, ...).
+    /// Bench name (`megapass_wallclock`, `service_load`, ...).
     pub bench: String,
     /// Host fingerprint: detected CPU features.
     pub host: String,
     /// Active kernel span backend (`autovec`, `sse2`, `avx2`).
     pub backend: String,
-    /// Schedule label (`monolithic`, `banded(auto)`, `engine[4]`, ...).
+    /// Configuration label (`monolithic`, or a retired label such as
+    /// `banded(auto)` or `engine[4]` in older entries).
     pub schedule: String,
     /// Square frame width.
     pub width: usize,
@@ -141,7 +143,8 @@ impl LedgerEntry {
                 let inner = &rest[..rest.find('}')?];
                 for pair in inner.split(',').filter(|p| !p.is_empty()) {
                     // rsplit: phase names may themselves contain ':'
-                    // (e.g. `megapass:A`), the share never does.
+                    // (e.g. `megapass:A` in older entries), the share
+                    // never does.
                     let (name, share) = pair.rsplit_once(':')?;
                     out.push((name.trim_matches('"').to_string(), share.parse().ok()?));
                 }
@@ -200,11 +203,10 @@ pub fn load(path: &Path) -> std::io::Result<Vec<LedgerEntry>> {
 /// phase's share of the frame's wall-clock time — the attribution data a
 /// ledger entry carries. Wall-clock only: the observation frame is *not*
 /// part of the timed measurement.
-pub fn phase_shares(width: usize, schedule: Schedule) -> Vec<(String, f64)> {
+pub fn phase_shares(width: usize) -> Vec<(String, f64)> {
     let img = crate::workload(width);
     let ctx = Context::new(DeviceSpec::firepro_w8000()).with_spans();
-    let pipe =
-        GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all()).with_schedule(schedule);
+    let pipe = GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all());
     let Ok(mut plan) = pipe.prepared(width, width) else {
         return Vec::new();
     };
@@ -468,10 +470,10 @@ mod tests {
 
     #[test]
     fn phase_shares_cover_the_schedule() {
-        let shares = phase_shares(64, Schedule::Banded(32));
+        let shares = phase_shares(64);
         let names: Vec<&str> = shares.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"upload"), "{names:?}");
-        assert!(names.contains(&"megapass:A"), "{names:?}");
+        assert!(names.contains(&"sobel"), "{names:?}");
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!(total > 0.0 && total <= 1.5, "total share {total}");
     }

@@ -14,10 +14,9 @@
 //!   readback lanes outweigh compute (the paper's naive-configuration
 //!   diagnosis), otherwise the top kernel's verdict;
 //! * **host (wall clock)** — the PR 5/6 result re-derived from first
-//!   principles: the band working set (~6 f32 streams per pixel, the same
-//!   estimate `autotune::band_rows_for` sizes bands with) either fits the
-//!   last-level cache (compute-bound host, SIMD and banding pay off) or
-//!   streams from DRAM (bandwidth-bound host, SIMD caps out).
+//!   principles: the frame's working set (~6 f32 streams per pixel)
+//!   either fits the last-level cache (compute-bound host, SIMD pays off)
+//!   or streams from DRAM (bandwidth-bound host, SIMD caps out).
 //!
 //! Everything here is **observation-only**: inputs are immutable telemetry,
 //! span snapshots and device specs; nothing can perturb pixels or the
@@ -33,8 +32,7 @@ use simgpu::timing::{kernel_time, GpuOpWeights};
 use crate::telemetry::{FrameTelemetry, KernelMetrics};
 
 /// Number of f32 streams a pixel of the pipeline keeps live on the host —
-/// source, up, pEdge, final, the down band and loop slack. Matches the
-/// working-set estimate `autotune::band_rows_for` sizes cache bands with.
+/// source, up, pEdge, final, the downscaled matrix and loop slack.
 pub const HOST_STREAMS: u64 = 6;
 
 /// What limits a kernel, frame or host run.
@@ -189,7 +187,7 @@ impl WallSim {
 /// One phase row of the report: a depth-1 span aggregate.
 #[derive(Debug, Clone)]
 pub struct PhaseShare {
-    /// Phase name (`upload`, `sobel`, `megapass:A`, ...).
+    /// Phase name (`upload`, `sobel`, `readback`, ...).
     pub name: String,
     /// Simulated seconds aggregated over the phase's spans.
     pub sim_s: f64,
@@ -377,7 +375,7 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{GpuPipeline, OptConfig, Schedule};
+    use crate::gpu::{GpuPipeline, OptConfig};
     use crate::params::SharpnessParams;
     use imagekit::generate;
     use simgpu::context::Context;
@@ -418,7 +416,7 @@ mod tests {
     #[test]
     fn host_is_compute_bound_at_1024_and_bandwidth_bound_at_4096() {
         // PR 5/6: the 105 MiB LLC holds a 1024² frame's ~24 MiB working
-        // set (banding parity, SIMD pays), while 4096² needs ~384 MiB and
+        // set (SIMD pays), while 4096² needs ~384 MiB and
         // streams from DRAM (SIMD capped at 1.21x).
         let h1k = host_verdict(1024, 1024, LLC);
         assert!(h1k.resident);
@@ -490,25 +488,5 @@ mod tests {
         assert!(e2.wall_sim.is_none());
         assert!(e2.phases.is_empty());
         assert!(!e2.render(5).contains("wall/sim:"));
-    }
-
-    #[test]
-    fn banded_explanation_sees_megapass_phases() {
-        let ctx = Context::new(DeviceSpec::firepro_w8000()).with_spans();
-        let pipe = GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all())
-            .with_schedule(Schedule::Banded(32));
-        let mut plan = pipe.prepared(128, 128).unwrap();
-        let img = generate::natural(128, 128, 5);
-        let mut out = vec![0.0f32; 128 * 128];
-        plan.run_into(&img, &mut out).unwrap();
-        let e = explain(
-            &plan.telemetry(),
-            &plan.spans(),
-            &DeviceSpec::firepro_w8000(),
-            LLC,
-        );
-        let names: Vec<&str> = e.phases.iter().map(|p| p.name.as_str()).collect();
-        assert!(names.contains(&"megapass:A"), "{names:?}");
-        assert!(names.contains(&"megapass:B"), "{names:?}");
     }
 }

@@ -1,9 +1,7 @@
 //! Autotuning of the hardware-dependent choices the paper "tested in
 //! advance": the border CPU/GPU crossover (Fig. 17), the reduction
 //! stage-2 host/device threshold, and the reduction unrolling strategy
-//! (Fig. 15) — plus the band height of the cache-blocked megapass
-//! schedule, which depends on the *host* cache hierarchy rather than the
-//! simulated device.
+//! (Fig. 15).
 //!
 //! The paper hard-codes these after manual measurement; this module
 //! automates the derivation against whatever device the context models,
@@ -109,62 +107,6 @@ fn read_cache_bytes() -> Option<usize> {
         best = best.max(bytes);
     }
     (best > 0).then_some(best)
-}
-
-/// Rows per band for the cache-blocked megapass on images of device row
-/// stride `ws`: sized so one band's working set — about six f32 streams of
-/// `ws` elements each (source, up, pEdge, final, plus the down band and
-/// loop slack) — fills roughly half the detected last-level cache, leaving
-/// the other half for everything else. Rounded down to whole 16-row
-/// work-group rows and clamped to a sane range.
-pub fn band_rows_for(ws: usize) -> usize {
-    const STREAMS: usize = 6;
-    let budget = detected_cache_bytes() / 2;
-    let rows = budget / (STREAMS * ws.max(1) * 4);
-    (rows / 16 * 16).clamp(16, 4096)
-}
-
-/// Wall-clock self-check for the band height: times a few frames of each
-/// candidate (the cache-derived height, half, and double) on the given
-/// pipeline and returns the fastest. This is the one tuner that measures
-/// *host* time, not simulated time — banding is invisible to the virtual
-/// clock by design.
-///
-/// # Errors
-/// On unsupported shapes or invalid parameters.
-pub fn tune_band_rows(pipe: &crate::gpu::GpuPipeline, w: usize, h: usize) -> Result<usize, String> {
-    use crate::gpu::megapass::Schedule;
-    let base = band_rows_for(crate::params::device_stride(w));
-    let img = imagekit::generate::natural(w, h, 42);
-    let mut best = base;
-    let mut best_t = f64::INFINITY;
-    let mut probed = [0usize; 3];
-    // `base` is already clamped to [16, 4096]; the doubled probe must
-    // respect the same ceiling (and duplicates are skipped, so a base of
-    // 4096 probes two candidates, not the same one twice).
-    for (i, cand) in [base / 2, base, (base * 2).min(4096)]
-        .into_iter()
-        .enumerate()
-    {
-        if cand < 16 || probed[..i].contains(&cand) {
-            continue;
-        }
-        probed[i] = cand;
-        let banded = pipe.clone().with_schedule(Schedule::Banded(cand));
-        let mut plan = banded.prepared(w, h)?;
-        let mut out = vec![0.0f32; w * h];
-        plan.run_into(&img, &mut out)?; // warm the plan and pool
-        let t0 = std::time::Instant::now();
-        for _ in 0..2 {
-            plan.run_into(&img, &mut out)?;
-        }
-        let t = t0.elapsed().as_secs_f64();
-        if t < best_t {
-            best_t = t;
-            best = cand;
-        }
-    }
-    Ok(best)
 }
 
 /// Full autotune pass: derives a [`Tuning`] for the context's device.

@@ -89,23 +89,39 @@ impl StreamReport {
     }
 }
 
-/// Computes the pipelined completion time of a frame sequence given the
-/// per-frame components: upload engine, compute, and download engine each
-/// process frames in order, a frame entering a stage only after leaving
-/// the previous one.
-pub fn pipelined_time(frames: &[FrameComponents]) -> f64 {
-    let mut up_free = 0.0f64;
-    let mut dev_free = 0.0f64;
-    let mut down_free = 0.0f64;
-    for f in frames {
-        let up_done = up_free + f.upload_s;
-        up_free = up_done;
-        let dev_done = up_done.max(dev_free) + f.compute_s;
-        dev_free = dev_done;
-        let down_done = dev_done.max(down_free) + f.download_s;
-        down_free = down_done;
+/// The three-stage overlap recurrence, folded one frame at a time: upload
+/// engine, compute, and download engine each process frames in order, a
+/// frame entering a stage only after leaving the previous one. Folding
+/// keeps a stream of any length in constant memory.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Overlap {
+    up_free: f64,
+    dev_free: f64,
+    down_free: f64,
+}
+
+impl Overlap {
+    /// Admits the next frame of the stream.
+    pub fn push(&mut self, f: &FrameComponents) {
+        self.up_free += f.upload_s;
+        self.dev_free = self.up_free.max(self.dev_free) + f.compute_s;
+        self.down_free = self.dev_free.max(self.down_free) + f.download_s;
     }
-    down_free
+
+    /// Completion time of the last admitted frame.
+    pub fn total_s(&self) -> f64 {
+        self.down_free
+    }
+}
+
+/// Computes the pipelined completion time of a frame sequence given the
+/// per-frame components (the [`Overlap`] recurrence over all of them).
+pub fn pipelined_time(frames: &[FrameComponents]) -> f64 {
+    let mut o = Overlap::default();
+    for f in frames {
+        o.push(f);
+    }
+    o.total_s()
 }
 
 /// Streaming wrapper around a [`GpuPipeline`].

@@ -9,7 +9,7 @@ use simgpu::kernel::KernelDesc;
 use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
-use super::{covered_rows, grid2d, summarize, KernelTuning, Launch, SrcImage, SrcInfo};
+use super::{covered_rows, full_grid, grid2d, KernelTuning, SrcImage, SrcInfo};
 use crate::params::{MIN_DIM, SCALE};
 
 /// Dispatches the downscale kernel: `down[j, i] = mean(src block)`, where
@@ -28,20 +28,6 @@ pub fn downscale_kernel(
     h: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    downscale_launch(q, src, down, w, h, tune, Launch::Full)
-}
-
-/// [`downscale_kernel`] with an explicit [`Launch`] mode (one work-group
-/// row covers 16 downscaled rows = 64 source rows).
-pub(crate) fn downscale_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    down: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     if w < MIN_DIM || h < MIN_DIM {
         return Err(Error::InvalidKernelArgs {
             kernel: "downscale".into(),
@@ -51,11 +37,11 @@ pub(crate) fn downscale_launch(
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let desc = grid2d("downscale", wd, hd);
     let src = src.clone();
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h, tune)
     });
     let dview = down.write_view();
-    launch.dispatch_rows(q, &desc, access, &[down], move |rc| {
+    q.run_rows(&desc, access, &[down], move |rc| {
         // Row-segment form: each output row of a group reads its four
         // source rows as contiguous slices and accumulates the 4×4 block
         // sums in the same dy-major/dx-minor order as

@@ -20,7 +20,7 @@
 //!
 //! The 2-D row-span kernels (downscale, upscale center, Sobel, pError,
 //! preliminary, overshoot, sharpness) dispatch by work-group row
-//! ([`Launch::dispatch_rows`]): the host walks each image row across all
+//! ([`simgpu::queue::CommandQueue::run_rows`]): the host walks each image row across all
 //! of a group row's groups before the next, so every plane streams in row
 //! order instead of as one 16-row tile per group. The reduction (local
 //! memory and barriers) and the upscale border kernels dispatch per group.
@@ -36,10 +36,7 @@ pub mod upscale;
 use simgpu::access::{AccessSummary, BufRef};
 use simgpu::buffer::GlobalView;
 use simgpu::cost::OpCounts;
-use simgpu::error::Result;
-use simgpu::kernel::{round_up, GroupCtx, KernelDesc, RowCtx};
-use simgpu::queue::{CommandQueue, SlicedDispatch, WriteTracked};
-use simgpu::timing::KernelTime;
+use simgpu::kernel::{round_up, KernelDesc};
 
 /// A device image a kernel reads from: the view plus its geometry.
 ///
@@ -141,110 +138,21 @@ impl SrcInfo {
     }
 }
 
-/// How a kernel dispatch executes: as one whole-grid `run` (recording its
-/// command immediately, the monolithic schedule) or as a contiguous
-/// work-group-row slice of the grid merged into a megapass accumulator.
-/// Sliced launches record nothing — the banded scheduler commits the
-/// accumulator once per frame via
-/// [`simgpu::queue::CommandQueue::commit_sliced`], producing the identical
-/// single kernel record (same counters, same simulated time) the
-/// monolithic dispatch would have.
-pub enum Launch<'a> {
-    /// Whole-grid dispatch.
-    Full,
-    /// Execute only this contiguous range of work-group *rows* (a group
-    /// row is `num_groups()[0]` consecutive flat group indices; for 1-D
-    /// grids it is one work-group).
-    Slice(std::ops::Range<usize>, &'a mut SlicedDispatch),
-}
-
-impl Launch<'_> {
-    /// The flat work-group range this launch covers.
-    pub(crate) fn groups(&self, desc: &KernelDesc) -> std::ops::Range<usize> {
-        match self {
-            Launch::Full => 0..desc.total_groups(),
-            Launch::Slice(rows, _) => {
-                let [gx, _] = desc.num_groups();
-                rows.start * gx..rows.end * gx
-            }
-        }
-    }
-
-    /// Dispatches `f` over `desc` per the launch mode, with `access` (its
-    /// closed-form declaration for [`Launch::groups`]) as the dispatch's
-    /// one cost declaration. Sliced launches return a zero [`KernelTime`]:
-    /// the simulated cost is charged at commit, not here.
-    pub(crate) fn dispatch<F>(
-        self,
-        q: &mut CommandQueue,
-        desc: &KernelDesc,
-        access: AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        f: F,
-    ) -> Result<KernelTime>
-    where
-        F: Fn(&mut GroupCtx) + Sync,
-    {
-        match self {
-            Launch::Full => q.run(desc, access, outputs, f),
-            Launch::Slice(_, acc) => {
-                q.run_sliced(desc, access, outputs, acc, f)?;
-                Ok(KernelTime::default())
-            }
-        }
-    }
-
-    /// [`Launch::dispatch`] with the work-group row as the unit of host
-    /// work: `f` runs once per group row and walks each image row across
-    /// all of the row's groups before the next, so the host streams whole
-    /// rows instead of 16-row tiles. Same declaration, records and
-    /// simulated time as per-group execution; for the row-span kernels,
-    /// which use no local memory and no barrier.
-    pub(crate) fn dispatch_rows<F>(
-        self,
-        q: &mut CommandQueue,
-        desc: &KernelDesc,
-        access: AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        f: F,
-    ) -> Result<KernelTime>
-    where
-        F: Fn(&mut RowCtx) + Sync,
-    {
-        match self {
-            Launch::Full => q.run_rows(desc, access, outputs, f),
-            Launch::Slice(_, acc) => {
-                q.run_sliced_rows(desc, access, outputs, acc, f)?;
-                Ok(KernelTime::default())
-            }
-        }
-    }
-}
-
-/// Builds the access summary for a launch via the kernel's closed-form
-/// constructor `build`, carrying the *whole-dispatch* exact read-overcharge
-/// ratio on every slice: the ratio bounds the dispatch totals (a
-/// border-only slice may charge reads while declaring none), exactly as
-/// the dynamic audit applies it at commit.
-pub(crate) fn summarize(
-    launch: &Launch<'_>,
+/// The whole-grid declaration a row-span kernel dispatches with: its
+/// closed-form constructor `build` over every work-group, stamped with the
+/// exact read-overcharge ratio. The static verifier and the cost predictor
+/// declare through this same function, so the three cannot drift.
+pub(crate) fn full_grid(
     desc: &KernelDesc,
-    build: impl Fn(std::ops::Range<usize>) -> AccessSummary,
+    build: impl FnOnce(std::ops::Range<usize>) -> AccessSummary,
 ) -> AccessSummary {
-    let full = build(0..desc.total_groups());
-    let ratio = full.exact_read_ratio();
-    let groups = launch.groups(desc);
-    let mut s = if groups == (0..desc.total_groups()) {
-        full
-    } else {
-        build(groups)
-    };
-    s.read_ratio = ratio;
+    let mut s = build(0..desc.total_groups());
+    s.read_ratio = s.exact_read_ratio();
     s
 }
 
 /// Image rows covered by the flat group range `groups` of a 2-D dispatch
-/// over `ny` logical rows (slices always cover whole work-group rows).
+/// over `ny` logical rows (ranges always cover whole work-group rows).
 pub(crate) fn covered_rows(
     desc: &KernelDesc,
     groups: &std::ops::Range<usize>,
@@ -365,7 +273,7 @@ pub(crate) mod split_check {
 
     /// Asserts that every split of `desc`'s grid into contiguous slices of
     /// whole `unit`-group runs (group rows for 2-D grids, single groups
-    /// for 1-D ones) declares, with the commit's merge, exactly the
+    /// for 1-D ones) declares, merged, exactly the
     /// whole-grid counters — field for field, `items`, `groups` and
     /// `local_alloc_bytes` included. Covers every 2- and 3-way split over
     /// up to 48 cut points (evenly spread beyond that, empty slices

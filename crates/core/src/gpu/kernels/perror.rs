@@ -12,9 +12,7 @@ use simgpu::kernel::KernelDesc;
 use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
-use super::{
-    covered_rows, grid2d, simd, summarize, KernelTuning, Launch, SrcImage, SrcInfo, GROUP_2D,
-};
+use super::{covered_rows, full_grid, grid2d, simd, KernelTuning, SrcImage, SrcInfo, GROUP_2D};
 
 /// Dispatches the pError kernel over the full image. `ws` is the device
 /// row stride of the up/pError buffers (equal to `w` for multiple-of-4
@@ -30,25 +28,8 @@ pub fn perror_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    perror_launch(q, src, up, perr, w, h, ws, tune, Launch::Full)
-}
-
-/// [`perror_kernel`] with an explicit [`Launch`] mode (one work-group row
-/// covers 16 image rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn perror_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    perr: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     let desc = grid2d("perror", w, h);
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         perror_access(
             &desc,
             groups,
@@ -66,7 +47,7 @@ pub(crate) fn perror_launch(
     let up = up.clone();
     // Row-span form: the subtraction runs over contiguous row slices
     // (autovectorized or dispatched via [`simd::sub_span`]).
-    launch.dispatch_rows(q, &desc, access, &[perr], move |rc| {
+    q.run_rows(&desc, access, &[perr], move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {

@@ -26,7 +26,7 @@ use simgpu::buffer::{Buffer, GlobalView, GlobalWriteView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::{GroupCtx, KernelDesc};
-use simgpu::queue::{CommandQueue, SlicedDispatch};
+use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
 /// Work-group size of the reduction kernels (two 64-lane wavefronts).
@@ -171,8 +171,7 @@ pub(crate) fn stage1_access(
 }
 
 /// The stage-1 dispatch descriptor for `n` input elements — shared by the
-/// monolithic kernel and the megapass commit (which must pin the identical
-/// name and geometry).
+/// kernel and the static verifier.
 pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
     let name = match strategy {
         ReductionStrategy::NoUnroll => "reduction_stage1",
@@ -188,36 +187,8 @@ pub(crate) fn stage2_desc() -> KernelDesc {
     KernelDesc::new_1d("reduction_stage2", RED_GROUP, RED_GROUP)
 }
 
-/// Stage 1 over a flat work-group range, merged into a megapass
-/// accumulator (stage 1 is a 1-D grid, so [`super::Launch`]'s group-row
-/// slicing does not apply; the banded scheduler slices it by flat group
-/// index directly and commits once with [`stage1_desc`]).
-pub(crate) fn reduction_stage1_sliced(
-    q: &mut CommandQueue,
-    src: &GlobalView<f32>,
-    n: usize,
-    partials: &Buffer<f32>,
-    strategy: ReductionStrategy,
-    groups: std::ops::Range<usize>,
-    acc: &mut SlicedDispatch,
-) -> Result<()> {
-    if partials.len() < stage1_groups(n) {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "reduction_stage1".into(),
-            detail: format!(
-                "partials buffer holds {} elements, {} work-groups required",
-                partials.len(),
-                stage1_groups(n)
-            ),
-        });
-    }
-    let desc = stage1_desc(n, strategy);
-    let access = stage1_access(&desc, groups, src.info(), partials.info(), 0, n, strategy);
-    let body = stage1_body(src.clone(), partials.write_view(), 0, n, strategy);
-    q.run_sliced(&desc, access, &[partials], acc, body)
-}
-
-/// The stage-1 kernel body, shared by the monolithic and sliced entries.
+/// The stage-1 kernel body: one work-group reduces its `ELEMS_PER_GROUP`
+/// elements to one partial sum.
 fn stage1_body(
     src: GlobalView<f32>,
     out: GlobalWriteView<f32>,

@@ -17,8 +17,8 @@ use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
 use super::{
-    body_columns, covered_rows, grid2d, interior_rows, simd, summarize, vec4_body_columns,
-    KernelTuning, Launch, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, vec4_body_columns,
+    KernelTuning, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::{SharpnessParams, MIN_DIM};
@@ -39,41 +39,8 @@ pub fn preliminary_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    preliminary_launch(
-        q,
-        up,
-        pedge,
-        perr,
-        prelim,
-        mean,
-        params,
-        w,
-        h,
-        ws,
-        tune,
-        Launch::Full,
-    )
-}
-
-/// [`preliminary_kernel`] with an explicit [`Launch`] mode (one work-group
-/// row covers 16 image rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn preliminary_launch(
-    q: &mut CommandQueue,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    perr: &GlobalView<f32>,
-    prelim: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     let desc = grid2d("preliminary", w, h);
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         preliminary_access(
             &desc,
             groups,
@@ -91,7 +58,7 @@ pub(crate) fn preliminary_launch(
     let (up, pedge, perr) = (up.clone(), pedge.clone(), perr.clone());
     // Row-span form: three contiguous loads and one store per pixel, run
     // span-at-a-time through [`simd::preliminary_span`].
-    launch.dispatch_rows(q, &desc, access, &[prelim], move |rc| {
+    q.run_rows(&desc, access, &[prelim], move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -173,36 +140,6 @@ pub fn overshoot_kernel(
     params: SharpnessParams,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    overshoot_launch(
-        q,
-        src,
-        prelim,
-        finalbuf,
-        w,
-        h,
-        ws,
-        params,
-        tune,
-        Launch::Full,
-    )
-}
-
-/// [`overshoot_kernel`] with an explicit [`Launch`] mode (one work-group
-/// row covers 16 image rows; the 3×3 window reads the fully-resident
-/// original, and `prelim` only at the pixel itself).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn overshoot_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    prelim: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    params: SharpnessParams,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     let desc = grid2d("overshoot", w, h);
     let out = finalbuf.write_view();
     let src = src.clone();
@@ -214,7 +151,7 @@ pub(crate) fn overshoot_launch(
     // are one prelim span plus three `(blen+2)`-wide source slices, below
     // the charged windows for every `blen >= 1`, covered by the exact
     // overlapping-window ratio of the access summary.
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         overshoot_access(
             &desc,
             groups,
@@ -227,7 +164,7 @@ pub(crate) fn overshoot_launch(
             tune,
         )
     });
-    launch.dispatch_rows(q, &desc, access, &[finalbuf], move |rc| {
+    q.run_rows(&desc, access, &[finalbuf], move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -387,40 +324,6 @@ pub fn sharpness_fused_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    sharpness_fused_launch(
-        q,
-        src,
-        up,
-        pedge,
-        finalbuf,
-        mean,
-        params,
-        w,
-        h,
-        ws,
-        tune,
-        Launch::Full,
-    )
-}
-
-/// [`sharpness_fused_kernel`] with an explicit [`Launch`] mode (one
-/// work-group row covers 16 image rows; the 3×3 window reads the
-/// fully-resident original, and up/pEdge only at the pixel itself).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sharpness_fused_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     let desc = grid2d("sharpness", w, h);
     let out = finalbuf.write_view();
     let src = src.clone();
@@ -433,7 +336,7 @@ pub(crate) fn sharpness_fused_launch(
     // pixel); the observed raw reads per body row segment are the up/pEdge
     // spans plus three `(blen+2)`-wide source slices, below the charged
     // windows for every `blen >= 1`, covered by the summary's exact ratio.
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         sharpness_fused_access(
             &desc,
             groups,
@@ -447,7 +350,7 @@ pub(crate) fn sharpness_fused_launch(
             tune,
         )
     });
-    launch.dispatch_rows(q, &desc, access, &[finalbuf], move |rc| {
+    q.run_rows(&desc, access, &[finalbuf], move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -630,39 +533,6 @@ pub fn sharpness_fused_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    sharpness_fused_vec4_launch(
-        q,
-        src,
-        up,
-        pedge,
-        finalbuf,
-        mean,
-        params,
-        w,
-        h,
-        ws,
-        tune,
-        Launch::Full,
-    )
-}
-
-/// [`sharpness_fused_vec4_kernel`] with an explicit [`Launch`] mode (one
-/// work-group row covers 16 image rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sharpness_fused_vec4_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sharpness_vec4".into(),
@@ -688,7 +558,7 @@ pub(crate) fn sharpness_fused_vec4_launch(
     // declares the distinct-window events actually observed (3 source
     // halo slices + up/pEdge rows), and carries the exact ratio between
     // the two.
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         sharpness_fused_vec4_access(
             &desc,
             groups,
@@ -702,7 +572,7 @@ pub(crate) fn sharpness_fused_vec4_launch(
             tune,
         )
     });
-    launch.dispatch_rows(q, &desc, access, &[finalbuf], move |rc| {
+    q.run_rows(&desc, access, &[finalbuf], move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =

@@ -12,8 +12,8 @@ use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
 use super::{
-    body_columns, covered_rows, grid2d, interior_rows, simd, summarize, vec4_body_columns,
-    KernelTuning, Launch, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, vec4_body_columns,
+    KernelTuning, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::MIN_DIM;
@@ -29,22 +29,6 @@ pub fn sobel_scalar_kernel(
     h: usize,
     ws: usize,
     tune: KernelTuning,
-) -> Result<KernelTime> {
-    sobel_scalar_launch(q, src, pedge, w, h, ws, tune, Launch::Full)
-}
-
-/// [`sobel_scalar_kernel`] with an explicit [`Launch`] mode (the banded
-/// scheduler slices the grid by work-group rows of 16 image rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sobel_scalar_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
 ) -> Result<KernelTime> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
@@ -67,7 +51,7 @@ pub(crate) fn sobel_scalar_launch(
     // the three `(blen+2)`-wide row slices per segment, which stay below
     // the charged windows for every width except `w == 3` (one-pixel body
     // spans), so narrow images keep the exact per-item path.
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         sobel_scalar_access(
             &desc,
             groups,
@@ -79,7 +63,7 @@ pub(crate) fn sobel_scalar_launch(
             tune,
         )
     });
-    launch.dispatch_rows(q, &desc, access, &[pedge], move |rc| {
+    q.run_rows(&desc, access, &[pedge], move |rc| {
         if w < 4 {
             // Narrow images: the exact per-item path, each image row
             // item by item across the row's groups.
@@ -254,21 +238,6 @@ pub fn sobel_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    sobel_vec4_launch(q, src, pedge, w, h, ws, tune, Launch::Full)
-}
-
-/// [`sobel_vec4_kernel`] with an explicit [`Launch`] mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sobel_vec4_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel_vec4".into(),
@@ -292,7 +261,7 @@ pub(crate) fn sobel_vec4_launch(
     // Charged loads are 18 per thread over (ws/4)·h threads; the summary
     // declares the halo-slice events actually observed and carries the
     // exact ratio between the two.
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         sobel_vec4_access(
             &desc,
             groups,
@@ -304,7 +273,7 @@ pub(crate) fn sobel_vec4_launch(
             tune,
         )
     });
-    launch.dispatch_rows(q, &desc, access, &[pedge], move |rc| {
+    q.run_rows(&desc, access, &[pedge], move |rc| {
         // Row-segment form: each group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
         // the host autovectorizes it; each image row is walked across the

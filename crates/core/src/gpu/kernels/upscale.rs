@@ -15,7 +15,7 @@ use simgpu::kernel::{items, KernelDesc};
 use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
-use super::{covered_rows, grid1d, grid2d, simd, summarize, KernelTuning, Launch, GROUP_2D};
+use super::{covered_rows, full_grid, grid1d, grid2d, simd, KernelTuning, GROUP_2D};
 use crate::math;
 use crate::params::{INTERP, MIN_DIM, SCALE};
 
@@ -50,22 +50,6 @@ pub fn upscale_center_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    upscale_center_scalar_launch(q, down, up, w, h, ws, tune, Launch::Full)
-}
-
-/// [`upscale_center_scalar_kernel`] with an explicit [`Launch`] mode (one
-/// work-group row covers 16 block rows = 64 output rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn upscale_center_scalar_launch(
-    q: &mut CommandQueue,
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     let (wd, hd) = check_center_args("upscale_center", w, h, ws)?;
     let (nx, ny) = (wd - 1, hd - 1);
     let desc = grid2d("upscale_center", nx, ny);
@@ -80,10 +64,10 @@ pub(crate) fn upscale_center_scalar_launch(
     // Declared traffic stays the per-block pattern (four scalar loads,
     // sixteen scalar stores); the fast segment observes `2·(seg+1)` raw
     // reads against `4·seg` charged, covered by the declared ratio.
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    launch.dispatch_rows(q, &desc, access, &[up], move |rc| {
+    q.run_rows(&desc, access, &[up], move |rc| {
         let gw = rc.group_size[0];
         let mut tops = [0.0f32; 4 * GROUP_2D[0]];
         let mut bots = [0.0f32; 4 * GROUP_2D[0]];
@@ -296,32 +280,16 @@ pub fn upscale_center_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    upscale_center_vec4_launch(q, down, up, w, h, ws, tune, Launch::Full)
-}
-
-/// [`upscale_center_vec4_kernel`] with an explicit [`Launch`] mode (one
-/// work-group row covers 16 block rows = 64 output rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn upscale_center_vec4_launch(
-    q: &mut CommandQueue,
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
     let (wd, hd) = check_center_args("upscale_center_vec4", w, h, ws)?;
     let (nx, ny) = (wd - 1, hd - 1);
     let nx_threads = nx.div_ceil(4);
     let desc = grid2d("upscale_center_vec4", nx_threads, ny);
     let down = down.clone();
     let upv = up.write_view();
-    let access = summarize(&launch, &desc, |groups| {
+    let access = full_grid(&desc, |groups| {
         upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    launch.dispatch_rows(q, &desc, access, &[up], move |rc| {
+    q.run_rows(&desc, access, &[up], move |rc| {
         // One thread per four blocks; each block row is walked across all
         // of the row's groups, thread by thread, before the next.
         let gw = rc.group_size[0];
@@ -591,7 +559,7 @@ pub fn upscale_border_gpu(
             companion,
             tune,
         );
-        let t = Launch::Full.dispatch(q, &desc, access, &[up], move |g| {
+        let t = q.run(&desc, access, &[up], move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bi, _] = g.global_id(l);
@@ -666,7 +634,7 @@ pub fn upscale_border_gpu(
             companion,
             tune,
         );
-        let t = Launch::Full.dispatch(q, &desc, access, &[up], move |g| {
+        let t = q.run(&desc, access, &[up], move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bj, _] = g.global_id(l);

@@ -40,8 +40,6 @@ use crate::gpu::opts::{OptConfig, Tuning};
 use crate::params::{check_shape, device_stride, SharpnessParams, SCALE};
 use crate::report::{RunReport, StageRecord};
 
-use crate::gpu::megapass::Schedule;
-
 /// The OpenCL-style sharpness pipeline on the simulated GPU.
 #[derive(Clone)]
 pub struct GpuPipeline {
@@ -49,7 +47,6 @@ pub struct GpuPipeline {
     params: SharpnessParams,
     opts: OptConfig,
     tuning: Tuning,
-    schedule: Schedule,
 }
 
 impl GpuPipeline {
@@ -61,7 +58,6 @@ impl GpuPipeline {
             params,
             opts,
             tuning: Tuning::default(),
-            schedule: Schedule::Monolithic,
         }
     }
 
@@ -69,31 +65,6 @@ impl GpuPipeline {
     pub fn with_tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// Selects the execution schedule (whole-frame kernel passes or the
-    /// cache-blocked banded megapass). Orthogonal to every [`OptConfig`]
-    /// flag: pixels, simulated seconds and sanitizer verdicts are identical
-    /// under either schedule — only host wall-clock changes.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// The execution schedule in effect.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// Banding counters for a `w`×`h` frame under this pipeline's
-    /// schedule; `None` when monolithic.
-    pub fn banded_stats(&self, w: usize, h: usize) -> Option<crate::gpu::BandedStats> {
-        match self.schedule {
-            Schedule::Monolithic => None,
-            Schedule::Banded(rows) => {
-                Some(crate::gpu::BandedStats::for_frame(w, h, &self.opts, rows))
-            }
-        }
     }
 
     /// The optimization flags in effect.
@@ -116,16 +87,7 @@ impl GpuPipeline {
         &self.ctx
     }
 
-    /// Returns a clone of this pipeline whose context has been rebuilt by
-    /// `f` (e.g. to pin dispatch threads for per-frame workers). The clone
-    /// shares the original's buffer pool.
-    pub fn with_context_tweak(&self, f: impl FnOnce(Context) -> Context) -> Self {
-        let mut clone = self.clone();
-        clone.ctx = f(clone.ctx);
-        clone
-    }
-
-    pub(crate) fn sync(&self, q: &mut CommandQueue) {
+    fn sync(&self, q: &mut CommandQueue) {
         if !self.opts.others {
             q.finish();
         }
@@ -133,7 +95,7 @@ impl GpuPipeline {
 
     /// Device→host read of a whole buffer in the transfer mode the config
     /// selects (bulk when `data_transfer` is on, map/unmap otherwise).
-    pub(crate) fn read_back(
+    fn read_back(
         &self,
         q: &mut CommandQueue,
         buf: &Buffer<f32>,
@@ -195,13 +157,12 @@ impl GpuPipeline {
         let mut q = self.ctx.queue();
         let mut out = vec![0.0f32; res.n];
         self.run_frame(&mut q, &mut res, orig, None, &mut out)?;
-        let mut tel = crate::telemetry::FrameTelemetry::collect(
+        let tel = crate::telemetry::FrameTelemetry::collect(
             q.records(),
             q.device(),
             orig.width(),
             orig.height(),
         );
-        tel.banded = self.banded_stats(orig.width(), orig.height());
         Ok((report_from_queue(&q, orig.width(), orig.height(), out), tel))
     }
 
@@ -223,7 +184,7 @@ impl GpuPipeline {
 
     /// Executes one frame against pre-allocated resources, recording
     /// commands on `q` (which the caller has reset) and writing the
-    /// sharpened pixels into `out`, under the configured [`Schedule`].
+    /// sharpened pixels into `out`.
     fn run_frame(
         &self,
         q: &mut CommandQueue,
@@ -241,23 +202,17 @@ impl GpuPipeline {
                 res.h
             ));
         }
-        // The frame scope roots every schedule's span tree; disabled spans
-        // make open/close no-ops, so the execution path is shared.
+        // The frame scope roots the span tree; disabled spans make
+        // open/close no-ops, so the execution path is shared.
         let frame_span = q.span_open(SpanKind::Frame, "frame");
-        let result = match self.schedule {
-            Schedule::Monolithic => self.run_frame_monolithic(q, res, orig, mean_override, out),
-            Schedule::Banded(rows) => {
-                crate::gpu::megapass::run_frame_banded(self, q, res, orig, mean_override, out, rows)
-            }
-        };
+        let result = self.run_frame_monolithic(q, res, orig, mean_override, out);
         q.span_close(frame_span);
         result
     }
 
     /// Uploads the frame in the transfer mode the config selects and
-    /// synchronises, exactly as every schedule must (the upload records are
-    /// schedule-invariant).
-    pub(crate) fn upload_frame(
+    /// synchronises.
+    fn upload_frame(
         &self,
         q: &mut CommandQueue,
         res: &mut FrameResources,
@@ -299,7 +254,7 @@ impl GpuPipeline {
 
     /// Whether the upscale border runs on the device for width `w`
     /// (Section V-E crossover).
-    pub(crate) fn gpu_border_enabled(&self, w: usize) -> bool {
+    fn gpu_border_enabled(&self, w: usize) -> bool {
         self.opts.border_gpu && w >= self.tuning.border_gpu_min_width
     }
 
@@ -453,8 +408,8 @@ impl GpuPipeline {
     }
 
     /// The end-of-frame `finish` plus the final-image readback in the
-    /// transfer mode the config selects (schedule-invariant records).
-    pub(crate) fn readback_final(
+    /// transfer mode the config selects.
+    fn readback_final(
         &self,
         q: &mut CommandQueue,
         res: &FrameResources,
@@ -482,11 +437,7 @@ impl GpuPipeline {
     /// CPU-side upscale border: read the downscaled matrix back, compute
     /// the border on the host (in the plan's reusable scratch), and write
     /// the border region to the device.
-    pub(crate) fn cpu_border(
-        &self,
-        q: &mut CommandQueue,
-        res: &mut FrameResources,
-    ) -> Result<(), String> {
+    fn cpu_border(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<(), String> {
         let (w, h, ws) = (res.w, res.h, res.ws);
         self.read_back(q, &res.down, res.down_host.pixels_mut())?;
         // Only the border cells of the scratch are written here and only
@@ -535,44 +486,8 @@ impl GpuPipeline {
         )
         .map_err(|e| e.to_string())?;
         self.sync(q);
-        self.reduction_stage2_phase(q, res)
-    }
-
-    /// CPU-side reduction: the whole pEdge matrix crosses the bus, then a
-    /// serial host sum — Fig. 16's CPU side.
-    pub(crate) fn reduction_cpu(
-        &self,
-        q: &mut CommandQueue,
-        res: &mut FrameResources,
-    ) -> Result<f32, String> {
-        let n = res.n;
-        let ns = res.ns;
-        // The strided buffer's padding columns are exact zeros in every
-        // config, so summing all `ns` elements and dividing by the true
-        // pixel count `n` is bit-identical to a sum over the cropped image.
-        let host = &mut res.reduction_host;
-        self.read_back(q, &res.pedge, host)?;
-        // f64 accumulation, identical to the CPU reference stage, so
-        // the base GPU pipeline reproduces the CPU output bit-exactly.
-        let sum: f64 = host.iter().map(|&v| f64::from(v)).sum();
-        q.charge_host("host:reduction", &host_sum_counters(ns));
-        Ok((sum / n as f64) as f32)
-    }
-
-    /// Everything after the stage-1 record of the GPU reduction: stage 2 on
-    /// host or device per the tuned threshold. Shared by both schedules (the
-    /// banded executor commits its sliced stage 1, then calls this).
-    pub(crate) fn reduction_stage2_phase(
-        &self,
-        q: &mut CommandQueue,
-        res: &mut FrameResources,
-    ) -> Result<f32, String> {
-        let n = res.n;
-        let groups = stage1_groups(res.ns);
-        let partials = res
-            .partials
-            .as_ref()
-            .expect("gpu reduction allocates partials");
+        // Stage 2 on the host or the device per the tuned threshold.
+        let (n, groups) = (res.n, stage1_groups(res.ns));
         if groups > self.tuning.stage2_gpu_threshold {
             // Stage 2 on the device, then a single-value readback.
             let result = res
@@ -596,6 +511,23 @@ impl GpuPipeline {
             }
             Ok(sum / n as f32)
         }
+    }
+
+    /// CPU-side reduction: the whole pEdge matrix crosses the bus, then a
+    /// serial host sum — Fig. 16's CPU side.
+    fn reduction_cpu(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<f32, String> {
+        let n = res.n;
+        let ns = res.ns;
+        // The strided buffer's padding columns are exact zeros in every
+        // config, so summing all `ns` elements and dividing by the true
+        // pixel count `n` is bit-identical to a sum over the cropped image.
+        let host = &mut res.reduction_host;
+        self.read_back(q, &res.pedge, host)?;
+        // f64 accumulation, identical to the CPU reference stage, so
+        // the base GPU pipeline reproduces the CPU output bit-exactly.
+        let sum: f64 = host.iter().map(|&v| f64::from(v)).sum();
+        q.charge_host("host:reduction", &host_sum_counters(ns));
+        Ok((sum / n as f64) as f32)
     }
 }
 
@@ -690,45 +622,45 @@ fn report_from_queue(q: &CommandQueue, w: usize, h: usize, out: Vec<f32>) -> Run
 /// overwritten each frame except `padded`, whose border is zeroed at
 /// allocation and never written afterwards (only the interior is
 /// uploaded), and the host scratch areas, whose stale cells are never read.
-pub(crate) struct FrameResources {
-    pub(crate) w: usize,
-    pub(crate) h: usize,
-    pub(crate) w4: usize,
-    pub(crate) h4: usize,
-    pub(crate) n: usize,
+struct FrameResources {
+    w: usize,
+    h: usize,
+    w4: usize,
+    h4: usize,
+    n: usize,
     /// Vec4-aligned device row stride (`device_stride(w)`; equals `w` for
     /// multiple-of-4 widths).
-    pub(crate) ws: usize,
+    ws: usize,
     /// Elements of one strided device image (`ws * h`).
-    pub(crate) ns: usize,
-    pub(crate) pw: usize,
-    pub(crate) padded: Buffer<f32>,
+    ns: usize,
+    pw: usize,
+    padded: Buffer<f32>,
     /// Base (non-`data_transfer`) path only: the unpadded original.
-    pub(crate) original: Option<Buffer<f32>>,
-    pub(crate) down: Buffer<f32>,
-    pub(crate) up: Buffer<f32>,
-    pub(crate) pedge: Buffer<f32>,
-    pub(crate) finalbuf: Buffer<f32>,
+    original: Option<Buffer<f32>>,
+    down: Buffer<f32>,
+    up: Buffer<f32>,
+    pedge: Buffer<f32>,
+    finalbuf: Buffer<f32>,
     /// GPU reduction only: per-group partial sums.
-    pub(crate) partials: Option<Buffer<f32>>,
+    partials: Option<Buffer<f32>>,
     /// GPU reduction with device-side stage 2 only: the single-value sum.
-    pub(crate) reduction_out: Option<Buffer<f32>>,
+    reduction_out: Option<Buffer<f32>>,
     /// Unfused sharpening tail only.
-    pub(crate) perror: Option<Buffer<f32>>,
-    pub(crate) prelim: Option<Buffer<f32>>,
+    perror: Option<Buffer<f32>>,
+    prelim: Option<Buffer<f32>>,
     /// Host scratch for the CPU border stage (downscaled frame readback).
-    pub(crate) down_host: ImageF32,
+    down_host: ImageF32,
     /// Host scratch the CPU border stage writes its border pixels into.
-    pub(crate) up_host: ImageF32,
+    up_host: ImageF32,
     /// Host scratch for CPU-side reduction readbacks (pEdge or partials).
-    pub(crate) reduction_host: Vec<f32>,
+    reduction_host: Vec<f32>,
 }
 
 impl FrameResources {
     /// The two kernel-facing views of the uploaded frame: the padded
     /// source, and what downscale/Sobel/pError read — the raw original in
     /// the base pipeline, the padded matrix once the upload is unified.
-    pub(crate) fn sources(&self) -> (SrcImage, SrcImage) {
+    fn sources(&self) -> (SrcImage, SrcImage) {
         let padded_src = SrcImage {
             view: self.padded.view(),
             pitch: self.pw,
@@ -907,14 +839,12 @@ impl PipelinePlan {
     /// Derives per-kernel efficiency telemetry from the most recently
     /// executed frame (observation-only: reads the retained records).
     pub fn telemetry(&self) -> crate::telemetry::FrameTelemetry {
-        let mut tel = crate::telemetry::FrameTelemetry::collect(
+        crate::telemetry::FrameTelemetry::collect(
             self.q.records(),
             self.q.device(),
             self.res.w,
             self.res.h,
-        );
-        tel.banded = self.pipe.banded_stats(self.res.w, self.res.h);
-        tel
+        )
     }
 }
 

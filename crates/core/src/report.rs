@@ -93,8 +93,8 @@ pub enum StageLane {
 
 /// Classifies a command/stage name into its overlap [`StageLane`] from the
 /// queue's `"<kind>:<buffer>"` naming convention. The single source of
-/// truth for lane splits — `gpu/batch.rs` and the throughput engine both
-/// use it, so a renamed stage cannot silently land in the wrong lane.
+/// truth for lane splits — `gpu/batch.rs` and `PipelinePlan::run_into`
+/// both use it, so a renamed stage cannot silently land in the wrong lane.
 pub fn classify_stage_lane(name: &str) -> StageLane {
     if name.starts_with("write:")
         || name.starts_with("rect-write:")

@@ -1,12 +1,11 @@
 //! Sharded [`PipelinePlan`] cache with LRU eviction.
 //!
 //! Preparing a plan is the expensive part of serving a request: it
-//! allocates every device buffer for the shape and walks the full
-//! schedule construction. The cache amortises that the same way kernel
-//! fusion amortises launch overhead — pay once per `(shape, opts,
-//! schedule)`, reuse for every compatible request. Shape is the runtime
-//! key: the pipeline (and with it the opt config and schedule) is fixed
-//! per cache, so two caches with different configs never alias.
+//! allocates every device buffer for the shape. The cache amortises that
+//! the same way kernel fusion amortises launch overhead — pay once per
+//! `(shape, opts)`, reuse for every compatible request. Shape is the
+//! runtime key: the pipeline (and with it the opt config) is fixed per
+//! cache, so two caches with different configs never alias.
 //!
 //! Shards bound the LRU scan: a key hashes to one shard and eviction
 //! decisions are per-shard, mirroring how a production broker shards its
@@ -89,8 +88,8 @@ impl PlanCache {
     /// Keys resident plans on per-shape model-tuned schedules: each miss
     /// runs the pixel-invariant cost-model search of [`crate::tune`] for
     /// the requested shape and prepares the winning `(OptConfig, Tuning)`
-    /// instead of the pipeline's fixed configuration (schedule, params and
-    /// context are kept). The search pins the two summation-order axes —
+    /// instead of the pipeline's fixed configuration (params and context
+    /// are kept). The search pins the two summation-order axes —
     /// the host/device reduction split and the stage-2 placement, whose
     /// float rounding of the global mean *does* change pixels — to the
     /// pipeline's values, so served outputs stay bit-identical while the
@@ -102,7 +101,7 @@ impl PlanCache {
         self
     }
 
-    /// The pipeline plans are prepared from (fixes opts + schedule).
+    /// The pipeline plans are prepared from (fixes opts and tuning).
     pub fn pipeline(&self) -> &GpuPipeline {
         &self.pipe
     }
@@ -150,7 +149,6 @@ impl PlanCache {
             )?;
             GpuPipeline::new(ctx.clone(), *self.pipe.params(), r.opts)
                 .with_tuning(r.tuning)
-                .with_schedule(self.pipe.schedule())
                 .prepared(shape.0, shape.1)?
         } else {
             self.pipe.prepared(shape.0, shape.1)?

@@ -44,7 +44,7 @@ use crate::service::traffic::{Priority, Request};
 /// learned per-shape value replaces it after the first served frame.
 pub const DEFAULT_EST_S_PER_PIXEL: f64 = 3e-9;
 
-/// Scheduler configuration.
+/// Configuration of the service's scheduling policy.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bounded queue length per priority class (backpressure: a full
@@ -284,7 +284,7 @@ pub struct SharpenService {
 }
 
 impl SharpenService {
-    /// Creates a service over `pipe` (its opt config and schedule apply
+    /// Creates a service over `pipe` (its opt config and tuning apply
     /// to every request) with scheduler policy `cfg`.
     pub fn new(pipe: GpuPipeline, cfg: ServiceConfig) -> Self {
         SharpenService { pipe, cfg }

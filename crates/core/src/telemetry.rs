@@ -119,11 +119,6 @@ pub struct FrameTelemetry {
     pub download_s: f64,
     /// Peak global-memory bandwidth of the device, bytes/second.
     pub device_mem_bw: f64,
-    /// Banding counters when the frame ran under a
-    /// [`Schedule::Banded`](crate::gpu::Schedule) schedule: band count,
-    /// rows per band and the peak cache-resident working set. `None` for
-    /// monolithic frames.
-    pub banded: Option<crate::gpu::BandedStats>,
 }
 
 impl FrameTelemetry {
@@ -147,7 +142,6 @@ impl FrameTelemetry {
             compute_s: 0.0,
             download_s: 0.0,
             device_mem_bw: dev.mem_bw,
-            banded: None,
         };
         for r in records {
             t.simulated_s += r.duration_s;
@@ -229,11 +223,6 @@ impl FrameTelemetry {
         reg.set_gauge("lane.upload_s", self.upload_s);
         reg.set_gauge("lane.compute_s", self.compute_s);
         reg.set_gauge("lane.download_s", self.download_s);
-        if let Some(b) = &self.banded {
-            reg.set_gauge("banded.bands", b.bands as f64);
-            reg.set_gauge("banded.rows_per_band", b.rows_per_band as f64);
-            reg.set_gauge("banded.peak_resident_bytes", b.peak_resident_bytes as f64);
-        }
         let dev = DeviceSpec {
             mem_bw: self.device_mem_bw,
             ..DeviceSpec::firepro_w8000()
@@ -299,15 +288,6 @@ impl FrameTelemetry {
             self.simulated_s * 1e6,
             self.commands,
         );
-        if let Some(b) = &self.banded {
-            let _ = writeln!(
-                out,
-                "banded: {} bands of {} rows, peak resident {:.1} MiB",
-                b.bands,
-                b.rows_per_band,
-                b.peak_resident_bytes as f64 / (1 << 20) as f64,
-            );
-        }
         out
     }
 }
@@ -363,7 +343,6 @@ pub fn baseline_registry(cfg: &OptConfig) -> Result<MetricsRegistry, String> {
         BASELINE_WIDTH,
         cfg,
         &crate::gpu::Tuning::default(),
-        crate::gpu::Schedule::Monolithic,
     )?;
     proof.to_registry(&mut reg);
     let tuned = crate::tune::search(

@@ -8,7 +8,7 @@
 //! alone:
 //!
 //! * [`predict`] is the closed-form cost predictor: the exact simulated
-//!   seconds of any `(w, h, OptConfig, Tuning, Schedule, DeviceSpec)`
+//!   seconds of any `(w, h, OptConfig, Tuning, DeviceSpec)`
 //!   with zero execution, `.to_bits()`-identical to what running the
 //!   pipeline reports (the agreement sweep in `tests/tune.rs` enforces
 //!   bit equality, not approximation).

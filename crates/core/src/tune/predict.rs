@@ -11,19 +11,13 @@
 //! is a pure function of integer work counters known in closed form, the
 //! prediction is `.to_bits()`-identical to what running the pipeline
 //! reports — not merely close. The agreement sweep in `tests/tune.rs`
-//! enforces that across all 64 configs, both schedules and multiple device
-//! profiles.
-//!
-//! Banded schedules need no separate model: the megapass commits each
-//! sliced kernel as the one record the monolithic schedule would have
-//! produced (same name, same merged counters, same [`kernel_time`]), so
-//! one replay covers every band height.
+//! enforces that across all 64 configs and multiple device profiles.
 //!
 //! This module must stay execution-free — no pipelines, no queues, no
 //! buffers (a lint rule enforces it). It holds no cost recipe of its own:
-//! a kernel's counters are its declared access summaries folded exactly as
-//! the queue commits them (the very declarations the executor charges),
-//! and the host stages use the pipeline's shared recipes.
+//! a kernel's counters are its declared access summary (the very
+//! declaration the executor charges), and the host stages use the
+//! pipeline's shared recipes.
 
 use simgpu::device::{CpuSpec, DeviceSpec};
 use simgpu::timing::{
@@ -33,7 +27,7 @@ use simgpu::timing::{
 
 use crate::gpu::kernels::reduction::stage1_groups;
 use crate::gpu::pipeline::{border_elems, border_host_counters, host_sum_counters};
-use crate::gpu::{enumerate_access, OptConfig, Schedule, Tuning};
+use crate::gpu::{enumerate_access, OptConfig, Tuning};
 use crate::params::{device_stride, SCALE};
 
 /// One predicted command record: the name the executing queue would give
@@ -149,22 +143,20 @@ impl<'a> Clock<'a> {
 /// schedule exactly as execution would); the inter-kernel command stream
 /// is replayed from the same branch structure
 /// `GpuPipeline::run_frame_monolithic` executes. The result is
-/// `.to_bits()`-identical to `GpuPipeline::run(...).total_s` for both the
-/// monolithic and every banded schedule.
+/// `.to_bits()`-identical to `GpuPipeline::run(...).total_s`.
 ///
 /// # Errors
-/// On unsupported shapes, invalid band heights, or an enumeration that
+/// On unsupported shapes, or an enumeration that
 /// desynchronises from the replay (a bug, surfaced loudly).
 pub fn predict_frame(
     w: usize,
     h: usize,
     opts: &OptConfig,
     tuning: &Tuning,
-    schedule: Schedule,
     dev: &DeviceSpec,
     cpu: &CpuSpec,
 ) -> Result<Prediction, String> {
-    let dispatches = enumerate_access(w, h, opts, tuning, schedule)?;
+    let dispatches = enumerate_access(w, h, opts, tuning)?;
     let g = Geom::new(w, h);
     let t = &dev.transfer;
     let mut clk = Clock::new(dev);
@@ -181,7 +173,7 @@ pub fn predict_frame(
                 d.desc.name
             ));
         }
-        clk.push(&d.desc.name, kernel_time(dev, &d.counters()).total_s);
+        clk.push(&d.desc.name, kernel_time(dev, &d.access.charged).total_s);
         Ok(())
     };
 
@@ -331,32 +323,15 @@ mod tests {
     fn predict_rejects_tiny_shapes() {
         let dev = DeviceSpec::firepro_w8000();
         let cpu = CpuSpec::core_i5_3470();
-        assert!(predict_frame(
-            2,
-            2,
-            &OptConfig::all(),
-            &Tuning::default(),
-            Schedule::Monolithic,
-            &dev,
-            &cpu
-        )
-        .is_err());
+        let tuning = Tuning::default();
+        assert!(predict_frame(2, 2, &OptConfig::all(), &tuning, &dev, &cpu).is_err());
     }
 
     #[test]
     fn prediction_total_is_the_ordered_command_sum() {
         let dev = DeviceSpec::firepro_w8000();
         let cpu = CpuSpec::core_i5_3470();
-        let p = predict_frame(
-            256,
-            256,
-            &OptConfig::all(),
-            &Tuning::default(),
-            Schedule::Monolithic,
-            &dev,
-            &cpu,
-        )
-        .unwrap();
+        let p = predict_frame(256, 256, &OptConfig::all(), &Tuning::default(), &dev, &cpu).unwrap();
         let mut sum = 0.0f64;
         for cmd in &p.commands {
             sum += cmd.seconds;

@@ -11,13 +11,6 @@
 //! [`SearchMode::Guided`] fixes one axis at a time (~71 candidates);
 //! `benches/tune_model.rs` records how often the two argmins agree.
 //!
-//! Banded schedules are deliberately absent from the candidate axes: the
-//! megapass commits each sliced kernel as the one record the monolithic
-//! schedule would produce, so every band height predicts (and executes)
-//! the identical simulated time. The search verifies that claim for the
-//! winner ([`TuneReport::banded_tie`]) instead of multiplying the space
-//! by it.
-//!
 //! Like the predictor, this module must stay execution-free — no
 //! pipelines, no queues, no buffers (a lint rule enforces it). The wall
 //! clock of a search is measured by callers (the `tune` bin and the
@@ -36,7 +29,7 @@ use crate::gpu::kernels::reduction::{
 use crate::gpu::kernels::upscale::{upscale_border_col_access, upscale_border_row_access};
 use crate::gpu::kernels::{grid1d, KernelTuning};
 use crate::gpu::pipeline::{border_elems, border_host_counters, host_sum_counters};
-use crate::gpu::{OptConfig, Schedule, Tuning};
+use crate::gpu::{OptConfig, Tuning};
 use crate::params::{device_stride, SCALE};
 
 use super::predict::predict_frame;
@@ -81,9 +74,6 @@ pub struct TuneReport {
     pub default_s: f64,
     /// Candidates evaluated.
     pub candidates: usize,
-    /// Whether a banded schedule of the winner predicts the exact same
-    /// simulated seconds as the monolithic schedule (it always should).
-    pub banded_tie: bool,
 }
 
 impl TuneReport {
@@ -112,7 +102,6 @@ impl TuneReport {
         reg.set_gauge("tune.stage2_device", f64::from(u8::from(stage2_device)));
         let border_gpu = self.opts.border_gpu && self.w >= self.tuning.border_gpu_min_width;
         reg.set_gauge("tune.border_gpu", f64::from(u8::from(border_gpu)));
-        reg.set_gauge("tune.banded_tie", f64::from(u8::from(self.banded_tie)));
     }
 
     /// One human-readable line for CLI summaries.
@@ -202,7 +191,7 @@ pub fn search(
                     candidates: &mut usize,
                     best: &mut Option<(OptConfig, Tuning, f64)>|
      -> Result<(), String> {
-        let p = predict_frame(w, h, &opts, &tuning, Schedule::Monolithic, dev, cpu)?;
+        let p = predict_frame(w, h, &opts, &tuning, dev, cpu)?;
         *candidates += 1;
         if best.as_ref().is_none_or(|(_, _, t)| p.total_s < *t) {
             *best = Some((opts, tuning, p.total_s));
@@ -274,17 +263,7 @@ pub fn search(
     }
 
     let (opts, tuning, predicted_s) = best.expect("search evaluated at least one candidate");
-    let default_s = predict_frame(
-        w,
-        h,
-        &OptConfig::all(),
-        &Tuning::default(),
-        Schedule::Monolithic,
-        dev,
-        cpu,
-    )?
-    .total_s;
-    let banded_s = predict_frame(w, h, &opts, &tuning, Schedule::Banded(64), dev, cpu)?.total_s;
+    let default_s = predict_frame(w, h, &OptConfig::all(), &Tuning::default(), dev, cpu)?.total_s;
     Ok(TuneReport {
         w,
         h,
@@ -295,7 +274,6 @@ pub fn search(
         predicted_s,
         default_s,
         candidates,
-        banded_tie: banded_s.to_bits() == predicted_s.to_bits(),
     })
 }
 
@@ -346,7 +324,7 @@ pub fn search_pixel_invariant(
                     stage2_gpu_threshold: pinned_tuning.stage2_gpu_threshold,
                     border_gpu_min_width: border_w,
                 };
-                let p = predict_frame(w, h, &opts, &tuning, Schedule::Monolithic, dev, cpu)?;
+                let p = predict_frame(w, h, &opts, &tuning, dev, cpu)?;
                 candidates += 1;
                 if best.as_ref().is_none_or(|(_, _, t)| p.total_s < *t) {
                     best = Some((opts, tuning, p.total_s));
@@ -355,17 +333,7 @@ pub fn search_pixel_invariant(
         }
     }
     let (opts, tuning, predicted_s) = best.expect("pinned search evaluated 192 candidates");
-    let default_s = predict_frame(
-        w,
-        h,
-        &OptConfig::all(),
-        &Tuning::default(),
-        Schedule::Monolithic,
-        dev,
-        cpu,
-    )?
-    .total_s;
-    let banded_s = predict_frame(w, h, &opts, &tuning, Schedule::Banded(64), dev, cpu)?.total_s;
+    let default_s = predict_frame(w, h, &OptConfig::all(), &Tuning::default(), dev, cpu)?.total_s;
     Ok(TuneReport {
         w,
         h,
@@ -376,7 +344,6 @@ pub fn search_pixel_invariant(
         predicted_s,
         default_s,
         candidates,
-        banded_tie: banded_s.to_bits() == predicted_s.to_bits(),
     })
 }
 
@@ -484,7 +451,6 @@ mod tests {
         assert_eq!(r.candidates, 64 * 3 * 2 * 2);
         assert!(r.predicted_s > 0.0);
         assert!(r.predicted_s <= r.default_s, "argmin beats any fixed point");
-        assert!(r.banded_tie, "banding must not change simulated time");
     }
 
     #[test]
@@ -537,17 +503,9 @@ mod tests {
             );
             // The pinned configuration's effective behavior is in the
             // space, so the winner can only beat or tie it.
-            let pinned_s = predict_frame(
-                256,
-                256,
-                &pinned,
-                &Tuning::default(),
-                Schedule::Monolithic,
-                &dev,
-                &cpu,
-            )
-            .unwrap()
-            .total_s;
+            let pinned_s = predict_frame(256, 256, &pinned, &Tuning::default(), &dev, &cpu)
+                .unwrap()
+                .total_s;
             assert!(r.predicted_s <= pinned_s);
         }
     }

@@ -5,7 +5,7 @@
 //! the crate stays dependency-free.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 use crate::image::ImageU8;
@@ -62,11 +62,10 @@ pub fn read_pgm(path: &Path) -> io::Result<ImageU8> {
     }
     let (width, height, n, maxval) = read_dims(&mut r)?;
     let data = if magic == "P5" {
-        let mut data = vec![0u8; n];
-        r.read_exact(&mut data)?;
-        data
+        read_payload(&mut r, n)?
     } else {
-        let mut data = Vec::with_capacity(n);
+        // Every ASCII sample takes at least one byte of the file.
+        let mut data = Vec::with_capacity(n.min(bytes_left(&mut r)));
         for _ in 0..n {
             let v = parse_token::<_, u16>(&mut r)?;
             if v as usize > maxval {
@@ -90,9 +89,36 @@ pub fn read_ppm(path: &Path) -> io::Result<RgbImageU8> {
     let bytes = n
         .checked_mul(3)
         .ok_or_else(|| bad_data(format!("dimensions {width}x{height} overflow")))?;
-    let mut data = vec![0u8; bytes];
-    r.read_exact(&mut data)?;
+    let data = read_payload(&mut r, bytes)?;
     Ok(RgbImageU8::from_vec(width, height, data))
+}
+
+/// Bytes the file still holds past the reader's position (0 when the
+/// length is unknown, e.g. for a pipe).
+fn bytes_left(r: &mut BufReader<File>) -> usize {
+    let len = r.get_ref().metadata().map_or(0, |m| m.len());
+    let pos = r.stream_position().unwrap_or(len);
+    usize::try_from(len.saturating_sub(pos)).unwrap_or(usize::MAX)
+}
+
+/// Reads exactly `n` payload bytes. The buffer is sized by the bytes the
+/// file actually holds, never by the header's claim alone, so a header
+/// promising more pixels than the file contains fails with
+/// `UnexpectedEof` instead of allocating the claimed size; a valid file
+/// still gets one exact allocation.
+fn read_payload(r: &mut BufReader<File>, n: usize) -> io::Result<Vec<u8>> {
+    let mut data = Vec::with_capacity(n.min(bytes_left(r)));
+    r.by_ref().take(n as u64).read_to_end(&mut data)?;
+    if data.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "payload holds {} of the {n} bytes the header declares",
+                data.len()
+            ),
+        ));
+    }
+    Ok(data)
 }
 
 fn bad_data(msg: String) -> io::Error {
@@ -277,6 +303,46 @@ mod tests {
         let p = tmpfile("i7.ppm");
         std::fs::write(&p, format!("P6\n{} 4\n255\n", MAX_DIM + 1)).unwrap();
         assert_eq!(read_ppm(&p).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn header_claiming_max_dims_over_a_few_bytes_is_an_error() {
+        // A 2^20 x 2^20 header over a two-byte payload must fail with a
+        // typed error, not allocate the claimed 1 TiB (or 3 TiB for P6).
+        let claim = format!("{MAX_DIM} {MAX_DIM}\n255\n");
+        for (name, magic) in [("l1.pgm", "P5"), ("l2.pgm", "P2"), ("l3.ppm", "P6")] {
+            let p = tmpfile(name);
+            let mut body = format!("{magic}\n{claim}").into_bytes();
+            body.extend(if magic == "P2" {
+                &b"1 2\n"[..]
+            } else {
+                &b"\x01\x02"[..]
+            });
+            std::fs::write(&p, &body).unwrap();
+            let err = if magic == "P6" {
+                read_ppm(&p).map(|_| ()).unwrap_err()
+            } else {
+                read_pgm(&p).map(|_| ()).unwrap_err()
+            };
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{name}: {err}");
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn short_payload_is_unexpected_eof_and_exact_payload_reads() {
+        let p = tmpfile("m1.ppm");
+        std::fs::write(&p, b"P6\n2 1\n255\n\x01\x02\x03\x04").unwrap();
+        assert_eq!(
+            read_ppm(&p).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        std::fs::remove_file(&p).ok();
+        // Trailing bytes past the declared payload are ignored, as before.
+        let p = tmpfile("m2.pgm");
+        std::fs::write(&p, b"P5\n2 1\n255\n\x01\x02\x03").unwrap();
+        assert_eq!(read_pgm(&p).unwrap().pixels(), &[1, 2]);
         std::fs::remove_file(&p).ok();
     }
 

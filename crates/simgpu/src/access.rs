@@ -18,10 +18,7 @@
 //!   set exactly, and the charged read bytes dominate the declared read
 //!   set while staying within the declared overcharge ratio (the ratio
 //!   itself is derived in closed form via
-//!   [`AccessSummary::exact_read_ratio`], replacing any hand-waved floor);
-//! * **(d) coverage** — for sliced (banded) dispatches,
-//!   [`verify_partition`] proves the slices exactly tile the grid: no gap,
-//!   no overlap.
+//!   [`AccessSummary::exact_read_ratio`], replacing any hand-waved floor).
 //!
 //! Declared once, charged once; the sanitizer audits declared against
 //! observed. Sanitized runs compare the declared window bytes against the
@@ -174,9 +171,9 @@ impl AccessWindow {
     }
 }
 
-/// The declarative access summary of one kernel dispatch (or one slice of
-/// a banded dispatch): grid geometry, affine windows, and the cost
-/// counters the dispatch is charged.
+/// The declarative access summary of one kernel dispatch (or of a group
+/// range of it): grid geometry, affine windows, and the cost counters the
+/// dispatch is charged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessSummary {
     /// Kernel name (must match the dispatched [`crate::kernel::KernelDesc`]).
@@ -335,13 +332,6 @@ pub enum AccessError {
         /// Declared ratio, as `f64::to_bits` (keeps the error `Eq`).
         ratio_bits: u64,
     },
-    /// Sliced launches do not exactly tile the grid (property d).
-    CoverageGap {
-        /// Kernel being committed.
-        kernel: String,
-        /// Human-readable description of the gap or overlap.
-        detail: String,
-    },
     /// The summary's grid geometry does not match the dispatch it was
     /// declared for.
     GridMismatch {
@@ -403,10 +393,6 @@ impl fmt::Display for AccessError {
                  the declared bound of {declared} x ratio {:.4}",
                 f64::from_bits(*ratio_bits)
             ),
-            AccessError::CoverageGap { kernel, detail } => write!(
-                f,
-                "sliced dispatch of kernel `{kernel}` does not partition the grid: {detail}"
-            ),
             AccessError::GridMismatch { kernel, detail } => write!(
                 f,
                 "access summary for kernel `{kernel}` does not match its dispatch: {detail}"
@@ -465,10 +451,9 @@ fn pairwise_disjoint(a: &AccessWindow, b: &AccessWindow) -> bool {
 
 /// Statically checks one summary: bounds (a), write disjointness (b), and
 /// accounting (c). The overcharge-ratio bound of (c) applies to full-grid
-/// summaries; for slices it is enforced on the merged totals at
-/// [`crate::queue::CommandQueue::commit_sliced`], mirroring how the
-/// dynamic audit works (a slice covering only border rows may observe zero
-/// reads while still charging its share of the whole-dispatch bound).
+/// summaries only: a partial group range (as the range-split checks of the
+/// kernel constructors build) may cover only border rows that read nothing
+/// while still charging its share of the whole-dispatch bound.
 pub fn verify_summary(s: &AccessSummary) -> Result<(), AccessError> {
     if s.groups.start > s.groups.end || s.groups.end > s.total_groups {
         return Err(AccessError::GridMismatch {
@@ -560,49 +545,11 @@ pub fn verify_summary(s: &AccessSummary) -> Result<(), AccessError> {
     Ok(())
 }
 
-/// Statically checks property (d): the non-empty `ranges` must exactly
-/// tile `0..total_groups` — any gap or overlap is a typed verdict.
-pub fn verify_partition(
-    kernel: &str,
-    total_groups: usize,
-    ranges: &[Range<usize>],
-) -> Result<(), AccessError> {
-    let mut rs: Vec<Range<usize>> = ranges.iter().filter(|r| !r.is_empty()).cloned().collect();
-    rs.sort_by_key(|r| r.start);
-    let mut cursor = 0usize;
-    for r in rs {
-        if r.start > cursor {
-            return Err(AccessError::CoverageGap {
-                kernel: kernel.to_string(),
-                detail: format!("groups {cursor}..{} never executed", r.start),
-            });
-        }
-        if r.start < cursor {
-            return Err(AccessError::CoverageGap {
-                kernel: kernel.to_string(),
-                detail: format!(
-                    "groups {}..{} executed more than once",
-                    r.start,
-                    cursor.min(r.end)
-                ),
-            });
-        }
-        cursor = r.end;
-    }
-    if cursor != total_groups {
-        return Err(AccessError::CoverageGap {
-            kernel: kernel.to_string(),
-            detail: format!("slices covered {cursor} of {total_groups} work-groups"),
-        });
-    }
-    Ok(())
-}
-
 /// Aggregate statistics over verified summaries, surfaced through
 /// `--profile` and the metrics gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VerifyStats {
-    /// Summaries verified (one per dispatch or slice).
+    /// Summaries verified (one per dispatch).
     pub dispatches: u64,
     /// Declared windows across all summaries.
     pub windows: u64,
@@ -782,11 +729,11 @@ mod tests {
         s.read_ratio = s.exact_read_ratio();
         assert!(s.read_ratio > 1.9 && s.read_ratio < 2.1);
         assert_eq!(verify_summary(&s), Ok(()));
-        // A slice (not full grid) defers the ratio bound to commit.
-        let mut slice = s.clone();
-        slice.groups = 0..2;
-        slice.read_ratio = 1.0;
-        assert_eq!(verify_summary(&slice), Ok(()));
+        // A partial group range is not held to the whole-dispatch bound.
+        let mut part = s.clone();
+        part.groups = 0..2;
+        part.read_ratio = 1.0;
+        assert_eq!(verify_summary(&part), Ok(()));
     }
 
     #[test]
@@ -798,23 +745,5 @@ mod tests {
         assert_eq!(s.charged.group_lanes, 128);
         assert_eq!(s.charged.items, 6 * 128);
         assert_eq!(s.charged.global_bytes(), 0);
-    }
-
-    #[test]
-    fn partition_detects_gap_and_overlap() {
-        assert_eq!(verify_partition("k", 10, &[0..4, 4..10]), Ok(()));
-        assert_eq!(verify_partition("k", 10, &[4..10, 0..4, 2..2]), Ok(()));
-        assert!(matches!(
-            verify_partition("k", 10, &[0..4, 6..10]),
-            Err(AccessError::CoverageGap { .. })
-        ));
-        assert!(matches!(
-            verify_partition("k", 10, &[0..6, 4..10]),
-            Err(AccessError::CoverageGap { .. })
-        ));
-        assert!(matches!(
-            verify_partition("k", 10, &[0..4, 4..8]),
-            Err(AccessError::CoverageGap { .. })
-        ));
     }
 }

@@ -139,8 +139,7 @@ impl Context {
     }
 
     /// Pins the number of host threads each kernel dispatch uses
-    /// (0 = all available cores, the default). A throughput engine running
-    /// frames concurrently pins this to 1 and parallelises across frames.
+    /// (0 = all available cores, the default).
     pub fn with_dispatch_threads(mut self, threads: usize) -> Self {
         self.dispatch_threads = threads;
         self

@@ -159,8 +159,8 @@ impl CostCounters {
         self.ops = self.ops.plus(&per_item.times(n));
     }
 
-    /// Merges another counter set into this one (used when folding the
-    /// per-slice declarations of a sliced dispatch).
+    /// Merges another counter set into this one (used when summing the
+    /// declarations of several dispatches or group ranges).
     pub fn merge(&mut self, o: &CostCounters) {
         self.ops = self.ops.plus(&o.ops);
         self.global_read_scalar += o.global_read_scalar;

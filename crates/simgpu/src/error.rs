@@ -88,9 +88,8 @@ pub enum Error {
         message: String,
     },
     /// The static access checker rejected a dispatch: an out-of-bounds or
-    /// overlapping declared window, an accounting mismatch, a coverage gap
-    /// in a sliced dispatch, or a missing declaration while summaries are
-    /// required. See [`crate::access::AccessError`] for the verdicts.
+    /// overlapping declared window, an accounting mismatch, or a
+    /// declaration that does not match its dispatch. See [`crate::access::AccessError`] for the verdicts.
     Access(crate::access::AccessError),
 }
 

@@ -9,10 +9,8 @@
 //! chunks through an atomic cursor so uneven units (reduction tails,
 //! border kernels, a ragged last group row) still balance.
 //!
-//! Parallelism is a per-[`crate::context::Context`] knob: a latency-bound
-//! caller uses every host core for one dispatch, while a throughput engine
-//! running many simulated frames concurrently pins each frame's dispatches
-//! to one thread and parallelises across frames instead.
+//! Parallelism is a per-[`crate::context::Context`] knob: by default one
+//! dispatch uses every host core; tests pin it to compare thread counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

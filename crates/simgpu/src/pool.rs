@@ -197,9 +197,8 @@ impl PoolShared {
 /// A shared recycling pool for device-buffer backing storage.
 ///
 /// Owned by a [`Context`](crate::context::Context); clones of the context
-/// share the same pool, so every pipeline (and every worker thread of a
-/// throughput engine) created from one context recycles from the same
-/// inventory.
+/// share the same pool, so every pipeline created from one context
+/// recycles from the same inventory.
 #[derive(Clone)]
 pub struct BufferPool {
     pub(crate) shared: Arc<PoolShared>,

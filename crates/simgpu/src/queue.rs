@@ -94,50 +94,10 @@ impl<T: Scalar> WriteTracked for Buffer<T> {
     }
 }
 
-/// Accumulator for one *logical* kernel dispatch executed as several
-/// contiguous work-group slices via [`CommandQueue::run_sliced`].
-///
-/// The banded (megapass) scheduler cuts a dispatch into row-band slices so
-/// each band's data stays cache-resident on the host, but the cost model
-/// must see exactly the dispatch a whole-grid [`CommandQueue::run`] would
-/// have produced. The slices' declared counters fold with the associative,
-/// commutative u64 [`CostCounters::merge`]; because each kernel's
-/// closed-form declaration of a group range sums to its whole-grid
-/// declaration, the record committed by [`CommandQueue::commit_sliced`]
-/// carries bit-identical counters — and therefore a bit-identical
-/// [`kernel_time`] — to the monolithic dispatch. Nothing is recorded on
-/// the queue (and the simulated clock does not move) until commit.
-#[derive(Debug, Default)]
-pub struct SlicedDispatch {
-    /// Declared counters merged across slices.
-    counters: CostCounters,
-    /// Window-declared read bytes summed across slices and the largest
-    /// declared read ratio, for the merged ratio bound at commit.
-    declared_read_bytes: u64,
-    read_ratio: f64,
-    /// Sanitizer-observed traffic summed across slices; audited once at
-    /// commit against the merged counters.
-    observed_read_bytes: u64,
-    observed_write_bytes: u64,
-    /// Flat group range of every non-empty slice, checked at commit to
-    /// exactly partition the grid (static property d).
-    ranges: Vec<std::ops::Range<usize>>,
-    /// Slice declarations, retained only for a queue keeping its access log.
-    access: Vec<AccessSummary>,
-}
-
-impl SlicedDispatch {
-    /// A fresh accumulator for one logical dispatch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The unit of parallel host work a dispatch executes its closure for: one
-/// work-group, or one run of work-groups in a group row. The dispatch call
-/// picks it ([`CommandQueue::run`] / [`CommandQueue::run_sliced`] per
-/// group, [`CommandQueue::run_rows`] / [`CommandQueue::run_sliced_rows`]
-/// per row); both go through the one execution loop.
+/// work-group, or one group row. The dispatch call picks it
+/// ([`CommandQueue::run`] per group, [`CommandQueue::run_rows`] per row);
+/// both go through the one execution loop.
 enum Unit<'f> {
     Group(&'f (dyn Fn(&mut GroupCtx) + Sync)),
     Row(&'f (dyn Fn(&mut RowCtx) + Sync)),
@@ -345,6 +305,13 @@ impl CommandQueue {
         self.run_unit(desc, decl, outputs, Unit::Row(&f))
     }
 
+    /// The one group-execution loop, shared by both dispatch entry points:
+    /// checks `decl` against `desc` and verifies it statically (bounds,
+    /// write disjointness, accounting) before any work runs, executes the
+    /// grid in parallel — one closure call per group, or per group row, as
+    /// `unit` says — cross-validates the declared windows against the
+    /// sanitizer's observation, checks `outputs` for write races, and
+    /// records the dispatch charged with `decl`'s counters.
     fn run_unit(
         &mut self,
         desc: &KernelDesc,
@@ -361,117 +328,6 @@ impl CommandQueue {
                 ),
             }));
         }
-        let (r, w) = self.execute(desc, &decl, outputs, unit)?;
-        if let Some(sh) = &self.sanitize {
-            sh.audit_totals(&desc.name, &decl.charged, r, w, decl.read_ratio);
-        }
-        let t = kernel_time(&self.device, &decl.charged);
-        self.push(
-            &desc.name,
-            CommandKind::Kernel,
-            t.total_s,
-            Some(decl.charged),
-        );
-        if self.keep_access_log {
-            self.access_log.push(decl);
-        }
-        Ok(t)
-    }
-
-    /// Executes the contiguous flat-group-index slice `decl.groups` of
-    /// `desc`'s grid and folds `decl` into `acc` without recording any
-    /// command. Flat index `gi` maps to group `[gi % gx, gi / gx]`, exactly
-    /// as in [`CommandQueue::run`], so the union of disjoint slices over
-    /// `0..desc.total_groups()` performs precisely the monolithic
-    /// dispatch's work. An empty slice is a no-op.
-    ///
-    /// Write-race validation and the sanitizer's race/bounds/barrier
-    /// analysis run per slice (each slice is its own write epoch and
-    /// sanitizer dispatch; cross-slice conflicts are out of scope — a
-    /// correct slicer gives slices disjoint output rows). The
-    /// cost-accounting drift audit is deferred to
-    /// [`CommandQueue::commit_sliced`], which compares the slice-summed
-    /// observed traffic against the merged declarations once: a single
-    /// slice may legitimately observe zero read bytes while its declared
-    /// charge is positive.
-    pub fn run_sliced<F>(
-        &mut self,
-        desc: &KernelDesc,
-        decl: AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        acc: &mut SlicedDispatch,
-        f: F,
-    ) -> Result<()>
-    where
-        F: Fn(&mut GroupCtx) + Sync,
-    {
-        self.slice_unit(desc, decl, outputs, acc, Unit::Group(&f))
-    }
-
-    /// [`CommandQueue::run_sliced`] with the work-group row as the unit of
-    /// host work, as in [`CommandQueue::run_rows`]. A slice that starts or
-    /// ends inside a group row hands the row's covered groups to `f`.
-    pub fn run_sliced_rows<F>(
-        &mut self,
-        desc: &KernelDesc,
-        decl: AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        acc: &mut SlicedDispatch,
-        f: F,
-    ) -> Result<()>
-    where
-        F: Fn(&mut RowCtx) + Sync,
-    {
-        self.slice_unit(desc, decl, outputs, acc, Unit::Row(&f))
-    }
-
-    fn slice_unit(
-        &mut self,
-        desc: &KernelDesc,
-        decl: AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        acc: &mut SlicedDispatch,
-        unit: Unit<'_>,
-    ) -> Result<()> {
-        if decl.groups.is_empty() {
-            return Ok(());
-        }
-        let (r, w) = self.execute(desc, &decl, outputs, unit)?;
-        acc.counters.merge(&decl.charged);
-        acc.declared_read_bytes += decl.declared_read_bytes();
-        acc.read_ratio = acc.read_ratio.max(decl.read_ratio);
-        acc.observed_read_bytes += r;
-        acc.observed_write_bytes += w;
-        acc.ranges.push(decl.groups.clone());
-        if self.keep_access_log {
-            acc.access.push(decl);
-        }
-        if self.spans.is_some() {
-            // The clock does not move until commit, so a slice's simulated
-            // duration is zero; its wall gap is the slice's execution time.
-            let name = self.intern(&desc.name);
-            if let Some(ring) = &mut self.spans {
-                ring.leaf(SpanKind::Slice, name, self.clock_s, 0.0);
-            }
-        }
-        Ok(())
-    }
-
-    /// The one group-execution loop, shared by every dispatch entry point:
-    /// checks `decl` against `desc` and verifies it statically (bounds,
-    /// write disjointness, accounting) before any work runs, executes the
-    /// groups of `decl.groups` in parallel — one closure call per group,
-    /// or per group row covering them, as `unit` says — cross-validates
-    /// the declared windows against the sanitizer's observation, and checks
-    /// `outputs` for write races. Returns the observed global `(read,
-    /// write)` bytes — zero on unsanitized contexts.
-    fn execute(
-        &self,
-        desc: &KernelDesc,
-        decl: &AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        unit: Unit<'_>,
-    ) -> Result<(u64, u64)> {
         desc.check()?;
         if decl.kernel != desc.name || decl.total_groups != desc.total_groups() {
             return Err(Error::Access(AccessError::GridMismatch {
@@ -485,11 +341,11 @@ impl CommandQueue {
                 ),
             }));
         }
-        access::verify_summary(decl)?;
+        access::verify_summary(&decl)?;
         for out in outputs {
             out.begin_epoch();
         }
-        let [gx, _gy] = desc.num_groups();
+        let [gx, gy] = desc.num_groups();
         let threads = if self.dispatch_threads == 0 {
             crate::par::default_threads()
         } else {
@@ -500,36 +356,25 @@ impl CommandQueue {
             (Some(s), Some(e)) => Some((Arc::clone(s), e)),
             _ => None,
         };
-        // Units are the groups of the range, or the group rows it touches
-        // (each clipped to the range).
-        let groups = decl.groups.clone();
-        let (first, units) = match unit {
-            Unit::Group(_) => (groups.start, groups.len()),
-            Unit::Row(_) => (
-                groups.start / gx,
-                groups.end.div_ceil(gx) - groups.start / gx,
-            ),
+        let units = match unit {
+            Unit::Group(_) => gx * gy,
+            Unit::Row(_) => gy,
         };
         // A panicking kernel closure (e.g. an out-of-bounds assertion on an
         // unsanitized context) is caught and surfaced as a recoverable
         // `Error::KernelPanic` instead of tearing the process down.
         let panic_msg: Mutex<Option<String>> = Mutex::new(None);
         let poisoned = AtomicBool::new(false);
-        crate::par::for_each_index(units, threads, |i| {
+        crate::par::for_each_index(units, threads, |u| {
             if poisoned.load(Ordering::Relaxed) {
                 return;
             }
-            let u = first + i;
             let body = || match unit {
                 Unit::Group(f) => {
                     let san = san().map(|(s, e)| GroupSan::new(s, e, u, desc.group_lanes()));
                     f(&mut GroupCtx::new_with(desc, [u % gx, u / gx], san))
                 }
-                Unit::Row(f) => {
-                    let lo = groups.start.max(u * gx) - u * gx;
-                    let hi = groups.end.min((u + 1) * gx) - u * gx;
-                    f(&mut RowCtx::new(desc, u, lo..hi, san()))
-                }
+                Unit::Row(f) => f(&mut RowCtx::new(desc, u, 0..gx, san())),
             };
             if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
                 poisoned.store(true, Ordering::Relaxed);
@@ -546,7 +391,7 @@ impl CommandQueue {
         if let Some(sh) = &self.sanitize {
             if panicked.is_none() {
                 observed = sh.dispatch_traffic();
-                Self::cross_validate(sh, decl, observed.0, observed.1);
+                Self::cross_validate(sh, &decl, observed.0, observed.1);
             }
             sh.end_dispatch();
         }
@@ -564,53 +409,20 @@ impl CommandQueue {
                 });
             }
         }
-        Ok(observed)
-    }
-
-    /// Commits a sliced dispatch: verifies every work-group of `desc`'s
-    /// grid ran exactly once across the accumulated slices, checks the
-    /// overcharge-ratio bound and audits the summed observed traffic on
-    /// the merged declarations (sanitized contexts), and records the
-    /// *single* kernel command the monolithic [`CommandQueue::run`] would
-    /// have recorded — same name, same counters, same [`kernel_time`], so
-    /// the simulated clock advances identically.
-    pub fn commit_sliced(&mut self, desc: &KernelDesc, acc: SlicedDispatch) -> Result<KernelTime> {
-        desc.check()?;
-        // Static property (d): the executed slices must exactly tile the
-        // grid — a gap or an overlap (even one that happens to sum to the
-        // right group count) is a typed verdict, not a silent mis-commit.
-        access::verify_partition(&desc.name, desc.total_groups(), &acc.ranges)?;
-        // Static property (c) for sliced dispatches: the overcharge-ratio
-        // bound holds on the merged totals (a border-only slice may charge
-        // reads while declaring none; the whole dispatch still balances),
-        // mirroring how the dynamic audit treats slices.
-        let ratio = acc.read_ratio.max(1.0);
-        let (declared_r, charged_r) = (acc.declared_read_bytes, acc.counters.global_read_bytes());
-        if charged_r != declared_r && charged_r as f64 > declared_r as f64 * ratio {
-            return Err(Error::Access(AccessError::RatioExceeded {
-                kernel: desc.name.clone(),
-                declared: declared_r,
-                charged: charged_r,
-                ratio_bits: ratio.to_bits(),
-            }));
-        }
         if let Some(sh) = &self.sanitize {
-            sh.audit_totals(
-                &desc.name,
-                &acc.counters,
-                acc.observed_read_bytes,
-                acc.observed_write_bytes,
-                ratio,
-            );
+            let (r, w) = observed;
+            sh.audit_totals(&desc.name, &decl.charged, r, w, decl.read_ratio);
         }
-        let t = kernel_time(&self.device, &acc.counters);
+        let t = kernel_time(&self.device, &decl.charged);
         self.push(
             &desc.name,
             CommandKind::Kernel,
             t.total_s,
-            Some(acc.counters),
+            Some(decl.charged),
         );
-        self.access_log.extend(acc.access);
+        if self.keep_access_log {
+            self.access_log.push(decl);
+        }
         Ok(t)
     }
 
@@ -859,7 +671,7 @@ impl CommandQueue {
         self.spans.is_some()
     }
 
-    /// Opens a scope span (frame / phase / band): subsequent commands and
+    /// Opens a scope span (frame / phase): subsequent commands and
     /// scopes nest under it until the matching [`CommandQueue::span_close`].
     /// Returns [`SpanId::NONE`] when spans are disabled, so call sites need
     /// no branching of their own.
@@ -1084,125 +896,16 @@ mod tests {
         assert_eq!(c.global_write_scalar, 64 * 64 * 4);
     }
 
-    /// Runs the fill kernel whole-grid, or sliced at the given group-row
-    /// cuts (in groups, multiples of 4) and committed.
-    fn fill_kernel(
-        q: &mut CommandQueue,
-        buf: &Buffer<f32>,
-        slices: Option<&[usize]>,
-    ) -> Result<KernelTime> {
+    /// Runs the fill kernel over its whole grid.
+    fn fill_kernel(q: &mut CommandQueue, buf: &Buffer<f32>) -> Result<KernelTime> {
         let w = buf.write_view();
-        let desc = fill_desc();
-        let body = |g: &mut GroupCtx| {
+        q.run(&fill_desc(), fill_decl(buf, 0..16), &[buf], |g| {
             for l in crate::kernel::items(g.group_size) {
                 g.begin_item(l);
                 let idx = g.global_index(l, 64);
                 w.set_raw(idx, w.get_raw(idx) + idx as f32);
             }
-        };
-        match slices {
-            None => q.run(&desc, fill_decl(buf, 0..16), &[buf], body),
-            Some(cuts) => {
-                let mut acc = SlicedDispatch::new();
-                let mut start = 0;
-                for &end in cuts.iter().chain(&[desc.total_groups()]) {
-                    q.run_sliced(&desc, fill_decl(buf, start..end), &[buf], &mut acc, body)?;
-                    start = end;
-                }
-                q.commit_sliced(&desc, acc)
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_dispatch_commits_bit_identical_record() {
-        let mono = ctx();
-        let mut qm = mono.queue();
-        let a = mono.buffer::<f32>("out", 64 * 64);
-        let tm = fill_kernel(&mut qm, &a, None).unwrap();
-
-        let sliced = ctx();
-        let mut qs = sliced.queue();
-        let b = sliced.buffer::<f32>("out", 64 * 64);
-        // Deliberately uneven cuts (one, two and one group rows) of the
-        // 16-group grid.
-        let ts = fill_kernel(&mut qs, &b, Some(&[4, 12])).unwrap();
-
-        assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(tm.total_s.to_bits(), ts.total_s.to_bits());
-        assert_eq!(qm.elapsed().to_bits(), qs.elapsed().to_bits());
-        let (rm, rs) = (&qm.records()[0], &qs.records()[0]);
-        assert_eq!(rm.name, rs.name);
-        assert_eq!(rm.kind, rs.kind);
-        assert_eq!(rm.duration_s.to_bits(), rs.duration_s.to_bits());
-        assert_eq!(rm.counters.unwrap(), rs.counters.unwrap());
-        assert_eq!(qs.records().len(), 1);
-    }
-
-    #[test]
-    fn sliced_dispatch_is_sanitizer_clean_and_audits_once() {
-        let ctx = Context::sanitized(DeviceSpec::firepro_w8000());
-        let mut q = ctx.queue();
-        let buf = ctx.buffer::<f32>("out", 64 * 64);
-        buf.fill_from(&vec![0.0; 64 * 64]);
-        fill_kernel(&mut q, &buf, Some(&[4, 8, 12])).unwrap();
-        let report = ctx.sanitize_report().unwrap();
-        assert!(report.is_clean(), "{report}");
-        // Each slice counts as one analysed dispatch.
-        assert_eq!(report.dispatches, 4);
-    }
-
-    #[test]
-    fn sliced_dispatch_commit_requires_full_coverage() {
-        let ctx = ctx();
-        let mut q = ctx.queue();
-        let buf = ctx.buffer::<f32>("out", 64 * 64);
-        let w = buf.write_view();
-        let desc = fill_desc();
-        let mut acc = SlicedDispatch::new();
-        q.run_sliced(&desc, fill_decl(&buf, 0..4), &[&buf], &mut acc, |g| {
-            for l in crate::kernel::items(g.group_size) {
-                let idx = g.global_index(l, 64);
-                w.set_raw(idx, 1.0);
-            }
         })
-        .unwrap();
-        let err = q.commit_sliced(&desc, acc).unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Access(crate::access::AccessError::CoverageGap { .. })
-        ));
-        // Nothing was recorded and the clock did not move.
-        assert!(q.records().is_empty());
-        assert_eq!(q.elapsed(), 0.0);
-    }
-
-    #[test]
-    fn sliced_dispatch_range_checks_and_empty_slices() {
-        let ctx = ctx();
-        let mut q = ctx.queue();
-        let buf = ctx.buffer::<f32>("out", 64 * 64);
-        let desc = fill_desc();
-        let mut acc = SlicedDispatch::new();
-        // Empty slice: fine, a no-op.
-        let empty = AccessSummary::new(&desc, 3..3);
-        q.run_sliced(&desc, empty, &[&buf], &mut acc, |_| {})
-            .unwrap();
-        assert!(acc.ranges.is_empty());
-        // Out-of-grid range: typed error, before anything runs.
-        let err = q
-            .run_sliced(
-                &desc,
-                AccessSummary::new(&desc, 10..17),
-                &[&buf],
-                &mut acc,
-                |_| panic!("must not execute"),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Access(AccessError::GridMismatch { .. })
-        ));
     }
 
     #[test]
@@ -1231,20 +934,19 @@ mod tests {
     }
 
     /// Runs a recording row kernel over `desc` with `threads` host
-    /// threads, whole-grid (`cuts == None`) or sliced at the given flat
-    /// group cuts (which may fall inside a group row). Returns every row
-    /// unit's `(group_y, run, visits)` in completion order, where `visits`
-    /// lists the unit's `(group_x, local row)` calls in execution order.
+    /// threads. Returns every row unit's `(group_y, run, visits)` in
+    /// completion order, where `visits` lists the unit's `(group_x, local
+    /// row)` calls in execution order.
     #[allow(clippy::type_complexity)]
     fn record_rows(
         desc: &KernelDesc,
         threads: usize,
-        cuts: Option<&[usize]>,
     ) -> Vec<(usize, std::ops::Range<usize>, Vec<(usize, usize)>)> {
         let ctx = ctx().with_dispatch_threads(threads);
         let mut q = ctx.queue();
         let log = Mutex::new(Vec::new());
-        let body = |r: &mut RowCtx| {
+        let decl = AccessSummary::new(desc, 0..desc.total_groups());
+        q.run_rows(desc, decl, &[], |r| {
             let mut visits = Vec::new();
             for ly in 0..r.group_size[1] {
                 for gx in r.groups.clone() {
@@ -1255,24 +957,8 @@ mod tests {
             log.lock()
                 .unwrap()
                 .push((r.group_y, r.groups.clone(), visits));
-        };
-        let n = desc.total_groups();
-        match cuts {
-            None => {
-                q.run_rows(desc, AccessSummary::new(desc, 0..n), &[], body)
-                    .unwrap();
-            }
-            Some(cuts) => {
-                let mut acc = SlicedDispatch::new();
-                let mut start = 0;
-                for &end in cuts.iter().chain(&[n]) {
-                    let decl = AccessSummary::new(desc, start..end);
-                    q.run_sliced_rows(desc, decl, &[], &mut acc, body).unwrap();
-                    start = end;
-                }
-                q.commit_sliced(desc, acc).unwrap();
-            }
-        }
+        })
+        .unwrap();
         assert_eq!(q.records().len(), 1);
         log.into_inner().unwrap()
     }
@@ -1287,33 +973,24 @@ mod tests {
         ];
         for desc in &grids {
             let [gx, gy] = desc.num_groups();
-            let n = gx * gy;
-            // Whole grid, whole-group-row slices, and cuts inside rows.
-            let row_cuts: Vec<usize> = (1..gy).step_by(2).map(|r| r * gx).collect();
-            let mid_cuts: Vec<usize> = [gx / 2, gx + 1, n / 2, n - 1]
-                .into_iter()
-                .filter(|&c| c > 0 && c < n)
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            for cuts in [None, Some(&row_cuts[..]), Some(&mid_cuts[..])] {
-                for threads in [1, 2] {
-                    let what = format!("{} cuts {cuts:?} threads {threads}", desc.name);
-                    let units = record_rows(desc, threads, cuts);
-                    let mut seen = vec![0u32; n * desc.group[1]];
-                    for (group_y, run, visits) in &units {
-                        assert!(!run.is_empty() && run.end <= gx, "{what}");
-                        // Local rows outermost, the run's groups inside.
-                        let expected: Vec<(usize, usize)> = (0..desc.group[1])
-                            .flat_map(|ly| run.clone().map(move |x| (x, ly)))
-                            .collect();
-                        assert_eq!(visits, &expected, "{what}: row {group_y}");
-                        for &(x, ly) in visits {
-                            seen[(group_y * gx + x) * desc.group[1] + ly] += 1;
-                        }
+            for threads in [1, 2] {
+                let what = format!("{} threads {threads}", desc.name);
+                let units = record_rows(desc, threads);
+                // One unit per group row, each spanning the whole row.
+                assert_eq!(units.len(), gy, "{what}");
+                let mut seen = vec![0u32; gx * gy * desc.group[1]];
+                for (group_y, run, visits) in &units {
+                    assert_eq!(run, &(0..gx), "{what}");
+                    // Local rows outermost, the row's groups inside.
+                    let expected: Vec<(usize, usize)> = (0..desc.group[1])
+                        .flat_map(|ly| (0..gx).map(move |x| (x, ly)))
+                        .collect();
+                    assert_eq!(visits, &expected, "{what}: row {group_y}");
+                    for &(x, ly) in visits {
+                        seen[(group_y * gx + x) * desc.group[1] + ly] += 1;
                     }
-                    assert!(seen.iter().all(|&c| c == 1), "{what}");
                 }
+                assert!(seen.iter().all(|&c| c == 1), "{what}");
             }
         }
     }
@@ -1341,7 +1018,7 @@ mod tests {
             assert!(q.records().is_empty());
             // The next dispatch on the same queue runs and records.
             let buf = ctx.buffer::<f32>("out", 64 * 64);
-            fill_kernel(&mut q, &buf, None).unwrap();
+            fill_kernel(&mut q, &buf).unwrap();
             assert_eq!(q.records().len(), 1);
             assert_eq!(buf.snapshot()[64 * 64 - 1], (64 * 64 - 1) as f32);
         }

@@ -43,7 +43,7 @@
 //! **Concurrency contract:** one sanitized dispatch at a time per context.
 //! Dispatches from clones of one sanitized context must not overlap in
 //! wall-clock time (the per-dispatch epoch and byte accumulators are
-//! shared), so the multi-frame `ThroughputEngine` should run unsanitized.
+//! shared).
 
 use std::cell::Cell;
 use std::fmt;
@@ -428,7 +428,7 @@ impl SanitizeShared {
         debug_assert!(
             !was_active,
             "simgpu sanitize: overlapping dispatches on one sanitized context \
-             are unsupported (run the throughput engine unsanitized)"
+             are unsupported"
         );
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         kernel.clone_into(&mut self.kernel.lock().unwrap());
@@ -453,14 +453,6 @@ impl SanitizeShared {
 
     /// The traffic observed since `begin_dispatch`: `(read_bytes,
     /// write_bytes)`.
-    ///
-    /// The sliced-dispatch path ([`crate::queue::CommandQueue::run_sliced`])
-    /// harvests these after each slice and sums them, so the drift audit
-    /// runs once on the whole-dispatch totals at commit time. Auditing per
-    /// slice would false-positive: one slice may legitimately observe zero
-    /// read bytes (e.g. a group range covering only border rows that store
-    /// constants) while the declared charge for those groups is positive —
-    /// only the totals are required to balance.
     pub(crate) fn dispatch_traffic(&self) -> (u64, u64) {
         (
             self.read_bytes.load(Ordering::Relaxed),
@@ -470,8 +462,6 @@ impl SanitizeShared {
 
     /// Audits observed totals against the charged (declared) counters,
     /// allowing reads up to the declaration's `ratio`× the observed bytes.
-    /// A whole-grid dispatch passes its own traffic; the sliced commit path
-    /// passes slice-summed totals.
     pub(crate) fn audit_totals(
         &self,
         kernel: &str,

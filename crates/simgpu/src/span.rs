@@ -3,7 +3,7 @@
 //!
 //! Every queue command already leaves a [`crate::queue::CommandRecord`]
 //! with its *simulated* interval; spans add the missing dimensions — the
-//! **hierarchy** (frame → schedule phase / band → kernel dispatch → slice)
+//! **hierarchy** (frame → pipeline phase → command)
 //! and the **wall clock** (what the host actually paid to run the
 //! simulator). Each [`SpanRecord`] carries both timebases so the
 //! attribution layer can compare them: a span whose wall share is far
@@ -32,25 +32,20 @@ use std::time::Instant;
 use crate::metrics::MetricsRegistry;
 
 /// Default ring capacity: enough for many frames of the deepest pipeline
-/// (a banded 4096² frame records a few hundred spans).
+/// (a frame records a few dozen spans).
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
-/// What a span describes. Scope kinds (`Frame`, `Phase`, `Band`) are opened
+/// What a span describes. Scope kinds (`Frame`, `Phase`) are opened
 /// and closed explicitly by the pipeline layers; leaf kinds are emitted
 /// automatically by the queue as commands commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// One full pipeline frame (scope).
     Frame,
-    /// A schedule phase within a frame, e.g. `upload`, `megapass:A` (scope).
+    /// A pipeline phase within a frame, e.g. `upload`, `sobel` (scope).
     Phase,
-    /// One cache-resident band of a banded schedule (scope).
-    Band,
     /// A committed kernel dispatch (leaf; simulated interval = the record).
     Kernel,
-    /// One executed slice of a sliced dispatch (leaf; wall time only — the
-    /// simulated clock moves at commit, not per slice).
-    Slice,
     /// Host→device transfer: bulk, rect or map write (leaf).
     Transfer,
     /// Device→host readback (leaf).
@@ -67,9 +62,7 @@ impl SpanKind {
         match self {
             SpanKind::Frame => "frame",
             SpanKind::Phase => "phase",
-            SpanKind::Band => "band",
             SpanKind::Kernel => "kernel",
-            SpanKind::Slice => "slice",
             SpanKind::Transfer => "transfer",
             SpanKind::Readback => "readback",
             SpanKind::Host => "host",
@@ -80,7 +73,7 @@ impl SpanKind {
     /// Whether this kind is opened/closed as a scope (true) or emitted as
     /// a completed leaf (false).
     pub fn is_scope(self) -> bool {
-        matches!(self, SpanKind::Frame | SpanKind::Phase | SpanKind::Band)
+        matches!(self, SpanKind::Frame | SpanKind::Phase)
     }
 }
 
@@ -307,7 +300,7 @@ impl SpanRing {
 /// Aggregated statistics of one span-tree path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanAgg {
-    /// `/`-joined name path from the root, e.g. `frame/megapass:A/band`.
+    /// `/`-joined name path from the root, e.g. `frame/sobel/sobel`.
     pub path: String,
     /// Kind of the spans on this path.
     pub kind: SpanKind,
@@ -557,17 +550,17 @@ mod tests {
         let mut ring = SpanRing::new(64);
         let f = ring.open(SpanKind::Frame, name("frame"), 0.0);
         for _ in 0..3 {
-            let b = ring.open(SpanKind::Band, name("band"), 0.0);
-            ring.leaf(SpanKind::Slice, name("sobel"), 0.0, 0.0);
-            ring.close(b, 0.0);
+            let p = ring.open(SpanKind::Phase, name("phase"), 0.0);
+            ring.leaf(SpanKind::Kernel, name("sobel"), 0.0, 0.0);
+            ring.close(p, 0.0);
         }
         ring.close(f, 1.0);
         let agg = aggregate(&ring.snapshot());
-        let band = agg.iter().find(|a| a.path == "frame/band").unwrap();
-        assert_eq!(band.count, 3);
-        let sl = agg.iter().find(|a| a.path == "frame/band/sobel").unwrap();
-        assert_eq!(sl.count, 3);
-        assert_eq!(sl.kind, SpanKind::Slice);
+        let phase = agg.iter().find(|a| a.path == "frame/phase").unwrap();
+        assert_eq!(phase.count, 3);
+        let k = agg.iter().find(|a| a.path == "frame/phase/sobel").unwrap();
+        assert_eq!(k.count, 3);
+        assert_eq!(k.kind, SpanKind::Kernel);
     }
 
     #[test]
@@ -589,16 +582,16 @@ mod tests {
         let mut ring = SpanRing::new(64);
         let f = ring.open(SpanKind::Frame, name("frame"), 0.0);
         for _ in 0..4 {
-            let b = ring.open(SpanKind::Band, name("band"), 0.0);
-            ring.leaf(SpanKind::Slice, name("sobel"), 0.0, 0.0);
-            ring.close(b, 0.0);
+            let p = ring.open(SpanKind::Phase, name("phase"), 0.0);
+            ring.leaf(SpanKind::Kernel, name("sobel"), 0.0, 0.0);
+            ring.close(p, 0.0);
         }
         ring.close(f, 1.0);
         let t = span_tree(&ring.snapshot());
         assert!(t.contains("frame"), "{t}");
-        assert!(t.contains("band ×4"), "{t}");
+        assert!(t.contains("phase ×4"), "{t}");
         assert!(t.contains("sobel ×4"), "{t}");
-        assert!(t.contains("[band]"), "{t}");
+        assert!(t.contains("[phase]"), "{t}");
         assert_eq!(span_tree(&[]), "(no spans)\n");
     }
 

@@ -38,21 +38,6 @@ fn glyph(kind: CommandKind) -> char {
     }
 }
 
-/// One frame processed by one worker, in wall-clock seconds relative to the
-/// start of a multi-frame run. The unit of the per-worker timeline exports
-/// ([`multiframe_chrome_json`], [`worker_gantt`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerSpan {
-    /// Index of the frame in submission order.
-    pub frame: usize,
-    /// Index of the worker thread that processed it.
-    pub worker: usize,
-    /// Wall-clock start, seconds since the run began.
-    pub start_s: f64,
-    /// Wall-clock end, seconds since the run began.
-    pub end_s: f64,
-}
-
 /// Escapes a string for embedding in a JSON literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -179,106 +164,6 @@ fn write_events(out: &mut String, records: &[CommandRecord]) -> bool {
         }
     }
     !first
-}
-
-/// Serialises a multi-frame run as a Chrome-trace document with **one lane
-/// per worker**: each worker becomes a named thread (`ph: "M"` metadata),
-/// each frame a duration event on its worker's lane, and consecutive frames
-/// are linked with flow arrows (`ph: "s"`/`"f"`) showing hand-off order.
-/// Timestamps are wall-clock microseconds since the run began.
-pub fn multiframe_chrome_json(spans: &[WorkerSpan]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
-    let n_workers = spans.iter().map(|s| s.worker + 1).max().unwrap_or(0);
-    for w in 0..n_workers {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"worker {w}\"}}}}",
-            w + 1,
-        );
-    }
-    let mut ordered: Vec<&WorkerSpan> = spans.iter().collect();
-    ordered.sort_by_key(|s| s.frame);
-    for s in &ordered {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"frame {}\",\"cat\":\"frame\",\"ph\":\"X\",\"ts\":{:.3},\
-             \"dur\":{:.3},\"pid\":1,\"tid\":{}}}",
-            s.frame,
-            s.start_s * 1e6,
-            (s.end_s - s.start_s) * 1e6,
-            s.worker + 1,
-        );
-    }
-    // Flow arrows frame i → frame i+1 (submission order), drawn from the
-    // end of the earlier frame to the start of the later one.
-    for pair in ordered.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"order\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{},\
-             \"ts\":{:.3},\"pid\":1,\"tid\":{}}},\
-             {{\"name\":\"order\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\
-             \"ts\":{:.3},\"pid\":1,\"tid\":{}}}",
-            a.frame + 1,
-            a.end_s * 1e6,
-            a.worker + 1,
-            a.frame + 1,
-            b.start_s.max(a.end_s) * 1e6,
-            b.worker + 1,
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Renders an ASCII Gantt chart of a multi-frame run with one row per
-/// worker; each frame is a bar on its worker's row, alternating `#`/`=`
-/// glyphs so adjacent frames stay distinguishable.
-pub fn worker_gantt(spans: &[WorkerSpan], width: usize) -> String {
-    let total = spans.iter().map(|s| s.end_s).fold(0.0, f64::max);
-    if spans.is_empty() || total <= 0.0 {
-        return String::from("(no frames)\n");
-    }
-    let width = width.clamp(20, 400);
-    let n_workers = spans.iter().map(|s| s.worker + 1).max().unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>7}  |{}| total {:.1} ms",
-        "lane",
-        "frames",
-        "-".repeat(width),
-        total * 1e3,
-    );
-    for w in 0..n_workers {
-        let mut bar = vec![' '; width];
-        let mut frames = 0usize;
-        for s in spans.iter().filter(|s| s.worker == w) {
-            frames += 1;
-            let g = if s.frame % 2 == 0 { '#' } else { '=' };
-            let c0 = ((s.start_s / total) * width as f64).floor() as usize;
-            let c1 = ((s.end_s / total) * width as f64).ceil() as usize;
-            let c1 = c1.clamp(c0 + 1, width);
-            for cell in bar.iter_mut().take(c1).skip(c0.min(width - 1)) {
-                *cell = g;
-            }
-        }
-        let bar: String = bar.into_iter().collect();
-        let name = format!("worker {w}");
-        let _ = writeln!(out, "{name:<12} {frames:>7}  |{bar}|");
-    }
-    out
 }
 
 /// Renders an ASCII Gantt chart of the records, `width` columns wide.
@@ -477,60 +362,6 @@ mod tests {
         assert!(j.contains("\"global bytes moved\""));
         assert!(j.contains("\"bytes\":124"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    fn spans() -> Vec<WorkerSpan> {
-        vec![
-            WorkerSpan {
-                frame: 0,
-                worker: 0,
-                start_s: 0.0,
-                end_s: 2e-3,
-            },
-            WorkerSpan {
-                frame: 1,
-                worker: 1,
-                start_s: 0.5e-3,
-                end_s: 2.5e-3,
-            },
-            WorkerSpan {
-                frame: 2,
-                worker: 0,
-                start_s: 2e-3,
-                end_s: 4e-3,
-            },
-        ]
-    }
-
-    #[test]
-    fn multiframe_trace_names_one_lane_per_worker() {
-        let j = multiframe_chrome_json(&spans());
-        assert!(j.starts_with("{\"traceEvents\":["));
-        assert!(j.ends_with("]}"));
-        // Two workers → two thread_name metadata events.
-        assert_eq!(j.matches("\"thread_name\"").count(), 2);
-        assert!(j.contains("\"worker 0\""));
-        assert!(j.contains("\"worker 1\""));
-        // One duration event per frame, plus flow arrows linking them.
-        assert_eq!(j.matches("\"ph\":\"X\"").count(), 3);
-        assert_eq!(j.matches("\"ph\":\"s\"").count(), 2);
-        assert_eq!(j.matches("\"ph\":\"f\"").count(), 2);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(multiframe_chrome_json(&[]), "{\"traceEvents\":[]}");
-    }
-
-    #[test]
-    fn worker_gantt_draws_one_row_per_worker() {
-        let g = worker_gantt(&spans(), 40);
-        let lines: Vec<&str> = g.lines().collect();
-        assert_eq!(lines.len(), 3); // header + 2 workers
-        assert!(lines[1].starts_with("worker 0"));
-        assert!(lines[2].starts_with("worker 1"));
-        // Worker 0 processed frames 0 and 2 (both even → '#'); worker 1
-        // frame 1 ('='). Alternating glyphs keep adjacent frames distinct.
-        assert!(lines[1].contains('#'));
-        assert!(lines[2].contains('='));
-        assert!(worker_gantt(&[], 40).contains("no frames"));
     }
 
     #[test]

@@ -43,10 +43,10 @@ cargo build --release --features simd
 cargo test -q --features simd
 cargo test -q -p sharpness-core --features simd
 
-echo "== static access verification sweep (64 configs x 4 shapes x 2 schedules)"
+echo "== static access verification sweep (64 configs x 4 shapes)"
 cargo run --release -q -p sharpness-bench --bin repro -- --verify-static
 
-echo "== tuner bit-agreement sweep (predicted vs executed, 64 configs x shapes x schedules x devices)"
+echo "== tuner bit-agreement sweep (predicted vs executed, 64 configs x shapes x placements x devices)"
 # The model-based autotuner's entire claim is that its closed-form cost
 # predictor returns `.to_bits()`-identical seconds to executing the
 # simulated pipeline. Kernel counters agree by construction (both sides
@@ -79,16 +79,13 @@ trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-all.pgm" \
     --opts all --sanitize --verify-static > /dev/null
 # The scalar row-span kernels (`--opts none`) run sanitized here too,
-# monolithic and banded into 16-row slices, each with static verification.
+# with static verification.
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-none.pgm" \
     --opts none --sanitize --verify-static > /dev/null
-./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-none-banded.pgm" \
-    --opts none --banded=7 --sanitize --verify-static > /dev/null
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-cpu.pgm" \
     --cpu > /dev/null
 # The base GPU config keeps the reduction on the CPU, so its output must
-# match the CPU reference bit-for-bit even on odd shapes, in both schedules.
-cmp "$smoke_dir/odd-none.pgm" "$smoke_dir/odd-none-banded.pgm"
+# match the CPU reference bit-for-bit even on odd shapes.
 cmp "$smoke_dir/odd-none.pgm" "$smoke_dir/odd-cpu.pgm"
 
 echo "== autotune smoke (model-searched schedule on the odd shape, sanitized)"
@@ -97,11 +94,6 @@ echo "== autotune smoke (model-searched schedule on the odd shape, sanitized)"
 # hand-picked ones on a shape the paper never measured.
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-tuned.pgm" \
     --autotune --sanitize --verify-static > /dev/null
-
-echo "== banded smoke (sanitized banded run is byte-identical to monolithic)"
-./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-banded.pgm" \
-    --opts all --banded --sanitize --verify-static > /dev/null
-cmp "$smoke_dir/odd-all.pgm" "$smoke_dir/odd-banded.pgm"
 
 echo "== span trace check (emitted Chrome trace parses; span tree nests)"
 ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-traced.pgm" \
@@ -125,9 +117,6 @@ cp baselines/LEDGER.jsonl "$smoke_dir/LEDGER.jsonl"
 MP_SIZES=256 MP_FRAMES=3 MP_OUT="$smoke_dir/mp_ledger.json" \
     LEDGER_OUT="$smoke_dir/LEDGER.jsonl" \
     cargo bench -q -p sharpness-bench --bench megapass_wallclock > /dev/null
-TP_WIDTH=256 TP_FRAMES=4 TP_OUT="$smoke_dir/tp_ledger.json" \
-    LEDGER_OUT="$smoke_dir/LEDGER.jsonl" \
-    cargo bench -q -p sharpness-bench --bench throughput_wallclock > /dev/null
 SV_REQUESTS=48 SV_OUT="$smoke_dir/sv_ledger.json" \
     LEDGER_OUT="$smoke_dir/LEDGER.jsonl" \
     cargo bench -q -p sharpness-bench --bench service_load > /dev/null
@@ -144,8 +133,6 @@ if [ "$full" -eq 1 ]; then
     cargo test -q --release --test sanitize -- --ignored
     echo "== full arbitrary-shape sweep (all configs at 1001x701)"
     cargo test -q --release --test arbitrary_shapes -- --ignored
-    echo "== full banded equivalence sweep (all configs, banded vs monolithic)"
-    cargo test -q --release --test banded -- --ignored
     echo "== full SIMD backend equivalence sweep (all configs, sanitized)"
     cargo test -q --release --features simd --test simd -- --ignored
     echo "== SIMD wall-clock smoke (monolithic avx2/sse2 vs autovec at 1024^2)"

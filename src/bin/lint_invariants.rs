@@ -7,7 +7,7 @@
 //! macro strings no longer hide from it.
 //!
 //! Kernel cost needs no rule: a dispatch's cost is the `AccessSummary`
-//! that `CommandQueue::run`/`run_sliced` take as an argument, and kernel
+//! that `CommandQueue::run`/`run_rows` take as an argument, and kernel
 //! closures have no way to count anything, so the type system already
 //! enforces "declared once, charged once".
 //!
@@ -48,10 +48,33 @@
 //!    are not a kernel declaration — are called only from the pipeline's
 //!    host stages (`gpu/pipeline.rs`) and the ablation probes
 //!    (`gpu/ablate.rs`). Those are public queue methods, so nothing but
-//!    this rule keeps a scheduler, a kernel file or the banded executor
-//!    from charging cost the predictor does not replay.
+//!    this rule keeps a scheduler or a kernel file from charging cost the
+//!    predictor does not replay.
 
 use std::path::{Path, PathBuf};
+
+/// Telemetry recording paths held to rule 3.
+const TELEMETRY_FILES: [&str; 3] = [
+    "crates/core/src/telemetry.rs",
+    "crates/simgpu/src/metrics.rs",
+    "crates/simgpu/src/trace.rs",
+];
+/// The only files allowed host-side charges (rule 8).
+const HOST_CHARGE_FILES: [&str; 2] = [
+    "crates/core/src/gpu/pipeline.rs",
+    "crates/core/src/gpu/ablate.rs",
+];
+/// Span-recording and attribution files held to rule 5.
+const SPAN_FILES: [&str; 2] = ["crates/simgpu/src/span.rs", "crates/core/src/analyze.rs"];
+/// The queue, whose span-ring lines rule 5 checks.
+const QUEUE_FILE: &str = "crates/simgpu/src/queue.rs";
+/// The CPU stages, hot-loop code under rule 1 besides the kernels.
+const CPU_STAGES_FILE: &str = "crates/core/src/cpu/stages.rs";
+/// Directories the rules sweep.
+const KERNELS_DIR: &str = "crates/core/src/gpu/kernels";
+const SIMD_DIR: &str = "crates/core/src/gpu/kernels/simd";
+const SERVICE_DIR: &str = "crates/core/src/service";
+const TUNE_DIR: &str = "crates/core/src/tune";
 
 /// Blanks comments and string/char-literal contents with spaces while
 /// preserving every newline, so rule matching sees only real tokens and
@@ -268,8 +291,9 @@ struct Lint {
 
 impl Lint {
     fn read(&self, rel: &Path) -> String {
-        // Missing files lint clean: fixed-path rules (megapass, telemetry)
-        // simply have nothing to check in a partial tree.
+        // Missing files lint clean, so the fixture tests can build partial
+        // trees; `configured_rule_paths_exist` keeps the fixed paths above
+        // from going stale in the real one.
         let src = std::fs::read_to_string(self.root.join(rel)).unwrap_or_default();
         strip_tokens(&src)
     }
@@ -451,9 +475,7 @@ impl Lint {
                         || l.contains("run_into")
                         || l.contains("run_with_telemetry")
                         || l.contains("q.run(")
-                        || l.contains(".run_sliced(")
                         || l.contains(".run_rows(")
-                        || l.contains(".run_sliced_rows(")
                         // Counter *construction* via CostCounters::charge_*
                         // is the predictor's whole job; what is banned is
                         // driving a live group or row context like a kernel
@@ -509,7 +531,7 @@ fn run(root: &Path) -> i32 {
         root: root.to_path_buf(),
         failures: Vec::new(),
     };
-    let kernels_dir = root.join("crates/core/src/gpu/kernels");
+    let kernels_dir = root.join(KERNELS_DIR);
     let rel = |p: &Path| p.strip_prefix(root).expect("under root").to_path_buf();
 
     // Direct kernel files (the simd/ backends are held to rule 6 instead).
@@ -520,44 +542,29 @@ fn run(root: &Path) -> i32 {
         .collect();
     // Rule 1 sweeps the kernels tree recursively (simd backends included).
     let mut hot: Vec<PathBuf> = rust_files(&kernels_dir).iter().map(|p| rel(p)).collect();
-    hot.push(PathBuf::from("crates/core/src/cpu/stages.rs"));
+    hot.push(PathBuf::from(CPU_STAGES_FILE));
+    let paths = |v: &[&str]| v.iter().map(PathBuf::from).collect::<Vec<_>>();
 
     lint.rule_std_float(&hot);
     lint.rule_no_kernel_asserts(&kernel_files);
-    lint.rule_observation_only(&[
-        PathBuf::from("crates/core/src/telemetry.rs"),
-        PathBuf::from("crates/simgpu/src/metrics.rs"),
-        PathBuf::from("crates/simgpu/src/trace.rs"),
-    ]);
+    lint.rule_observation_only(&paths(&TELEMETRY_FILES));
 
     let all: Vec<PathBuf> = [root.join("crates"), root.join("src")]
         .iter()
         .flat_map(|d| rust_files(d))
         .map(|p| rel(&p))
         .collect();
-    lint.rule_simd_contained(&all, Path::new("crates/core/src/gpu/kernels/simd"));
-    lint.rule_host_charges_confined(
-        &all,
-        &[
-            PathBuf::from("crates/core/src/gpu/pipeline.rs"),
-            PathBuf::from("crates/core/src/gpu/ablate.rs"),
-        ],
-    );
-    lint.rule_spans_observation_only(
-        &[
-            PathBuf::from("crates/simgpu/src/span.rs"),
-            PathBuf::from("crates/core/src/analyze.rs"),
-        ],
-        Path::new("crates/simgpu/src/queue.rs"),
-    );
+    lint.rule_simd_contained(&all, Path::new(SIMD_DIR));
+    lint.rule_host_charges_confined(&all, &paths(&HOST_CHARGE_FILES));
+    lint.rule_spans_observation_only(&paths(&SPAN_FILES), Path::new(QUEUE_FILE));
 
-    let service_files: Vec<PathBuf> = rust_files(&root.join("crates/core/src/service"))
+    let service_files: Vec<PathBuf> = rust_files(&root.join(SERVICE_DIR))
         .into_iter()
         .map(|p| rel(&p))
         .collect();
     lint.rule_service_observation_only(&service_files);
 
-    let tune_files: Vec<PathBuf> = rust_files(&root.join("crates/core/src/tune"))
+    let tune_files: Vec<PathBuf> = rust_files(&root.join(TUNE_DIR))
         .into_iter()
         .map(|p| rel(&p))
         .collect();
@@ -652,6 +659,30 @@ mod tests {
     #[test]
     fn repo_is_clean() {
         assert_eq!(run(Path::new(env!("CARGO_MANIFEST_DIR"))), 0);
+    }
+
+    #[test]
+    fn configured_rule_paths_exist() {
+        // A rule naming a file that no longer exists lints clean without
+        // checking anything; every configured path must be real.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let files = TELEMETRY_FILES
+            .iter()
+            .chain(&HOST_CHARGE_FILES)
+            .chain(&SPAN_FILES)
+            .chain(&[QUEUE_FILE, CPU_STAGES_FILE]);
+        for rel in files {
+            assert!(
+                root.join(rel).is_file(),
+                "lint rule names missing file {rel}"
+            );
+        }
+        for rel in [KERNELS_DIR, SIMD_DIR, SERVICE_DIR, TUNE_DIR] {
+            assert!(
+                root.join(rel).is_dir(),
+                "lint rule names missing directory {rel}"
+            );
+        }
     }
 
     #[test]

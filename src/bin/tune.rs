@@ -140,15 +140,7 @@ fn run_one(preset: DevicePreset, w: usize, h: usize, args: &Args) -> Result<Stri
         wall * 1e6 / report.candidates as f64,
         report.candidates as f64 / wall,
     ));
-    let p = tune::predict_frame(
-        w,
-        h,
-        &report.opts,
-        &report.tuning,
-        Schedule::Monolithic,
-        &dev,
-        ctx.cpu(),
-    )?;
+    let p = tune::predict_frame(w, h, &report.opts, &report.tuning, &dev, ctx.cpu())?;
     out.push_str("  predicted breakdown:\n");
     out.push_str(&breakdown(&p, args.top));
 

@@ -8,16 +8,14 @@ use std::path::PathBuf;
 use imagekit::{io, metrics, ImageF32};
 use sharpness_core::color::{sharpen_rgb, ColorMode};
 use sharpness_core::cpu::CpuPipeline;
-use sharpness_core::gpu::{
-    verify_static, GpuPipeline, OptConfig, Schedule, StaticReport, ThroughputEngine,
-    ThroughputReport, Tuning,
-};
+use sharpness_core::gpu::batch::Overlap;
+use sharpness_core::gpu::{verify_static, GpuPipeline, OptConfig, StaticReport, Tuning};
 use sharpness_core::params::SharpnessParams;
 use sharpness_core::report::RunReport;
 use sharpness_core::telemetry::FrameTelemetry;
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
-use simgpu::metrics::MetricsRegistry;
+use simgpu::metrics::{Histogram, MetricsRegistry};
 use simgpu::queue::{CommandKind, CommandRecord};
 use simgpu::span::SpanRecord;
 use simgpu::trace;
@@ -90,16 +88,14 @@ pub struct CliArgs {
     pub trace_json: Option<PathBuf>,
     /// Print an ASCII Gantt chart of the run.
     pub gantt: bool,
-    /// Number of frames the throughput engine replays the input for
-    /// (1 = single-shot, no engine).
+    /// Number of frames one prepared plan replays the input for
+    /// (1 = single-shot).
     pub frames: usize,
-    /// Worker threads for the throughput engine (0 = host parallelism).
-    pub threads: usize,
     /// Run every kernel under the shadow-execution sanitizer and fail on
     /// any finding (GPU single-frame only).
     pub sanitize: bool,
     /// Statically prove the dispatch schedule sound (bounds, write
-    /// disjointness, byte accounting, slice coverage) before running, and
+    /// disjointness, byte accounting) before running, and
     /// require every live dispatch to declare its verified access summary
     /// (GPU only).
     pub verify_static: bool,
@@ -110,10 +106,6 @@ pub struct CliArgs {
     pub profile: bool,
     /// Print the automated bottleneck report (GPU only).
     pub explain: bool,
-    /// Cache-blocked banded scheduling: `None` = monolithic,
-    /// `Some(0)` = auto band height from the host cache size,
-    /// `Some(n)` = bands of about `n` rows (GPU only).
-    pub banded: Option<usize>,
     /// Force the scalar/autovectorized kernel spans even when the `simd`
     /// feature is compiled in (pixels and simulated time are identical
     /// either way; only wall-clock changes).
@@ -144,11 +136,10 @@ options:
   --color <mode>    luma | rgb               (default luma; PPM only)
   --trace <file>    write a Chrome-trace JSON of the run
   --gantt           print an ASCII timeline of the run
-  --frames <n>      replay the input as an n-frame stream through the
-                    throughput engine and report frames/sec (GPU only);
-                    --trace/--gantt then show one lane per worker and a
-                    latency histogram summary goes to stderr
-  --threads <n>     worker threads for --frames (default 0 = all cores)
+  --frames <n>      replay the input n times through one prepared plan
+                    and report wall-clock frames/sec and the simulated
+                    steady state (GPU only); a latency histogram summary
+                    goes to stderr, --trace/--gantt show one frame
   --metrics <path>  write a JSONL metrics file: per-kernel efficiency
                     (loads/source-pixel, vector fraction, arithmetic
                     intensity, achieved vs peak bandwidth, occupancy);
@@ -163,12 +154,6 @@ options:
                     peak fractions), the frame-level transfer verdict, the
                     host LLC-residency verdict, and per-phase span shares
                     (GPU only)
-  --banded[=rows]   run the cache-blocked megapass schedule: kernels
-                    execute band-by-band over row bands sized to the host
-                    cache (default auto; =N requests ~N-row bands).
-                    Pixels and simulated time are identical to the
-                    monolithic schedule — only wall-clock changes
-                    (GPU only)
   --no-simd         force the scalar/autovectorized kernel spans even when
                     the simd feature is compiled in. Pixels and simulated
                     time are bit-identical either way — only wall-clock
@@ -180,8 +165,8 @@ options:
                     unchanged — the overhead is wall-clock only
   --verify-static   statically prove the dispatch schedule sound before
                     running — every kernel in-bounds, write-sets disjoint,
-                    charged bytes within the closed-form overcharge bound,
-                    banded slices an exact partition of each grid — then
+                    charged bytes within the closed-form overcharge bound —
+                    then
                     require every live dispatch to declare its verified
                     access summary (undeclared dispatch is a hard error).
                     Pixels and simulated time are unchanged (GPU only)
@@ -205,7 +190,6 @@ options:
                     each cache miss runs the guided cost-model search for
                     the requested shape and prepares the winning plan
                     (pixels are bit-identical; simulated seconds drop)
-  --banded[=rows]   serve with the banded schedule   (default monolithic)
   --queue-cap <n>   bounded queue length per class   (default 64)
   --max-batch <n>   max requests coalesced per batch (default 16)
   --cache-cap <n>   plan-cache capacity, plans       (default 8)
@@ -231,8 +215,6 @@ pub struct ServeArgs {
     pub device: DevicePreset,
     /// GPU optimization flags.
     pub opts: OptConfig,
-    /// Banded schedule (`None` = monolithic, as in the main CLI).
-    pub banded: Option<usize>,
     /// Bounded queue length per priority class.
     pub queue_cap: usize,
     /// Maximum batch size.
@@ -262,7 +244,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         gap_us: 2000.0,
         device: DevicePreset::W8000,
         opts: OptConfig::all(),
-        banded: None,
         queue_cap: 64,
         max_batch: 16,
         cache_cap: 8,
@@ -287,7 +268,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
                     other => return Err(format!("unknown opts {other:?}")),
                 }
             }
-            "--banded" => sv.banded = Some(0),
             "--queue-cap" => sv.queue_cap = parse_value(&arg, it.next())?,
             "--max-batch" => sv.max_batch = parse_value(&arg, it.next())?,
             "--cache-cap" => sv.cache_cap = parse_value(&arg, it.next())?,
@@ -299,10 +279,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
                 sv.metrics = Some(PathBuf::from(parse_value::<String>(&arg, it.next())?))
             }
             "--no-simd" => sv.no_simd = true,
-            other => match other.strip_prefix("--banded=") {
-                Some(rows) => sv.banded = Some(parse_value("--banded", Some(rows.to_string()))?),
-                None => return Err(format!("unknown option {other:?}")),
-            },
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     if sv.requests == 0 {
@@ -333,17 +310,12 @@ pub fn run_serve(sv: &ServeArgs) -> Result<String, String> {
         ..TrafficConfig::default()
     };
     let requests = generate_requests(&traffic);
-    let schedule = match sv.banded {
-        None => Schedule::Monolithic,
-        Some(rows) => Schedule::Banded(rows),
-    };
     let ctx = if sv.sanitize {
         Context::sanitized(sv.device.spec())
     } else {
         Context::new(sv.device.spec())
     };
-    let pipe =
-        GpuPipeline::new(ctx.clone(), SharpnessParams::default(), sv.opts).with_schedule(schedule);
+    let pipe = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), sv.opts);
     let service = SharpenService::new(
         pipe,
         ServiceConfig {
@@ -377,8 +349,7 @@ pub fn run_serve(sv: &ServeArgs) -> Result<String, String> {
             Context::new(sv.device.spec()),
             SharpnessParams::default(),
             sv.opts,
-        )
-        .with_schedule(schedule);
+        );
         let by_id: std::collections::HashMap<u64, &sharpness_core::service::Request> =
             requests.iter().map(|r| (r.id, r)).collect();
         for (id, out) in &report.outputs {
@@ -431,13 +402,11 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         trace_json: None,
         gantt: false,
         frames: 1,
-        threads: 0,
         sanitize: false,
         verify_static: false,
         metrics: None,
         profile: false,
         explain: false,
-        banded: None,
         no_simd: false,
         autotune: false,
     };
@@ -469,7 +438,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             }
             "--gantt" => cli.gantt = true,
             "--frames" => cli.frames = parse_value(&arg, it.next())?,
-            "--threads" => cli.threads = parse_value(&arg, it.next())?,
             "--sanitize" => cli.sanitize = true,
             "--verify-static" => cli.verify_static = true,
             "--metrics" => {
@@ -477,13 +445,9 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             }
             "--profile" => cli.profile = true,
             "--explain" => cli.explain = true,
-            "--banded" => cli.banded = Some(0),
             "--no-simd" => cli.no_simd = true,
             "--autotune" => cli.autotune = true,
-            other => match other.strip_prefix("--banded=") {
-                Some(rows) => cli.banded = Some(parse_value("--banded", Some(rows.to_string()))?),
-                None => return Err(format!("unknown option {other:?}")),
-            },
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     cli.engine = if use_cpu {
@@ -502,16 +466,13 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     }
     if cli.sanitize && cli.frames > 1 {
         return Err(
-            "--sanitize cannot be combined with --frames: the sanitizer analyses one \
-             kernel dispatch at a time, so the throughput engine runs unsanitized"
+            "--sanitize cannot be combined with --frames: only the single-frame run \
+             is sanitized"
                 .to_string(),
         );
     }
     if cli.verify_static && use_cpu {
         return Err("--verify-static requires the GPU engine (drop --cpu)".to_string());
-    }
-    if cli.banded.is_some() && use_cpu {
-        return Err("--banded requires the GPU engine (drop --cpu)".to_string());
     }
     if cli.autotune && use_cpu {
         return Err("--autotune requires the GPU engine (drop --cpu)".to_string());
@@ -563,14 +524,6 @@ pub fn report_to_records(report: &RunReport) -> Vec<CommandRecord> {
         .collect()
 }
 
-/// The schedule the command line asked for.
-fn schedule_of(cli: &CliArgs) -> Schedule {
-    match cli.banded {
-        None => Schedule::Monolithic,
-        Some(rows) => Schedule::Banded(rows),
-    }
-}
-
 /// The effective (opts, tuning) for a GPU run of a `w`×`h` plane: the
 /// command line's values under the paper's hand-tuned defaults, or —
 /// with `--autotune` — the guided model search's winner for this exact
@@ -615,13 +568,7 @@ fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
             if cli.verify_static {
                 // Prove the whole dispatch schedule sound before touching
                 // a single pixel; a failed proof aborts the run.
-                verify_static(
-                    plane.width(),
-                    plane.height(),
-                    &opts,
-                    &tuning,
-                    schedule_of(cli),
-                )?;
+                verify_static(plane.width(), plane.height(), &opts, &tuning)?;
             }
             let ctx = if cli.sanitize {
                 Context::sanitized(preset.spec())
@@ -630,7 +577,6 @@ fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
             };
             let report = GpuPipeline::new(ctx.clone(), cli.params, opts)
                 .with_tuning(tuning)
-                .with_schedule(schedule_of(cli))
                 .run(plane)?;
             if let Some(san) = ctx.sanitize_report() {
                 if !san.is_clean() {
@@ -642,30 +588,59 @@ fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
     }
 }
 
-/// Replays `plane` as a `cli.frames`-long stream through the throughput
-/// engine, returning the formatted rates and the full report (whose
-/// per-worker traces feed `--trace`/`--gantt` and the latency summary).
-fn run_throughput(cli: &CliArgs, plane: &ImageF32) -> Result<(String, ThroughputReport), String> {
+/// What a `--frames` run measured: wall and simulated rates plus the
+/// per-frame latency histograms.
+struct FramesReport {
+    wall_fps: f64,
+    simulated_fps: f64,
+    wall_latency: Histogram,
+    sim_latency: Histogram,
+}
+
+/// Replays `plane` `cli.frames` times through one prepared plan and one
+/// reused output buffer. Memory does not grow with the frame count: each
+/// frame overwrites the last one's output, and the latency histograms and
+/// the [`Overlap`] steady-state recurrence fold frame by frame. Returns the
+/// formatted rates and the report behind the metrics.
+fn run_frames(cli: &CliArgs, plane: &ImageF32) -> Result<(String, FramesReport), String> {
     let Engine::Gpu(preset) = cli.engine else {
         return Err("--frames requires the GPU engine".to_string());
     };
     let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
-    let pipe = GpuPipeline::new(Context::new(preset.spec()), cli.params, opts)
-        .with_tuning(tuning)
-        .with_schedule(schedule_of(cli));
-    let engine = ThroughputEngine::new(pipe, cli.threads);
-    let frames: Vec<ImageF32> = (0..cli.frames).map(|_| plane.clone()).collect();
-    let rep = engine.process(&frames)?;
+    let pipe = GpuPipeline::new(Context::new(preset.spec()), cli.params, opts).with_tuning(tuning);
+    let mut plan = pipe.prepared(plane.width(), plane.height())?;
+    let mut out = vec![0.0f32; plane.len()];
+    let mut overlap = Overlap::default();
+    let mut wall_latency = Histogram::latency_seconds();
+    let mut sim_latency = Histogram::latency_seconds();
+    let started = std::time::Instant::now();
+    for _ in 0..cli.frames {
+        let t0 = std::time::Instant::now();
+        let c = plan.run_into(plane, &mut out)?;
+        wall_latency.observe(t0.elapsed().as_secs_f64());
+        sim_latency.observe(c.total());
+        overlap.push(&c);
+    }
+    let wall_s = started.elapsed().as_secs_f64();
+    let n = cli.frames as f64;
+    let rep = FramesReport {
+        wall_fps: n / wall_s,
+        simulated_fps: n / overlap.total_s(),
+        wall_latency,
+        sim_latency,
+    };
+    // The simulated latency histogram's sum is the serial (non-overlapped)
+    // time of the whole run.
+    let serial_s = rep.sim_latency.sum();
     let text = format!(
-        "throughput: {} frames on {} workers in {:.3} s wall ({:.1} frames/s)\n\
+        "throughput: {} frames through one plan in {:.3} s wall ({:.1} frames/s)\n\
          simulated steady-state: {:.3} ms/frame pipelined ({:.1} frames/s; {:.3} ms serial)\n",
         cli.frames,
-        rep.threads,
-        rep.wall_s,
-        rep.wall_fps(),
-        rep.pipelined_s / cli.frames as f64 * 1e3,
-        rep.simulated_fps(),
-        rep.serial_s / cli.frames as f64 * 1e3,
+        wall_s,
+        rep.wall_fps,
+        overlap.total_s() / n * 1e3,
+        rep.simulated_fps,
+        serial_s / n * 1e3,
     );
     Ok((text, rep))
 }
@@ -683,8 +658,7 @@ fn gpu_observe(
     };
     let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
     let pipe = GpuPipeline::new(Context::new(preset.spec()).with_spans(), cli.params, opts)
-        .with_tuning(tuning)
-        .with_schedule(schedule_of(cli));
+        .with_tuning(tuning);
     let mut plan = pipe.prepared(plane.width(), plane.height())?;
     plan.run(plane)?;
     let tel = plan.telemetry();
@@ -753,12 +727,15 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         }
     }
 
-    // Multi-frame stream: run the throughput engine once; its report also
-    // carries the per-worker traces for --trace/--gantt.
-    let tput: Option<ThroughputReport> = if cli.frames > 1 {
-        let (text, rep) = run_throughput(cli, &plane)?;
+    // Multi-frame stream: replay the plane through one prepared plan.
+    let tput = if cli.frames > 1 {
+        let (text, rep) = run_frames(cli, &plane)?;
         summary.push_str(&text);
-        eprint!("{}", rep.latency_summary());
+        eprint!(
+            "frame latency (wall): {}\nframe latency (simulated): {}\n",
+            rep.wall_latency.summary(1e3, "ms"),
+            rep.sim_latency.summary(1e3, "ms"),
+        );
         Some(rep)
     } else {
         None
@@ -786,7 +763,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         None
     };
 
-    let wants_single_trace = (cli.trace_json.is_some() || cli.gantt) && cli.frames == 1;
+    let wants_single_trace = cli.trace_json.is_some() || cli.gantt;
     let observed =
         if is_gpu && (cli.metrics.is_some() || cli.profile || cli.explain || wants_single_trace) {
             Some(gpu_observe(cli, &plane)?)
@@ -809,13 +786,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             unreachable!("--verify-static rejected with --cpu at parse time");
         };
         let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
-        let r = verify_static(
-            plane.width(),
-            plane.height(),
-            &opts,
-            &tuning,
-            schedule_of(cli),
-        )?;
+        let r = verify_static(plane.width(), plane.height(), &opts, &tuning)?;
         summary.push_str(&r.summary_line());
         summary.push('\n');
         Some(r)
@@ -838,12 +809,11 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             reg.set_gauge("tune.search_wall_s", *wall);
         }
         if let Some(tp) = &tput {
-            reg.inc("throughput.frames", tp.outputs.len() as u64);
-            reg.set_gauge("throughput.threads", tp.threads as f64);
-            reg.set_gauge("throughput.wall_fps", tp.wall_fps());
-            reg.set_gauge("throughput.simulated_fps", tp.simulated_fps());
-            reg.record_histogram("latency.wall_s", &tp.wall_latency_histogram());
-            reg.record_histogram("latency.sim_s", &tp.sim_latency_histogram());
+            reg.inc("throughput.frames", cli.frames as u64);
+            reg.set_gauge("throughput.wall_fps", tp.wall_fps);
+            reg.set_gauge("throughput.simulated_fps", tp.simulated_fps);
+            reg.record_histogram("latency.wall_s", &tp.wall_latency);
+            reg.record_histogram("latency.sim_s", &tp.sim_latency);
         }
         // `--metrics` accepts a file or a directory (same as `repro`):
         // directories get a metrics.jsonl inside.
@@ -884,23 +854,17 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         summary.push_str(&e.render(8));
     }
     if let Some(path) = &cli.trace_json {
-        let json = match &tput {
-            Some(tp) => trace::multiframe_chrome_json(&tp.traces),
-            None => match &observed {
-                Some((records, _, spans)) => trace::to_chrome_json_with_spans(records, spans),
-                None => trace::to_chrome_json(&report_to_records(&report)),
-            },
+        let json = match &observed {
+            Some((records, _, spans)) => trace::to_chrome_json_with_spans(records, spans),
+            None => trace::to_chrome_json(&report_to_records(&report)),
         };
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         summary.push_str(&format!("wrote trace to {}\n", path.display()));
     }
     if cli.gantt {
-        match &tput {
-            Some(tp) => summary.push_str(&trace::worker_gantt(&tp.traces, 60)),
-            None => match &observed {
-                Some((records, _, _)) => summary.push_str(&trace::gantt(records, 60)),
-                None => summary.push_str(&trace::gantt(&report_to_records(&report), 60)),
-            },
+        match &observed {
+            Some((records, _, _)) => summary.push_str(&trace::gantt(records, 60)),
+            None => summary.push_str(&trace::gantt(&report_to_records(&report), 60)),
         }
     }
     Ok(summary)
@@ -960,20 +924,11 @@ mod tests {
 
     #[test]
     fn parses_throughput_flags() {
-        let cli = parse_args(&strs(&[
-            "a.pgm",
-            "b.pgm",
-            "--frames",
-            "32",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
+        let cli = parse_args(&strs(&["a.pgm", "b.pgm", "--frames", "32"])).unwrap();
         assert_eq!(cli.frames, 32);
-        assert_eq!(cli.threads, 4);
-        // Defaults: single frame, auto threads.
+        // Default: a single frame.
         let cli = parse_args(&strs(&["a.pgm", "b.pgm"])).unwrap();
-        assert_eq!((cli.frames, cli.threads), (1, 0));
+        assert_eq!(cli.frames, 1);
         // Invalid combinations are rejected at parse time.
         assert!(parse_args(&strs(&["a.pgm", "b.pgm", "--frames", "0"])).is_err());
         assert!(parse_args(&strs(&["a.pgm", "b.pgm", "--frames", "4", "--cpu"])).is_err());
@@ -983,71 +938,62 @@ mod tests {
     fn frames_flag_reports_throughput() {
         let dir = std::env::temp_dir();
         let input = dir.join(format!("cli-tp-in-{}.pgm", std::process::id()));
-        let output = dir.join(format!("cli-tp-out-{}.pgm", std::process::id()));
+        let out_one = dir.join(format!("cli-tp-one-{}.pgm", std::process::id()));
+        let out_six = dir.join(format!("cli-tp-six-{}.pgm", std::process::id()));
+        let mfile = dir.join(format!("cli-tp-met-{}.jsonl", std::process::id()));
         let img = imagekit::generate::natural(64, 64, 5).to_u8();
         io::write_pgm(&input, &img).unwrap();
-        let cli = parse_args(&strs(&[
+        let one = parse_args(&strs(&[input.to_str().unwrap(), out_one.to_str().unwrap()])).unwrap();
+        run(&one).unwrap();
+        let six = parse_args(&strs(&[
             input.to_str().unwrap(),
-            output.to_str().unwrap(),
+            out_six.to_str().unwrap(),
             "--frames",
             "6",
-            "--threads",
-            "2",
+            "--metrics",
+            mfile.to_str().unwrap(),
+            "--gantt",
         ]))
         .unwrap();
-        let summary = run(&cli).unwrap();
+        let summary = run(&six).unwrap();
+        // The gantt shows the single-frame command timeline.
+        assert!(summary.contains("sobel_vec4"), "{summary}");
         assert!(
-            summary.contains("throughput: 6 frames on 2 workers"),
+            summary.contains("throughput: 6 frames through one plan"),
             "{summary}"
         );
         assert!(summary.contains("simulated steady-state"), "{summary}");
-        for p in [input, output] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn parses_banded_flag() {
-        assert_eq!(parse_args(&strs(&["a.pgm", "b.pgm"])).unwrap().banded, None);
-        let auto = parse_args(&strs(&["a.pgm", "b.pgm", "--banded"])).unwrap();
-        assert_eq!(auto.banded, Some(0));
-        let fixed = parse_args(&strs(&["a.pgm", "b.pgm", "--banded=128"])).unwrap();
-        assert_eq!(fixed.banded, Some(128));
-        assert!(parse_args(&strs(&["a.pgm", "b.pgm", "--banded=x"])).is_err());
-        assert!(parse_args(&strs(&["a.pgm", "b.pgm", "--banded", "--cpu"])).is_err());
-    }
-
-    #[test]
-    fn banded_run_matches_monolithic_output() {
-        let dir = std::env::temp_dir();
-        let input = dir.join(format!("cli-band-in-{}.pgm", std::process::id()));
-        let out_mono = dir.join(format!("cli-band-mono-{}.pgm", std::process::id()));
-        let out_band = dir.join(format!("cli-band-band-{}.pgm", std::process::id()));
-        let img = imagekit::generate::natural(97, 61, 17).to_u8();
-        io::write_pgm(&input, &img).unwrap();
-        let mono = parse_args(&strs(&[
-            input.to_str().unwrap(),
-            out_mono.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let mono_summary = run(&mono).unwrap();
-        let band = parse_args(&strs(&[
-            input.to_str().unwrap(),
-            out_band.to_str().unwrap(),
-            "--banded=32",
-            "--sanitize",
-        ]))
-        .unwrap();
-        let band_summary = run(&band).unwrap();
-        assert!(band_summary.contains("sanitizer: clean"), "{band_summary}");
-        // Same pixels, same simulated milliseconds in the summary line.
         assert_eq!(
-            std::fs::read(&out_mono).unwrap(),
-            std::fs::read(&out_band).unwrap()
+            std::fs::read(&out_one).unwrap(),
+            std::fs::read(&out_six).unwrap()
         );
-        let line = |s: &str| s.lines().next().unwrap_or("").to_string();
-        assert_eq!(line(&mono_summary), line(&band_summary));
-        for p in [input, out_mono, out_band] {
+        // One frame of the same plan, simulated in isolation.
+        let pipe = GpuPipeline::new(
+            Context::new(DeviceSpec::firepro_w8000()),
+            SharpnessParams::default(),
+            OptConfig::all(),
+        );
+        let mut plan = pipe.prepared(64, 64).unwrap();
+        let mut out = vec![0.0f32; 64 * 64];
+        let single = plan.run_into(&img.to_f32(), &mut out).unwrap().total();
+        let six_fold = (0..6).fold(0.0f64, |acc, _| acc + single);
+        // The serial simulated time the run reports (the sum of its
+        // simulated latency histogram) is six times the single frame's,
+        // bit for bit.
+        let jsonl = std::fs::read_to_string(&mfile).unwrap();
+        let fields = jsonl
+            .lines()
+            .filter_map(simgpu::metrics::parse_jsonl_line)
+            .find(|(name, _)| name == "latency.sim_s")
+            .expect("latency.sim_s histogram")
+            .1;
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!(field("count"), 6.0);
+        assert_eq!(field("sum").to_bits(), six_fold.to_bits());
+        assert_eq!(field("max").to_bits(), single.to_bits());
+        assert!(jsonl.contains("\"name\":\"throughput.frames\""), "{jsonl}");
+        assert!(jsonl.contains("\"name\":\"latency.wall_s\""), "{jsonl}");
+        for p in [input, out_one, out_six, mfile] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1123,14 +1069,12 @@ mod tests {
         let plain = parse_args(&strs(&[
             input.to_str().unwrap(),
             out_plain.to_str().unwrap(),
-            "--banded=32",
         ]))
         .unwrap();
         let plain_summary = run(&plain).unwrap();
         let cli = parse_args(&strs(&[
             input.to_str().unwrap(),
             out_verif.to_str().unwrap(),
-            "--banded=32",
             "--verify-static",
             "--metrics",
             mfile.to_str().unwrap(),
@@ -1282,48 +1226,6 @@ mod tests {
     }
 
     #[test]
-    fn multiframe_trace_and_gantt_show_worker_lanes() {
-        let dir = std::env::temp_dir();
-        let input = dir.join(format!("cli-mf-in-{}.pgm", std::process::id()));
-        let output = dir.join(format!("cli-mf-out-{}.pgm", std::process::id()));
-        let tfile = dir.join(format!("cli-mf-trace-{}.json", std::process::id()));
-        let mfile = dir.join(format!("cli-mf-met-{}.jsonl", std::process::id()));
-        let img = imagekit::generate::natural(64, 64, 13).to_u8();
-        io::write_pgm(&input, &img).unwrap();
-        let cli = parse_args(&strs(&[
-            input.to_str().unwrap(),
-            output.to_str().unwrap(),
-            "--frames",
-            "4",
-            "--threads",
-            "2",
-            "--trace",
-            tfile.to_str().unwrap(),
-            "--gantt",
-            "--metrics",
-            mfile.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let summary = run(&cli).unwrap();
-        // The gantt shows worker lanes, not a single-frame command list.
-        assert!(summary.contains("worker 0"), "{summary}");
-        assert!(summary.contains("throughput: 4 frames"), "{summary}");
-        // The trace names one lane per worker and carries the frame spans.
-        let json = std::fs::read_to_string(&tfile).unwrap();
-        assert!(json.contains("\"thread_name\""), "{json}");
-        assert!(json.contains("\"worker 0\""), "{json}");
-        assert!(json.contains("\"frame 3\""), "{json}");
-        // The metrics file gains throughput gauges + latency histograms.
-        let jsonl = std::fs::read_to_string(&mfile).unwrap();
-        assert!(jsonl.contains("\"name\":\"throughput.frames\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"latency.wall_s\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"latency.sim_s\""), "{jsonl}");
-        for p in [input, output, tfile, mfile] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
     fn record_reconstruction_classifies_kinds() {
         use sharpness_core::report::StageRecord;
         let report = RunReport {
@@ -1430,7 +1332,6 @@ mod tests {
             "2",
             "--opts",
             "none",
-            "--banded=32",
             "--selfcheck",
             "--sanitize",
         ]))
@@ -1441,7 +1342,6 @@ mod tests {
         assert_eq!((sv.max_batch, sv.queue_cap), (8, 16));
         assert_eq!((sv.cache_cap, sv.shards), (4, 2));
         assert_eq!(sv.opts, OptConfig::none());
-        assert_eq!(sv.banded, Some(32));
         assert!(sv.selfcheck && sv.sanitize);
         // Invalid values are rejected at parse time.
         assert!(parse_serve_args(&strs(&["--requests", "0"])).is_err());
@@ -1500,6 +1400,21 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(sim_lines(&plain), sim_lines(&sanitized));
+    }
+
+    #[test]
+    fn header_claiming_more_pixels_than_the_file_holds_is_an_error() {
+        // 24 bytes whose header claims 2^20 x 2^20 pixels: the reader must
+        // return an error, not try to allocate a terabyte.
+        let dir = std::env::temp_dir();
+        let input = dir.join(format!("cli-hdr-in-{}.pgm", std::process::id()));
+        let output = dir.join(format!("cli-hdr-out-{}.pgm", std::process::id()));
+        std::fs::write(&input, b"P5\n1048576 1048576\n255\n\x01\x02").unwrap();
+        let cli = parse_args(&strs(&[input.to_str().unwrap(), output.to_str().unwrap()])).unwrap();
+        let err = run(&cli).unwrap_err();
+        assert!(err.contains("1099511627776 bytes"), "{err}");
+        assert!(!output.exists());
+        std::fs::remove_file(&input).ok();
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod prelude {
     pub use imagekit::{generate, metrics, ImageF32, ImageU8, RgbImageU8};
     pub use sharpness_core::cpu::CpuPipeline;
     pub use sharpness_core::gpu::{
-        enumerate_access, verify_static, BandedStats, GpuPipeline, OptConfig, PipelinePlan,
-        Schedule, StaticDispatch, StaticReport, ThroughputEngine, ThroughputReport, Tuning,
+        enumerate_access, verify_static, GpuPipeline, OptConfig, PipelinePlan, StaticDispatch,
+        StaticReport, Tuning,
     };
     pub use sharpness_core::params::SharpnessParams;
     pub use sharpness_core::report::RunReport;

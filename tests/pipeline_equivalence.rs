@@ -229,39 +229,17 @@ fn plan_run_into_allocates_no_device_buffers_after_warmup() {
     let ctx = Context::new(DeviceSpec::firepro_w8000());
     let pipe = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), OptConfig::all());
     let mut out = vec![0.0f32; 97 * 61];
-    for schedule in [Schedule::Monolithic, Schedule::Banded(32)] {
-        let mut plan = pipe
-            .clone()
-            .with_schedule(schedule)
-            .prepared(97, 61)
-            .unwrap();
-        plan.run_into(&img, &mut out).unwrap(); // warm scratch + pool
-        let warm = ctx.pool_stats();
-        for _ in 0..4 {
-            plan.run_into(&img, &mut out).unwrap();
-        }
-        let after = ctx.pool_stats();
-        // The plan owns every buffer it needs: warm frames must neither
-        // allocate fresh device storage nor leave anything extra live.
-        assert_eq!(
-            after.misses, warm.misses,
-            "{schedule:?}: warm run_into still allocated"
-        );
-        assert_eq!(after.live, warm.live, "{schedule:?}: live buffers grew");
+    let mut plan = pipe.prepared(97, 61).unwrap();
+    plan.run_into(&img, &mut out).unwrap(); // warm scratch + pool
+    let warm = ctx.pool_stats();
+    for _ in 0..4 {
+        plan.run_into(&img, &mut out).unwrap();
     }
-}
-
-#[test]
-fn throughput_engine_outputs_match_the_single_frame_path() {
-    let frames: Vec<_> = (0..5).map(|i| generate::natural(64, 64, 60 + i)).collect();
-    let pipe = GpuPipeline::new(vctx(), SharpnessParams::default(), OptConfig::all());
-    let report = ThroughputEngine::new(pipe.clone(), 2)
-        .process(&frames)
-        .unwrap();
-    for (frame, out) in frames.iter().zip(&report.outputs) {
-        assert_eq!(&pipe.run(frame).unwrap().output, out);
-    }
-    assert!(report.pipelined_s <= report.serial_s);
+    let after = ctx.pool_stats();
+    // The plan owns every buffer it needs: warm frames must neither
+    // allocate fresh device storage nor leave anything extra live.
+    assert_eq!(after.misses, warm.misses, "warm run_into still allocated");
+    assert_eq!(after.live, warm.live, "live buffers grew");
 }
 
 #[test]

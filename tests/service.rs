@@ -45,7 +45,7 @@ fn identical_seed_gives_identical_serve_decisions_and_outputs() {
     let a = serve(Context::new(DeviceSpec::firepro_w8000()), &cfg, true);
     let b = serve(Context::new(DeviceSpec::firepro_w8000()), &cfg, true);
 
-    // Scheduler decisions replay exactly: same shed set, same batch
+    // The scheduling decisions replay exactly: same shed set, same batch
     // composition, same outcome counters.
     assert_eq!(a.shed_ids, b.shed_ids);
     assert_eq!(a.served, b.served);

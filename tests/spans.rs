@@ -1,8 +1,8 @@
 //! Hierarchical span tracing is observation-only: enabling spans must not
 //! perturb a single pixel bit or a single simulated-clock bit, on any
-//! optimization config, shape, or schedule, and must stay sanitizer-clean.
-//! The structural tests then pin the shape of the tree every execution
-//! mode emits (frame → phase → band → kernel dispatch → slice, plus
+//! optimization config, shape, or kernel placement, and must stay
+//! sanitizer-clean. The structural tests then pin the shape of the tree a
+//! frame emits (frame → phase → kernel dispatch, plus
 //! transfer/readback/host/sync leaves).
 
 use imagekit::generate;
@@ -26,16 +26,26 @@ fn all_configs() -> Vec<OptConfig> {
         .collect()
 }
 
-fn schedules() -> [Schedule; 2] {
-    [Schedule::Monolithic, Schedule::Banded(32)]
+/// The two kernel placements the sweeps cover: the paper's default
+/// tuning, and reduction stage 2 plus the upscale border forced onto the
+/// device (when the config enables them).
+fn schedules() -> [Tuning; 2] {
+    [
+        Tuning::default(),
+        Tuning {
+            stage2_gpu_threshold: 0,
+            border_gpu_min_width: 0,
+            ..Tuning::default()
+        },
+    ]
 }
 
-/// Runs one config/schedule with and without spans and asserts bit
+/// Runs one config/placement with and without spans and asserts bit
 /// identity of pixels and simulated seconds.
-fn assert_span_invariant(w: usize, h: usize, seed: u64, cfg: OptConfig, schedule: Schedule) {
+fn assert_span_invariant(w: usize, h: usize, seed: u64, cfg: OptConfig, schedule: Tuning) {
     let img = generate::natural(w, h, seed);
     let plain = GpuPipeline::new(Context::new(spec()), SharpnessParams::default(), cfg)
-        .with_schedule(schedule)
+        .with_tuning(schedule)
         .run(&img)
         .unwrap();
     let spanned = GpuPipeline::new(
@@ -43,7 +53,7 @@ fn assert_span_invariant(w: usize, h: usize, seed: u64, cfg: OptConfig, schedule
         SharpnessParams::default(),
         cfg,
     )
-    .with_schedule(schedule)
+    .with_tuning(schedule)
     .run(&img)
     .unwrap();
     assert_eq!(
@@ -92,7 +102,7 @@ fn spans_stay_sanitizer_clean() {
     for schedule in schedules() {
         let ctx = Context::sanitized(spec()).with_spans();
         GpuPipeline::new(ctx.clone(), SharpnessParams::default(), OptConfig::all())
-            .with_schedule(schedule)
+            .with_tuning(schedule)
             .run(&img)
             .unwrap();
         assert!(
@@ -103,14 +113,14 @@ fn spans_stay_sanitizer_clean() {
 }
 
 /// Prepared plan for one frame with spans on; returns the frame's spans.
-fn frame_spans(cfg: OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<SpanRecord> {
+fn frame_spans(cfg: OptConfig, schedule: Tuning, w: usize, h: usize) -> Vec<SpanRecord> {
     let img = generate::natural(w, h, 3);
     let pipe = GpuPipeline::new(
         Context::new(spec()).with_spans(),
         SharpnessParams::default(),
         cfg,
     )
-    .with_schedule(schedule);
+    .with_tuning(schedule);
     let mut plan = pipe.prepared(w, h).unwrap();
     let mut out = vec![0.0f32; w * h];
     plan.run_into(&img, &mut out).unwrap();
@@ -119,13 +129,12 @@ fn frame_spans(cfg: OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<Sp
 
 #[test]
 fn monolithic_tree_has_frame_phases_and_leaves() {
-    let spans = frame_spans(OptConfig::all(), Schedule::Monolithic, 64, 64);
+    let spans = frame_spans(OptConfig::all(), Tuning::default(), 64, 64);
     let root = &spans[0];
     assert_eq!(root.kind, SpanKind::Frame);
     assert_eq!(&*root.name, "frame");
     assert_eq!(root.parent, u64::MAX);
-    // Every phase of the monolithic schedule appears, in order, under the
-    // frame root.
+    // Every phase of the frame appears, in order, under the frame root.
     let phases: Vec<&str> = spans
         .iter()
         .filter(|s| s.kind == SpanKind::Phase)
@@ -158,44 +167,6 @@ fn monolithic_tree_has_frame_phases_and_leaves() {
     assert!(spans.iter().any(|s| s.kind == SpanKind::Readback));
     // All-opts removes intermediate finishes; exactly one sync remains.
     assert_eq!(spans.iter().filter(|s| s.kind == SpanKind::Sync).count(), 1);
-    // No slices in a monolithic frame.
-    assert!(spans.iter().all(|s| s.kind != SpanKind::Slice));
-}
-
-#[test]
-fn banded_tree_adds_bands_and_slices() {
-    let spans = frame_spans(OptConfig::all(), Schedule::Banded(16), 64, 64);
-    // 64 rows at 16-row bands → 4 bands in phase A and 4 in phase B.
-    let bands: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == SpanKind::Band).collect();
-    assert_eq!(bands.len(), 8, "{}", span_tree(&spans));
-    // Slices nest under bands; each band holds at least one slice.
-    let slices: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == SpanKind::Slice).collect();
-    assert!(!slices.is_empty());
-    for sl in &slices {
-        let parent = spans.iter().find(|s| s.id == sl.parent).unwrap();
-        assert!(
-            parent.kind == SpanKind::Band || parent.kind == SpanKind::Phase,
-            "slice {} under {:?}",
-            sl.name,
-            parent.kind
-        );
-        // A slice's simulated duration is zero: the clock moves at commit.
-        assert_eq!(sl.sim_s(), 0.0);
-    }
-    // The committed kernels carry the simulated time instead.
-    let sobel = spans
-        .iter()
-        .find(|s| s.kind == SpanKind::Kernel && s.name.starts_with("sobel"))
-        .unwrap();
-    assert!(sobel.sim_s() > 0.0);
-    // Megapass phases bracket the band loops.
-    let phase_names: Vec<&str> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Phase)
-        .map(|s| &*s.name)
-        .collect();
-    assert!(phase_names.contains(&"megapass:A"));
-    assert!(phase_names.contains(&"megapass:B"));
 }
 
 #[test]
@@ -234,15 +205,13 @@ fn frame_span_sim_time_matches_queue_total() {
             SharpnessParams::default(),
             OptConfig::all(),
         )
-        .with_schedule(schedule);
+        .with_tuning(schedule);
         let mut plan = pipe.prepared(64, 64).unwrap();
         let mut out = vec![0.0f32; 64 * 64];
         plan.run_into(&img, &mut out).unwrap();
         let spans = plan.spans();
         // The clock advances as `clock = start + dur` per command, so the
-        // frame's close time is exactly the chronologically latest record
-        // end, bit for bit (the record vector itself is in logical, not
-        // clock, order under banded scheduling).
+        // frame's close time is exactly the latest record end, bit for bit.
         let total = plan
             .records()
             .iter()
@@ -300,33 +269,6 @@ fn plan_reuse_resets_the_ring_each_frame() {
 }
 
 #[test]
-fn throughput_engine_emits_one_tree_per_frame() {
-    let ctx = Context::new(spec()).with_spans();
-    let pipe = GpuPipeline::new(ctx, SharpnessParams::default(), OptConfig::all());
-    let frames: Vec<_> = (0..4).map(|i| generate::natural(64, 64, 100 + i)).collect();
-    let rep = ThroughputEngine::new(pipe, 2).process(&frames).unwrap();
-    assert_eq!(rep.spans.len(), 4);
-    for (i, tree) in rep.spans.iter().enumerate() {
-        assert!(!tree.is_empty(), "frame {i} has no spans");
-        assert_eq!(tree[0].kind, SpanKind::Frame, "frame {i}");
-    }
-    // Spans off → empty per-frame trees, same pixels.
-    let plain = ThroughputEngine::new(
-        GpuPipeline::new(
-            Context::new(spec()),
-            SharpnessParams::default(),
-            OptConfig::all(),
-        ),
-        2,
-    )
-    .process(&frames)
-    .unwrap();
-    assert!(plain.spans.iter().all(Vec::is_empty));
-    assert_eq!(plain.outputs, rep.outputs);
-    assert_eq!(plain.frames, rep.frames);
-}
-
-#[test]
 fn strip_pipeline_runs_with_spans_and_matches() {
     use sharpness::core::gpu::strips::StripPipeline;
     let img = generate::natural(64, 128, 4);
@@ -359,20 +301,21 @@ fn strip_pipeline_runs_with_spans_and_matches() {
 
 #[test]
 fn aggregation_and_exports_cover_the_frame_tree() {
-    let spans = frame_spans(OptConfig::all(), Schedule::Banded(16), 64, 64);
+    let spans = frame_spans(OptConfig::none(), Tuning::default(), 64, 64);
 
-    // Path aggregation folds the repeated bands.
+    // Path aggregation folds the repeated per-kernel finishes of the base
+    // configuration.
     let agg = aggregate(&spans);
-    let band_a = agg
+    let finishes = agg
         .iter()
-        .find(|a| a.path == "frame/megapass:A/band")
-        .expect("aggregated band path");
-    assert_eq!(band_a.count, 4);
+        .find(|a| a.path == "frame/sharpen/finish")
+        .expect("aggregated finish path");
+    assert_eq!(finishes.count, 3);
 
     // Terminal renderer shows the folded tree.
     let tree = span_tree(&spans);
     assert!(tree.contains("frame"), "{tree}");
-    assert!(tree.contains("band ×4"), "{tree}");
+    assert!(tree.contains("finish ×3"), "{tree}");
 
     // Metrics export lands in the span.* namespace.
     let mut reg = simgpu::metrics::MetricsRegistry::new();
@@ -380,7 +323,7 @@ fn aggregation_and_exports_cover_the_frame_tree() {
     assert_eq!(reg.counter("span.frame.count"), 1);
     assert!(reg.gauge("span.frame.sim_s") > 0.0);
     let jsonl = reg.to_jsonl();
-    assert!(jsonl.contains("span.frame/megapass:A/band"));
+    assert!(jsonl.contains("span.frame/sharpen/finish"));
 
     // Chrome trace gains the span process and stays brace-balanced.
     let img = generate::natural(64, 64, 3);

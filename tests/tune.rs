@@ -1,7 +1,7 @@
 //! The tuner's load-bearing guarantee: the closed-form predictor in
 //! `core::tune` reports simulated seconds that are `.to_bits()`-identical
 //! to actually executing the pipeline — same configs, same shapes, same
-//! schedules, same device profiles. Plus the rediscovery acceptance: the
+//! kernel placements, same device profiles. Plus the rediscovery acceptance: the
 //! search must land on the paper's hand-tuned W8000 configuration without
 //! hints, and shift in the physically expected direction on other
 //! presets.
@@ -14,17 +14,30 @@ fn all_configs() -> Vec<OptConfig> {
     (0..64u32).map(OptConfig::from_bits).collect()
 }
 
+/// The paper's default tuning, and the placement that forces reduction
+/// stage 2 and the upscale border onto the device (when the config
+/// enables them): the two schedules every agreement sweep covers.
+fn default_schedule() -> Tuning {
+    Tuning::default()
+}
+
+fn device_schedule() -> Tuning {
+    Tuning {
+        stage2_gpu_threshold: 0,
+        border_gpu_min_width: 0,
+        ..Tuning::default()
+    }
+}
+
 /// Predicts and executes one frame, asserting bit-identical simulated
 /// seconds; on mismatch, prints the first diverging command record.
-fn assert_agreement(w: usize, h: usize, opts: OptConfig, schedule: Schedule, dev: &DeviceSpec) {
+fn assert_agreement(w: usize, h: usize, opts: OptConfig, schedule: Tuning, dev: &DeviceSpec) {
     let cpu = CpuSpec::core_i5_3470();
-    let tuning = Tuning::default();
-    let p = tune::predict_frame(w, h, &opts, &tuning, schedule, dev, &cpu)
+    let p = tune::predict_frame(w, h, &opts, &schedule, dev, &cpu)
         .unwrap_or_else(|e| panic!("predict {opts:?} {schedule:?} {w}x{h}: {e}"));
     let img = generate::natural(w, h, 11);
     let pipe = GpuPipeline::new(Context::new(dev.clone()), SharpnessParams::default(), opts)
-        .with_tuning(tuning)
-        .with_schedule(schedule);
+        .with_tuning(schedule);
     let r = pipe
         .run(&img)
         .unwrap_or_else(|e| panic!("run {opts:?} {schedule:?} {w}x{h}: {e}"));
@@ -59,18 +72,18 @@ fn assert_agreement(w: usize, h: usize, opts: OptConfig, schedule: Schedule, dev
     );
 }
 
-/// Fast default gate: every config at 256² monolithic on the paper's
-/// device, predicted with zero execution, bit-equal to execution.
+/// Fast default gate: every config at 256² on the paper's device,
+/// predicted with zero execution, bit-equal to execution.
 #[test]
 fn predicted_seconds_match_executed_for_all_64_configs() {
     let dev = DeviceSpec::firepro_w8000();
     for opts in all_configs() {
-        assert_agreement(256, 256, opts, Schedule::Monolithic, &dev);
+        assert_agreement(256, 256, opts, default_schedule(), &dev);
     }
 }
 
-/// Fast default gate: banded schedules, ragged odd shapes and a second
-/// device profile on a representative config subset.
+/// Fast default gate: the device placement, ragged odd shapes and a
+/// second device profile on a representative config subset.
 #[test]
 fn predicted_seconds_match_executed_across_schedules_shapes_and_devices() {
     let representative: Vec<OptConfig> = [0u32, 5, 21, 42, 63]
@@ -79,24 +92,24 @@ fn predicted_seconds_match_executed_across_schedules_shapes_and_devices() {
         .collect();
     for dev in [DeviceSpec::firepro_w8000(), DeviceSpec::midrange_gpu()] {
         for &opts in &representative {
-            assert_agreement(256, 256, opts, Schedule::Banded(64), &dev);
-            assert_agreement(253, 131, opts, Schedule::Monolithic, &dev);
-            assert_agreement(253, 131, opts, Schedule::Banded(48), &dev);
+            assert_agreement(256, 256, opts, device_schedule(), &dev);
+            assert_agreement(253, 131, opts, default_schedule(), &dev);
+            assert_agreement(253, 131, opts, device_schedule(), &dev);
         }
     }
 }
 
 /// The full acceptance sweep (release-only, run by `ci.sh` every pass):
-/// 64 configs × {256², 768², 1001×701} × {monolithic, banded} × two
-/// device profiles, every one `.to_bits()`-identical.
+/// 64 configs × {256², 768², 1001×701} × {default, device placement} ×
+/// two device profiles, every one `.to_bits()`-identical.
 #[test]
 #[ignore = "full sweep; run with --release via ci.sh"]
 fn full_agreement_sweep_64_configs_3_shapes_2_schedules_2_devices() {
     for dev in [DeviceSpec::firepro_w8000(), DeviceSpec::midrange_gpu()] {
         for (w, h) in [(256, 256), (768, 768), (1001, 701)] {
             for opts in all_configs() {
-                assert_agreement(w, h, opts, Schedule::Monolithic, &dev);
-                assert_agreement(w, h, opts, Schedule::Banded(64), &dev);
+                assert_agreement(w, h, opts, default_schedule(), &dev);
+                assert_agreement(w, h, opts, device_schedule(), &dev);
             }
         }
     }
@@ -217,11 +230,6 @@ fn search_never_loses_to_the_paper_default_on_any_preset() {
                 "{}: {}",
                 dev.name,
                 r.summary_line()
-            );
-            assert!(
-                r.banded_tie,
-                "{}: banding must stay cost-invisible",
-                dev.name
             );
         }
     }

@@ -1,7 +1,7 @@
 //! The static access-summary verifier (DESIGN.md §15): every pipeline
-//! configuration proves bounds, write disjointness, charge accounting and
-//! slice coverage symbolically — and the static enumeration agrees, slice
-//! for slice, with what a live run actually declares.
+//! configuration proves bounds, write disjointness and charge accounting
+//! symbolically — and the static enumeration agrees, dispatch for dispatch,
+//! with what a live run actually declares.
 
 use sharpness::prelude::*;
 use simgpu::access::AccessSummary;
@@ -19,15 +19,28 @@ fn all_configs() -> Vec<OptConfig> {
         .collect()
 }
 
+/// The paper's default tuning, and reduction stage 2 plus the upscale
+/// border forced onto the device (when the config enables them): the two
+/// kernel placements the sweeps cover.
+fn schedules() -> [Tuning; 2] {
+    [
+        Tuning::default(),
+        Tuning {
+            stage2_gpu_threshold: 0,
+            border_gpu_min_width: 0,
+            ..Tuning::default()
+        },
+    ]
+}
+
 /// Acceptance sweep: all 64 configs × four shapes (aligned, large-aligned,
-/// ragged, odd) × both schedules verify statically — no execution at all.
+/// ragged, odd) × both placements verify statically — no execution at all.
 #[test]
 fn static_sweep_covers_all_configs_shapes_and_schedules() {
-    let tuning = Tuning::default();
     for (w, h) in [(256, 256), (768, 768), (1001, 701), (1023, 769)] {
         for opts in all_configs() {
-            for schedule in [Schedule::Monolithic, Schedule::Banded(64)] {
-                let r = verify_static(w, h, &opts, &tuning, schedule)
+            for schedule in schedules() {
+                let r = verify_static(w, h, &opts, &schedule)
                     .unwrap_or_else(|e| panic!("{w}x{h} {opts:?} {schedule:?}: {e}"));
                 assert!(r.kernels >= 4, "{w}x{h} {opts:?}: {} dispatches", r.kernels);
                 // Writes are always accounted exactly; reads may be
@@ -50,17 +63,15 @@ fn static_sweep_covers_border_crossover() {
         border_gpu: true,
         ..OptConfig::none()
     };
-    for schedule in [Schedule::Monolithic, Schedule::Banded(48)] {
-        let r = verify_static(101, 67, &opts, &tuning, schedule).unwrap();
-        assert!(r.kernels >= 8, "border dispatches missing: {}", r.kernels);
-    }
+    let r = verify_static(101, 67, &opts, &tuning).unwrap();
+    assert!(r.kernels >= 8, "border dispatches missing: {}", r.kernels);
 }
 
-fn dynamic_log(opts: &OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<AccessSummary> {
+fn dynamic_log(opts: &OptConfig, schedule: Tuning, w: usize, h: usize) -> Vec<AccessSummary> {
     let ctx = Context::with_validation(DeviceSpec::firepro_w8000()).with_access_log();
     let img = generate::natural(w, h, 17);
     let mut plan = GpuPipeline::new(ctx, SharpnessParams::default(), *opts)
-        .with_schedule(schedule)
+        .with_tuning(schedule)
         .prepared(w, h)
         .unwrap();
     plan.run(&img).unwrap();
@@ -69,22 +80,19 @@ fn dynamic_log(opts: &OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<
 
 /// Agreement: a sanitized live run under `with_access_log` declares
 /// exactly the summaries the static enumerator predicts — same kernels,
-/// same slice partition, same windows, same charges, same ratios, in the
-/// same commit order. Any drift between the executor and the static
+/// same windows, same charges, same ratios, in the same commit order. Any drift between the executor and the static
 /// schedule model fails here.
 #[test]
 fn static_enumeration_matches_dynamic_declarations() {
-    let tuning = Tuning::default();
     for (w, h) in [(256, 256), (1001, 701)] {
         for opts in all_configs() {
-            for schedule in [Schedule::Monolithic, Schedule::Banded(64)] {
+            for schedule in schedules() {
                 let log = dynamic_log(&opts, schedule, w, h);
-                let predicted: Vec<AccessSummary> =
-                    enumerate_access(w, h, &opts, &tuning, schedule)
-                        .unwrap()
-                        .into_iter()
-                        .flat_map(|d| d.slices)
-                        .collect();
+                let predicted: Vec<AccessSummary> = enumerate_access(w, h, &opts, &schedule)
+                    .unwrap()
+                    .into_iter()
+                    .map(|d| d.access)
+                    .collect();
                 assert_eq!(
                     log.len(),
                     predicted.len(),
@@ -114,7 +122,6 @@ fn static_enumeration_matches_dynamic_declarations() {
 #[test]
 #[ignore = "minutes of sanitized execution; run via ci.sh --full"]
 fn sanitized_sweep_cross_validates_declarations() {
-    let tuning = Tuning::default();
     let mut cases: Vec<(usize, usize, OptConfig)> = all_configs()
         .into_iter()
         .map(|opts| (256, 256, opts))
@@ -122,21 +129,21 @@ fn sanitized_sweep_cross_validates_declarations() {
     cases.push((1001, 701, OptConfig::none()));
     cases.push((1001, 701, OptConfig::all()));
     for (w, h, opts) in cases {
-        for schedule in [Schedule::Monolithic, Schedule::Banded(64)] {
+        for schedule in schedules() {
             let ctx = Context::sanitized(DeviceSpec::firepro_w8000()).with_access_log();
             let img = generate::natural(w, h, 17);
             let mut plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
-                .with_schedule(schedule)
+                .with_tuning(schedule)
                 .prepared(w, h)
                 .unwrap();
             plan.run(&img).unwrap();
             let san = ctx.sanitize_report().expect("sanitizer enabled");
             assert!(san.is_clean(), "{w}x{h} {opts:?} {schedule:?}: {san}");
             let log = plan.take_access_log();
-            let predicted: Vec<AccessSummary> = enumerate_access(w, h, &opts, &tuning, schedule)
+            let predicted: Vec<AccessSummary> = enumerate_access(w, h, &opts, &schedule)
                 .unwrap()
                 .into_iter()
-                .flat_map(|d| d.slices)
+                .map(|d| d.access)
                 .collect();
             assert_eq!(log, predicted, "{w}x{h} {opts:?} {schedule:?}");
         }
@@ -150,13 +157,13 @@ fn sanitized_sweep_cross_validates_declarations() {
 fn access_verification_is_observation_only() {
     let img = generate::natural(167, 103, 23);
     for opts in [OptConfig::none(), OptConfig::all()] {
-        for schedule in [Schedule::Monolithic, Schedule::Banded(32)] {
+        for schedule in schedules() {
             let base = GpuPipeline::new(
                 Context::new(DeviceSpec::firepro_w8000()),
                 SharpnessParams::default(),
                 opts,
             )
-            .with_schedule(schedule)
+            .with_tuning(schedule)
             .run(&img)
             .unwrap();
             let checked = GpuPipeline::new(
@@ -164,7 +171,7 @@ fn access_verification_is_observation_only() {
                 SharpnessParams::default(),
                 opts,
             )
-            .with_schedule(schedule)
+            .with_tuning(schedule)
             .run(&img)
             .unwrap();
             assert_eq!(base.output.pixels(), checked.output.pixels());
