@@ -6,10 +6,13 @@ use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::KernelDesc;
-use simgpu::queue::CommandQueue;
+use simgpu::par::WindowUnits;
+use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
-use super::{covered_rows, full_grid, grid2d, KernelTuning, SrcImage, SrcInfo};
+use super::{
+    covered_rows, full_grid, grid2d, KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
+};
 use crate::params::{MIN_DIM, SCALE};
 
 /// Dispatches the downscale kernel: `down[j, i] = mean(src block)`, where
@@ -28,6 +31,17 @@ pub fn downscale_kernel(
     h: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(downscale_dispatch(src, down, w, h, tune)?, &[down])
+}
+
+/// The downscale dispatch of [`downscale_kernel`], built but not run.
+pub(crate) fn downscale_dispatch(
+    src: &SrcImage,
+    down: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     if w < MIN_DIM || h < MIN_DIM {
         return Err(Error::InvalidKernelArgs {
             kernel: "downscale".into(),
@@ -41,7 +55,7 @@ pub fn downscale_kernel(
         downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h, tune)
     });
     let dview = down.write_view();
-    q.run_rows(&desc, access, &[down], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         // Row-segment form: each output row of a group reads its four
         // source rows as contiguous slices and accumulates the 4×4 block
         // sums in the same dy-major/dx-minor order as
@@ -106,7 +120,14 @@ pub fn downscale_kernel(
                 }
             }
         }
-    })
+    }))
+}
+
+/// Window→units map of the downscale dispatch in a fused pass: a group
+/// row averages 64 source rows, so window `w` is the group rows of its
+/// source rows. It reads only the uploaded frame (no lag).
+pub(crate) fn downscale_window(win: &RowWindows, w: usize) -> WindowUnits {
+    win.band(w, SCALE * GROUP_2D[1], 0)
 }
 
 /// Closed-form access summary of the downscale dispatch: full 4×4 blocks

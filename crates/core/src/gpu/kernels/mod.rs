@@ -24,6 +24,12 @@
 //! of a group row's groups before the next, so every plane streams in row
 //! order instead of as one 16-row tile per group. The reduction (local
 //! memory and barriers) and the upscale border kernels dispatch per group.
+//!
+//! Each kernel that takes part in a fused host pass also exposes its
+//! dispatch unrun (`*_dispatch`, committed by the pipeline) and a
+//! closed-form window→units map over [`RowWindows`] (`*_window`): which
+//! of its units run in a window of rows, and how many of them read the
+//! previous window.
 
 pub mod downscale;
 pub mod perror;
@@ -37,6 +43,10 @@ use simgpu::access::{AccessSummary, BufRef};
 use simgpu::buffer::GlobalView;
 use simgpu::cost::OpCounts;
 use simgpu::kernel::{round_up, KernelDesc};
+use simgpu::par::WindowUnits;
+
+use crate::params::SCALE;
+use reduction::ELEMS_PER_GROUP;
 
 /// A device image a kernel reads from: the view plus its geometry.
 ///
@@ -221,6 +231,59 @@ pub(crate) fn vec4_body_columns(w: usize, ws: usize) -> Vec<(usize, usize)> {
 
 /// The standard 2-D work-group shape used by the image kernels.
 pub const GROUP_2D: [usize; 2] = [16, 16];
+
+/// Image rows per window of a fused host pass: one downscale or
+/// upscale-center group row, four 16-row group rows of the full-size
+/// kernels.
+pub(crate) const WINDOW_ROWS: usize = SCALE * GROUP_2D[1];
+
+/// The row windows of a fused host pass: `count` windows of `rows` image
+/// rows each (the last one ragged). Every kernel module maps a window to
+/// its units with a pure function next to its `*_access` constructor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowWindows {
+    /// Image rows per window, a multiple of [`WINDOW_ROWS`].
+    pub(crate) rows: usize,
+    /// Number of windows.
+    pub(crate) count: usize,
+}
+
+impl RowWindows {
+    /// Windows of [`WINDOW_ROWS`] rows over an `h`-row frame — the
+    /// upscale-center + sharpening-tail pass.
+    pub(crate) fn of_height(h: usize) -> Self {
+        RowWindows {
+            rows: WINDOW_ROWS,
+            count: h.div_ceil(WINDOW_ROWS),
+        }
+    }
+
+    /// The downscale + Sobel + stage-1 pass over an `h`-row frame at
+    /// device stride `ws`. A stage-1 group (1024 pEdge elements) spans at
+    /// most 64 rows from stride 16 up, so it reads at most one window
+    /// back; narrower strides run the pass as a single window.
+    pub(crate) fn pass_a(h: usize, ws: usize) -> Self {
+        if ws * WINDOW_ROWS >= ELEMS_PER_GROUP {
+            Self::of_height(h)
+        } else {
+            RowWindows {
+                rows: h.div_ceil(WINDOW_ROWS) * WINDOW_ROWS,
+                count: 1,
+            }
+        }
+    }
+
+    /// Window `w`'s units of a 2-D row dispatch whose group rows cover
+    /// `unit_rows` image rows each, the first `lag` of them held back at a
+    /// run boundary (the pass clamps the range to the grid).
+    pub(crate) fn band(&self, w: usize, unit_rows: usize, lag: usize) -> WindowUnits {
+        let per = self.rows / unit_rows;
+        WindowUnits {
+            units: w * per..(w + 1) * per,
+            lag: if w > 0 { lag } else { 0 },
+        }
+    }
+}
 
 /// Builds a 2-D dispatch covering `nx × ny` items, rounded up to whole
 /// 16×16 groups (kernels bounds-check the overhang, as real OpenCL kernels

@@ -9,10 +9,13 @@ use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::Result;
 use simgpu::kernel::KernelDesc;
-use simgpu::queue::CommandQueue;
+use simgpu::par::WindowUnits;
+use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
-use super::{covered_rows, full_grid, grid2d, simd, KernelTuning, SrcImage, SrcInfo, GROUP_2D};
+use super::{
+    covered_rows, full_grid, grid2d, simd, KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
+};
 
 /// Dispatches the pError kernel over the full image. `ws` is the device
 /// row stride of the up/pError buffers (equal to `w` for multiple-of-4
@@ -28,6 +31,20 @@ pub fn perror_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(perror_dispatch(src, up, perr, w, h, ws, tune)?, &[perr])
+}
+
+/// The dispatch of [`perror_kernel`], built but not run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn perror_dispatch(
+    src: &SrcImage,
+    up: &GlobalView<f32>,
+    perr: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     let desc = grid2d("perror", w, h);
     let access = full_grid(&desc, |groups| {
         perror_access(
@@ -47,7 +64,7 @@ pub fn perror_kernel(
     let up = up.clone();
     // Row-span form: the subtraction runs over contiguous row slices
     // (autovectorized or dispatched via [`simd::sub_span`]).
-    q.run_rows(&desc, access, &[perr], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -71,7 +88,7 @@ pub fn perror_kernel(
                 pview.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the pError dispatch for the flat group
@@ -107,6 +124,14 @@ pub(crate) fn perror_access(
             .charge_ops_n(&OpCounts::ZERO.adds(1).plus(&tune.idx_ops()), n);
     }
     s
+}
+
+/// Window→units map of the pError dispatch in the fused tail pass: window
+/// `w` is the group rows of its rows. Group row `4w` reads `up` rows
+/// `64w` and `64w + 1`, which upscale-center group row `w - 1` writes:
+/// one lag unit.
+pub(crate) fn perror_window(win: &RowWindows, w: usize) -> WindowUnits {
+    win.band(w, GROUP_2D[1], 1)
 }
 
 #[cfg(test)]

@@ -26,8 +26,11 @@ use simgpu::buffer::{Buffer, GlobalView, GlobalWriteView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::{GroupCtx, KernelDesc};
-use simgpu::queue::CommandQueue;
+use simgpu::par::WindowUnits;
+use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
+
+use super::RowWindows;
 
 /// Work-group size of the reduction kernels (two 64-lane wavefronts).
 pub const RED_GROUP: usize = 128;
@@ -76,6 +79,20 @@ pub fn reduction_stage1_range_kernel(
     partials: &Buffer<f32>,
     strategy: ReductionStrategy,
 ) -> Result<(usize, KernelTime)> {
+    let d = stage1_dispatch(src, offset, n, partials, strategy)?;
+    let t = q.dispatch(d, &[partials])?;
+    Ok((stage1_groups(n), t))
+}
+
+/// The stage-1 dispatch over `src[offset .. offset + n]`, built but not
+/// run.
+pub(crate) fn stage1_dispatch(
+    src: &GlobalView<f32>,
+    offset: usize,
+    n: usize,
+    partials: &Buffer<f32>,
+    strategy: ReductionStrategy,
+) -> Result<Dispatch> {
     let groups = stage1_groups(n);
     if partials.len() < groups {
         return Err(Error::InvalidKernelArgs {
@@ -97,8 +114,7 @@ pub fn reduction_stage1_range_kernel(
         strategy,
     );
     let body = stage1_body(src.clone(), partials.write_view(), offset, n, strategy);
-    let t = q.run(&desc, access, &[partials], body)?;
-    Ok((groups, t))
+    Ok(Dispatch::groups(desc, access, body))
 }
 
 /// Closed-form access summary of a stage-1 dispatch over a flat group
@@ -170,6 +186,32 @@ pub(crate) fn stage1_access(
     s
 }
 
+/// Window→units map of a whole-matrix stage-1 dispatch in a fused pass
+/// over the `ws`-strided pEdge matrix of `ns` elements: a group belongs to
+/// the window that holds its last element, so it runs once Sobel has
+/// written all of it. Groups are 1024 elements long and windows at least
+/// as many (see [`RowWindows::pass_a`]), so a group reaches at most one
+/// window back; only a window's first group can, when a window boundary
+/// cuts it (ragged strides such as 1004). That group is the lag unit.
+pub(crate) fn stage1_window(win: &RowWindows, ws: usize, ns: usize, w: usize) -> WindowUnits {
+    let groups = stage1_groups(ns);
+    // First group whose last element lies at or after window `w`'s first
+    // element: the group holding that element.
+    let first = |w: usize| {
+        if w >= win.count {
+            groups
+        } else {
+            (w * win.rows * ws / ELEMS_PER_GROUP).min(groups)
+        }
+    };
+    let units = first(w)..first(w + 1);
+    let cut = w > 0 && units.start * ELEMS_PER_GROUP < w * win.rows * ws;
+    WindowUnits {
+        lag: usize::from(cut && !units.is_empty()),
+        units,
+    }
+}
+
 /// The stage-1 dispatch descriptor for `n` input elements — shared by the
 /// kernel and the static verifier.
 pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
@@ -195,7 +237,7 @@ fn stage1_body(
     offset: usize,
     n: usize,
     strategy: ReductionStrategy,
-) -> impl Fn(&mut GroupCtx) + Sync {
+) -> impl Fn(&mut GroupCtx) + Send + Sync + 'static {
     move |g| {
         g.alloc_local(RED_GROUP);
         let base = g.group_id[0] * ELEMS_PER_GROUP;

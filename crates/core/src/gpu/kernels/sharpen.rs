@@ -13,12 +13,13 @@ use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::KernelDesc;
-use simgpu::queue::CommandQueue;
+use simgpu::par::WindowUnits;
+use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
 use super::{
     body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, vec4_body_columns,
-    KernelTuning, SrcImage, SrcInfo, GROUP_2D,
+    KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::{SharpnessParams, MIN_DIM};
@@ -39,6 +40,26 @@ pub fn preliminary_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(
+        preliminary_dispatch(up, pedge, perr, prelim, mean, params, w, h, ws, tune)?,
+        &[prelim],
+    )
+}
+
+/// The dispatch of [`preliminary_kernel`], built but not run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn preliminary_dispatch(
+    up: &GlobalView<f32>,
+    pedge: &GlobalView<f32>,
+    perr: &GlobalView<f32>,
+    prelim: &Buffer<f32>,
+    mean: f32,
+    params: SharpnessParams,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     let desc = grid2d("preliminary", w, h);
     let access = full_grid(&desc, |groups| {
         preliminary_access(
@@ -58,7 +79,7 @@ pub fn preliminary_kernel(
     let (up, pedge, perr) = (up.clone(), pedge.clone(), perr.clone());
     // Row-span form: three contiguous loads and one store per pixel, run
     // span-at-a-time through [`simd::preliminary_span`].
-    q.run_rows(&desc, access, &[prelim], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -86,7 +107,7 @@ pub fn preliminary_kernel(
                 out.set_span_raw(i, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the preliminary dispatch: per covered
@@ -140,6 +161,24 @@ pub fn overshoot_kernel(
     params: SharpnessParams,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(
+        overshoot_dispatch(src, prelim, finalbuf, w, h, ws, params, tune)?,
+        &[finalbuf],
+    )
+}
+
+/// The dispatch of [`overshoot_kernel`], built but not run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn overshoot_dispatch(
+    src: &SrcImage,
+    prelim: &GlobalView<f32>,
+    finalbuf: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    params: SharpnessParams,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     let desc = grid2d("overshoot", w, h);
     let out = finalbuf.write_view();
     let src = src.clone();
@@ -164,7 +203,7 @@ pub fn overshoot_kernel(
             tune,
         )
     });
-    q.run_rows(&desc, access, &[finalbuf], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -221,7 +260,7 @@ pub fn overshoot_kernel(
                 out.set_span_raw(i, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the overshoot dispatch: per covered row,
@@ -324,6 +363,26 @@ pub fn sharpness_fused_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(
+        sharpness_fused_dispatch(src, up, pedge, finalbuf, mean, params, w, h, ws, tune)?,
+        &[finalbuf],
+    )
+}
+
+/// The dispatch of [`sharpness_fused_kernel`], built but not run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sharpness_fused_dispatch(
+    src: &SrcImage,
+    up: &GlobalView<f32>,
+    pedge: &GlobalView<f32>,
+    finalbuf: &Buffer<f32>,
+    mean: f32,
+    params: SharpnessParams,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     let desc = grid2d("sharpness", w, h);
     let out = finalbuf.write_view();
     let src = src.clone();
@@ -350,7 +409,7 @@ pub fn sharpness_fused_kernel(
             tune,
         )
     });
-    q.run_rows(&desc, access, &[finalbuf], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -418,7 +477,7 @@ pub fn sharpness_fused_kernel(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the fused sharpness dispatch: per covered
@@ -533,6 +592,26 @@ pub fn sharpness_fused_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(
+        sharpness_fused_vec4_dispatch(src, up, pedge, finalbuf, mean, params, w, h, ws, tune)?,
+        &[finalbuf],
+    )
+}
+
+/// The dispatch of [`sharpness_fused_vec4_kernel`], built but not run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sharpness_fused_vec4_dispatch(
+    src: &SrcImage,
+    up: &GlobalView<f32>,
+    pedge: &GlobalView<f32>,
+    finalbuf: &Buffer<f32>,
+    mean: f32,
+    params: SharpnessParams,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sharpness_vec4".into(),
@@ -572,7 +651,7 @@ pub fn sharpness_fused_vec4_kernel(
             tune,
         )
     });
-    q.run_rows(&desc, access, &[finalbuf], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -644,7 +723,7 @@ pub fn sharpness_fused_vec4_kernel(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the vectorized fused sharpness dispatch:
@@ -727,6 +806,38 @@ pub(crate) fn sharpness_fused_vec4_access(
         .charge_ops_n(&per_thread.plus(&tune.idx_ops()), n_threads);
     s.charged.divergent_branches += n_threads * tune.clamp_divergence();
     s
+}
+
+/// Window→units map of the preliminary and both fused sharpness
+/// dispatches in the fused tail pass: window `w` is the group rows of its
+/// rows. Group row `4w` reads `up` rows `64w` and `64w + 1`, which
+/// upscale-center group row `w - 1` writes: one lag unit.
+pub(crate) fn sharpness_window(win: &RowWindows, w: usize) -> WindowUnits {
+    win.band(w, GROUP_2D[1], 1)
+}
+
+/// Window→units map of the overshoot dispatch in the fused tail pass over
+/// an `h`-row frame. Group row `g` reads prelim rows `16g - 1 ..= 16g +
+/// 16`, i.e. preliminary group rows `g - 1 ..= g + 1`, so it runs in the
+/// window that holds preliminary group row `g + 1` (the last group row in
+/// the last window): window `w` is group rows `4w - 1 .. 4w + 3`. Its
+/// first three read the previous window's prelim rows or the
+/// preliminary's lag unit `4w`.
+pub(crate) fn overshoot_window(win: &RowWindows, h: usize, w: usize) -> WindowUnits {
+    let per = win.rows / GROUP_2D[1];
+    let first = |w: usize| {
+        if w == 0 {
+            0
+        } else if w >= win.count {
+            h.div_ceil(GROUP_2D[1])
+        } else {
+            per * w - 1
+        }
+    };
+    WindowUnits {
+        units: first(w)..first(w + 1),
+        lag: if w > 0 { 3 } else { 0 },
+    }
 }
 
 #[cfg(test)]

@@ -8,12 +8,13 @@ use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::KernelDesc;
-use simgpu::queue::CommandQueue;
+use simgpu::par::WindowUnits;
+use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
 use super::{
     body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, vec4_body_columns,
-    KernelTuning, SrcImage, SrcInfo, GROUP_2D,
+    KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::MIN_DIM;
@@ -30,6 +31,18 @@ pub fn sobel_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(sobel_scalar_dispatch(src, pedge, w, h, ws, tune)?, &[pedge])
+}
+
+/// The dispatch of [`sobel_scalar_kernel`], built but not run.
+pub(crate) fn sobel_scalar_dispatch(
+    src: &SrcImage,
+    pedge: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel".into(),
@@ -63,7 +76,7 @@ pub fn sobel_scalar_kernel(
             tune,
         )
     });
-    q.run_rows(&desc, access, &[pedge], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         if w < 4 {
             // Narrow images: the exact per-item path, each image row
             // item by item across the row's groups.
@@ -142,7 +155,7 @@ pub fn sobel_scalar_kernel(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the scalar Sobel dispatch: per covered
@@ -223,6 +236,13 @@ pub(crate) fn sobel_scalar_access(
     s
 }
 
+/// Window→units map of both Sobel dispatches in a fused pass: window `w`
+/// is the group rows of its rows. Sobel reads only the uploaded frame (no
+/// lag).
+pub(crate) fn sobel_window(win: &RowWindows, w: usize) -> WindowUnits {
+    win.band(w, GROUP_2D[1], 0)
+}
+
 /// Vectorized Sobel (paper Fig. 11): each thread produces four adjacent
 /// pEdge values. Loads the 3×6 source window as three `vload4`s plus six
 /// scalar loads (18 values) and writes with one `vstore4`. Requires the
@@ -238,6 +258,18 @@ pub fn sobel_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(sobel_vec4_dispatch(src, pedge, w, h, ws, tune)?, &[pedge])
+}
+
+/// The dispatch of [`sobel_vec4_kernel`], built but not run.
+pub(crate) fn sobel_vec4_dispatch(
+    src: &SrcImage,
+    pedge: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel_vec4".into(),
@@ -273,7 +305,7 @@ pub fn sobel_vec4_kernel(
             tune,
         )
     });
-    q.run_rows(&desc, access, &[pedge], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         // Row-segment form: each group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
         // the host autovectorizes it; each image row is walked across the
@@ -327,7 +359,7 @@ pub fn sobel_vec4_kernel(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the vectorized Sobel dispatch: per

@@ -12,7 +12,8 @@ use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::{items, KernelDesc};
-use simgpu::queue::CommandQueue;
+use simgpu::par::WindowUnits;
+use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
 use super::{covered_rows, full_grid, grid1d, grid2d, simd, KernelTuning, GROUP_2D};
@@ -50,6 +51,21 @@ pub fn upscale_center_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(
+        upscale_center_scalar_dispatch(down, up, w, h, ws, tune)?,
+        &[up],
+    )
+}
+
+/// The dispatch of [`upscale_center_scalar_kernel`], built but not run.
+pub(crate) fn upscale_center_scalar_dispatch(
+    down: &GlobalView<f32>,
+    up: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     let (wd, hd) = check_center_args("upscale_center", w, h, ws)?;
     let (nx, ny) = (wd - 1, hd - 1);
     let desc = grid2d("upscale_center", nx, ny);
@@ -67,7 +83,7 @@ pub fn upscale_center_scalar_kernel(
     let access = full_grid(&desc, |groups| {
         upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    q.run_rows(&desc, access, &[up], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         let gw = rc.group_size[0];
         let mut tops = [0.0f32; 4 * GROUP_2D[0]];
         let mut bots = [0.0f32; 4 * GROUP_2D[0]];
@@ -128,7 +144,7 @@ pub fn upscale_center_scalar_kernel(
                 }
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the scalar upscale-center dispatch.
@@ -267,6 +283,18 @@ fn center_values(rows: &std::ops::Range<usize>, w: usize, h: usize) -> u64 {
     (live_rows * (w - 4)) as u64
 }
 
+/// Window→units map of both upscale-center dispatches in a fused pass of
+/// [`super::WINDOW_ROWS`]-row windows: group row `r` interpolates block rows
+/// `16r ..`, writing output rows `64r + 2 ..= 64r + 65`, so window `w` is
+/// group row `w` — two rows of it land in window `w + 1`, which the
+/// tail's lag units account for. It reads only `down` (no lag).
+pub(crate) fn center_window(w: usize) -> WindowUnits {
+    WindowUnits {
+        units: w..w + 1,
+        lag: 0,
+    }
+}
+
 /// Vectorized upscale-center kernel: one thread per *four horizontally
 /// adjacent* blocks, sharing the downscaled row segments (`vload4`) and
 /// writing each output row with `vstore4` (Section V-D applied to the
@@ -280,6 +308,21 @@ pub fn upscale_center_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    q.dispatch(
+        upscale_center_vec4_dispatch(down, up, w, h, ws, tune)?,
+        &[up],
+    )
+}
+
+/// The dispatch of [`upscale_center_vec4_kernel`], built but not run.
+pub(crate) fn upscale_center_vec4_dispatch(
+    down: &GlobalView<f32>,
+    up: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<Dispatch> {
     let (wd, hd) = check_center_args("upscale_center_vec4", w, h, ws)?;
     let (nx, ny) = (wd - 1, hd - 1);
     let nx_threads = nx.div_ceil(4);
@@ -289,7 +332,7 @@ pub fn upscale_center_vec4_kernel(
     let access = full_grid(&desc, |groups| {
         upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
     });
-    q.run_rows(&desc, access, &[up], move |rc| {
+    Ok(Dispatch::rows(desc, access, move |rc| {
         // One thread per four blocks; each block row is walked across all
         // of the row's groups, thread by thread, before the next.
         let gw = rc.group_size[0];
@@ -387,7 +430,7 @@ pub fn upscale_center_vec4_kernel(
                 }
             }
         }
-    })
+    }))
 }
 
 /// Closed-form access summary of the vectorized upscale-center dispatch.
@@ -529,6 +572,22 @@ pub fn upscale_border_gpu(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<Vec<KernelTime>> {
+    upscale_border_dispatches(down, up, w, h, ws, tune)?
+        .into_iter()
+        .map(|d| q.dispatch(d, &[up]))
+        .collect()
+}
+
+/// The four dispatches of [`upscale_border_gpu`], in dispatch order, built
+/// but not run.
+pub(crate) fn upscale_border_dispatches(
+    down: &GlobalView<f32>,
+    up: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> Result<[Dispatch; 4]> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
             kernel: "upscale_border".into(),
@@ -536,13 +595,13 @@ pub fn upscale_border_gpu(
         });
     }
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-    let mut times = Vec::with_capacity(4);
 
     // Horizontal border rows: (name, source downscaled row, dest row).
-    for (name, src_row, dst_row) in [
+    let [top, bottom] = [
         ("upscale_border_top", 0usize, 0usize),
         ("upscale_border_bottom", hd - 1, h - 2),
-    ] {
+    ]
+    .map(|(name, src_row, dst_row)| {
         let n_items = (wd - 1).max(1);
         let desc = grid1d(name, n_items, 64);
         let down = down.clone();
@@ -559,7 +618,7 @@ pub fn upscale_border_gpu(
             companion,
             tune,
         );
-        let t = q.run(&desc, access, &[up], move |g| {
+        Dispatch::groups(desc, access, move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bi, _] = g.global_id(l);
@@ -607,16 +666,16 @@ pub fn upscale_border_gpu(
                     }
                 }
             }
-        })?;
-        times.push(t);
-    }
+        })
+    });
 
     // Vertical border columns for rows 2 ..= h-3 (empty when the
     // downscaled grid has a single row: the border rows covered them).
-    for (name, src_col, dst_col) in [
+    let [left, right] = [
         ("upscale_border_left", 0usize, 0usize),
         ("upscale_border_right", wd - 1, w - 2),
-    ] {
+    ]
+    .map(|(name, src_col, dst_col)| {
         let n_items = (hd - 1).max(1);
         let desc = grid1d(name, n_items, 64);
         let down = down.clone();
@@ -634,7 +693,7 @@ pub fn upscale_border_gpu(
             companion,
             tune,
         );
-        let t = q.run(&desc, access, &[up], move |g| {
+        Dispatch::groups(desc, access, move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bj, _] = g.global_id(l);
@@ -653,10 +712,9 @@ pub fn upscale_border_gpu(
                     upv.set_raw(y * ws + companion, v);
                 }
             }
-        })?;
-        times.push(t);
-    }
-    Ok(times)
+        })
+    });
+    Ok([top, bottom, left, right])
 }
 
 /// Closed-form access summary of one horizontal border-row dispatch: item

@@ -18,24 +18,26 @@ use imagekit::ImageF32;
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
 use simgpu::cost::{CostCounters, OpCounts};
-use simgpu::queue::{CommandKind, CommandQueue};
+use simgpu::queue::{CommandKind, CommandQueue, Part, Pending};
 use simgpu::span::SpanKind;
 use simgpu::timing::host_memcpy_time;
 
 use crate::cpu::stages as cpu_stages;
-use crate::gpu::kernels::downscale::downscale_kernel;
-use crate::gpu::kernels::perror::perror_kernel;
+use crate::gpu::kernels::downscale::{downscale_dispatch, downscale_window};
+use crate::gpu::kernels::perror::{perror_dispatch, perror_window};
 use crate::gpu::kernels::reduction::{
-    reduction_stage1_kernel, reduction_stage2_kernel, stage1_groups,
+    reduction_stage2_kernel, stage1_dispatch, stage1_groups, stage1_window,
 };
 use crate::gpu::kernels::sharpen::{
-    overshoot_kernel, preliminary_kernel, sharpness_fused_kernel, sharpness_fused_vec4_kernel,
+    overshoot_dispatch, overshoot_window, preliminary_dispatch, sharpness_fused_dispatch,
+    sharpness_fused_vec4_dispatch, sharpness_window,
 };
-use crate::gpu::kernels::sobel::{sobel_scalar_kernel, sobel_vec4_kernel};
+use crate::gpu::kernels::sobel::{sobel_scalar_dispatch, sobel_vec4_dispatch, sobel_window};
 use crate::gpu::kernels::upscale::{
-    upscale_border_gpu, upscale_center_scalar_kernel, upscale_center_vec4_kernel,
+    center_window, upscale_border_dispatches, upscale_center_scalar_dispatch,
+    upscale_center_vec4_dispatch,
 };
-use crate::gpu::kernels::{KernelTuning, SrcImage};
+use crate::gpu::kernels::{KernelTuning, RowWindows, SrcImage};
 use crate::gpu::opts::{OptConfig, Tuning};
 use crate::params::{check_shape, device_stride, SharpnessParams, SCALE};
 use crate::report::{RunReport, StageRecord};
@@ -260,6 +262,15 @@ impl GpuPipeline {
 
     /// The whole-frame schedule: each kernel dispatched once over its full
     /// grid, in the order of Section IV.
+    ///
+    /// Every dispatch is committed — its record, simulated time and access
+    /// log entry — at its place in that order; the queue runs the bodies
+    /// later, at the first point the host needs their outputs, as two
+    /// fused passes over windows of rows (see [`PassA`] and
+    /// [`GpuPipeline::run_tail`]). Only the host order changes: records,
+    /// simulated seconds and pixels are those of running each dispatch
+    /// when it is committed, which sanitized and validated contexts still
+    /// do.
     fn run_frame_monolithic(
         &self,
         q: &mut CommandQueue,
@@ -282,62 +293,161 @@ impl GpuPipeline {
 
         // ---- downscale --------------------------------------------------
         let ph = q.span_open(SpanKind::Phase, "downscale");
-        downscale_kernel(q, &main_src, &res.down, w, h, tune).map_err(|e| e.to_string())?;
+        let d = downscale_dispatch(&main_src, &res.down, w, h, tune).map_err(err)?;
+        let downscale = q.commit(d, &[&res.down]).map_err(err)?;
         self.sync(q);
         q.span_close(ph);
 
         // ---- upscale: border (Section V-E) ------------------------------
         let ph = q.span_open(SpanKind::Phase, "upscale");
-        if self.gpu_border_enabled(w) {
-            upscale_border_gpu(q, &res.down.view(), &res.up, w, h, ws, tune)
-                .map_err(|e| e.to_string())?;
+        let border = if self.gpu_border_enabled(w) {
+            let ds = upscale_border_dispatches(&res.down.view(), &res.up, w, h, ws, tune)
+                .map_err(err)?;
+            let mut border = Vec::with_capacity(ds.len());
+            for d in ds {
+                border.push(q.commit(d, &[&res.up]).map_err(err)?);
+            }
             self.sync(q);
+            border
         } else {
+            // The host reads `down` back: downscale runs now, alone.
+            q.execute(1, &[Part::whole(downscale)]).map_err(err)?;
             self.cpu_border(q, res)?;
-        }
+            Vec::new()
+        };
 
         // ---- upscale: center --------------------------------------------
         // Images below 5 pixels on an axis have no interior 4×4 blocks —
         // the border pass above already covered every pixel.
-        if res.w4 > 1 && res.h4 > 1 {
-            if self.opts.vectorization {
-                upscale_center_vec4_kernel(q, &res.down.view(), &res.up, w, h, ws, tune)
+        let center = if res.w4 > 1 && res.h4 > 1 {
+            let down = res.down.view();
+            let d = if self.opts.vectorization {
+                upscale_center_vec4_dispatch(&down, &res.up, w, h, ws, tune)
             } else {
-                upscale_center_scalar_kernel(q, &res.down.view(), &res.up, w, h, ws, tune)
+                upscale_center_scalar_dispatch(&down, &res.up, w, h, ws, tune)
             }
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
+            let center = q.commit(d, &[&res.up]).map_err(err)?;
             self.sync(q);
-        }
+            Some(center)
+        } else {
+            None
+        };
         q.span_close(ph);
 
         // ---- Sobel --------------------------------------------------------
         let ph = q.span_open(SpanKind::Phase, "sobel");
-        if self.opts.vectorization {
-            sobel_vec4_kernel(q, &padded_src, &res.pedge, w, h, ws, tune)
+        let d = if self.opts.vectorization {
+            sobel_vec4_dispatch(&padded_src, &res.pedge, w, h, ws, tune)
         } else {
-            sobel_scalar_kernel(q, &main_src, &res.pedge, w, h, ws, tune)
+            sobel_scalar_dispatch(&main_src, &res.pedge, w, h, ws, tune)
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(err)?;
+        let sobel = q.commit(d, &[&res.pedge]).map_err(err)?;
         self.sync(q);
         q.span_close(ph);
 
         // ---- reduction (Section V-C) -------------------------------------
         let ph = q.span_open(SpanKind::Phase, "reduction");
+        let pass_a = PassA {
+            downscale,
+            sobel,
+            border,
+        };
         let mean = match mean_override {
-            Some(m) => m,
-            None => self.reduction(q, res)?,
+            Some(m) => {
+                self.run_pass_a(q, res, &pass_a, None)?;
+                m
+            }
+            None => self.reduction(q, res, &pass_a)?,
         };
         q.span_close(ph);
 
         // ---- sharpening tail (Section V-B) --------------------------------
         let ph = q.span_open(SpanKind::Phase, "sharpen");
+        self.run_tail(q, res, &padded_src, &main_src, center, mean, tune)?;
+        q.span_close(ph);
+
+        // ---- readback -------------------------------------------------------
+        let ph = q.span_open(SpanKind::Phase, "readback");
+        let r = self.readback_final(q, res, out);
+        q.span_close(ph);
+        r
+    }
+
+    /// Runs pass A — downscale, Sobel and, when committed, reduction stage
+    /// 1 over windows of [`RowWindows::pass_a`] rows, so Sobel reads the
+    /// source rows downscale just read and stage 1 the pEdge rows Sobel
+    /// just wrote — then the GPU border kernels, which read all of `down`.
+    /// Called before the host reads partials, pEdge or the reduction back.
+    fn run_pass_a(
+        &self,
+        q: &mut CommandQueue,
+        res: &FrameResources,
+        a: &PassA,
+        stage1: Option<Pending>,
+    ) -> Result<(), String> {
+        let win = RowWindows::pass_a(res.h, res.ws);
+        let (ws, ns) = (res.ws, res.ns);
+        let down = |w| downscale_window(&win, w);
+        let sobel = |w| sobel_window(&win, w);
+        let red = |w| stage1_window(&win, ws, ns, w);
+        let mut parts = vec![
+            Part {
+                kernel: a.downscale,
+                units: &down,
+            },
+            Part {
+                kernel: a.sobel,
+                units: &sobel,
+            },
+        ];
+        if let Some(kernel) = stage1 {
+            parts.push(Part {
+                kernel,
+                units: &red,
+            });
+        }
+        q.execute(win.count, &parts).map_err(err)?;
+        let border: Vec<Part> = a.border.iter().map(|&b| Part::whole(b)).collect();
+        q.execute(1, &border).map_err(err)
+    }
+
+    /// Commits the sharpening tail — the fused `sharpness` kernel, or
+    /// pError, preliminary and overshoot — and runs it with the upscale
+    /// center as pass B over windows of 64 output rows: each window's
+    /// `up` rows are read while still in cache.
+    #[allow(clippy::too_many_arguments)]
+    fn run_tail(
+        &self,
+        q: &mut CommandQueue,
+        res: &FrameResources,
+        padded_src: &SrcImage,
+        main_src: &SrcImage,
+        center: Option<Pending>,
+        mean: f32,
+        tune: KernelTuning,
+    ) -> Result<(), String> {
+        let (w, h, ws) = (res.w, res.h, res.ws);
+        let (up, pedge) = (res.up.view(), res.pedge.view());
+        let win = RowWindows::of_height(h);
+        let center_map = center_window;
+        let tail = |w| sharpness_window(&win, w);
+        let perror = |w| perror_window(&win, w);
+        let overshoot = |w| overshoot_window(&win, h, w);
+        let mut parts: Vec<Part> = center
+            .map(|kernel| Part {
+                kernel,
+                units: &center_map,
+            })
+            .into_iter()
+            .collect();
         if self.opts.kernel_fusion {
-            if self.opts.vectorization {
-                sharpness_fused_vec4_kernel(
-                    q,
-                    &padded_src,
-                    &res.up.view(),
-                    &res.pedge.view(),
+            let d = if self.opts.vectorization {
+                sharpness_fused_vec4_dispatch(
+                    padded_src,
+                    &up,
+                    &pedge,
                     &res.finalbuf,
                     mean,
                     self.params,
@@ -347,11 +457,10 @@ impl GpuPipeline {
                     tune,
                 )
             } else {
-                sharpness_fused_kernel(
-                    q,
-                    &padded_src,
-                    &res.up.view(),
-                    &res.pedge.view(),
+                sharpness_fused_dispatch(
+                    padded_src,
+                    &up,
+                    &pedge,
                     &res.finalbuf,
                     mean,
                     self.params,
@@ -361,18 +470,26 @@ impl GpuPipeline {
                     tune,
                 )
             }
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
+            let kernel = q.commit(d, &[&res.finalbuf]).map_err(err)?;
             self.sync(q);
+            parts.push(Part {
+                kernel,
+                units: &tail,
+            });
         } else {
             let perr = res.perror.as_ref().expect("unfused path allocates pError");
-            perror_kernel(q, &main_src, &res.up.view(), perr, w, h, ws, tune)
-                .map_err(|e| e.to_string())?;
+            let d = perror_dispatch(main_src, &up, perr, w, h, ws, tune).map_err(err)?;
+            let kernel = q.commit(d, &[perr]).map_err(err)?;
             self.sync(q);
+            parts.push(Part {
+                kernel,
+                units: &perror,
+            });
             let prelim = res.prelim.as_ref().expect("unfused path allocates prelim");
-            preliminary_kernel(
-                q,
-                &res.up.view(),
-                &res.pedge.view(),
+            let d = preliminary_dispatch(
+                &up,
+                &pedge,
                 &perr.view(),
                 prelim,
                 mean,
@@ -382,11 +499,15 @@ impl GpuPipeline {
                 ws,
                 tune,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
+            let kernel = q.commit(d, &[prelim]).map_err(err)?;
             self.sync(q);
-            overshoot_kernel(
-                q,
-                &padded_src,
+            parts.push(Part {
+                kernel,
+                units: &tail,
+            });
+            let d = overshoot_dispatch(
+                padded_src,
                 &prelim.view(),
                 &res.finalbuf,
                 w,
@@ -395,16 +516,15 @@ impl GpuPipeline {
                 self.params,
                 tune,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
+            let kernel = q.commit(d, &[&res.finalbuf]).map_err(err)?;
             self.sync(q);
+            parts.push(Part {
+                kernel,
+                units: &overshoot,
+            });
         }
-        q.span_close(ph);
-
-        // ---- readback -------------------------------------------------------
-        let ph = q.span_open(SpanKind::Phase, "readback");
-        let r = self.readback_final(q, res, out);
-        q.span_close(ph);
-        r
+        q.execute(win.count, &parts).map_err(err)
     }
 
     /// The end-of-frame `finish` plus the final-image readback in the
@@ -439,23 +559,27 @@ impl GpuPipeline {
     /// the border region to the device.
     fn cpu_border(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<(), String> {
         let (w, h, ws) = (res.w, res.h, res.ws);
-        self.read_back(q, &res.down, res.down_host.pixels_mut())?;
+        let (down_host, up_host) = res
+            .border_host
+            .as_mut()
+            .expect("the CPU border allocates its host scratch");
+        self.read_back(q, &res.down, down_host.pixels_mut())?;
         // Only the border cells of the scratch are written here and only
         // they are read below, so stale interior values from a previous
         // frame are harmless.
-        cpu_stages::upscale_border_into(&res.down_host, &mut res.up_host);
+        cpu_stages::upscale_border_into(down_host, up_host);
         q.charge_host("host:upscale_border", &border_host_counters(w, h));
         // Write exactly the border region into the device buffer: the
         // border rows in full, then the border columns of the body rows.
         let upv = res.up.write_view();
         for y in border_lines(h) {
             for x in 0..w {
-                upv.set_raw(y * ws + x, res.up_host.get(x, y));
+                upv.set_raw(y * ws + x, up_host.get(x, y));
             }
         }
         for y in 2..=h.saturating_sub(3) {
             for x in border_lines(w) {
-                upv.set_raw(y * ws + x, res.up_host.get(x, y));
+                upv.set_raw(y * ws + x, up_host.get(x, y));
             }
         }
         let bytes = border_elems(w, h) * 4;
@@ -468,24 +592,27 @@ impl GpuPipeline {
     }
 
     /// Reduction of the pEdge matrix to its mean, on CPU or GPU per the
-    /// config; returns the mean used by the strength curve.
-    fn reduction(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<f32, String> {
+    /// config; runs pass A before anything is read back and returns the
+    /// mean used by the strength curve.
+    fn reduction(
+        &self,
+        q: &mut CommandQueue,
+        res: &mut FrameResources,
+        a: &PassA,
+    ) -> Result<f32, String> {
         if !self.opts.reduction_gpu {
+            self.run_pass_a(q, res, a, None)?;
             return self.reduction_cpu(q, res);
         }
         let partials = res
             .partials
             .as_ref()
             .expect("gpu reduction allocates partials");
-        reduction_stage1_kernel(
-            q,
-            &res.pedge.view(),
-            res.ns,
-            partials,
-            self.tuning.reduction_strategy,
-        )
-        .map_err(|e| e.to_string())?;
+        let strategy = self.tuning.reduction_strategy;
+        let d = stage1_dispatch(&res.pedge.view(), 0, res.ns, partials, strategy).map_err(err)?;
+        let stage1 = q.commit(d, &[partials]).map_err(err)?;
         self.sync(q);
+        self.run_pass_a(q, res, a, Some(stage1))?;
         // Stage 2 on the host or the device per the tuned threshold.
         let (n, groups) = (res.n, stage1_groups(res.ns));
         if groups > self.tuning.stage2_gpu_threshold {
@@ -494,8 +621,7 @@ impl GpuPipeline {
                 .reduction_out
                 .as_ref()
                 .expect("gpu stage2 allocates reduction_out");
-            reduction_stage2_kernel(q, &partials.view(), groups, result)
-                .map_err(|e| e.to_string())?;
+            reduction_stage2_kernel(q, &partials.view(), groups, result).map_err(err)?;
             self.sync(q);
             let mut one = [0.0f32];
             self.read_back(q, result, &mut one)?;
@@ -529,6 +655,22 @@ impl GpuPipeline {
         q.charge_host("host:reduction", &host_sum_counters(ns));
         Ok((sum / n as f64) as f32)
     }
+}
+
+/// The dispatches pass A runs: committed in the upscale and Sobel phases,
+/// executed once the host needs pEdge, the partials or the mean.
+struct PassA {
+    /// Downscale; already run when the CPU border read `down` back.
+    downscale: Pending,
+    sobel: Pending,
+    /// The four GPU border kernels (empty for the CPU border), run after
+    /// the pass because each reads a whole edge of `down`.
+    border: Vec<Pending>,
+}
+
+/// A simulated-runtime error as the pipeline reports it.
+fn err(e: simgpu::error::Error) -> String {
+    e.to_string()
 }
 
 /// Host-side cost of summing `n` f32 values read back from the device: one
@@ -648,11 +790,12 @@ struct FrameResources {
     /// Unfused sharpening tail only.
     perror: Option<Buffer<f32>>,
     prelim: Option<Buffer<f32>>,
-    /// Host scratch for the CPU border stage (downscaled frame readback).
-    down_host: ImageF32,
-    /// Host scratch the CPU border stage writes its border pixels into.
-    up_host: ImageF32,
-    /// Host scratch for CPU-side reduction readbacks (pEdge or partials).
+    /// CPU border only: host scratch for the downscaled frame readback,
+    /// and the full-size image the border stage writes its pixels into.
+    border_host: Option<(ImageF32, ImageF32)>,
+    /// Host scratch for CPU-side reduction readbacks: the whole pEdge
+    /// matrix for the CPU reduction, the partials for host stage 2, empty
+    /// when stage 2 runs on the device.
     reduction_host: Vec<f32>,
 }
 
@@ -692,6 +835,14 @@ impl FrameResources {
         let pw = ws + 2;
         let ctx = &pipe.ctx;
         let groups = stage1_groups(ns);
+        let device_stage2 = pipe.opts.reduction_gpu && groups > pipe.tuning.stage2_gpu_threshold;
+        // Border placement depends only on the width, so it is fixed per
+        // plan; host scratch is sized by what this config reads.
+        let reduction_host = match (pipe.opts.reduction_gpu, device_stage2) {
+            (false, _) => ns,
+            (true, false) => groups,
+            (true, true) => 0,
+        };
         Ok(FrameResources {
             w,
             h,
@@ -711,13 +862,12 @@ impl FrameResources {
                 .opts
                 .reduction_gpu
                 .then(|| ctx.buffer("partials", groups)),
-            reduction_out: (pipe.opts.reduction_gpu && groups > pipe.tuning.stage2_gpu_threshold)
-                .then(|| ctx.buffer("reduction_out", 1)),
+            reduction_out: device_stage2.then(|| ctx.buffer("reduction_out", 1)),
             perror: (!pipe.opts.kernel_fusion).then(|| ctx.buffer("pError", ns)),
             prelim: (!pipe.opts.kernel_fusion).then(|| ctx.buffer("prelim", ns)),
-            down_host: ImageF32::zeros(w4, h4),
-            up_host: ImageF32::zeros(w, h),
-            reduction_host: vec![0.0f32; ns],
+            border_host: (!pipe.gpu_border_enabled(w))
+                .then(|| (ImageF32::zeros(w4, h4), ImageF32::zeros(w, h))),
+            reduction_host: vec![0.0f32; reduction_host],
         })
     }
 }
@@ -867,6 +1017,47 @@ mod tests {
         assert_eq!(border_elems(3, 9), 27);
         // 8×8: rows {0,1,6,7} = 32, columns {0,1,6,7} on rows 2..=5 = 16.
         assert_eq!(border_elems(8, 8), 48);
+    }
+
+    #[test]
+    fn host_scratch_is_sized_by_what_the_config_reads() {
+        let (w, h) = (64, 48);
+        let ns = device_stride(w) * h;
+        let scratch = |opts: OptConfig, tuning: Tuning| {
+            let pipe =
+                GpuPipeline::new(vctx(), SharpnessParams::default(), opts).with_tuning(tuning);
+            let res = FrameResources::new(&pipe, w, h).unwrap();
+            let border = res
+                .border_host
+                .as_ref()
+                .map(|(down, up)| (down.len(), up.len()));
+            (border, res.reduction_host.len())
+        };
+        // The default plan at 4096² — GPU border, device stage 2 —
+        // carries no host scratch at all (thresholds lowered to reach the
+        // same placement at this size).
+        let gpu_placement = Tuning {
+            border_gpu_min_width: 0,
+            stage2_gpu_threshold: 0,
+            ..Tuning::default()
+        };
+        assert_eq!(scratch(OptConfig::all(), gpu_placement), (None, 0));
+        // CPU border and CPU reduction: the downscaled frame, the border
+        // image and the whole pEdge matrix.
+        let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+        assert_eq!(
+            scratch(OptConfig::none(), Tuning::default()),
+            (Some((wd * hd, w * h)), ns)
+        );
+        // Host stage 2 reads back only the partials.
+        let host_stage2 = Tuning {
+            border_gpu_min_width: 0,
+            ..Tuning::default()
+        };
+        assert_eq!(
+            scratch(OptConfig::all(), host_stage2),
+            (None, stage1_groups(ns))
+        );
     }
 
     #[test]

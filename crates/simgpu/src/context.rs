@@ -27,7 +27,8 @@ pub struct Context {
     validate: bool,
     pool: BufferPool,
     pooling: bool,
-    /// Host threads per kernel dispatch (0 = all available cores).
+    /// Host threads per kernel pass and large copy (0 = all available
+    /// cores).
     dispatch_threads: usize,
     /// Shared sanitizer state (shadow-access recorder); `None` when the
     /// sanitizer is off. Clones share the same recorder.
@@ -138,8 +139,10 @@ impl Context {
         self
     }
 
-    /// Pins the number of host threads each kernel dispatch uses
-    /// (0 = all available cores, the default).
+    /// Pins the number of host threads each kernel pass uses, and over
+    /// which transfer copies of at least
+    /// [`crate::queue::SPLIT_COPY_BYTES`] are split (0 = all available
+    /// cores, the default).
     pub fn with_dispatch_threads(mut self, threads: usize) -> Self {
         self.dispatch_threads = threads;
         self
@@ -191,7 +194,8 @@ impl Context {
         self.pool.stats()
     }
 
-    /// Host threads per kernel dispatch (0 = all available cores).
+    /// Host threads per kernel pass and large copy (0 = all available
+    /// cores).
     pub fn dispatch_threads(&self) -> usize {
         self.dispatch_threads
     }
@@ -224,6 +228,7 @@ impl Context {
             self.cpu.clone(),
             self.dispatch_threads,
             self.sanitize.clone(),
+            self.validate,
             self.keep_access_log,
             self.span_capacity,
         )

@@ -42,7 +42,11 @@
 //! hands the queue an [`AccessSummary`](access::AccessSummary) that
 //! declares, in closed form, the windows it touches and the
 //! [`CostCounters`](cost::CostCounters) it costs. Declared once, charged
-//! once; the sanitizer audits declared against observed.
+//! once; the sanitizer audits declared against observed. Because the
+//! record needs only the declaration, a dispatch can also be
+//! [`commit`](queue::CommandQueue::commit)ted — recorded at its place in
+//! the command order — and its body run later together with others as one
+//! pass over windows of rows ([`execute`](queue::CommandQueue::execute)).
 //!
 //! ## Example
 //!

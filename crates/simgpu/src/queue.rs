@@ -1,27 +1,40 @@
 //! The in-order command queue: dispatch, transfers, host work, profiling.
 //!
-//! Commands execute *functionally* right away (kernels run in parallel over
-//! work-groups on scoped host threads; transfers copy memory) while their
-//! *simulated* duration is computed from the timing model and appended to
-//! the queue's virtual clock. The dispatch call picks the unit of host
-//! work: [`CommandQueue::run`] calls the kernel closure once per
-//! work-group, [`CommandQueue::run_rows`] once per work-group row (the
-//! closure walks each image row across the row's groups). Both run the
-//! same groups through one execution loop and charge the same
-//! declaration, so the unit changes host wall time only — never pixels,
-//! records or simulated seconds. A kernel's duration comes from the
+//! Every command leaves a [`CommandRecord`] at its place in the command
+//! order, with a *simulated* duration from the timing model appended to
+//! the queue's virtual clock; its *functional* work runs on the host.
+//! Transfers copy memory right away — split over the dispatch threads from
+//! [`SPLIT_COPY_BYTES`] up. A kernel's duration comes from the
 //! [`CostCounters`] its [`AccessSummary`] declares — the queue charges
-//! that declaration and nothing else. Because the queue is in-order — like
-//! the paper's OpenCL command queue with the default execution mode —
-//! virtual time is simply the sum of command durations, plus explicit
-//! [`CommandQueue::finish`] synchronisation overheads (which the paper's
-//! Section V-F optimization removes).
+//! that declaration and nothing else — so recording a dispatch and running
+//! its body are separable:
 //!
-//! Every command leaves a [`CommandRecord`]; the per-stage breakdowns of
-//! the paper's Fig. 13 are produced by aggregating these records by name.
+//! * [`CommandQueue::run`] / [`CommandQueue::run_rows`] /
+//!   [`CommandQueue::dispatch`] run the body now, once per work-group or
+//!   once per work-group row (the closure walks each image row across the
+//!   row's groups), then record it;
+//! * [`CommandQueue::commit`] records a [`Dispatch`] now and keeps its
+//!   body; [`CommandQueue::execute`] later runs the bodies of several
+//!   committed dispatches as one pass over windows of rows, every part's
+//!   units of a window before the next window, so an intermediate is read
+//!   back while still in cache. Sanitized and validated contexts run a
+//!   committed body at once, because the sanitizer and the race marks
+//!   attribute per dispatch.
+//!
+//! All of them go through one execution loop ([`crate::par::run_pass`]);
+//! a run-now dispatch is its one-part, one-window case. The unit and the
+//! order change host wall time only — never pixels, records or simulated
+//! seconds. Because the queue is in-order — like the paper's OpenCL
+//! command queue with the default execution mode — virtual time is simply
+//! the sum of command durations, plus explicit [`CommandQueue::finish`]
+//! synchronisation overheads (which the paper's Section V-F optimization
+//! removes).
+//!
+//! The per-stage breakdowns of the paper's Fig. 13 are produced by
+//! aggregating the records by name.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::access::{self, AccessError, AccessSummary};
@@ -30,6 +43,7 @@ use crate::cost::CostCounters;
 use crate::device::{CpuSpec, DeviceSpec};
 use crate::error::{Error, Result};
 use crate::kernel::{GroupCtx, KernelDesc, RowCtx};
+use crate::par::WindowUnits;
 use crate::sanitize::{DriftClass, GroupSan, SanitizeShared, Violation};
 use crate::span::{SpanId, SpanKind, SpanRecord, SpanRing};
 use crate::timing::{
@@ -94,14 +108,184 @@ impl<T: Scalar> WriteTracked for Buffer<T> {
     }
 }
 
+/// The body of a dispatch, owned: one closure call per work-group
+/// ([`Dispatch::groups`]) or per work-group row ([`Dispatch::rows`]).
+enum Body {
+    Group(Box<dyn Fn(&mut GroupCtx) + Send + Sync>),
+    Row(Box<dyn Fn(&mut RowCtx) + Send + Sync>),
+}
+
+/// A kernel dispatch that owns its body: the grid, the one cost
+/// declaration and the closure. Built by a kernel and handed to
+/// [`CommandQueue::dispatch`] (run now) or [`CommandQueue::commit`]
+/// (record now, run when the host needs the outputs).
+pub struct Dispatch {
+    desc: KernelDesc,
+    decl: AccessSummary,
+    body: Body,
+}
+
+impl Dispatch {
+    /// A dispatch whose body runs once per work-group (see
+    /// [`CommandQueue::run`]).
+    pub fn groups(
+        desc: KernelDesc,
+        decl: AccessSummary,
+        f: impl Fn(&mut GroupCtx) + Send + Sync + 'static,
+    ) -> Self {
+        Dispatch {
+            desc,
+            decl,
+            body: Body::Group(Box::new(f)),
+        }
+    }
+
+    /// A dispatch whose body runs once per work-group row (see
+    /// [`CommandQueue::run_rows`]).
+    pub fn rows(
+        desc: KernelDesc,
+        decl: AccessSummary,
+        f: impl Fn(&mut RowCtx) + Send + Sync + 'static,
+    ) -> Self {
+        Dispatch {
+            desc,
+            decl,
+            body: Body::Row(Box::new(f)),
+        }
+    }
+}
+
+/// A committed dispatch whose body has not run yet. Handed back to
+/// [`CommandQueue::execute`] inside a [`Part`]; a handle whose body
+/// already ran (per-kernel order, or an earlier pass), or that predates a
+/// [`CommandQueue::reset`] or a failed command, names nothing and its part
+/// is skipped.
+#[derive(Debug, Clone, Copy)]
+pub struct Pending {
+    slot: usize,
+    generation: u64,
+}
+
+impl Pending {
+    /// The handle of a dispatch whose body ran at its commit.
+    const RAN: Pending = Pending {
+        slot: usize::MAX,
+        generation: u64::MAX,
+    };
+}
+
+/// One dispatch of a pass and its window→units map (see
+/// [`crate::par::run_pass`] for the dependency rule the map must keep).
+pub struct Part<'a> {
+    /// The committed dispatch.
+    pub kernel: Pending,
+    /// Which of the dispatch's units (groups or group rows) run in each
+    /// window.
+    pub units: &'a (dyn Fn(usize) -> WindowUnits + Sync),
+}
+
+impl Part<'_> {
+    /// The whole grid in a single window.
+    pub fn whole(kernel: Pending) -> Part<'static> {
+        Part {
+            kernel,
+            units: &WindowUnits::whole,
+        }
+    }
+}
+
+/// A committed body waiting for its pass.
+struct PendingBody {
+    desc: KernelDesc,
+    body: Body,
+    /// Id of the leaf span the commit recorded (spans on only): the pass
+    /// credits the body's host time to it.
+    leaf: Option<u64>,
+}
+
 /// The unit of parallel host work a dispatch executes its closure for: one
 /// work-group, or one group row. The dispatch call picks it
 /// ([`CommandQueue::run`] per group, [`CommandQueue::run_rows`] per row);
 /// both go through the one execution loop.
+#[derive(Clone, Copy)]
 enum Unit<'f> {
     Group(&'f (dyn Fn(&mut GroupCtx) + Sync)),
     Row(&'f (dyn Fn(&mut RowCtx) + Sync)),
 }
+
+impl Body {
+    fn unit(&self) -> Unit<'_> {
+        match self {
+            Body::Group(f) => Unit::Group(&**f),
+            Body::Row(f) => Unit::Row(&**f),
+        }
+    }
+}
+
+/// The first panic of a pass: the part it came from and its message.
+#[derive(Default)]
+struct Poison {
+    raised: AtomicBool,
+    first: Mutex<Option<(usize, String)>>,
+}
+
+impl Unit<'_> {
+    /// Units of `desc` this body is called for: groups or group rows.
+    fn count(self, desc: &KernelDesc) -> usize {
+        let [gx, gy] = desc.num_groups();
+        match self {
+            Unit::Group(_) => gx * gy,
+            Unit::Row(_) => gy,
+        }
+    }
+
+    /// Runs units `units` of the dispatch `desc`, one closure call each.
+    /// A panicking closure (e.g. an out-of-bounds assertion on an
+    /// unsanitized context) is caught into `poison` — recoverable as
+    /// `Error::KernelPanic` instead of tearing the process down — and the
+    /// pass's remaining units are skipped.
+    fn run(
+        self,
+        desc: &KernelDesc,
+        units: std::ops::Range<usize>,
+        san: Option<&(Arc<SanitizeShared>, u64)>,
+        part: usize,
+        poison: &Poison,
+    ) {
+        let gx = desc.num_groups()[0];
+        for u in units {
+            if poison.raised.load(Ordering::Relaxed) {
+                return;
+            }
+            let san = || san.map(|(s, e)| (Arc::clone(s), *e));
+            let body = || match self {
+                Unit::Group(f) => {
+                    let san = san().map(|(s, e)| GroupSan::new(s, e, u, desc.group_lanes()));
+                    f(&mut GroupCtx::new_with(desc, [u % gx, u / gx], san))
+                }
+                Unit::Row(f) => f(&mut RowCtx::new(desc, u, 0..gx, san())),
+            };
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+                poison.raised.store(true, Ordering::Relaxed);
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "kernel closure panicked".to_string());
+                poison
+                    .first
+                    .lock()
+                    .expect("poison lock is never held across a panic")
+                    .get_or_insert((part, msg));
+            }
+        }
+    }
+}
+
+/// Copies of at least this many bytes are split over the queue's dispatch
+/// threads; below it a copy runs on the calling thread (starting threads
+/// for a small frame's copy costs more than it saves).
+pub const SPLIT_COPY_BYTES: u64 = 2 << 20;
 
 /// An in-order command queue bound to one simulated device and one modeled
 /// host CPU.
@@ -111,7 +295,8 @@ pub struct CommandQueue {
     clock_s: f64,
     records: Vec<CommandRecord>,
     commands_since_finish: usize,
-    /// Host threads used per kernel dispatch (0 = all available).
+    /// Host threads used per kernel pass and per large copy (0 = all
+    /// available).
     dispatch_threads: usize,
     /// Interned command names: one `Arc<str>` per distinct name for the
     /// queue's lifetime, shared by every record (survives [`Self::reset`]).
@@ -122,6 +307,8 @@ pub struct CommandQueue {
     /// Sanitizer handle inherited from the creating context; `Some` only
     /// for sanitized contexts.
     sanitize: Option<Arc<SanitizeShared>>,
+    /// Whether the creating context validates writes (race marks).
+    validate: bool,
     /// When true, declared summaries are retained in [`Self::access_log`].
     keep_access_log: bool,
     /// Verified summaries of past dispatches (populated only when the log
@@ -130,6 +317,10 @@ pub struct CommandQueue {
     /// Hierarchical span ring; `None` when span tracing is off. Boxed so
     /// the disabled (default) case costs one pointer in the queue.
     spans: Option<Box<SpanRing>>,
+    /// Committed bodies not yet executed, by [`Pending`] slot.
+    pending: Vec<Option<PendingBody>>,
+    /// Bumped whenever `pending` is dropped, so older handles name nothing.
+    generation: u64,
 }
 
 /// The span class a committed command reports as.
@@ -149,6 +340,7 @@ impl CommandQueue {
         cpu: CpuSpec,
         dispatch_threads: usize,
         sanitize: Option<Arc<SanitizeShared>>,
+        validate: bool,
         keep_access_log: bool,
         span_capacity: Option<usize>,
     ) -> Self {
@@ -162,9 +354,12 @@ impl CommandQueue {
             interner: HashSet::new(),
             name_scratch: String::new(),
             sanitize,
+            validate,
             keep_access_log,
             access_log: Vec::new(),
             spans: span_capacity.map(|c| Box::new(SpanRing::new(c))),
+            pending: Vec::new(),
+            generation: 0,
         }
     }
 
@@ -176,6 +371,37 @@ impl CommandQueue {
     /// The modeled host CPU.
     pub fn cpu(&self) -> &CpuSpec {
         &self.cpu
+    }
+
+    /// Host threads a pass or a large copy uses.
+    fn threads(&self) -> usize {
+        if self.dispatch_threads == 0 {
+            crate::par::default_threads()
+        } else {
+            self.dispatch_threads
+        }
+    }
+
+    /// How many threads share a copy of `bytes`: all dispatch threads from
+    /// [`SPLIT_COPY_BYTES`] up, the calling thread alone below.
+    fn copy_parts(&self, bytes: usize) -> usize {
+        if (bytes as u64) < SPLIT_COPY_BYTES {
+            1
+        } else {
+            self.threads()
+        }
+    }
+
+    /// Chunk length (elements) of a bulk copy of `data`, in whole multiples
+    /// of 64 elements so no cache line is written by two threads.
+    fn bulk_chunk<T>(&self, data: &[T]) -> usize {
+        let parts = self.copy_parts(std::mem::size_of_val(data));
+        data.len().div_ceil(parts).div_ceil(64) * 64
+    }
+
+    /// Rows per band of a rect copy of `rows` rows of `row_bytes` each.
+    fn rect_band(&self, rows: usize, row_bytes: usize) -> usize {
+        rows.div_ceil(self.copy_parts(rows * row_bytes))
     }
 
     /// Returns the interned `Arc<str>` for `name`, allocating only the
@@ -305,20 +531,134 @@ impl CommandQueue {
         self.run_unit(desc, decl, outputs, Unit::Row(&f))
     }
 
-    /// The one group-execution loop, shared by both dispatch entry points:
-    /// checks `decl` against `desc` and verifies it statically (bounds,
-    /// write disjointness, accounting) before any work runs, executes the
-    /// grid in parallel — one closure call per group, or per group row, as
-    /// `unit` says — cross-validates the declared windows against the
-    /// sanitizer's observation, checks `outputs` for write races, and
-    /// records the dispatch charged with `decl`'s counters.
-    fn run_unit(
-        &mut self,
-        desc: &KernelDesc,
-        decl: AccessSummary,
-        outputs: &[&dyn WriteTracked],
-        unit: Unit<'_>,
-    ) -> Result<KernelTime> {
+    /// Runs an owned [`Dispatch`] now: [`CommandQueue::run`] or
+    /// [`CommandQueue::run_rows`], as its body says.
+    pub fn dispatch(&mut self, d: Dispatch, outputs: &[&dyn WriteTracked]) -> Result<KernelTime> {
+        self.run_unit(&d.desc, d.decl, outputs, d.body.unit())
+    }
+
+    /// Commits a dispatch at its place in the command order and defers its
+    /// body: verifies the declaration, records the command (simulated
+    /// time, counters, access log) exactly as [`CommandQueue::dispatch`]
+    /// would, and keeps the body until a [`CommandQueue::execute`] pass
+    /// runs it — at the first point where the host needs its outputs.
+    ///
+    /// Sanitized and validated contexts run the body right here, before
+    /// the record, because the sanitizer and the race marks attribute what
+    /// they observe per dispatch; `outputs` serve those checks. The
+    /// returned handle then names nothing and its part of a pass is
+    /// skipped — the same records, bits and pixels, in per-kernel order.
+    pub fn commit(&mut self, d: Dispatch, outputs: &[&dyn WriteTracked]) -> Result<Pending> {
+        if self.sanitize.is_some() || self.validate {
+            self.dispatch(d, outputs)?;
+            return Ok(Pending::RAN);
+        }
+        if let Err(e) = Self::check(&d.desc, &d.decl) {
+            self.drop_pending();
+            return Err(e);
+        }
+        let Dispatch { desc, decl, body } = d;
+        self.record(&desc, decl);
+        let leaf = self.spans.as_ref().and_then(|r| r.last_id());
+        self.pending.push(Some(PendingBody { desc, body, leaf }));
+        Ok(Pending {
+            slot: self.pending.len() - 1,
+            generation: self.generation,
+        })
+    }
+
+    /// Runs the bodies of committed dispatches as one pass over `windows`
+    /// row windows: every part's units of a window before the next window,
+    /// runs of windows in parallel (see [`crate::par::run_pass`], whose
+    /// dependency rule each part's map must keep). Parts whose body
+    /// already ran are skipped. Records and simulated time do not change —
+    /// the commits made them.
+    ///
+    /// With spans on, each part's host time is measured per window slice
+    /// and the pass's wall time is credited to the parts' kernel spans in
+    /// proportion ([`SpanRing::attribute_pass`]).
+    ///
+    /// # Errors
+    /// A panicking body fails the pass with [`Error::KernelPanic`] naming
+    /// its kernel; every pending body is dropped.
+    pub fn execute(&mut self, windows: usize, parts: &[Part<'_>]) -> Result<()> {
+        let mut bodies = Vec::with_capacity(parts.len());
+        for part in parts {
+            let p = part.kernel;
+            if p.generation != self.generation {
+                continue;
+            }
+            if let Some(b) = self.pending.get_mut(p.slot).and_then(Option::take) {
+                bodies.push((b, part.units));
+            }
+        }
+        if self.pending.iter().all(Option::is_none) {
+            self.drop_pending();
+        }
+        if bodies.is_empty() {
+            return Ok(());
+        }
+        let poison = Poison::default();
+        let timed = self.spans.is_some();
+        let busy: Vec<AtomicU64> = if timed {
+            bodies.iter().map(|_| AtomicU64::new(0)).collect()
+        } else {
+            Vec::new()
+        };
+        let start_ns = self.spans.as_ref().map_or(0, |r| r.now());
+        crate::par::run_pass(
+            windows,
+            bodies.len(),
+            self.threads(),
+            |p, w| {
+                let (b, map) = &bodies[p];
+                let n = b.body.unit().count(&b.desc);
+                let WindowUnits { units, lag } = map(w);
+                WindowUnits {
+                    units: units.start.min(n)..units.end.min(n),
+                    lag,
+                }
+            },
+            |p, units| {
+                if units.is_empty() {
+                    return;
+                }
+                let t = timed.then(std::time::Instant::now);
+                let b = &bodies[p].0;
+                b.body.unit().run(&b.desc, units, None, p, &poison);
+                if let Some(t) = t {
+                    busy[p].fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+            },
+        );
+        if let Some((p, message)) = poison.first.into_inner().expect("poison lock") {
+            self.drop_pending();
+            return Err(Error::KernelPanic {
+                kernel: bodies[p].0.desc.name.clone(),
+                message,
+            });
+        }
+        if let Some(ring) = &mut self.spans {
+            let end_ns = ring.now();
+            let leaves: Vec<(u64, u64)> = bodies
+                .iter()
+                .zip(&busy)
+                .filter_map(|((b, _), t)| b.leaf.map(|id| (id, t.load(Ordering::Relaxed))))
+                .collect();
+            ring.attribute_pass(start_ns, end_ns, &leaves);
+        }
+        Ok(())
+    }
+
+    /// Drops every pending body; outstanding handles name nothing after.
+    fn drop_pending(&mut self) {
+        self.pending.clear();
+        self.generation += 1;
+    }
+
+    /// Checks `decl` against `desc` and verifies it statically (bounds,
+    /// write disjointness, accounting) — before any body runs.
+    fn check(desc: &KernelDesc, decl: &AccessSummary) -> Result<()> {
         if !decl.covers_full_grid() {
             return Err(Error::Access(AccessError::GridMismatch {
                 kernel: desc.name.clone(),
@@ -341,52 +681,74 @@ impl CommandQueue {
                 ),
             }));
         }
-        access::verify_summary(&decl)?;
+        access::verify_summary(decl)?;
+        Ok(())
+    }
+
+    /// Records a verified dispatch charged with `decl`'s counters and
+    /// retains `decl` in the access log when the context keeps one.
+    fn record(&mut self, desc: &KernelDesc, decl: AccessSummary) -> KernelTime {
+        let t = kernel_time(&self.device, &decl.charged);
+        self.push(
+            &desc.name,
+            CommandKind::Kernel,
+            t.total_s,
+            Some(decl.charged),
+        );
+        if self.keep_access_log {
+            self.access_log.push(decl);
+        }
+        t
+    }
+
+    /// The run-now dispatch shared by every entry point: checks `decl`
+    /// before any work runs, executes the grid as a one-part pass — one
+    /// closure call per group, or per group row, as `unit` says —
+    /// cross-validates the declared windows against the sanitizer's
+    /// observation, checks `outputs` for write races, and records the
+    /// dispatch charged with `decl`'s counters.
+    fn run_unit(
+        &mut self,
+        desc: &KernelDesc,
+        decl: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        unit: Unit<'_>,
+    ) -> Result<KernelTime> {
+        let r = self.run_unit_inner(desc, decl, outputs, unit);
+        if r.is_err() {
+            self.drop_pending();
+        }
+        r
+    }
+
+    fn run_unit_inner(
+        &mut self,
+        desc: &KernelDesc,
+        decl: AccessSummary,
+        outputs: &[&dyn WriteTracked],
+        unit: Unit<'_>,
+    ) -> Result<KernelTime> {
+        Self::check(desc, &decl)?;
         for out in outputs {
             out.begin_epoch();
         }
-        let [gx, gy] = desc.num_groups();
-        let threads = if self.dispatch_threads == 0 {
-            crate::par::default_threads()
-        } else {
-            self.dispatch_threads
-        };
-        let san_epoch = self.sanitize.as_ref().map(|s| s.begin_dispatch(&desc.name));
-        let san = || match (&self.sanitize, san_epoch) {
-            (Some(s), Some(e)) => Some((Arc::clone(s), e)),
-            _ => None,
-        };
-        let units = match unit {
-            Unit::Group(_) => gx * gy,
-            Unit::Row(_) => gy,
-        };
-        // A panicking kernel closure (e.g. an out-of-bounds assertion on an
-        // unsanitized context) is caught and surfaced as a recoverable
-        // `Error::KernelPanic` instead of tearing the process down.
-        let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        crate::par::for_each_index(units, threads, |u| {
-            if poisoned.load(Ordering::Relaxed) {
-                return;
-            }
-            let body = || match unit {
-                Unit::Group(f) => {
-                    let san = san().map(|(s, e)| GroupSan::new(s, e, u, desc.group_lanes()));
-                    f(&mut GroupCtx::new_with(desc, [u % gx, u / gx], san))
-                }
-                Unit::Row(f) => f(&mut RowCtx::new(desc, u, 0..gx, san())),
-            };
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
-                poisoned.store(true, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "kernel closure panicked".to_string());
-                panic_msg.lock().unwrap().get_or_insert(msg);
-            }
-        });
-        let panicked = panic_msg.into_inner().unwrap();
+        let san = self
+            .sanitize
+            .as_ref()
+            .map(|s| (Arc::clone(s), s.begin_dispatch(&desc.name)));
+        let poison = Poison::default();
+        let n = unit.count(desc);
+        crate::par::run_pass(
+            1,
+            1,
+            self.threads(),
+            |_, _| WindowUnits {
+                units: 0..n,
+                lag: 0,
+            },
+            |_, units| unit.run(desc, units, san.as_ref(), 0, &poison),
+        );
+        let panicked = poison.first.into_inner().expect("poison lock");
         let mut observed = (0, 0);
         if let Some(sh) = &self.sanitize {
             if panicked.is_none() {
@@ -395,7 +757,7 @@ impl CommandQueue {
             }
             sh.end_dispatch();
         }
-        if let Some(message) = panicked {
+        if let Some((_, message)) = panicked {
             return Err(Error::KernelPanic {
                 kernel: desc.name.clone(),
                 message,
@@ -413,17 +775,7 @@ impl CommandQueue {
             let (r, w) = observed;
             sh.audit_totals(&desc.name, &decl.charged, r, w, decl.read_ratio);
         }
-        let t = kernel_time(&self.device, &decl.charged);
-        self.push(
-            &desc.name,
-            CommandKind::Kernel,
-            t.total_s,
-            Some(decl.charged),
-        );
-        if self.keep_access_log {
-            self.access_log.push(decl);
-        }
-        Ok(t)
+        Ok(self.record(desc, decl))
     }
 
     // ---- transfers --------------------------------------------------------
@@ -438,8 +790,10 @@ impl CommandQueue {
                 offending_index: src.len() - 1,
             });
         }
-        // Functional copy.
-        buf.inner.copy_in(0, src);
+        // Functional copy, split over the dispatch threads when large.
+        crate::par::split_chunks(src, self.bulk_chunk(src), |off, c| {
+            buf.inner.copy_in(off, c)
+        });
         let dur = bulk_transfer_time(&self.device.transfer, std::mem::size_of_val(src) as u64);
         self.push_labeled("write:", buf.label(), CommandKind::WriteBuffer, dur, None);
         Ok(dur)
@@ -455,7 +809,8 @@ impl CommandQueue {
                 offending_index: dst.len() - 1,
             });
         }
-        buf.inner.copy_out(0, dst);
+        let chunk = self.bulk_chunk(dst);
+        crate::par::split_chunks_mut(dst, chunk, |off, c| buf.inner.copy_out(off, c));
         let dur = bulk_transfer_time(&self.device.transfer, std::mem::size_of_val(dst) as u64);
         self.push_labeled("read:", buf.label(), CommandKind::ReadBuffer, dur, None);
         Ok(dur)
@@ -509,10 +864,14 @@ impl CommandQueue {
                 offending_index: last,
             });
         }
-        for r in 0..rows {
-            let src_row = &src[r * src_width..(r + 1) * src_width];
-            buf.inner.copy_in((buf_y + r) * buf_width + buf_x, src_row);
-        }
+        // Whole rows per chunk: each thread copies a band of rows.
+        let band = self.rect_band(rows, std::mem::size_of_val(&src[..src_width]));
+        crate::par::split_chunks(src, band * src_width, |off, c| {
+            for (r, src_row) in c.chunks(src_width).enumerate() {
+                let y = buf_y + off / src_width + r;
+                buf.inner.copy_in(y * buf_width + buf_x, src_row);
+            }
+        });
         let dur = rect_transfer_time(
             &self.device.transfer,
             rows as u64,
@@ -573,11 +932,13 @@ impl CommandQueue {
                 offending_index: last,
             });
         }
-        for r in 0..rows {
-            let src_base = (buf_y + r) * buf_width + buf_x;
-            buf.inner
-                .copy_out(src_base, &mut dst[r * src_width..(r + 1) * src_width]);
-        }
+        let band = self.rect_band(rows, std::mem::size_of_val(&dst[..src_width]));
+        crate::par::split_chunks_mut(dst, band * src_width, |off, c| {
+            for (r, dst_row) in c.chunks_mut(src_width).enumerate() {
+                let y = buf_y + off / src_width + r;
+                buf.inner.copy_out(y * buf_width + buf_x, dst_row);
+            }
+        });
         let dur = rect_transfer_time(
             &self.device.transfer,
             rows as u64,
@@ -760,13 +1121,15 @@ impl CommandQueue {
         order
     }
 
-    /// Clears the clock and records (new measurement run). The name
-    /// interner is kept: subsequent frames reuse the same `Arc<str>` names.
+    /// Clears the clock and records (new measurement run) and drops any
+    /// pending bodies. The name interner is kept: subsequent frames reuse
+    /// the same `Arc<str>` names.
     pub fn reset(&mut self) {
         self.clock_s = 0.0;
         self.records.clear();
         self.commands_since_finish = 0;
         self.access_log.clear();
+        self.drop_pending();
         if let Some(ring) = &mut self.spans {
             ring.clear();
         }
@@ -1224,5 +1587,336 @@ mod tests {
         assert!(q.enqueue_write(&buf, &[0.0; 8]).is_err());
         let mut dst = [0.0f32; 8];
         assert!(q.enqueue_read(&buf, &mut dst).is_err());
+    }
+
+    // ---- split copies ---------------------------------------------------
+
+    /// f32 counts just below and just above the copy split.
+    const AROUND_SPLIT: [usize; 2] = [
+        (SPLIT_COPY_BYTES / 4) as usize - 1,
+        (SPLIT_COPY_BYTES / 4) as usize + 17,
+    ];
+
+    #[test]
+    fn bulk_copies_around_the_split_move_every_element() {
+        for n in AROUND_SPLIT {
+            let src: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            for threads in [1, 2, 3] {
+                let ctx = ctx().with_dispatch_threads(threads);
+                let mut q = ctx.queue();
+                let buf = ctx.buffer::<f32>("b", n);
+                q.enqueue_write(&buf, &src).unwrap();
+                assert!(buf.snapshot() == src, "write {n} threads {threads}");
+                let mut dst = vec![-1.0f32; n];
+                q.enqueue_read(&buf, &mut dst).unwrap();
+                assert!(dst == src, "read {n} threads {threads}");
+                assert_eq!(q.records().len(), 2);
+            }
+        }
+    }
+
+    /// Rows of a 1001-wide rect copy just below and above the split.
+    const RECT_W: usize = 1001;
+    const RECT_ROWS: [usize; 2] = [
+        SPLIT_COPY_BYTES as usize / (4 * RECT_W),
+        SPLIT_COPY_BYTES as usize / (4 * RECT_W) + 1,
+    ];
+
+    #[test]
+    fn rect_copies_around_the_split_keep_the_padding() {
+        for rows in RECT_ROWS {
+            let pw = RECT_W + 2;
+            let src: Vec<f32> = (0..RECT_W * rows).map(|i| 1.0 + i as f32).collect();
+            for threads in [1, 2, 3] {
+                let ctx = ctx().with_dispatch_threads(threads);
+                let mut q = ctx.queue();
+                let buf = ctx.buffer::<f32>("padded", pw * (rows + 2));
+                q.enqueue_write_rect(&buf, pw, 1, 1, &src, RECT_W, rows)
+                    .unwrap();
+                let s = buf.snapshot();
+                for y in 0..rows + 2 {
+                    for x in 0..pw {
+                        let want = if (1..=rows).contains(&y) && (1..=RECT_W).contains(&x) {
+                            src[(y - 1) * RECT_W + x - 1]
+                        } else {
+                            0.0
+                        };
+                        assert!(
+                            s[y * pw + x] == want,
+                            "({x},{y}) {rows} rows, {threads} threads"
+                        );
+                    }
+                }
+                let mut dst = vec![0.0f32; RECT_W * rows];
+                q.enqueue_read_rect(&buf, pw, 1, 1, &mut dst, RECT_W, rows)
+                    .unwrap();
+                assert!(dst == src, "{rows} rows, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn split_writes_mark_every_element_of_a_validated_buffer() {
+        let n = AROUND_SPLIT[1];
+        let src = vec![1.0f32; n];
+        for threads in [2, 3] {
+            // A second store to any element — both ends and both sides of
+            // every chunk seam — is reported as a race.
+            let seams = (1..threads).flat_map(|k| {
+                let seam = n.div_ceil(threads).div_ceil(64) * 64 * k;
+                [seam - 1, seam]
+            });
+            for probe in [0, n - 1].into_iter().chain(seams) {
+                let ctx = Context::with_validation(DeviceSpec::firepro_w8000())
+                    .with_dispatch_threads(threads);
+                let mut q = ctx.queue();
+                let buf = ctx.buffer::<f32>("b", n);
+                buf.begin_write_epoch();
+                q.enqueue_write(&buf, &src).unwrap();
+                assert_eq!(buf.race(), None);
+                q.enqueue_write_rect(&buf, n, probe, 0, &[2.0], 1, 1)
+                    .unwrap();
+                assert_eq!(buf.race(), Some(probe), "threads {threads}");
+            }
+        }
+    }
+
+    /// Reads every element of `buf` in one dispatch (declared exactly), so
+    /// the sanitizer reports each element its init shadow misses.
+    fn read_all(q: &mut CommandQueue, buf: &Buffer<f32>) {
+        let n = buf.len();
+        let desc = KernelDesc::new_1d("read_all", n.div_ceil(256) * 256, 256);
+        let mut decl = AccessSummary::new(&desc, 0..desc.total_groups());
+        decl.push(AccessWindow::read(buf.info(), 0, n));
+        decl.charge_global_n(4, 0, 0, 0, n as u64);
+        let v = buf.view();
+        q.run(&desc, decl, &[], |g| {
+            for l in crate::kernel::items(g.group_size) {
+                g.begin_item(l);
+                let i = g.global_index(l, 0);
+                if i < n {
+                    std::hint::black_box(v.get_raw(i));
+                }
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn split_copies_leave_the_sanitizer_init_shadow_as_a_plain_copy_does() {
+        let rows = RECT_ROWS[1];
+        let pw = RECT_W + 2;
+        let border = 2 * pw + 2 * rows;
+        for threads in [1, 2, 3] {
+            let san = || {
+                Context::new(DeviceSpec::firepro_w8000())
+                    .with_sanitize(crate::sanitize::SanitizeConfig {
+                        check_uninit_reads: true,
+                        ..Default::default()
+                    })
+                    .with_dispatch_threads(threads)
+            };
+            // A split bulk write initialises everything.
+            let ctx = san();
+            let mut q = ctx.queue();
+            let n = AROUND_SPLIT[1];
+            let buf = ctx.buffer::<f32>("b", n);
+            q.enqueue_write(&buf, &vec![1.0; n]).unwrap();
+            read_all(&mut q, &buf);
+            assert!(
+                ctx.sanitize_report().unwrap().is_clean(),
+                "threads {threads}"
+            );
+            // A split rect write initialises exactly the interior: only
+            // the border reads as uninitialised.
+            let ctx = san();
+            let mut q = ctx.queue();
+            let buf = ctx.buffer::<f32>("padded", pw * (rows + 2));
+            q.enqueue_write_rect(&buf, pw, 1, 1, &vec![1.0; RECT_W * rows], RECT_W, rows)
+                .unwrap();
+            read_all(&mut q, &buf);
+            let report = ctx.sanitize_report().unwrap();
+            let uninit = report
+                .violations
+                .iter()
+                .filter(|v| matches!(v, Violation::UninitRead { .. }))
+                .count();
+            assert_eq!(
+                uninit as u64 + report.dropped,
+                border as u64,
+                "threads {threads}"
+            );
+        }
+    }
+
+    // ---- fused passes ---------------------------------------------------
+
+    /// `(kernel, group row, start stamp, end stamp)` of every unit run.
+    type StampLog = Arc<Mutex<Vec<(String, usize, u64, u64)>>>;
+
+    /// A row dispatch over `units` group rows whose body stamps each unit
+    /// with the global sequence number at its start and end.
+    fn stamping(name: &str, units: usize, clock: &Arc<AtomicU64>, log: &StampLog) -> Dispatch {
+        let desc = KernelDesc::new(name, [16, 16 * units], [16, 16]);
+        let decl = AccessSummary::new(&desc, 0..desc.total_groups());
+        let (clock, log, tag) = (Arc::clone(clock), Arc::clone(log), name.to_string());
+        Dispatch::rows(desc, decl, move |r| {
+            let start = clock.fetch_add(1, Ordering::SeqCst);
+            let end = clock.fetch_add(1, Ordering::SeqCst);
+            log.lock()
+                .unwrap()
+                .push((tag.clone(), r.group_y, start, end));
+        })
+    }
+
+    /// Four units per window (the pass clamps the last one to the grid);
+    /// the producer reads nothing another part writes.
+    fn flat(w: usize) -> WindowUnits {
+        WindowUnits {
+            units: 4 * w..4 * w + 4,
+            lag: 0,
+        }
+    }
+
+    /// [`flat`] for the consumer, whose first unit of every window after
+    /// the first reads the previous window.
+    fn band(w: usize) -> WindowUnits {
+        WindowUnits {
+            lag: usize::from(w > 0),
+            ..flat(w)
+        }
+    }
+
+    #[test]
+    fn fused_pass_runs_every_unit_once_after_its_producers() {
+        // 17 windows cut runs of two or three windows, whose held-back
+        // units run one boundary per worker after the join.
+        for windows in [1usize, 2, 5, 17] {
+            let units = (4 * windows).saturating_sub(2).max(3);
+            for threads in [1, 2, 3] {
+                let what = format!("{windows} windows, {threads} threads");
+                let ctx = ctx().with_dispatch_threads(threads);
+                let mut q = ctx.queue();
+                let clock = Arc::new(AtomicU64::new(0));
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let producer = q
+                    .commit(stamping("produce", units, &clock, &log), &[])
+                    .unwrap();
+                let consumer = q
+                    .commit(stamping("consume", units, &clock, &log), &[])
+                    .unwrap();
+                // Committed, not run: the records exist, the bodies wait.
+                assert_eq!(q.records().len(), 2, "{what}");
+                assert!(log.lock().unwrap().is_empty(), "{what}");
+                let parts = [
+                    Part {
+                        kernel: producer,
+                        units: &flat,
+                    },
+                    Part {
+                        kernel: consumer,
+                        units: &band,
+                    },
+                ];
+                q.execute(windows, &parts).unwrap();
+                let log = log.lock().unwrap();
+                let stamp = |tag: &str, u: usize| -> (u64, u64) {
+                    let hits: Vec<_> = log.iter().filter(|e| e.0 == tag && e.1 == u).collect();
+                    assert_eq!(hits.len(), 1, "{what}: {tag} unit {u}");
+                    (hits[0].2, hits[0].3)
+                };
+                assert_eq!(log.len(), 2 * units, "{what}");
+                for u in 0..units {
+                    let w = u / 4;
+                    let (start, _) = stamp("consume", u);
+                    // Producers of the unit's own window, and of the
+                    // previous one for the lag unit.
+                    let first = if u == 4 * w && w > 0 {
+                        4 * (w - 1)
+                    } else {
+                        4 * w
+                    };
+                    for p in first..(4 * w + 4).min(units) {
+                        assert!(
+                            stamp("produce", p).1 < start,
+                            "{what}: consume {u} before produce {p}"
+                        );
+                    }
+                }
+                // Executing the same handles again runs nothing.
+                drop(log);
+                q.execute(windows, &parts).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn fused_pass_panic_names_the_kernel_and_drops_pending_bodies() {
+        for threads in [1, 2, 3] {
+            let ctx = ctx().with_dispatch_threads(threads);
+            let mut q = ctx.queue();
+            let clock = Arc::new(AtomicU64::new(0));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let ok = q.commit(stamping("ok", 18, &clock, &log), &[]).unwrap();
+            let desc = KernelDesc::new("boom", [16, 16 * 18], [16, 16]);
+            let decl = AccessSummary::new(&desc, 0..desc.total_groups());
+            let boom = Dispatch::rows(desc, decl, |r| {
+                if r.group_y == 9 {
+                    panic!("row unit {} failed", r.group_y);
+                }
+            });
+            let boom = q.commit(boom, &[]).unwrap();
+            let later = q.commit(stamping("later", 18, &clock, &log), &[]).unwrap();
+            let parts = [
+                Part {
+                    kernel: ok,
+                    units: &flat,
+                },
+                Part {
+                    kernel: boom,
+                    units: &band,
+                },
+            ];
+            match q.execute(5, &parts).unwrap_err() {
+                Error::KernelPanic { kernel, message } => {
+                    assert_eq!(kernel, "boom");
+                    assert!(message.contains("row unit 9 failed"), "{message}");
+                }
+                other => panic!("expected KernelPanic, got {other:?}"),
+            }
+            // The body still pending when the pass failed was dropped.
+            q.execute(1, &[Part::whole(later)]).unwrap();
+            assert!(log.lock().unwrap().iter().all(|e| e.0 != "later"));
+            // The next frame on the same queue runs and records as usual.
+            q.reset();
+            log.lock().unwrap().clear();
+            let again = q.commit(stamping("ok", 18, &clock, &log), &[]).unwrap();
+            q.execute(
+                5,
+                &[Part {
+                    kernel: again,
+                    units: &flat,
+                }],
+            )
+            .unwrap();
+            assert_eq!(q.records().len(), 1);
+            assert_eq!(log.lock().unwrap().len(), 18);
+        }
+    }
+
+    #[test]
+    fn validated_and_sanitized_commits_run_at_once() {
+        for ctx in [
+            Context::with_validation(DeviceSpec::firepro_w8000()),
+            Context::sanitized(DeviceSpec::firepro_w8000()),
+        ] {
+            let mut q = ctx.queue();
+            let clock = Arc::new(AtomicU64::new(0));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let p = q.commit(stamping("now", 3, &clock, &log), &[]).unwrap();
+            assert_eq!(log.lock().unwrap().len(), 3);
+            q.execute(1, &[Part::whole(p)]).unwrap();
+            assert_eq!(log.lock().unwrap().len(), 3);
+        }
     }
 }

@@ -24,6 +24,15 @@
 //! spent producing the command (kernel execution, memcpy, …) plus any
 //! pipeline logic since the last event — a faithful "where did the wall
 //! clock go" decomposition without per-call-site instrumentation.
+//!
+//! A committed kernel whose body runs later, in a fused pass
+//! ([`crate::queue::CommandQueue::execute`]), records its leaf at the
+//! commit with only the commit's host time. The pass measures each part's
+//! host time per window slice and [`SpanRing::attribute_pass`] moves the
+//! pass's wall time onto those leaves in proportion, re-timing the
+//! retained spans with one monotone map: every kernel and phase span
+//! reports its share of the pass, nesting holds, and the frame's total is
+//! unchanged.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -254,6 +263,80 @@ impl SpanRing {
         self.seq += 1;
         self.push_record(rec);
         self.last_wall_ns = now;
+    }
+
+    /// Id of the most recently recorded span, if any.
+    pub fn last_id(&self) -> Option<u64> {
+        self.seq.checked_sub(1)
+    }
+
+    /// Nanoseconds since the ring's epoch, on the clock every span reads.
+    pub fn now(&self) -> u64 {
+        self.now_ns()
+    }
+
+    /// Credits the wall time of a pass that executed deferred kernel
+    /// bodies to the leaf spans those kernels recorded when they were
+    /// committed.
+    ///
+    /// The pass ran from `start_ns` to `end_ns`; `leaves` pairs each
+    /// part's leaf span id with the host time its units took (summed over
+    /// workers). The pass's wall time is split in proportion to those
+    /// times, and the retained spans are re-timed by one monotone map:
+    /// each leaf's end moves later by its share (and every event after it
+    /// with it), and the pass interval itself collapses to its end. The
+    /// shares add up to the pass, so every instant from `end_ns` on keeps
+    /// its value: later spans, the enclosing scopes' totals and the frame
+    /// length are unchanged, and a map that never reorders two instants
+    /// keeps every child inside its parent. Leaves evicted from the ring
+    /// give up their share to the retained ones.
+    pub fn attribute_pass(&mut self, start_ns: u64, end_ns: u64, leaves: &[(u64, u64)]) {
+        let pass = end_ns.saturating_sub(start_ns);
+        let mut points: Vec<(u64, u64)> = leaves
+            .iter()
+            .filter_map(|&(id, busy)| self.index_of(id).map(|i| (self.buf[i].wall_end_ns, busy)))
+            .filter(|&(t, _)| t <= start_ns)
+            .collect();
+        if pass == 0 || points.is_empty() {
+            return;
+        }
+        points.sort_by_key(|&(t, _)| t);
+        let total: u128 = points.iter().map(|&(_, b)| u128::from(b)).sum();
+        let n = points.len() as u128;
+        let mut given = 0u64;
+        let last = points.len() - 1;
+        for (k, p) in points.iter_mut().enumerate() {
+            let share = if k == last {
+                pass - given
+            } else {
+                // Even shares when no part measured any time.
+                (u128::from(pass) * u128::from(p.1))
+                    .checked_div(total)
+                    .unwrap_or(u128::from(pass) / n) as u64
+            };
+            given += share;
+            p.1 = share;
+        }
+        let map = |t: u64| -> u64 {
+            if t >= end_ns {
+                t
+            } else if t >= start_ns {
+                end_ns
+            } else {
+                t + points
+                    .iter()
+                    .take_while(|&&(at, _)| at <= t)
+                    .map(|&(_, s)| s)
+                    .sum::<u64>()
+            }
+        };
+        for k in 0..self.len {
+            let i = (self.tail + k) % self.buf.len().max(1);
+            let rec = &mut self.buf[i];
+            rec.wall_start_ns = map(rec.wall_start_ns);
+            rec.wall_end_ns = map(rec.wall_end_ns);
+        }
+        self.last_wall_ns = map(self.last_wall_ns);
     }
 
     /// The retained spans, oldest first.
@@ -593,6 +676,45 @@ mod tests {
         assert!(t.contains("sobel ×4"), "{t}");
         assert!(t.contains("[phase]"), "{t}");
         assert_eq!(span_tree(&[]), "(no spans)\n");
+    }
+
+    #[test]
+    fn pass_time_moves_onto_the_committed_leaves() {
+        let mut ring = SpanRing::new(64);
+        let f = ring.open(SpanKind::Frame, name("frame"), 0.0);
+        let a = ring.open(SpanKind::Phase, name("downscale"), 0.0);
+        ring.leaf(SpanKind::Kernel, name("downscale"), 0.0, 1.0);
+        let k1 = ring.last_id().unwrap();
+        ring.close(a, 1.0);
+        let b = ring.open(SpanKind::Phase, name("sobel"), 1.0);
+        ring.leaf(SpanKind::Kernel, name("sobel"), 1.0, 1.0);
+        let k2 = ring.last_id().unwrap();
+        let before = ring.snapshot();
+        let start = ring.now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let end = ring.now();
+        ring.attribute_pass(start, end, &[(k1, 300), (k2, 100)]);
+        ring.close(b, 2.0);
+        ring.close(f, 2.0);
+        let spans = ring.snapshot();
+        let pass = end - start;
+        let wall_ns = |s: &SpanRecord| s.wall_end_ns - s.wall_start_ns;
+        // The leaves gain their shares of the pass: 3/4 and the rest.
+        assert_eq!(wall_ns(&spans[2]), wall_ns(&before[2]) + pass * 3 / 4);
+        assert_eq!(
+            wall_ns(&spans[4]),
+            wall_ns(&before[4]) + pass - pass * 3 / 4
+        );
+        // The frame keeps its length: the pass moved, it did not grow.
+        assert_eq!(spans[0].wall_start_ns, before[0].wall_start_ns);
+        assert!(spans[0].wall_end_ns >= end);
+        // Children stay inside their parents, in both phases.
+        for s in &spans[1..] {
+            let p = spans.iter().find(|p| p.id == s.parent).unwrap();
+            assert!(p.wall_start_ns <= s.wall_start_ns && s.wall_end_ns <= p.wall_end_ns);
+        }
+        // The first phase now reports the first kernel's share.
+        assert!(wall_ns(&spans[1]) >= pass * 3 / 4);
     }
 
     #[test]

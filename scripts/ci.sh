@@ -87,6 +87,14 @@ trap 'rm -rf "$smoke_dir"' EXIT
 # The base GPU config keeps the reduction on the CPU, so its output must
 # match the CPU reference bit-for-bit even on odd shapes.
 cmp "$smoke_dir/odd-none.pgm" "$smoke_dir/odd-cpu.pgm"
+# Unsanitized runs execute the row-local kernels as two fused host passes
+# over windows of rows; sanitized runs keep the per-kernel order. Both
+# orders must write the same bytes on the ragged shape.
+for opts in all none; do
+    ./target/release/sharpen "$smoke_dir/odd.pgm" "$smoke_dir/odd-$opts-fused.pgm" \
+        --opts "$opts" > /dev/null
+    cmp "$smoke_dir/odd-$opts-fused.pgm" "$smoke_dir/odd-$opts.pgm"
+done
 
 echo "== autotune smoke (model-searched schedule on the odd shape, sanitized)"
 # --autotune replaces --opts with the model search's winner; the sanitized
@@ -133,6 +141,8 @@ if [ "$full" -eq 1 ]; then
     cargo test -q --release --test sanitize -- --ignored
     echo "== full arbitrary-shape sweep (all configs at 1001x701)"
     cargo test -q --release --test arbitrary_shapes -- --ignored
+    echo "== fused-pass order vs per-kernel order (all configs, ragged shapes)"
+    cargo test -q --release --test fused_passes -- --ignored
     echo "== full SIMD backend equivalence sweep (all configs, sanitized)"
     cargo test -q --release --features simd --test simd -- --ignored
     echo "== SIMD wall-clock smoke (monolithic avx2/sse2 vs autovec at 1024^2)"

@@ -37,7 +37,8 @@
 //!    seconds must be bit-identical to direct plan execution.
 //! 7. The schedule tuner (`core::tune`) predicts cost without ever
 //!    executing: no pipeline construction, plan preparation, queue
-//!    dispatch, or cost charging anywhere under `crates/core/src/tune/`.
+//!    dispatch, commit or pass execution, or cost charging anywhere
+//!    under `crates/core/src/tune/`.
 //!    The tuner's whole claim — thousands of candidates per second,
 //!    `.to_bits()`-identical to execution — rests on the predictor
 //!    replaying the timing model from closed-form counters; a single
@@ -476,6 +477,11 @@ impl Lint {
                         || l.contains("run_with_telemetry")
                         || l.contains("q.run(")
                         || l.contains(".run_rows(")
+                        // Committing a dispatch records it, and a pass
+                        // executes committed bodies: both are execution.
+                        || l.contains(".dispatch(")
+                        || l.contains(".commit(")
+                        || l.contains(".execute(")
                         // Counter *construction* via CostCounters::charge_*
                         // is the predictor's whole job; what is banned is
                         // driving a live group or row context like a kernel
@@ -726,6 +732,33 @@ mod tests {
         let code = run(&root);
         std::fs::remove_dir_all(&root).ok();
         assert_eq!(code, 1);
+    }
+
+    #[test]
+    fn flags_tune_code_that_commits_or_executes() {
+        let root = std::env::temp_dir().join(format!("lint-tune-commit-{}", std::process::id()));
+        let tune = root.join("crates/core/src/tune");
+        std::fs::create_dir_all(&tune).unwrap();
+        // Rule 7: committing a dispatch records it and a pass runs the
+        // committed bodies — a tuner calling either executes. Prose naming
+        // the entry points does not count.
+        for body in [
+            "fn probe(q: &mut Queue, d: Dispatch) { let p = q.commit(d, &[]).unwrap(); }\n",
+            "fn probe(q: &mut Queue, p: Part) { q.execute(4, &[p]).unwrap(); }\n",
+            "fn probe(q: &mut Queue, d: Dispatch) { q.dispatch(d, &[]).unwrap(); }\n",
+        ] {
+            std::fs::write(tune.join("search.rs"), body).unwrap();
+            assert_eq!(run(&root), 1, "{body}");
+        }
+        std::fs::write(
+            tune.join("search.rs"),
+            "//! Mirrors the queue's commit order; nothing here will execute.\n\
+             fn probe() -> f64 { 1.0 }\n",
+        )
+        .unwrap();
+        let code = run(&root);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(code, 0);
     }
 
     #[test]

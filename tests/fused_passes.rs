@@ -1,0 +1,112 @@
+//! The fused host passes change only the host order of a frame's
+//! row-local work: a plain context (bodies deferred and run as two
+//! windowed passes) and a sanitized context (every body right after its
+//! commit, per-kernel order) must produce identical pixels, command
+//! records and total simulated bits, for every optimization config, on
+//! ragged, tiny, narrow-stride and aligned shapes, with one to three
+//! dispatch threads.
+
+use imagekit::{generate, ImageF32};
+use sharpness::prelude::*;
+use sharpness::simgpu::queue::CommandRecord;
+
+/// Everything a frame leaves behind that must not depend on host order.
+fn fingerprint(report: &RunReport, records: &[CommandRecord]) -> (Vec<u32>, Vec<String>, u64) {
+    let pixels = report.output.pixels().iter().map(|v| v.to_bits()).collect();
+    let recs = records
+        .iter()
+        .map(|r| {
+            format!(
+                "{} {:?} {:#x} {:?}",
+                r.name,
+                r.kind,
+                r.duration_s.to_bits(),
+                r.counters
+            )
+        })
+        .collect();
+    (pixels, recs, report.total_s.to_bits())
+}
+
+fn run(
+    ctx: Context,
+    opts: OptConfig,
+    tuning: Tuning,
+    img: &ImageF32,
+) -> (Vec<u32>, Vec<String>, u64) {
+    let mut plan = GpuPipeline::new(ctx, SharpnessParams::default(), opts)
+        .with_tuning(tuning)
+        .prepared(img.width(), img.height())
+        .unwrap_or_else(|e| panic!("{opts:?}: {e}"));
+    let report = plan.run(img).unwrap_or_else(|e| panic!("{opts:?}: {e}"));
+    fingerprint(&report, plan.records())
+}
+
+fn sweep(w: usize, h: usize, threads: &[usize], tuning: Tuning) {
+    let img = generate::natural(w, h, 61);
+    for bits in 0u32..64 {
+        let opts = OptConfig::from_bits(bits);
+        let per_kernel = run(
+            Context::sanitized(DeviceSpec::firepro_w8000()).with_dispatch_threads(1),
+            opts,
+            tuning,
+            &img,
+        );
+        for &t in threads {
+            let fused = run(
+                Context::new(DeviceSpec::firepro_w8000()).with_dispatch_threads(t),
+                opts,
+                tuning,
+                &img,
+            );
+            assert!(
+                fused.1 == per_kernel.1,
+                "{w}x{h} {opts:?} threads {t}: records differ"
+            );
+            assert!(
+                fused.2 == per_kernel.2,
+                "{w}x{h} {opts:?} threads {t}: total bits differ"
+            );
+            let bad = fused.0.iter().zip(&per_kernel.0).position(|(a, b)| a != b);
+            assert!(
+                bad.is_none(),
+                "{w}x{h} {opts:?} threads {t}: first differing pixel at {:?}",
+                bad.map(|i| (i % w, i / w))
+            );
+        }
+    }
+}
+
+/// Both placements of the border and of reduction stage 2 at small sizes.
+fn tunings() -> [Tuning; 2] {
+    [
+        Tuning::default(),
+        Tuning {
+            border_gpu_min_width: 0,
+            stage2_gpu_threshold: 0,
+            ..Tuning::default()
+        },
+    ]
+}
+
+#[test]
+fn fused_order_matches_per_kernel_order_on_small_shapes() {
+    for tuning in tunings() {
+        for (w, h) in [(3, 3), (8, 300), (256, 256)] {
+            sweep(w, h, &[1, 2, 3], tuning);
+        }
+    }
+}
+
+/// The ragged half of the sweep. Heavy in a debug build — run with
+/// `cargo test -q --release --test fused_passes -- --ignored` or
+/// `scripts/ci.sh --full`.
+#[test]
+#[ignore = "64 configs x two ragged shapes, sanitized; run via ci.sh --full"]
+fn fused_order_matches_per_kernel_order_on_ragged_shapes() {
+    for tuning in tunings() {
+        for (w, h) in [(1001, 701), (1023, 769)] {
+            sweep(w, h, &[2, 3], tuning);
+        }
+    }
+}
