@@ -2,8 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sharpness_bench::w8000;
-use sharpness_core::gpu::ablate::reduction_gpu_time;
 use sharpness_core::gpu::kernels::reduction::ReductionStrategy;
+use sharpness_core::tune::reduction_gpu_model;
 
 fn bench_fig15(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig15_reduction_unroll");
@@ -16,7 +16,7 @@ fn bench_fig15(c: &mut Criterion) {
     ] {
         for n in [256 * 256usize, 1024 * 1024] {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
-                b.iter(|| reduction_gpu_time(&ctx, n, strategy, usize::MAX))
+                b.iter(|| reduction_gpu_model(ctx.device(), ctx.cpu(), n, strategy, usize::MAX))
             });
         }
     }

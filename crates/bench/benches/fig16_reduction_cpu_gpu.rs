@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sharpness_bench::w8000;
-use sharpness_core::gpu::ablate::{reduction_cpu_time, reduction_gpu_time};
 use sharpness_core::gpu::kernels::reduction::ReductionStrategy;
+use sharpness_core::tune::{reduction_cpu_model, reduction_gpu_model};
 
 fn bench_fig16(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig16_reduction_cpu_gpu");
@@ -12,10 +12,18 @@ fn bench_fig16(c: &mut Criterion) {
     let ctx = w8000();
     for n in [256 * 256usize, 1024 * 1024] {
         group.bench_with_input(BenchmarkId::new("cpu", n), &n, |b, &n| {
-            b.iter(|| reduction_cpu_time(&ctx, n))
+            b.iter(|| reduction_cpu_model(ctx.device(), ctx.cpu(), n))
         });
         group.bench_with_input(BenchmarkId::new("gpu", n), &n, |b, &n| {
-            b.iter(|| reduction_gpu_time(&ctx, n, ReductionStrategy::UnrollOne, 4096))
+            b.iter(|| {
+                reduction_gpu_model(
+                    ctx.device(),
+                    ctx.cpu(),
+                    n,
+                    ReductionStrategy::UnrollOne,
+                    4096,
+                )
+            })
         });
     }
     group.finish();

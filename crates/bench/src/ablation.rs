@@ -13,7 +13,7 @@ use sharpness_core::autotune::tune_border_crossover;
 use sharpness_core::gpu::{GpuPipeline, OptConfig};
 use sharpness_core::params::SharpnessParams;
 use simgpu::context::Context;
-use simgpu::device::DeviceSpec;
+use simgpu::device::{CpuSpec, DeviceSpec};
 
 use crate::workload;
 
@@ -84,19 +84,20 @@ pub fn sweep_pcie_bandwidth(width: usize, gbps: &[f64]) -> Vec<(f64, f64, f64)> 
 /// Sweep of the barrier stall cost: the Fig. 15 unrolling gap scales with
 /// it. Returns `(stall_cycles, unroll1_s, unroll2_s, no_unroll_s)` rows.
 pub fn sweep_barrier_cost(n: usize, stalls: &[f64]) -> Vec<(f64, f64, f64, f64)> {
-    use sharpness_core::gpu::ablate::reduction_gpu_time;
     use sharpness_core::gpu::kernels::reduction::ReductionStrategy;
+    use sharpness_core::tune::reduction_gpu_model;
+    let cpu = CpuSpec::core_i5_3470();
     stalls
         .iter()
         .map(|&cycles| {
             let mut dev = DeviceSpec::firepro_w8000();
             dev.barrier_stall_cycles = cycles;
-            let ctx = Context::new(dev);
+            let t = |s| reduction_gpu_model(&dev, &cpu, n, s, usize::MAX);
             (
                 cycles,
-                reduction_gpu_time(&ctx, n, ReductionStrategy::UnrollOne, usize::MAX),
-                reduction_gpu_time(&ctx, n, ReductionStrategy::UnrollTwo, usize::MAX),
-                reduction_gpu_time(&ctx, n, ReductionStrategy::NoUnroll, usize::MAX),
+                t(ReductionStrategy::UnrollOne),
+                t(ReductionStrategy::UnrollTwo),
+                t(ReductionStrategy::NoUnroll),
             )
         })
         .collect()

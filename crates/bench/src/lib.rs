@@ -19,11 +19,13 @@ pub mod ledger;
 
 use imagekit::{generate, ImageF32};
 use sharpness_core::cpu::CpuPipeline;
-use sharpness_core::gpu::ablate;
 use sharpness_core::gpu::kernels::reduction::ReductionStrategy;
 use sharpness_core::gpu::{GpuPipeline, OptConfig};
 use sharpness_core::params::SharpnessParams;
 use sharpness_core::report::{classify_cpu_stage, classify_gpu_stage, RunReport};
+use sharpness_core::tune::{
+    border_cpu_model, border_gpu_model, reduction_cpu_model, reduction_gpu_model,
+};
 use simgpu::context::Context;
 use simgpu::device::{CpuSpec, DeviceSpec};
 
@@ -155,13 +157,15 @@ pub fn fig14_data(sizes: &[usize]) -> Vec<(usize, Vec<(&'static str, f64)>)> {
 /// `(width, unroll1_s, unroll2_s, no_unroll_s)` per size.
 pub fn fig15_data(sizes: &[usize]) -> Vec<(usize, f64, f64, f64)> {
     let ctx = w8000();
+    let (dev, cpu) = (ctx.device(), ctx.cpu());
     sizes
         .iter()
         .map(|&width| {
             let n = width * width;
-            let one = ablate::reduction_gpu_time(&ctx, n, ReductionStrategy::UnrollOne, usize::MAX);
-            let two = ablate::reduction_gpu_time(&ctx, n, ReductionStrategy::UnrollTwo, usize::MAX);
-            let none = ablate::reduction_gpu_time(&ctx, n, ReductionStrategy::NoUnroll, usize::MAX);
+            let t = |s| reduction_gpu_model(dev, cpu, n, s, usize::MAX);
+            let one = t(ReductionStrategy::UnrollOne);
+            let two = t(ReductionStrategy::UnrollTwo);
+            let none = t(ReductionStrategy::NoUnroll);
             (width, one, two, none)
         })
         .collect()
@@ -171,12 +175,13 @@ pub fn fig15_data(sizes: &[usize]) -> Vec<(usize, f64, f64, f64)> {
 /// GPU reduction. Returns `(width, cpu_s, gpu_s)` per size.
 pub fn fig16_data(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
     let ctx = w8000();
+    let (dev, host) = (ctx.device(), ctx.cpu());
     sizes
         .iter()
         .map(|&width| {
             let n = width * width;
-            let cpu = ablate::reduction_cpu_time(&ctx, n);
-            let gpu = ablate::reduction_gpu_time(&ctx, n, ReductionStrategy::UnrollOne, 4096);
+            let cpu = reduction_cpu_model(dev, host, n);
+            let gpu = reduction_gpu_model(dev, host, n, ReductionStrategy::UnrollOne, 4096);
             (width, cpu, gpu)
         })
         .collect()
@@ -186,11 +191,12 @@ pub fn fig16_data(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
 /// `(width, cpu_s, gpu_s)` per size.
 pub fn fig17_data(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
     let ctx = w8000();
+    let (dev, host) = (ctx.device(), ctx.cpu());
     sizes
         .iter()
         .map(|&width| {
-            let cpu = ablate::border_cpu_time(&ctx, width, width);
-            let gpu = ablate::border_gpu_time(&ctx, width, width);
+            let cpu = border_cpu_model(dev, host, width, width);
+            let gpu = border_gpu_model(dev, width, width);
             (width, cpu, gpu)
         })
         .collect()

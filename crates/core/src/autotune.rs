@@ -6,11 +6,10 @@
 //! The paper hard-codes these after manual measurement; this module
 //! automates the derivation against whatever device the context models,
 //! so re-targeting the pipeline to another [`DeviceSpec`] re-derives
-//! them. Since PR 10 the probes are evaluated through the closed-form
-//! models in [`crate::tune`] — bit-identical to the executed
-//! [`crate::gpu::ablate`] probes they replaced (a test below holds the
-//! two in lockstep) but microseconds per candidate, so autotuning costs
-//! nothing at startup.
+//! them. The probes are the closed-form stage models in [`crate::tune`],
+//! microseconds per candidate, so autotuning costs nothing at startup;
+//! the tune agreement sweep holds the same kernel declarations and host
+//! recipes bit-identical to execution inside whole frames.
 //!
 //! [`DeviceSpec`]: simgpu::device::DeviceSpec
 
@@ -151,58 +150,5 @@ mod tests {
         let t = autotune(&ctx());
         assert!(t.border_gpu_min_width >= 64);
         assert_eq!(t.reduction_strategy, ReductionStrategy::UnrollOne);
-    }
-
-    /// The closed-form probe models must track the executed ablation
-    /// probes bit for bit — this is what licenses replacing execution
-    /// with the model in the tuners above.
-    #[test]
-    fn model_probes_match_executed_ablation_probes_bit_for_bit() {
-        use crate::gpu::ablate;
-        use crate::tune;
-        for dev in [
-            DeviceSpec::firepro_w8000(),
-            DeviceSpec::midrange_gpu(),
-            DeviceSpec::apu(),
-        ] {
-            let ctx = Context::new(dev);
-            let (d, c) = (ctx.device().clone(), ctx.cpu().clone());
-            for n in [1024usize, 256 * 256, 1024 * 1024 + 7] {
-                for s in [
-                    ReductionStrategy::NoUnroll,
-                    ReductionStrategy::UnrollOne,
-                    ReductionStrategy::UnrollTwo,
-                ] {
-                    for thr in [usize::MAX, 0] {
-                        assert_eq!(
-                            ablate::reduction_gpu_time(&ctx, n, s, thr).to_bits(),
-                            tune::reduction_gpu_model(&d, &c, n, s, thr).to_bits(),
-                            "reduction gpu probe n={n} {s:?} thr={thr} on {}",
-                            d.name
-                        );
-                    }
-                }
-                assert_eq!(
-                    ablate::reduction_cpu_time(&ctx, n).to_bits(),
-                    tune::reduction_cpu_model(&d, &c, n).to_bits(),
-                    "reduction cpu probe n={n} on {}",
-                    d.name
-                );
-            }
-            for (w, h) in [(64, 64), (256, 192), (768, 768), (1001, 701)] {
-                assert_eq!(
-                    ablate::border_gpu_time(&ctx, w, h).to_bits(),
-                    tune::border_gpu_model(&d, w, h).to_bits(),
-                    "border gpu probe {w}x{h} on {}",
-                    d.name
-                );
-                assert_eq!(
-                    ablate::border_cpu_time(&ctx, w, h).to_bits(),
-                    tune::border_cpu_model(&d, &c, w, h).to_bits(),
-                    "border cpu probe {w}x{h} on {}",
-                    d.name
-                );
-            }
-        }
     }
 }

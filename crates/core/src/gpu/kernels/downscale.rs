@@ -5,7 +5,7 @@ use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
-use simgpu::kernel::KernelDesc;
+use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
@@ -31,31 +31,31 @@ pub fn downscale_kernel(
     h: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(downscale_dispatch(src, down, w, h, tune)?, &[down])
-}
-
-/// The downscale dispatch of [`downscale_kernel`], built but not run.
-pub(crate) fn downscale_dispatch(
-    src: &SrcImage,
-    down: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
     if w < MIN_DIM || h < MIN_DIM {
         return Err(Error::InvalidKernelArgs {
             kernel: "downscale".into(),
             detail: format!("shape {w}x{h} below the {MIN_DIM}x{MIN_DIM} minimum"),
         });
     }
-    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-    let desc = grid2d("downscale", wd, hd);
-    let src = src.clone();
+    let desc = grid2d("downscale", w.div_ceil(SCALE), h.div_ceil(SCALE));
     let access = full_grid(&desc, |groups| {
-        downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h, tune)
+        downscale_access(&desc, groups, &SrcInfo::of(src), &down.info(), w, h, tune)
     });
+    let body = downscale_body(src, down, w, h);
+    q.dispatch(Dispatch::rows(desc, access, body), &[down])
+}
+
+/// The downscale body, one call per work-group row.
+pub(crate) fn downscale_body(
+    src: &SrcImage,
+    down: &Buffer<f32>,
+    w: usize,
+    h: usize,
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let src = src.clone();
     let dview = down.write_view();
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         // Row-segment form: each output row of a group reads its four
         // source rows as contiguous slices and accumulates the 4×4 block
         // sums in the same dy-major/dx-minor order as
@@ -120,7 +120,7 @@ pub(crate) fn downscale_dispatch(
                 }
             }
         }
-    }))
+    }
 }
 
 /// Window→units map of the downscale dispatch in a fused pass: a group
@@ -141,7 +141,7 @@ pub(crate) fn downscale_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    down: BufRef,
+    down: &BufRef,
     w: usize,
     h: usize,
     tune: KernelTuning,
@@ -153,7 +153,7 @@ pub(crate) fn downscale_access(
     if nr == 0 {
         return s;
     }
-    s.push(AccessWindow::write(down, rows.start * wd, wd).by_y(nr, wd));
+    s.push(AccessWindow::write(down.clone(), rows.start * wd, wd).by_y(nr, wd));
     // Covered rows whose blocks are 4 tall (a short bottom row is the only
     // exception, and only when h is not a multiple of 4).
     let njf = rows.end.min(h / SCALE).saturating_sub(rows.start);
@@ -224,7 +224,7 @@ mod tests {
             let down = BufRef::f32("down", w.div_ceil(SCALE) * h.div_ceil(SCALE));
             for (src, tune) in [sources(w, h).0, sources(w, h).1].iter().zip(TUNINGS) {
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    downscale_access(&desc, g, src, down.clone(), w, h, tune)
+                    downscale_access(&desc, g, src, &down, w, h, tune)
                 });
             }
         }

@@ -15,8 +15,9 @@
 //! constructor declares, for any work-group range, both the windows the
 //! dispatch touches and its full [`simgpu::cost::CostCounters`] (traffic,
 //! ops, barriers, divergence, LDS, groups/lanes/items) for the access
-//! pattern it embodies. The queue charges that declaration, and the static
-//! verifier and the cost predictor call the very same constructors.
+//! pattern it embodies. The frame program (`gpu::program`) calls
+//! these constructors once; the queue charges the resulting declaration,
+//! and the static verifier and the cost predictor read the same one.
 //!
 //! The 2-D row-span kernels (downscale, upscale center, Sobel, pError,
 //! preliminary, overshoot, sharpness) dispatch by work-group row
@@ -25,8 +26,10 @@
 //! order instead of as one 16-row tile per group. The reduction (local
 //! memory and barriers) and the upscale border kernels dispatch per group.
 //!
-//! Each kernel that takes part in a fused host pass also exposes its
-//! dispatch unrun (`*_dispatch`, committed by the pipeline) and a
+//! Every kernel exposes its pixel body (`*_body`), which the pipeline
+//! binds to a program step's descriptor and declaration and commits; the
+//! public `*_kernel` functions build the same three and run them at once.
+//! Each kernel that takes part in a fused host pass also gives a
 //! closed-form window→units map over [`RowWindows`] (`*_window`): which
 //! of its units run in a window of rows, and how many of them read the
 //! previous window.
@@ -116,8 +119,8 @@ impl KernelTuning {
 
 /// The static half of [`SrcImage`]: buffer identity plus geometry, enough
 /// for an access-summary constructor to compute indices without holding a
-/// live view. The `core::gpu::verify` enumerator builds these from pure
-/// arithmetic (no buffers allocated).
+/// live view. The frame program builds these from pure arithmetic (no
+/// buffers allocated).
 #[derive(Debug, Clone)]
 pub struct SrcInfo {
     /// Buffer identity (label, length, element size).
@@ -150,8 +153,8 @@ impl SrcInfo {
 
 /// The whole-grid declaration a row-span kernel dispatches with: its
 /// closed-form constructor `build` over every work-group, stamped with the
-/// exact read-overcharge ratio. The static verifier and the cost predictor
-/// declare through this same function, so the three cannot drift.
+/// exact read-overcharge ratio. The run-now kernels and the frame program
+/// declare through this same function.
 pub(crate) fn full_grid(
     desc: &KernelDesc,
     build: impl FnOnce(std::ops::Range<usize>) -> AccessSummary,

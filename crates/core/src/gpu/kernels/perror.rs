@@ -8,7 +8,7 @@ use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::Result;
-use simgpu::kernel::KernelDesc;
+use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
@@ -31,40 +31,39 @@ pub fn perror_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(perror_dispatch(src, up, perr, w, h, ws, tune)?, &[perr])
-}
-
-/// The dispatch of [`perror_kernel`], built but not run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn perror_dispatch(
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    perr: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
     let desc = grid2d("perror", w, h);
     let access = full_grid(&desc, |groups| {
         perror_access(
             &desc,
             groups,
             &SrcInfo::of(src),
-            up.info(),
-            perr.info(),
+            &up.info(),
+            &perr.info(),
             w,
             h,
             ws,
             tune,
         )
     });
+    let body = perror_body(src, up, perr, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[perr])
+}
+
+/// The pError body, one call per work-group row. Row-span form: the
+/// subtraction runs over contiguous row slices (autovectorized or
+/// dispatched via [`simd::sub_span`]).
+pub(crate) fn perror_body(
+    src: &SrcImage,
+    up: &GlobalView<f32>,
+    perr: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
     let pview = perr.write_view();
     let src = src.clone();
     let up = up.clone();
-    // Row-span form: the subtraction runs over contiguous row slices
-    // (autovectorized or dispatched via [`simd::sub_span`]).
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -88,7 +87,7 @@ pub(crate) fn perror_dispatch(
                 pview.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the pError dispatch for the flat group
@@ -101,8 +100,8 @@ pub(crate) fn perror_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    up: BufRef,
-    perr: BufRef,
+    up: &BufRef,
+    perr: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -116,8 +115,8 @@ pub(crate) fn perror_access(
             AccessWindow::read(src.buf.clone(), src.idx(0, rows.start as isize), w)
                 .by_y(nr, src.pitch),
         );
-        s.push(AccessWindow::read(up, rows.start * ws, w).by_y(nr, ws));
-        s.push(AccessWindow::write(perr, rows.start * ws, w).by_y(nr, ws));
+        s.push(AccessWindow::read(up.clone(), rows.start * ws, w).by_y(nr, ws));
+        s.push(AccessWindow::write(perr.clone(), rows.start * ws, w).by_y(nr, ws));
         let n = (w * nr) as u64;
         s.charge_global_n(8, 0, 4, 0, n);
         s.charged
@@ -151,7 +150,7 @@ mod tests {
             let (up, perr) = (BufRef::f32("up", ws * h), BufRef::f32("pError", ws * h));
             for (src, tune) in [sources(w, h).0, sources(w, h).1].iter().zip(TUNINGS) {
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    perror_access(&desc, g, src, up.clone(), perr.clone(), w, h, ws, tune)
+                    perror_access(&desc, g, src, &up, &perr, w, h, ws, tune)
                 });
             }
         }

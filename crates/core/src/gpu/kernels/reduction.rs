@@ -22,7 +22,7 @@
 //! amount of data, and the critical value is tested in advance").
 
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
-use simgpu::buffer::{Buffer, GlobalView, GlobalWriteView};
+use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::{GroupCtx, KernelDesc};
@@ -66,33 +66,6 @@ pub fn reduction_stage1_kernel(
     partials: &Buffer<f32>,
     strategy: ReductionStrategy,
 ) -> Result<(usize, KernelTime)> {
-    reduction_stage1_range_kernel(q, src, 0, n, partials, strategy)
-}
-
-/// Stage 1 over a sub-range: tree-reduce `src[offset .. offset + n]`.
-/// Used by the strip pipeline to reduce only a strip's owned rows.
-pub fn reduction_stage1_range_kernel(
-    q: &mut CommandQueue,
-    src: &GlobalView<f32>,
-    offset: usize,
-    n: usize,
-    partials: &Buffer<f32>,
-    strategy: ReductionStrategy,
-) -> Result<(usize, KernelTime)> {
-    let d = stage1_dispatch(src, offset, n, partials, strategy)?;
-    let t = q.dispatch(d, &[partials])?;
-    Ok((stage1_groups(n), t))
-}
-
-/// The stage-1 dispatch over `src[offset .. offset + n]`, built but not
-/// run.
-pub(crate) fn stage1_dispatch(
-    src: &GlobalView<f32>,
-    offset: usize,
-    n: usize,
-    partials: &Buffer<f32>,
-    strategy: ReductionStrategy,
-) -> Result<Dispatch> {
     let groups = stage1_groups(n);
     if partials.len() < groups {
         return Err(Error::InvalidKernelArgs {
@@ -107,14 +80,14 @@ pub(crate) fn stage1_dispatch(
     let access = stage1_access(
         &desc,
         0..desc.total_groups(),
-        src.info(),
-        partials.info(),
-        offset,
+        &src.info(),
+        &partials.info(),
         n,
         strategy,
     );
-    let body = stage1_body(src.clone(), partials.write_view(), offset, n, strategy);
-    Ok(Dispatch::groups(desc, access, body))
+    let body = stage1_body(src, partials, n, strategy);
+    let t = q.dispatch(Dispatch::groups(desc, access, body), &[partials])?;
+    Ok((groups, t))
 }
 
 /// Closed-form access summary of a stage-1 dispatch over a flat group
@@ -130,9 +103,8 @@ pub(crate) fn stage1_dispatch(
 pub(crate) fn stage1_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
-    src: BufRef,
-    partials: BufRef,
-    offset: usize,
+    src: &BufRef,
+    partials: &BufRef,
     n: usize,
     strategy: ReductionStrategy,
 ) -> AccessSummary {
@@ -160,12 +132,8 @@ pub(crate) fn stage1_access(
     let nf = groups.end.min(full).saturating_sub(groups.start);
     if nf > 0 {
         s.push(
-            AccessWindow::read(
-                src.clone(),
-                offset + groups.start * ELEMS_PER_GROUP,
-                ELEMS_PER_GROUP,
-            )
-            .by_x(nf, ELEMS_PER_GROUP),
+            AccessWindow::read(src.clone(), groups.start * ELEMS_PER_GROUP, ELEMS_PER_GROUP)
+                .by_x(nf, ELEMS_PER_GROUP),
         );
         s.charge_global_n(
             4 * ELEMS_PER_THREAD as u64,
@@ -178,10 +146,14 @@ pub(crate) fn stage1_access(
     for g in groups.start.max(full)..groups.end {
         let base = g * ELEMS_PER_GROUP;
         let elems = n.saturating_sub(base);
-        s.push(AccessWindow::read(src.clone(), offset + base, elems));
+        s.push(AccessWindow::read(src.clone(), base, elems));
         s.charge_global_n(4, 0, 0, 0, elems as u64);
     }
-    s.push(AccessWindow::write(partials, groups.start, groups.len()));
+    s.push(AccessWindow::write(
+        partials.clone(),
+        groups.start,
+        groups.len(),
+    ));
     s.charge_global_n(0, 0, 4, 0, groups.len() as u64);
     s
 }
@@ -213,7 +185,7 @@ pub(crate) fn stage1_window(win: &RowWindows, ws: usize, ns: usize, w: usize) ->
 }
 
 /// The stage-1 dispatch descriptor for `n` input elements — shared by the
-/// kernel and the static verifier.
+/// kernel and the frame program.
 pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
     let name = match strategy {
         ReductionStrategy::NoUnroll => "reduction_stage1",
@@ -224,20 +196,21 @@ pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
 }
 
 /// The stage-2 dispatch descriptor (one `RED_GROUP`-wide work-group) —
-/// shared by the kernel and the static verifier.
+/// shared by the kernel and the frame program.
 pub(crate) fn stage2_desc() -> KernelDesc {
     KernelDesc::new_1d("reduction_stage2", RED_GROUP, RED_GROUP)
 }
 
 /// The stage-1 kernel body: one work-group reduces its `ELEMS_PER_GROUP`
 /// elements to one partial sum.
-fn stage1_body(
-    src: GlobalView<f32>,
-    out: GlobalWriteView<f32>,
-    offset: usize,
+pub(crate) fn stage1_body(
+    src: &GlobalView<f32>,
+    partials: &Buffer<f32>,
     n: usize,
     strategy: ReductionStrategy,
 ) -> impl Fn(&mut GroupCtx) + Send + Sync + 'static {
+    let src = src.clone();
+    let out = partials.write_view();
     move |g| {
         g.alloc_local(RED_GROUP);
         let base = g.group_id[0] * ELEMS_PER_GROUP;
@@ -253,7 +226,7 @@ fn stage1_body(
             g.begin_item([0, 0]);
             let mut sums = [0.0f32; RED_GROUP];
             for k in 0..ELEMS_PER_THREAD {
-                let row = src.slice_raw(offset + base + k * RED_GROUP, RED_GROUP);
+                let row = src.slice_raw(base + k * RED_GROUP, RED_GROUP);
                 super::simd::add_assign_span(&mut sums, row);
             }
             for (lid, &s) in sums.iter().enumerate() {
@@ -267,7 +240,7 @@ fn stage1_body(
                 for k in 0..ELEMS_PER_THREAD {
                     let idx = base + k * RED_GROUP + lid;
                     if idx < n {
-                        s += src.get_raw(offset + idx);
+                        s += src.get_raw(idx);
                     }
                 }
                 g.local_write(lid, s);
@@ -337,10 +310,20 @@ pub fn reduction_stage2_kernel(
     result: &Buffer<f32>,
 ) -> Result<KernelTime> {
     let desc = stage2_desc();
-    let access = stage2_access(&desc, partials.info(), n_partials, result.info());
+    let access = stage2_access(&desc, &partials.info(), n_partials, &result.info());
+    let body = stage2_body(partials, n_partials, result);
+    q.dispatch(Dispatch::groups(desc, access, body), &[result])
+}
+
+/// The stage-2 kernel body (one work-group).
+pub(crate) fn stage2_body(
+    partials: &GlobalView<f32>,
+    n_partials: usize,
+    result: &Buffer<f32>,
+) -> impl Fn(&mut GroupCtx) + Send + Sync + 'static {
     let partials = partials.clone();
     let out = result.write_view();
-    let t = q.run(&desc, access, &[result], move |g| {
+    move |g| {
         g.alloc_local(RED_GROUP);
         for lid in 0..RED_GROUP {
             g.begin_item([lid, 0]);
@@ -369,8 +352,7 @@ pub fn reduction_stage2_kernel(
         g.begin_item([0, 0]);
         let s = g.local_read(0);
         out.set_raw(0, s);
-    })?;
-    Ok(t)
+    }
 }
 
 /// Closed-form access summary of the stage-2 dispatch: the single group
@@ -381,13 +363,13 @@ pub fn reduction_stage2_kernel(
 /// steps.
 pub(crate) fn stage2_access(
     desc: &KernelDesc,
-    partials: BufRef,
+    partials: &BufRef,
     n_partials: usize,
-    result: BufRef,
+    result: &BufRef,
 ) -> AccessSummary {
     let mut s = AccessSummary::new(desc, 0..desc.total_groups());
-    s.push(AccessWindow::read(partials, 0, n_partials));
-    s.push(AccessWindow::write(result, 0, 1));
+    s.push(AccessWindow::read(partials.clone(), 0, n_partials));
+    s.push(AccessWindow::write(result.clone(), 0, 1));
     s.charge_global_n(4, 0, 0, 0, n_partials as u64);
     s.charge_global_n(0, 0, 4, 0, 1);
     let loads = n_partials.div_ceil(RED_GROUP) as u64;
@@ -425,7 +407,7 @@ mod tests {
             ] {
                 let desc = stage1_desc(n, strategy);
                 assert_splits_merge(&desc, 1, |g| {
-                    stage1_access(&desc, g, src.clone(), partials.clone(), 0, n, strategy)
+                    stage1_access(&desc, g, &src, &partials, n, strategy)
                 });
             }
         }

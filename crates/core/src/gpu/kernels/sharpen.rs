@@ -12,7 +12,7 @@ use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
-use simgpu::kernel::KernelDesc;
+use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
@@ -40,15 +40,28 @@ pub fn preliminary_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(
-        preliminary_dispatch(up, pedge, perr, prelim, mean, params, w, h, ws, tune)?,
-        &[prelim],
-    )
+    let desc = grid2d("preliminary", w, h);
+    let access = full_grid(&desc, |groups| {
+        preliminary_access(
+            &desc,
+            groups,
+            &up.info(),
+            &pedge.info(),
+            &perr.info(),
+            &prelim.info(),
+            w,
+            h,
+            ws,
+            tune,
+        )
+    });
+    let body = preliminary_body(up, pedge, perr, prelim, mean, params, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[prelim])
 }
 
-/// The dispatch of [`preliminary_kernel`], built but not run.
+/// The body of [`preliminary_kernel`], one call per work-group row.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn preliminary_dispatch(
+pub(crate) fn preliminary_body(
     up: &GlobalView<f32>,
     pedge: &GlobalView<f32>,
     perr: &GlobalView<f32>,
@@ -58,28 +71,12 @@ pub(crate) fn preliminary_dispatch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
-    let desc = grid2d("preliminary", w, h);
-    let access = full_grid(&desc, |groups| {
-        preliminary_access(
-            &desc,
-            groups,
-            up.info(),
-            pedge.info(),
-            perr.info(),
-            prelim.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
     let out = prelim.write_view();
     let (up, pedge, perr) = (up.clone(), pedge.clone(), perr.clone());
     // Row-span form: three contiguous loads and one store per pixel, run
     // span-at-a-time through [`simd::preliminary_span`].
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -107,7 +104,7 @@ pub(crate) fn preliminary_dispatch(
                 out.set_span_raw(i, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the preliminary dispatch: per covered
@@ -120,10 +117,10 @@ pub(crate) fn preliminary_dispatch(
 pub(crate) fn preliminary_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
-    up: BufRef,
-    pedge: BufRef,
-    perr: BufRef,
-    prelim: BufRef,
+    up: &BufRef,
+    pedge: &BufRef,
+    perr: &BufRef,
+    prelim: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -133,10 +130,10 @@ pub(crate) fn preliminary_access(
     let nr = rows.len();
     let mut s = AccessSummary::new(desc, groups);
     if nr > 0 {
-        s.push(AccessWindow::read(up, rows.start * ws, w).by_y(nr, ws));
-        s.push(AccessWindow::read(pedge, rows.start * ws, w).by_y(nr, ws));
-        s.push(AccessWindow::read(perr, rows.start * ws, w).by_y(nr, ws));
-        s.push(AccessWindow::write(prelim, rows.start * ws, w).by_y(nr, ws));
+        s.push(AccessWindow::read(up.clone(), rows.start * ws, w).by_y(nr, ws));
+        s.push(AccessWindow::read(pedge.clone(), rows.start * ws, w).by_y(nr, ws));
+        s.push(AccessWindow::read(perr.clone(), rows.start * ws, w).by_y(nr, ws));
+        s.push(AccessWindow::write(prelim.clone(), rows.start * ws, w).by_y(nr, ws));
         let n = (w * nr) as u64;
         s.charge_global_n(12, 0, 4, 0, n);
         let per_item = OpCounts::ZERO.divs(1).adds(2).pows(1).muls(2).cmps(2);
@@ -161,15 +158,26 @@ pub fn overshoot_kernel(
     params: SharpnessParams,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(
-        overshoot_dispatch(src, prelim, finalbuf, w, h, ws, params, tune)?,
-        &[finalbuf],
-    )
+    let desc = grid2d("overshoot", w, h);
+    let access = full_grid(&desc, |groups| {
+        overshoot_access(
+            &desc,
+            groups,
+            &SrcInfo::of(src),
+            &prelim.info(),
+            &finalbuf.info(),
+            w,
+            h,
+            ws,
+            tune,
+        )
+    });
+    let body = overshoot_body(src, prelim, finalbuf, w, h, ws, params);
+    q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
-/// The dispatch of [`overshoot_kernel`], built but not run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn overshoot_dispatch(
+/// The body of [`overshoot_kernel`], one call per work-group row.
+pub(crate) fn overshoot_body(
     src: &SrcImage,
     prelim: &GlobalView<f32>,
     finalbuf: &Buffer<f32>,
@@ -177,9 +185,7 @@ pub(crate) fn overshoot_dispatch(
     h: usize,
     ws: usize,
     params: SharpnessParams,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
-    let desc = grid2d("overshoot", w, h);
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
     let out = finalbuf.write_view();
     let src = src.clone();
     let prelim = prelim.clone();
@@ -190,20 +196,7 @@ pub(crate) fn overshoot_dispatch(
     // are one prelim span plus three `(blen+2)`-wide source slices, below
     // the charged windows for every `blen >= 1`, covered by the exact
     // overlapping-window ratio of the access summary.
-    let access = full_grid(&desc, |groups| {
-        overshoot_access(
-            &desc,
-            groups,
-            &SrcInfo::of(&src),
-            prelim.info(),
-            finalbuf.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -260,7 +253,7 @@ pub(crate) fn overshoot_dispatch(
                 out.set_span_raw(i, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the overshoot dispatch: per covered row,
@@ -275,8 +268,8 @@ pub(crate) fn overshoot_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    prelim: BufRef,
-    out: BufRef,
+    prelim: &BufRef,
+    out: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -288,8 +281,8 @@ pub(crate) fn overshoot_access(
     if nr == 0 {
         return s;
     }
-    s.push(AccessWindow::read(prelim, rows.start * ws, w).by_y(nr, ws));
-    s.push(AccessWindow::write(out, rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::read(prelim.clone(), rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::write(out.clone(), rows.start * ws, w).by_y(nr, ws));
     let ir = interior_rows(&rows, w, h);
     let nir = ir.len();
     if nir > 0 {
@@ -363,15 +356,28 @@ pub fn sharpness_fused_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(
-        sharpness_fused_dispatch(src, up, pedge, finalbuf, mean, params, w, h, ws, tune)?,
-        &[finalbuf],
-    )
+    let desc = grid2d("sharpness", w, h);
+    let access = full_grid(&desc, |groups| {
+        sharpness_fused_access(
+            &desc,
+            groups,
+            &SrcInfo::of(src),
+            &up.info(),
+            &pedge.info(),
+            &finalbuf.info(),
+            w,
+            h,
+            ws,
+            tune,
+        )
+    });
+    let body = sharpness_fused_body(src, up, pedge, finalbuf, mean, params, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
-/// The dispatch of [`sharpness_fused_kernel`], built but not run.
+/// The body of [`sharpness_fused_kernel`], one call per work-group row.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sharpness_fused_dispatch(
+pub(crate) fn sharpness_fused_body(
     src: &SrcImage,
     up: &GlobalView<f32>,
     pedge: &GlobalView<f32>,
@@ -381,9 +387,7 @@ pub(crate) fn sharpness_fused_dispatch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
-    let desc = grid2d("sharpness", w, h);
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
     let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
@@ -395,21 +399,7 @@ pub(crate) fn sharpness_fused_dispatch(
     // pixel); the observed raw reads per body row segment are the up/pEdge
     // spans plus three `(blen+2)`-wide source slices, below the charged
     // windows for every `blen >= 1`, covered by the summary's exact ratio.
-    let access = full_grid(&desc, |groups| {
-        sharpness_fused_access(
-            &desc,
-            groups,
-            &SrcInfo::of(&src),
-            up.info(),
-            pedge.info(),
-            finalbuf.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -477,7 +467,7 @@ pub(crate) fn sharpness_fused_dispatch(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the fused sharpness dispatch: per covered
@@ -495,9 +485,9 @@ pub(crate) fn sharpness_fused_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    up: BufRef,
-    pedge: BufRef,
-    out: BufRef,
+    up: &BufRef,
+    pedge: &BufRef,
+    out: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -509,9 +499,9 @@ pub(crate) fn sharpness_fused_access(
     if nr == 0 {
         return s;
     }
-    s.push(AccessWindow::read(up, rows.start * ws, w).by_y(nr, ws));
-    s.push(AccessWindow::read(pedge, rows.start * ws, w).by_y(nr, ws));
-    s.push(AccessWindow::write(out, rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::read(up.clone(), rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::read(pedge.clone(), rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::write(out.clone(), rows.start * ws, w).by_y(nr, ws));
     if w <= 2 {
         // Every covered row runs the border path: one centre read per pixel.
         s.push(
@@ -592,26 +582,6 @@ pub fn sharpness_fused_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(
-        sharpness_fused_vec4_dispatch(src, up, pedge, finalbuf, mean, params, w, h, ws, tune)?,
-        &[finalbuf],
-    )
-}
-
-/// The dispatch of [`sharpness_fused_vec4_kernel`], built but not run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sharpness_fused_vec4_dispatch(
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sharpness_vec4".into(),
@@ -630,6 +600,37 @@ pub(crate) fn sharpness_fused_vec4_dispatch(
         });
     }
     let desc = grid2d("sharpness_vec4", ws / 4, h);
+    let access = full_grid(&desc, |groups| {
+        sharpness_fused_vec4_access(
+            &desc,
+            groups,
+            &SrcInfo::of(src),
+            &up.info(),
+            &pedge.info(),
+            &finalbuf.info(),
+            w,
+            h,
+            ws,
+            tune,
+        )
+    });
+    let body = sharpness_fused_vec4_body(src, up, pedge, finalbuf, mean, params, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
+}
+
+/// The body of [`sharpness_fused_vec4_kernel`], one call per work-group row.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sharpness_fused_vec4_body(
+    src: &SrcImage,
+    up: &GlobalView<f32>,
+    pedge: &GlobalView<f32>,
+    finalbuf: &Buffer<f32>,
+    mean: f32,
+    params: SharpnessParams,
+    w: usize,
+    h: usize,
+    ws: usize,
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
     let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
@@ -637,21 +638,7 @@ pub(crate) fn sharpness_fused_vec4_dispatch(
     // declares the distinct-window events actually observed (3 source
     // halo slices + up/pEdge rows), and carries the exact ratio between
     // the two.
-    let access = full_grid(&desc, |groups| {
-        sharpness_fused_vec4_access(
-            &desc,
-            groups,
-            &SrcInfo::of(&src),
-            up.info(),
-            pedge.info(),
-            finalbuf.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -723,7 +710,7 @@ pub(crate) fn sharpness_fused_vec4_dispatch(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the vectorized fused sharpness dispatch:
@@ -740,9 +727,9 @@ pub(crate) fn sharpness_fused_vec4_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    up: BufRef,
-    pedge: BufRef,
-    out: BufRef,
+    up: &BufRef,
+    pedge: &BufRef,
+    out: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -754,9 +741,9 @@ pub(crate) fn sharpness_fused_vec4_access(
     if nr == 0 {
         return s;
     }
-    s.push(AccessWindow::read(up, rows.start * ws, w).by_y(nr, ws));
-    s.push(AccessWindow::read(pedge, rows.start * ws, w).by_y(nr, ws));
-    s.push(AccessWindow::write(out, rows.start * ws, ws).by_y(nr, ws));
+    s.push(AccessWindow::read(up.clone(), rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::read(pedge.clone(), rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::write(out.clone(), rows.start * ws, ws).by_y(nr, ws));
     if rows.contains(&0) {
         s.push(AccessWindow::read(src.buf.clone(), src.idx(0, 0), w));
     }
@@ -859,21 +846,31 @@ mod tests {
                 let desc = grid2d("preliminary", w, h);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
                     let (up, pe, perr) = (buf("up"), buf("pEdge"), buf("pError"));
-                    preliminary_access(&desc, g, up, pe, perr, buf("prelim"), w, h, ws, tune)
+                    preliminary_access(&desc, g, &up, &pe, &perr, &buf("prelim"), w, h, ws, tune)
                 });
                 let desc = grid2d("overshoot", w, h);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    overshoot_access(&desc, g, &raw, buf("prelim"), buf("final"), w, h, ws, tune)
+                    overshoot_access(
+                        &desc,
+                        g,
+                        &raw,
+                        &buf("prelim"),
+                        &buf("final"),
+                        w,
+                        h,
+                        ws,
+                        tune,
+                    )
                 });
                 let desc = grid2d("sharpness", w, h);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
                     let (up, pe, out) = (buf("up"), buf("pEdge"), buf("final"));
-                    sharpness_fused_access(&desc, g, &padded, up, pe, out, w, h, ws, tune)
+                    sharpness_fused_access(&desc, g, &padded, &up, &pe, &out, w, h, ws, tune)
                 });
                 let desc = grid2d("sharpness_vec4", ws / 4, h);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
                     let (up, pe, out) = (buf("up"), buf("pEdge"), buf("final"));
-                    sharpness_fused_vec4_access(&desc, g, &padded, up, pe, out, w, h, ws, tune)
+                    sharpness_fused_vec4_access(&desc, g, &padded, &up, &pe, &out, w, h, ws, tune)
                 });
             }
         }

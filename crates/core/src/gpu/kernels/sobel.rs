@@ -7,7 +7,7 @@ use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
-use simgpu::kernel::KernelDesc;
+use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
@@ -31,18 +31,6 @@ pub fn sobel_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(sobel_scalar_dispatch(src, pedge, w, h, ws, tune)?, &[pedge])
-}
-
-/// The dispatch of [`sobel_scalar_kernel`], built but not run.
-pub(crate) fn sobel_scalar_dispatch(
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel".into(),
@@ -52,31 +40,44 @@ pub(crate) fn sobel_scalar_dispatch(
         });
     }
     let desc = grid2d("sobel", w, h);
-    let out = pedge.write_view();
-    let src = src.clone();
-    // Row-span form: each group handles its 16-column segment of a row
-    // (every image row walked across the row's groups before the next), so
-    // the stencil runs over contiguous slices (autovectorized by rustc or
-    // dispatched to the explicit backends via [`simd::sobel_span`]). The
-    // declared traffic stays exactly the per-pixel pattern of the
-    // one-item-per-pixel form: eight window loads + one store per body
-    // pixel, one zero store per border pixel. The observed raw reads are
-    // the three `(blen+2)`-wide row slices per segment, which stay below
-    // the charged windows for every width except `w == 3` (one-pixel body
-    // spans), so narrow images keep the exact per-item path.
     let access = full_grid(&desc, |groups| {
         sobel_scalar_access(
             &desc,
             groups,
-            &SrcInfo::of(&src),
-            pedge.info(),
+            &SrcInfo::of(src),
+            &pedge.info(),
             w,
             h,
             ws,
             tune,
         )
     });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    let body = sobel_scalar_body(src, pedge, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[pedge])
+}
+
+/// The scalar Sobel body, one call per work-group row.
+///
+/// Row-span form: each group handles its 16-column segment of a row
+/// (every image row walked across the row's groups before the next), so
+/// the stencil runs over contiguous slices (autovectorized by rustc or
+/// dispatched to the explicit backends via [`simd::sobel_span`]). The
+/// declared traffic stays exactly the per-pixel pattern of the
+/// one-item-per-pixel form: eight window loads + one store per body
+/// pixel, one zero store per border pixel. The observed raw reads are
+/// the three `(blen+2)`-wide row slices per segment, which stay below
+/// the charged windows for every width except `w == 3` (one-pixel body
+/// spans), so narrow images keep the exact per-item path.
+pub(crate) fn sobel_scalar_body(
+    src: &SrcImage,
+    pedge: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
+    let out = pedge.write_view();
+    let src = src.clone();
+    move |rc| {
         if w < 4 {
             // Narrow images: the exact per-item path, each image row
             // item by item across the row's groups.
@@ -155,7 +156,7 @@ pub(crate) fn sobel_scalar_dispatch(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the scalar Sobel dispatch: per covered
@@ -171,7 +172,7 @@ pub(crate) fn sobel_scalar_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    pedge: BufRef,
+    pedge: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -183,7 +184,7 @@ pub(crate) fn sobel_scalar_access(
     if nr == 0 {
         return s;
     }
-    s.push(AccessWindow::write(pedge, rows.start * ws, w).by_y(nr, ws));
+    s.push(AccessWindow::write(pedge.clone(), rows.start * ws, w).by_y(nr, ws));
     let ir = interior_rows(&rows, w, h);
     let nir = ir.len();
     if nir > 0 {
@@ -258,18 +259,6 @@ pub fn sobel_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(sobel_vec4_dispatch(src, pedge, w, h, ws, tune)?, &[pedge])
-}
-
-/// The dispatch of [`sobel_vec4_kernel`], built but not run.
-pub(crate) fn sobel_vec4_dispatch(
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel_vec4".into(),
@@ -288,8 +277,6 @@ pub(crate) fn sobel_vec4_dispatch(
         });
     }
     let desc = grid2d("sobel_vec4", ws / 4, h);
-    let out = pedge.write_view();
-    let src = src.clone();
     // Charged loads are 18 per thread over (ws/4)·h threads; the summary
     // declares the halo-slice events actually observed and carries the
     // exact ratio between the two.
@@ -297,15 +284,29 @@ pub(crate) fn sobel_vec4_dispatch(
         sobel_vec4_access(
             &desc,
             groups,
-            &SrcInfo::of(&src),
-            pedge.info(),
+            &SrcInfo::of(src),
+            &pedge.info(),
             w,
             h,
             ws,
             tune,
         )
     });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    let body = sobel_vec4_body(src, pedge, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[pedge])
+}
+
+/// The vectorized Sobel body, one call per work-group row.
+pub(crate) fn sobel_vec4_body(
+    src: &SrcImage,
+    pedge: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
+    let out = pedge.write_view();
+    let src = src.clone();
+    move |rc| {
         // Row-segment form: each group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
         // the host autovectorizes it; each image row is walked across the
@@ -359,7 +360,7 @@ pub(crate) fn sobel_vec4_dispatch(
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the vectorized Sobel dispatch: per
@@ -375,7 +376,7 @@ pub(crate) fn sobel_vec4_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
     src: &SrcInfo,
-    pedge: BufRef,
+    pedge: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -387,7 +388,7 @@ pub(crate) fn sobel_vec4_access(
     if nr == 0 {
         return s;
     }
-    s.push(AccessWindow::write(pedge, rows.start * ws, ws).by_y(nr, ws));
+    s.push(AccessWindow::write(pedge.clone(), rows.start * ws, ws).by_y(nr, ws));
     let ir = interior_rows(&rows, w, h);
     let nir = ir.len();
     if nir > 0 {
@@ -434,11 +435,11 @@ mod tests {
             for tune in TUNINGS {
                 let desc = grid2d("sobel", w, h);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    sobel_scalar_access(&desc, g, &raw, pedge.clone(), w, h, ws, tune)
+                    sobel_scalar_access(&desc, g, &raw, &pedge, w, h, ws, tune)
                 });
                 let desc = grid2d("sobel_vec4", ws / 4, h);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    sobel_vec4_access(&desc, g, &padded, pedge.clone(), w, h, ws, tune)
+                    sobel_vec4_access(&desc, g, &padded, &pedge, w, h, ws, tune)
                 });
             }
         }

@@ -11,7 +11,7 @@ use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
-use simgpu::kernel::{items, KernelDesc};
+use simgpu::kernel::{items, GroupCtx, KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
@@ -51,26 +51,8 @@ pub fn upscale_center_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(
-        upscale_center_scalar_dispatch(down, up, w, h, ws, tune)?,
-        &[up],
-    )
-}
-
-/// The dispatch of [`upscale_center_scalar_kernel`], built but not run.
-pub(crate) fn upscale_center_scalar_dispatch(
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
     let (wd, hd) = check_center_args("upscale_center", w, h, ws)?;
-    let (nx, ny) = (wd - 1, hd - 1);
-    let desc = grid2d("upscale_center", nx, ny);
-    let down = down.clone();
-    let upv = up.write_view();
+    let desc = grid2d("upscale_center", wd - 1, hd - 1);
     // Segment form: blocks whose whole 4×4 output tile is interior
     // (clamp-free) share their downscaled row segments and run through the
     // interpolation spans ([`simd::interp4_span`] + [`simd::lerp_span`]),
@@ -81,9 +63,25 @@ pub(crate) fn upscale_center_scalar_dispatch(
     // sixteen scalar stores); the fast segment observes `2·(seg+1)` raw
     // reads against `4·seg` charged, covered by the declared ratio.
     let access = full_grid(&desc, |groups| {
-        upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
+        upscale_center_scalar_access(&desc, groups, &down.info(), &up.info(), w, h, ws, tune)
     });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    let body = upscale_center_scalar_body(down, up, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[up])
+}
+
+/// The scalar upscale-center body, one call per work-group row.
+pub(crate) fn upscale_center_scalar_body(
+    down: &GlobalView<f32>,
+    up: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let (nx, ny) = (wd - 1, hd - 1);
+    let down = down.clone();
+    let upv = up.write_view();
+    move |rc| {
         let gw = rc.group_size[0];
         let mut tops = [0.0f32; 4 * GROUP_2D[0]];
         let mut bots = [0.0f32; 4 * GROUP_2D[0]];
@@ -144,7 +142,7 @@ pub(crate) fn upscale_center_scalar_dispatch(
                 }
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the scalar upscale-center dispatch.
@@ -160,8 +158,8 @@ pub(crate) fn upscale_center_scalar_dispatch(
 pub(crate) fn upscale_center_scalar_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
-    down: BufRef,
-    up: BufRef,
+    down: &BufRef,
+    up: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -308,31 +306,28 @@ pub fn upscale_center_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    q.dispatch(
-        upscale_center_vec4_dispatch(down, up, w, h, ws, tune)?,
-        &[up],
-    )
+    let (wd, hd) = check_center_args("upscale_center_vec4", w, h, ws)?;
+    let desc = grid2d("upscale_center_vec4", (wd - 1).div_ceil(4), hd - 1);
+    let access = full_grid(&desc, |groups| {
+        upscale_center_vec4_access(&desc, groups, &down.info(), &up.info(), w, h, ws, tune)
+    });
+    let body = upscale_center_vec4_body(down, up, w, h, ws);
+    q.dispatch(Dispatch::rows(desc, access, body), &[up])
 }
 
-/// The dispatch of [`upscale_center_vec4_kernel`], built but not run.
-pub(crate) fn upscale_center_vec4_dispatch(
+/// The vectorized upscale-center body, one call per work-group row.
+pub(crate) fn upscale_center_vec4_body(
     down: &GlobalView<f32>,
     up: &Buffer<f32>,
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-) -> Result<Dispatch> {
-    let (wd, hd) = check_center_args("upscale_center_vec4", w, h, ws)?;
+) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let (nx, ny) = (wd - 1, hd - 1);
-    let nx_threads = nx.div_ceil(4);
-    let desc = grid2d("upscale_center_vec4", nx_threads, ny);
     let down = down.clone();
     let upv = up.write_view();
-    let access = full_grid(&desc, |groups| {
-        upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws, tune)
-    });
-    Ok(Dispatch::rows(desc, access, move |rc| {
+    move |rc| {
         // One thread per four blocks; each block row is walked across all
         // of the row's groups, thread by thread, before the next.
         let gw = rc.group_size[0];
@@ -430,7 +425,7 @@ pub(crate) fn upscale_center_vec4_dispatch(
                 }
             }
         }
-    }))
+    }
 }
 
 /// Closed-form access summary of the vectorized upscale-center dispatch.
@@ -448,8 +443,8 @@ pub(crate) fn upscale_center_vec4_dispatch(
 pub(crate) fn upscale_center_vec4_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
-    down: BufRef,
-    up: BufRef,
+    down: &BufRef,
+    up: &BufRef,
     w: usize,
     h: usize,
     ws: usize,
@@ -572,53 +567,181 @@ pub fn upscale_border_gpu(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<Vec<KernelTime>> {
-    upscale_border_dispatches(down, up, w, h, ws, tune)?
-        .into_iter()
-        .map(|d| q.dispatch(d, &[up]))
-        .collect()
-}
-
-/// The four dispatches of [`upscale_border_gpu`], in dispatch order, built
-/// but not run.
-pub(crate) fn upscale_border_dispatches(
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<[Dispatch; 4]> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
             kernel: "upscale_border".into(),
             detail: format!("shape {w}x{h} (stride {ws}) below the {MIN_DIM}x{MIN_DIM} minimum"),
         });
     }
-    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    border_kernels(w, h)
+        .into_iter()
+        .map(|k| {
+            let access = k.access(&down.info(), &up.info(), w, h, ws, tune);
+            let d = Dispatch::groups(k.desc(w, h), access, k.body(down, up, w, h, ws));
+            q.dispatch(d, &[up])
+        })
+        .collect()
+}
 
-    // Horizontal border rows: (name, source downscaled row, dest row).
-    let [top, bottom] = [
-        ("upscale_border_top", 0usize, 0usize),
-        ("upscale_border_bottom", hd - 1, h - 2),
+/// One of the four GPU border kernels: it interpolates line `src` of the
+/// downscaled image into line `dst` of `up` and copies it to the
+/// companion line next to it — rows when `row`, columns otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BorderKernel {
+    pub(crate) name: &'static str,
+    pub(crate) row: bool,
+    pub(crate) src: usize,
+    pub(crate) dst: usize,
+}
+
+/// The four border kernels of a `w × h` frame in dispatch order: top,
+/// bottom, left, right.
+pub(crate) fn border_kernels(w: usize, h: usize) -> [BorderKernel; 4] {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let k = |name, row, src, dst| BorderKernel {
+        name,
+        row,
+        src,
+        dst,
+    };
+    [
+        k("upscale_border_top", true, 0, 0),
+        k("upscale_border_bottom", true, hd - 1, h - 2),
+        k("upscale_border_left", false, 0, 0),
+        k("upscale_border_right", false, wd - 1, w - 2),
     ]
-    .map(|(name, src_row, dst_row)| {
-        let n_items = (wd - 1).max(1);
-        let desc = grid1d(name, n_items, 64);
+}
+
+impl BorderKernel {
+    /// Items of the dispatch: one per downscaled pair along the line (at
+    /// least one).
+    fn items(&self, w: usize, h: usize) -> usize {
+        let len = if self.row { w } else { h };
+        (len.div_ceil(SCALE) - 1).max(1)
+    }
+
+    /// The line next to `dst` that receives the same values.
+    fn companion(&self, w: usize, h: usize) -> usize {
+        match (self.dst, self.row) {
+            (0, _) => 1,
+            (_, true) => h - 1,
+            (_, false) => w - 1,
+        }
+    }
+
+    /// The dispatch descriptor.
+    pub(crate) fn desc(&self, w: usize, h: usize) -> KernelDesc {
+        grid1d(self.name, self.items(w, h), 64)
+    }
+
+    /// The dispatch's declaration. Like the reduction kernels, the border
+    /// kernels declare without [`full_grid`] and keep the constructor's
+    /// default ratio: their accounting is exact.
+    ///
+    /// A row kernel's item `bi` loads the downscaled pair `(bi, bi+1)` of
+    /// `src` (interior columns are read twice, declared as a 2-wide
+    /// sliding window) and each of `x ∈ [2, w-3]` is stored exactly once
+    /// per output row, with the corner items adding the two outermost
+    /// columns on each side; each interpolating item costs the
+    /// [`border_item`] recipe, and the two corner items each take an extra
+    /// divergent branch. A single-column downscaled grid replicates its one
+    /// value across both rows; the replicating item only compares.
+    ///
+    /// A column kernel's item `bj` loads the downscaled pair of rows
+    /// `(bj, bj+1)` at `src` (interior rows read twice) and each
+    /// `y ∈ [2, h-3]` is stored exactly once to both output columns, at the
+    /// [`border_item`] recipe per item. A single-row downscaled grid leaves
+    /// it with no live items (the border rows already covered everything).
+    pub(crate) fn access(
+        &self,
+        down: &BufRef,
+        up: &BufRef,
+        w: usize,
+        h: usize,
+        ws: usize,
+        tune: KernelTuning,
+    ) -> AccessSummary {
+        let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+        let (src, dst, companion) = (self.src, self.dst, self.companion(w, h));
+        let desc = self.desc(w, h);
+        let mut s = AccessSummary::new(&desc, 0..desc.total_groups());
+        let write = |at, len| AccessWindow::write(up.clone(), at, len);
+        if !self.row {
+            if hd < 2 {
+                return s;
+            }
+            let pairs = AccessWindow::read(down.clone(), src, 1).by_x(2, wd);
+            s.push(pairs.by_y(hd - 1, wd));
+            s.push(write(2 * ws + dst, 1).by_y(h - 4, ws));
+            s.push(write(2 * ws + companion, 1).by_y(h - 4, ws));
+            s.charge_global_n(4, 0, 0, 0, 2 * (hd as u64 - 1));
+            s.charge_global_n(0, 0, 4, 0, 2 * (h as u64 - 4));
+            s.charged.charge_ops_n(&border_item(tune), hd as u64 - 1);
+            return s;
+        }
+        if wd == 1 {
+            s.push(AccessWindow::read(down.clone(), src, 1));
+            s.push(write(dst * ws, w));
+            s.push(write(companion * ws, w));
+            s.charge_global_n(4, 0, 0, 0, 1);
+            s.charge_global_n(0, 0, 4, 0, 2 * w as u64);
+            let ops = OpCounts::ZERO.cmps(2).plus(&tune.idx_ops());
+            s.charged.charge_ops_n(&ops, 1);
+            return s;
+        }
+        s.push(AccessWindow::read(down.clone(), src * wd, 2).by_x(wd - 1, 1));
+        for row in [dst, companion] {
+            s.push(write(row * ws, 2));
+            s.push(write(row * ws + 2, w - 4));
+            s.push(write(row * ws + w - 2, 2));
+        }
+        s.charge_global_n(4, 0, 0, 0, 2 * (wd as u64 - 1));
+        s.charge_global_n(0, 0, 4, 0, 2 * w as u64);
+        s.charged.charge_ops_n(&border_item(tune), wd as u64 - 1);
+        s.charged.divergent_branches += 2;
+        s
+    }
+
+    /// The dispatch's body, one call per work-group.
+    pub(crate) fn body(
+        &self,
+        down: &GlobalView<f32>,
+        up: &Buffer<f32>,
+        w: usize,
+        h: usize,
+        ws: usize,
+    ) -> Box<dyn Fn(&mut GroupCtx) + Send + Sync> {
+        let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+        let n_items = self.items(w, h);
+        let (src, dst, companion) = (self.src, self.dst, self.companion(w, h));
         let down = down.clone();
         let upv = up.write_view();
-        let companion = if dst_row == 0 { 1 } else { h - 1 };
-        let access = upscale_border_row_access(
-            &desc,
-            down.info(),
-            up.info(),
-            w,
-            ws,
-            src_row,
-            dst_row,
-            companion,
-            tune,
-        );
-        Dispatch::groups(desc, access, move |g| {
+        if !self.row {
+            // Vertical border columns for rows 2 ..= h-3 (no live items
+            // when the downscaled grid has a single row: the border rows
+            // covered them).
+            return Box::new(move |g| {
+                for l in items(g.group_size) {
+                    g.begin_item(l);
+                    let [bj, _] = g.global_id(l);
+                    if bj >= hd - 1 {
+                        continue;
+                    }
+                    let a = down.get_raw(bj * wd + src);
+                    let b = down.get_raw((bj + 1) * wd + src);
+                    for ph in 0..SCALE {
+                        let y = SCALE * bj + 2 + ph;
+                        if y > h - 3 {
+                            break;
+                        }
+                        let v = math::border_interp(a, b, ph);
+                        upv.set_raw(y * ws + dst, v);
+                        upv.set_raw(y * ws + companion, v);
+                    }
+                }
+            });
+        }
+        Box::new(move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bi, _] = g.global_id(l);
@@ -629,15 +752,15 @@ pub(crate) fn upscale_border_dispatches(
                     // Single downscaled column: no pair to interpolate —
                     // replicate the one value across both rows, exactly as
                     // the CPU reference does.
-                    let v = down.get_raw(src_row);
+                    let v = down.get_raw(src);
                     for x in 0..w {
-                        upv.set_raw(dst_row * ws + x, v);
+                        upv.set_raw(dst * ws + x, v);
                         upv.set_raw(companion * ws + x, v);
                     }
                     continue;
                 }
-                let a = down.get_raw(src_row * wd + bi);
-                let b = down.get_raw(src_row * wd + bi + 1);
+                let a = down.get_raw(src * wd + bi);
+                let b = down.get_raw(src * wd + bi + 1);
                 let mut vals = [0.0f32; SCALE];
                 for (ph, v) in vals.iter_mut().enumerate() {
                     *v = math::border_interp(a, b, ph);
@@ -645,14 +768,14 @@ pub(crate) fn upscale_border_dispatches(
                 for (ph, &v) in vals.iter().enumerate() {
                     let x = SCALE * bi + 2 + ph;
                     if x <= w - 3 {
-                        upv.set_raw(dst_row * ws + x, v);
+                        upv.set_raw(dst * ws + x, v);
                         upv.set_raw(companion * ws + x, v);
                     }
                 }
                 if bi == 0 {
                     // Outer-left columns copy the phase-0 value.
                     for x in 0..2 {
-                        upv.set_raw(dst_row * ws + x, vals[0]);
+                        upv.set_raw(dst * ws + x, vals[0]);
                         upv.set_raw(companion * ws + x, vals[0]);
                     }
                 }
@@ -661,149 +784,19 @@ pub(crate) fn upscale_border_dispatches(
                     // tail phase; 3 for multiple-of-4 widths).
                     let v = vals[w + 3 - SCALE * wd];
                     for x in [w - 2, w - 1] {
-                        upv.set_raw(dst_row * ws + x, v);
+                        upv.set_raw(dst * ws + x, v);
                         upv.set_raw(companion * ws + x, v);
                     }
                 }
             }
         })
-    });
-
-    // Vertical border columns for rows 2 ..= h-3 (empty when the
-    // downscaled grid has a single row: the border rows covered them).
-    let [left, right] = [
-        ("upscale_border_left", 0usize, 0usize),
-        ("upscale_border_right", wd - 1, w - 2),
-    ]
-    .map(|(name, src_col, dst_col)| {
-        let n_items = (hd - 1).max(1);
-        let desc = grid1d(name, n_items, 64);
-        let down = down.clone();
-        let upv = up.write_view();
-        let companion = if dst_col == 0 { 1 } else { w - 1 };
-        let access = upscale_border_col_access(
-            &desc,
-            down.info(),
-            up.info(),
-            wd,
-            h,
-            ws,
-            src_col,
-            dst_col,
-            companion,
-            tune,
-        );
-        Dispatch::groups(desc, access, move |g| {
-            for l in items(g.group_size) {
-                g.begin_item(l);
-                let [bj, _] = g.global_id(l);
-                if bj >= hd - 1 {
-                    continue;
-                }
-                let a = down.get_raw(bj * wd + src_col);
-                let b = down.get_raw((bj + 1) * wd + src_col);
-                for ph in 0..SCALE {
-                    let y = SCALE * bj + 2 + ph;
-                    if y > h - 3 {
-                        break;
-                    }
-                    let v = math::border_interp(a, b, ph);
-                    upv.set_raw(y * ws + dst_col, v);
-                    upv.set_raw(y * ws + companion, v);
-                }
-            }
-        })
-    });
-    Ok([top, bottom, left, right])
-}
-
-/// Closed-form access summary of one horizontal border-row dispatch: item
-/// `bi` loads the downscaled pair `(bi, bi+1)` of `src_row` (interior
-/// columns are read twice, declared as a 2-wide sliding window) and each
-/// of `x ∈ [2, w-3]` is stored exactly once per output row, with the
-/// corner items adding the two outermost columns on each side. A
-/// single-column downscaled grid replicates its one value across both
-/// rows. Each interpolating item costs the [`border_item`] recipe, and the
-/// two corner items each take an extra divergent branch; the replicating
-/// item only compares.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn upscale_border_row_access(
-    desc: &KernelDesc,
-    down: BufRef,
-    up: BufRef,
-    w: usize,
-    ws: usize,
-    src_row: usize,
-    dst_row: usize,
-    companion: usize,
-    tune: KernelTuning,
-) -> AccessSummary {
-    let wd = w.div_ceil(SCALE);
-    let mut s = AccessSummary::new(desc, 0..desc.total_groups());
-    if wd == 1 {
-        s.push(AccessWindow::read(down, src_row, 1));
-        s.push(AccessWindow::write(up.clone(), dst_row * ws, w));
-        s.push(AccessWindow::write(up, companion * ws, w));
-        s.charge_global_n(4, 0, 0, 0, 1);
-        s.charge_global_n(0, 0, 4, 0, 2 * w as u64);
-        s.charged
-            .charge_ops_n(&OpCounts::ZERO.cmps(2).plus(&tune.idx_ops()), 1);
-        return s;
     }
-    s.push(AccessWindow::read(down, src_row * wd, 2).by_x(wd - 1, 1));
-    for row in [dst_row, companion] {
-        s.push(AccessWindow::write(up.clone(), row * ws, 2));
-        s.push(AccessWindow::write(up.clone(), row * ws + 2, w - 4));
-        s.push(AccessWindow::write(up.clone(), row * ws + w - 2, 2));
-    }
-    s.charge_global_n(4, 0, 0, 0, 2 * (wd as u64 - 1));
-    s.charge_global_n(0, 0, 4, 0, 2 * w as u64);
-    s.charged.charge_ops_n(&border_item(tune), wd as u64 - 1);
-    s.charged.divergent_branches += 2;
-    s
 }
 
 /// Arithmetic of one interpolating border item: the 4-phase lerp (8 mul +
 /// 4 add), two bounds compares, and index arithmetic.
 fn border_item(tune: KernelTuning) -> OpCounts {
     OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&tune.idx_ops())
-}
-
-/// Closed-form access summary of one vertical border-column dispatch: item
-/// `bj` loads the downscaled pair of rows `(bj, bj+1)` at `src_col`
-/// (interior rows read twice) and each `y ∈ [2, h-3]` is stored exactly
-/// once to both output columns. A single-row downscaled grid leaves the
-/// dispatch with no live items (the border rows already covered
-/// everything). Each live item costs the [`border_item`] recipe.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn upscale_border_col_access(
-    desc: &KernelDesc,
-    down: BufRef,
-    up: BufRef,
-    wd: usize,
-    h: usize,
-    ws: usize,
-    src_col: usize,
-    dst_col: usize,
-    companion: usize,
-    tune: KernelTuning,
-) -> AccessSummary {
-    let hd = h.div_ceil(SCALE);
-    let mut s = AccessSummary::new(desc, 0..desc.total_groups());
-    if hd < 2 {
-        return s;
-    }
-    s.push(
-        AccessWindow::read(down, src_col, 1)
-            .by_x(2, wd)
-            .by_y(hd - 1, wd),
-    );
-    s.push(AccessWindow::write(up.clone(), 2 * ws + dst_col, 1).by_y(h - 4, ws));
-    s.push(AccessWindow::write(up, 2 * ws + companion, 1).by_y(h - 4, ws));
-    s.charge_global_n(4, 0, 0, 0, 2 * (hd as u64 - 1));
-    s.charge_global_n(0, 0, 4, 0, 2 * (h as u64 - 4));
-    s.charged.charge_ops_n(&border_item(tune), hd as u64 - 1);
-    s
 }
 
 #[cfg(test)]
@@ -827,11 +820,11 @@ mod tests {
             for tune in TUNINGS {
                 let desc = grid2d("upscale_center", wd - 1, hd - 1);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    upscale_center_scalar_access(&desc, g, down.clone(), up.clone(), w, h, ws, tune)
+                    upscale_center_scalar_access(&desc, g, &down, &up, w, h, ws, tune)
                 });
                 let desc = grid2d("upscale_center_vec4", (wd - 1).div_ceil(4), hd - 1);
                 assert_splits_merge(&desc, desc.num_groups()[0], |g| {
-                    upscale_center_vec4_access(&desc, g, down.clone(), up.clone(), w, h, ws, tune)
+                    upscale_center_vec4_access(&desc, g, &down, &up, w, h, ws, tune)
                 });
             }
         }

@@ -1,12 +1,11 @@
-//! GPU implementation: kernels, optimization flags, ablation measurements
-//! and the pipeline.
+//! GPU implementation: kernels, optimization flags, the frame program and
+//! its executor.
 
-pub mod ablate;
 pub mod batch;
 pub mod kernels;
 pub mod opts;
 pub mod pipeline;
-pub mod strips;
+pub(crate) mod program;
 pub mod verify;
 
 pub use opts::{OptConfig, Tuning};

@@ -8,6 +8,13 @@
 //! kernels, and a `finish()` after every command. Each flag applies one of
 //! the paper's optimizations (Section V); see [`OptConfig`].
 //!
+//! The command order itself is a `FrameProgram`; this module is its
+//! executor. It allocates the program's buffer list once per plan and
+//! walks the steps frame after frame: each transfer in the step's mode,
+//! each host stage charged with the step's cost, each dispatch committed
+//! with the step's own descriptor and declaration (the pixel body bound by
+//! kernel id), each pass run over its row windows.
+//!
 //! The pipeline is *functionally real*: it produces the same pixels as
 //! [`crate::cpu::CpuPipeline`] (bit-exactly when the reduction runs on the
 //! CPU; within float-summation tolerance when the tree reduction runs on
@@ -17,29 +24,27 @@
 use imagekit::ImageF32;
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
-use simgpu::cost::{CostCounters, OpCounts};
-use simgpu::queue::{CommandKind, CommandQueue, Part, Pending};
+use simgpu::kernel::{GroupCtx, RowCtx};
+use simgpu::queue::{CommandKind, CommandQueue, Dispatch, Part, Pending};
 use simgpu::span::SpanKind;
 use simgpu::timing::host_memcpy_time;
 
 use crate::cpu::stages as cpu_stages;
-use crate::gpu::kernels::downscale::{downscale_dispatch, downscale_window};
-use crate::gpu::kernels::perror::{perror_dispatch, perror_window};
-use crate::gpu::kernels::reduction::{
-    reduction_stage2_kernel, stage1_dispatch, stage1_groups, stage1_window,
-};
+use crate::gpu::kernels::downscale::downscale_body;
+use crate::gpu::kernels::perror::perror_body;
+use crate::gpu::kernels::reduction::{stage1_body, stage1_groups, stage2_body};
 use crate::gpu::kernels::sharpen::{
-    overshoot_dispatch, overshoot_window, preliminary_dispatch, sharpness_fused_dispatch,
-    sharpness_fused_vec4_dispatch, sharpness_window,
+    overshoot_body, preliminary_body, sharpness_fused_body, sharpness_fused_vec4_body,
 };
-use crate::gpu::kernels::sobel::{sobel_scalar_dispatch, sobel_vec4_dispatch, sobel_window};
-use crate::gpu::kernels::upscale::{
-    center_window, upscale_border_dispatches, upscale_center_scalar_dispatch,
-    upscale_center_vec4_dispatch,
-};
-use crate::gpu::kernels::{KernelTuning, RowWindows, SrcImage};
+use crate::gpu::kernels::sobel::{sobel_scalar_body, sobel_vec4_body};
+use crate::gpu::kernels::upscale::{upscale_center_scalar_body, upscale_center_vec4_body};
+use crate::gpu::kernels::SrcImage;
 use crate::gpu::opts::{OptConfig, Tuning};
-use crate::params::{check_shape, device_stride, SharpnessParams, SCALE};
+use crate::gpu::program::{
+    border_lines, Buf, Dir, FrameProgram, Geometry, HostCost, HostStage, HostWork, KernelId, Mode,
+    Reduction, StaticDispatch, Step, Transfer,
+};
+use crate::params::SharpnessParams;
 use crate::report::{RunReport, StageRecord};
 
 /// The OpenCL-style sharpness pipeline on the simulated GPU.
@@ -89,27 +94,12 @@ impl GpuPipeline {
         &self.ctx
     }
 
-    fn sync(&self, q: &mut CommandQueue) {
-        if !self.opts.others {
-            q.finish();
-        }
-    }
-
-    /// Device→host read of a whole buffer in the transfer mode the config
-    /// selects (bulk when `data_transfer` is on, map/unmap otherwise).
-    fn read_back(
-        &self,
-        q: &mut CommandQueue,
-        buf: &Buffer<f32>,
-        dst: &mut [f32],
-    ) -> Result<(), String> {
-        if self.opts.data_transfer {
-            q.enqueue_read(buf, dst).map_err(|e| e.to_string())?;
-        } else {
-            let guard = q.map_read(buf).map_err(|e| e.to_string())?;
-            dst.copy_from_slice(&guard.as_slice()[..dst.len()]);
-        }
-        Ok(())
+    /// The frame program for `width`×`height` frames, after validating
+    /// the parameters.
+    fn program(&self, width: usize, height: usize) -> Result<FrameProgram, String> {
+        let prog = FrameProgram::build(width, height, &self.opts, &self.tuning)?;
+        self.params.validate()?;
+        Ok(prog)
     }
 
     /// Runs the pipeline on `orig`, returning the sharpened image and the
@@ -122,22 +112,7 @@ impl GpuPipeline {
     /// On unsupported shapes, invalid parameters, or simulated-runtime
     /// faults (write races under a validating context).
     pub fn run(&self, orig: &ImageF32) -> Result<RunReport, String> {
-        self.run_with_mean(orig, None)
-    }
-
-    /// Like [`GpuPipeline::run`], but when `mean_override` is `Some` the
-    /// reduction stage is skipped and the given pEdge mean drives the
-    /// strength curve. Used by the strip pipeline, whose mean is computed
-    /// globally in a separate pass.
-    pub fn run_with_mean(
-        &self,
-        orig: &ImageF32,
-        mean_override: Option<f32>,
-    ) -> Result<RunReport, String> {
-        let mut res = FrameResources::new(self, orig.width(), orig.height())?;
-        let mut q = self.ctx.queue();
-        let mut out = vec![0.0f32; res.n];
-        self.run_frame(&mut q, &mut res, orig, mean_override, &mut out)?;
+        let (q, out) = self.run_once(orig)?;
         Ok(report_from_queue(&q, orig.width(), orig.height(), out))
     }
 
@@ -155,10 +130,7 @@ impl GpuPipeline {
         &self,
         orig: &ImageF32,
     ) -> Result<(RunReport, crate::telemetry::FrameTelemetry), String> {
-        let mut res = FrameResources::new(self, orig.width(), orig.height())?;
-        let mut q = self.ctx.queue();
-        let mut out = vec![0.0f32; res.n];
-        self.run_frame(&mut q, &mut res, orig, None, &mut out)?;
+        let (q, out) = self.run_once(orig)?;
         let tel = crate::telemetry::FrameTelemetry::collect(
             q.records(),
             q.device(),
@@ -168,576 +140,334 @@ impl GpuPipeline {
         Ok((report_from_queue(&q, orig.width(), orig.height(), out), tel))
     }
 
-    /// Prepares a reusable execution plan for `width`×`height` frames: all
-    /// device buffers are allocated once and reused across
-    /// [`PipelinePlan::run`] calls.
+    /// One frame on fresh resources and a fresh queue.
+    fn run_once(&self, orig: &ImageF32) -> Result<(CommandQueue, Vec<f32>), String> {
+        let prog = self.program(orig.width(), orig.height())?;
+        let mut res = FrameResources::new(&self.ctx, &prog);
+        let mut q = self.ctx.queue();
+        let mut out = vec![0.0f32; prog.g.n];
+        self.run_frame(&mut q, &prog, &mut res, orig, &mut out)?;
+        Ok((q, out))
+    }
+
+    /// Prepares a reusable execution plan for `width`×`height` frames: the
+    /// frame program is built and all device buffers are allocated once,
+    /// then reused across [`PipelinePlan::run`] calls.
     ///
     /// # Errors
     /// On unsupported shapes or invalid parameters.
     pub fn prepared(&self, width: usize, height: usize) -> Result<PipelinePlan, String> {
-        let res = FrameResources::new(self, width, height)?;
-        let q = self.ctx.queue();
+        let prog = self.program(width, height)?;
+        let res = FrameResources::new(&self.ctx, &prog);
         Ok(PipelinePlan {
             pipe: self.clone(),
-            q,
+            q: self.ctx.queue(),
+            prog,
             res,
         })
     }
 
-    /// Executes one frame against pre-allocated resources, recording
-    /// commands on `q` (which the caller has reset) and writing the
-    /// sharpened pixels into `out`.
+    /// Executes one frame of `prog` against pre-allocated resources,
+    /// recording commands on `q` (which the caller has reset) and writing
+    /// the sharpened pixels into `out`.
     fn run_frame(
         &self,
         q: &mut CommandQueue,
+        prog: &FrameProgram,
         res: &mut FrameResources,
         orig: &ImageF32,
-        mean_override: Option<f32>,
         out: &mut [f32],
     ) -> Result<(), String> {
-        if (orig.width(), orig.height()) != (res.w, res.h) {
+        let g = &prog.g;
+        if (orig.width(), orig.height()) != (g.w, g.h) {
             return Err(format!(
                 "frame is {}x{}, plan prepared for {}x{}",
                 orig.width(),
                 orig.height(),
-                res.w,
-                res.h
+                g.w,
+                g.h
             ));
         }
         // The frame scope roots the span tree; disabled spans make
         // open/close no-ops, so the execution path is shared.
         let frame_span = q.span_open(SpanKind::Frame, "frame");
-        let result = self.run_frame_monolithic(q, res, orig, mean_override, out);
+        let result = self.run_steps(q, prog, res, orig, out);
         q.span_close(frame_span);
         result
     }
 
-    /// Uploads the frame in the transfer mode the config selects and
-    /// synchronises.
-    fn upload_frame(
+    /// Walks the program's steps. Every dispatch is committed — its
+    /// record, simulated time and access log entry — at its place in the
+    /// order; the queue runs the bodies at the program's passes. Only the
+    /// host order differs from running each dispatch when it is
+    /// committed, which sanitized and validated contexts still do.
+    fn run_steps(
         &self,
         q: &mut CommandQueue,
+        prog: &FrameProgram,
         res: &mut FrameResources,
         orig: &ImageF32,
+        out: &mut [f32],
     ) -> Result<(), String> {
-        let (w, h, pw) = (res.w, res.h, res.pw);
-        // The padded buffer's one-pixel border is zeroed at allocation and
-        // never written afterwards (both upload paths touch only the
-        // interior), so reuse across frames preserves the zero padding.
-        if self.opts.data_transfer {
-            // One rect-write places the original inside the pre-zeroed
-            // padded buffer: padding happens during the transfer.
-            q.enqueue_write_rect(&res.padded, pw, 1, 1, orig.pixels(), w, h)
-                .map_err(|e| e.to_string())?;
-        } else {
-            // Base: the host pads (line-by-line copy), then both matrices
-            // go up through map/unmap.
-            q.charge_host_seconds(
-                "host:padding",
-                host_memcpy_time(q.cpu(), res.padded.byte_len()),
-            );
-            {
-                let mut g = q.map_write(&res.padded).map_err(|e| e.to_string())?;
-                let dst = g.as_mut_slice();
-                for y in 0..h {
-                    dst[(y + 1) * pw + 1..(y + 1) * pw + 1 + w]
-                        .copy_from_slice(&orig.pixels()[y * w..(y + 1) * w]);
+        let g = &prog.g;
+        let (padded, main) = res.dev.sources(g);
+        let mut handles: Vec<Option<Pending>> = vec![None; prog.steps().len()];
+        let mut phase = None;
+        // The pEdge mean, bound into the sharpening tail's bodies once the
+        // reduction steps have produced it.
+        let mut mean = 0.0f32;
+        for (i, step) in prog.steps().iter().enumerate() {
+            match step {
+                Step::Open(name) => phase = Some(q.span_open(SpanKind::Phase, name)),
+                Step::Close => {
+                    if let Some(p) = phase.take() {
+                        q.span_close(p);
+                    }
+                }
+                Step::Finish => q.finish(),
+                Step::Transfer(t) => self.transfer(q, g, res, t, orig, out, &mut mean)?,
+                Step::Host(s) => self.host_stage(q, g, res, s, &mut mean),
+                Step::Dispatch(id, d) => {
+                    let dispatch = self.bind(*id, d, g, &res.dev, &padded, &main, mean);
+                    let output = res.dev.get(id.output());
+                    handles[i] = Some(q.commit(dispatch, &[output]).map_err(err)?);
+                }
+                Step::Pass(pass) => {
+                    let parts: Vec<Part> = pass
+                        .parts
+                        .iter()
+                        .map(|(k, units)| Part {
+                            kernel: handles[*k].expect("a pass follows its dispatches"),
+                            units: &**units,
+                        })
+                        .collect();
+                    q.execute(pass.windows, &parts).map_err(err)?;
                 }
             }
-            let ob = res.original.as_ref().expect("base path allocates original");
-            {
-                let mut g = q.map_write(ob).map_err(|e| e.to_string())?;
-                g.as_mut_slice().copy_from_slice(orig.pixels());
-            }
         }
-        self.sync(q);
         Ok(())
     }
 
-    /// Whether the upscale border runs on the device for width `w`
-    /// (Section V-E crossover).
-    fn gpu_border_enabled(&self, w: usize) -> bool {
-        self.opts.border_gpu && w >= self.tuning.border_gpu_min_width
-    }
-
-    /// The whole-frame schedule: each kernel dispatched once over its full
-    /// grid, in the order of Section IV.
-    ///
-    /// Every dispatch is committed — its record, simulated time and access
-    /// log entry — at its place in that order; the queue runs the bodies
-    /// later, at the first point the host needs their outputs, as two
-    /// fused passes over windows of rows (see [`PassA`] and
-    /// [`GpuPipeline::run_tail`]). Only the host order changes: records,
-    /// simulated seconds and pixels are those of running each dispatch
-    /// when it is committed, which sanitized and validated contexts still
-    /// do.
-    fn run_frame_monolithic(
-        &self,
-        q: &mut CommandQueue,
-        res: &mut FrameResources,
-        orig: &ImageF32,
-        mean_override: Option<f32>,
-        out: &mut [f32],
-    ) -> Result<(), String> {
-        let (w, h) = (res.w, res.h);
-        let ws = res.ws;
-        let tune = KernelTuning {
-            others: self.opts.others,
-        };
-
-        // ---- uploads (Section V-A) ------------------------------------
-        let ph = q.span_open(SpanKind::Phase, "upload");
-        self.upload_frame(q, res, orig)?;
-        q.span_close(ph);
-        let (padded_src, main_src) = res.sources();
-
-        // ---- downscale --------------------------------------------------
-        let ph = q.span_open(SpanKind::Phase, "downscale");
-        let d = downscale_dispatch(&main_src, &res.down, w, h, tune).map_err(err)?;
-        let downscale = q.commit(d, &[&res.down]).map_err(err)?;
-        self.sync(q);
-        q.span_close(ph);
-
-        // ---- upscale: border (Section V-E) ------------------------------
-        let ph = q.span_open(SpanKind::Phase, "upscale");
-        let border = if self.gpu_border_enabled(w) {
-            let ds = upscale_border_dispatches(&res.down.view(), &res.up, w, h, ws, tune)
-                .map_err(err)?;
-            let mut border = Vec::with_capacity(ds.len());
-            for d in ds {
-                border.push(q.commit(d, &[&res.up]).map_err(err)?);
-            }
-            self.sync(q);
-            border
-        } else {
-            // The host reads `down` back: downscale runs now, alone.
-            q.execute(1, &[Part::whole(downscale)]).map_err(err)?;
-            self.cpu_border(q, res)?;
-            Vec::new()
-        };
-
-        // ---- upscale: center --------------------------------------------
-        // Images below 5 pixels on an axis have no interior 4×4 blocks —
-        // the border pass above already covered every pixel.
-        let center = if res.w4 > 1 && res.h4 > 1 {
-            let down = res.down.view();
-            let d = if self.opts.vectorization {
-                upscale_center_vec4_dispatch(&down, &res.up, w, h, ws, tune)
-            } else {
-                upscale_center_scalar_dispatch(&down, &res.up, w, h, ws, tune)
-            }
-            .map_err(err)?;
-            let center = q.commit(d, &[&res.up]).map_err(err)?;
-            self.sync(q);
-            Some(center)
-        } else {
-            None
-        };
-        q.span_close(ph);
-
-        // ---- Sobel --------------------------------------------------------
-        let ph = q.span_open(SpanKind::Phase, "sobel");
-        let d = if self.opts.vectorization {
-            sobel_vec4_dispatch(&padded_src, &res.pedge, w, h, ws, tune)
-        } else {
-            sobel_scalar_dispatch(&main_src, &res.pedge, w, h, ws, tune)
-        }
-        .map_err(err)?;
-        let sobel = q.commit(d, &[&res.pedge]).map_err(err)?;
-        self.sync(q);
-        q.span_close(ph);
-
-        // ---- reduction (Section V-C) -------------------------------------
-        let ph = q.span_open(SpanKind::Phase, "reduction");
-        let pass_a = PassA {
-            downscale,
-            sobel,
-            border,
-        };
-        let mean = match mean_override {
-            Some(m) => {
-                self.run_pass_a(q, res, &pass_a, None)?;
-                m
-            }
-            None => self.reduction(q, res, &pass_a)?,
-        };
-        q.span_close(ph);
-
-        // ---- sharpening tail (Section V-B) --------------------------------
-        let ph = q.span_open(SpanKind::Phase, "sharpen");
-        self.run_tail(q, res, &padded_src, &main_src, center, mean, tune)?;
-        q.span_close(ph);
-
-        // ---- readback -------------------------------------------------------
-        let ph = q.span_open(SpanKind::Phase, "readback");
-        let r = self.readback_final(q, res, out);
-        q.span_close(ph);
-        r
-    }
-
-    /// Runs pass A — downscale, Sobel and, when committed, reduction stage
-    /// 1 over windows of [`RowWindows::pass_a`] rows, so Sobel reads the
-    /// source rows downscale just read and stage 1 the pEdge rows Sobel
-    /// just wrote — then the GPU border kernels, which read all of `down`.
-    /// Called before the host reads partials, pEdge or the reduction back.
-    fn run_pass_a(
-        &self,
-        q: &mut CommandQueue,
-        res: &FrameResources,
-        a: &PassA,
-        stage1: Option<Pending>,
-    ) -> Result<(), String> {
-        let win = RowWindows::pass_a(res.h, res.ws);
-        let (ws, ns) = (res.ws, res.ns);
-        let down = |w| downscale_window(&win, w);
-        let sobel = |w| sobel_window(&win, w);
-        let red = |w| stage1_window(&win, ws, ns, w);
-        let mut parts = vec![
-            Part {
-                kernel: a.downscale,
-                units: &down,
-            },
-            Part {
-                kernel: a.sobel,
-                units: &sobel,
-            },
-        ];
-        if let Some(kernel) = stage1 {
-            parts.push(Part {
-                kernel,
-                units: &red,
-            });
-        }
-        q.execute(win.count, &parts).map_err(err)?;
-        let border: Vec<Part> = a.border.iter().map(|&b| Part::whole(b)).collect();
-        q.execute(1, &border).map_err(err)
-    }
-
-    /// Commits the sharpening tail — the fused `sharpness` kernel, or
-    /// pError, preliminary and overshoot — and runs it with the upscale
-    /// center as pass B over windows of 64 output rows: each window's
-    /// `up` rows are read while still in cache.
+    /// A dispatch step with its pixel body bound to the plan's buffers.
     #[allow(clippy::too_many_arguments)]
-    fn run_tail(
+    fn bind(
         &self,
-        q: &mut CommandQueue,
-        res: &FrameResources,
-        padded_src: &SrcImage,
-        main_src: &SrcImage,
-        center: Option<Pending>,
+        id: KernelId,
+        d: &StaticDispatch,
+        g: &Geometry,
+        dev: &DeviceBuffers,
+        padded: &SrcImage,
+        main: &SrcImage,
         mean: f32,
-        tune: KernelTuning,
-    ) -> Result<(), String> {
-        let (w, h, ws) = (res.w, res.h, res.ws);
-        let (up, pedge) = (res.up.view(), res.pedge.view());
-        let win = RowWindows::of_height(h);
-        let center_map = center_window;
-        let tail = |w| sharpness_window(&win, w);
-        let perror = |w| perror_window(&win, w);
-        let overshoot = |w| overshoot_window(&win, h, w);
-        let mut parts: Vec<Part> = center
-            .map(|kernel| Part {
-                kernel,
-                units: &center_map,
-            })
-            .into_iter()
-            .collect();
-        if self.opts.kernel_fusion {
-            let d = if self.opts.vectorization {
-                sharpness_fused_vec4_dispatch(
-                    padded_src,
-                    &up,
-                    &pedge,
-                    &res.finalbuf,
-                    mean,
-                    self.params,
-                    w,
-                    h,
-                    ws,
-                    tune,
-                )
-            } else {
-                sharpness_fused_dispatch(
-                    padded_src,
-                    &up,
-                    &pedge,
-                    &res.finalbuf,
-                    mean,
-                    self.params,
-                    w,
-                    h,
-                    ws,
-                    tune,
+    ) -> Dispatch {
+        let (w, h, ws, p) = (g.w, g.h, g.ws, self.params);
+        let view = |b| dev.get(b).view();
+        let (down, up, pedge) = (view(Buf::Down), view(Buf::Up), view(Buf::PEdge));
+        let out = dev.get(id.output());
+        match id {
+            KernelId::Downscale => rows(d, downscale_body(main, out, w, h)),
+            KernelId::Border(k) => groups(d, k.body(&down, out, w, h, ws)),
+            KernelId::Center => rows(d, upscale_center_scalar_body(&down, out, w, h, ws)),
+            KernelId::CenterVec4 => rows(d, upscale_center_vec4_body(&down, out, w, h, ws)),
+            KernelId::Sobel => rows(d, sobel_scalar_body(main, out, w, h, ws)),
+            KernelId::SobelVec4 => rows(d, sobel_vec4_body(padded, out, w, h, ws)),
+            KernelId::Stage1(strategy) => groups(d, stage1_body(&pedge, out, g.ns, strategy)),
+            KernelId::Stage2 => {
+                let partials = view(Buf::Partials);
+                groups(d, stage2_body(&partials, stage1_groups(g.ns), out))
+            }
+            KernelId::Sharpness => rows(
+                d,
+                sharpness_fused_body(padded, &up, &pedge, out, mean, p, w, h, ws),
+            ),
+            KernelId::SharpnessVec4 => rows(
+                d,
+                sharpness_fused_vec4_body(padded, &up, &pedge, out, mean, p, w, h, ws),
+            ),
+            KernelId::Perror => rows(d, perror_body(main, &up, out, w, h, ws)),
+            KernelId::Preliminary => {
+                let perr = view(Buf::PError);
+                rows(
+                    d,
+                    preliminary_body(&up, &pedge, &perr, out, mean, p, w, h, ws),
                 )
             }
-            .map_err(err)?;
-            let kernel = q.commit(d, &[&res.finalbuf]).map_err(err)?;
-            self.sync(q);
-            parts.push(Part {
-                kernel,
-                units: &tail,
-            });
-        } else {
-            let perr = res.perror.as_ref().expect("unfused path allocates pError");
-            let d = perror_dispatch(main_src, &up, perr, w, h, ws, tune).map_err(err)?;
-            let kernel = q.commit(d, &[perr]).map_err(err)?;
-            self.sync(q);
-            parts.push(Part {
-                kernel,
-                units: &perror,
-            });
-            let prelim = res.prelim.as_ref().expect("unfused path allocates prelim");
-            let d = preliminary_dispatch(
-                &up,
-                &pedge,
-                &perr.view(),
-                prelim,
-                mean,
-                self.params,
-                w,
-                h,
-                ws,
-                tune,
-            )
-            .map_err(err)?;
-            let kernel = q.commit(d, &[prelim]).map_err(err)?;
-            self.sync(q);
-            parts.push(Part {
-                kernel,
-                units: &tail,
-            });
-            let d = overshoot_dispatch(
-                padded_src,
-                &prelim.view(),
-                &res.finalbuf,
-                w,
-                h,
-                ws,
-                self.params,
-                tune,
-            )
-            .map_err(err)?;
-            let kernel = q.commit(d, &[&res.finalbuf]).map_err(err)?;
-            self.sync(q);
-            parts.push(Part {
-                kernel,
-                units: &overshoot,
-            });
+            KernelId::Overshoot => {
+                let prelim = view(Buf::Prelim);
+                rows(d, overshoot_body(padded, &prelim, out, w, h, ws, p))
+            }
         }
-        q.execute(win.count, &parts).map_err(err)
     }
 
-    /// The end-of-frame `finish` plus the final-image readback in the
-    /// transfer mode the config selects.
-    fn readback_final(
+    /// Performs one transfer in the step's mode. Reads land in the plan's
+    /// host scratch (or `out`, for the final image); the read of the
+    /// stage-2 total yields the pEdge mean.
+    #[allow(clippy::too_many_arguments)]
+    fn transfer(
         &self,
         q: &mut CommandQueue,
-        res: &FrameResources,
-        out: &mut [f32],
-    ) -> Result<(), String> {
-        let (w, h, ws, n) = (res.w, res.h, res.ws, res.n);
-        q.finish();
-        if ws == w {
-            self.read_back(q, &res.finalbuf, &mut out[..n])?;
-        } else if self.opts.data_transfer {
-            // Rect read crops the stride padding during the transfer, the
-            // mirror of the rect-write upload.
-            q.enqueue_read_rect(&res.finalbuf, ws, 0, 0, &mut out[..n], w, h)
-                .map_err(|e| e.to_string())?;
-        } else {
-            let guard = q.map_read(&res.finalbuf).map_err(|e| e.to_string())?;
-            let s = guard.as_slice();
-            for y in 0..h {
-                out[y * w..(y + 1) * w].copy_from_slice(&s[y * ws..y * ws + w]);
-            }
-        }
-        Ok(())
-    }
-
-    /// CPU-side upscale border: read the downscaled matrix back, compute
-    /// the border on the host (in the plan's reusable scratch), and write
-    /// the border region to the device.
-    fn cpu_border(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<(), String> {
-        let (w, h, ws) = (res.w, res.h, res.ws);
-        let (down_host, up_host) = res
-            .border_host
-            .as_mut()
-            .expect("the CPU border allocates its host scratch");
-        self.read_back(q, &res.down, down_host.pixels_mut())?;
-        // Only the border cells of the scratch are written here and only
-        // they are read below, so stale interior values from a previous
-        // frame are harmless.
-        cpu_stages::upscale_border_into(down_host, up_host);
-        q.charge_host("host:upscale_border", &border_host_counters(w, h));
-        // Write exactly the border region into the device buffer: the
-        // border rows in full, then the border columns of the body rows.
-        let upv = res.up.write_view();
-        for y in border_lines(h) {
-            for x in 0..w {
-                upv.set_raw(y * ws + x, up_host.get(x, y));
-            }
-        }
-        for y in 2..=h.saturating_sub(3) {
-            for x in border_lines(w) {
-                upv.set_raw(y * ws + x, up_host.get(x, y));
-            }
-        }
-        let bytes = border_elems(w, h) * 4;
-        if self.opts.data_transfer {
-            q.charge_bulk("write:up_border", CommandKind::WriteBuffer, bytes);
-        } else {
-            q.charge_map("map-write:up_border", bytes);
-        }
-        Ok(())
-    }
-
-    /// Reduction of the pEdge matrix to its mean, on CPU or GPU per the
-    /// config; runs pass A before anything is read back and returns the
-    /// mean used by the strength curve.
-    fn reduction(
-        &self,
-        q: &mut CommandQueue,
+        g: &Geometry,
         res: &mut FrameResources,
-        a: &PassA,
-    ) -> Result<f32, String> {
-        if !self.opts.reduction_gpu {
-            self.run_pass_a(q, res, a, None)?;
-            return self.reduction_cpu(q, res);
-        }
-        let partials = res
-            .partials
-            .as_ref()
-            .expect("gpu reduction allocates partials");
-        let strategy = self.tuning.reduction_strategy;
-        let d = stage1_dispatch(&res.pedge.view(), 0, res.ns, partials, strategy).map_err(err)?;
-        let stage1 = q.commit(d, &[partials]).map_err(err)?;
-        self.sync(q);
-        self.run_pass_a(q, res, a, Some(stage1))?;
-        // Stage 2 on the host or the device per the tuned threshold.
-        let (n, groups) = (res.n, stage1_groups(res.ns));
-        if groups > self.tuning.stage2_gpu_threshold {
-            // Stage 2 on the device, then a single-value readback.
-            let result = res
-                .reduction_out
-                .as_ref()
-                .expect("gpu stage2 allocates reduction_out");
-            reduction_stage2_kernel(q, &partials.view(), groups, result).map_err(err)?;
-            self.sync(q);
-            let mut one = [0.0f32];
-            self.read_back(q, result, &mut one)?;
-            Ok(one[0] / n as f32)
-        } else {
-            // Stage 2 on the host: small partial array crosses the bus.
-            let part = &mut res.reduction_host[..groups];
-            self.read_back(q, partials, part)?;
-            q.charge_host("host:reduction_stage2", &host_sum_counters(groups));
-            let mut sum = 0.0f32;
-            for &v in part.iter() {
-                sum += v;
+        t: &Transfer,
+        orig: &ImageF32,
+        out: &mut [f32],
+        mean: &mut f32,
+    ) -> Result<(), String> {
+        let (w, h, ws, pw) = (g.w, g.h, g.ws, g.pw);
+        let buf = res.dev.get(t.buf);
+        let src = orig.pixels();
+        match (t.buf, t.dir, t.mode) {
+            (Buf::Padded, Dir::Write, Mode::Rect) => {
+                q.enqueue_write_rect(buf, pw, 1, 1, src, w, h)
+                    .map_err(err)?;
             }
-            Ok(sum / n as f32)
+            (Buf::Padded, Dir::Write, _) => {
+                // The host pads: line-by-line into the mapped interior.
+                let mut m = q.map_write(buf).map_err(err)?;
+                let dst = m.as_mut_slice();
+                for y in 0..h {
+                    dst[(y + 1) * pw + 1..(y + 1) * pw + 1 + w]
+                        .copy_from_slice(&src[y * w..(y + 1) * w]);
+                }
+            }
+            (Buf::Original, Dir::Write, _) => {
+                let mut m = q.map_write(buf).map_err(err)?;
+                m.as_mut_slice().copy_from_slice(src);
+            }
+            (Buf::Up, Dir::Write, mode) => {
+                // The CPU border's pixels: exactly the border region goes
+                // into the device buffer (the border rows in full, then
+                // the border columns of the body rows), charged as one
+                // transfer.
+                let (_, up_host) = res.border_host.as_ref().expect("CPU border scratch");
+                let upv = buf.write_view();
+                for y in border_lines(h) {
+                    for x in 0..w {
+                        upv.set_raw(y * ws + x, up_host.get(x, y));
+                    }
+                }
+                for y in 2..=h.saturating_sub(3) {
+                    for x in border_lines(w) {
+                        upv.set_raw(y * ws + x, up_host.get(x, y));
+                    }
+                }
+                if mode == Mode::Bulk {
+                    q.charge_bulk(&t.name, CommandKind::WriteBuffer, t.bytes);
+                } else {
+                    q.charge_map(&t.name, t.bytes);
+                }
+            }
+            (Buf::Final, Dir::Read, Mode::Bulk) => {
+                q.enqueue_read(buf, &mut out[..g.n]).map_err(err)?;
+            }
+            (Buf::Final, Dir::Read, Mode::Rect) => {
+                // Crops the stride padding during the transfer, the mirror
+                // of the rect-write upload.
+                q.enqueue_read_rect(buf, ws, 0, 0, &mut out[..g.n], w, h)
+                    .map_err(err)?;
+            }
+            (Buf::Final, Dir::Read, Mode::Map) => {
+                let m = q.map_read(buf).map_err(err)?;
+                let s = m.as_slice();
+                for y in 0..h {
+                    out[y * w..(y + 1) * w].copy_from_slice(&s[y * ws..y * ws + w]);
+                }
+            }
+            (Buf::ReductionOut, Dir::Read, mode) => {
+                let mut one = [0.0f32];
+                read_back(q, mode, buf, &mut one)?;
+                *mean = one[0] / g.n as f32;
+            }
+            (Buf::Down, Dir::Read, mode) => {
+                let (down_host, _) = res.border_host.as_mut().expect("CPU border scratch");
+                read_back(q, mode, buf, down_host.pixels_mut())?;
+            }
+            (Buf::PEdge | Buf::Partials, Dir::Read, mode) => {
+                read_back(q, mode, buf, &mut res.reduction_host)?;
+            }
+            _ => return Err(format!("the executor has no transfer `{}`", t.name)),
         }
+        Ok(())
     }
 
-    /// CPU-side reduction: the whole pEdge matrix crosses the bus, then a
-    /// serial host sum — Fig. 16's CPU side.
-    fn reduction_cpu(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<f32, String> {
-        let n = res.n;
-        let ns = res.ns;
-        // The strided buffer's padding columns are exact zeros in every
-        // config, so summing all `ns` elements and dividing by the true
-        // pixel count `n` is bit-identical to a sum over the cropped image.
-        let host = &mut res.reduction_host;
-        self.read_back(q, &res.pedge, host)?;
-        // f64 accumulation, identical to the CPU reference stage, so
-        // the base GPU pipeline reproduces the CPU output bit-exactly.
-        let sum: f64 = host.iter().map(|&v| f64::from(v)).sum();
-        q.charge_host("host:reduction", &host_sum_counters(ns));
-        Ok((sum / n as f64) as f32)
+    /// Runs one host stage on the plan's scratch and charges the step's
+    /// cost. The reductions yield the pEdge mean.
+    fn host_stage(
+        &self,
+        q: &mut CommandQueue,
+        g: &Geometry,
+        res: &mut FrameResources,
+        s: &HostStage,
+        mean: &mut f32,
+    ) {
+        match s.work {
+            // The copy itself happens in the map-write of `padded`.
+            HostWork::Padding => {}
+            HostWork::UpscaleBorder => {
+                // Only the border cells of the scratch are written here
+                // and only they are written back, so stale interior
+                // values from a previous frame are harmless.
+                let (down, up) = res.border_host.as_mut().expect("CPU border scratch");
+                cpu_stages::upscale_border_into(down, up);
+            }
+            HostWork::Reduction => {
+                // f64 accumulation, identical to the CPU reference stage,
+                // so the base GPU pipeline reproduces the CPU output
+                // bit-exactly. The strided buffer's padding columns are
+                // exact zeros, so summing all `ns` elements and dividing by
+                // the true pixel count is the sum over the cropped image.
+                let sum: f64 = res.reduction_host.iter().map(|&v| f64::from(v)).sum();
+                *mean = (sum / g.n as f64) as f32;
+            }
+            HostWork::ReductionStage2 => {
+                let mut sum = 0.0f32;
+                for &v in &res.reduction_host {
+                    sum += v;
+                }
+                *mean = sum / g.n as f32;
+            }
+        }
+        match s.cost {
+            HostCost::Counters(c) => {
+                q.charge_host(s.name(), &c);
+            }
+            HostCost::Memcpy(bytes) => {
+                q.charge_host_seconds(s.name(), host_memcpy_time(q.cpu(), bytes));
+            }
+        }
     }
 }
 
-/// The dispatches pass A runs: committed in the upscale and Sobel phases,
-/// executed once the host needs pEdge, the partials or the mean.
-struct PassA {
-    /// Downscale; already run when the CPU border read `down` back.
-    downscale: Pending,
-    sobel: Pending,
-    /// The four GPU border kernels (empty for the CPU border), run after
-    /// the pass because each reads a whole edge of `down`.
-    border: Vec<Pending>,
+/// A row-span dispatch of `d` running `body` once per work-group row.
+fn rows(d: &StaticDispatch, body: impl Fn(&mut RowCtx) + Send + Sync + 'static) -> Dispatch {
+    Dispatch::rows(d.desc.clone(), d.access.clone(), body)
+}
+
+/// A dispatch of `d` running `body` once per work-group.
+fn groups(d: &StaticDispatch, body: impl Fn(&mut GroupCtx) + Send + Sync + 'static) -> Dispatch {
+    Dispatch::groups(d.desc.clone(), d.access.clone(), body)
+}
+
+/// Device→host read of a whole buffer into `dst` in the step's mode: bulk,
+/// or map/unmap.
+fn read_back(
+    q: &mut CommandQueue,
+    mode: Mode,
+    buf: &Buffer<f32>,
+    dst: &mut [f32],
+) -> Result<(), String> {
+    if mode == Mode::Bulk {
+        q.enqueue_read(buf, dst).map_err(err)?;
+    } else {
+        let m = q.map_read(buf).map_err(err)?;
+        dst.copy_from_slice(&m.as_slice()[..dst.len()]);
+    }
+    Ok(())
 }
 
 /// A simulated-runtime error as the pipeline reports it.
 fn err(e: simgpu::error::Error) -> String {
     e.to_string()
-}
-
-/// Host-side cost of summing `n` f32 values read back from the device: one
-/// add and one 4-byte read each. The one recipe of both `host:reduction`
-/// (the whole pEdge matrix) and `host:reduction_stage2` (the stage-1
-/// partials), shared by the pipeline, the ablation probes and the
-/// predictor.
-pub fn host_sum_counters(n: usize) -> CostCounters {
-    let mut c = CostCounters::new();
-    c.charge_ops_n(&OpCounts::ZERO.adds(1), n as u64);
-    c.global_read_scalar = n as u64 * 4;
-    c
-}
-
-/// The two outer lines at each end of an axis of length `n ≥ 3`
-/// (`0, 1, n-2, n-1`), in order, with the duplicate a 3-long axis produces
-/// (line 1 is both second and second-to-last) skipped. Fixed-size, so the
-/// per-frame border path stays allocation-free.
-fn border_lines(n: usize) -> impl Iterator<Item = usize> {
-    let lines = [0, 1, n - 2, n - 1];
-    (0..4)
-        .filter(move |&i| i == 0 || lines[i] != lines[i - 1])
-        .map(move |i| lines[i])
-}
-
-/// Elements the CPU border path writes back to the device: the border
-/// rows in full plus the border columns of body rows `2 ..= h-3`,
-/// deduplicated for tiny shapes. The one count of the `write:up_border`
-/// transfer, shared by the pipeline, the ablation probe and the predictor.
-pub fn border_elems(w: usize, h: usize) -> u64 {
-    let rows = border_lines(h).count() * w;
-    let cols = border_lines(w).count() * (2..h.saturating_sub(2)).len();
-    (rows + cols) as u64
-}
-
-/// Host-side cost counters of the CPU upscale-border stage, the closed
-/// form of `cpu::stages::upscale_border_into`'s counted loops: `host:
-/// upscale_border` as the pipeline, the ablation probe and the predictor
-/// charge it.
-pub fn border_host_counters(w: usize, h: usize) -> CostCounters {
-    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-    let mut interp = 0u64;
-    let mut copied = 0u64;
-    // Two horizontal border-row passes.
-    for _ in 0..2 {
-        if wd >= 2 {
-            for bi in 0..wd - 1 {
-                interp += (w as i64 - 4 - 4 * bi as i64).clamp(0, 4) as u64;
-            }
-            copied += 4;
-        } else {
-            copied += w as u64;
-        }
-        copied += w as u64; // companion-row copy
-    }
-    // Two vertical border-column passes over body rows 2 ..= h-3.
-    for _ in 0..2 {
-        for bj in 0..hd.saturating_sub(1) {
-            interp += (h as i64 - 4 - 4 * bj as i64).clamp(0, 4) as u64;
-        }
-        copied += (2..h.saturating_sub(2)).len() as u64; // companion-column copy
-    }
-    let mut c = CostCounters::new();
-    c.charge_ops_n(&OpCounts::ZERO.muls(2).adds(1), interp);
-    c.global_read_scalar = (interp * 2 + copied) * 4;
-    c.global_write_scalar = (interp + copied + 8) * 4;
-    c
 }
 
 /// Builds a [`RunReport`] from the queue's recorded commands.
@@ -757,39 +487,47 @@ fn report_from_queue(q: &CommandQueue, w: usize, h: usize, out: Vec<f32>) -> Run
     }
 }
 
+/// The program's device buffers, indexed by [`Buf`].
+struct DeviceBuffers([Option<Buffer<f32>>; Buf::COUNT]);
+
+impl DeviceBuffers {
+    fn get(&self, b: Buf) -> &Buffer<f32> {
+        self.0[b as usize]
+            .as_ref()
+            .expect("the program allocates every buffer its steps name")
+    }
+
+    /// The two kernel-facing views of the uploaded frame: the padded
+    /// source, and what downscale/Sobel/pError read — the raw original in
+    /// the base pipeline, the padded matrix once the upload is unified.
+    fn sources(&self, g: &Geometry) -> (SrcImage, SrcImage) {
+        let padded = SrcImage {
+            view: self.get(Buf::Padded).view(),
+            pitch: g.pw,
+            pad: 1,
+        };
+        let main = match &self.0[Buf::Original as usize] {
+            Some(b) => SrcImage {
+                view: b.view(),
+                pitch: g.w,
+                pad: 0,
+            },
+            None => padded.clone(),
+        };
+        (padded, main)
+    }
+}
+
 /// Every device buffer and host scratch area one frame of the pipeline
-/// needs, allocated once for a fixed shape and optimization config.
+/// needs, allocated once from the program for a fixed shape and
+/// optimization config.
 ///
 /// Reuse across frames is bit-safe by construction: every buffer is fully
 /// overwritten each frame except `padded`, whose border is zeroed at
 /// allocation and never written afterwards (only the interior is
 /// uploaded), and the host scratch areas, whose stale cells are never read.
 struct FrameResources {
-    w: usize,
-    h: usize,
-    w4: usize,
-    h4: usize,
-    n: usize,
-    /// Vec4-aligned device row stride (`device_stride(w)`; equals `w` for
-    /// multiple-of-4 widths).
-    ws: usize,
-    /// Elements of one strided device image (`ws * h`).
-    ns: usize,
-    pw: usize,
-    padded: Buffer<f32>,
-    /// Base (non-`data_transfer`) path only: the unpadded original.
-    original: Option<Buffer<f32>>,
-    down: Buffer<f32>,
-    up: Buffer<f32>,
-    pedge: Buffer<f32>,
-    finalbuf: Buffer<f32>,
-    /// GPU reduction only: per-group partial sums.
-    partials: Option<Buffer<f32>>,
-    /// GPU reduction with device-side stage 2 only: the single-value sum.
-    reduction_out: Option<Buffer<f32>>,
-    /// Unfused sharpening tail only.
-    perror: Option<Buffer<f32>>,
-    prelim: Option<Buffer<f32>>,
+    dev: DeviceBuffers,
     /// CPU border only: host scratch for the downscaled frame readback,
     /// and the full-size image the border stage writes its pixels into.
     border_host: Option<(ImageF32, ImageF32)>,
@@ -800,96 +538,47 @@ struct FrameResources {
 }
 
 impl FrameResources {
-    /// The two kernel-facing views of the uploaded frame: the padded
-    /// source, and what downscale/Sobel/pError read — the raw original in
-    /// the base pipeline, the padded matrix once the upload is unified.
-    fn sources(&self) -> (SrcImage, SrcImage) {
-        let padded_src = SrcImage {
-            view: self.padded.view(),
-            pitch: self.pw,
-            pad: 1,
+    fn new(ctx: &Context, prog: &FrameProgram) -> Self {
+        let mut dev: [Option<Buffer<f32>>; Buf::COUNT] = Default::default();
+        for &(b, len) in prog.buffers() {
+            dev[b as usize] = Some(ctx.buffer(b.label(), len));
+        }
+        let g = &prog.g;
+        let reduction_host = match prog.reduction {
+            Reduction::Cpu => g.ns,
+            Reduction::HostStage2 => stage1_groups(g.ns),
+            Reduction::DeviceStage2 => 0,
         };
-        let main_src = match &self.original {
-            Some(b) => SrcImage {
-                view: b.view(),
-                pitch: self.w,
-                pad: 0,
-            },
-            None => padded_src.clone(),
-        };
-        (padded_src, main_src)
-    }
-
-    fn new(pipe: &GpuPipeline, w: usize, h: usize) -> Result<Self, String> {
-        check_shape(w, h)?;
-        pipe.params.validate()?;
-        // Downscaled grid is the ceiling: ragged edge blocks average the
-        // pixels that exist. Intermediates live at the vec4-aligned device
-        // stride `ws` so the vectorized kernels never need a misaligned
-        // span; for multiple-of-4 widths every size below equals the
-        // historical unpadded one.
-        let (w4, h4) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-        let n = w * h;
-        let ws = device_stride(w);
-        let ns = ws * h;
-        let pw = ws + 2;
-        let ctx = &pipe.ctx;
-        let groups = stage1_groups(ns);
-        let device_stage2 = pipe.opts.reduction_gpu && groups > pipe.tuning.stage2_gpu_threshold;
-        // Border placement depends only on the width, so it is fixed per
-        // plan; host scratch is sized by what this config reads.
-        let reduction_host = match (pipe.opts.reduction_gpu, device_stage2) {
-            (false, _) => ns,
-            (true, false) => groups,
-            (true, true) => 0,
-        };
-        Ok(FrameResources {
-            w,
-            h,
-            w4,
-            h4,
-            n,
-            ws,
-            ns,
-            pw,
-            padded: ctx.buffer("padded", pw * (h + 2)),
-            original: (!pipe.opts.data_transfer).then(|| ctx.buffer("original", n)),
-            down: ctx.buffer("down", w4 * h4),
-            up: ctx.buffer("up", ns),
-            pedge: ctx.buffer("pEdge", ns),
-            finalbuf: ctx.buffer("final", ns),
-            partials: pipe
-                .opts
-                .reduction_gpu
-                .then(|| ctx.buffer("partials", groups)),
-            reduction_out: device_stage2.then(|| ctx.buffer("reduction_out", 1)),
-            perror: (!pipe.opts.kernel_fusion).then(|| ctx.buffer("pError", ns)),
-            prelim: (!pipe.opts.kernel_fusion).then(|| ctx.buffer("prelim", ns)),
-            border_host: (!pipe.gpu_border_enabled(w))
-                .then(|| (ImageF32::zeros(w4, h4), ImageF32::zeros(w, h))),
+        FrameResources {
+            dev: DeviceBuffers(dev),
+            border_host: (!prog.gpu_border)
+                .then(|| (ImageF32::zeros(g.wd, g.hd), ImageF32::zeros(g.w, g.h))),
             reduction_host: vec![0.0f32; reduction_host],
-        })
+        }
     }
 }
 
-/// A prepared, reusable execution plan: one queue and one set of
-/// [`FrameResources`] serving frame after frame of a fixed shape.
+/// A prepared, reusable execution plan: one frame program, one queue and
+/// one set of [`FrameResources`] serving frame after frame of a fixed
+/// shape.
 ///
 /// Created by [`GpuPipeline::prepared`]. Compared to calling
-/// [`GpuPipeline::run`] in a loop, a plan allocates no device buffers on
-/// the hot path, interns stage names (the queue survives across frames),
-/// and reuses host scratch; the simulated times and output pixels are
-/// identical (asserted by the equivalence test suite).
+/// [`GpuPipeline::run`] in a loop, a plan builds no program and allocates
+/// no device buffers on the hot path, interns stage names (the queue
+/// survives across frames), and reuses host scratch; the simulated times
+/// and output pixels are identical (asserted by the equivalence test
+/// suite).
 pub struct PipelinePlan {
     pipe: GpuPipeline,
     q: CommandQueue,
+    prog: FrameProgram,
     res: FrameResources,
 }
 
 impl PipelinePlan {
     /// The frame shape this plan was prepared for.
     pub fn shape(&self) -> (usize, usize) {
-        (self.res.w, self.res.h)
+        (self.prog.g.w, self.prog.g.h)
     }
 
     /// The pipeline configuration this plan executes.
@@ -904,14 +593,15 @@ impl PipelinePlan {
     /// If the frame's shape differs from the prepared shape, or on
     /// simulated-runtime faults.
     pub fn run(&mut self, orig: &ImageF32) -> Result<RunReport, String> {
-        let mut out = vec![0.0f32; self.res.n];
+        let (w, h) = self.shape();
+        let mut out = vec![0.0f32; w * h];
         self.run_into(orig, &mut out)?;
-        Ok(report_from_queue(&self.q, self.res.w, self.res.h, out))
+        Ok(report_from_queue(&self.q, w, h, out))
     }
 
     /// Hot-path variant of [`PipelinePlan::run`]: writes the sharpened
     /// pixels into `out` (length `w*h`) and returns the frame's simulated
-    /// lane components, performing no per-frame allocation at all.
+    /// lane components, allocating no device buffer.
     ///
     /// # Errors
     /// As for [`PipelinePlan::run`]; additionally if `out` has the wrong
@@ -921,32 +611,16 @@ impl PipelinePlan {
         orig: &ImageF32,
         out: &mut [f32],
     ) -> Result<crate::gpu::batch::FrameComponents, String> {
-        self.run_into_with_mean(orig, None, out)
-    }
-
-    /// [`PipelinePlan::run_into`] with an externally supplied pEdge mean
-    /// (skipping the reduction), mirroring [`GpuPipeline::run_with_mean`].
-    /// The strip pipeline's pass 2 runs on this: reusable plan, reusable
-    /// output scratch, injected global mean.
-    ///
-    /// # Errors
-    /// As for [`PipelinePlan::run_into`].
-    pub fn run_into_with_mean(
-        &mut self,
-        orig: &ImageF32,
-        mean: Option<f32>,
-        out: &mut [f32],
-    ) -> Result<crate::gpu::batch::FrameComponents, String> {
-        if out.len() != self.res.n {
+        if out.len() != self.prog.g.n {
             return Err(format!(
                 "output slice is {}, frame needs {}",
                 out.len(),
-                self.res.n
+                self.prog.g.n
             ));
         }
         self.q.reset();
         self.pipe
-            .run_frame(&mut self.q, &mut self.res, orig, mean, out)?;
+            .run_frame(&mut self.q, &self.prog, &mut self.res, orig, out)?;
         let mut c = crate::gpu::batch::FrameComponents {
             upload_s: 0.0,
             compute_s: 0.0,
@@ -964,7 +638,8 @@ impl PipelinePlan {
 
     /// The command records of the most recently executed frame (empty
     /// before the first run). Unlike [`RunReport::stages`], these keep
-    /// their [`CostCounters`], so efficiency telemetry can be derived.
+    /// their [`simgpu::cost::CostCounters`], so efficiency telemetry can
+    /// be derived.
     pub fn records(&self) -> &[simgpu::queue::CommandRecord] {
         self.q.records()
     }
@@ -989,12 +664,8 @@ impl PipelinePlan {
     /// Derives per-kernel efficiency telemetry from the most recently
     /// executed frame (observation-only: reads the retained records).
     pub fn telemetry(&self) -> crate::telemetry::FrameTelemetry {
-        crate::telemetry::FrameTelemetry::collect(
-            self.q.records(),
-            self.q.device(),
-            self.res.w,
-            self.res.h,
-        )
+        let (w, h) = self.shape();
+        crate::telemetry::FrameTelemetry::collect(self.q.records(), self.q.device(), w, h)
     }
 }
 
@@ -1002,6 +673,7 @@ impl PipelinePlan {
 mod tests {
     use super::*;
     use crate::cpu::CpuPipeline;
+    use crate::params::{device_stride, SCALE};
     use imagekit::generate;
     use simgpu::device::DeviceSpec;
 
@@ -1010,23 +682,12 @@ mod tests {
     }
 
     #[test]
-    fn border_elems_counts_tiny_shapes() {
-        // 3×3: rows {0,1,2} cover everything; the column loop is empty.
-        assert_eq!(border_elems(3, 3), 9);
-        // 3×9: rows {0,1,7,8} × 3 = 12, columns {0,1,2} on rows 2..=6 = 15.
-        assert_eq!(border_elems(3, 9), 27);
-        // 8×8: rows {0,1,6,7} = 32, columns {0,1,6,7} on rows 2..=5 = 16.
-        assert_eq!(border_elems(8, 8), 48);
-    }
-
-    #[test]
     fn host_scratch_is_sized_by_what_the_config_reads() {
         let (w, h) = (64, 48);
         let ns = device_stride(w) * h;
         let scratch = |opts: OptConfig, tuning: Tuning| {
-            let pipe =
-                GpuPipeline::new(vctx(), SharpnessParams::default(), opts).with_tuning(tuning);
-            let res = FrameResources::new(&pipe, w, h).unwrap();
+            let prog = FrameProgram::build(w, h, &opts, &tuning).unwrap();
+            let res = FrameResources::new(&vctx(), &prog);
             let border = res
                 .border_host
                 .as_ref()
@@ -1058,30 +719,6 @@ mod tests {
             scratch(OptConfig::all(), host_stage2),
             (None, stage1_groups(ns))
         );
-    }
-
-    #[test]
-    fn border_host_counters_match_the_counted_cpu_stage() {
-        // For multiple-of-4 shapes every interpolation window is full:
-        // 2 row passes × 15 windows × 4 + 2 column passes × 15 × 4 = 240.
-        let c = border_host_counters(64, 64);
-        assert_eq!(c.ops.mul, 240 * 2);
-        assert_eq!(c.ops.add, 240);
-        // The closed form is exactly what the CPU stage counts, ragged and
-        // tiny shapes included.
-        for (w, h) in [
-            (64usize, 64usize),
-            (3, 3),
-            (3, 9),
-            (8, 3),
-            (1001, 701),
-            (1023, 769),
-        ] {
-            let down = ImageF32::zeros(w.div_ceil(SCALE), h.div_ceil(SCALE));
-            let mut up = ImageF32::zeros(w, h);
-            let counted = cpu_stages::upscale_border_into(&down, &mut up);
-            assert_eq!(border_host_counters(w, h), counted, "{w}x{h}");
-        }
     }
 
     fn img64() -> ImageF32 {

@@ -6,35 +6,22 @@
 //! shows up directly here: it removes the pError and preliminary matrices
 //! from the footprint, not just their traffic.
 
-use crate::gpu::kernels::reduction::stage1_groups;
-use crate::gpu::opts::OptConfig;
-use crate::params::{device_stride, SCALE};
+use crate::gpu::opts::{OptConfig, Tuning};
+use crate::gpu::program;
 
-/// Bytes of device memory one `w × h` frame requires under `opts`.
+/// Bytes of device memory one `w × h` frame requires under `opts` with
+/// the default tuning: the sum of the frame program's buffer list, so
+/// exactly what a plan allocates.
 ///
-/// Counts every buffer the pipeline allocates: padded source (plus the
-/// raw original in the base transfer mode), downscaled, upscaled, pEdge,
-/// final, the reduction partials when the reduction runs on the device,
-/// and the pError/preliminary intermediates when fusion is off. Device
-/// intermediates live at the vec4-aligned row stride `device_stride(w)`,
-/// so widths not a multiple of 4 cost slightly more than `w * h`.
+/// That is the padded source (plus the raw original in the base transfer
+/// mode), downscaled, upscaled, pEdge, final, the reduction partials when
+/// the reduction runs on the device (plus the one-element total when
+/// stage 2 does), and the pError/preliminary intermediates when fusion is
+/// off. Device intermediates live at the vec4-aligned row stride
+/// `device_stride(w)`, so widths not a multiple of 4 cost slightly more
+/// than `w * h`.
 pub fn device_bytes_required(w: usize, h: usize, opts: &OptConfig) -> u64 {
-    let n = (w * h) as u64;
-    let ws = device_stride(w);
-    let ns = (ws * h) as u64;
-    let padded = ((ws + 2) * (h + 2)) as u64;
-    let down = (w.div_ceil(SCALE) * h.div_ceil(SCALE)) as u64;
-    let mut elems = padded + down + ns /* up */ + ns /* pEdge */ + ns /* final */;
-    if !opts.data_transfer {
-        elems += n; // raw original uploaded alongside the padded matrix
-    }
-    if !opts.kernel_fusion {
-        elems += 2 * ns; // pError + preliminary intermediates
-    }
-    if opts.reduction_gpu {
-        elems += stage1_groups(ws * h) as u64 + 1;
-    }
-    elems * 4
+    program::device_bytes(w, h, opts, &Tuning::default())
 }
 
 /// Largest square frame width (a multiple of 4) whose pipeline footprint

@@ -14,9 +14,9 @@
 //!   bit equality, not approximation).
 //! * [`search`] enumerates the candidate space over the predictor —
 //!   exhaustively or axis-by-axis — and returns the argmin per
-//!   `(shape, device)`, plus closed-form equivalents of the
-//!   [`crate::gpu::ablate`] probes so [`crate::autotune`] decides from
-//!   the model instead of executing probe queues.
+//!   `(shape, device)`, plus the closed-form stage probes that
+//!   [`crate::autotune`] decides from and the paper's component figures
+//!   (Figs. 15–17) plot.
 //!
 //! The proved-vs-searched boundary: the static verifier
 //! ([`crate::gpu::verify`]) proves what a schedule *touches*; this module

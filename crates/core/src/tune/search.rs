@@ -1,5 +1,5 @@
-//! Model-based search over the schedule space, plus closed-form ablation
-//! probes that replace the measure-by-running probes in
+//! Model-based search over the schedule space, plus the closed-form stage
+//! probes behind the paper's component figures (Figs. 15–17) and
 //! [`crate::autotune`].
 //!
 //! Every candidate is evaluated with [`predict_frame`] — the bit-exact
@@ -26,9 +26,9 @@ use simgpu::timing::{bulk_transfer_time, cpu_stage_time, kernel_time};
 use crate::gpu::kernels::reduction::{
     stage1_access, stage1_desc, stage1_groups, stage2_access, stage2_desc, ReductionStrategy,
 };
-use crate::gpu::kernels::upscale::{upscale_border_col_access, upscale_border_row_access};
-use crate::gpu::kernels::{grid1d, KernelTuning};
-use crate::gpu::pipeline::{border_elems, border_host_counters, host_sum_counters};
+use crate::gpu::kernels::upscale::border_kernels;
+use crate::gpu::kernels::KernelTuning;
+use crate::gpu::program::{border_elems, border_host_counters, host_sum_counters};
 use crate::gpu::{OptConfig, Tuning};
 use crate::params::{device_stride, SCALE};
 
@@ -348,20 +348,22 @@ pub fn search_pixel_invariant(
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form ablation probes, mirroring `gpu::ablate`'s executed probes
-// bit for bit (the autotune tests cross-check them against the executed
-// versions). Each replays the probe's command durations in the same
-// order an executing queue would sum them — no syncs, always-bulk
-// readbacks, default kernel tuning — costing every kernel with the
-// declaration its own access constructor returns and every host stage
-// with the pipeline's shared recipe, so `crate::autotune` can keep its
-// exact decision semantics while evaluating in microseconds.
+// Closed-form stage probes: the in-pipeline cost of one stage with its
+// input already resident on the device (as it is mid-pipeline), so the CPU
+// variants pay the device→host transfer the paper highlights ("the
+// procedure of reduction on CPU includes transferring the pEdge matrix
+// from GPU to CPU"). Each sums the durations of the stage's commands in
+// the order a queue would record them — no syncs, always-bulk readbacks,
+// default kernel tuning — costing every kernel with the declaration its
+// own access constructor returns and every host stage with the frame
+// program's recipe, so `crate::autotune` decides in microseconds and the
+// figures need no execution.
 // ---------------------------------------------------------------------------
 
 /// Predicted seconds of the GPU reduction probe: stage 1 over `n`
 /// elements, then either the device stage 2 plus a one-element readback
 /// (partial count above `stage2_threshold`) or a partials readback plus
-/// the host-side sum. Bit-identical to `gpu::ablate::reduction_gpu_time`.
+/// the host-side sum.
 pub fn reduction_gpu_model(
     dev: &DeviceSpec,
     cpu: &CpuSpec,
@@ -372,19 +374,11 @@ pub fn reduction_gpu_model(
     let groups = stage1_groups(n);
     let (src, partials) = (BufRef::f32("pEdge", n), BufRef::f32("partials", groups));
     let desc = stage1_desc(n, strategy);
-    let stage1 = stage1_access(
-        &desc,
-        0..desc.total_groups(),
-        src,
-        partials.clone(),
-        0,
-        n,
-        strategy,
-    );
+    let stage1 = stage1_access(&desc, 0..desc.total_groups(), &src, &partials, n, strategy);
     let mut t = kernel_time(dev, &stage1.charged).total_s;
     if groups > stage2_threshold {
         let out = BufRef::f32("reduction_out", 1);
-        let stage2 = stage2_access(&stage2_desc(), partials, groups, out);
+        let stage2 = stage2_access(&stage2_desc(), &partials, groups, &out);
         t += kernel_time(dev, &stage2.charged).total_s;
         t += bulk_transfer_time(&dev.transfer, 4);
     } else {
@@ -395,8 +389,7 @@ pub fn reduction_gpu_model(
 }
 
 /// Predicted seconds of the CPU reduction probe: read all `n` elements
-/// back, sum on the host. Bit-identical to
-/// `gpu::ablate::reduction_cpu_time`.
+/// back, sum on the host.
 pub fn reduction_cpu_model(dev: &DeviceSpec, cpu: &CpuSpec, n: usize) -> f64 {
     let mut t = bulk_transfer_time(&dev.transfer, n as u64 * 4);
     t += cpu_stage_time(cpu, &host_sum_counters(n));
@@ -404,30 +397,22 @@ pub fn reduction_cpu_model(dev: &DeviceSpec, cpu: &CpuSpec, n: usize) -> f64 {
 }
 
 /// Predicted seconds of the GPU border probe: the four border kernels
-/// (top, bottom, left, right), nothing else. The two row kernels declare
-/// identical counters, as do the two column kernels. Bit-identical to
-/// `gpu::ablate::border_gpu_time`.
+/// (top, bottom, left, right), nothing else.
 pub fn border_gpu_model(dev: &DeviceSpec, w: usize, h: usize) -> f64 {
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let ws = device_stride(w);
-    let tune = KernelTuning::default();
     let (down, up) = (BufRef::f32("down", wd * hd), BufRef::f32("up", ws * h));
-    let row_desc = grid1d("upscale_border_top", (wd - 1).max(1), 64);
-    let row = upscale_border_row_access(&row_desc, down.clone(), up.clone(), w, ws, 0, 0, 1, tune);
-    let col_desc = grid1d("upscale_border_left", (hd - 1).max(1), 64);
-    let col = upscale_border_col_access(&col_desc, down, up, wd, h, ws, 0, 0, 1, tune);
-    let row = kernel_time(dev, &row.charged).total_s;
-    let col = kernel_time(dev, &col.charged).total_s;
-    let mut t = row;
-    t += row;
-    t += col;
-    t += col;
+    let mut t = 0.0;
+    for k in border_kernels(w, h) {
+        let access = k.access(&down, &up, w, h, ws, KernelTuning::default());
+        t += kernel_time(dev, &access.charged).total_s;
+    }
     t
 }
 
 /// Predicted seconds of the CPU border probe: read the downscaled image
 /// back, interpolate the border on the host, write the border band to
-/// the device. Bit-identical to `gpu::ablate::border_cpu_time`.
+/// the device.
 pub fn border_cpu_model(dev: &DeviceSpec, cpu: &CpuSpec, w: usize, h: usize) -> f64 {
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let mut t = bulk_transfer_time(&dev.transfer, (wd * hd * 4) as u64);
@@ -514,5 +499,43 @@ mod tests {
     fn flags_label_is_compact() {
         assert_eq!(flags_label(&OptConfig::none()), "base");
         assert_eq!(flags_label(&OptConfig::all()), "dt+kf+red+vec+bord+oth");
+    }
+
+    // The stage probes' figure shapes (Figs. 15–17).
+
+    #[test]
+    fn gpu_reduction_beats_cpu_at_scale() {
+        // Fig. 16: at large sizes the GPU reduction wins by a wide margin.
+        let (dev, cpu) = w8000();
+        let n = 4096 * 4096;
+        let t_cpu = reduction_cpu_model(&dev, &cpu, n);
+        let t_gpu = reduction_gpu_model(&dev, &cpu, n, ReductionStrategy::UnrollOne, 4096);
+        assert!(t_gpu * 5.0 < t_cpu, "gpu {t_gpu} vs cpu {t_cpu}");
+    }
+
+    #[test]
+    fn reduction_times_scale_with_n() {
+        let (dev, cpu) = w8000();
+        let t = |n| reduction_gpu_model(&dev, &cpu, n, ReductionStrategy::UnrollOne, 4096);
+        assert!(t(2048 * 2048) > t(256 * 256));
+    }
+
+    #[test]
+    fn border_cpu_wins_small_gpu_wins_large() {
+        // Fig. 17: the crossover sits between the smallest and largest
+        // tested sizes.
+        let (dev, cpu) = w8000();
+        assert!(border_cpu_model(&dev, &cpu, 448, 448) < border_gpu_model(&dev, 448, 448));
+        assert!(border_gpu_model(&dev, 1536, 1536) < border_cpu_model(&dev, &cpu, 1536, 1536));
+    }
+
+    #[test]
+    fn stage2_threshold_changes_path() {
+        let (dev, cpu) = w8000();
+        let n = 2048 * 2048;
+        // Device stage 2 vs host stage 2; both are positive and differ.
+        let t_dev = reduction_gpu_model(&dev, &cpu, n, ReductionStrategy::UnrollOne, 0);
+        let t_host = reduction_gpu_model(&dev, &cpu, n, ReductionStrategy::UnrollOne, usize::MAX);
+        assert!(t_dev > 0.0 && t_host > 0.0);
     }
 }

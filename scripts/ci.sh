@@ -46,12 +46,21 @@ cargo test -q -p sharpness-core --features simd
 echo "== static access verification sweep (64 configs x 4 shapes)"
 cargo run --release -q -p sharpness-bench --bin repro -- --verify-static
 
+echo "== paper figures pinned (repro all vs baselines/repro_output.txt)"
+# Figs. 12-17 and Table I are simulated model seconds, deterministic on
+# any host: the committed output must reproduce byte for byte.
+repro_out=$(mktemp)
+cargo run --release -q -p sharpness-bench --bin repro -- all > "$repro_out"
+cmp "$repro_out" baselines/repro_output.txt
+rm -f "$repro_out"
+
 echo "== tuner bit-agreement sweep (predicted vs executed, 64 configs x shapes x placements x devices)"
 # The model-based autotuner's entire claim is that its closed-form cost
 # predictor returns `.to_bits()`-identical seconds to executing the
-# simulated pipeline. Kernel counters agree by construction (both sides
-# use the kernels' own declarations); this sweep proves the replayed
-# command order for the full config space on every CI pass.
+# simulated pipeline. Both walk one frame program, so the command order
+# agrees by construction; this sweep proves the timing fold matches what
+# the executor's transfers, host stages and commits charge, for the full
+# config space on every CI pass.
 cargo test -q --release --test tune -- --ignored
 
 echo "== metric baselines"

@@ -7,9 +7,9 @@
 //! macro strings no longer hide from it.
 //!
 //! Kernel cost needs no rule: a dispatch's cost is the `AccessSummary`
-//! that `CommandQueue::run`/`run_rows` take as an argument, and kernel
-//! closures have no way to count anything, so the type system already
-//! enforces "declared once, charged once".
+//! that `CommandQueue::commit` (and the run-now `dispatch`) takes inside
+//! the `Dispatch`, and kernel closures have no way to count anything, so
+//! the type system already enforces "declared once, charged once".
 //!
 //! Eight rules, all load-bearing:
 //!
@@ -35,22 +35,22 @@
 //!    the kernels a plan runs — no `charge_*` calls, no simulated-clock
 //!    writes, no device-record mutation. Served pixels and simulated
 //!    seconds must be bit-identical to direct plan execution.
-//! 7. The schedule tuner (`core::tune`) predicts cost without ever
-//!    executing: no pipeline construction, plan preparation, queue
-//!    dispatch, commit or pass execution, or cost charging anywhere
-//!    under `crates/core/src/tune/`.
+//! 7. The schedule tuner (`core::tune`) and the frame program builder
+//!    (`gpu/program.rs`) never execute: no pipeline construction, plan
+//!    preparation, queue dispatch, commit or pass execution, or cost
+//!    charging anywhere under `crates/core/src/tune/` or in the program.
 //!    The tuner's whole claim — thousands of candidates per second,
 //!    `.to_bits()`-identical to execution — rests on the predictor
-//!    replaying the timing model from closed-form counters; a single
-//!    smuggled execution would turn the model search back into
-//!    measure-by-running.
+//!    folding the timing model over a program built from closed-form
+//!    counters; a single smuggled execution would turn the model search
+//!    back into measure-by-running.
 //! 8. Host-side charges — `charge_host`, `charge_host_seconds`,
 //!    `charge_bulk`, `charge_map`, the queue's only cost entry points that
 //!    are not a kernel declaration — are called only from the pipeline's
-//!    host stages (`gpu/pipeline.rs`) and the ablation probes
-//!    (`gpu/ablate.rs`). Those are public queue methods, so nothing but
-//!    this rule keeps a scheduler or a kernel file from charging cost the
-//!    predictor does not replay.
+//!    host stages (`gpu/pipeline.rs`), which charge what their program
+//!    step declares. Those are public queue methods, so nothing but this
+//!    rule keeps a scheduler or a kernel file from charging cost the
+//!    predictor does not fold.
 
 use std::path::{Path, PathBuf};
 
@@ -61,16 +61,15 @@ const TELEMETRY_FILES: [&str; 3] = [
     "crates/simgpu/src/trace.rs",
 ];
 /// The only files allowed host-side charges (rule 8).
-const HOST_CHARGE_FILES: [&str; 2] = [
-    "crates/core/src/gpu/pipeline.rs",
-    "crates/core/src/gpu/ablate.rs",
-];
+const HOST_CHARGE_FILES: [&str; 1] = ["crates/core/src/gpu/pipeline.rs"];
 /// Span-recording and attribution files held to rule 5.
 const SPAN_FILES: [&str; 2] = ["crates/simgpu/src/span.rs", "crates/core/src/analyze.rs"];
 /// The queue, whose span-ring lines rule 5 checks.
 const QUEUE_FILE: &str = "crates/simgpu/src/queue.rs";
 /// The CPU stages, hot-loop code under rule 1 besides the kernels.
 const CPU_STAGES_FILE: &str = "crates/core/src/cpu/stages.rs";
+/// The frame program builder, execution-free like the tuner (rule 7).
+const PROGRAM_FILE: &str = "crates/core/src/gpu/program.rs";
 /// Directories the rules sweep.
 const KERNELS_DIR: &str = "crates/core/src/gpu/kernels";
 const SIMD_DIR: &str = "crates/core/src/gpu/kernels/simd";
@@ -459,9 +458,10 @@ impl Lint {
         }
     }
 
-    /// Rule 7: the tuner is execution-free — `core::tune` never builds a
-    /// pipeline, prepares a plan, dispatches a queue command, or charges
-    /// cost. Prediction must stay a pure function of the counters.
+    /// Rule 7: the tuner and the program builder are execution-free —
+    /// neither builds a pipeline, prepares a plan, dispatches a queue
+    /// command, or charges cost. Prediction must stay a pure function of
+    /// the counters.
     fn rule_tune_execution_free(&mut self, tune_files: &[PathBuf]) {
         for rel in tune_files {
             let s = self.read(rel);
@@ -491,8 +491,9 @@ impl Lint {
                 })
                 .collect();
             self.fail(
-                "schedule tuner executes a pipeline (core::tune must predict from closed-form \
-                 counters only — execution belongs in the caller's self-check)",
+                "schedule tuner or frame program executes a pipeline (core::tune and \
+                 gpu/program.rs must stay closed-form — execution belongs in the executor \
+                 and the caller's self-check)",
                 rel,
                 &hits,
             );
@@ -523,8 +524,8 @@ impl Lint {
                 .collect();
             self.fail(
                 "host-side charge outside the pipeline host stages (charge_host/charge_bulk/\
-                 charge_map belong to gpu/pipeline.rs and gpu/ablate.rs; kernel cost is the \
-                 dispatch's declaration)",
+                 charge_map belong to gpu/pipeline.rs; kernel cost is the dispatch's \
+                 declaration)",
                 rel,
                 &hits,
             );
@@ -570,11 +571,12 @@ fn run(root: &Path) -> i32 {
         .collect();
     lint.rule_service_observation_only(&service_files);
 
-    let tune_files: Vec<PathBuf> = rust_files(&root.join(TUNE_DIR))
+    let mut closed_form: Vec<PathBuf> = rust_files(&root.join(TUNE_DIR))
         .into_iter()
         .map(|p| rel(&p))
         .collect();
-    lint.rule_tune_execution_free(&tune_files);
+    closed_form.push(PathBuf::from(PROGRAM_FILE));
+    lint.rule_tune_execution_free(&closed_form);
 
     if lint.failures.is_empty() {
         println!("lint_invariants: OK (8 rules, token-aware)");
@@ -676,7 +678,7 @@ mod tests {
             .iter()
             .chain(&HOST_CHARGE_FILES)
             .chain(&SPAN_FILES)
-            .chain(&[QUEUE_FILE, CPU_STAGES_FILE]);
+            .chain(&[QUEUE_FILE, CPU_STAGES_FILE, PROGRAM_FILE]);
         for rel in files {
             assert!(
                 root.join(rel).is_file(),
@@ -754,6 +756,33 @@ mod tests {
             tune.join("search.rs"),
             "//! Mirrors the queue's commit order; nothing here will execute.\n\
              fn probe() -> f64 { 1.0 }\n",
+        )
+        .unwrap();
+        let code = run(&root);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(code, 0);
+    }
+
+    #[test]
+    fn flags_program_builder_that_executes() {
+        let root = std::env::temp_dir().join(format!("lint-program-{}", std::process::id()));
+        let gpu = root.join("crates/core/src/gpu");
+        std::fs::create_dir_all(&gpu).unwrap();
+        // Rule 7 covers the frame program: building it must stay pure
+        // arithmetic. A builder that reaches a queue, commits or runs a
+        // pass executes; prose naming them does not count.
+        for body in [
+            "fn build(q: &mut CommandQueue) -> Vec<Step> { Vec::new() }\n",
+            "fn build(q: &mut Queue, d: Dispatch) { let p = q.commit(d, &[]).unwrap(); }\n",
+            "fn build(q: &mut Queue, p: Part) { q.execute(1, &[p]).unwrap(); }\n",
+        ] {
+            std::fs::write(gpu.join("program.rs"), body).unwrap();
+            assert_eq!(run(&root), 1, "{body}");
+        }
+        std::fs::write(
+            gpu.join("program.rs"),
+            "//! The executor commits each dispatch and runs the CommandQueue's passes.\n\
+             fn build() -> Vec<Step> { vec![Step::Finish] }\n",
         )
         .unwrap();
         let code = run(&root);

@@ -94,6 +94,30 @@ fn memory_plan_matches_streaming_needs() {
     assert!(memory::frames_resident(4 << 30, 1920, 1088, &opts) >= 2);
 }
 
+/// The memory plan is what a prepared plan allocates: every device buffer
+/// of the plan returns to the pool when the plan drops, and the parked
+/// bytes equal the declared footprint, for every config on aligned,
+/// ragged and large shapes (the large one crosses the default stage-2
+/// threshold, so the one-element stage-2 total is allocated there only).
+#[test]
+fn device_bytes_required_is_what_a_plan_allocates() {
+    for (w, h) in [(256, 256), (1001, 701), (4096, 4096)] {
+        for bits in 0..64u32 {
+            let opts = OptConfig::from_bits(bits);
+            let ctx = Context::new(DeviceSpec::firepro_w8000()).with_pooling(true);
+            let plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
+                .prepared(w, h)
+                .unwrap();
+            drop(plan);
+            assert_eq!(
+                ctx.pool_stats().pooled_bytes,
+                memory::device_bytes_required(w, h, &opts),
+                "{w}x{h} {opts:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn trace_of_a_real_run_covers_all_lanes() {
     let img = generate::natural(64, 64, 6);

@@ -269,37 +269,6 @@ fn plan_reuse_resets_the_ring_each_frame() {
 }
 
 #[test]
-fn strip_pipeline_runs_with_spans_and_matches() {
-    use sharpness::core::gpu::strips::StripPipeline;
-    let img = generate::natural(64, 128, 4);
-    let plain = StripPipeline::new(
-        GpuPipeline::new(
-            Context::new(spec()),
-            SharpnessParams::default(),
-            OptConfig::all(),
-        ),
-        32,
-    )
-    .unwrap()
-    .run(&img)
-    .unwrap();
-    let spanned = StripPipeline::new(
-        GpuPipeline::new(
-            Context::new(spec()).with_spans(),
-            SharpnessParams::default(),
-            OptConfig::all(),
-        ),
-        32,
-    )
-    .unwrap()
-    .run(&img)
-    .unwrap();
-    assert_eq!(plain.output.pixels(), spanned.output.pixels());
-    assert_eq!(plain.total_s.to_bits(), spanned.total_s.to_bits());
-    assert_eq!(plain.mean.to_bits(), spanned.mean.to_bits());
-}
-
-#[test]
 fn aggregation_and_exports_cover_the_frame_tree() {
     let spans = frame_spans(OptConfig::none(), Tuning::default(), 64, 64);
 

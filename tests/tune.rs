@@ -115,6 +115,40 @@ fn full_agreement_sweep_64_configs_3_shapes_2_schedules_2_devices() {
     }
 }
 
+/// Per-command agreement: every executed command record — transfers, host
+/// stages, kernels and finishes — equals the predicted one, name for name
+/// and `.to_bits()` for `.to_bits()`, in order, for every config under
+/// both placements on an aligned and a ragged shape.
+#[test]
+fn executed_records_match_predicted_commands_one_for_one() {
+    let dev = DeviceSpec::firepro_w8000();
+    let cpu = CpuSpec::core_i5_3470();
+    for (w, h) in [(256, 256), (1001, 701)] {
+        let img = generate::natural(w, h, 11);
+        for opts in all_configs() {
+            for schedule in [default_schedule(), device_schedule()] {
+                let p = tune::predict_frame(w, h, &opts, &schedule, &dev, &cpu).unwrap();
+                let r =
+                    GpuPipeline::new(Context::new(dev.clone()), SharpnessParams::default(), opts)
+                        .with_tuning(schedule)
+                        .run(&img)
+                        .unwrap();
+                let predicted: Vec<(&str, u64)> = p
+                    .commands
+                    .iter()
+                    .map(|c| (c.name.as_str(), c.seconds.to_bits()))
+                    .collect();
+                let executed: Vec<(&str, u64)> = r
+                    .stages
+                    .iter()
+                    .map(|s| (&*s.name, s.seconds.to_bits()))
+                    .collect();
+                assert_eq!(predicted, executed, "{w}x{h} {opts:?} {schedule:?}");
+            }
+        }
+    }
+}
+
 /// ROADMAP win condition: with no hand-seeded hints, the search on the
 /// W8000 profile lands on the paper's Fig. 14 winners — kernel fusion
 /// and vectorization on — and the model-driven crossover derivation
@@ -236,10 +270,10 @@ fn search_never_loses_to_the_paper_default_on_any_preset() {
 }
 
 /// The CPU border probe on shapes below 4 pixels on an axis, where the
-/// write-back deduplicates border rows or columns: the closed-form model,
-/// the executed ablation probe and the pipeline's own three border
-/// records (`read:down`, `host:upscale_border`, `write:up_border`, summed
-/// in that order) agree bit for bit.
+/// write-back deduplicates border rows or columns: the closed-form model
+/// and the pipeline's own three border records (`read:down`,
+/// `host:upscale_border`, `write:up_border`, summed in that order) agree
+/// bit for bit.
 #[test]
 fn cpu_border_model_matches_probe_and_pipeline_on_tiny_shapes() {
     let opts = OptConfig {
@@ -249,8 +283,6 @@ fn cpu_border_model_matches_probe_and_pipeline_on_tiny_shapes() {
     for (w, h) in [(3, 3), (8, 3), (3, 9)] {
         let ctx = Context::new(DeviceSpec::firepro_w8000());
         let model = tune::border_cpu_model(ctx.device(), ctx.cpu(), w, h);
-        let probe = sharpness::core::gpu::ablate::border_cpu_time(&ctx, w, h);
-        assert_eq!(model.to_bits(), probe.to_bits(), "{w}x{h}: model vs probe");
         let r = GpuPipeline::new(ctx, SharpnessParams::default(), opts)
             .run(&generate::natural(w, h, 3))
             .unwrap();
