@@ -9,5 +9,5 @@ pub(crate) mod program;
 pub mod verify;
 
 pub use opts::{OptConfig, Tuning};
-pub use pipeline::{GpuPipeline, PipelinePlan};
+pub use pipeline::{GpuPipeline, InputFrame, PipelinePlan};
 pub use verify::{enumerate_access, verify_static, StaticDispatch, StaticReport};

@@ -21,11 +21,11 @@
 //! the device), while the queue's virtual clock produces the simulated
 //! time the figures report.
 
-use imagekit::ImageF32;
+use imagekit::{ImageF32, ImageU8};
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
 use simgpu::kernel::{GroupCtx, RowCtx};
-use simgpu::queue::{CommandKind, CommandQueue, Dispatch, Part, Pending};
+use simgpu::queue::{CommandKind, CommandQueue, Dispatch, Part, Pending, ReadMode};
 use simgpu::span::SpanKind;
 use simgpu::timing::host_memcpy_time;
 
@@ -46,6 +46,69 @@ use crate::gpu::program::{
 };
 use crate::params::SharpnessParams;
 use crate::report::{RunReport, StageRecord};
+
+/// The frame a run reads: an `f32` plane, or 8-bit pixels that the upload
+/// widens to `f32` as it copies each row into the device buffer, so the
+/// host never builds an `f32` plane. Both upload the same values: pixels,
+/// command records and simulated seconds are identical.
+#[derive(Debug, Clone, Copy)]
+pub enum InputFrame<'a> {
+    /// An `f32` plane.
+    F32(&'a ImageF32),
+    /// 8-bit pixels.
+    U8(&'a ImageU8),
+}
+
+impl<'a> From<&'a ImageF32> for InputFrame<'a> {
+    fn from(img: &'a ImageF32) -> Self {
+        InputFrame::F32(img)
+    }
+}
+
+impl<'a> From<&'a ImageU8> for InputFrame<'a> {
+    fn from(img: &'a ImageU8) -> Self {
+        InputFrame::U8(img)
+    }
+}
+
+impl InputFrame<'_> {
+    /// Width in pixels.
+    pub fn width(self) -> usize {
+        match self {
+            InputFrame::F32(img) => img.width(),
+            InputFrame::U8(img) => img.width(),
+        }
+    }
+
+    /// Height in pixels.
+    pub fn height(self) -> usize {
+        match self {
+            InputFrame::F32(img) => img.height(),
+            InputFrame::U8(img) => img.height(),
+        }
+    }
+
+    /// Copies row `y` into `dst` (the row's width), widening 8-bit pixels.
+    fn copy_row(self, y: usize, dst: &mut [f32]) {
+        let w = dst.len();
+        match self {
+            InputFrame::F32(img) => dst.copy_from_slice(&img.pixels()[y * w..(y + 1) * w]),
+            InputFrame::U8(img) => {
+                for (d, &s) in dst.iter_mut().zip(&img.pixels()[y * w..(y + 1) * w]) {
+                    *d = f32::from(s);
+                }
+            }
+        }
+    }
+}
+
+/// Where the final readback puts the image.
+enum FinalOut<'a> {
+    /// Copied into the caller's slice.
+    Slice(&'a mut [f32]),
+    /// The `Final` buffer's own storage, cropped in place.
+    Owned(Option<Vec<f32>>),
+}
 
 /// The OpenCL-style sharpness pipeline on the simulated GPU.
 #[derive(Clone)]
@@ -102,16 +165,21 @@ impl GpuPipeline {
         Ok(prog)
     }
 
-    /// Runs the pipeline on `orig`, returning the sharpened image and the
-    /// simulated command-level time breakdown.
+    /// Runs the pipeline on `orig` (an [`ImageF32`] or an [`ImageU8`]),
+    /// returning the sharpened image and the simulated command-level time
+    /// breakdown.
     ///
     /// Each call allocates a fresh set of device buffers; for repeated
     /// frames of one shape, [`GpuPipeline::prepared`] amortises that setup.
+    /// On a context without pooling the `Final` buffer's storage becomes
+    /// the output image; a pooling context keeps it for the next run and
+    /// the pixels are copied out.
     ///
     /// # Errors
     /// On unsupported shapes, invalid parameters, or simulated-runtime
     /// faults (write races under a validating context).
-    pub fn run(&self, orig: &ImageF32) -> Result<RunReport, String> {
+    pub fn run<'a>(&self, orig: impl Into<InputFrame<'a>>) -> Result<RunReport, String> {
+        let orig = orig.into();
         let (q, out) = self.run_once(orig)?;
         Ok(report_from_queue(&q, orig.width(), orig.height(), out))
     }
@@ -126,10 +194,11 @@ impl GpuPipeline {
     ///
     /// # Errors
     /// As for [`GpuPipeline::run`].
-    pub fn run_with_telemetry(
+    pub fn run_with_telemetry<'a>(
         &self,
-        orig: &ImageF32,
+        orig: impl Into<InputFrame<'a>>,
     ) -> Result<(RunReport, crate::telemetry::FrameTelemetry), String> {
+        let orig = orig.into();
         let (q, out) = self.run_once(orig)?;
         let tel = crate::telemetry::FrameTelemetry::collect(
             q.records(),
@@ -140,14 +209,30 @@ impl GpuPipeline {
         Ok((report_from_queue(&q, orig.width(), orig.height(), out), tel))
     }
 
-    /// One frame on fresh resources and a fresh queue.
-    fn run_once(&self, orig: &ImageF32) -> Result<(CommandQueue, Vec<f32>), String> {
+    /// One frame on fresh resources and a fresh queue. Without pooling,
+    /// dropping the `Final` buffer would free its slab, so the readback
+    /// hands that storage out instead of copying into a new plane.
+    fn run_once(&self, orig: InputFrame) -> Result<(CommandQueue, Vec<f32>), String> {
         let prog = self.program(orig.width(), orig.height())?;
         let mut res = FrameResources::new(&self.ctx, &prog);
         let mut q = self.ctx.queue();
-        let mut out = vec![0.0f32; prog.g.n];
+        if self.ctx.pools() {
+            let mut out = vec![0.0f32; prog.g.n];
+            self.run_frame(
+                &mut q,
+                &prog,
+                &mut res,
+                orig,
+                &mut FinalOut::Slice(&mut out),
+            )?;
+            return Ok((q, out));
+        }
+        let mut out = FinalOut::Owned(None);
         self.run_frame(&mut q, &prog, &mut res, orig, &mut out)?;
-        Ok((q, out))
+        match out {
+            FinalOut::Owned(Some(out)) => Ok((q, out)),
+            _ => Err("the frame program read no final image".to_string()),
+        }
     }
 
     /// Prepares a reusable execution plan for `width`×`height` frames: the
@@ -175,8 +260,8 @@ impl GpuPipeline {
         q: &mut CommandQueue,
         prog: &FrameProgram,
         res: &mut FrameResources,
-        orig: &ImageF32,
-        out: &mut [f32],
+        orig: InputFrame,
+        out: &mut FinalOut,
     ) -> Result<(), String> {
         let g = &prog.g;
         if (orig.width(), orig.height()) != (g.w, g.h) {
@@ -206,8 +291,8 @@ impl GpuPipeline {
         q: &mut CommandQueue,
         prog: &FrameProgram,
         res: &mut FrameResources,
-        orig: &ImageF32,
-        out: &mut [f32],
+        orig: InputFrame,
+        out: &mut FinalOut,
     ) -> Result<(), String> {
         let g = &prog.g;
         let (padded, main) = res.dev.sources(g);
@@ -299,9 +384,10 @@ impl GpuPipeline {
         }
     }
 
-    /// Performs one transfer in the step's mode. Reads land in the plan's
-    /// host scratch (or `out`, for the final image); the read of the
-    /// stage-2 total yields the pEdge mean.
+    /// Performs one transfer in the step's mode. Uploads widen an 8-bit
+    /// frame row by row as they copy it; reads land in the plan's host
+    /// scratch (or `out`, for the final image); the read of the stage-2
+    /// total yields the pEdge mean.
     #[allow(clippy::too_many_arguments)]
     fn transfer(
         &self,
@@ -309,30 +395,39 @@ impl GpuPipeline {
         g: &Geometry,
         res: &mut FrameResources,
         t: &Transfer,
-        orig: &ImageF32,
-        out: &mut [f32],
+        orig: InputFrame,
+        out: &mut FinalOut,
         mean: &mut f32,
     ) -> Result<(), String> {
         let (w, h, ws, pw) = (g.w, g.h, g.ws, g.pw);
+        if (t.buf, t.dir) == (Buf::Final, Dir::Read) {
+            return read_final(q, g, res, t.mode, out);
+        }
         let buf = res.dev.get(t.buf);
-        let src = orig.pixels();
         match (t.buf, t.dir, t.mode) {
             (Buf::Padded, Dir::Write, Mode::Rect) => {
-                q.enqueue_write_rect(buf, pw, 1, 1, src, w, h)
-                    .map_err(err)?;
+                match orig {
+                    InputFrame::F32(img) => q.enqueue_write_rect(buf, pw, 1, 1, img.pixels(), w, h),
+                    InputFrame::U8(img) => {
+                        q.enqueue_write_rect_from(buf, pw, 1, 1, img.pixels(), w, h)
+                    }
+                }
+                .map_err(err)?;
             }
             (Buf::Padded, Dir::Write, _) => {
                 // The host pads: line-by-line into the mapped interior.
                 let mut m = q.map_write(buf).map_err(err)?;
                 let dst = m.as_mut_slice();
                 for y in 0..h {
-                    dst[(y + 1) * pw + 1..(y + 1) * pw + 1 + w]
-                        .copy_from_slice(&src[y * w..(y + 1) * w]);
+                    orig.copy_row(y, &mut dst[(y + 1) * pw + 1..(y + 1) * pw + 1 + w]);
                 }
             }
             (Buf::Original, Dir::Write, _) => {
                 let mut m = q.map_write(buf).map_err(err)?;
-                m.as_mut_slice().copy_from_slice(src);
+                let dst = m.as_mut_slice();
+                for y in 0..h {
+                    orig.copy_row(y, &mut dst[y * w..(y + 1) * w]);
+                }
             }
             (Buf::Up, Dir::Write, mode) => {
                 // The CPU border's pixels: exactly the border region goes
@@ -355,22 +450,6 @@ impl GpuPipeline {
                     q.charge_bulk(&t.name, CommandKind::WriteBuffer, t.bytes);
                 } else {
                     q.charge_map(&t.name, t.bytes);
-                }
-            }
-            (Buf::Final, Dir::Read, Mode::Bulk) => {
-                q.enqueue_read(buf, &mut out[..g.n]).map_err(err)?;
-            }
-            (Buf::Final, Dir::Read, Mode::Rect) => {
-                // Crops the stride padding during the transfer, the mirror
-                // of the rect-write upload.
-                q.enqueue_read_rect(buf, ws, 0, 0, &mut out[..g.n], w, h)
-                    .map_err(err)?;
-            }
-            (Buf::Final, Dir::Read, Mode::Map) => {
-                let m = q.map_read(buf).map_err(err)?;
-                let s = m.as_slice();
-                for y in 0..h {
-                    out[y * w..(y + 1) * w].copy_from_slice(&s[y * ws..y * ws + w]);
                 }
             }
             (Buf::ReductionOut, Dir::Read, mode) => {
@@ -438,6 +517,52 @@ impl GpuPipeline {
     }
 }
 
+/// The final image's readback in the step's mode: into the caller's
+/// slice, or — [`FinalOut::Owned`] — consuming the `Final` buffer, whose
+/// storage comes back cropped in place with the same record.
+fn read_final(
+    q: &mut CommandQueue,
+    g: &Geometry,
+    res: &mut FrameResources,
+    mode: Mode,
+    out: &mut FinalOut,
+) -> Result<(), String> {
+    let (w, h, ws) = (g.w, g.h, g.ws);
+    let out = match out {
+        FinalOut::Slice(out) => out,
+        FinalOut::Owned(slot) => {
+            let mode = match mode {
+                Mode::Bulk => ReadMode::Bulk,
+                Mode::Rect => ReadMode::Rect,
+                Mode::Map => ReadMode::Map,
+            };
+            let buf = res.dev.take(Buf::Final);
+            *slot = Some(q.read_owned(buf, mode, ws, w, h).map_err(err)?);
+            return Ok(());
+        }
+    };
+    let buf = res.dev.get(Buf::Final);
+    match mode {
+        Mode::Bulk => {
+            q.enqueue_read(buf, &mut out[..g.n]).map_err(err)?;
+        }
+        Mode::Rect => {
+            // Crops the stride padding during the transfer, the mirror of
+            // the rect-write upload.
+            q.enqueue_read_rect(buf, ws, 0, 0, &mut out[..g.n], w, h)
+                .map_err(err)?;
+        }
+        Mode::Map => {
+            let m = q.map_read(buf).map_err(err)?;
+            let s = m.as_slice();
+            for y in 0..h {
+                out[y * w..(y + 1) * w].copy_from_slice(&s[y * ws..y * ws + w]);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A row-span dispatch of `d` running `body` once per work-group row.
 fn rows(d: &StaticDispatch, body: impl Fn(&mut RowCtx) + Send + Sync + 'static) -> Dispatch {
     Dispatch::rows(d.desc.clone(), d.access.clone(), body)
@@ -494,6 +619,13 @@ impl DeviceBuffers {
     fn get(&self, b: Buf) -> &Buffer<f32> {
         self.0[b as usize]
             .as_ref()
+            .expect("the program allocates every buffer its steps name")
+    }
+
+    /// Removes buffer `b`, for a readback that consumes it.
+    fn take(&mut self, b: Buf) -> Buffer<f32> {
+        self.0[b as usize]
+            .take()
             .expect("the program allocates every buffer its steps name")
     }
 
@@ -592,7 +724,7 @@ impl PipelinePlan {
     /// # Errors
     /// If the frame's shape differs from the prepared shape, or on
     /// simulated-runtime faults.
-    pub fn run(&mut self, orig: &ImageF32) -> Result<RunReport, String> {
+    pub fn run<'a>(&mut self, orig: impl Into<InputFrame<'a>>) -> Result<RunReport, String> {
         let (w, h) = self.shape();
         let mut out = vec![0.0f32; w * h];
         self.run_into(orig, &mut out)?;
@@ -606,9 +738,9 @@ impl PipelinePlan {
     /// # Errors
     /// As for [`PipelinePlan::run`]; additionally if `out` has the wrong
     /// length.
-    pub fn run_into(
+    pub fn run_into<'a>(
         &mut self,
-        orig: &ImageF32,
+        orig: impl Into<InputFrame<'a>>,
         out: &mut [f32],
     ) -> Result<crate::gpu::batch::FrameComponents, String> {
         if out.len() != self.prog.g.n {
@@ -619,8 +751,13 @@ impl PipelinePlan {
             ));
         }
         self.q.reset();
-        self.pipe
-            .run_frame(&mut self.q, &self.prog, &mut self.res, orig, out)?;
+        self.pipe.run_frame(
+            &mut self.q,
+            &self.prog,
+            &mut self.res,
+            orig.into(),
+            &mut FinalOut::Slice(out),
+        )?;
         let mut c = crate::gpu::batch::FrameComponents {
             upload_s: 0.0,
             compute_s: 0.0,
@@ -723,6 +860,59 @@ mod tests {
 
     fn img64() -> ImageF32 {
         generate::natural(64, 64, 21)
+    }
+
+    /// Every record's name, kind and duration bits, the total's bits and
+    /// the output pixels of one run.
+    type RunDump = (Vec<(String, CommandKind, u64)>, u64, Vec<u32>);
+
+    fn dump(pipe: &GpuPipeline, frame: InputFrame) -> RunDump {
+        let (q, out) = pipe.run_once(frame).unwrap();
+        let records = q
+            .records()
+            .iter()
+            .map(|r| (r.name.to_string(), r.kind, r.duration_s.to_bits()))
+            .collect();
+        let out = out.iter().map(|v| v.to_bits()).collect();
+        (records, q.elapsed().to_bits(), out)
+    }
+
+    #[test]
+    fn u8_frames_and_owned_readbacks_match_f32_frames_and_copies() {
+        // Aligned (bulk or map readback of an unstrided final buffer) and
+        // ragged (rect or map crop) shapes, rect and map uploads.
+        for (w, h) in [(64, 48), (33, 29), (3, 3)] {
+            let u8_img = generate::natural(w, h, 4).to_u8();
+            let f32_img = u8_img.to_f32();
+            for opts in [
+                OptConfig::none(),
+                OptConfig::all(),
+                OptConfig::from_bits(0b10_1010),
+            ] {
+                let pipe = |pooling| {
+                    let ctx = Context::new(DeviceSpec::firepro_w8000()).with_pooling(pooling);
+                    GpuPipeline::new(ctx, SharpnessParams::default(), opts)
+                };
+                let copied = dump(&pipe(true), (&f32_img).into());
+                for pooling in [true, false] {
+                    for frame in [InputFrame::U8(&u8_img), InputFrame::F32(&f32_img)] {
+                        assert!(
+                            dump(&pipe(pooling), frame) == copied,
+                            "{w}x{h} {opts:?} pooling {pooling} {frame:?}"
+                        );
+                    }
+                }
+                let ctx = Context::new(DeviceSpec::firepro_w8000());
+                let mut plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
+                    .prepared(w, h)
+                    .unwrap();
+                let mut out = vec![0.0f32; w * h];
+                plan.run_into(&u8_img, &mut out).unwrap();
+                assert!(out.iter().map(|v| v.to_bits()).eq(copied.2.iter().copied()));
+                drop(plan);
+                assert_eq!(ctx.pool_stats().live, 0);
+            }
+        }
     }
 
     #[test]

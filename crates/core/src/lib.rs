@@ -56,6 +56,6 @@ pub mod tune;
 
 pub use cpu::CpuPipeline;
 pub use gpu::kernels::simd;
-pub use gpu::{GpuPipeline, OptConfig, Tuning};
+pub use gpu::{GpuPipeline, InputFrame, OptConfig, Tuning};
 pub use params::SharpnessParams;
 pub use report::RunReport;

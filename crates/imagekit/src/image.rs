@@ -155,16 +155,13 @@ impl ImageF32 {
         })
     }
 
-    /// Converts to `u8` with clamping to `[0, 255]` and round-to-nearest.
+    /// Converts to `u8` with clamping to `[0, 255]` and round-to-nearest,
+    /// ties away from zero; NaN maps to 0.
     pub fn to_u8(&self) -> ImageU8 {
         ImageU8 {
             width: self.width,
             height: self.height,
-            data: self
-                .data
-                .iter()
-                .map(|&v| v.clamp(0.0, 255.0).round() as u8)
-                .collect(),
+            data: self.data.iter().map(|&v| to_u8_exact(v)).collect(),
         }
     }
 
@@ -184,6 +181,21 @@ impl ImageF32 {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max)
     }
+}
+
+/// `v.clamp(0.0, 255.0).round() as u8`, bit for bit on every `f32`
+/// (NaN and ±inf included), without the libm `round` call or a saturating
+/// float→int cast. `max` maps NaN to 0. Adding 2²³ to `c ∈ [0, 255]`
+/// rounds it to the nearest integer `r`, ties to even, and leaves `r` in
+/// the low mantissa bits; `c - r` is exact, and equals 0.5 exactly when a
+/// tie went down, which `round` (ties away from zero) takes up.
+#[inline]
+#[allow(clippy::manual_clamp)] // `clamp` keeps NaN; this must map it to 0.
+fn to_u8_exact(v: f32) -> u8 {
+    const TWO_23: f32 = 8_388_608.0;
+    let c = v.max(0.0).min(255.0);
+    let x = c + TWO_23;
+    (x.to_bits() as u8) + u8::from(c - (x - TWO_23) >= 0.5)
 }
 
 /// Row-major single-channel `u8` image.
@@ -298,6 +310,57 @@ mod tests {
         assert_eq!(u.pixels(), &[0, 0, 255, 255]);
         let back = u.to_f32();
         assert_eq!(back.get(1, 1), 255.0);
+    }
+
+    /// The conversion `to_u8` replaced.
+    fn to_u8_libm(v: f32) -> u8 {
+        v.clamp(0.0, 255.0).round() as u8
+    }
+
+    #[test]
+    fn to_u8_matches_clamp_round_on_ties_specials_and_random_bits() {
+        let mut probes = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            1e30,
+            -1e30,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // Every half step over the range, with both f32 neighbours.
+        for k in 0..=511u32 {
+            let v = k as f32 / 2.0;
+            probes.extend([v, v.next_down(), v.next_up()]);
+        }
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(2015);
+        probes.extend((0..1_000_000).map(|_| f32::from_bits(rng.next_u64() as u32)));
+        let img = ImageF32::from_vec(probes.len(), 1, probes.clone());
+        for (&v, &got) in probes.iter().zip(img.to_u8().pixels()) {
+            assert_eq!(got, to_u8_libm(v), "{v:e} (bits {:#010x})", v.to_bits());
+        }
+    }
+
+    /// All 2³² bit patterns (release: `cargo test --release -p imagekit
+    /// -- --ignored`).
+    #[test]
+    #[ignore]
+    fn to_u8_matches_clamp_round_on_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .filter(|&b| {
+                let v = f32::from_bits(b);
+                to_u8_exact(v) != to_u8_libm(v)
+            })
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -38,19 +38,23 @@ fn read_dims<R: BufRead>(r: &mut R) -> io::Result<(usize, usize, usize, usize)> 
 }
 
 /// Writes a grayscale image as binary PGM (`P5`, maxval 255).
+///
+/// The buffered writer is flushed explicitly, so an error writing the last
+/// bytes (a full disk) is returned, not lost when the writer drops.
 pub fn write_pgm(path: &Path, img: &ImageU8) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     write!(w, "P5\n{} {}\n255\n", img.width(), img.height())?;
     w.write_all(img.pixels())?;
-    Ok(())
+    w.flush()
 }
 
 /// Writes an RGB image as binary PPM (`P6`, maxval 255).
+/// Write errors are returned as for [`write_pgm`].
 pub fn write_ppm(path: &Path, img: &RgbImageU8) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     write!(w, "P6\n{} {}\n255\n", img.width(), img.height())?;
     w.write_all(img.bytes())?;
-    Ok(())
+    w.flush()
 }
 
 /// Reads a PGM image — binary (`P5`) or ASCII (`P2`) — with maxval ≤ 255.
@@ -208,6 +212,20 @@ mod tests {
         let back = read_pgm(&p).unwrap();
         assert_eq!(back, img);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn writes_to_a_full_device_are_errors() {
+        // A 2×2 payload fits the writer's buffer, so only the final flush
+        // reaches the device and fails.
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let gray = ImageU8::from_vec(2, 2, vec![0, 64, 128, 255]);
+        assert!(write_pgm(full, &gray).is_err());
+        let rgb = RgbImageU8::from_vec(2, 2, vec![7; 12]);
+        assert!(write_ppm(full, &rgb).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! sharpens (gradient energy goes up) without blowing up the signal (PSNR
 //! against the original stays bounded, overshoot keeps pixels in range).
 
-use crate::image::ImageF32;
+use crate::image::{ImageF32, ImageU8};
 
 /// Arithmetic mean of all pixels.
 pub fn mean(img: &ImageF32) -> f64 {
@@ -67,6 +67,29 @@ pub fn gradient_energy(img: &ImageF32) -> f64 {
     acc / ((w - 1) * (h - 1) * 2) as f64
 }
 
+/// [`gradient_energy`] of an 8-bit image, with the same bits as
+/// `gradient_energy(&img.to_f32())` and no `f32` plane. Every term is an
+/// integer of at most 255, so for dimensions up to [`crate::io::MAX_DIM`]
+/// each partial sum of the serial f64 order is an integer below 2⁵³ —
+/// exact — and summing in integers gives the same total.
+pub fn gradient_energy_u8(img: &ImageU8) -> f64 {
+    let (w, h) = (img.width(), img.height());
+    if w < 2 || h < 2 {
+        return 0.0;
+    }
+    let p = img.pixels();
+    let mut acc = 0u64;
+    for (row, next) in p.chunks_exact(w).zip(p.chunks_exact(w).skip(1)) {
+        // At most 2·255·(MAX_DIM - 1) per row: fits a u32.
+        let mut s = 0u32;
+        for x in 0..w - 1 {
+            s += u32::from(row[x + 1].abs_diff(row[x])) + u32::from(next[x].abs_diff(row[x]));
+        }
+        acc += u64::from(s);
+    }
+    acc as f64 / ((w - 1) * (h - 1) * 2) as f64
+}
+
 /// Fraction of pixels outside `[0, 255]` (overshoot-control verification:
 /// must be zero on final output).
 pub fn out_of_range_fraction(img: &ImageF32) -> f64 {
@@ -111,6 +134,47 @@ mod tests {
         assert_eq!(gradient_energy(&flat), 0.0);
         assert!(gradient_energy(&soft) > 0.0);
         assert!(gradient_energy(&hard) > gradient_energy(&soft));
+    }
+
+    /// `gradient_energy_u8` against the f32 sum on the widened image.
+    fn assert_u8_energy_exact(img: &ImageU8) {
+        assert_eq!(
+            gradient_energy_u8(img).to_bits(),
+            gradient_energy(&img.to_f32()).to_bits(),
+            "{}x{}",
+            img.width(),
+            img.height()
+        );
+    }
+
+    #[test]
+    fn gradient_energy_u8_is_bit_identical_to_the_f32_sum() {
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(2015);
+        let mut random = |w: usize, h: usize, maxval: u64| {
+            let px = (0..w * h)
+                .map(|_| (rng.next_u64() % (maxval + 1)) as u8)
+                .collect();
+            ImageU8::from_vec(w, h, px)
+        };
+        for (w, h) in [
+            (1, 9),
+            (9, 1),
+            (2, 2),
+            (3, 3),
+            (64, 64),
+            (1001, 7),
+            (7, 701),
+        ] {
+            assert_u8_energy_exact(&random(w, h, 255));
+        }
+        // An image whose samples stay at or below maxval 7.
+        assert_u8_energy_exact(&random(97, 61, 7));
+        // Worst case: every term is 255.
+        let (w, h) = (1024, 256);
+        let checker = (0..w * h)
+            .map(|i| if (i % w + i / w) % 2 == 0 { 0 } else { 255 })
+            .collect();
+        assert_u8_energy_exact(&ImageU8::from_vec(w, h, checker));
     }
 
     #[test]

@@ -265,6 +265,22 @@ impl<T: Scalar> Buffer<T> {
         }
     }
 
+    /// Consumes the handle and returns its storage. When this is the last
+    /// handle the slab itself is handed out — retired from the pool's
+    /// `live` count and never parked — otherwise (a clone is still alive)
+    /// the contents are copied.
+    pub(crate) fn into_storage(self) -> Vec<T> {
+        match Arc::try_unwrap(self.inner) {
+            Ok(mut inner) => {
+                if let Some(pool) = inner.pool.take().and_then(|w| w.upgrade()) {
+                    pool.retire_live();
+                }
+                std::mem::take(inner.data.0.get_mut()).into_vec()
+            }
+            Err(inner) => Buffer { inner }.snapshot(),
+        }
+    }
+
     /// Marks the whole buffer initialised for the sanitizer's stale-read
     /// detector. Called when a map-write guard exposes the full slab to
     /// the host.
@@ -319,6 +335,37 @@ impl<T: Scalar> BufferInner<T> {
                 (*self.data.0.get()).as_mut_ptr().add(offset),
                 src.len(),
             );
+        }
+    }
+
+    /// [`BufferInner::copy_in`] from host elements of another type, each
+    /// converted by `T::from` as it is stored (e.g. 8-bit pixels widened
+    /// into an `f32` buffer): the same bounds check, init shadow and
+    /// write-race marks as a copy of the converted slice.
+    pub(crate) fn copy_in_from<S: Copy>(&self, offset: usize, src: &[S])
+    where
+        T: From<S>,
+    {
+        assert!(
+            offset + src.len() <= self.len,
+            "copy_in out of bounds on {:?}",
+            self.label
+        );
+        if let Some(sh) = &self.shadow {
+            sh.mark_init_range(offset, src.len());
+        }
+        if self.marks.is_some() {
+            for (i, &v) in src.iter().enumerate() {
+                self.store(offset + i, T::from(v));
+            }
+            return;
+        }
+        // SAFETY: as for `copy_in`.
+        let dst = unsafe {
+            std::slice::from_raw_parts_mut((*self.data.0.get()).as_mut_ptr().add(offset), src.len())
+        };
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = T::from(s);
         }
     }
 

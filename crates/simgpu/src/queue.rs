@@ -282,6 +282,18 @@ impl Unit<'_> {
     }
 }
 
+/// Which command a consuming readback ([`CommandQueue::read_owned`])
+/// stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadMode {
+    /// `clEnqueueReadBuffer` of the whole region.
+    Bulk,
+    /// `clEnqueueReadBufferRect`, cropping the row pitch.
+    Rect,
+    /// Map/unmap of the whole buffer, the host cropping the row pitch.
+    Map,
+}
+
 /// Copies of at least this many bytes are split over the queue's dispatch
 /// threads; below it a copy runs on the calling thread (starting threads
 /// for a small frame's copy costs more than it saves).
@@ -834,14 +846,44 @@ impl CommandQueue {
         src_width: usize,
         rows: usize,
     ) -> Result<f64> {
-        if src.len() != src_width * rows {
-            return Err(Error::RectShapeMismatch {
-                rows,
-                row_len: src_width,
-                host_len: src.len(),
-            });
-        }
-        if rows == 0 || src_width == 0 {
+        let region = [buf_width, buf_x, buf_y, src_width, rows];
+        self.write_rect(buf, region, src, |b, off, row| b.copy_in(off, row))
+    }
+
+    /// [`CommandQueue::enqueue_write_rect`] from host elements of another
+    /// type, converted by `T::from` row by row as they are copied — the
+    /// upload widens 8-bit pixels straight into an `f32` buffer, so the
+    /// host never builds an `f32` plane. The buffer contents, init shadow,
+    /// write-race marks, record and simulated time are those of the plain
+    /// rect write of the converted matrix: the charge is the declared
+    /// `T` bytes, never the host format's.
+    #[allow(clippy::too_many_arguments)]
+    pub fn enqueue_write_rect_from<T: Scalar + From<S>, S: Copy + Sync>(
+        &mut self,
+        buf: &Buffer<T>,
+        buf_width: usize,
+        buf_x: usize,
+        buf_y: usize,
+        src: &[S],
+        src_width: usize,
+        rows: usize,
+    ) -> Result<f64> {
+        let region = [buf_width, buf_x, buf_y, src_width, rows];
+        self.write_rect(buf, region, src, |b, off, row| b.copy_in_from(off, row))
+    }
+
+    /// The rect write behind both entry points: checks the region
+    /// `[buf_width, buf_x, buf_y, src_width, rows]`, copies bands of whole
+    /// rows with `copy_row` — over the dispatch threads when the `T` bytes
+    /// reach [`SPLIT_COPY_BYTES`] — and charges the `T` bytes.
+    fn write_rect<T: Scalar, S: Sync>(
+        &mut self,
+        buf: &Buffer<T>,
+        [buf_width, buf_x, buf_y, src_width, rows]: [usize; 5],
+        src: &[S],
+        copy_row: impl Fn(&crate::buffer::BufferInner<T>, usize, &[S]) + Sync,
+    ) -> Result<f64> {
+        if src.len() != src_width * rows || rows == 0 || src_width == 0 {
             return Err(Error::RectShapeMismatch {
                 rows,
                 row_len: src_width,
@@ -865,17 +907,18 @@ impl CommandQueue {
             });
         }
         // Whole rows per chunk: each thread copies a band of rows.
-        let band = self.rect_band(rows, std::mem::size_of_val(&src[..src_width]));
+        let row_bytes = src_width * std::mem::size_of::<T>();
+        let band = self.rect_band(rows, row_bytes);
         crate::par::split_chunks(src, band * src_width, |off, c| {
             for (r, src_row) in c.chunks(src_width).enumerate() {
                 let y = buf_y + off / src_width + r;
-                buf.inner.copy_in(y * buf_width + buf_x, src_row);
+                copy_row(&buf.inner, y * buf_width + buf_x, src_row);
             }
         });
         let dur = rect_transfer_time(
             &self.device.transfer,
             rows as u64,
-            std::mem::size_of_val(src) as u64,
+            (rows * row_bytes) as u64,
         );
         self.push_labeled(
             "rect-write:",
@@ -952,6 +995,95 @@ impl CommandQueue {
             None,
         );
         Ok(dur)
+    }
+
+    /// Consuming device→host read: the `width × rows` region at the
+    /// origin of `buf` (row pitch `pitch`) comes back as the buffer's own
+    /// storage, the stride padding cropped in place row by row, instead of
+    /// being copied into a host plane. `mode` picks the command it stands
+    /// for — [`ReadMode::Bulk`] is [`CommandQueue::enqueue_read`] of
+    /// `width × rows` elements (it needs `pitch == width`),
+    /// [`ReadMode::Rect`] is [`CommandQueue::enqueue_read_rect`] at origin
+    /// `(0, 0)`, [`ReadMode::Map`] is [`CommandQueue::map_read`] followed
+    /// by the host's crop — with that command's bounds checks, record and
+    /// simulated time.
+    ///
+    /// The buffer must be the last handle to its storage for the slab to
+    /// be handed out: it then retires from the pool's `live` count and is
+    /// never parked. With a clone still alive the region is copied.
+    pub fn read_owned<T: Scalar>(
+        &mut self,
+        buf: Buffer<T>,
+        mode: ReadMode,
+        pitch: usize,
+        width: usize,
+        rows: usize,
+    ) -> Result<Vec<T>> {
+        let n = width * rows;
+        if rows == 0 || width == 0 || (mode == ReadMode::Bulk && pitch != width) {
+            return Err(Error::RectShapeMismatch {
+                rows,
+                row_len: width,
+                host_len: n,
+            });
+        }
+        let op = match mode {
+            ReadMode::Bulk => "read",
+            ReadMode::Rect => "rect-read",
+            ReadMode::Map => "map-read",
+        };
+        if width > pitch {
+            // The region would wrap into the next row of the buffer.
+            return Err(Error::TransferOutOfBounds {
+                op,
+                buffer_len: pitch,
+                offending_index: width - 1,
+            });
+        }
+        let last = (rows - 1) * pitch + width - 1;
+        if last >= buf.len() {
+            return Err(Error::TransferOutOfBounds {
+                op,
+                buffer_len: buf.len(),
+                offending_index: last,
+            });
+        }
+        let t = &self.device.transfer;
+        let bytes = (n * std::mem::size_of::<T>()) as u64;
+        let (prefix, kind, dur) = match mode {
+            ReadMode::Bulk => (
+                "read:",
+                CommandKind::ReadBuffer,
+                bulk_transfer_time(t, bytes),
+            ),
+            ReadMode::Rect => (
+                "rect-read:",
+                CommandKind::ReadBuffer,
+                rect_transfer_time(t, rows as u64, bytes),
+            ),
+            ReadMode::Map => {
+                if !buf.inner.try_map() {
+                    return Err(Error::AlreadyMapped);
+                }
+                buf.inner.unmap();
+                (
+                    "map-read:",
+                    CommandKind::Map,
+                    map_transfer_time(t, buf.byte_len()),
+                )
+            }
+        };
+        self.push_labeled(prefix, buf.label(), kind, dur, None);
+        let mut data = buf.into_storage();
+        if pitch != width {
+            // Row y moves from y·pitch to y·width ≤ y·pitch, so each move
+            // reads only rows not yet overwritten.
+            for y in 1..rows {
+                data.copy_within(y * pitch..y * pitch + width, y * width);
+            }
+        }
+        data.truncate(n);
+        Ok(data)
     }
 
     /// Maps a buffer for host writing. The full map/unmap round-trip cost
@@ -1747,6 +1879,161 @@ mod tests {
                 "threads {threads}"
             );
         }
+    }
+
+    /// Sorted indices of `buf` that a full read finds uninitialised, on a
+    /// sanitized context that keeps every violation.
+    fn uninit_indices(ctx: &Context, q: &mut CommandQueue, buf: &Buffer<f32>) -> Vec<usize> {
+        read_all(q, buf);
+        let report = ctx.sanitize_report().unwrap();
+        assert_eq!(report.dropped, 0);
+        let mut idx: Vec<usize> = report
+            .violations
+            .iter()
+            .filter_map(|v| match v {
+                Violation::UninitRead { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        idx.sort_unstable();
+        idx
+    }
+
+    #[test]
+    fn widening_rect_writes_match_an_f32_rect_write_of_the_widened_matrix() {
+        for rows in RECT_ROWS {
+            let pw = RECT_W + 2;
+            let src: Vec<u8> = (0..RECT_W * rows).map(|i| (i * 7 % 251) as u8).collect();
+            let wide: Vec<f32> = src.iter().map(|&v| f32::from(v)).collect();
+            for threads in [1, 2, 3] {
+                let san = || {
+                    Context::new(DeviceSpec::firepro_w8000())
+                        .with_sanitize(crate::sanitize::SanitizeConfig {
+                            check_uninit_reads: true,
+                            max_violations: 1 << 20,
+                        })
+                        .with_dispatch_threads(threads)
+                };
+                let run = |from_u8: bool| {
+                    let ctx = san();
+                    let mut q = ctx.queue();
+                    let buf = ctx.buffer::<f32>("padded", pw * (rows + 2));
+                    if from_u8 {
+                        q.enqueue_write_rect_from(&buf, pw, 1, 1, &src, RECT_W, rows)
+                    } else {
+                        q.enqueue_write_rect(&buf, pw, 1, 1, &wide, RECT_W, rows)
+                    }
+                    .unwrap();
+                    let r = &q.records()[0];
+                    let record = (r.name.clone(), r.kind, r.duration_s.to_bits());
+                    let uninit = uninit_indices(&ctx, &mut q, &buf);
+                    (buf.snapshot(), record, uninit)
+                };
+                let (widened, plain) = (run(true), run(false));
+                assert!(widened.0 == plain.0, "{rows} rows, {threads} threads");
+                assert_eq!(widened.1, plain.1, "{rows} rows, {threads} threads");
+                assert_eq!(widened.2.len(), 2 * pw + 2 * rows);
+                assert_eq!(widened.2, plain.2, "{rows} rows, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn widening_rect_writes_mark_a_validated_buffer_per_element() {
+        let ctx = Context::with_validation(DeviceSpec::firepro_w8000()).with_dispatch_threads(2);
+        let mut q = ctx.queue();
+        let rows = RECT_ROWS[1];
+        let buf = ctx.buffer::<f32>("b", RECT_W * rows);
+        buf.begin_write_epoch();
+        let src = vec![3u8; RECT_W * rows];
+        q.enqueue_write_rect_from(&buf, RECT_W, 0, 0, &src, RECT_W, rows)
+            .unwrap();
+        assert_eq!(buf.race(), None);
+        q.enqueue_write_rect_from(&buf, RECT_W, 5, 1, &[9u8], 1, 1)
+            .unwrap();
+        assert_eq!(buf.race(), Some(RECT_W + 5));
+    }
+
+    #[test]
+    fn consuming_readbacks_match_the_copying_ones_and_retire_the_buffer() {
+        // (pitch, width, rows): aligned, ragged below and above the split.
+        let shapes = [
+            (64, 64, 48),
+            (RECT_W + 3, RECT_W, RECT_ROWS[0]),
+            (RECT_W + 3, RECT_W, RECT_ROWS[1]),
+        ];
+        for (pitch, width, rows) in shapes {
+            let data: Vec<f32> = (0..pitch * rows).map(|i| i as f32 * 0.5).collect();
+            let want: Vec<f32> = (0..rows)
+                .flat_map(|y| data[y * pitch..y * pitch + width].to_vec())
+                .collect();
+            for mode in [ReadMode::Bulk, ReadMode::Rect, ReadMode::Map] {
+                if mode == ReadMode::Bulk && pitch != width {
+                    continue;
+                }
+                let ctx = ctx().with_dispatch_threads(2);
+                let record = |q: &CommandQueue| {
+                    let r = q.records().last().unwrap();
+                    (r.name.clone(), r.kind, r.duration_s.to_bits())
+                };
+                // The copying command, into a fresh slice.
+                let mut q = ctx.queue();
+                let buf = ctx.buffer_from::<f32>("final", &data);
+                let mut dst = vec![0.0f32; width * rows];
+                match mode {
+                    ReadMode::Bulk => {
+                        q.enqueue_read(&buf, &mut dst).unwrap();
+                    }
+                    ReadMode::Rect => {
+                        q.enqueue_read_rect(&buf, pitch, 0, 0, &mut dst, width, rows)
+                            .unwrap();
+                    }
+                    ReadMode::Map => {
+                        let m = q.map_read(&buf).unwrap();
+                        for y in 0..rows {
+                            dst[y * width..(y + 1) * width]
+                                .copy_from_slice(&m.as_slice()[y * pitch..y * pitch + width]);
+                        }
+                    }
+                }
+                assert!(dst == want, "{mode:?} {width}x{rows}");
+                let copied = record(&q);
+                drop(buf);
+                // The consuming one.
+                let mut q = ctx.queue();
+                let buf = ctx.buffer_from::<f32>("final", &data);
+                let live = ctx.pool_stats().live;
+                let got = q.read_owned(buf, mode, pitch, width, rows).unwrap();
+                assert!(got == want, "{mode:?} {width}x{rows}");
+                assert_eq!(record(&q), copied, "{mode:?} {width}x{rows}");
+                assert_eq!(q.records().len(), 1);
+                assert_eq!(live, 1);
+                assert_eq!(ctx.pool_stats().live, 0, "{mode:?} {width}x{rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn consuming_readbacks_keep_the_bounds_checks() {
+        let ctx = ctx();
+        let mut q = ctx.queue();
+        let take = |q: &mut CommandQueue, mode, pitch, width, rows| {
+            q.read_owned(ctx.buffer::<f32>("b", 16), mode, pitch, width, rows)
+        };
+        assert!(take(&mut q, ReadMode::Bulk, 4, 4, 5).is_err());
+        assert!(take(&mut q, ReadMode::Bulk, 8, 4, 2).is_err());
+        assert!(take(&mut q, ReadMode::Rect, 4, 5, 2).is_err());
+        assert!(take(&mut q, ReadMode::Rect, 7, 4, 3).is_err());
+        assert!(take(&mut q, ReadMode::Rect, 4, 0, 2).is_err());
+        assert!(take(&mut q, ReadMode::Map, 7, 4, 3).is_err());
+        assert!(q.records().is_empty());
+        assert_eq!(ctx.pool_stats().live, 0);
+        // A clone keeps the storage alive: the region is copied instead.
+        let buf = ctx.buffer_from::<f32>("b", &[1.0, 2.0, 3.0, 4.0]);
+        let keep = buf.clone();
+        let got = q.read_owned(buf, ReadMode::Rect, 2, 1, 2).unwrap();
+        assert_eq!(got, [1.0, 3.0]);
+        assert_eq!(keep.snapshot(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     // ---- fused passes ---------------------------------------------------

@@ -43,6 +43,12 @@ cargo build --release --features simd
 cargo test -q --features simd
 cargo test -q -p sharpness-core --features simd
 
+echo "== unit tests of the simulator, image and bench crates"
+# The root `cargo test -q` runs the root package only; the transfer,
+# conversion and bench unit tests live in these crates.
+cargo test -q -p simgpu -p imagekit -p sharpness-bench
+cargo test -q -p sharpness-bench --features simd
+
 echo "== static access verification sweep (64 configs x 4 shapes)"
 cargo run --release -q -p sharpness-bench --bin repro -- --verify-static
 
@@ -146,6 +152,8 @@ cargo run --release -q -p sharpness-bench --bin perf_ledger -- \
 if [ "$full" -eq 1 ]; then
     echo "== sanitized static-vs-dynamic cross-validation sweep"
     cargo test -q --release --test verify_static -- --ignored
+    echo "== exact f32 -> u8 conversion over all 2^32 bit patterns"
+    cargo test -q --release -p imagekit -- --ignored
     echo "== full sanitizer sweep (all configs x all sizes)"
     cargo test -q --release --test sanitize -- --ignored
     echo "== full arbitrary-shape sweep (all configs at 1001x701)"

@@ -5,11 +5,13 @@
 
 use std::path::PathBuf;
 
-use imagekit::{io, metrics, ImageF32};
+use imagekit::{io, metrics, ImageF32, ImageU8};
 use sharpness_core::color::{sharpen_rgb, ColorMode};
 use sharpness_core::cpu::CpuPipeline;
 use sharpness_core::gpu::batch::Overlap;
-use sharpness_core::gpu::{verify_static, GpuPipeline, OptConfig, StaticReport, Tuning};
+use sharpness_core::gpu::{
+    verify_static, GpuPipeline, InputFrame, OptConfig, StaticReport, Tuning,
+};
 use sharpness_core::params::SharpnessParams;
 use sharpness_core::report::RunReport;
 use sharpness_core::telemetry::FrameTelemetry;
@@ -560,9 +562,16 @@ fn autotune_search(
     )
 }
 
-fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
+/// Sharpens one plane. The GPU engine takes an 8-bit plane as it is —
+/// the upload widens it — and runs it on a one-shot context without
+/// pooling, so the final buffer's storage becomes the output image; the
+/// CPU reference converts to `f32` first.
+fn sharpen_plane(cli: &CliArgs, plane: InputFrame) -> Result<RunReport, String> {
     match cli.engine {
-        Engine::Cpu => CpuPipeline::new(cli.params).run(plane),
+        Engine::Cpu => match plane {
+            InputFrame::F32(img) => CpuPipeline::new(cli.params).run(img),
+            InputFrame::U8(img) => CpuPipeline::new(cli.params).run(&img.to_f32()),
+        },
         Engine::Gpu(preset) => {
             let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
             if cli.verify_static {
@@ -574,7 +583,8 @@ fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
                 Context::sanitized(preset.spec())
             } else {
                 Context::new(preset.spec())
-            };
+            }
+            .with_pooling(false);
             let report = GpuPipeline::new(ctx.clone(), cli.params, opts)
                 .with_tuning(tuning)
                 .run(plane)?;
@@ -602,14 +612,14 @@ struct FramesReport {
 /// frame overwrites the last one's output, and the latency histograms and
 /// the [`Overlap`] steady-state recurrence fold frame by frame. Returns the
 /// formatted rates and the report behind the metrics.
-fn run_frames(cli: &CliArgs, plane: &ImageF32) -> Result<(String, FramesReport), String> {
+fn run_frames(cli: &CliArgs, plane: InputFrame) -> Result<(String, FramesReport), String> {
     let Engine::Gpu(preset) = cli.engine else {
         return Err("--frames requires the GPU engine".to_string());
     };
     let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
     let pipe = GpuPipeline::new(Context::new(preset.spec()), cli.params, opts).with_tuning(tuning);
     let mut plan = pipe.prepared(plane.width(), plane.height())?;
-    let mut out = vec![0.0f32; plane.len()];
+    let mut out = vec![0.0f32; plane.width() * plane.height()];
     let mut overlap = Overlap::default();
     let mut wall_latency = Histogram::latency_seconds();
     let mut sim_latency = Histogram::latency_seconds();
@@ -651,7 +661,7 @@ fn run_frames(cli: &CliArgs, plane: &ImageF32) -> Result<(String, FramesReport),
 /// `--profile`, `--explain`, and enriched single-frame traces.
 fn gpu_observe(
     cli: &CliArgs,
-    plane: &ImageF32,
+    plane: InputFrame,
 ) -> Result<(Vec<CommandRecord>, FrameTelemetry, Vec<SpanRecord>), String> {
     let Engine::Gpu(preset) = cli.engine else {
         return Err("kernel telemetry requires the GPU engine".to_string());
@@ -666,6 +676,22 @@ fn gpu_observe(
     Ok((plan.records().to_vec(), tel, spans))
 }
 
+/// The plane a call decodes, which the later re-runs (`--frames`,
+/// telemetry) take: a PGM's 8-bit pixels, or a colour frame's luma plane.
+enum Plane {
+    Gray(ImageU8),
+    Luma(ImageF32),
+}
+
+impl Plane {
+    fn frame(&self) -> InputFrame<'_> {
+        match self {
+            Plane::Gray(img) => img.into(),
+            Plane::Luma(img) => img.into(),
+        }
+    }
+}
+
 /// Executes the parsed command, returning the human-readable summary that
 /// the binary prints.
 pub fn run(cli: &CliArgs) -> Result<String, String> {
@@ -675,14 +701,23 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
     let ext = cli.input.extension().and_then(|e| e.to_str()).unwrap_or("");
     let mut summary = String::new();
     let report: RunReport;
-    let plane: ImageF32;
+    let plane: Plane;
     match ext {
         "pgm" => {
-            let img = io::read_pgm(&cli.input)
-                .map_err(|e| e.to_string())?
-                .to_f32();
-            report = sharpen_plane(cli, &img)?;
-            io::write_pgm(&cli.output, &report.output.to_u8()).map_err(|e| e.to_string())?;
+            let img = io::read_pgm(&cli.input).map_err(|e| e.to_string())?;
+            report = sharpen_plane(cli, InputFrame::U8(&img))?;
+            // The output's gradient energy — a serial f64 sum — runs on a
+            // second thread while this one encodes and writes the file.
+            let out = &report.output;
+            let (written, energy_out) = std::thread::scope(|s| {
+                let energy = s.spawn(|| metrics::gradient_energy(out));
+                let written = io::write_pgm(&cli.output, &out.to_u8());
+                let energy = energy
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                (written, energy)
+            });
+            written.map_err(|e| e.to_string())?;
             summary.push_str(&format!(
                 "sharpened {}x{} grayscale in {:.3} simulated ms\n",
                 img.width(),
@@ -691,17 +726,17 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             ));
             summary.push_str(&format!(
                 "gradient energy {:.3} -> {:.3}\n",
-                metrics::gradient_energy(&img),
-                metrics::gradient_energy(&report.output)
+                metrics::gradient_energy_u8(&img),
+                energy_out
             ));
-            plane = img;
+            plane = Plane::Gray(img);
         }
         "ppm" => {
             let frame = io::read_ppm(&cli.input).map_err(|e| e.to_string())?;
             struct PlaneSharpener<'a>(&'a CliArgs);
             impl sharpness_core::color::Sharpener for PlaneSharpener<'_> {
                 fn sharpen(&self, plane: &ImageF32) -> Result<RunReport, String> {
-                    sharpen_plane(self.0, plane)
+                    sharpen_plane(self.0, plane.into())
                 }
             }
             let color = sharpen_rgb(&PlaneSharpener(cli), &frame, cli.color)?;
@@ -717,8 +752,8 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             // Trace/gantt/telemetry need a plane report; redo the luma
             // plane cheaply.
             let luma = frame.to_luma();
-            report = sharpen_plane(cli, &luma)?;
-            plane = luma;
+            report = sharpen_plane(cli, (&luma).into())?;
+            plane = Plane::Luma(luma);
         }
         other => {
             return Err(format!(
@@ -727,9 +762,11 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         }
     }
 
+    let plane = plane.frame();
+
     // Multi-frame stream: replay the plane through one prepared plan.
     let tput = if cli.frames > 1 {
-        let (text, rep) = run_frames(cli, &plane)?;
+        let (text, rep) = run_frames(cli, plane)?;
         summary.push_str(&text);
         eprint!(
             "frame latency (wall): {}\nframe latency (simulated): {}\n",
@@ -766,7 +803,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
     let wants_single_trace = cli.trace_json.is_some() || cli.gantt;
     let observed =
         if is_gpu && (cli.metrics.is_some() || cli.profile || cli.explain || wants_single_trace) {
-            Some(gpu_observe(cli, &plane)?)
+            Some(gpu_observe(cli, plane)?)
         } else {
             None
         };
