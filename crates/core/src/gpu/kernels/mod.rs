@@ -43,9 +43,9 @@ pub mod sobel;
 pub mod upscale;
 
 use simgpu::access::{AccessSummary, BufRef};
-use simgpu::buffer::GlobalView;
+use simgpu::buffer::{Buffer, GlobalView, GlobalWriteView};
 use simgpu::cost::OpCounts;
-use simgpu::kernel::{round_up, KernelDesc};
+use simgpu::kernel::{round_up, KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
 
 use crate::params::SCALE;
@@ -151,6 +151,82 @@ impl SrcInfo {
     }
 }
 
+/// Where a kernel that writes the frame's output puts its rows: the
+/// device buffer (at its row stride), or — when that buffer has no host
+/// storage — straight into the caller's `w × h` frame, cropped.
+#[derive(Clone)]
+pub(crate) enum RowSink {
+    /// The output buffer's write view and row stride.
+    Plane(GlobalWriteView<f32>, usize),
+    /// The caller's frame.
+    Frame(FrameRows),
+}
+
+impl RowSink {
+    /// The sink of the output buffer `buf` at row stride `ws`.
+    pub(crate) fn plane(buf: &Buffer<f32>, ws: usize) -> Self {
+        RowSink::Plane(buf.write_view(), ws)
+    }
+
+    /// Stores `row` as the pixels of row `y` from column `x` on. In the
+    /// frame, columns from `w` on (the stride padding) are dropped.
+    #[inline]
+    pub(crate) fn put(&self, y: usize, x: usize, row: &[f32]) {
+        match self {
+            RowSink::Plane(view, ws) => view.set_span_raw(y * ws + x, row),
+            RowSink::Frame(f) => f.put(y, x, row),
+        }
+    }
+}
+
+/// The caller's `w × h` output frame as the bodies of one frame write it:
+/// a raw pointer, so a `'static` body can hold it.
+#[derive(Clone)]
+pub(crate) struct FrameRows {
+    ptr: *mut f32,
+    w: usize,
+    h: usize,
+}
+
+// SAFETY: the bodies write disjoint rows of the frame (every unit owns
+// its group row's pixels — the declaration's write windows, which commit
+// verifies disjoint), and the contract of `FrameRows::new` keeps the
+// frame alive and unaliased while any copy exists.
+unsafe impl Send for FrameRows {}
+unsafe impl Sync for FrameRows {}
+
+impl FrameRows {
+    /// The frame `out` of `w × h` pixels (`out.len() == w * h`).
+    ///
+    /// # Safety
+    /// No copy of the result may be used after `out`'s borrow ends, and
+    /// nothing else may read or write `out` while a body that holds one
+    /// can run. The executor keeps this by dropping every body it
+    /// committed before the call that lent it `out` returns.
+    pub(crate) unsafe fn new(out: &mut [f32], w: usize, h: usize) -> Self {
+        debug_assert_eq!(out.len(), w * h);
+        FrameRows {
+            ptr: out.as_mut_ptr(),
+            w,
+            h: h.min(out.len() / w.max(1)),
+        }
+    }
+
+    #[inline]
+    fn put(&self, y: usize, x: usize, row: &[f32]) {
+        if y >= self.h || x >= self.w {
+            return;
+        }
+        let n = row.len().min(self.w - x);
+        // SAFETY: `y < h` and `x + n <= w` keep the copy inside the
+        // frame, which `new`'s contract keeps alive; units write disjoint
+        // pixels.
+        unsafe {
+            std::ptr::copy_nonoverlapping(row.as_ptr(), self.ptr.add(y * self.w + x), n);
+        }
+    }
+}
+
 /// The whole-grid declaration a row-span kernel dispatches with: its
 /// closed-form constructor `build` over every work-group, stamped with the
 /// exact read-overcharge ratio. The run-now kernels and the frame program
@@ -162,6 +238,11 @@ pub(crate) fn full_grid(
     let mut s = build(0..desc.total_groups());
     s.read_ratio = s.exact_read_ratio();
     s
+}
+
+/// Image rows of the unit `rc` of a row dispatch over `h` image rows.
+pub(crate) fn unit_rows(rc: &RowCtx, h: usize) -> std::ops::Range<usize> {
+    rc.global_y(0).min(h)..rc.global_y(rc.group_size[1]).min(h)
 }
 
 /// Image rows covered by the flat group range `groups` of a 2-D dispatch

@@ -13,8 +13,10 @@ use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
+use super::upscale::UpSource;
 use super::{
-    covered_rows, full_grid, grid2d, simd, KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
+    covered_rows, full_grid, grid2d, simd, unit_rows, KernelTuning, RowWindows, SrcImage, SrcInfo,
+    GROUP_2D,
 };
 
 /// Dispatches the pError kernel over the full image. `ws` is the device
@@ -45,16 +47,17 @@ pub fn perror_kernel(
             tune,
         )
     });
-    let body = perror_body(src, up, perr, w, h, ws);
+    let body = perror_body(src, &UpSource::Plane(up.clone(), ws), perr, w, h, ws);
     q.dispatch(Dispatch::rows(desc, access, body), &[perr])
 }
 
 /// The pError body, one call per work-group row. Row-span form: the
 /// subtraction runs over contiguous row slices (autovectorized or
-/// dispatched via [`simd::sub_span`]).
+/// dispatched via [`simd::sub_span`]); the unit's `up` rows come from
+/// `up` (a plane, or rebuilt per unit).
 pub(crate) fn perror_body(
     src: &SrcImage,
-    up: &GlobalView<f32>,
+    up: &UpSource,
     perr: &Buffer<f32>,
     w: usize,
     h: usize,
@@ -64,29 +67,31 @@ pub(crate) fn perror_body(
     let src = src.clone();
     let up = up.clone();
     move |rc| {
-        let gw = rc.group_size[0];
-        let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..rc.group_size[1] {
-            let y = rc.global_y(ly);
-            if y >= h {
-                break;
-            }
-            for gx in rc.groups.clone() {
-                rc.begin_item(gx, [0, ly]);
-                let x_start = gx * gw;
-                if x_start >= w {
+        up.with_rows(unit_rows(rc, h), |up| {
+            let gw = rc.group_size[0];
+            let mut scratch = [0.0f32; GROUP_2D[0]];
+            for ly in 0..rc.group_size[1] {
+                let y = rc.global_y(ly);
+                if y >= h {
                     break;
                 }
-                let span = (x_start + gw).min(w) - x_start;
-                let o = src
-                    .view
-                    .slice_raw(src.idx(x_start as isize, y as isize), span);
-                let u = up.slice_raw(y * ws + x_start, span);
-                let row_out = &mut scratch[..span];
-                simd::sub_span(o, u, row_out);
-                pview.set_span_raw(y * ws + x_start, row_out);
+                for gx in rc.groups.clone() {
+                    rc.begin_item(gx, [0, ly]);
+                    let x_start = gx * gw;
+                    if x_start >= w {
+                        break;
+                    }
+                    let span = (x_start + gw).min(w) - x_start;
+                    let o = src
+                        .view
+                        .slice_raw(src.idx(x_start as isize, y as isize), span);
+                    let u = up.span(y, x_start, span);
+                    let row_out = &mut scratch[..span];
+                    simd::sub_span(o, u, row_out);
+                    pview.set_span_raw(y * ws + x_start, row_out);
+                }
             }
-        }
+        })
     }
 }
 

@@ -17,9 +17,10 @@ use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
+use super::upscale::{UpRows, UpSource};
 use super::{
-    body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, vec4_body_columns,
-    KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, unit_rows,
+    vec4_body_columns, KernelTuning, RowSink, RowWindows, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::{SharpnessParams, MIN_DIM};
@@ -55,14 +56,16 @@ pub fn preliminary_kernel(
             tune,
         )
     });
-    let body = preliminary_body(up, pedge, perr, prelim, mean, params, w, h, ws);
+    let up = UpSource::Plane(up.clone(), ws);
+    let body = preliminary_body(&up, pedge, perr, prelim, mean, params, w, h, ws);
     q.dispatch(Dispatch::rows(desc, access, body), &[prelim])
 }
 
-/// The body of [`preliminary_kernel`], one call per work-group row.
+/// The body of [`preliminary_kernel`], one call per work-group row; it
+/// reads the unit's `up` rows from `up` (a plane, or rebuilt per unit).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn preliminary_body(
-    up: &GlobalView<f32>,
+    up: &UpSource,
     pedge: &GlobalView<f32>,
     perr: &GlobalView<f32>,
     prelim: &Buffer<f32>,
@@ -77,33 +80,35 @@ pub(crate) fn preliminary_body(
     // Row-span form: three contiguous loads and one store per pixel, run
     // span-at-a-time through [`simd::preliminary_span`].
     move |rc| {
-        let gw = rc.group_size[0];
-        let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..rc.group_size[1] {
-            let y = rc.global_y(ly);
-            if y >= h {
-                break;
-            }
-            for gx in rc.groups.clone() {
-                rc.begin_item(gx, [0, ly]);
-                let x_start = gx * gw;
-                if x_start >= w {
+        up.with_rows(unit_rows(rc, h), |up| {
+            let gw = rc.group_size[0];
+            let mut scratch = [0.0f32; GROUP_2D[0]];
+            for ly in 0..rc.group_size[1] {
+                let y = rc.global_y(ly);
+                if y >= h {
                     break;
                 }
-                let span = (x_start + gw).min(w) - x_start;
-                let i = y * ws + x_start;
-                let row_out = &mut scratch[..span];
-                simd::preliminary_span(
-                    up.slice_raw(i, span),
-                    pedge.slice_raw(i, span),
-                    perr.slice_raw(i, span),
-                    row_out,
-                    mean,
-                    &params,
-                );
-                out.set_span_raw(i, row_out);
+                for gx in rc.groups.clone() {
+                    rc.begin_item(gx, [0, ly]);
+                    let x_start = gx * gw;
+                    if x_start >= w {
+                        break;
+                    }
+                    let span = (x_start + gw).min(w) - x_start;
+                    let i = y * ws + x_start;
+                    let row_out = &mut scratch[..span];
+                    simd::preliminary_span(
+                        up.span(y, x_start, span),
+                        pedge.slice_raw(i, span),
+                        perr.slice_raw(i, span),
+                        row_out,
+                        mean,
+                        &params,
+                    );
+                    out.set_span_raw(i, row_out);
+                }
             }
-        }
+        })
     }
 }
 
@@ -172,21 +177,21 @@ pub fn overshoot_kernel(
             tune,
         )
     });
-    let body = overshoot_body(src, prelim, finalbuf, w, h, ws, params);
+    let body = overshoot_body(src, prelim, RowSink::plane(finalbuf, ws), w, h, ws, params);
     q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
-/// The body of [`overshoot_kernel`], one call per work-group row.
+/// The body of [`overshoot_kernel`], one call per work-group row; it
+/// stores its rows through `out` (the final plane, or the caller's frame).
 pub(crate) fn overshoot_body(
     src: &SrcImage,
     prelim: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
+    out: RowSink,
     w: usize,
     h: usize,
     ws: usize,
     params: SharpnessParams,
 ) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
-    let out = finalbuf.write_view();
     let src = src.clone();
     let prelim = prelim.clone();
     // Row-span form: the body clamp runs over contiguous spans through
@@ -250,7 +255,7 @@ pub(crate) fn overshoot_body(
                         }
                     }
                 }
-                out.set_span_raw(i, row_out);
+                out.put(y, x_start, row_out);
             }
         }
     }
@@ -371,24 +376,28 @@ pub fn sharpness_fused_kernel(
             tune,
         )
     });
-    let body = sharpness_fused_body(src, up, pedge, finalbuf, mean, params, w, h, ws);
+    let (up, out) = (
+        UpSource::Plane(up.clone(), ws),
+        RowSink::plane(finalbuf, ws),
+    );
+    let body = sharpness_fused_body(src, &up, pedge, out, mean, params, w, h, ws);
     q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
-/// The body of [`sharpness_fused_kernel`], one call per work-group row.
+/// The body of [`sharpness_fused_kernel`], one call per work-group row; it
+/// reads the unit's `up` rows from `up` and stores through `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_body(
     src: &SrcImage,
-    up: &GlobalView<f32>,
+    up: &UpSource,
     pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
+    out: RowSink,
     mean: f32,
     params: SharpnessParams,
     w: usize,
     h: usize,
     ws: usize,
 ) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
-    let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
     // Row-span form, same shape as the vectorized variant below: body
@@ -400,73 +409,81 @@ pub(crate) fn sharpness_fused_body(
     // spans plus three `(blen+2)`-wide source slices, below the charged
     // windows for every `blen >= 1`, covered by the summary's exact ratio.
     move |rc| {
-        // One border pixel, computed exactly as `fused_pixel` with
-        // `body = false` would (only the window centre matters).
-        let border_pixel =
-            |x: usize, y: usize, src: &SrcImage, up: &GlobalView<f32>, pe: &GlobalView<f32>| {
-                let mut n9 = [0.0f32; 9];
-                n9[4] = src.view.get_raw(src.idx(x as isize, y as isize));
-                let i = y * ws + x;
-                fused_pixel(&n9, up.get_raw(i), pe.get_raw(i), mean, &params, false)
-            };
-        let gw = rc.group_size[0];
-        let mut scratch = [0.0f32; GROUP_2D[0]];
-        for ly in 0..rc.group_size[1] {
-            let y = rc.global_y(ly);
-            if y >= h {
-                break;
-            }
-            for gx in rc.groups.clone() {
-                rc.begin_item(gx, [0, ly]);
-                let x_start = gx * gw;
-                if x_start >= w {
+        up.with_rows(unit_rows(rc, h), |up| {
+            // One border pixel, computed exactly as `fused_pixel` with
+            // `body = false` would (only the window centre matters).
+            let border_pixel =
+                |x: usize, y: usize, src: &SrcImage, up: &UpRows, pe: &GlobalView<f32>| {
+                    let mut n9 = [0.0f32; 9];
+                    n9[4] = src.view.get_raw(src.idx(x as isize, y as isize));
+                    fused_pixel(
+                        &n9,
+                        up.get(y, x),
+                        pe.get_raw(y * ws + x),
+                        mean,
+                        &params,
+                        false,
+                    )
+                };
+            let gw = rc.group_size[0];
+            let mut scratch = [0.0f32; GROUP_2D[0]];
+            for ly in 0..rc.group_size[1] {
+                let y = rc.global_y(ly);
+                if y >= h {
                     break;
                 }
-                let x_end = (x_start + gw).min(w);
-                let span = x_end - x_start;
-                let row_out = &mut scratch[..span];
-                if y == 0 || y == h - 1 || w <= 2 {
-                    for (j, x) in (x_start..x_end).enumerate() {
-                        row_out[j] = border_pixel(x, y, &src, &up, &pedge);
+                for gx in rc.groups.clone() {
+                    rc.begin_item(gx, [0, ly]);
+                    let x_start = gx * gw;
+                    if x_start >= w {
+                        break;
                     }
-                } else {
-                    let body_lo = x_start.max(1);
-                    let body_hi = x_end.min(w - 1);
-                    if body_hi > body_lo {
-                        let blen = body_hi - body_lo;
-                        let yi = y as isize;
-                        let r0 = src
-                            .view
-                            .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                        let r1 = src
-                            .view
-                            .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                        let r2 = src
-                            .view
-                            .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                        let up_row = up.slice_raw(y * ws + body_lo, blen);
-                        let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
-                        simd::fused_span(
-                            r0,
-                            r1,
-                            r2,
-                            up_row,
-                            pe_row,
-                            &mut row_out[body_lo - x_start..body_hi - x_start],
-                            mean,
-                            &params,
-                        );
-                    }
-                    // `w >= 3` here, so the two border columns are distinct.
-                    for x in [0, w - 1] {
-                        if x >= x_start && x < x_end {
-                            row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
+                    let x_end = (x_start + gw).min(w);
+                    let span = x_end - x_start;
+                    let row_out = &mut scratch[..span];
+                    if y == 0 || y == h - 1 || w <= 2 {
+                        for (j, x) in (x_start..x_end).enumerate() {
+                            row_out[j] = border_pixel(x, y, &src, up, &pedge);
+                        }
+                    } else {
+                        let body_lo = x_start.max(1);
+                        let body_hi = x_end.min(w - 1);
+                        if body_hi > body_lo {
+                            let blen = body_hi - body_lo;
+                            let yi = y as isize;
+                            let r0 = src
+                                .view
+                                .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                            let r1 = src
+                                .view
+                                .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                            let r2 = src
+                                .view
+                                .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                            let up_row = up.span(y, body_lo, blen);
+                            let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
+                            simd::fused_span(
+                                r0,
+                                r1,
+                                r2,
+                                up_row,
+                                pe_row,
+                                &mut row_out[body_lo - x_start..body_hi - x_start],
+                                mean,
+                                &params,
+                            );
+                        }
+                        // `w >= 3` here, so the two border columns are distinct.
+                        for x in [0, w - 1] {
+                            if x >= x_start && x < x_end {
+                                row_out[x - x_start] = border_pixel(x, y, &src, up, &pedge);
+                            }
                         }
                     }
+                    out.put(y, x_start, row_out);
                 }
-                out.set_span_raw(y * ws + x_start, row_out);
             }
-        }
+        })
     }
 }
 
@@ -614,24 +631,28 @@ pub fn sharpness_fused_vec4_kernel(
             tune,
         )
     });
-    let body = sharpness_fused_vec4_body(src, up, pedge, finalbuf, mean, params, w, h, ws);
+    let (up, out) = (
+        UpSource::Plane(up.clone(), ws),
+        RowSink::plane(finalbuf, ws),
+    );
+    let body = sharpness_fused_vec4_body(src, &up, pedge, out, mean, params, w, h, ws);
     q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
-/// The body of [`sharpness_fused_vec4_kernel`], one call per work-group row.
+/// The body of [`sharpness_fused_vec4_kernel`], one call per work-group
+/// row; it reads the unit's `up` rows from `up` and stores through `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_vec4_body(
     src: &SrcImage,
-    up: &GlobalView<f32>,
+    up: &UpSource,
     pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
+    out: RowSink,
     mean: f32,
     params: SharpnessParams,
     w: usize,
     h: usize,
     ws: usize,
 ) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
-    let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
     // Charged loads are 26 per thread over (ws/4)·h threads; the summary
@@ -639,77 +660,85 @@ pub(crate) fn sharpness_fused_vec4_body(
     // halo slices + up/pEdge rows), and carries the exact ratio between
     // the two.
     move |rc| {
-        // One border pixel, computed exactly as `fused_pixel` with
-        // `body = false` would (only the window centre matters).
-        let border_pixel =
-            |x: usize, y: usize, src: &SrcImage, up: &GlobalView<f32>, pe: &GlobalView<f32>| {
-                let mut n9 = [0.0f32; 9];
-                n9[4] = src.view.get_raw(src.idx(x as isize, y as isize));
-                let i = y * ws + x;
-                fused_pixel(&n9, up.get_raw(i), pe.get_raw(i), mean, &params, false)
-            };
-        // Each group's threads cover `4 * group_size[0]` consecutive
-        // pixels per row; the work is done row-segment at a time so the
-        // body loop is branch-free, each image row across the row's groups
-        // before the next.
-        let gw = rc.group_size[0];
-        let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
-        for ly in 0..rc.group_size[1] {
-            let y = rc.global_y(ly);
-            if y >= h {
-                break;
-            }
-            for gx in rc.groups.clone() {
-                rc.begin_item(gx, [0, ly]);
-                let x_start = 4 * gx * gw;
-                if x_start >= ws {
-                    break;
-                }
-                let x_end = (x_start + 4 * gw).min(ws);
-                let span = x_end - x_start;
-                let yi = y as isize;
-                let row_out = &mut scratch[..span];
-                // Stride-padding columns beyond `w` stay zero on every row,
-                // matching the scalar kernels (which never write them).
-                row_out.fill(0.0);
-                if y == 0 || y == h - 1 {
-                    for (j, x) in (x_start..x_end.min(w)).enumerate() {
-                        row_out[j] = border_pixel(x, y, &src, &up, &pedge);
-                    }
-                } else {
-                    let body_lo = x_start.max(1);
-                    let body_hi = x_end.min(w - 1);
-                    let blen = body_hi - body_lo;
-                    let r0 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                    let r1 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                    let r2 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                    let up_row = up.slice_raw(y * ws + body_lo, blen);
-                    let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
-                    simd::fused_span(
-                        r0,
-                        r1,
-                        r2,
-                        up_row,
-                        pe_row,
-                        &mut row_out[body_lo - x_start..body_hi - x_start],
+        up.with_rows(unit_rows(rc, h), |up| {
+            // One border pixel, computed exactly as `fused_pixel` with
+            // `body = false` would (only the window centre matters).
+            let border_pixel =
+                |x: usize, y: usize, src: &SrcImage, up: &UpRows, pe: &GlobalView<f32>| {
+                    let mut n9 = [0.0f32; 9];
+                    n9[4] = src.view.get_raw(src.idx(x as isize, y as isize));
+                    fused_pixel(
+                        &n9,
+                        up.get(y, x),
+                        pe.get_raw(y * ws + x),
                         mean,
                         &params,
-                    );
-                    for x in [0, w - 1] {
-                        if x >= x_start && x < x_end {
-                            row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
+                        false,
+                    )
+                };
+            // Each group's threads cover `4 * group_size[0]` consecutive
+            // pixels per row; the work is done row-segment at a time so the
+            // body loop is branch-free, each image row across the row's groups
+            // before the next.
+            let gw = rc.group_size[0];
+            let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
+            for ly in 0..rc.group_size[1] {
+                let y = rc.global_y(ly);
+                if y >= h {
+                    break;
+                }
+                for gx in rc.groups.clone() {
+                    rc.begin_item(gx, [0, ly]);
+                    let x_start = 4 * gx * gw;
+                    if x_start >= ws {
+                        break;
+                    }
+                    let x_end = (x_start + 4 * gw).min(ws);
+                    let span = x_end - x_start;
+                    let yi = y as isize;
+                    let row_out = &mut scratch[..span];
+                    // Stride-padding columns beyond `w` stay zero on every row,
+                    // matching the scalar kernels (which never write them).
+                    row_out.fill(0.0);
+                    if y == 0 || y == h - 1 {
+                        for (j, x) in (x_start..x_end.min(w)).enumerate() {
+                            row_out[j] = border_pixel(x, y, &src, up, &pedge);
+                        }
+                    } else {
+                        let body_lo = x_start.max(1);
+                        let body_hi = x_end.min(w - 1);
+                        let blen = body_hi - body_lo;
+                        let r0 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
+                        let r1 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
+                        let r2 = src
+                            .view
+                            .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
+                        let up_row = up.span(y, body_lo, blen);
+                        let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
+                        simd::fused_span(
+                            r0,
+                            r1,
+                            r2,
+                            up_row,
+                            pe_row,
+                            &mut row_out[body_lo - x_start..body_hi - x_start],
+                            mean,
+                            &params,
+                        );
+                        for x in [0, w - 1] {
+                            if x >= x_start && x < x_end {
+                                row_out[x - x_start] = border_pixel(x, y, &src, up, &pedge);
+                            }
                         }
                     }
+                    out.put(y, x_start, row_out);
                 }
-                out.set_span_raw(y * ws + x_start, row_out);
             }
-        }
+        })
     }
 }
 

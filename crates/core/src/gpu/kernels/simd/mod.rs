@@ -180,7 +180,12 @@ pub fn host_features() -> &'static str {
 /// backend must match bit-for-bit. Written branch-free over the span so
 /// rustc's autovectorizer handles the default build.
 pub(crate) mod scalar {
-    use super::{math, SharpnessParams, INTERP, SCALE};
+    use super::{math, Backend, SharpnessParams, INTERP, SCALE};
+
+    /// The backend these spans implement, as the span dispatch reaches it.
+    pub fn backend() -> Backend {
+        Backend::Autovec
+    }
 
     /// Sobel over a row span: `r0`/`r1`/`r2` start one column left of the
     /// first output pixel and extend one past the last (pixel `i` reads
@@ -388,6 +393,14 @@ macro_rules! dispatch {
             _ => scalar::$name($($arg),*),
         }
     }};
+}
+
+/// The backend whose spans the dispatch reaches right now. Each
+/// backend's span module answers for itself through the same dispatch
+/// every span goes through, so this reports what runs, not what was
+/// requested.
+pub fn dispatched_backend() -> Backend {
+    dispatch!(backend())
 }
 
 /// Sobel over a row span of body pixels (see [`scalar::sobel_span`]).

@@ -27,7 +27,7 @@ use super::scalar;
 /// intrinsic names, lane count and compare spelling supplied here.
 macro_rules! span_backend {
     (
-        $modname:ident, $feat:literal, $vec:ty, $lanes:expr,
+        $modname:ident, $backend:ident, $feat:literal, $vec:ty, $lanes:expr,
         $loadu:ident, $storeu:ident, $set1:ident,
         $add:ident, $sub:ident, $mul:ident, $div:ident, $sqrt:ident,
         $min:ident, $max:ident, $and:ident, $or:ident, $andnot:ident,
@@ -40,6 +40,13 @@ macro_rules! span_backend {
             use super::scalar;
 
             $($cmp_helpers)*
+
+            /// The backend these spans implement, as the span dispatch
+            /// reaches it.
+            #[target_feature(enable = $feat)]
+            pub(crate) unsafe fn backend() -> super::super::Backend {
+                super::super::Backend::$backend
+            }
 
             /// `f32::abs` per lane: clear the sign bit.
             #[target_feature(enable = $feat)]
@@ -347,6 +354,7 @@ macro_rules! span_backend {
 
 span_backend!(
     sse2,
+    Sse2,
     "sse2",
     __m128,
     4,
@@ -382,6 +390,7 @@ span_backend!(
 
 span_backend!(
     avx2,
+    Avx2,
     "avx2",
     __m256,
     8,

@@ -16,6 +16,9 @@ use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
+use std::cell::RefCell;
+use std::ops::Range;
+
 use super::{covered_rows, full_grid, grid1d, grid2d, simd, KernelTuning, GROUP_2D};
 use crate::math;
 use crate::params::{INTERP, MIN_DIM, SCALE};
@@ -761,36 +764,211 @@ impl BorderKernel {
                 }
                 let a = down.get_raw(src * wd + bi);
                 let b = down.get_raw(src * wd + bi + 1);
-                let mut vals = [0.0f32; SCALE];
-                for (ph, v) in vals.iter_mut().enumerate() {
-                    *v = math::border_interp(a, b, ph);
-                }
-                for (ph, &v) in vals.iter().enumerate() {
-                    let x = SCALE * bi + 2 + ph;
-                    if x <= w - 3 {
-                        upv.set_raw(dst * ws + x, v);
-                        upv.set_raw(companion * ws + x, v);
-                    }
-                }
-                if bi == 0 {
-                    // Outer-left columns copy the phase-0 value.
-                    for x in 0..2 {
-                        upv.set_raw(dst * ws + x, vals[0]);
-                        upv.set_raw(companion * ws + x, vals[0]);
-                    }
-                }
-                if bi == wd - 2 {
-                    // Outer-right columns copy the value at x = w-3 (the
-                    // tail phase; 3 for multiple-of-4 widths).
-                    let v = vals[w + 3 - SCALE * wd];
-                    for x in [w - 2, w - 1] {
-                        upv.set_raw(dst * ws + x, v);
-                        upv.set_raw(companion * ws + x, v);
-                    }
-                }
+                border_row_item(a, b, bi, w, wd, |x, v| {
+                    upv.set_raw(dst * ws + x, v);
+                    upv.set_raw(companion * ws + x, v);
+                });
             }
         })
     }
+}
+
+/// The columns item `bi` of a border-row kernel writes, with their values,
+/// interpolated from the downscaled pair `(a, b)` of a `wd ≥ 2`-wide line:
+/// `put(x, v)` for its interior columns `x ∈ [2, w-3]`, then the two
+/// outermost columns on a side it ends.
+#[inline]
+fn border_row_item(
+    a: f32,
+    b: f32,
+    bi: usize,
+    w: usize,
+    wd: usize,
+    mut put: impl FnMut(usize, f32),
+) {
+    let mut vals = [0.0f32; SCALE];
+    for (ph, v) in vals.iter_mut().enumerate() {
+        *v = math::border_interp(a, b, ph);
+    }
+    for (ph, &v) in vals.iter().enumerate() {
+        let x = SCALE * bi + 2 + ph;
+        if x <= w - 3 {
+            put(x, v);
+        }
+    }
+    if bi == 0 {
+        // Outer-left columns copy the phase-0 value.
+        for x in 0..2 {
+            put(x, vals[0]);
+        }
+    }
+    if bi == wd - 2 {
+        // Outer-right columns copy the value at x = w-3 (the tail phase;
+        // 3 for multiple-of-4 widths).
+        let v = vals[w + 3 - SCALE * wd];
+        for x in [w - 2, w - 1] {
+            put(x, v);
+        }
+    }
+}
+
+/// One border row of `up` (`out`, `w` wide) from its downscaled line
+/// `src`: what a border-row kernel writes to its two rows — every item of
+/// [`border_row_item`], or the one value replicated when the line is a
+/// single column.
+fn border_row(src: &[f32], w: usize, out: &mut [f32]) {
+    let wd = src.len();
+    if wd == 1 {
+        out[..w].fill(src[0]);
+        return;
+    }
+    for bi in 0..wd - 1 {
+        border_row_item(src[bi], src[bi + 1], bi, w, wd, |x, v| out[x] = v);
+    }
+}
+
+/// Where a sharpening-tail kernel reads `up`: the device plane at row
+/// stride `ws`, or rows each unit rebuilds from `down` (see
+/// [`UpSource::with_rows`]).
+#[derive(Clone)]
+pub(crate) enum UpSource {
+    /// The `up` plane and its row stride.
+    Plane(GlobalView<f32>, usize),
+    /// `down` and the frame's `w × h` shape at row stride `ws`.
+    Rebuilt {
+        down: GlobalView<f32>,
+        w: usize,
+        h: usize,
+        ws: usize,
+    },
+}
+
+/// The `up` rows one unit reads.
+pub(crate) enum UpRows<'a> {
+    /// The plane, at row stride `ws`.
+    Plane(&'a GlobalView<f32>, usize),
+    /// Rows `y0 ..` rebuilt at row stride `ws`.
+    Local {
+        rows: &'a [f32],
+        y0: usize,
+        ws: usize,
+    },
+}
+
+impl UpRows<'_> {
+    /// `len` values of row `y` from column `x` on.
+    #[inline]
+    pub(crate) fn span(&self, y: usize, x: usize, len: usize) -> &[f32] {
+        match self {
+            UpRows::Plane(v, ws) => v.slice_raw(y * ws + x, len),
+            UpRows::Local { rows, y0, ws } => &rows[(y - y0) * ws + x..][..len],
+        }
+    }
+
+    /// The value at `(x, y)`.
+    #[inline]
+    pub(crate) fn get(&self, y: usize, x: usize) -> f32 {
+        match self {
+            UpRows::Plane(v, ws) => v.get_raw(y * ws + x),
+            UpRows::Local { rows, y0, ws } => rows[(y - y0) * ws + x],
+        }
+    }
+}
+
+thread_local! {
+    /// A worker's rebuilt `up` rows, then the column interpolants of the
+    /// downscaled rows they lerp between.
+    static UP_ROWS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+impl UpSource {
+    /// Runs `f` over rows `ys` of `up`. A rebuilding source first fills a
+    /// worker-local scratch with those rows, computed from `down` exactly
+    /// as the border and center kernels compute them — the same spans and
+    /// border math, and where two border kernels write one pixel of a tiny
+    /// frame, the value of the one dispatched last — so the unit needs no
+    /// other unit's rows and no `up` plane exists.
+    pub(crate) fn with_rows<R>(&self, ys: Range<usize>, f: impl FnOnce(&UpRows) -> R) -> R {
+        match self {
+            UpSource::Plane(view, ws) => f(&UpRows::Plane(view, *ws)),
+            &UpSource::Rebuilt { ref down, w, h, ws } => UP_ROWS.with_borrow_mut(|scratch| {
+                let rows = rebuild_rows(down, w, h, ws, ys.clone(), scratch);
+                f(&UpRows::Local {
+                    rows,
+                    y0: ys.start,
+                    ws,
+                })
+            }),
+        }
+    }
+}
+
+/// Fills rows `ys` of `up` (row stride `ws`, columns `0..w`) from `down`
+/// into `scratch` and returns them.
+///
+/// * Rows 0, 1, h-2 and h-1 are border rows: the top kernel interpolates
+///   downscaled row 0, the bottom kernel — dispatched after it, so it wins
+///   where the two meet — row `hd - 1`.
+/// * Body rows `y ∈ [2, h-3]` fall in block row `bj = (y-2)/4` at phase
+///   `r = (y-2)%4`: the center lerps the column interpolants of
+///   downscaled rows `bj` and `bj + 1` over `x ∈ [2, w-3]`, and the left
+///   then the right column kernel interpolate downscaled columns 0 and
+///   `wd - 1` into `x ∈ {0, 1}` and `{w-2, w-1}`.
+fn rebuild_rows<'s>(
+    down: &GlobalView<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    ys: Range<usize>,
+    scratch: &'s mut Vec<f32>,
+) -> &'s [f32] {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    // Interpolants per downscaled row, and the rows the body rows of
+    // `ys` lerp between.
+    let ilen = SCALE * (wd - 1);
+    let body = ys.start.max(2)..ys.end.min(h - 2);
+    let lines = if body.is_empty() {
+        0..0
+    } else {
+        (body.start - 2) / SCALE..(body.end - 3) / SCALE + 2
+    };
+    let n_rows = ys.len() * ws;
+    let need = n_rows + lines.len() * ilen;
+    if scratch.len() < need {
+        scratch.resize(need, 0.0);
+    }
+    let (rows, interp) = scratch.split_at_mut(n_rows);
+    for (k, j) in lines.clone().enumerate() {
+        simd::interp4_span(
+            down.slice_raw(j * wd, wd),
+            &mut interp[k * ilen..(k + 1) * ilen],
+        );
+    }
+    for (i, y) in ys.enumerate() {
+        let row = &mut rows[i * ws..i * ws + w];
+        if !body.contains(&y) {
+            let src = if y >= h - 2 { hd - 1 } else { 0 };
+            border_row(down.slice_raw(src * wd, wd), w, row);
+            continue;
+        }
+        let (bj, r) = ((y - 2) / SCALE, (y - 2) % SCALE);
+        if wd > 1 {
+            let k = bj - lines.start;
+            let [i0, i1] = INTERP[r];
+            let (tops, bots) = (&interp[k * ilen..], &interp[(k + 1) * ilen..]);
+            simd::lerp_span(i0, i1, &tops[..w - 4], &bots[..w - 4], &mut row[2..w - 2]);
+        }
+        let col = |src: usize| {
+            math::border_interp(
+                down.get_raw(bj * wd + src),
+                down.get_raw((bj + 1) * wd + src),
+                r,
+            )
+        };
+        row[..2].fill(col(0));
+        row[w - 2..].fill(col(wd - 1));
+    }
+    &rows[..n_rows]
 }
 
 /// Arithmetic of one interpolating border item: the 4-phase lerp (8 mul +
@@ -968,6 +1146,52 @@ mod tests {
                 for x in 0..w {
                     assert_eq!(snap[y * ws + x], cpu_up.get(x, y), "({x},{y}) of {w}x{h}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn rebuilt_rows_match_the_kernels_plane() {
+        for (w, h) in [
+            (3, 3),
+            (3, 9),
+            (9, 3),
+            (4, 9),
+            (7, 5),
+            (13, 11),
+            (33, 29),
+            (97, 70),
+        ] {
+            let ws = crate::params::device_stride(w);
+            let (down, _) = stages::downscale(&generate::natural(w, h, 6));
+            let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
+            let mut q = ctx.queue();
+            let dbuf = ctx.buffer_from("down", down.pixels());
+            let up = ctx.buffer::<f32>("up", ws * h);
+            let tune = KernelTuning::default();
+            upscale_border_gpu(&mut q, &dbuf.view(), &up, w, h, ws, tune).unwrap();
+            if w.div_ceil(SCALE) > 1 && h.div_ceil(SCALE) > 1 {
+                upscale_center_vec4_kernel(&mut q, &dbuf.view(), &up, w, h, ws, tune).unwrap();
+            }
+            let plane = up.snapshot();
+            let source = UpSource::Rebuilt {
+                down: dbuf.view(),
+                w,
+                h,
+                ws,
+            };
+            // Every unit's rows, as a 16-row group row reads them.
+            for y0 in (0..h).step_by(GROUP_2D[1]) {
+                let ys = y0..(y0 + GROUP_2D[1]).min(h);
+                source.with_rows(ys.clone(), |rows| {
+                    for y in ys.clone() {
+                        assert_eq!(
+                            rows.span(y, 0, w),
+                            &plane[y * ws..y * ws + w],
+                            "row {y} of {w}x{h}"
+                        );
+                    }
+                });
             }
         }
     }

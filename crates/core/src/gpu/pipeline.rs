@@ -25,11 +25,12 @@ use imagekit::{ImageF32, ImageU8};
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
 use simgpu::kernel::{GroupCtx, RowCtx};
-use simgpu::queue::{CommandKind, CommandQueue, Dispatch, Part, Pending, ReadMode};
+use simgpu::queue::{CommandKind, CommandQueue, Dispatch, Part, Pending, WriteTracked};
 use simgpu::span::SpanKind;
 use simgpu::timing::host_memcpy_time;
 
 use crate::cpu::stages as cpu_stages;
+use crate::gpu::batch::FrameComponents;
 use crate::gpu::kernels::downscale::downscale_body;
 use crate::gpu::kernels::perror::perror_body;
 use crate::gpu::kernels::reduction::{stage1_body, stage1_groups, stage2_body};
@@ -37,12 +38,14 @@ use crate::gpu::kernels::sharpen::{
     overshoot_body, preliminary_body, sharpness_fused_body, sharpness_fused_vec4_body,
 };
 use crate::gpu::kernels::sobel::{sobel_scalar_body, sobel_vec4_body};
-use crate::gpu::kernels::upscale::{upscale_center_scalar_body, upscale_center_vec4_body};
-use crate::gpu::kernels::SrcImage;
+use crate::gpu::kernels::upscale::{
+    upscale_center_scalar_body, upscale_center_vec4_body, UpSource,
+};
+use crate::gpu::kernels::{FrameRows, RowSink, SrcImage};
 use crate::gpu::opts::{OptConfig, Tuning};
 use crate::gpu::program::{
     border_lines, Buf, Dir, FrameProgram, Geometry, HostCost, HostStage, HostWork, KernelId, Mode,
-    Reduction, StaticDispatch, Step, Transfer,
+    Reduction, StaticDispatch, Step, Storage, Transfer,
 };
 use crate::params::SharpnessParams;
 use crate::report::{RunReport, StageRecord};
@@ -100,14 +103,6 @@ impl InputFrame<'_> {
             }
         }
     }
-}
-
-/// Where the final readback puts the image.
-enum FinalOut<'a> {
-    /// Copied into the caller's slice.
-    Slice(&'a mut [f32]),
-    /// The `Final` buffer's own storage, cropped in place.
-    Owned(Option<Vec<f32>>),
 }
 
 /// The OpenCL-style sharpness pipeline on the simulated GPU.
@@ -171,9 +166,10 @@ impl GpuPipeline {
     ///
     /// Each call allocates a fresh set of device buffers; for repeated
     /// frames of one shape, [`GpuPipeline::prepared`] amortises that setup.
-    /// On a context without pooling the `Final` buffer's storage becomes
-    /// the output image; a pooling context keeps it for the next run and
-    /// the pixels are copied out.
+    /// As in [`PipelinePlan::run_into`], the sharpening pass writes the
+    /// output image itself unless the context sanitizes or validates, so
+    /// no `final` (or, with the border on the device, `up`) plane is
+    /// allocated.
     ///
     /// # Errors
     /// On unsupported shapes, invalid parameters, or simulated-runtime
@@ -209,30 +205,14 @@ impl GpuPipeline {
         Ok((report_from_queue(&q, orig.width(), orig.height(), out), tel))
     }
 
-    /// One frame on fresh resources and a fresh queue. Without pooling,
-    /// dropping the `Final` buffer would free its slab, so the readback
-    /// hands that storage out instead of copying into a new plane.
+    /// One frame on fresh resources and a fresh queue.
     fn run_once(&self, orig: InputFrame) -> Result<(CommandQueue, Vec<f32>), String> {
         let prog = self.program(orig.width(), orig.height())?;
         let mut res = FrameResources::new(&self.ctx, &prog);
         let mut q = self.ctx.queue();
-        if self.ctx.pools() {
-            let mut out = vec![0.0f32; prog.g.n];
-            self.run_frame(
-                &mut q,
-                &prog,
-                &mut res,
-                orig,
-                &mut FinalOut::Slice(&mut out),
-            )?;
-            return Ok((q, out));
-        }
-        let mut out = FinalOut::Owned(None);
+        let mut out = vec![0.0f32; prog.g.n];
         self.run_frame(&mut q, &prog, &mut res, orig, &mut out)?;
-        match out {
-            FinalOut::Owned(Some(out)) => Ok((q, out)),
-            _ => Err("the frame program read no final image".to_string()),
-        }
+        Ok((q, out))
     }
 
     /// Prepares a reusable execution plan for `width`×`height` frames: the
@@ -254,14 +234,20 @@ impl GpuPipeline {
 
     /// Executes one frame of `prog` against pre-allocated resources,
     /// recording commands on `q` (which the caller has reset) and writing
-    /// the sharpened pixels into `out`.
+    /// the sharpened pixels into `out` (`w × h`).
+    ///
+    /// The bodies committed on `q` may hold `out` (the [`FrameRows`] of
+    /// a [`Storage::Output`] buffer). None of them survives this call:
+    /// a pass drops the bodies it ran, a failed command or a panicking
+    /// body drops every pending one, and whatever a failed step left
+    /// pending is discarded here before returning.
     fn run_frame(
         &self,
         q: &mut CommandQueue,
         prog: &FrameProgram,
         res: &mut FrameResources,
         orig: InputFrame,
-        out: &mut FinalOut,
+        out: &mut [f32],
     ) -> Result<(), String> {
         let g = &prog.g;
         if (orig.width(), orig.height()) != (g.w, g.h) {
@@ -277,6 +263,7 @@ impl GpuPipeline {
         // open/close no-ops, so the execution path is shared.
         let frame_span = q.span_open(SpanKind::Frame, "frame");
         let result = self.run_steps(q, prog, res, orig, out);
+        q.drop_pending();
         q.span_close(frame_span);
         result
     }
@@ -292,10 +279,20 @@ impl GpuPipeline {
         prog: &FrameProgram,
         res: &mut FrameResources,
         orig: InputFrame,
-        out: &mut FinalOut,
+        out: &mut [f32],
     ) -> Result<(), String> {
         let g = &prog.g;
         let (padded, main) = res.dev.sources(g);
+        // The caller's frame goes either to the tail's bodies, which write
+        // it when `final` is an output, or to the final readback.
+        let (frame, mut out) = if res.storage(Buf::Final) == Storage::Output {
+            // SAFETY: `out` moves into `frame` and is not used again; the
+            // bodies holding `frame` are committed on `q`, and `run_frame`
+            // drops every one of them before `out`'s borrow ends.
+            (Some(unsafe { FrameRows::new(out, g.w, g.h) }), None)
+        } else {
+            (None, Some(out))
+        };
         let mut handles: Vec<Option<Pending>> = vec![None; prog.steps().len()];
         let mut phase = None;
         // The pEdge mean, bound into the sharpening tail's bodies once the
@@ -310,76 +307,122 @@ impl GpuPipeline {
                     }
                 }
                 Step::Finish => q.finish(),
-                Step::Transfer(t) => self.transfer(q, g, res, t, orig, out, &mut mean)?,
+                Step::Transfer(t) => {
+                    self.transfer(q, g, res, t, orig, out.as_deref_mut(), &mut mean)?
+                }
                 Step::Host(s) => self.host_stage(q, g, res, s, &mut mean),
+                Step::Dispatch(id, d) if res.storage(id.output()) == Storage::Rebuilt => {
+                    // Its readers rebuild the rows it would write.
+                    q.commit_recorded(&d.desc, d.access.clone()).map_err(err)?;
+                }
                 Step::Dispatch(id, d) => {
-                    let dispatch = self.bind(*id, d, g, &res.dev, &padded, &main, mean);
-                    let output = res.dev.get(id.output());
-                    handles[i] = Some(q.commit(dispatch, &[output]).map_err(err)?);
+                    let dispatch = self.bind(*id, d, g, res, &padded, &main, mean, &frame);
+                    let output = res.dev.plane(id.output()).map(|b| b as &dyn WriteTracked);
+                    handles[i] = Some(q.commit(dispatch, output.as_slice()).map_err(err)?);
                 }
                 Step::Pass(pass) => {
+                    // Parts of record-only dispatches have nothing to run.
                     let parts: Vec<Part> = pass
                         .parts
                         .iter()
-                        .map(|(k, units)| Part {
-                            kernel: handles[*k].expect("a pass follows its dispatches"),
-                            units: &**units,
+                        .filter_map(|(k, units)| {
+                            let kernel = handles[*k]?;
+                            Some(Part {
+                                kernel,
+                                units: &**units,
+                            })
                         })
                         .collect();
-                    q.execute(pass.windows, &parts).map_err(err)?;
+                    if !parts.is_empty() {
+                        q.execute(pass.windows, &parts).map_err(err)?;
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// A dispatch step with its pixel body bound to the plan's buffers.
+    /// A dispatch step with its pixel body bound to the plan's buffers:
+    /// `up` read from its plane or rebuilt per unit, the output image
+    /// written to the `final` plane or into `frame`.
     #[allow(clippy::too_many_arguments)]
     fn bind(
         &self,
         id: KernelId,
         d: &StaticDispatch,
         g: &Geometry,
-        dev: &DeviceBuffers,
+        res: &FrameResources,
         padded: &SrcImage,
         main: &SrcImage,
         mean: f32,
+        frame: &Option<FrameRows>,
     ) -> Dispatch {
         let (w, h, ws, p) = (g.w, g.h, g.ws, self.params);
+        let dev = &res.dev;
         let view = |b| dev.get(b).view();
-        let (down, up, pedge) = (view(Buf::Down), view(Buf::Up), view(Buf::PEdge));
-        let out = dev.get(id.output());
+        let out = || dev.get(id.output());
+        let up = || match res.storage(Buf::Up) {
+            Storage::Rebuilt => UpSource::Rebuilt {
+                down: view(Buf::Down),
+                w,
+                h,
+                ws,
+            },
+            _ => UpSource::Plane(view(Buf::Up), ws),
+        };
+        let sink = || match frame {
+            Some(f) => RowSink::Frame(f.clone()),
+            None => RowSink::plane(out(), ws),
+        };
         match id {
-            KernelId::Downscale => rows(d, downscale_body(main, out, w, h)),
-            KernelId::Border(k) => groups(d, k.body(&down, out, w, h, ws)),
-            KernelId::Center => rows(d, upscale_center_scalar_body(&down, out, w, h, ws)),
-            KernelId::CenterVec4 => rows(d, upscale_center_vec4_body(&down, out, w, h, ws)),
-            KernelId::Sobel => rows(d, sobel_scalar_body(main, out, w, h, ws)),
-            KernelId::SobelVec4 => rows(d, sobel_vec4_body(padded, out, w, h, ws)),
-            KernelId::Stage1(strategy) => groups(d, stage1_body(&pedge, out, g.ns, strategy)),
+            KernelId::Downscale => rows(d, downscale_body(main, out(), w, h)),
+            KernelId::Border(k) => groups(d, k.body(&view(Buf::Down), out(), w, h, ws)),
+            KernelId::Center => rows(
+                d,
+                upscale_center_scalar_body(&view(Buf::Down), out(), w, h, ws),
+            ),
+            KernelId::CenterVec4 => rows(
+                d,
+                upscale_center_vec4_body(&view(Buf::Down), out(), w, h, ws),
+            ),
+            KernelId::Sobel => rows(d, sobel_scalar_body(main, out(), w, h, ws)),
+            KernelId::SobelVec4 => rows(d, sobel_vec4_body(padded, out(), w, h, ws)),
+            KernelId::Stage1(strategy) => {
+                groups(d, stage1_body(&view(Buf::PEdge), out(), g.ns, strategy))
+            }
             KernelId::Stage2 => {
                 let partials = view(Buf::Partials);
-                groups(d, stage2_body(&partials, stage1_groups(g.ns), out))
+                groups(d, stage2_body(&partials, stage1_groups(g.ns), out()))
             }
             KernelId::Sharpness => rows(
                 d,
-                sharpness_fused_body(padded, &up, &pedge, out, mean, p, w, h, ws),
+                sharpness_fused_body(padded, &up(), &view(Buf::PEdge), sink(), mean, p, w, h, ws),
             ),
             KernelId::SharpnessVec4 => rows(
                 d,
-                sharpness_fused_vec4_body(padded, &up, &pedge, out, mean, p, w, h, ws),
+                sharpness_fused_vec4_body(
+                    padded,
+                    &up(),
+                    &view(Buf::PEdge),
+                    sink(),
+                    mean,
+                    p,
+                    w,
+                    h,
+                    ws,
+                ),
             ),
-            KernelId::Perror => rows(d, perror_body(main, &up, out, w, h, ws)),
+            KernelId::Perror => rows(d, perror_body(main, &up(), out(), w, h, ws)),
             KernelId::Preliminary => {
-                let perr = view(Buf::PError);
+                let (pedge, perr) = (view(Buf::PEdge), view(Buf::PError));
                 rows(
                     d,
-                    preliminary_body(&up, &pedge, &perr, out, mean, p, w, h, ws),
+                    preliminary_body(&up(), &pedge, &perr, out(), mean, p, w, h, ws),
                 )
             }
             KernelId::Overshoot => {
                 let prelim = view(Buf::Prelim);
-                rows(d, overshoot_body(padded, &prelim, out, w, h, ws, p))
+                rows(d, overshoot_body(padded, &prelim, sink(), w, h, ws, p))
             }
         }
     }
@@ -387,7 +430,9 @@ impl GpuPipeline {
     /// Performs one transfer in the step's mode. Uploads widen an 8-bit
     /// frame row by row as they copy it; reads land in the plan's host
     /// scratch (or `out`, for the final image); the read of the stage-2
-    /// total yields the pEdge mean.
+    /// total yields the pEdge mean. Without `out`, the tail's bodies wrote
+    /// the final image into the caller's frame: its readback charges its
+    /// record and copies nothing.
     #[allow(clippy::too_many_arguments)]
     fn transfer(
         &self,
@@ -396,12 +441,18 @@ impl GpuPipeline {
         res: &mut FrameResources,
         t: &Transfer,
         orig: InputFrame,
-        out: &mut FinalOut,
+        out: Option<&mut [f32]>,
         mean: &mut f32,
     ) -> Result<(), String> {
         let (w, h, ws, pw) = (g.w, g.h, g.ws, g.pw);
         if (t.buf, t.dir) == (Buf::Final, Dir::Read) {
-            return read_final(q, g, res, t.mode, out);
+            return match out {
+                Some(out) => read_final(q, g, res, t.mode, out),
+                None => {
+                    charge_transfer(q, t);
+                    Ok(())
+                }
+            };
         }
         let buf = res.dev.get(t.buf);
         match (t.buf, t.dir, t.mode) {
@@ -429,7 +480,7 @@ impl GpuPipeline {
                     orig.copy_row(y, &mut dst[y * w..(y + 1) * w]);
                 }
             }
-            (Buf::Up, Dir::Write, mode) => {
+            (Buf::Up, Dir::Write, _) => {
                 // The CPU border's pixels: exactly the border region goes
                 // into the device buffer (the border rows in full, then
                 // the border columns of the body rows), charged as one
@@ -446,11 +497,7 @@ impl GpuPipeline {
                         upv.set_raw(y * ws + x, up_host.get(x, y));
                     }
                 }
-                if mode == Mode::Bulk {
-                    q.charge_bulk(&t.name, CommandKind::WriteBuffer, t.bytes);
-                } else {
-                    q.charge_map(&t.name, t.bytes);
-                }
+                charge_transfer(q, t);
             }
             (Buf::ReductionOut, Dir::Read, mode) => {
                 let mut one = [0.0f32];
@@ -517,30 +564,32 @@ impl GpuPipeline {
     }
 }
 
-/// The final image's readback in the step's mode: into the caller's
-/// slice, or — [`FinalOut::Owned`] — consuming the `Final` buffer, whose
-/// storage comes back cropped in place with the same record.
+/// Charges transfer `t`'s record — name, kind and simulated time, those
+/// of the copying command — without moving data: for a region the host
+/// already placed (the CPU border) or an output the kernels already wrote.
+fn charge_transfer(q: &mut CommandQueue, t: &Transfer) {
+    let kind = match t.dir {
+        Dir::Write if t.mode == Mode::Rect => CommandKind::RectWrite,
+        Dir::Write => CommandKind::WriteBuffer,
+        Dir::Read => CommandKind::ReadBuffer,
+    };
+    match t.mode {
+        Mode::Bulk => q.charge_bulk(&t.name, kind, t.bytes),
+        Mode::Rect => q.charge_rect(&t.name, kind, t.rows, t.bytes),
+        Mode::Map => q.charge_map(&t.name, t.bytes),
+    }
+}
+
+/// The final image's readback from the `final` plane into the caller's
+/// slice, in the step's mode.
 fn read_final(
     q: &mut CommandQueue,
     g: &Geometry,
-    res: &mut FrameResources,
+    res: &FrameResources,
     mode: Mode,
-    out: &mut FinalOut,
+    out: &mut [f32],
 ) -> Result<(), String> {
     let (w, h, ws) = (g.w, g.h, g.ws);
-    let out = match out {
-        FinalOut::Slice(out) => out,
-        FinalOut::Owned(slot) => {
-            let mode = match mode {
-                Mode::Bulk => ReadMode::Bulk,
-                Mode::Rect => ReadMode::Rect,
-                Mode::Map => ReadMode::Map,
-            };
-            let buf = res.dev.take(Buf::Final);
-            *slot = Some(q.read_owned(buf, mode, ws, w, h).map_err(err)?);
-            return Ok(());
-        }
-    };
     let buf = res.dev.get(Buf::Final);
     match mode {
         Mode::Bulk => {
@@ -612,21 +661,18 @@ fn report_from_queue(q: &CommandQueue, w: usize, h: usize, out: Vec<f32>) -> Run
     }
 }
 
-/// The program's device buffers, indexed by [`Buf`].
+/// The program's device buffers with host storage, indexed by [`Buf`].
 struct DeviceBuffers([Option<Buffer<f32>>; Buf::COUNT]);
 
 impl DeviceBuffers {
-    fn get(&self, b: Buf) -> &Buffer<f32> {
-        self.0[b as usize]
-            .as_ref()
-            .expect("the program allocates every buffer its steps name")
+    /// Buffer `b`'s plane, if it has one.
+    fn plane(&self, b: Buf) -> Option<&Buffer<f32>> {
+        self.0[b as usize].as_ref()
     }
 
-    /// Removes buffer `b`, for a readback that consumes it.
-    fn take(&mut self, b: Buf) -> Buffer<f32> {
-        self.0[b as usize]
-            .take()
-            .expect("the program allocates every buffer its steps name")
+    fn get(&self, b: Buf) -> &Buffer<f32> {
+        self.plane(b)
+            .expect("a plane for every buffer the program allocates and the host touches")
     }
 
     /// The two kernel-facing views of the uploaded frame: the padded
@@ -652,7 +698,9 @@ impl DeviceBuffers {
 
 /// Every device buffer and host scratch area one frame of the pipeline
 /// needs, allocated once from the program for a fixed shape and
-/// optimization config.
+/// optimization config. A buffer gets a plane unless the program's
+/// storage rule ([`FrameProgram::storage`]) drops it on a context that
+/// neither sanitizes nor validates.
 ///
 /// Reuse across frames is bit-safe by construction: every buffer is fully
 /// overwritten each frame except `padded`, whose border is zeroed at
@@ -660,6 +708,8 @@ impl DeviceBuffers {
 /// uploaded), and the host scratch areas, whose stale cells are never read.
 struct FrameResources {
     dev: DeviceBuffers,
+    /// Each buffer's storage, indexed by [`Buf`].
+    storage: [Storage; Buf::COUNT],
     /// CPU border only: host scratch for the downscaled frame readback,
     /// and the full-size image the border stage writes its pixels into.
     border_host: Option<(ImageF32, ImageF32)>,
@@ -671,9 +721,16 @@ struct FrameResources {
 
 impl FrameResources {
     fn new(ctx: &Context, prog: &FrameProgram) -> Self {
+        let storage = if ctx.sanitizes() || ctx.validates() {
+            [Storage::Plane; Buf::COUNT]
+        } else {
+            prog.storage()
+        };
         let mut dev: [Option<Buffer<f32>>; Buf::COUNT] = Default::default();
         for &(b, len) in prog.buffers() {
-            dev[b as usize] = Some(ctx.buffer(b.label(), len));
+            if storage[b as usize] == Storage::Plane {
+                dev[b as usize] = Some(ctx.buffer(b.label(), len));
+            }
         }
         let g = &prog.g;
         let reduction_host = match prog.reduction {
@@ -683,10 +740,16 @@ impl FrameResources {
         };
         FrameResources {
             dev: DeviceBuffers(dev),
+            storage,
             border_host: (!prog.gpu_border)
                 .then(|| (ImageF32::zeros(g.wd, g.hd), ImageF32::zeros(g.w, g.h))),
             reduction_host: vec![0.0f32; reduction_host],
         }
+    }
+
+    /// Buffer `b`'s storage.
+    fn storage(&self, b: Buf) -> Storage {
+        self.storage[b as usize]
     }
 }
 
@@ -719,7 +782,8 @@ impl PipelinePlan {
     }
 
     /// Runs one frame, returning the same [`RunReport`] a fresh
-    /// [`GpuPipeline::run`] would produce.
+    /// [`GpuPipeline::run`] would produce. The output is written as
+    /// [`PipelinePlan::run_into`] writes it.
     ///
     /// # Errors
     /// If the frame's shape differs from the prepared shape, or on
@@ -735,6 +799,12 @@ impl PipelinePlan {
     /// pixels into `out` (length `w*h`) and returns the frame's simulated
     /// lane components, allocating no device buffer.
     ///
+    /// Unless the context sanitizes or validates, the sharpening pass
+    /// writes `out` row by row while it runs, and the `final` readback
+    /// only charges its record. So after an `Err` from a failure in or
+    /// after that pass, `out` holds an unspecified partial frame; treat
+    /// it as garbage. No body of the frame holds `out` once this returns.
+    ///
     /// # Errors
     /// As for [`PipelinePlan::run`]; additionally if `out` has the wrong
     /// length.
@@ -742,7 +812,7 @@ impl PipelinePlan {
         &mut self,
         orig: impl Into<InputFrame<'a>>,
         out: &mut [f32],
-    ) -> Result<crate::gpu::batch::FrameComponents, String> {
+    ) -> Result<FrameComponents, String> {
         if out.len() != self.prog.g.n {
             return Err(format!(
                 "output slice is {}, frame needs {}",
@@ -751,14 +821,9 @@ impl PipelinePlan {
             ));
         }
         self.q.reset();
-        self.pipe.run_frame(
-            &mut self.q,
-            &self.prog,
-            &mut self.res,
-            orig.into(),
-            &mut FinalOut::Slice(out),
-        )?;
-        let mut c = crate::gpu::batch::FrameComponents {
+        self.pipe
+            .run_frame(&mut self.q, &self.prog, &mut self.res, orig.into(), out)?;
+        let mut c = FrameComponents {
             upload_s: 0.0,
             compute_s: 0.0,
             download_s: 0.0,
@@ -858,6 +923,116 @@ mod tests {
         );
     }
 
+    /// The border on the device at any width (and stage 2 with it).
+    fn gpu_placement() -> Tuning {
+        Tuning {
+            border_gpu_min_width: 0,
+            stage2_gpu_threshold: 0,
+            ..Tuning::default()
+        }
+    }
+
+    #[test]
+    fn frame_resources_allocate_planes_only_for_kept_buffers() {
+        let (w, h) = (64, 48);
+        let spec = DeviceSpec::firepro_w8000;
+        for (tuning, kept_up) in [(gpu_placement(), false), (Tuning::default(), true)] {
+            let prog = FrameProgram::build(w, h, &OptConfig::all(), &tuning).unwrap();
+            assert_eq!(prog.gpu_border, !kept_up);
+            for (ctx, observed) in [
+                (Context::new(spec()), false),
+                (Context::sanitized(spec()), true),
+                (Context::with_validation(spec()), true),
+            ] {
+                let res = FrameResources::new(&ctx, &prog);
+                for &(b, _) in prog.buffers() {
+                    let dropped = !observed
+                        && match b {
+                            Buf::Up => !kept_up,
+                            Buf::Final => true,
+                            _ => false,
+                        };
+                    assert_eq!(
+                        res.dev.plane(b).is_none(),
+                        dropped,
+                        "{b:?} observed {observed} gpu border {}",
+                        !kept_up
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_only_final_readback_matches_the_copying_one() {
+        // Bulk (aligned, bulk transfers), rect (ragged, bulk transfers)
+        // and map (base transfers) readbacks of the final image.
+        for (w, h, opts, mode) in [
+            (64, 48, OptConfig::all(), Mode::Bulk),
+            (33, 29, OptConfig::all(), Mode::Rect),
+            (33, 29, OptConfig::none(), Mode::Map),
+        ] {
+            let prog = FrameProgram::build(w, h, &opts, &Tuning::default()).unwrap();
+            let t = prog
+                .steps()
+                .iter()
+                .find_map(|s| match s {
+                    Step::Transfer(t) if t.buf == Buf::Final => Some(t),
+                    _ => None,
+                })
+                .unwrap();
+            assert_eq!(t.mode, mode);
+            let record = |q: &CommandQueue| {
+                assert_eq!(q.records().len(), 1);
+                let r = &q.records()[0];
+                (r.name.clone(), r.kind, r.duration_s.to_bits())
+            };
+            let ctx = vctx();
+            let res = FrameResources::new(&ctx, &prog);
+            let mut copying = ctx.queue();
+            let mut out = vec![0.0f32; w * h];
+            read_final(&mut copying, &prog.g, &res, mode, &mut out).unwrap();
+            let mut charged = ctx.queue();
+            charge_transfer(&mut charged, t);
+            assert_eq!(record(&charged), record(&copying), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn no_body_outlives_run_into() {
+        let img = img64();
+        let pipe = GpuPipeline::new(
+            Context::new(DeviceSpec::firepro_w8000()),
+            SharpnessParams::default(),
+            OptConfig::all(),
+        )
+        .with_tuning(gpu_placement());
+        let mut plan = pipe.prepared(64, 64).unwrap();
+        let mut out = vec![0.0f32; 64 * 64];
+        plan.run_into(&img, &mut out).unwrap();
+        assert_eq!(plan.q.pending_bodies(), 0);
+        // A step that fails after the tail's commit, before pass B runs
+        // the bodies that write `out`.
+        let steps = plan.prog.steps_mut();
+        let at = steps
+            .iter()
+            .rposition(|s| matches!(s, Step::Pass(_)))
+            .unwrap();
+        steps.insert(
+            at,
+            Step::Transfer(Transfer {
+                buf: Buf::Down,
+                name: "write:down".to_string(),
+                mode: Mode::Bulk,
+                dir: Dir::Write,
+                bytes: 0,
+                rows: 0,
+            }),
+        );
+        assert!(plan.run_into(&img, &mut out).is_err());
+        assert_eq!(plan.q.pending_bodies(), 0);
+    }
+
     fn img64() -> ImageF32 {
         generate::natural(64, 64, 21)
     }
@@ -878,7 +1053,7 @@ mod tests {
     }
 
     #[test]
-    fn u8_frames_and_owned_readbacks_match_f32_frames_and_copies() {
+    fn u8_frames_match_f32_frames_pooled_or_not() {
         // Aligned (bulk or map readback of an unstrided final buffer) and
         // ragged (rect or map crop) shapes, rect and map uploads.
         for (w, h) in [(64, 48), (33, 29), (3, 3)] {

@@ -27,7 +27,7 @@
 //! Host order is not part of the cost model: the passes say which
 //! committed bodies run where, never what is recorded.
 
-use simgpu::access::{AccessSummary, BufRef};
+use simgpu::access::{AccessSummary, BufRef, Role};
 use simgpu::cost::{CostCounters, OpCounts};
 use simgpu::device::{CpuSpec, TransferModel};
 use simgpu::kernel::KernelDesc;
@@ -319,6 +319,53 @@ impl KernelId {
     }
 }
 
+impl KernelId {
+    /// Whether the kernel's output is a function of `down` alone — the
+    /// upscale kernels — so a reader can rebuild the rows it reads.
+    fn upscales(self) -> bool {
+        matches!(
+            self,
+            KernelId::Border(_) | KernelId::Center | KernelId::CenterVec4
+        )
+    }
+
+    /// Whether the kernel can rebuild, per unit, the upscaled rows it
+    /// reads instead of reading them from a plane.
+    fn rebuilds_upscaled(self) -> bool {
+        matches!(
+            self,
+            KernelId::Sharpness
+                | KernelId::SharpnessVec4
+                | KernelId::Perror
+                | KernelId::Preliminary
+        )
+    }
+
+    /// Whether the kernel can write its cropped rows straight into the
+    /// caller's frame.
+    fn writes_frame(self) -> bool {
+        matches!(
+            self,
+            KernelId::Sharpness | KernelId::SharpnessVec4 | KernelId::Overshoot
+        )
+    }
+}
+
+/// Where a buffer's values live on the host when the context neither
+/// sanitizes nor validates. Those contexts keep every buffer a plane,
+/// because they observe each dispatch's writes in its own buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Storage {
+    /// A full plane.
+    Plane,
+    /// No storage: every reader rebuilds the rows it reads from what the
+    /// writers read, and the writers are committed without a body.
+    Rebuilt,
+    /// No storage: the writers write the frame's output, and the output
+    /// readback only charges its record.
+    Output,
+}
+
 /// One kernel dispatch: its descriptor plus the whole-grid access summary
 /// it declares.
 pub struct StaticDispatch {
@@ -415,6 +462,75 @@ impl FrameProgram {
     /// The frame's steps, in order.
     pub fn steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// Each buffer's [`Storage`], indexed by [`Buf`], from which steps
+    /// write and read it — transfers by their buffer, dispatches by the
+    /// windows they declare — never from the config or the shape:
+    ///
+    /// * [`Storage::Rebuilt`] when no transfer moves the buffer, every
+    ///   writer is an upscale kernel and every reader can rebuild upscaled
+    ///   rows itself;
+    /// * [`Storage::Output`] when the only transfer is the frame's output
+    ///   readback (the program's last read), no dispatch reads it and
+    ///   every writer can write the caller's frame;
+    /// * [`Storage::Plane`] otherwise.
+    pub(crate) fn storage(&self) -> [Storage; Buf::COUNT] {
+        let output = self
+            .steps
+            .iter()
+            .rposition(|s| matches!(s, Step::Transfer(t) if t.dir == Dir::Read));
+        Buf::ALL.map(|b| {
+            let declares = |d: &StaticDispatch, role| {
+                d.access
+                    .windows
+                    .iter()
+                    .any(|w| w.role == role && w.buffer.label == b.label())
+            };
+            let (mut transfers, mut read_out) = (0, false);
+            let (mut writers, mut readers) = (Vec::new(), Vec::new());
+            for (i, step) in self.steps.iter().enumerate() {
+                match step {
+                    Step::Transfer(t) if t.buf == b => {
+                        transfers += 1;
+                        read_out |= Some(i) == output;
+                    }
+                    Step::Dispatch(id, d) => {
+                        if declares(d, Role::Write) {
+                            writers.push(*id);
+                        }
+                        if declares(d, Role::Read) {
+                            readers.push(*id);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let written = !writers.is_empty();
+            if transfers == 0
+                && written
+                && !readers.is_empty()
+                && writers.iter().all(|k| k.upscales())
+                && readers.iter().all(|k| k.rebuilds_upscaled())
+            {
+                Storage::Rebuilt
+            } else if transfers == 1
+                && read_out
+                && written
+                && readers.is_empty()
+                && writers.iter().all(|k| k.writes_frame())
+            {
+                Storage::Output
+            } else {
+                Storage::Plane
+            }
+        })
+    }
+
+    /// The steps, for tests that edit a program.
+    #[cfg(test)]
+    pub(crate) fn steps_mut(&mut self) -> &mut Vec<Step> {
+        &mut self.steps
     }
 
     /// The kernel dispatches, in commit order.
@@ -906,6 +1022,77 @@ mod tests {
     use super::*;
     use crate::cpu::stages as cpu_stages;
     use imagekit::ImageF32;
+
+    #[test]
+    fn storage_drops_up_with_the_gpu_border_and_final_always() {
+        let tunings = [
+            Tuning::default(),
+            Tuning {
+                border_gpu_min_width: 0,
+                stage2_gpu_threshold: 0,
+                ..Tuning::default()
+            },
+        ];
+        for (w, h) in [
+            (64, 64),
+            (767, 9),
+            (768, 9),
+            (1001, 701),
+            (3, 3),
+            (4, 9),
+            (7, 5),
+        ] {
+            for tuning in &tunings {
+                for bits in 0..64 {
+                    let opts = OptConfig::from_bits(bits);
+                    let prog = FrameProgram::build(w, h, &opts, tuning).unwrap();
+                    let storage = prog.storage();
+                    for b in Buf::ALL {
+                        let want = match b {
+                            Buf::Up if prog.gpu_border => Storage::Rebuilt,
+                            Buf::Final => Storage::Output,
+                            _ => Storage::Plane,
+                        };
+                        assert_eq!(storage[b as usize], want, "{w}x{h} {opts:?} {b:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn storage_follows_the_steps() {
+        let opts = OptConfig::all();
+        let gpu_border = Tuning {
+            border_gpu_min_width: 0,
+            ..Tuning::default()
+        };
+        let storage = |prog: &FrameProgram, b: Buf| prog.storage()[b as usize];
+        // Any other transfer of a buffer keeps its plane: here a readback
+        // of `up` before the sharpening tail.
+        let mut prog = FrameProgram::build(64, 64, &opts, &gpu_border).unwrap();
+        assert_eq!(storage(&prog, Buf::Up), Storage::Rebuilt);
+        let at = prog
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::Open("sharpen")))
+            .unwrap();
+        let mut b = Builder::new(prog.g, &opts);
+        b.read_back(Buf::Up);
+        prog.steps.splice(at..at, b.steps);
+        assert_eq!(storage(&prog, Buf::Up), Storage::Plane);
+        assert_eq!(storage(&prog, Buf::Final), Storage::Output);
+        // A buffer read back that is not the frame's last read stays a
+        // plane (pEdge under the CPU reduction), as does one a dispatch
+        // reads besides its readback.
+        let prog = FrameProgram::build(64, 64, &OptConfig::none(), &gpu_border).unwrap();
+        assert_eq!(storage(&prog, Buf::PEdge), Storage::Plane);
+        // Without a final readback the output has no reader to serve.
+        let mut prog = FrameProgram::build(64, 64, &opts, &gpu_border).unwrap();
+        prog.steps
+            .retain(|s| !matches!(s, Step::Transfer(t) if t.buf == Buf::Final));
+        assert_eq!(storage(&prog, Buf::Final), Storage::Plane);
+    }
 
     #[test]
     fn border_elems_counts_tiny_shapes() {

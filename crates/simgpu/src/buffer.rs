@@ -265,22 +265,6 @@ impl<T: Scalar> Buffer<T> {
         }
     }
 
-    /// Consumes the handle and returns its storage. When this is the last
-    /// handle the slab itself is handed out — retired from the pool's
-    /// `live` count and never parked — otherwise (a clone is still alive)
-    /// the contents are copied.
-    pub(crate) fn into_storage(self) -> Vec<T> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(mut inner) => {
-                if let Some(pool) = inner.pool.take().and_then(|w| w.upgrade()) {
-                    pool.retire_live();
-                }
-                std::mem::take(inner.data.0.get_mut()).into_vec()
-            }
-            Err(inner) => Buffer { inner }.snapshot(),
-        }
-    }
-
     /// Marks the whole buffer initialised for the sanitizer's stale-read
     /// detector. Called when a map-write guard exposes the full slab to
     /// the host.

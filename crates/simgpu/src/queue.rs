@@ -282,18 +282,6 @@ impl Unit<'_> {
     }
 }
 
-/// Which command a consuming readback ([`CommandQueue::read_owned`])
-/// stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadMode {
-    /// `clEnqueueReadBuffer` of the whole region.
-    Bulk,
-    /// `clEnqueueReadBufferRect`, cropping the row pitch.
-    Rect,
-    /// Map/unmap of the whole buffer, the host cropping the row pitch.
-    Map,
-}
-
 /// Copies of at least this many bytes are split over the queue's dispatch
 /// threads; below it a copy runs on the calling thread (starting threads
 /// for a small frame's copy costs more than it saves).
@@ -565,18 +553,51 @@ impl CommandQueue {
             self.dispatch(d, outputs)?;
             return Ok(Pending::RAN);
         }
-        if let Err(e) = Self::check(&d.desc, &d.decl) {
-            self.drop_pending();
-            return Err(e);
-        }
         let Dispatch { desc, decl, body } = d;
-        self.record(&desc, decl);
+        self.check_and_record(&desc, decl)?;
         let leaf = self.spans.as_ref().and_then(|r| r.last_id());
         self.pending.push(Some(PendingBody { desc, body, leaf }));
         Ok(Pending {
             slot: self.pending.len() - 1,
             generation: self.generation,
         })
+    }
+
+    /// Commits a dispatch without a body, for a host that produces its
+    /// writes elsewhere (a later body rebuilds the rows it reads from the
+    /// dispatch's inputs): verifies the declaration and records the command
+    /// — simulated time, counters, access log — exactly as
+    /// [`CommandQueue::commit`] does, and keeps nothing to run.
+    ///
+    /// # Errors
+    /// On a declaration that fails verification, and on sanitized or
+    /// validated contexts, which observe a dispatch's writes while its body
+    /// runs: there the body must run.
+    pub fn commit_recorded(&mut self, desc: &KernelDesc, decl: AccessSummary) -> Result<()> {
+        if self.sanitize.is_some() || self.validate {
+            return Err(Error::InvalidKernelArgs {
+                kernel: desc.name.clone(),
+                detail: "a sanitized or validated context runs every committed body".into(),
+            });
+        }
+        self.check_and_record(desc, decl)
+    }
+
+    /// The commit of both [`CommandQueue::commit`] and
+    /// [`CommandQueue::commit_recorded`]: verifies `decl` and records the
+    /// dispatch; a failed check drops every pending body.
+    fn check_and_record(&mut self, desc: &KernelDesc, decl: AccessSummary) -> Result<()> {
+        if let Err(e) = Self::check(desc, &decl) {
+            self.drop_pending();
+            return Err(e);
+        }
+        self.record(desc, decl);
+        Ok(())
+    }
+
+    /// Committed bodies that have not run yet.
+    pub fn pending_bodies(&self) -> usize {
+        self.pending.iter().flatten().count()
     }
 
     /// Runs the bodies of committed dispatches as one pass over `windows`
@@ -662,8 +683,9 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// Drops every pending body; outstanding handles name nothing after.
-    fn drop_pending(&mut self) {
+    /// Drops every committed body that has not run; outstanding handles
+    /// name nothing after. Records and simulated time are kept.
+    pub fn drop_pending(&mut self) {
         self.pending.clear();
         self.generation += 1;
     }
@@ -997,95 +1019,6 @@ impl CommandQueue {
         Ok(dur)
     }
 
-    /// Consuming device→host read: the `width × rows` region at the
-    /// origin of `buf` (row pitch `pitch`) comes back as the buffer's own
-    /// storage, the stride padding cropped in place row by row, instead of
-    /// being copied into a host plane. `mode` picks the command it stands
-    /// for — [`ReadMode::Bulk`] is [`CommandQueue::enqueue_read`] of
-    /// `width × rows` elements (it needs `pitch == width`),
-    /// [`ReadMode::Rect`] is [`CommandQueue::enqueue_read_rect`] at origin
-    /// `(0, 0)`, [`ReadMode::Map`] is [`CommandQueue::map_read`] followed
-    /// by the host's crop — with that command's bounds checks, record and
-    /// simulated time.
-    ///
-    /// The buffer must be the last handle to its storage for the slab to
-    /// be handed out: it then retires from the pool's `live` count and is
-    /// never parked. With a clone still alive the region is copied.
-    pub fn read_owned<T: Scalar>(
-        &mut self,
-        buf: Buffer<T>,
-        mode: ReadMode,
-        pitch: usize,
-        width: usize,
-        rows: usize,
-    ) -> Result<Vec<T>> {
-        let n = width * rows;
-        if rows == 0 || width == 0 || (mode == ReadMode::Bulk && pitch != width) {
-            return Err(Error::RectShapeMismatch {
-                rows,
-                row_len: width,
-                host_len: n,
-            });
-        }
-        let op = match mode {
-            ReadMode::Bulk => "read",
-            ReadMode::Rect => "rect-read",
-            ReadMode::Map => "map-read",
-        };
-        if width > pitch {
-            // The region would wrap into the next row of the buffer.
-            return Err(Error::TransferOutOfBounds {
-                op,
-                buffer_len: pitch,
-                offending_index: width - 1,
-            });
-        }
-        let last = (rows - 1) * pitch + width - 1;
-        if last >= buf.len() {
-            return Err(Error::TransferOutOfBounds {
-                op,
-                buffer_len: buf.len(),
-                offending_index: last,
-            });
-        }
-        let t = &self.device.transfer;
-        let bytes = (n * std::mem::size_of::<T>()) as u64;
-        let (prefix, kind, dur) = match mode {
-            ReadMode::Bulk => (
-                "read:",
-                CommandKind::ReadBuffer,
-                bulk_transfer_time(t, bytes),
-            ),
-            ReadMode::Rect => (
-                "rect-read:",
-                CommandKind::ReadBuffer,
-                rect_transfer_time(t, rows as u64, bytes),
-            ),
-            ReadMode::Map => {
-                if !buf.inner.try_map() {
-                    return Err(Error::AlreadyMapped);
-                }
-                buf.inner.unmap();
-                (
-                    "map-read:",
-                    CommandKind::Map,
-                    map_transfer_time(t, buf.byte_len()),
-                )
-            }
-        };
-        self.push_labeled(prefix, buf.label(), kind, dur, None);
-        let mut data = buf.into_storage();
-        if pitch != width {
-            // Row y moves from y·pitch to y·width ≤ y·pitch, so each move
-            // reads only rows not yet overwritten.
-            for y in 1..rows {
-                data.copy_within(y * pitch..y * pitch + width, y * width);
-            }
-        }
-        data.truncate(n);
-        Ok(data)
-    }
-
     /// Maps a buffer for host writing. The full map/unmap round-trip cost
     /// for touching the whole buffer is charged up front (the model from
     /// Section V-A: each access crosses the link piecemeal, so total cost
@@ -1143,6 +1076,14 @@ impl CommandQueue {
     pub fn charge_map(&mut self, name: &str, bytes: u64) {
         let dur = map_transfer_time(&self.device.transfer, bytes);
         self.push(name, CommandKind::Map, dur, None);
+    }
+
+    /// Charges a rectangular transfer of `rows` rows and `bytes` without
+    /// moving data; counterpart of [`CommandQueue::charge_bulk`] for the
+    /// rect commands (`kind` is the record's, as for `charge_bulk`).
+    pub fn charge_rect(&mut self, name: &str, kind: CommandKind, rows: u64, bytes: u64) {
+        let dur = rect_transfer_time(&self.device.transfer, rows, bytes);
+        self.push(name, kind, dur, None);
     }
 
     /// Host synchronisation (`clFinish`). Charges the device's sync
@@ -1954,88 +1895,6 @@ mod tests {
         assert_eq!(buf.race(), Some(RECT_W + 5));
     }
 
-    #[test]
-    fn consuming_readbacks_match_the_copying_ones_and_retire_the_buffer() {
-        // (pitch, width, rows): aligned, ragged below and above the split.
-        let shapes = [
-            (64, 64, 48),
-            (RECT_W + 3, RECT_W, RECT_ROWS[0]),
-            (RECT_W + 3, RECT_W, RECT_ROWS[1]),
-        ];
-        for (pitch, width, rows) in shapes {
-            let data: Vec<f32> = (0..pitch * rows).map(|i| i as f32 * 0.5).collect();
-            let want: Vec<f32> = (0..rows)
-                .flat_map(|y| data[y * pitch..y * pitch + width].to_vec())
-                .collect();
-            for mode in [ReadMode::Bulk, ReadMode::Rect, ReadMode::Map] {
-                if mode == ReadMode::Bulk && pitch != width {
-                    continue;
-                }
-                let ctx = ctx().with_dispatch_threads(2);
-                let record = |q: &CommandQueue| {
-                    let r = q.records().last().unwrap();
-                    (r.name.clone(), r.kind, r.duration_s.to_bits())
-                };
-                // The copying command, into a fresh slice.
-                let mut q = ctx.queue();
-                let buf = ctx.buffer_from::<f32>("final", &data);
-                let mut dst = vec![0.0f32; width * rows];
-                match mode {
-                    ReadMode::Bulk => {
-                        q.enqueue_read(&buf, &mut dst).unwrap();
-                    }
-                    ReadMode::Rect => {
-                        q.enqueue_read_rect(&buf, pitch, 0, 0, &mut dst, width, rows)
-                            .unwrap();
-                    }
-                    ReadMode::Map => {
-                        let m = q.map_read(&buf).unwrap();
-                        for y in 0..rows {
-                            dst[y * width..(y + 1) * width]
-                                .copy_from_slice(&m.as_slice()[y * pitch..y * pitch + width]);
-                        }
-                    }
-                }
-                assert!(dst == want, "{mode:?} {width}x{rows}");
-                let copied = record(&q);
-                drop(buf);
-                // The consuming one.
-                let mut q = ctx.queue();
-                let buf = ctx.buffer_from::<f32>("final", &data);
-                let live = ctx.pool_stats().live;
-                let got = q.read_owned(buf, mode, pitch, width, rows).unwrap();
-                assert!(got == want, "{mode:?} {width}x{rows}");
-                assert_eq!(record(&q), copied, "{mode:?} {width}x{rows}");
-                assert_eq!(q.records().len(), 1);
-                assert_eq!(live, 1);
-                assert_eq!(ctx.pool_stats().live, 0, "{mode:?} {width}x{rows}");
-            }
-        }
-    }
-
-    #[test]
-    fn consuming_readbacks_keep_the_bounds_checks() {
-        let ctx = ctx();
-        let mut q = ctx.queue();
-        let take = |q: &mut CommandQueue, mode, pitch, width, rows| {
-            q.read_owned(ctx.buffer::<f32>("b", 16), mode, pitch, width, rows)
-        };
-        assert!(take(&mut q, ReadMode::Bulk, 4, 4, 5).is_err());
-        assert!(take(&mut q, ReadMode::Bulk, 8, 4, 2).is_err());
-        assert!(take(&mut q, ReadMode::Rect, 4, 5, 2).is_err());
-        assert!(take(&mut q, ReadMode::Rect, 7, 4, 3).is_err());
-        assert!(take(&mut q, ReadMode::Rect, 4, 0, 2).is_err());
-        assert!(take(&mut q, ReadMode::Map, 7, 4, 3).is_err());
-        assert!(q.records().is_empty());
-        assert_eq!(ctx.pool_stats().live, 0);
-        // A clone keeps the storage alive: the region is copied instead.
-        let buf = ctx.buffer_from::<f32>("b", &[1.0, 2.0, 3.0, 4.0]);
-        let keep = buf.clone();
-        let got = q.read_owned(buf, ReadMode::Rect, 2, 1, 2).unwrap();
-        assert_eq!(got, [1.0, 3.0]);
-        assert_eq!(keep.snapshot(), [1.0, 2.0, 3.0, 4.0]);
-    }
-
     // ---- fused passes ---------------------------------------------------
 
     /// `(kernel, group row, start stamp, end stamp)` of every unit run.
@@ -2189,6 +2048,32 @@ mod tests {
             assert_eq!(q.records().len(), 1);
             assert_eq!(log.lock().unwrap().len(), 18);
         }
+    }
+
+    #[test]
+    fn recorded_commits_record_like_run_now_dispatches_and_keep_no_body() {
+        let ctx = ctx();
+        let buf = ctx.buffer::<f32>("b", 64 * 64);
+        let mut ran = ctx.queue();
+        fill_kernel(&mut ran, &buf).unwrap();
+        let mut recorded = ctx.queue();
+        recorded
+            .commit_recorded(&fill_desc(), fill_decl(&buf, 0..16))
+            .unwrap();
+        let record = |q: &CommandQueue| {
+            let r = &q.records()[0];
+            (r.name.clone(), r.kind, r.duration_s.to_bits(), r.counters)
+        };
+        assert_eq!(record(&recorded), record(&ran));
+        assert_eq!(recorded.pending_bodies(), 0);
+        // Observing contexts run every body, so they refuse.
+        let vctx = Context::with_validation(DeviceSpec::firepro_w8000());
+        let vbuf = vctx.buffer::<f32>("b", 64 * 64);
+        let mut q = vctx.queue();
+        assert!(q
+            .commit_recorded(&fill_desc(), fill_decl(&vbuf, 0..16))
+            .is_err());
+        assert!(q.records().is_empty());
     }
 
     #[test]

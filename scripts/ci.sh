@@ -14,7 +14,8 @@
 # explicit host-SIMD kernel backends must never change results, so the whole
 # suite is the equivalence oracle). `cargo bench --no-run` keeps the
 # wall-clock benches compiling even though CI boxes are too noisy to gate on
-# their numbers; `--full` adds a 0.9x sanity floor for the SIMD backend.
+# their numbers; that a forced SIMD backend is the one the kernel spans
+# dispatch is a deterministic test (tests/simd.rs), not a timing floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -162,33 +163,6 @@ if [ "$full" -eq 1 ]; then
     cargo test -q --release --test fused_passes -- --ignored
     echo "== full SIMD backend equivalence sweep (all configs, sanitized)"
     cargo test -q --release --features simd --test simd -- --ignored
-    echo "== SIMD wall-clock smoke (monolithic avx2/sse2 vs autovec at 1024^2)"
-    # Not a perf gate on absolute numbers (CI boxes are noisy) — only a
-    # sanity floor: the explicit backend must not be slower than 0.9x the
-    # autovectorized spans, which would mean dispatch is broken.
-    MP_SIZES=1024 MP_FRAMES=5 MP_OUT="$smoke_dir/bench_smoke.json" \
-        LEDGER_OUT="$smoke_dir/LEDGER.jsonl" \
-        cargo bench -q -p sharpness-bench --features simd \
-        --bench megapass_wallclock > /dev/null
-    awk -F'"' '
-        /"schedule": "monolithic"/ && !ref_seen { ref_seen = 1; next }
-        /"schedule": "monolithic"/ && ref_seen && !checked {
-            checked = 1
-            split($0, a, "speedup_vs_monolithic\": ")
-            split(a[2], b, "}")
-            if (b[1] + 0 < 0.9) {
-                printf "SIMD smoke FAILED: monolithic simd speedup %s < 0.9x scalar\n", b[1]
-                exit 1
-            }
-            printf "SIMD smoke OK: monolithic simd speedup %sx\n", b[1]
-        }
-        END {
-            if (!checked) {
-                print "SIMD smoke FAILED: no simd monolithic row in bench JSON"
-                exit 1
-            }
-        }
-    ' "$smoke_dir/bench_smoke.json"
 fi
 
 echo "== cargo bench --no-run"

@@ -45,10 +45,10 @@
 //!    counters; a single smuggled execution would turn the model search
 //!    back into measure-by-running.
 //! 8. Host-side charges — `charge_host`, `charge_host_seconds`,
-//!    `charge_bulk`, `charge_map`, the queue's only cost entry points that
-//!    are not a kernel declaration — are called only from the pipeline's
-//!    host stages (`gpu/pipeline.rs`), which charge what their program
-//!    step declares. Those are public queue methods, so nothing but this
+//!    `charge_bulk`, `charge_rect`, `charge_map`, the queue's only cost
+//!    entry points that are not a kernel declaration — are called only
+//!    from the pipeline's host stages (`gpu/pipeline.rs`), which charge
+//!    what their program step declares. Those are public queue methods, so nothing but this
 //!    rule keeps a scheduler or a kernel file from charging cost the
 //!    predictor does not fold.
 
@@ -508,6 +508,7 @@ impl Lint {
                 "charge_host(",
                 "charge_host_seconds(",
                 "charge_bulk(",
+                "charge_rect(",
                 "charge_map(",
             ]
             .iter()
@@ -524,7 +525,7 @@ impl Lint {
                 .collect();
             self.fail(
                 "host-side charge outside the pipeline host stages (charge_host/charge_bulk/\
-                 charge_map belong to gpu/pipeline.rs; kernel cost is the dispatch's \
+                 charge_rect/charge_map belong to gpu/pipeline.rs; kernel cost is the dispatch's \
                  declaration)",
                 rel,
                 &hits,

@@ -564,7 +564,7 @@ fn autotune_search(
 
 /// Sharpens one plane. The GPU engine takes an 8-bit plane as it is —
 /// the upload widens it — and runs it on a one-shot context without
-/// pooling, so the final buffer's storage becomes the output image; the
+/// pooling, whose sharpening pass writes the output image directly; the
 /// CPU reference converts to `f32` first.
 fn sharpen_plane(cli: &CliArgs, plane: InputFrame) -> Result<RunReport, String> {
     match cli.engine {
@@ -867,7 +867,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         summary.push_str(&format!(
             "host: cpu features [{}], kernel backend {} (simd feature {})\n",
             sharpness_core::simd::host_features(),
-            sharpness_core::simd::active_backend().label(),
+            sharpness_core::simd::dispatched_backend().label(),
             if sharpness_core::simd::simd_compiled() {
                 "on"
             } else {

@@ -1,7 +1,7 @@
 //! The CLI's PGM path against the call sequence it replaced.
 //!
-//! `cli::run` uploads the decoded 8-bit image as it is, hands out the
-//! final device buffer as the output plane, converts with the exact
+//! `cli::run` uploads the decoded 8-bit image as it is, lets the
+//! sharpening pass write the output plane directly, converts with the exact
 //! `to_u8` and computes the input's gradient energy over the 8-bit image.
 //! Each test rebuilds the earlier sequence — `read_pgm` → `to_f32` →
 //! `GpuPipeline::run(&f32)` → `clamp().round() as u8`, and two f32

@@ -99,19 +99,35 @@ fn memory_plan_matches_streaming_needs() {
 /// bytes equal the declared footprint, for every config on aligned,
 /// ragged and large shapes (the large one crosses the default stage-2
 /// threshold, so the one-element stage-2 total is allocated there only).
+/// The simulated device holds every buffer; on the host a validating
+/// context gives each one a plane, while a plain one skips exactly the
+/// planes the sharpening pass does without — `final` always, `up` when
+/// the border runs on the device.
 #[test]
 fn device_bytes_required_is_what_a_plan_allocates() {
+    let parked = |ctx: Context, opts, w, h| {
+        let plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
+            .prepared(w, h)
+            .unwrap();
+        drop(plan);
+        ctx.pool_stats().pooled_bytes
+    };
     for (w, h) in [(256, 256), (1001, 701), (4096, 4096)] {
         for bits in 0..64u32 {
             let opts = OptConfig::from_bits(bits);
-            let ctx = Context::new(DeviceSpec::firepro_w8000()).with_pooling(true);
-            let plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
-                .prepared(w, h)
-                .unwrap();
-            drop(plan);
+            let device = memory::device_bytes_required(w, h, &opts);
+            let spec = DeviceSpec::firepro_w8000;
+            if w < 4096 {
+                let ctx = Context::with_validation(spec()).with_pooling(true);
+                assert_eq!(parked(ctx, opts, w, h), device, "{w}x{h} {opts:?}");
+            }
+            let plane = (sharpness::core::params::device_stride(w) * h * 4) as u64;
+            let gpu_border = opts.border_gpu && w >= Tuning::default().border_gpu_min_width;
+            let dropped = plane * (1 + u64::from(gpu_border));
+            let ctx = Context::new(spec()).with_pooling(true);
             assert_eq!(
-                ctx.pool_stats().pooled_bytes,
-                memory::device_bytes_required(w, h, &opts),
+                parked(ctx, opts, w, h) + dropped,
+                device,
                 "{w}x{h} {opts:?}"
             );
         }

@@ -1,10 +1,13 @@
 //! The fused host passes change only the host order of a frame's
-//! row-local work: a plain context (bodies deferred and run as two
-//! windowed passes) and a sanitized context (every body right after its
-//! commit, per-kernel order) must produce identical pixels, command
-//! records and total simulated bits, for every optimization config, on
-//! ragged, tiny, narrow-stride and aligned shapes, with one to three
-//! dispatch threads.
+//! row-local work and where its intermediates live: a plain context
+//! (bodies deferred and run as two windowed passes, no host `final`
+//! plane, and with the border on the device no `up` plane — each
+//! sharpening unit rebuilds its `up` rows) and a sanitized context (every
+//! body right after its commit, per-kernel order, every plane) must
+//! produce identical pixels, command records and total simulated bits,
+//! for every optimization config, on ragged, tiny, narrow-stride and
+//! aligned shapes, on both sides of the border crossover width, with one
+//! to three dispatch threads.
 
 use imagekit::{generate, ImageF32};
 use sharpness::prelude::*;
@@ -28,36 +31,48 @@ fn fingerprint(report: &RunReport, records: &[CommandRecord]) -> (Vec<u32>, Vec<
     (pixels, recs, report.total_s.to_bits())
 }
 
+/// The frame's fingerprint, and how many device buffers the plan holds
+/// host storage for.
 fn run(
     ctx: Context,
     opts: OptConfig,
     tuning: Tuning,
     img: &ImageF32,
-) -> (Vec<u32>, Vec<String>, u64) {
-    let mut plan = GpuPipeline::new(ctx, SharpnessParams::default(), opts)
+) -> ((Vec<u32>, Vec<String>, u64), u64) {
+    let mut plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
         .with_tuning(tuning)
         .prepared(img.width(), img.height())
         .unwrap_or_else(|e| panic!("{opts:?}: {e}"));
+    let planes = ctx.pool_stats().live;
     let report = plan.run(img).unwrap_or_else(|e| panic!("{opts:?}: {e}"));
-    fingerprint(&report, plan.records())
+    (fingerprint(&report, plan.records()), planes)
 }
 
 fn sweep(w: usize, h: usize, threads: &[usize], tuning: Tuning) {
     let img = generate::natural(w, h, 61);
     for bits in 0u32..64 {
         let opts = OptConfig::from_bits(bits);
-        let per_kernel = run(
+        let (per_kernel, all_planes) = run(
             Context::sanitized(DeviceSpec::firepro_w8000()).with_dispatch_threads(1),
             opts,
             tuning,
             &img,
         );
+        // `final` never needs a plane; `up` needs none when the border
+        // runs on the device.
+        let gpu_border = opts.border_gpu && w >= tuning.border_gpu_min_width;
+        let dropped = 1 + u64::from(gpu_border);
         for &t in threads {
-            let fused = run(
+            let (fused, planes) = run(
                 Context::new(DeviceSpec::firepro_w8000()).with_dispatch_threads(t),
                 opts,
                 tuning,
                 &img,
+            );
+            assert_eq!(
+                planes + dropped,
+                all_planes,
+                "{w}x{h} {opts:?} threads {t}: host planes"
             );
             assert!(
                 fused.1 == per_kernel.1,
@@ -95,6 +110,11 @@ fn fused_order_matches_per_kernel_order_on_small_shapes() {
         for (w, h) in [(3, 3), (8, 300), (256, 256)] {
             sweep(w, h, &[1, 2, 3], tuning);
         }
+        // Tiny frames without a center dispatch, and frames of one window
+        // either side of the default border crossover width.
+        for (w, h) in [(4, 9), (7, 5), (767, 10), (768, 10), (769, 37)] {
+            sweep(w, h, &[1, 2], tuning);
+        }
     }
 }
 
@@ -102,11 +122,14 @@ fn fused_order_matches_per_kernel_order_on_small_shapes() {
 /// `cargo test -q --release --test fused_passes -- --ignored` or
 /// `scripts/ci.sh --full`.
 #[test]
-#[ignore = "64 configs x two ragged shapes, sanitized; run via ci.sh --full"]
+#[ignore = "64 configs x ragged shapes, sanitized; run via ci.sh --full"]
 fn fused_order_matches_per_kernel_order_on_ragged_shapes() {
     for tuning in tunings() {
         for (w, h) in [(1001, 701), (1023, 769)] {
-            sweep(w, h, &[2, 3], tuning);
+            sweep(w, h, &[1, 2, 3], tuning);
+        }
+        for (w, h) in [(767, 130), (768, 63), (769, 129)] {
+            sweep(w, h, &[1, 2], tuning);
         }
     }
 }

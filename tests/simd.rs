@@ -194,6 +194,84 @@ fn forced_and_env_overrides_resolve_to_supported_backends() {
     }
 }
 
+/// What forcing tier `b` resolves to on this build and host: the tier
+/// itself when the `simd` feature is compiled in and the host has it,
+/// SSE2 (the x86-64 baseline) for AVX2 on a host without it, autovec
+/// without the feature.
+fn resolved(b: Backend) -> Backend {
+    let avx2 = simd::host_features().split('+').any(|f| f == "avx2");
+    match b {
+        _ if !simd::simd_compiled() => Backend::Autovec,
+        Backend::Avx2 if !avx2 => Backend::Sse2,
+        b => b,
+    }
+}
+
+#[test]
+fn forced_backends_are_reported_and_dispatched() {
+    let _g = backend_lock();
+    for b in [Backend::Autovec, Backend::Sse2, Backend::Avx2] {
+        simd::set_backend(Some(b));
+        assert_eq!(simd::active_backend(), resolved(b), "forced {}", b.label());
+        // The span dispatch reaches that backend's own spans.
+        assert_eq!(
+            simd::dispatched_backend(),
+            resolved(b),
+            "forced {}",
+            b.label()
+        );
+    }
+    simd::set_backend(None);
+}
+
+#[test]
+fn env_override_is_reported_by_the_cli() {
+    let dir = std::env::temp_dir().join(format!("simd-env-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.pgm");
+    imagekit::io::write_pgm(&input, &generate::natural(24, 16, 3).to_u8()).unwrap();
+    let profile = |env: &str, extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sharpen"))
+            .arg(&input)
+            .arg(dir.join("out.pgm"))
+            .arg("--profile")
+            .args(extra)
+            .env("SHARPEN_SIMD", env)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "SHARPEN_SIMD={env} {extra:?}");
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = text
+            .lines()
+            .find(|l| l.contains("kernel backend"))
+            .unwrap_or_else(|| panic!("no backend line in {text}"))
+            .to_string();
+        line.split("kernel backend ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap()
+            .to_string()
+    };
+    for (env, tier) in [
+        ("scalar", Backend::Autovec),
+        ("sse2", Backend::Sse2),
+        ("avx2", Backend::Avx2),
+    ] {
+        assert_eq!(
+            profile(env, &[]),
+            resolved(tier).label(),
+            "SHARPEN_SIMD={env}"
+        );
+        // `--no-simd` wins over the environment.
+        assert_eq!(
+            profile(env, &["--no-simd"]),
+            "autovec",
+            "SHARPEN_SIMD={env}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn sanitizer_clean_under_every_backend() {
     let _g = backend_lock();
