@@ -33,6 +33,8 @@
 //! the window geometry describes the element footprint that both bounds
 //! and the sanitizer's shadow traffic are defined over.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::ops::Range;
 
@@ -449,6 +451,123 @@ fn pairwise_disjoint(a: &AccessWindow, b: &AccessWindow) -> bool {
     ca + a.elems <= p && cb + b.elems <= p && (ca + a.elems <= cb || cb + b.elems <= ca)
 }
 
+/// A pair of write windows on one buffer that [`pairwise_disjoint`] cannot
+/// clear, if any — the verdict of comparing every pair, in
+/// `O(n log n)` for the declarations kernels make. Sorts `writes` by
+/// buffer, then `base`.
+///
+/// A buffer with at most [`SWEEP_MIN`] windows compares every pair. A
+/// larger one is swept in `base` order: the windows still *live* when
+/// `b` arrives are those whose `[base, max_index]` interval contains
+/// `b.base`; only they can meet `b`, and they all meet each other. A live
+/// column band of `b`'s own period (see [`Band`]) meets `b` exactly when
+/// their column ranges overlap, and the live bands of one period have
+/// disjoint column ranges (else the sweep stopped earlier), so an ordered
+/// map of them answers with its two neighbours of `b`. Live windows of
+/// other periods, and windows that are no band, are compared with `b` one
+/// by one.
+fn first_write_overlap<'a>(
+    writes: &mut [&'a AccessWindow],
+) -> Option<(&'a AccessWindow, &'a AccessWindow)> {
+    writes.sort_unstable_by(|a, b| {
+        (a.buffer.label.as_str(), a.base).cmp(&(b.buffer.label.as_str(), b.base))
+    });
+    // Live windows: expiry heap of (max_index, slot), bands by (period,
+    // first column), the rest by slot.
+    let mut expiry = BinaryHeap::new();
+    let mut bands: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut rest: Vec<usize> = Vec::new();
+    for buffer in writes.chunk_by(|a, b| a.buffer.label == b.buffer.label) {
+        if buffer.len() <= SWEEP_MIN {
+            for (i, &a) in buffer.iter().enumerate() {
+                if let Some(&b) = buffer[i + 1..].iter().find(|b| !pairwise_disjoint(a, b)) {
+                    return Some((a, b));
+                }
+            }
+            continue;
+        }
+        expiry.clear();
+        bands.clear();
+        rest.clear();
+        for (slot, &b) in buffer.iter().enumerate() {
+            let Some(max) = b.max_index() else {
+                continue; // empty windows share nothing
+            };
+            while let Some(&Reverse((end, old))) = expiry.peek() {
+                if end >= b.base {
+                    break;
+                }
+                expiry.pop();
+                match Band::of(buffer[old]) {
+                    Some(band) => {
+                        bands.remove(&(band.period, band.col));
+                    }
+                    None => rest.retain(|&s| s != old),
+                }
+            }
+            let band = Band::of(b);
+            if let Some(Band { period, col }) = band {
+                let below = bands.range((period, 0)..(period, col)).next_back();
+                let within = bands.range((period, col)..(period, col + b.elems)).next();
+                let hit = below
+                    .filter(|&(&(_, c), &s)| c + buffer[s].elems > col)
+                    .or(within);
+                if let Some((_, &s)) = hit {
+                    return Some((buffer[s], b));
+                }
+            }
+            let others = bands
+                .iter()
+                .filter(|((p, _), _)| band.is_none_or(|own| own.period != *p))
+                .map(|(_, &s)| s)
+                .chain(rest.iter().copied());
+            for s in others {
+                if !pairwise_disjoint(buffer[s], b) {
+                    return Some((buffer[s], b));
+                }
+            }
+            match band {
+                Some(band) => {
+                    bands.insert((band.period, band.col), slot);
+                }
+                None => rest.push(slot),
+            }
+            expiry.push(Reverse((max, slot)));
+        }
+    }
+    None
+}
+
+/// Write windows per buffer up to which [`first_write_overlap`] compares
+/// every pair: fewer pairs than the sweep's bookkeeping costs.
+const SWEEP_MIN: usize = 8;
+
+/// A write window that is a column band of period `period`: it repeats
+/// along at least one axis, every repeating stride is a multiple of the
+/// smallest, and its span `col..col + elems` stays inside one period. Two
+/// bands of one period whose intervals overlap are disjoint exactly when
+/// their column ranges are — the verdict [`pairwise_disjoint`] gives them.
+#[derive(Clone, Copy)]
+struct Band {
+    period: usize,
+    col: usize,
+}
+
+impl Band {
+    fn of(w: &AccessWindow) -> Option<Band> {
+        let strides = [(w.x_count, w.x_stride), (w.y_count, w.y_stride)]
+            .into_iter()
+            .filter(|&(count, _)| count > 1)
+            .map(|(_, stride)| stride);
+        let period = strides.clone().min()?;
+        if period == 0 || strides.into_iter().any(|s| s % period != 0) {
+            return None;
+        }
+        let col = w.base % period;
+        (col + w.elems <= period).then_some(Band { period, col })
+    }
+}
+
 /// Statically checks one summary: bounds (a), write disjointness (b), and
 /// accounting (c). The overcharge-ratio bound of (c) applies to full-grid
 /// summaries only: a partial group range (as the range-split checks of the
@@ -478,7 +597,8 @@ pub fn verify_summary(s: &AccessSummary) -> Result<(), AccessError> {
     }
     // (b) write disjointness: each write window self-disjoint, and write
     // windows on the same buffer pairwise disjoint.
-    let writes: Vec<&AccessWindow> = s.windows.iter().filter(|w| w.role == Role::Write).collect();
+    let mut writes: Vec<&AccessWindow> =
+        s.windows.iter().filter(|w| w.role == Role::Write).collect();
     for w in &writes {
         if !internally_disjoint(w) {
             return Err(AccessError::WriteOverlap {
@@ -491,19 +611,15 @@ pub fn verify_summary(s: &AccessSummary) -> Result<(), AccessError> {
             });
         }
     }
-    for (i, a) in writes.iter().enumerate() {
-        for b in &writes[i + 1..] {
-            if a.buffer.label == b.buffer.label && !pairwise_disjoint(a, b) {
-                return Err(AccessError::WriteOverlap {
-                    kernel: s.kernel.clone(),
-                    buffer: a.buffer.label.clone(),
-                    detail: format!(
-                        "windows at bases {} and {} cannot be proved disjoint",
-                        a.base, b.base
-                    ),
-                });
-            }
-        }
+    if let Some((a, b)) = first_write_overlap(&mut writes) {
+        return Err(AccessError::WriteOverlap {
+            kernel: s.kernel.clone(),
+            buffer: a.buffer.label.clone(),
+            detail: format!(
+                "windows at bases {} and {} cannot be proved disjoint",
+                a.base, b.base
+            ),
+        });
     }
     // (c) accounting: writes exact, reads dominated and ratio-bounded.
     let declared_w = s.declared_write_bytes();
@@ -688,6 +804,109 @@ mod tests {
             verify_summary(&s),
             Err(AccessError::WriteOverlap { .. })
         ));
+    }
+
+    /// The all-pairs loop [`first_write_overlap`] replaced: the reference
+    /// verdict.
+    fn all_pairs_overlap(writes: &[&AccessWindow]) -> bool {
+        writes.iter().enumerate().any(|(i, a)| {
+            writes[i + 1..]
+                .iter()
+                .any(|b| a.buffer.label == b.buffer.label && !pairwise_disjoint(a, b))
+        })
+    }
+
+    #[test]
+    fn write_overlap_sweep_agrees_with_all_pairs() {
+        // SplitMix64 over random window sets. Half the cases are lattices
+        // like the upscale center's clamped block row: up to three times
+        // `SWEEP_MIN` column bands of one period on one buffer, in
+        // distinct 4-column slots, whose intervals all overlap while
+        // their columns do not, one of them sometimes shifted onto a
+        // neighbour. The other half mix, on two buffers, column bands of
+        // a few periods, strided windows whose strides share no period,
+        // plain runs and empty windows.
+        let mut state = 0x5eed_2015_u64;
+        let mut next = |n: usize| -> usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        // (overlapping, disjoint) verdicts, all cases and swept ones.
+        let (mut all, mut swept) = ([0; 2], [0; 2]);
+        for case in 0..20_000 {
+            let n = 1 + next(3 * SWEEP_MIN);
+            let windows: Vec<AccessWindow> = if case % 2 == 0 {
+                let mut slots: Vec<usize> = (0..3 * SWEEP_MIN).collect();
+                let shifted = next(4) == 0;
+                (0..n)
+                    .map(|i| {
+                        let j = i + next(slots.len() - i);
+                        slots.swap(i, j);
+                        let col = 4 * slots[i] + usize::from(shifted && i == 0) * 2;
+                        let w = AccessWindow::write(BufRef::f32("a", 1 << 14), 0, 0);
+                        AccessWindow {
+                            base: 128 * next(4) + col,
+                            elems: 1 + next(4),
+                            ..w
+                        }
+                        .by_x(1 + next(4), 128)
+                        .by_y(1 + next(3), 512)
+                    })
+                    .collect()
+            } else {
+                (0..n)
+                    .map(|_| {
+                        let label = ["a", "b"][next(2)];
+                        let w = AccessWindow::write(BufRef::f32(label, 4096), 0, 0);
+                        match next(4) {
+                            0 | 1 => {
+                                let p = [8, 16, 32][next(3)];
+                                let col = next(p);
+                                AccessWindow {
+                                    base: p * next(24) + col,
+                                    elems: next(p - col + 1),
+                                    ..w
+                                }
+                                .by_x(1 + next(4), p * (1 + next(2)))
+                                .by_y(1 + next(3), p * (1 + next(8)))
+                            }
+                            2 => AccessWindow {
+                                base: next(512),
+                                elems: 1 + next(12),
+                                ..w
+                            }
+                            .by_x(1 + next(3), next(40))
+                            .by_y(1 + next(2), next(90)),
+                            _ => AccessWindow {
+                                base: next(768),
+                                elems: 1 + next(24),
+                                ..w
+                            },
+                        }
+                    })
+                    .collect()
+            };
+            let mut refs: Vec<&AccessWindow> = windows.iter().collect();
+            let expected = all_pairs_overlap(&refs);
+            let found = first_write_overlap(&mut refs);
+            assert_eq!(found.is_some(), expected, "case {case}: {windows:?}");
+            if let Some((a, b)) = found {
+                assert!(a.buffer.label == b.buffer.label && !pairwise_disjoint(a, b));
+            }
+            let verdict = usize::from(!expected);
+            all[verdict] += 1;
+            if ["a", "b"]
+                .iter()
+                .any(|l| windows.iter().filter(|w| w.buffer.label == *l).count() > SWEEP_MIN)
+            {
+                swept[verdict] += 1;
+            }
+        }
+        assert!(all.iter().all(|&n| n > 2000), "{all:?}");
+        assert!(swept.iter().all(|&n| n > 1000), "{swept:?}");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! # Safety model
 //!
-//! Work-groups of one dispatch run in parallel (scoped host threads, see
-//! [`crate::par`]), one closure call per work-group or per work-group row
+//! Work-groups of one dispatch run in parallel (on the context's dispatch
+//! pool, see [`crate::par`]), one closure call per work-group or per
+//! work-group row
 //! ([`crate::kernel`]); a row unit runs its groups in turn on one thread.
 //! The simulator relies on the same invariant a real GPU kernel does:
 //! *distinct work-items write distinct elements*. Reads and writes go through raw
@@ -793,7 +794,7 @@ mod tests {
         let b: Buffer<u32> = Buffer::new("t", 10_000, true);
         b.begin_write_epoch();
         let w = b.write_view();
-        crate::par::for_each_index(10_000, 8, |i| {
+        crate::par::for_each_index(&crate::par::DispatchPool::new(), 10_000, 8, |i| {
             w.set_raw(i, i as u32 * 2);
         });
         assert_eq!(b.race(), None);
@@ -806,7 +807,7 @@ mod tests {
         let b: Buffer<u32> = Buffer::new("t", 4, true);
         b.begin_write_epoch();
         let w = b.write_view();
-        crate::par::for_each_index(1000, 8, |i| {
+        crate::par::for_each_index(&crate::par::DispatchPool::new(), 1000, 8, |i| {
             w.set_raw(i % 4, i as u32);
         });
         assert!(b.race().is_some());

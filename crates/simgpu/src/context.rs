@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use crate::buffer::{Buffer, Scalar};
 use crate::device::{CpuSpec, DeviceSpec};
+use crate::par::DispatchPool;
 use crate::pool::{BufferPool, PoolStats};
 use crate::queue::CommandQueue;
 use crate::sanitize::{SanitizeConfig, SanitizeReport, SanitizeShared};
@@ -30,6 +31,10 @@ pub struct Context {
     /// Host threads per kernel pass and large copy (0 = all available
     /// cores).
     dispatch_threads: usize,
+    /// The worker threads behind those passes and copies, started on the
+    /// first pass that needs them. Clones and queues share it; the last
+    /// handle joins the workers.
+    dispatch_pool: Arc<DispatchPool>,
     /// Shared sanitizer state (shadow-access recorder); `None` when the
     /// sanitizer is off. Clones share the same recorder.
     sanitize: Option<Arc<SanitizeShared>>,
@@ -52,6 +57,7 @@ impl Context {
             pool: BufferPool::new(),
             pooling: true,
             dispatch_threads: 0,
+            dispatch_pool: Arc::new(DispatchPool::new()),
             sanitize: None,
             keep_access_log: false,
             span_capacity: None,
@@ -139,10 +145,14 @@ impl Context {
         self
     }
 
-    /// Pins the number of host threads each kernel pass uses, and over
-    /// which transfer copies of at least
+    /// Pins the number of host threads that run each kernel pass, and
+    /// over which transfer copies of at least
     /// [`crate::queue::SPLIT_COPY_BYTES`] are split (0 = all available
-    /// cores, the default).
+    /// cores, the default). The calling thread counts as one of them: a
+    /// pass on `threads` threads runs on the caller and on up to
+    /// `threads − 1` workers of the context's pool. A pass whose largest
+    /// grid is below [`crate::par::PASS_GRAIN_ITEMS`] work-items runs on
+    /// the caller alone whatever this says.
     pub fn with_dispatch_threads(mut self, threads: usize) -> Self {
         self.dispatch_threads = threads;
         self
@@ -227,6 +237,7 @@ impl Context {
             self.device.clone(),
             self.cpu.clone(),
             self.dispatch_threads,
+            Arc::clone(&self.dispatch_pool),
             self.sanitize.clone(),
             self.validate,
             self.keep_access_log,

@@ -4,8 +4,8 @@
 //! *Optimizing Image Sharpening Algorithm on GPU* (ICPP 2015). The paper's
 //! experiments ran on an AMD FirePro W8000 over PCI-E; this environment has
 //! neither, so the device is **simulated**: kernels execute functionally on
-//! the host (work-groups, or whole work-group rows, in parallel on scoped
-//! threads, producing real pixels) while
+//! the host (work-groups, or whole work-group rows, in parallel on the
+//! context's persistent dispatch pool, producing real pixels) while
 //! a calibrated analytical cost model charges simulated time for every
 //! command — kernel launches, ALU work, global/local memory traffic,
 //! barriers, divergence, PCI-E transfers in three modes (bulk, rect,

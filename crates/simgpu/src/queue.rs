@@ -43,7 +43,7 @@ use crate::cost::CostCounters;
 use crate::device::{CpuSpec, DeviceSpec};
 use crate::error::{Error, Result};
 use crate::kernel::{GroupCtx, KernelDesc, RowCtx};
-use crate::par::WindowUnits;
+use crate::par::{DispatchPool, WindowUnits, PASS_GRAIN_ITEMS};
 use crate::sanitize::{DriftClass, GroupSan, SanitizeShared, Violation};
 use crate::span::{SpanId, SpanKind, SpanRecord, SpanRing};
 use crate::timing::{
@@ -283,8 +283,8 @@ impl Unit<'_> {
 }
 
 /// Copies of at least this many bytes are split over the queue's dispatch
-/// threads; below it a copy runs on the calling thread (starting threads
-/// for a small frame's copy costs more than it saves).
+/// threads; below it a copy runs on the calling thread (handing a small
+/// frame's copy to a worker costs more than it saves).
 pub const SPLIT_COPY_BYTES: u64 = 2 << 20;
 
 /// An in-order command queue bound to one simulated device and one modeled
@@ -298,6 +298,8 @@ pub struct CommandQueue {
     /// Host threads used per kernel pass and per large copy (0 = all
     /// available).
     dispatch_threads: usize,
+    /// The creating context's worker pool, shared with it.
+    pool: Arc<DispatchPool>,
     /// Interned command names: one `Arc<str>` per distinct name for the
     /// queue's lifetime, shared by every record (survives [`Self::reset`]).
     interner: HashSet<Arc<str>>,
@@ -335,10 +337,12 @@ fn span_kind_of(kind: CommandKind) -> SpanKind {
 }
 
 impl CommandQueue {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         device: DeviceSpec,
         cpu: CpuSpec,
         dispatch_threads: usize,
+        pool: Arc<DispatchPool>,
         sanitize: Option<Arc<SanitizeShared>>,
         validate: bool,
         keep_access_log: bool,
@@ -351,6 +355,7 @@ impl CommandQueue {
             records: Vec::new(),
             commands_since_finish: 0,
             dispatch_threads,
+            pool,
             interner: HashSet::new(),
             name_scratch: String::new(),
             sanitize,
@@ -379,6 +384,17 @@ impl CommandQueue {
             crate::par::default_threads()
         } else {
             self.dispatch_threads
+        }
+    }
+
+    /// Threads a pass runs on whose largest grid has `items` work-items:
+    /// the caller alone below [`PASS_GRAIN_ITEMS`], where handing out
+    /// shares costs more than it saves.
+    fn pass_threads(&self, items: usize) -> usize {
+        if items < PASS_GRAIN_ITEMS {
+            1
+        } else {
+            self.threads()
         }
     }
 
@@ -639,10 +655,12 @@ impl CommandQueue {
             Vec::new()
         };
         let start_ns = self.spans.as_ref().map_or(0, |r| r.now());
+        let items = bodies.iter().map(|(b, _)| b.desc.total_items()).max();
         crate::par::run_pass(
+            &self.pool,
             windows,
             bodies.len(),
-            self.threads(),
+            self.pass_threads(items.unwrap_or(0)),
             |p, w| {
                 let (b, map) = &bodies[p];
                 let n = b.body.unit().count(&b.desc);
@@ -773,9 +791,10 @@ impl CommandQueue {
         let poison = Poison::default();
         let n = unit.count(desc);
         crate::par::run_pass(
+            &self.pool,
             1,
             1,
-            self.threads(),
+            self.pass_threads(desc.total_items()),
             |_, _| WindowUnits {
                 units: 0..n,
                 lag: 0,
@@ -825,7 +844,7 @@ impl CommandQueue {
             });
         }
         // Functional copy, split over the dispatch threads when large.
-        crate::par::split_chunks(src, self.bulk_chunk(src), |off, c| {
+        crate::par::split_chunks(&self.pool, src, self.bulk_chunk(src), |off, c| {
             buf.inner.copy_in(off, c)
         });
         let dur = bulk_transfer_time(&self.device.transfer, std::mem::size_of_val(src) as u64);
@@ -844,7 +863,7 @@ impl CommandQueue {
             });
         }
         let chunk = self.bulk_chunk(dst);
-        crate::par::split_chunks_mut(dst, chunk, |off, c| buf.inner.copy_out(off, c));
+        crate::par::split_chunks_mut(&self.pool, dst, chunk, |off, c| buf.inner.copy_out(off, c));
         let dur = bulk_transfer_time(&self.device.transfer, std::mem::size_of_val(dst) as u64);
         self.push_labeled("read:", buf.label(), CommandKind::ReadBuffer, dur, None);
         Ok(dur)
@@ -931,7 +950,7 @@ impl CommandQueue {
         // Whole rows per chunk: each thread copies a band of rows.
         let row_bytes = src_width * std::mem::size_of::<T>();
         let band = self.rect_band(rows, row_bytes);
-        crate::par::split_chunks(src, band * src_width, |off, c| {
+        crate::par::split_chunks(&self.pool, src, band * src_width, |off, c| {
             for (r, src_row) in c.chunks(src_width).enumerate() {
                 let y = buf_y + off / src_width + r;
                 copy_row(&buf.inner, y * buf_width + buf_x, src_row);
@@ -998,7 +1017,7 @@ impl CommandQueue {
             });
         }
         let band = self.rect_band(rows, std::mem::size_of_val(&dst[..src_width]));
-        crate::par::split_chunks_mut(dst, band * src_width, |off, c| {
+        crate::par::split_chunks_mut(&self.pool, dst, band * src_width, |off, c| {
             for (r, dst_row) in c.chunks_mut(src_width).enumerate() {
                 let y = buf_y + off / src_width + r;
                 buf.inner.copy_out(y * buf_width + buf_x, dst_row);
@@ -1431,14 +1450,19 @@ mod tests {
         }
     }
 
+    /// Work-items per row of the wide test grids: 16 rows of it reach the
+    /// grain, so their passes run on the pool.
+    const WIDE: usize = PASS_GRAIN_ITEMS.div_ceil(16).next_multiple_of(16);
+
     #[test]
     fn row_dispatch_panic_is_a_typed_error_and_the_queue_recovers() {
-        for threads in [1, 2] {
+        for threads in [1, 2, 3] {
             let ctx = ctx().with_dispatch_threads(threads);
             let mut q = ctx.queue();
-            let desc = KernelDesc::new("boom", [64, 64], [16, 16]);
+            let desc = KernelDesc::new("boom", [WIDE, 64], [16, 16]);
+            let decl = AccessSummary::new(&desc, 0..desc.total_groups());
             let err = q
-                .run_rows(&desc, AccessSummary::new(&desc, 0..16), &[], |r| {
+                .run_rows(&desc, decl, &[], |r| {
                     if r.group_y == 2 {
                         panic!("row unit {} failed", r.group_y);
                     }
@@ -1452,11 +1476,19 @@ mod tests {
                 other => panic!("expected KernelPanic, got {other:?}"),
             }
             assert!(q.records().is_empty());
-            // The next dispatch on the same queue runs and records.
+            // The next dispatches on the same queue run and record: a small
+            // one inline, and one over the pool that every row unit reaches.
             let buf = ctx.buffer::<f32>("out", 64 * 64);
             fill_kernel(&mut q, &buf).unwrap();
             assert_eq!(q.records().len(), 1);
             assert_eq!(buf.snapshot()[64 * 64 - 1], (64 * 64 - 1) as f32);
+            let rows = AtomicU64::new(0);
+            let decl = AccessSummary::new(&desc, 0..desc.total_groups());
+            q.run_rows(&desc, decl, &[], |_| {
+                rows.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+            assert_eq!(rows.into_inner(), 4, "threads {threads}");
         }
     }
 
@@ -1901,9 +1933,10 @@ mod tests {
     type StampLog = Arc<Mutex<Vec<(String, usize, u64, u64)>>>;
 
     /// A row dispatch over `units` group rows whose body stamps each unit
-    /// with the global sequence number at its start and end.
+    /// with the global sequence number at its start and end. Its rows are
+    /// [`WIDE`], so a pass of it runs on the pool.
     fn stamping(name: &str, units: usize, clock: &Arc<AtomicU64>, log: &StampLog) -> Dispatch {
-        let desc = KernelDesc::new(name, [16, 16 * units], [16, 16]);
+        let desc = KernelDesc::new(name, [WIDE, 16 * units], [16, 16]);
         let decl = AccessSummary::new(&desc, 0..desc.total_groups());
         let (clock, log, tag) = (Arc::clone(clock), Arc::clone(log), name.to_string());
         Dispatch::rows(desc, decl, move |r| {
@@ -2004,7 +2037,7 @@ mod tests {
             let clock = Arc::new(AtomicU64::new(0));
             let log = Arc::new(Mutex::new(Vec::new()));
             let ok = q.commit(stamping("ok", 18, &clock, &log), &[]).unwrap();
-            let desc = KernelDesc::new("boom", [16, 16 * 18], [16, 16]);
+            let desc = KernelDesc::new("boom", [WIDE, 16 * 18], [16, 16]);
             let decl = AccessSummary::new(&desc, 0..desc.total_groups());
             let boom = Dispatch::rows(desc, decl, |r| {
                 if r.group_y == 9 {
@@ -2047,6 +2080,15 @@ mod tests {
             .unwrap();
             assert_eq!(q.records().len(), 1);
             assert_eq!(log.lock().unwrap().len(), 18);
+            // A full pass on a new queue of the same context runs on the
+            // pool that served the failed one.
+            let mut fresh = ctx.queue();
+            log.lock().unwrap().clear();
+            let whole = fresh
+                .commit(stamping("whole", 18, &clock, &log), &[])
+                .unwrap();
+            fresh.execute(1, &[Part::whole(whole)]).unwrap();
+            assert_eq!(log.lock().unwrap().len(), 18, "threads {threads}");
         }
     }
 

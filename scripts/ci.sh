@@ -130,6 +130,11 @@ echo "== service smoke (seeded load, sanitized, byte-compared vs direct)"
 # served output against direct PipelinePlan execution of the same request.
 ./target/release/sharpen serve --requests 48 --seed 9 --gap-us 500 \
     --sanitize --selfcheck > /dev/null
+# The same stream unsanitized is the path serve_zipf times: fused passes
+# on the dispatch pool, small frames inline under the grain. --selfcheck
+# byte-compares those outputs against direct execution too.
+./target/release/sharpen serve --requests 48 --seed 9 --gap-us 500 \
+    --selfcheck > /dev/null
 
 echo "== perf ledger (small bench append + recent-window-vs-history check)"
 # Appends to a scratch copy of the committed ledger so CI never dirties

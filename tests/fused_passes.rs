@@ -133,3 +133,49 @@ fn fused_order_matches_per_kernel_order_on_ragged_shapes() {
         }
     }
 }
+
+/// Two caller threads run prepared plans from clones of one context — so
+/// on one dispatch pool — at the same time. Whichever finds the pool held
+/// runs its pass inline; neither may block the other, and both must get
+/// the pixels of a one-thread run.
+#[test]
+fn clones_of_one_context_serve_two_callers_at_once() {
+    let shapes = [(256, 256), (333, 217)];
+    let imgs = shapes.map(|(w, h)| generate::natural(w, h, 23));
+    let opts = OptConfig::all();
+    let expected = imgs.clone().map(|img| {
+        let ctx = Context::new(DeviceSpec::firepro_w8000()).with_dispatch_threads(1);
+        let report = GpuPipeline::new(ctx, SharpnessParams::default(), opts)
+            .run(&img)
+            .unwrap();
+        report
+            .output
+            .pixels()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    });
+    let shared = Context::new(DeviceSpec::firepro_w8000()).with_dispatch_threads(2);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for (img, want) in imgs.iter().zip(&expected) {
+            let (ctx, start) = (shared.clone(), &start);
+            s.spawn(move || {
+                let mut plan = GpuPipeline::new(ctx, SharpnessParams::default(), opts)
+                    .prepared(img.width(), img.height())
+                    .unwrap();
+                let mut out = vec![0.0f32; img.pixels().len()];
+                start.wait();
+                for frame in 0..12 {
+                    plan.run_into(img, &mut out).unwrap();
+                    assert!(
+                        out.iter().map(|v| v.to_bits()).eq(want.iter().copied()),
+                        "{}x{} frame {frame}",
+                        img.width(),
+                        img.height()
+                    );
+                }
+            });
+        }
+    });
+}
