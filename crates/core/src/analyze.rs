@@ -14,8 +14,8 @@
 //!   readback lanes outweigh compute (the paper's naive-configuration
 //!   diagnosis), otherwise the top kernel's verdict;
 //! * **host (wall clock)** — the PR 5/6 result re-derived from first
-//!   principles: the frame's working set (~6 f32 streams per pixel)
-//!   either fits the last-level cache (compute-bound host, SIMD pays off)
+//!   principles: the frame's working set (the caller's frames plus the
+//!   full-size planes the frame program keeps, [`host_streams`]) either fits the last-level cache (compute-bound host, SIMD pays off)
 //!   or streams from DRAM (bandwidth-bound host, SIMD caps out).
 //!
 //! Everything here is **observation-only**: inputs are immutable telemetry,
@@ -29,11 +29,22 @@ use simgpu::device::DeviceSpec;
 use simgpu::span::{aggregate, SpanKind, SpanRecord};
 use simgpu::timing::{kernel_time, GpuOpWeights};
 
+use crate::gpu::program::FrameProgram;
+use crate::gpu::{OptConfig, Tuning};
+
 use crate::telemetry::{FrameTelemetry, KernelMetrics};
 
-/// Number of f32 streams a pixel of the pipeline keeps live on the host —
-/// source, up, pEdge, final, the downscaled matrix and loop slack.
-pub const HOST_STREAMS: u64 = 6;
+/// Number of full-size f32 streams a `w × h` frame under `opts` and
+/// `tuning` keeps live on the host, from the frame program's storage rule:
+/// the caller's input and output frames plus every full-size buffer kept
+/// as a plane. A plain all-optimizations frame with the border on the
+/// device streams three: the input, `padded` and the output.
+///
+/// # Errors
+/// On unsupported shapes.
+pub fn host_streams(w: usize, h: usize, opts: &OptConfig, tuning: &Tuning) -> Result<u64, String> {
+    Ok(FrameProgram::build(w, h, opts, tuning)?.host_streams())
+}
 
 /// What limits a kernel, frame or host run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +144,7 @@ fn classify_kernel(k: &KernelMetrics, dev: &DeviceSpec, frame_s: f64) -> KernelV
 /// the last-level cache?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostVerdict {
-    /// Estimated live bytes per frame ([`HOST_STREAMS`] f32 streams).
+    /// Estimated live bytes per frame ([`host_streams`] f32 streams).
     pub working_set_bytes: u64,
     /// Last-level cache size the verdict was made against.
     pub llc_bytes: u64,
@@ -144,11 +155,12 @@ pub struct HostVerdict {
     pub bound: Bound,
 }
 
-/// Classifies the host execution of a `width`×`height` frame against an
-/// LLC of `llc_bytes` (use `autotune::detected_cache_bytes()` for the
-/// running machine, or pass a size explicitly for reproducible tests).
-pub fn host_verdict(width: usize, height: usize, llc_bytes: usize) -> HostVerdict {
-    let working_set_bytes = HOST_STREAMS * (width as u64) * (height as u64) * 4;
+/// Classifies the host execution of a `width`×`height` frame of `streams`
+/// full-size f32 streams ([`host_streams`]) against an LLC of `llc_bytes`
+/// (use `autotune::detected_cache_bytes()` for the running machine, or
+/// pass a size explicitly for reproducible tests).
+pub fn host_verdict(width: usize, height: usize, streams: u64, llc_bytes: usize) -> HostVerdict {
+    let working_set_bytes = streams * (width as u64) * (height as u64) * 4;
     let resident = working_set_bytes <= llc_bytes as u64;
     HostVerdict {
         working_set_bytes,
@@ -227,12 +239,14 @@ pub struct Explanation {
 }
 
 /// Builds the attribution report from one frame's telemetry, its span
-/// snapshot (may be empty), the device it ran on, and the host LLC size
-/// to judge wall-clock behaviour against.
+/// snapshot (may be empty), the device it ran on, the frame's host
+/// streams ([`host_streams`]), and the host LLC size to judge wall-clock
+/// behaviour against.
 pub fn explain(
     tel: &FrameTelemetry,
     spans: &[SpanRecord],
     dev: &DeviceSpec,
+    streams: u64,
     llc_bytes: usize,
 ) -> Explanation {
     let mut kernels: Vec<KernelVerdict> = tel
@@ -286,7 +300,7 @@ pub fn explain(
         transfer_share,
         frame_bound,
         kernels,
-        host: host_verdict(tel.width, tel.height, llc_bytes),
+        host: host_verdict(tel.width, tel.height, streams, llc_bytes),
         wall_sim,
         phases,
     }
@@ -375,7 +389,7 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{GpuPipeline, OptConfig};
+    use crate::gpu::GpuPipeline;
     use crate::params::SharpnessParams;
     use imagekit::generate;
     use simgpu::context::Context;
@@ -398,13 +412,13 @@ mod tests {
         // The paper's base-version diagnosis: at 1024² the unoptimized
         // configuration spends most of its simulated frame moving data.
         let (naive, spans) = observed(OptConfig::none(), 1024);
-        let e = explain(&naive, &spans, &DeviceSpec::firepro_w8000(), LLC);
+        let e = explain(&naive, &spans, &DeviceSpec::firepro_w8000(), 8, LLC);
         assert_eq!(e.frame_bound, Bound::Transfer, "{}", e.render(8));
         assert!(e.transfer_share > 0.5, "share {}", e.transfer_share);
         // And the transfer optimization's claim in absolute terms: the
         // optimized ladder moves strictly less transfer time per frame.
         let (opt, _) = observed(OptConfig::all(), 1024);
-        let eo = explain(&opt, &[], &DeviceSpec::firepro_w8000(), LLC);
+        let eo = explain(&opt, &[], &DeviceSpec::firepro_w8000(), 3, LLC);
         assert!(
             eo.transfer_s < e.transfer_s,
             "optimized transfers {} s vs naive {} s",
@@ -414,14 +428,38 @@ mod tests {
     }
 
     #[test]
+    fn host_streams_follow_the_storage_rule() {
+        let streams = |opts, tuning| host_streams(256, 256, &opts, &tuning).unwrap();
+        let gpu_border = Tuning {
+            border_gpu_min_width: 0,
+            ..Tuning::default()
+        };
+        // The input, `padded` and the output.
+        assert_eq!(streams(OptConfig::all(), gpu_border), 3);
+        // With the border on the host, `up` is a plane too.
+        assert_eq!(streams(OptConfig::all(), Tuning::default()), 4);
+        // The CPU reduction reads `pEdge` back: it is a plane.
+        let cpu_reduction = OptConfig {
+            reduction_gpu: false,
+            ..OptConfig::all()
+        };
+        assert_eq!(streams(cpu_reduction, gpu_border), 4);
+        // The base configuration: `padded`, `original`, `up`, `pEdge`,
+        // `pError` and `prelim`, with the caller's two frames.
+        assert_eq!(streams(OptConfig::none(), Tuning::default()), 8);
+    }
+
+    #[test]
     fn host_is_compute_bound_at_1024_and_bandwidth_bound_at_4096() {
-        // PR 5/6: the 105 MiB LLC holds a 1024² frame's ~24 MiB working
-        // set (SIMD pays), while 4096² needs ~384 MiB and
-        // streams from DRAM (SIMD capped at 1.21x).
-        let h1k = host_verdict(1024, 1024, LLC);
+        // The 105 MiB LLC holds a 1024² frame's 12 MiB working set (SIMD
+        // pays), while 4096² needs 192 MiB and streams from DRAM.
+        let streams = |w| host_streams(w, w, &OptConfig::all(), &Tuning::default()).unwrap();
+        let h1k = host_verdict(1024, 1024, streams(1024), LLC);
+        assert_eq!(h1k.working_set_bytes, 12 << 20);
         assert!(h1k.resident);
         assert_eq!(h1k.bound, Bound::Compute);
-        let h4k = host_verdict(4096, 4096, LLC);
+        let h4k = host_verdict(4096, 4096, streams(4096), LLC);
+        assert_eq!(h4k.working_set_bytes, 192 << 20);
         assert!(!h4k.resident);
         assert_eq!(h4k.bound, Bound::Bandwidth);
         // The vec4 Sobel keeps ≤4.6 loads/px (§V.D), so residency — not
@@ -434,7 +472,7 @@ mod tests {
     #[test]
     fn kernels_rank_by_simulated_seconds() {
         let (tel, spans) = observed(OptConfig::all(), 256);
-        let e = explain(&tel, &spans, &DeviceSpec::firepro_w8000(), LLC);
+        let e = explain(&tel, &spans, &DeviceSpec::firepro_w8000(), 3, LLC);
         assert!(!e.kernels.is_empty());
         for pair in e.kernels.windows(2) {
             assert!(pair[0].seconds >= pair[1].seconds);
@@ -473,7 +511,7 @@ mod tests {
     #[test]
     fn report_renders_phases_and_wall_sim_when_spans_present() {
         let (tel, spans) = observed(OptConfig::all(), 64);
-        let e = explain(&tel, &spans, &DeviceSpec::firepro_w8000(), LLC);
+        let e = explain(&tel, &spans, &DeviceSpec::firepro_w8000(), 3, LLC);
         assert!(e.wall_sim.is_some());
         assert!(!e.phases.is_empty());
         let text = e.render(5);
@@ -484,7 +522,7 @@ mod tests {
         assert!(text.contains("phases:"), "{text}");
         assert!(text.contains("sobel"), "{text}");
         // Without spans the report still renders, minus the span rows.
-        let e2 = explain(&tel, &[], &DeviceSpec::firepro_w8000(), LLC);
+        let e2 = explain(&tel, &[], &DeviceSpec::firepro_w8000(), 3, LLC);
         assert!(e2.wall_sim.is_none());
         assert!(e2.phases.is_empty());
         assert!(!e2.render(5).contains("wall/sim:"));

@@ -30,7 +30,8 @@ use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
-use super::RowWindows;
+use super::sobel::sobel_row;
+use super::{RowWindows, SrcImage};
 
 /// Work-group size of the reduction kernels (two 64-lane wavefronts).
 pub const RED_GROUP: usize = 128;
@@ -301,6 +302,89 @@ pub(crate) fn stage1_body(
     }
 }
 
+/// The stage-1 body of a frame that keeps no pEdge plane: each group
+/// fills a stack buffer with its [`ELEMS_PER_GROUP`] elements of the
+/// `ws`-strided pEdge matrix of a `w × h` frame — row segments across the
+/// stride, rebuilt by [`sobel_row`] from the padded source `src` — and
+/// sums them in [`stage1_body`]'s add-during-load and tree order without
+/// emulated local memory, so each partial is bit-identical to the one the
+/// plane would give.
+pub(crate) fn stage1_rebuilt_body(
+    src: &SrcImage,
+    partials: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    strategy: ReductionStrategy,
+) -> impl Fn(&mut GroupCtx) + Send + Sync + 'static {
+    let src = src.clone();
+    let out = partials.write_view();
+    move |g| {
+        let base = g.group_id[0] * ELEMS_PER_GROUP;
+        let len = (ws * h - base).min(ELEMS_PER_GROUP);
+        let mut elems = [0.0f32; ELEMS_PER_GROUP];
+        let mut i = 0;
+        while i < len {
+            let (y, x) = ((base + i) / ws, (base + i) % ws);
+            let seg = (ws - x).min(len - i);
+            sobel_row(&src, w, h, y, x, false, &mut elems[i..i + seg]);
+            i += seg;
+        }
+        out.set_raw(g.group_id[0], group_partial(&elems, len, strategy));
+    }
+}
+
+/// The partial sum of `elems[..len]` in [`stage1_body`]'s order: each of
+/// the [`RED_GROUP`] lanes adds its [`ELEMS_PER_THREAD`] strided elements
+/// in load order (skipping those past `len` in a ragged group), then the
+/// strategy's tree folds the lanes.
+fn group_partial(elems: &[f32; ELEMS_PER_GROUP], len: usize, strategy: ReductionStrategy) -> f32 {
+    let mut sums = [0.0f32; RED_GROUP];
+    if len == ELEMS_PER_GROUP {
+        for row in elems.chunks_exact(RED_GROUP) {
+            super::simd::add_assign_span(&mut sums, row);
+        }
+    } else {
+        for (lid, s) in sums.iter_mut().enumerate() {
+            for k in 0..ELEMS_PER_THREAD {
+                let idx = k * RED_GROUP + lid;
+                if idx < len {
+                    *s += elems[idx];
+                }
+            }
+        }
+    }
+    // One tree level: lane `lid` of `lo .. lo + step` adds lane
+    // `lid + step`.
+    let fold = |a: &mut [f32; RED_GROUP], lo: usize, step: usize| {
+        for lid in lo..lo + step {
+            a[lid] += a[lid + step];
+        }
+    };
+    match strategy {
+        // Both fold 64, 32, ..., 1 over the whole group; they differ only
+        // in barriers.
+        ReductionStrategy::NoUnroll | ReductionStrategy::UnrollOne => {
+            let mut step = RED_GROUP / 2;
+            while step >= 1 {
+                fold(&mut sums, 0, step);
+                step /= 2;
+            }
+            sums[0]
+        }
+        ReductionStrategy::UnrollTwo => {
+            for half in [0, RED_GROUP / 2] {
+                let mut step = RED_GROUP / 4;
+                while step >= 1 {
+                    fold(&mut sums, half, step);
+                    step /= 2;
+                }
+            }
+            sums[0] + sums[RED_GROUP / 2]
+        }
+    }
+}
+
 /// Stage 2 on the device: a single work-group strided-sums the partials
 /// and tree-reduces, writing the total into `result[0]`.
 pub fn reduction_stage2_kernel(
@@ -464,6 +548,53 @@ mod tests {
             t_two < t_none,
             "unroll2 {t_two} should beat no-unroll {t_none}"
         );
+    }
+
+    #[test]
+    fn rebuilt_partials_match_the_planes() {
+        use crate::gpu::kernels::sobel::sobel_vec4_kernel;
+        use crate::gpu::kernels::KernelTuning;
+        use imagekit::generate;
+        for (w, h) in [(3, 3), (5, 7), (13, 11), (97, 61), (1001, 9), (64, 48)] {
+            let ws = crate::params::device_stride(w);
+            let (pw, n) = (ws + 2, ws * h);
+            let img = generate::natural(w, h, 11);
+            let mut padded = vec![0.0f32; pw * (h + 2)];
+            for y in 0..h {
+                for x in 0..w {
+                    padded[(y + 1) * pw + x + 1] = img.get(x, y);
+                }
+            }
+            let ctx = Context::new(DeviceSpec::firepro_w8000());
+            let mut q = ctx.queue();
+            let pbuf = ctx.buffer_from("padded", &padded);
+            let src = SrcImage {
+                view: pbuf.view(),
+                pitch: pw,
+                pad: 1,
+            };
+            let pedge = ctx.buffer::<f32>("pEdge", n);
+            sobel_vec4_kernel(&mut q, &src, &pedge, w, h, ws, KernelTuning::default()).unwrap();
+            for strategy in [
+                ReductionStrategy::NoUnroll,
+                ReductionStrategy::UnrollOne,
+                ReductionStrategy::UnrollTwo,
+            ] {
+                let plane = ctx.buffer::<f32>("partials", stage1_groups(n));
+                reduction_stage1_kernel(&mut q, &pedge.view(), n, &plane, strategy).unwrap();
+                let rebuilt = ctx.buffer::<f32>("partials", stage1_groups(n));
+                let desc = stage1_desc(n, strategy);
+                let groups = 0..desc.total_groups();
+                let access =
+                    stage1_access(&desc, groups, &pedge.info(), &rebuilt.info(), n, strategy);
+                let body = stage1_rebuilt_body(&src, &rebuilt, w, h, ws, strategy);
+                q.dispatch(Dispatch::groups(desc, access, body), &[&rebuilt])
+                    .unwrap();
+                let bits =
+                    |b: &Buffer<f32>| b.snapshot().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rebuilt), bits(&plane), "{w}x{h} {strategy:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use simgpu::par::WindowUnits;
 use simgpu::queue::{CommandQueue, Dispatch};
 use simgpu::timing::KernelTime;
 
+use super::sobel::EdgeSource;
 use super::upscale::{UpRows, UpSource};
 use super::{
     body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, unit_rows,
@@ -380,23 +381,24 @@ pub fn sharpness_fused_kernel(
         UpSource::Plane(up.clone(), ws),
         RowSink::plane(finalbuf, ws),
     );
-    let body = sharpness_fused_body(src, &up, pedge, out, mean, params, w, h, ws);
+    let pedge = EdgeSource::Plane(pedge.clone(), ws);
+    let body = sharpness_fused_body(src, &up, &pedge, out, mean, params, w, h);
     q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
 /// The body of [`sharpness_fused_kernel`], one call per work-group row; it
-/// reads the unit's `up` rows from `up` and stores through `out`.
+/// reads the unit's `up` rows from `up` and its pEdge values from `pedge`
+/// (each a plane, or rebuilt per unit) and stores through `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_body(
     src: &SrcImage,
     up: &UpSource,
-    pedge: &GlobalView<f32>,
+    pedge: &EdgeSource,
     out: RowSink,
     mean: f32,
     params: SharpnessParams,
     w: usize,
     h: usize,
-    ws: usize,
 ) -> impl Fn(&mut RowCtx) + Send + Sync + 'static {
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
@@ -413,20 +415,14 @@ pub(crate) fn sharpness_fused_body(
             // One border pixel, computed exactly as `fused_pixel` with
             // `body = false` would (only the window centre matters).
             let border_pixel =
-                |x: usize, y: usize, src: &SrcImage, up: &UpRows, pe: &GlobalView<f32>| {
+                |x: usize, y: usize, src: &SrcImage, up: &UpRows, pe: &EdgeSource| {
                     let mut n9 = [0.0f32; 9];
                     n9[4] = src.view.get_raw(src.idx(x as isize, y as isize));
-                    fused_pixel(
-                        &n9,
-                        up.get(y, x),
-                        pe.get_raw(y * ws + x),
-                        mean,
-                        &params,
-                        false,
-                    )
+                    fused_pixel(&n9, up.get(y, x), pe.border(y, x), mean, &params, false)
                 };
             let gw = rc.group_size[0];
             let mut scratch = [0.0f32; GROUP_2D[0]];
+            let mut pe_scratch = [0.0f32; GROUP_2D[0]];
             for ly in 0..rc.group_size[1] {
                 let y = rc.global_y(ly);
                 if y >= h {
@@ -461,7 +457,8 @@ pub(crate) fn sharpness_fused_body(
                                 .view
                                 .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
                             let up_row = up.span(y, body_lo, blen);
-                            let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
+                            let pe_row =
+                                pedge.body(y, body_lo, [r0, r1, r2], &mut pe_scratch[..blen]);
                             simd::fused_span(
                                 r0,
                                 r1,
@@ -635,17 +632,19 @@ pub fn sharpness_fused_vec4_kernel(
         UpSource::Plane(up.clone(), ws),
         RowSink::plane(finalbuf, ws),
     );
-    let body = sharpness_fused_vec4_body(src, &up, pedge, out, mean, params, w, h, ws);
+    let pedge = EdgeSource::Plane(pedge.clone(), ws);
+    let body = sharpness_fused_vec4_body(src, &up, &pedge, out, mean, params, w, h, ws);
     q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
 }
 
 /// The body of [`sharpness_fused_vec4_kernel`], one call per work-group
-/// row; it reads the unit's `up` rows from `up` and stores through `out`.
+/// row; it reads `up` and pEdge as [`sharpness_fused_body`] does and
+/// stores through `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_vec4_body(
     src: &SrcImage,
     up: &UpSource,
-    pedge: &GlobalView<f32>,
+    pedge: &EdgeSource,
     out: RowSink,
     mean: f32,
     params: SharpnessParams,
@@ -664,17 +663,10 @@ pub(crate) fn sharpness_fused_vec4_body(
             // One border pixel, computed exactly as `fused_pixel` with
             // `body = false` would (only the window centre matters).
             let border_pixel =
-                |x: usize, y: usize, src: &SrcImage, up: &UpRows, pe: &GlobalView<f32>| {
+                |x: usize, y: usize, src: &SrcImage, up: &UpRows, pe: &EdgeSource| {
                     let mut n9 = [0.0f32; 9];
                     n9[4] = src.view.get_raw(src.idx(x as isize, y as isize));
-                    fused_pixel(
-                        &n9,
-                        up.get(y, x),
-                        pe.get_raw(y * ws + x),
-                        mean,
-                        &params,
-                        false,
-                    )
+                    fused_pixel(&n9, up.get(y, x), pe.border(y, x), mean, &params, false)
                 };
             // Each group's threads cover `4 * group_size[0]` consecutive
             // pixels per row; the work is done row-segment at a time so the
@@ -682,6 +674,7 @@ pub(crate) fn sharpness_fused_vec4_body(
             // before the next.
             let gw = rc.group_size[0];
             let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
+            let mut pe_scratch = [0.0f32; 4 * GROUP_2D[0]];
             for ly in 0..rc.group_size[1] {
                 let y = rc.global_y(ly);
                 if y >= h {
@@ -718,7 +711,7 @@ pub(crate) fn sharpness_fused_vec4_body(
                             .view
                             .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
                         let up_row = up.span(y, body_lo, blen);
-                        let pe_row = pedge.slice_raw(y * ws + body_lo, blen);
+                        let pe_row = pedge.body(y, body_lo, [r0, r1, r2], &mut pe_scratch[..blen]);
                         simd::fused_span(
                             r0,
                             r1,

@@ -4,7 +4,7 @@
 //! about only 4.5 times" instead of 8).
 
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
-use simgpu::buffer::Buffer;
+use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
 use simgpu::kernel::{KernelDesc, RowCtx};
@@ -124,37 +124,91 @@ pub(crate) fn sobel_scalar_body(
                 if x_start >= w {
                     break;
                 }
-                let x_end = (x_start + gw).min(w);
-                let span = x_end - x_start;
-                let row_out = &mut scratch[..span];
-                // Zero first: the border columns/rows the body span below does
-                // not overwrite store zero, as in the per-pixel form.
-                row_out.fill(0.0);
-                if y > 0 && y < h - 1 {
-                    let body_lo = x_start.max(1);
-                    let body_hi = x_end.min(w - 1);
-                    if body_hi > body_lo {
-                        let blen = body_hi - body_lo;
-                        let yi = y as isize;
-                        let r0 = src
-                            .view
-                            .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                        let r1 = src
-                            .view
-                            .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                        let r2 = src
-                            .view
-                            .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                        simd::sobel_span(
-                            r0,
-                            r1,
-                            r2,
-                            &mut row_out[body_lo - x_start..body_hi - x_start],
-                        );
-                    }
-                }
+                let row_out = &mut scratch[..(x_start + gw).min(w) - x_start];
+                sobel_row(&src, w, h, y, x_start, false, row_out);
                 out.set_span_raw(y * ws + x_start, row_out);
             }
+        }
+    }
+}
+
+/// Row `y` of the pEdge matrix of a `w × h` frame read from `src`, over
+/// columns `x0 .. x0 + out.len()`, into `out`: zero on the frame border
+/// and in the stride padding beyond `w`, [`simd::sobel_span`] on the body
+/// — the one Sobel row of both kernel bodies and of every reader that
+/// rebuilds pEdge rows instead of reading a plane. The body's three source
+/// rows are read when the columns hold body pixels, and with `empty_halo`
+/// also when the body span is empty but starts inside the row (a vec4
+/// item loads its halo whatever its body).
+pub(crate) fn sobel_row(
+    src: &SrcImage,
+    w: usize,
+    h: usize,
+    y: usize,
+    x0: usize,
+    empty_halo: bool,
+    out: &mut [f32],
+) {
+    // Zero first: the border columns/rows and the padding the body span
+    // below does not overwrite store zero, as in the per-pixel form.
+    out.fill(0.0);
+    if y == 0 || y + 1 >= h {
+        return;
+    }
+    let (lo, hi) = (x0.max(1), (x0 + out.len()).min(w - 1));
+    if hi > lo || (empty_halo && hi == lo) {
+        let row = |dy: isize| {
+            let at = src.idx(lo as isize - 1, y as isize + dy);
+            src.view.slice_raw(at, hi - lo + 2)
+        };
+        // `sobel_pixel` with the window columns i..i+3 in the identical
+        // operation order (left-to-right sums), so the span is
+        // bit-identical to the per-pixel form — pinned by
+        // `vec4_matches_scalar_exactly`.
+        simd::sobel_span(row(-1), row(0), row(1), &mut out[lo - x0..hi - x0]);
+    }
+}
+
+/// Where a sharpening-tail kernel reads pEdge: the plane at row stride
+/// `ws`, or values each unit rebuilds from the three source rows it loads
+/// for its own 3×3 window (see [`sobel_row`]).
+#[derive(Clone)]
+pub(crate) enum EdgeSource {
+    /// The pEdge plane and its row stride.
+    Plane(GlobalView<f32>, usize),
+    /// No plane: the unit rebuilds what it reads.
+    Rebuilt,
+}
+
+impl EdgeSource {
+    /// pEdge of the body pixels `x .. x + out.len()` of row `y`, whose
+    /// source rows `y - 1 ..= y + 1` from column `x - 1` on are `r0`,
+    /// `r1` and `r2`: the plane's span, or [`simd::sobel_span`] over the
+    /// rows into `out`.
+    #[inline]
+    pub(crate) fn body<'a>(
+        &'a self,
+        y: usize,
+        x: usize,
+        [r0, r1, r2]: [&[f32]; 3],
+        out: &'a mut [f32],
+    ) -> &'a [f32] {
+        match self {
+            EdgeSource::Plane(v, ws) => v.slice_raw(y * ws + x, out.len()),
+            EdgeSource::Rebuilt => {
+                simd::sobel_span(r0, r1, r2, out);
+                out
+            }
+        }
+    }
+
+    /// pEdge at the frame-border pixel `(x, y)`: the plane's value, or
+    /// the zero Sobel stores there.
+    #[inline]
+    pub(crate) fn border(&self, y: usize, x: usize) -> f32 {
+        match self {
+            EdgeSource::Plane(v, ws) => v.get_raw(y * ws + x),
+            EdgeSource::Rebuilt => 0.0,
         }
     }
 }
@@ -310,7 +364,9 @@ pub(crate) fn sobel_vec4_body(
         // Row-segment form: each group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
         // the host autovectorizes it; each image row is walked across the
-        // row's groups before the next.
+        // row's groups before the next. The stride-padding tail beyond `w`
+        // stays zero, matching the scalar kernel (which never writes the
+        // padding at all — it is zero from allocation).
         let gw = rc.group_size[0];
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
         for ly in 0..rc.group_size[1] {
@@ -324,39 +380,8 @@ pub(crate) fn sobel_vec4_body(
                 if x_start >= ws {
                     break;
                 }
-                let x_end = (x_start + 4 * gw).min(ws);
-                let span = x_end - x_start;
-                let row_out = &mut scratch[..span];
-                // Zero everything the body loop below does not overwrite: the
-                // image border columns and the stride-padding tail beyond `w`
-                // stay zero, matching the scalar kernel (which never writes
-                // the padding at all — it is zero from allocation).
-                row_out.fill(0.0);
-                if y > 0 && y < h - 1 {
-                    let yi = y as isize;
-                    let body_lo = x_start.max(1);
-                    let body_hi = x_end.min(w - 1);
-                    let blen = body_hi - body_lo;
-                    let r0 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi - 1), blen + 2);
-                    let r1 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi), blen + 2);
-                    let r2 = src
-                        .view
-                        .slice_raw(src.idx(body_lo as isize - 1, yi + 1), blen + 2);
-                    // `sobel_pixel` with the window columns i..i+3 in the
-                    // identical operation order (left-to-right sums), so the
-                    // span is bit-identical to the per-pixel form — pinned by
-                    // `vec4_matches_scalar_exactly`.
-                    simd::sobel_span(
-                        r0,
-                        r1,
-                        r2,
-                        &mut row_out[body_lo - x_start..body_hi - x_start],
-                    );
-                }
+                let row_out = &mut scratch[..(x_start + 4 * gw).min(ws) - x_start];
+                sobel_row(&src, w, h, y, x_start, true, row_out);
                 out.set_span_raw(y * ws + x_start, row_out);
             }
         }

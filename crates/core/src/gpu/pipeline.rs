@@ -33,11 +33,13 @@ use crate::cpu::stages as cpu_stages;
 use crate::gpu::batch::FrameComponents;
 use crate::gpu::kernels::downscale::downscale_body;
 use crate::gpu::kernels::perror::perror_body;
-use crate::gpu::kernels::reduction::{stage1_body, stage1_groups, stage2_body};
+use crate::gpu::kernels::reduction::{
+    stage1_body, stage1_groups, stage1_rebuilt_body, stage2_body,
+};
 use crate::gpu::kernels::sharpen::{
     overshoot_body, preliminary_body, sharpness_fused_body, sharpness_fused_vec4_body,
 };
-use crate::gpu::kernels::sobel::{sobel_scalar_body, sobel_vec4_body};
+use crate::gpu::kernels::sobel::{sobel_scalar_body, sobel_vec4_body, EdgeSource};
 use crate::gpu::kernels::upscale::{
     upscale_center_scalar_body, upscale_center_vec4_body, UpSource,
 };
@@ -343,8 +345,8 @@ impl GpuPipeline {
     }
 
     /// A dispatch step with its pixel body bound to the plan's buffers:
-    /// `up` read from its plane or rebuilt per unit, the output image
-    /// written to the `final` plane or into `frame`.
+    /// `up` and pEdge read from their planes or rebuilt per unit, the
+    /// output image written to the `final` plane or into `frame`.
     #[allow(clippy::too_many_arguments)]
     fn bind(
         &self,
@@ -370,6 +372,14 @@ impl GpuPipeline {
             },
             _ => UpSource::Plane(view(Buf::Up), ws),
         };
+        let rebuilt_edges = res.storage(Buf::PEdge) == Storage::Rebuilt;
+        let edge = || {
+            if rebuilt_edges {
+                EdgeSource::Rebuilt
+            } else {
+                EdgeSource::Plane(view(Buf::PEdge), ws)
+            }
+        };
         let sink = || match frame {
             Some(f) => RowSink::Frame(f.clone()),
             None => RowSink::plane(out(), ws),
@@ -387,6 +397,9 @@ impl GpuPipeline {
             ),
             KernelId::Sobel => rows(d, sobel_scalar_body(main, out(), w, h, ws)),
             KernelId::SobelVec4 => rows(d, sobel_vec4_body(padded, out(), w, h, ws)),
+            KernelId::Stage1(strategy) if rebuilt_edges => {
+                groups(d, stage1_rebuilt_body(padded, out(), w, h, ws, strategy))
+            }
             KernelId::Stage1(strategy) => {
                 groups(d, stage1_body(&view(Buf::PEdge), out(), g.ns, strategy))
             }
@@ -396,21 +409,11 @@ impl GpuPipeline {
             }
             KernelId::Sharpness => rows(
                 d,
-                sharpness_fused_body(padded, &up(), &view(Buf::PEdge), sink(), mean, p, w, h, ws),
+                sharpness_fused_body(padded, &up(), &edge(), sink(), mean, p, w, h),
             ),
             KernelId::SharpnessVec4 => rows(
                 d,
-                sharpness_fused_vec4_body(
-                    padded,
-                    &up(),
-                    &view(Buf::PEdge),
-                    sink(),
-                    mean,
-                    p,
-                    w,
-                    h,
-                    ws,
-                ),
+                sharpness_fused_vec4_body(padded, &up(), &edge(), sink(), mean, p, w, h, ws),
             ),
             KernelId::Perror => rows(d, perror_body(main, &up(), out(), w, h, ws)),
             KernelId::Preliminary => {
@@ -949,7 +952,7 @@ mod tests {
                     let dropped = !observed
                         && match b {
                             Buf::Up => !kept_up,
-                            Buf::Final => true,
+                            Buf::PEdge | Buf::Final => true,
                             _ => false,
                         };
                     assert_eq!(
@@ -959,6 +962,65 @@ mod tests {
                         !kept_up
                     );
                 }
+            }
+        }
+    }
+
+    /// For each pass of `prog`, the frame elements of its largest part
+    /// that runs a body on a plain context, and the work-items of its
+    /// largest part whatever its storage.
+    fn pass_sizes(prog: &FrameProgram) -> Vec<(usize, usize)> {
+        let storage = prog.storage();
+        let steps = prog.steps();
+        let dispatch = |k: usize| match &steps[k] {
+            Step::Dispatch(id, d) => (*id, d),
+            _ => unreachable!("a pass part is a dispatch"),
+        };
+        let passes = steps.iter().filter_map(|s| match s {
+            Step::Pass(p) => Some(p),
+            _ => None,
+        });
+        passes
+            .map(|p| {
+                let parts = p.parts.iter().map(|&(k, _)| dispatch(k));
+                let elems = parts
+                    .clone()
+                    .filter(|(id, _)| storage[id.output() as usize] != Storage::Rebuilt)
+                    .map(|(_, d)| d.desc.total_elems())
+                    .max();
+                let items = parts.map(|(_, d)| d.desc.total_items()).max();
+                (elems.unwrap_or(0), items.unwrap_or(0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pass_grain_keeps_the_item_choice_on_serve_shapes_and_inlines_small_scalar_frames() {
+        use simgpu::par::pass_threads;
+        let mut shapes = crate::service::traffic::TrafficConfig::default().shapes;
+        shapes.push((128, 96));
+        for &(w, h) in &shapes {
+            let prog = FrameProgram::build(w, h, &OptConfig::all(), &Tuning::default()).unwrap();
+            // Below the border crossover every part ran a body before
+            // pEdge was rebuilt, and a pass went on the pool from 4096
+            // work-items of its largest grid.
+            assert!(!prog.gpu_border);
+            for (elems, items) in pass_sizes(&prog) {
+                let items_rule = if items < 4096 { 1 } else { 2 };
+                assert_eq!(
+                    pass_threads(elems, 2),
+                    items_rule,
+                    "{w}x{h}: {elems} elements, {items} items"
+                );
+            }
+        }
+        // Scalar kernels cover one element an item: small frames of the
+        // base configuration run every pass on the caller.
+        for (w, h) in [(64, 64), (96, 96), (128, 96)] {
+            let prog =
+                FrameProgram::build(w, h, &OptConfig::from_bits(0), &Tuning::default()).unwrap();
+            for (elems, _) in pass_sizes(&prog) {
+                assert_eq!(pass_threads(elems, 2), 1, "{w}x{h}: {elems} elements");
             }
         }
     }

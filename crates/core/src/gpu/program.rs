@@ -41,7 +41,7 @@ use crate::gpu::kernels::downscale::{downscale_access, downscale_window};
 use crate::gpu::kernels::perror::{perror_access, perror_window};
 use crate::gpu::kernels::reduction::{
     stage1_access, stage1_desc, stage1_groups, stage1_window, stage2_access, stage2_desc,
-    ReductionStrategy,
+    ReductionStrategy, ELEMS_PER_THREAD,
 };
 use crate::gpu::kernels::sharpen::{
     overshoot_access, overshoot_window, preliminary_access, sharpness_fused_access,
@@ -319,26 +319,58 @@ impl KernelId {
     }
 }
 
+/// A kernel family whose output rows a reader can rebuild from the
+/// producer's own inputs instead of reading them from a plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Producer {
+    /// The upscale kernels: `up` rows from `down`.
+    Upscale,
+    /// The Sobel kernels: `pEdge` rows from the padded source.
+    Sobel,
+}
+
 impl KernelId {
-    /// Whether the kernel's output is a function of `down` alone — the
-    /// upscale kernels — so a reader can rebuild the rows it reads.
-    fn upscales(self) -> bool {
-        matches!(
-            self,
-            KernelId::Border(_) | KernelId::Center | KernelId::CenterVec4
-        )
+    /// Frame elements one work-item covers along a row — 4 for a vec4
+    /// item and for the 4-column block of a downscale or upscale item, 16
+    /// for a vec4 upscale item, the eight elements a stage-1 item sums —
+    /// which sizes the host pass it runs in.
+    fn item_elems(self) -> usize {
+        match self {
+            KernelId::Downscale | KernelId::Center => SCALE,
+            KernelId::CenterVec4 => 4 * SCALE,
+            KernelId::SobelVec4 | KernelId::SharpnessVec4 => 4,
+            KernelId::Stage1(_) => ELEMS_PER_THREAD,
+            _ => 1,
+        }
     }
 
-    /// Whether the kernel can rebuild, per unit, the upscaled rows it
+    /// The rebuildable family the kernel's output belongs to, if any.
+    fn produces(self) -> Option<Producer> {
+        match self {
+            KernelId::Border(_) | KernelId::Center | KernelId::CenterVec4 => {
+                Some(Producer::Upscale)
+            }
+            KernelId::Sobel | KernelId::SobelVec4 => Some(Producer::Sobel),
+            _ => None,
+        }
+    }
+
+    /// Whether the kernel can rebuild, per unit, the rows of `family` it
     /// reads instead of reading them from a plane.
-    fn rebuilds_upscaled(self) -> bool {
-        matches!(
-            self,
-            KernelId::Sharpness
-                | KernelId::SharpnessVec4
-                | KernelId::Perror
-                | KernelId::Preliminary
-        )
+    fn rebuilds(self, family: Producer) -> bool {
+        match family {
+            Producer::Upscale => matches!(
+                self,
+                KernelId::Sharpness
+                    | KernelId::SharpnessVec4
+                    | KernelId::Perror
+                    | KernelId::Preliminary
+            ),
+            Producer::Sobel => matches!(
+                self,
+                KernelId::Stage1(_) | KernelId::Sharpness | KernelId::SharpnessVec4
+            ),
+        }
     }
 
     /// Whether the kernel can write its cropped rows straight into the
@@ -469,8 +501,9 @@ impl FrameProgram {
     /// windows they declare — never from the config or the shape:
     ///
     /// * [`Storage::Rebuilt`] when no transfer moves the buffer, every
-    ///   writer is an upscale kernel and every reader can rebuild upscaled
-    ///   rows itself;
+    ///   writer belongs to one rebuildable family (the upscale kernels for
+    ///   `up`, the Sobel kernels for `pEdge`) and every reader can rebuild
+    ///   that family's rows itself;
     /// * [`Storage::Output`] when the only transfer is the frame's output
     ///   readback (the program's last read), no dispatch reads it and
     ///   every writer can write the caller's frame;
@@ -507,12 +540,12 @@ impl FrameProgram {
                 }
             }
             let written = !writers.is_empty();
-            if transfers == 0
-                && written
-                && !readers.is_empty()
-                && writers.iter().all(|k| k.upscales())
-                && readers.iter().all(|k| k.rebuilds_upscaled())
-            {
+            let family = writers.first().and_then(|k| k.produces());
+            let rebuilt = family.is_some_and(|f| {
+                writers.iter().all(|k| k.produces() == Some(f))
+                    && readers.iter().all(|k| k.rebuilds(f))
+            });
+            if transfers == 0 && rebuilt && !readers.is_empty() {
                 Storage::Rebuilt
             } else if transfers == 1
                 && read_out
@@ -525,6 +558,20 @@ impl FrameProgram {
                 Storage::Plane
             }
         })
+    }
+
+    /// Full-size `f32` streams a frame touches on the host on a context
+    /// that neither sanitizes nor validates: the caller's input and output
+    /// frames, and every buffer of at least the frame's size that
+    /// [`FrameProgram::storage`] keeps as a plane.
+    pub(crate) fn host_streams(&self) -> u64 {
+        let storage = self.storage();
+        let planes = self
+            .buffers
+            .iter()
+            .filter(|&&(b, len)| len >= self.g.n && storage[b as usize] == Storage::Plane)
+            .count();
+        2 + planes as u64
     }
 
     /// The steps, for tests that edit a program.
@@ -756,7 +803,8 @@ impl Builder {
 
     /// Adds kernel `id`'s dispatch step without a sync; returns its index.
     fn add_kernel(&mut self, id: KernelId) -> usize {
-        let d = self.declare(id);
+        let mut d = self.declare(id);
+        d.desc.item_elems = id.item_elems();
         self.steps.push(Step::Dispatch(id, d));
         self.steps.len() - 1
     }
@@ -1024,7 +1072,7 @@ mod tests {
     use imagekit::ImageF32;
 
     #[test]
-    fn storage_drops_up_with_the_gpu_border_and_final_always() {
+    fn storage_drops_up_pedge_and_final_where_the_steps_allow() {
         let tunings = [
             Tuning::default(),
             Tuning {
@@ -1050,6 +1098,11 @@ mod tests {
                     for b in Buf::ALL {
                         let want = match b {
                             Buf::Up if prog.gpu_border => Storage::Rebuilt,
+                            Buf::PEdge
+                                if prog.reduction != Reduction::Cpu && opts.kernel_fusion =>
+                            {
+                                Storage::Rebuilt
+                            }
                             Buf::Final => Storage::Output,
                             _ => Storage::Plane,
                         };
@@ -1092,6 +1145,61 @@ mod tests {
         prog.steps
             .retain(|s| !matches!(s, Step::Transfer(t) if t.buf == Buf::Final));
         assert_eq!(storage(&prog, Buf::Final), Storage::Plane);
+    }
+
+    #[test]
+    fn pedge_is_rebuilt_where_every_reader_rebuilds_sobel_rows() {
+        let storage = |prog: &FrameProgram| prog.storage()[Buf::PEdge as usize];
+        let strategies = [
+            ReductionStrategy::NoUnroll,
+            ReductionStrategy::UnrollOne,
+            ReductionStrategy::UnrollTwo,
+        ];
+        for stage2_gpu_threshold in [0, usize::MAX] {
+            for reduction_strategy in strategies {
+                let tuning = Tuning {
+                    stage2_gpu_threshold,
+                    reduction_strategy,
+                    ..Tuning::default()
+                };
+                for vectorization in [false, true] {
+                    // Stage 1 on the device and the fused tail: both
+                    // readers rebuild their Sobel rows.
+                    let opts = OptConfig {
+                        vectorization,
+                        ..OptConfig::all()
+                    };
+                    let prog = FrameProgram::build(101, 37, &opts, &tuning).unwrap();
+                    assert_eq!(storage(&prog), Storage::Rebuilt, "{tuning:?} {opts:?}");
+                    // The unfused preliminary reads the plane.
+                    let unfused = OptConfig {
+                        kernel_fusion: false,
+                        ..opts
+                    };
+                    let prog = FrameProgram::build(101, 37, &unfused, &tuning).unwrap();
+                    assert_eq!(storage(&prog), Storage::Plane, "{tuning:?} {unfused:?}");
+                }
+            }
+        }
+        // The CPU reduction reads the whole matrix back.
+        let cpu = OptConfig {
+            reduction_gpu: false,
+            ..OptConfig::all()
+        };
+        let prog = FrameProgram::build(101, 37, &cpu, &Tuning::default()).unwrap();
+        assert_eq!(storage(&prog), Storage::Plane);
+        // So does an edited program that adds a pEdge readback.
+        let opts = OptConfig::all();
+        let mut prog = FrameProgram::build(101, 37, &opts, &Tuning::default()).unwrap();
+        let at = prog
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::Open("sharpen")))
+            .unwrap();
+        let mut b = Builder::new(prog.g, &opts);
+        b.read_back(Buf::PEdge);
+        prog.steps.splice(at..at, b.steps);
+        assert_eq!(storage(&prog), Storage::Plane);
     }
 
     #[test]

@@ -151,8 +151,8 @@ impl Context {
     /// cores, the default). The calling thread counts as one of them: a
     /// pass on `threads` threads runs on the caller and on up to
     /// `threads − 1` workers of the context's pool. A pass whose largest
-    /// grid is below [`crate::par::PASS_GRAIN_ITEMS`] work-items runs on
-    /// the caller alone whatever this says.
+    /// grid covers at most [`crate::par::PASS_GRAIN_ELEMS`] frame elements
+    /// runs on the caller alone whatever this says.
     pub fn with_dispatch_threads(mut self, threads: usize) -> Self {
         self.dispatch_threads = threads;
         self

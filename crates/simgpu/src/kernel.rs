@@ -43,6 +43,10 @@ pub struct KernelDesc {
     pub global: [usize; 2],
     /// Work-group size (x, y). Must divide `global` component-wise.
     pub group: [usize; 2],
+    /// Frame elements one work-item covers (4 for a vec4 item, 8 for an
+    /// item that sums eight elements; 1 unless set): what sizes a host
+    /// pass against [`crate::par::PASS_GRAIN_ELEMS`], never what is charged.
+    pub item_elems: usize,
 }
 
 impl KernelDesc {
@@ -52,6 +56,7 @@ impl KernelDesc {
             name: name.to_string(),
             global,
             group,
+            item_elems: 1,
         }
     }
 
@@ -61,6 +66,7 @@ impl KernelDesc {
             name: name.to_string(),
             global: [global, 1],
             group: [group, 1],
+            item_elems: 1,
         }
     }
 
@@ -105,6 +111,12 @@ impl KernelDesc {
     /// Total work-items in the dispatch.
     pub fn total_items(&self) -> usize {
         self.global[0] * self.global[1]
+    }
+
+    /// Frame elements the whole grid covers: its work-items times
+    /// [`KernelDesc::item_elems`].
+    pub fn total_elems(&self) -> usize {
+        self.total_items() * self.item_elems
     }
 }
 
@@ -319,6 +331,9 @@ mod tests {
         assert_eq!(d.total_groups(), 16);
         assert_eq!(d.group_lanes(), 128);
         assert_eq!(d.total_items(), 2048);
+        assert_eq!(d.total_elems(), 2048);
+        let vec4 = KernelDesc { item_elems: 4, ..d };
+        assert_eq!(vec4.total_elems(), 8192);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!
 //! Parallelism is a per-context knob: by default the queue uses every
 //! host core for kernel bodies and for large copies; tests pin it to
-//! compare thread counts. Below [`PASS_GRAIN_ITEMS`] a pass runs on the
+//! compare thread counts. Up to [`PASS_GRAIN_ELEMS`] a pass runs on the
 //! calling thread alone.
 
 use std::any::Any;
@@ -51,13 +51,26 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Work-items below which a pass runs on the calling thread alone: the
-/// largest `KernelDesc::global` area among the pass's parts is compared
-/// with it. Under it, handing a worker a share costs more than the share:
-/// the sweep in EXPERIMENTS.md ("Dispatch pool") found a 64² frame 1.39×
-/// slower on two threads than on one without a grain, while 128² frames,
-/// whose largest pass is just above this value, ran 1.26× faster.
-pub const PASS_GRAIN_ITEMS: usize = 1 << 12;
+/// Frame elements up to which a pass runs on the calling thread alone:
+/// the largest [`crate::kernel::KernelDesc::total_elems`] among the pass's
+/// parts is compared with it, so a scalar kernel reaches it at the same
+/// frame size as its vec4 twin. Up to it, handing a worker a share costs
+/// more than the share: the sweep in EXPERIMENTS.md ("Dispatch pool")
+/// found a 64² frame 1.39× slower on two threads than on one without a
+/// grain, while 128² frames (16 Ki elements) ran 1.26× faster; 96² and
+/// 128×96 frames (at most 12 Ki elements a pass) stay inline.
+pub const PASS_GRAIN_ELEMS: usize = 12 << 10;
+
+/// Threads a pass runs on whose largest part covers `elems` frame
+/// elements, on a context of `threads` dispatch threads: the caller alone
+/// up to [`PASS_GRAIN_ELEMS`].
+pub fn pass_threads(elems: usize, threads: usize) -> usize {
+    if elems <= PASS_GRAIN_ELEMS {
+        1
+    } else {
+        threads
+    }
+}
 
 /// How long a worker that finished a job spins for the next one before
 /// it parks: long enough to span the host bookkeeping between the passes

@@ -43,7 +43,7 @@ use crate::cost::CostCounters;
 use crate::device::{CpuSpec, DeviceSpec};
 use crate::error::{Error, Result};
 use crate::kernel::{GroupCtx, KernelDesc, RowCtx};
-use crate::par::{DispatchPool, WindowUnits, PASS_GRAIN_ITEMS};
+use crate::par::{DispatchPool, WindowUnits};
 use crate::sanitize::{DriftClass, GroupSan, SanitizeShared, Violation};
 use crate::span::{SpanId, SpanKind, SpanRecord, SpanRing};
 use crate::timing::{
@@ -387,15 +387,10 @@ impl CommandQueue {
         }
     }
 
-    /// Threads a pass runs on whose largest grid has `items` work-items:
-    /// the caller alone below [`PASS_GRAIN_ITEMS`], where handing out
-    /// shares costs more than it saves.
-    fn pass_threads(&self, items: usize) -> usize {
-        if items < PASS_GRAIN_ITEMS {
-            1
-        } else {
-            self.threads()
-        }
+    /// Threads a pass runs on whose largest part covers `elems` frame
+    /// elements ([`crate::par::pass_threads`]).
+    fn pass_threads(&self, elems: usize) -> usize {
+        crate::par::pass_threads(elems, self.threads())
     }
 
     /// How many threads share a copy of `bytes`: all dispatch threads from
@@ -655,12 +650,12 @@ impl CommandQueue {
             Vec::new()
         };
         let start_ns = self.spans.as_ref().map_or(0, |r| r.now());
-        let items = bodies.iter().map(|(b, _)| b.desc.total_items()).max();
+        let elems = bodies.iter().map(|(b, _)| b.desc.total_elems()).max();
         crate::par::run_pass(
             &self.pool,
             windows,
             bodies.len(),
-            self.pass_threads(items.unwrap_or(0)),
+            self.pass_threads(elems.unwrap_or(0)),
             |p, w| {
                 let (b, map) = &bodies[p];
                 let n = b.body.unit().count(&b.desc);
@@ -794,7 +789,7 @@ impl CommandQueue {
             &self.pool,
             1,
             1,
-            self.pass_threads(desc.total_items()),
+            self.pass_threads(desc.total_elems()),
             |_, _| WindowUnits {
                 units: 0..n,
                 lag: 0,
@@ -1450,9 +1445,9 @@ mod tests {
         }
     }
 
-    /// Work-items per row of the wide test grids: 16 rows of it reach the
+    /// Work-items per row of the wide test grids: 16 rows of it pass the
     /// grain, so their passes run on the pool.
-    const WIDE: usize = PASS_GRAIN_ITEMS.div_ceil(16).next_multiple_of(16);
+    const WIDE: usize = (crate::par::PASS_GRAIN_ELEMS / 16 + 1).next_multiple_of(16);
 
     #[test]
     fn row_dispatch_panic_is_a_typed_error_and_the_queue_recovers() {

@@ -87,7 +87,7 @@ for workload in cli_1024 cli_ragged stream_4096 serve_zipf; do
         > /dev/null
 done
 
-echo "== odd-shape smoke (1001x701 through the CLI, base and optimized)"
+echo "== odd-shape smoke (1001x701 and 97x61 through the CLI, base and optimized)"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 { printf 'P5\n1001 701\n255\n'; head -c $((1001 * 701)) /dev/urandom; } \
@@ -111,6 +111,17 @@ for opts in all none; do
         --opts "$opts" > /dev/null
     cmp "$smoke_dir/odd-$opts-fused.pgm" "$smoke_dir/odd-$opts.pgm"
 done
+# A narrow ragged frame: each 1024-element stage-1 group spans about ten
+# rows of the 100-wide stride and the last group ends mid-row. Plain runs
+# rebuild those pEdge rows inside stage 1 and the tail; sanitized runs
+# read the Sobel plane. Both must write the same bytes.
+{ printf 'P5\n97 61\n255\n'; head -c $((97 * 61)) /dev/urandom; } \
+    > "$smoke_dir/narrow.pgm"
+./target/release/sharpen "$smoke_dir/narrow.pgm" "$smoke_dir/narrow-plain.pgm" \
+    --opts all > /dev/null
+./target/release/sharpen "$smoke_dir/narrow.pgm" "$smoke_dir/narrow-sanitized.pgm" \
+    --opts all --sanitize > /dev/null
+cmp "$smoke_dir/narrow-plain.pgm" "$smoke_dir/narrow-sanitized.pgm"
 
 echo "== autotune smoke (model-searched schedule on the odd shape, sanitized)"
 # --autotune replaces --opts with the model search's winner; the sanitized

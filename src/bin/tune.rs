@@ -173,6 +173,7 @@ fn run_one(preset: DevicePreset, w: usize, h: usize, args: &Args) -> Result<Stri
         &plan.telemetry(),
         &plan.spans(),
         &dev,
+        sharpness::core::analyze::host_streams(w, h, &report.opts, &report.tuning)?,
         sharpness::core::autotune::detected_cache_bytes(),
     );
     out.push_str(&explanation.render(args.top));

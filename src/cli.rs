@@ -882,10 +882,13 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             unreachable!("--explain rejected with --cpu at parse time");
         };
         let (_, tel, spans) = observed.as_ref().expect("observed when --explain");
+        let (w, h) = (plane.width(), plane.height());
+        let (opts, tuning) = gpu_config_for(cli, preset, w, h)?;
         let e = sharpness_core::analyze::explain(
             tel,
             spans,
             &preset.spec(),
+            sharpness_core::analyze::host_streams(w, h, &opts, &tuning)?,
             sharpness_core::autotune::detected_cache_bytes(),
         );
         summary.push_str(&e.render(8));

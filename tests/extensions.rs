@@ -101,8 +101,9 @@ fn memory_plan_matches_streaming_needs() {
 /// threshold, so the one-element stage-2 total is allocated there only).
 /// The simulated device holds every buffer; on the host a validating
 /// context gives each one a plane, while a plain one skips exactly the
-/// planes the sharpening pass does without — `final` always, `up` when
-/// the border runs on the device.
+/// planes the frame does without — `final` always, `up` when the border
+/// runs on the device, `pEdge` when stage 1 runs on the device beside the
+/// fused tail.
 #[test]
 fn device_bytes_required_is_what_a_plan_allocates() {
     let parked = |ctx: Context, opts, w, h| {
@@ -122,8 +123,12 @@ fn device_bytes_required_is_what_a_plan_allocates() {
                 assert_eq!(parked(ctx, opts, w, h), device, "{w}x{h} {opts:?}");
             }
             let plane = (sharpness::core::params::device_stride(w) * h * 4) as u64;
+            // No `final` plane; no `up` plane with the border on the
+            // device; no `pEdge` plane when stage 1 and the fused tail
+            // rebuild their Sobel rows.
             let gpu_border = opts.border_gpu && w >= Tuning::default().border_gpu_min_width;
-            let dropped = plane * (1 + u64::from(gpu_border));
+            let rebuilt_edges = opts.reduction_gpu && opts.kernel_fusion;
+            let dropped = plane * (1 + u64::from(gpu_border) + u64::from(rebuilt_edges));
             let ctx = Context::new(spec()).with_pooling(true);
             assert_eq!(
                 parked(ctx, opts, w, h) + dropped,

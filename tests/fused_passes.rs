@@ -1,13 +1,14 @@
 //! The fused host passes change only the host order of a frame's
 //! row-local work and where its intermediates live: a plain context
 //! (bodies deferred and run as two windowed passes, no host `final`
-//! plane, and with the border on the device no `up` plane — each
-//! sharpening unit rebuilds its `up` rows) and a sanitized context (every
-//! body right after its commit, per-kernel order, every plane) must
-//! produce identical pixels, command records and total simulated bits,
-//! for every optimization config, on ragged, tiny, narrow-stride and
-//! aligned shapes, on both sides of the border crossover width, with one
-//! to three dispatch threads.
+//! plane, with the border on the device no `up` plane — each sharpening
+//! unit rebuilds its `up` rows — and with stage 1 on the device and the
+//! fused tail no `pEdge` plane — stage 1 and the tail rebuild their Sobel
+//! rows) and a sanitized context (every body right after its commit,
+//! per-kernel order, every plane) must produce identical pixels, command
+//! records and total simulated bits, for every optimization config, on
+//! ragged, tiny, narrow-stride and aligned shapes, on both sides of the
+//! border crossover width, with one to three dispatch threads.
 
 use imagekit::{generate, ImageF32};
 use sharpness::prelude::*;
@@ -59,9 +60,11 @@ fn sweep(w: usize, h: usize, threads: &[usize], tuning: Tuning) {
             &img,
         );
         // `final` never needs a plane; `up` needs none when the border
-        // runs on the device.
+        // runs on the device, `pEdge` none when stage 1 runs on the
+        // device with the fused tail (both rebuild their Sobel rows).
         let gpu_border = opts.border_gpu && w >= tuning.border_gpu_min_width;
-        let dropped = 1 + u64::from(gpu_border);
+        let rebuilt_edges = opts.reduction_gpu && opts.kernel_fusion;
+        let dropped = 1 + u64::from(gpu_border) + u64::from(rebuilt_edges);
         for &t in threads {
             let (fused, planes) = run(
                 Context::new(DeviceSpec::firepro_w8000()).with_dispatch_threads(t),

@@ -1,8 +1,9 @@
 //! A one-shot, unpooled `GpuPipeline::run` — the CLI's call — must fault
 //! in fewer host bytes than the frame program's device buffer list. The
 //! sharpening pass writes the output image itself, so no `final` plane is
-//! allocated besides it, and with the border on the device each unit
-//! rebuilds its `up` rows, so no `up` plane is either.
+//! allocated besides it; with the border on the device each unit rebuilds
+//! its `up` rows, so no `up` plane is either; and stage 1 and the tail
+//! rebuild their Sobel rows, so there is no `pEdge` plane.
 //!
 //! A counting global allocator measures every byte the call allocates.
 //! This file holds one test, so nothing else allocates while it counts.
@@ -63,11 +64,12 @@ fn one_shot_run_allocates_less_than_the_buffer_list() {
     let report = pipe.run(&img).unwrap();
     let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
     assert_eq!(report.output.pixels().len(), w * h);
-    // The output image stands in for `final`, and `up` is never
-    // allocated: the run stays below the list by about one plane (a
-    // parent that allocated both sits above it by its small allocations).
+    // The output image stands in for `final`, and neither `up` nor
+    // `pEdge` is allocated: the run stays below the list by more than one
+    // plane (a build that kept `pEdge` sits less than one plane below it).
+    let plane = (w * h * 4) as u64;
     assert!(
-        allocated < listed,
-        "allocated {allocated} B, the buffer list {listed} B"
+        allocated + plane < listed,
+        "allocated {allocated} B, the buffer list {listed} B, a plane {plane} B"
     );
 }
