@@ -9,27 +9,27 @@
 //! * `unbatched` — the per-request baseline: a fresh `prepared()` plan for
 //!   every request, no cache, no coalescing, no shedding.
 //!
-//! The headline number is `speedup_vs_unbatched` — wall frames/s of the
+//! The headline number is the "vs unbatched" ratio — wall frames/s of the
 //! service over the baseline on the identical stream — which is what the
-//! plan cache and batch coalescing must keep above 1.0. Latency rows
-//! report both wall *service* time (host per-frame execution) and
+//! plan cache and batch coalescing must keep above 1.0. Each line
+//! reports both wall *service* time (host per-frame execution) and
 //! simulated arrival→completion latency (queueing included; the honest
 //! currency on a 1-core host — see the `core::service::scheduler` docs).
 //!
-//! Run with `cargo bench --bench service_load`. Environment knobs:
-//! `SV_REQUESTS` (default 192), `SV_SEED` (default 2015), `SV_OUT` (JSON
-//! results path, default the committed `baselines/BENCH_9_service.json`),
-//! `LEDGER_OUT` (perf-ledger path).
+//! Run with `cargo bench --bench service_load`. It prints to stdout and
+//! writes no file. `SV_REQUESTS` sets the stream length (default 192);
+//! the traffic seed is fixed at 2015.
 
 use std::time::Instant;
 
-use sharpness_bench::benchjson::{self, ServiceRow};
-use sharpness_bench::ledger::{self, LedgerEntry};
 use sharpness_core::gpu::{GpuPipeline, OptConfig};
 use sharpness_core::params::SharpnessParams;
 use sharpness_core::service::{generate_requests, ServiceConfig, SharpenService, TrafficConfig};
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
+
+/// Seed of the replayed request stream.
+const SEED: u64 = 2015;
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -60,19 +60,16 @@ fn unbatched_s(requests: &[sharpness_core::service::Request]) -> f64 {
 
 fn main() {
     let n = env_u64("SV_REQUESTS", 192) as usize;
-    let seed = env_u64("SV_SEED", 2015);
     // Offered loads: relaxed → paced → saturating. The mean gap is
     // simulated seconds between arrivals; smaller gap = hotter stream.
     let gaps_us: [u64; 3] = [2000, 500, 125];
 
-    println!("service_load: {n} requests, seed {seed}, gaps {gaps_us:?} us");
+    println!("service_load: {n} requests, seed {SEED}, gaps {gaps_us:?} us");
 
-    let mut rows = Vec::new();
-    let mut entries = Vec::new();
     for gap_us in gaps_us {
         let traffic = TrafficConfig {
             requests: n,
-            seed,
+            seed: SEED,
             mean_gap_s: gap_us as f64 * 1e-6,
             ..TrafficConfig::default()
         };
@@ -96,61 +93,20 @@ fn main() {
         let wall = report.wall_latency();
         let sim = report.sim_latency();
         println!(
-            "  {label:<11} served {:>4}/{:<4} shed {:>3}  {:7.1} frames/s wall \
-             ({:4.2}x vs unbatched {:7.1})  sim p99 {:8.3} ms",
+            "  {label:<11} served {:>4}/{:<4} shed {:>3} batches {:>4}  {:7.1} frames/s wall \
+             ({:4.2}x vs unbatched {:7.1})  wall p50/p99 {:6.3}/{:6.3} ms  \
+             sim p50/p99 {:8.3}/{:8.3} ms",
             report.served,
             report.requests,
             report.shed,
+            report.batches,
             report.wall_fps(),
             speedup,
             base_fps,
+            wall.quantile(0.5) * 1e3,
+            wall.quantile(0.99) * 1e3,
+            sim.quantile(0.5) * 1e3,
             sim.quantile(0.99) * 1e3,
         );
-
-        rows.push(ServiceRow {
-            label: label.clone(),
-            requests: report.requests,
-            served: report.served,
-            peak_queued: report.peak_queued as u64,
-            shed: report.shed,
-            batches: report.batches,
-            frames_per_s: report.wall_fps(),
-            speedup_vs_unbatched: speedup,
-            wall_p50_ms: wall.quantile(0.5) * 1e3,
-            wall_p99_ms: wall.quantile(0.99) * 1e3,
-            sim_p50_ms: sim.quantile(0.5) * 1e3,
-            sim_p99_ms: sim.quantile(0.99) * 1e3,
-            backend: sharpness_core::simd::active_backend().label().to_string(),
-        });
-        // Ledger `service` series: one entry per offered load. No span
-        // shares — the service run crosses many shapes, so per-phase
-        // attribution belongs to the pipeline benches.
-        entries.push(LedgerEntry::now(
-            "service_load",
-            &label,
-            traffic.shapes[0].0,
-            report.wall_fps(),
-            Vec::new(),
-        ));
     }
-
-    let out_path = std::env::var("SV_OUT").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../baselines/BENCH_9_service.json"
-        )
-        .to_string()
-    });
-    benchjson::write_service(&out_path, "service_load", &rows).expect("write bench json");
-    println!("wrote {out_path}");
-
-    let ledger_path = std::env::var("LEDGER_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| ledger::default_path());
-    ledger::append(&ledger_path, &entries).expect("append perf ledger");
-    println!(
-        "appended {} entries to {}",
-        entries.len(),
-        ledger_path.display()
-    );
 }

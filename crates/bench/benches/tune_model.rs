@@ -1,24 +1,17 @@
 //! Wall-clock bench of the model-based schedule tuner (`core::tune`):
-//! how fast the search walks the candidate space, whether the guided
-//! walk lands on the exhaustive argmin, and the simulated speedup of the
-//! tuned schedule over the paper's hand-tuned default — per device
-//! preset and shape. The speedups and agreement flags are deterministic
-//! (pure cost model); only candidates/s measures this host.
+//! how fast the exhaustive search walks the candidate space, and the
+//! simulated speedup of the tuned schedule over the paper's hand-tuned
+//! default — per device preset and shape. The picks and speedups are
+//! deterministic (pure cost model); only candidates/s measures this host.
+//! Whether the guided walk lands on the exhaustive argmin is a unit test
+//! in `core::tune::search`.
 //!
-//! Results land in `TM_OUT` (default the committed
-//! `baselines/BENCH_10.json`) and one candidates/s series per device is
-//! appended to the perf ledger (`LEDGER_OUT` override), where
-//! `perf_ledger --check` gates tuner-throughput regressions like any
-//! other wall-clock series.
-//!
-//! Run with `cargo bench -p sharpness-bench --bench tune_model`.
-//! Environment knobs: `TM_SHAPES` (default `256x256,768x768,1001x701`),
-//! `TM_OUT`, `LEDGER_OUT`.
+//! Run with `cargo bench -p sharpness-bench --bench tune_model`. It
+//! prints to stdout and writes no file. `TM_SHAPES` sets the shapes
+//! (default `256x256,768x768,1001x701`).
 
 use std::time::Instant;
 
-use sharpness_bench::benchjson::{self, TuneRow};
-use sharpness_bench::ledger::{self, LedgerEntry};
 use sharpness_core::tune::{flags_label, search, SearchMode};
 use simgpu::device::{CpuSpec, DeviceSpec};
 
@@ -39,9 +32,6 @@ fn env_shapes() -> Vec<(usize, usize)> {
 
 fn main() {
     let shapes = env_shapes();
-    let out_path = std::env::var("TM_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/BENCH_10.json").to_string()
-    });
     let presets = [
         DeviceSpec::firepro_w8000(),
         DeviceSpec::midrange_gpu(),
@@ -51,24 +41,13 @@ fn main() {
     ];
     let cpu = CpuSpec::core_i5_3470();
 
-    println!(
-        "tune_model: exhaustive + guided search per (device, shape), pure cost model \
-         (no pipeline executions)"
-    );
-    let mut rows = Vec::new();
-    let mut entries = Vec::new();
+    println!("tune_model: exhaustive search per (device, shape), pure cost model (no pipeline executions)");
     for dev in &presets {
-        let mut device_cands = 0usize;
-        let mut device_wall = 0.0f64;
         for &(w, h) in &shapes {
             let t0 = Instant::now();
             let ex = search(w, h, dev, &cpu, SearchMode::Exhaustive).expect("exhaustive search");
             let wall = t0.elapsed().as_secs_f64();
-            let gd = search(w, h, dev, &cpu, SearchMode::Guided).expect("guided search");
-            let agree = ex.predicted_s.to_bits() == gd.predicted_s.to_bits();
             let us_per_candidate = wall * 1e6 / ex.candidates as f64;
-            device_cands += ex.candidates;
-            device_wall += wall;
             // The acceptance budget: evaluating a candidate must stay
             // well under a millisecond, or the model search loses its
             // reason to exist over measure-by-running.
@@ -78,48 +57,13 @@ fn main() {
                 dev.name
             );
             println!(
-                "  {:>14} {w:>4}x{h:<4}: {} ({:?}) {:.3}x vs default, {:>6.0} cand/s, \
-                 guided {}",
+                "  {:>14} {w:>4}x{h:<4}: {} ({:?}) {:.3}x vs default, {:>6.0} cand/s",
                 dev.name,
                 flags_label(&ex.opts),
                 ex.tuning.reduction_strategy,
                 ex.speedup_vs_default(),
                 ex.candidates as f64 / wall,
-                if agree { "agrees" } else { "DISAGREES" },
             );
-            rows.push(TuneRow {
-                device: dev.name.to_string(),
-                width: w,
-                height: h,
-                flags: flags_label(&ex.opts),
-                strategy: format!("{:?}", ex.tuning.reduction_strategy),
-                candidates: ex.candidates,
-                candidates_per_s: ex.candidates as f64 / wall,
-                us_per_candidate,
-                guided_agrees: agree,
-                speedup_vs_default: ex.speedup_vs_default(),
-            });
         }
-        // One ledger series per device: aggregate candidates/s across the
-        // shapes (the tuner-throughput number --check gates). The width
-        // key slot holds the shape count.
-        entries.push(LedgerEntry::now(
-            "tune_model",
-            dev.name,
-            shapes.len(),
-            device_cands as f64 / device_wall,
-            Vec::new(),
-        ));
     }
-    benchjson::write_tune(&out_path, "tune_model", &rows).expect("write bench json");
-    println!("wrote {out_path}");
-    let ledger_path = std::env::var("LEDGER_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| ledger::default_path());
-    ledger::append(&ledger_path, &entries).expect("append perf ledger");
-    println!(
-        "appended {} entries to {}",
-        entries.len(),
-        ledger_path.display()
-    );
 }

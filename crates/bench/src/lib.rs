@@ -6,16 +6,18 @@
 //! series the paper plots. The `repro` binary prints them; `EXPERIMENTS.md`
 //! records paper-vs-measured values.
 //!
-//! All times are *simulated model seconds* (deterministic on any host);
-//! the Criterion benches under `benches/` measure the real wall-clock of
-//! the Rust implementations separately.
+//! All times are *simulated model seconds* (deterministic on any host).
+//! The Criterion-style benches under `benches/` time the host execution
+//! of the same pipelines and kernels; `tune_model` times the schedule
+//! search per candidate and `service_load` compares the sharpen service
+//! with per-request plans on one stream. Every bench prints to stdout and
+//! writes no file. End-to-end host wall time is measured by the
+//! `e2ebench` package's paired protocol.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod benchjson;
 pub mod csv;
-pub mod ledger;
 
 use imagekit::{generate, ImageF32};
 use sharpness_core::cpu::CpuPipeline;

@@ -8,8 +8,9 @@
 //! [`SearchMode::Exhaustive`] enumerates the full cross product: 64
 //! [`OptConfig`]s × 3 reduction strategies × {host, device} stage-2
 //! placement × {CPU, GPU} border placement, 768 candidates per shape.
-//! [`SearchMode::Guided`] fixes one axis at a time (~71 candidates);
-//! `benches/tune_model.rs` records how often the two argmins agree.
+//! [`SearchMode::Guided`] fixes one axis at a time (~71 candidates); a
+//! unit test below checks that both walks pick the same argmin on every
+//! device preset.
 //!
 //! Like the predictor, this module must stay execution-free — no
 //! pipelines, no queues, no buffers (a lint rule enforces it). The wall
@@ -439,19 +440,29 @@ mod tests {
     }
 
     #[test]
-    fn guided_search_agrees_with_exhaustive_on_w8000() {
-        let (dev, cpu) = w8000();
-        for (w, h) in [(256, 256), (1001, 701)] {
-            let ex = search(w, h, &dev, &cpu, SearchMode::Exhaustive).unwrap();
-            let gd = search(w, h, &dev, &cpu, SearchMode::Guided).unwrap();
-            assert!(gd.candidates < ex.candidates / 10);
-            assert_eq!(
-                ex.predicted_s.to_bits(),
-                gd.predicted_s.to_bits(),
-                "{w}x{h}: guided {} vs exhaustive {}",
-                gd.summary_line(),
-                ex.summary_line()
-            );
+    fn guided_search_agrees_with_exhaustive_on_every_preset() {
+        let cpu = CpuSpec::core_i5_3470();
+        let presets = [
+            DeviceSpec::firepro_w8000(),
+            DeviceSpec::midrange_gpu(),
+            DeviceSpec::apu(),
+            DeviceSpec::embedded_gpu(),
+            DeviceSpec::hbm_gpu(),
+        ];
+        for dev in &presets {
+            for (w, h) in [(256, 256), (1001, 701)] {
+                let ex = search(w, h, dev, &cpu, SearchMode::Exhaustive).unwrap();
+                let gd = search(w, h, dev, &cpu, SearchMode::Guided).unwrap();
+                assert!(gd.candidates < ex.candidates / 10);
+                assert_eq!(
+                    ex.predicted_s.to_bits(),
+                    gd.predicted_s.to_bits(),
+                    "{} {w}x{h}: guided {} vs exhaustive {}",
+                    dev.name,
+                    gd.summary_line(),
+                    ex.summary_line()
+                );
+            }
         }
     }
 
