@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Prints, for every experiment of the paper's evaluation section, the
-//! regenerated rows/series alongside the shape criterion the paper
+//! regenerated rows/series alongside the shape criteria the paper
 //! reports. Model times are deterministic; run with `--release` for
 //! reasonable wall-clock at 4096².
 //!

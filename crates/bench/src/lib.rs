@@ -7,12 +7,11 @@
 //! records paper-vs-measured values.
 //!
 //! All times are *simulated model seconds* (deterministic on any host).
-//! The Criterion-style benches under `benches/` time the host execution
-//! of the same pipelines and kernels; `tune_model` times the schedule
-//! search per candidate and `service_load` compares the sharpen service
-//! with per-request plans on one stream. Every bench prints to stdout and
-//! writes no file. End-to-end host wall time is measured by the
-//! `e2ebench` package's paired protocol.
+//! The benches under `benches/` time host execution: `tune_model` times
+//! the schedule search per candidate and `service_load` compares the
+//! sharpen service with per-request plans on one stream. Every bench
+//! prints to stdout and writes no file. End-to-end host wall time is
+//! measured by the `e2ebench` package's paired protocol.
 
 #![warn(missing_docs)]
 

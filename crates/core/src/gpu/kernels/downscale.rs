@@ -4,48 +4,17 @@
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
-use simgpu::error::{Error, Result};
 use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
-use simgpu::queue::{CommandQueue, Dispatch};
-use simgpu::timing::KernelTime;
 
-use super::{
-    covered_rows, full_grid, grid2d, KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
-};
-use crate::params::{MIN_DIM, SCALE};
+use super::{covered_rows, KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D};
+use crate::params::SCALE;
 
-/// Dispatches the downscale kernel: `down[j, i] = mean(src block)`, where
-/// interior blocks are 4×4 and the ragged right/bottom blocks (widths not
-/// a multiple of 4) average only the pixels that exist, exactly as the CPU
-/// reference does. The downscaled grid is `⌈w/4⌉ × ⌈h/4⌉`.
-///
-/// Works against either the raw original or the padded source (the
-/// data-transfer optimization removes the raw upload entirely, so the
-/// optimized pipeline points `src` at the padded buffer).
-pub fn downscale_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    down: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    if w < MIN_DIM || h < MIN_DIM {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "downscale".into(),
-            detail: format!("shape {w}x{h} below the {MIN_DIM}x{MIN_DIM} minimum"),
-        });
-    }
-    let desc = grid2d("downscale", w.div_ceil(SCALE), h.div_ceil(SCALE));
-    let access = full_grid(&desc, |groups| {
-        downscale_access(&desc, groups, &SrcInfo::of(src), &down.info(), w, h, tune)
-    });
-    let body = downscale_body(src, down, w, h);
-    q.dispatch(Dispatch::rows(desc, access, body), &[down])
-}
-
-/// The downscale body, one call per work-group row.
+/// The downscale body, one call per work-group row:
+/// `down[j, i] = mean(src block)`, where interior blocks are 4×4 and the
+/// ragged right/bottom blocks (widths not a multiple of 4) average only
+/// the pixels that exist, exactly as the CPU reference does. `src` is the
+/// raw original or the padded source.
 pub(crate) fn downscale_body(
     src: &SrcImage,
     down: &Buffer<f32>,
@@ -212,9 +181,12 @@ pub(crate) fn downscale_access(
 mod tests {
     use super::*;
     use crate::cpu::stages;
+    use crate::gpu::kernels::{grid2d, run_declared};
+    use crate::gpu::program::{Buf, Geometry, KernelId};
     use imagekit::generate;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+    use simgpu::queue::{CommandQueue, Dispatch};
 
     #[test]
     fn row_splits_declare_the_whole_grid() {
@@ -230,6 +202,37 @@ mod tests {
         }
     }
 
+    /// Runs the program's downscale dispatch of a `w × h` frame from the
+    /// source `buf` (the raw original, or the padded source when `pad`).
+    fn downscale(
+        q: &mut CommandQueue,
+        buf: &Buffer<f32>,
+        pad: bool,
+        down: &Buffer<f32>,
+        w: usize,
+        h: usize,
+    ) {
+        let g = Geometry::new(w, h);
+        let (b, pitch) = if pad {
+            (Buf::Padded, g.pw)
+        } else {
+            (Buf::Original, w)
+        };
+        let src = SrcImage {
+            view: buf.view(),
+            pitch,
+            pad: usize::from(pad),
+        };
+        run_declared(
+            q,
+            KernelId::Downscale,
+            &g,
+            &[(b, buf), (Buf::Down, down)],
+            |d, a| Dispatch::rows(d, a, downscale_body(&src, down, w, h)),
+        )
+        .unwrap();
+    }
+
     #[test]
     fn matches_cpu_reference_exactly() {
         let img = generate::natural(64, 48, 5);
@@ -239,12 +242,7 @@ mod tests {
         let mut q = ctx.queue();
         let orig = ctx.buffer_from("original", img.pixels());
         let down = ctx.buffer::<f32>("down", 16 * 12);
-        let src = SrcImage {
-            view: orig.view(),
-            pitch: 64,
-            pad: 0,
-        };
-        downscale_kernel(&mut q, &src, &down, 64, 48, KernelTuning::default()).unwrap();
+        downscale(&mut q, &orig, false, &down, 64, 48);
         assert_eq!(down.snapshot(), cpu_down.pixels());
     }
 
@@ -266,12 +264,7 @@ mod tests {
             let mut q = ctx.queue();
             let orig = ctx.buffer_from("original", img.pixels());
             let down = ctx.buffer::<f32>("down", wd * hd);
-            let src = SrcImage {
-                view: orig.view(),
-                pitch: w,
-                pad: 0,
-            };
-            downscale_kernel(&mut q, &src, &down, w, h, KernelTuning::default()).unwrap();
+            downscale(&mut q, &orig, false, &down, w, h);
             assert_eq!(down.snapshot(), cpu_down.pixels(), "{w}x{h}");
         }
     }
@@ -286,12 +279,7 @@ mod tests {
         let padded = img.padded(1, false);
         let pbuf = ctx.buffer_from("padded", padded.pixels());
         let down = ctx.buffer::<f32>("down", 8 * 8);
-        let src = SrcImage {
-            view: pbuf.view(),
-            pitch: 34,
-            pad: 1,
-        };
-        downscale_kernel(&mut q, &src, &down, 32, 32, KernelTuning::default()).unwrap();
+        downscale(&mut q, &pbuf, true, &down, 32, 32);
         assert_eq!(down.snapshot(), cpu_down.pixels());
     }
 
@@ -302,12 +290,7 @@ mod tests {
         let mut q = ctx.queue();
         let orig = ctx.buffer_from("original", img.pixels());
         let down = ctx.buffer::<f32>("down", 16 * 16);
-        let src = SrcImage {
-            view: orig.view(),
-            pitch: 64,
-            pad: 0,
-        };
-        downscale_kernel(&mut q, &src, &down, 64, 64, KernelTuning::default()).unwrap();
+        downscale(&mut q, &orig, false, &down, 64, 64);
         let c = q.records()[0].counters.unwrap();
         assert_eq!(c.global_read_scalar, 16 * 16 * 16 * 4);
         assert_eq!(c.global_write_scalar, 16 * 16 * 4);

@@ -27,8 +27,7 @@
 //! memory and barriers) and the upscale border kernels dispatch per group.
 //!
 //! Every kernel exposes its pixel body (`*_body`), which the pipeline
-//! binds to a program step's descriptor and declaration and commits; the
-//! public `*_kernel` functions build the same three and run them at once.
+//! binds to a program step's descriptor and declaration and commits.
 //! Each kernel that takes part in a fused host pass also gives a
 //! closed-form window→units map over [`RowWindows`] (`*_window`): which
 //! of its units run in a window of rows, and how many of them read the
@@ -229,8 +228,7 @@ impl FrameRows {
 
 /// The whole-grid declaration a row-span kernel dispatches with: its
 /// closed-form constructor `build` over every work-group, stamped with the
-/// exact read-overcharge ratio. The run-now kernels and the frame program
-/// declare through this same function.
+/// exact read-overcharge ratio.
 pub(crate) fn full_grid(
     desc: &KernelDesc,
     build: impl FnOnce(std::ops::Range<usize>) -> AccessSummary,
@@ -456,6 +454,35 @@ pub(crate) mod split_check {
         let finest: Vec<usize> = (1..n).collect();
         assert_eq!(merged(&finest), full, "{}: finest split of {n}", desc.name);
     }
+}
+
+/// Runs kernel `id` of a frame of geometry `g` now, for the kernel
+/// tests: the frame program's own declaration of it
+/// ([`crate::gpu::program::declare`], base tuning) naming the test's
+/// buffers `bufs` in place of the frame's — the raw original as the
+/// source when it is among them, as in the base pipeline — with the body
+/// `bind` attaches, through [`CommandQueue::dispatch`], which checks the
+/// output for write races.
+#[cfg(test)]
+pub(crate) fn run_declared(
+    q: &mut simgpu::queue::CommandQueue,
+    id: crate::gpu::program::KernelId,
+    g: &crate::gpu::program::Geometry,
+    bufs: &[(crate::gpu::program::Buf, &Buffer<f32>)],
+    bind: impl FnOnce(KernelDesc, AccessSummary) -> simgpu::queue::Dispatch,
+) -> simgpu::error::Result<simgpu::timing::KernelTime> {
+    use crate::gpu::program::{declare, Buf};
+    let mut names = Buf::ALL.map(|b| BufRef::f32(b.label(), b.len(g)));
+    for (b, buf) in bufs {
+        names[*b as usize] = buf.info();
+    }
+    let raw = bufs.iter().any(|&(b, _)| b == Buf::Original);
+    let d = declare(id, g, KernelTuning::default(), raw, &names);
+    let (_, out) = bufs
+        .iter()
+        .find(|&&(b, _)| b == id.output())
+        .expect("the kernel's output among the test's buffers");
+    q.dispatch(bind(d.desc, d.access), &[*out])
 }
 
 #[cfg(test)]

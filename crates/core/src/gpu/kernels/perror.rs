@@ -5,51 +5,13 @@
 //! difference in registers.
 
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
-use simgpu::buffer::{Buffer, GlobalView};
+use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
-use simgpu::error::Result;
 use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
-use simgpu::queue::{CommandQueue, Dispatch};
-use simgpu::timing::KernelTime;
 
 use super::upscale::UpSource;
-use super::{
-    covered_rows, full_grid, grid2d, simd, unit_rows, KernelTuning, RowWindows, SrcImage, SrcInfo,
-    GROUP_2D,
-};
-
-/// Dispatches the pError kernel over the full image. `ws` is the device
-/// row stride of the up/pError buffers (equal to `w` for multiple-of-4
-/// widths).
-#[allow(clippy::too_many_arguments)]
-pub fn perror_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    perr: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    let desc = grid2d("perror", w, h);
-    let access = full_grid(&desc, |groups| {
-        perror_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            &up.info(),
-            &perr.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let body = perror_body(src, &UpSource::Plane(up.clone(), ws), perr, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[perr])
-}
+use super::{covered_rows, simd, unit_rows, KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D};
 
 /// The pError body, one call per work-group row. Row-span form: the
 /// subtraction runs over contiguous row slices (autovectorized or
@@ -142,9 +104,12 @@ pub(crate) fn perror_window(win: &RowWindows, w: usize) -> WindowUnits {
 mod tests {
     use super::*;
     use crate::cpu::stages;
+    use crate::gpu::kernels::{grid2d, run_declared};
+    use crate::gpu::program::{Buf, Geometry, KernelId};
     use imagekit::generate;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+    use simgpu::queue::Dispatch;
 
     #[test]
     fn row_splits_declare_the_whole_grid() {
@@ -178,15 +143,18 @@ mod tests {
             pitch: 32,
             pad: 0,
         };
-        perror_kernel(
+        let bufs = [
+            (Buf::Original, &orig),
+            (Buf::Up, &upbuf),
+            (Buf::PError, &perr),
+        ];
+        let up = UpSource::Plane(upbuf.view(), 32);
+        run_declared(
             &mut q,
-            &src,
-            &upbuf.view(),
-            &perr,
-            32,
-            32,
-            32,
-            KernelTuning::default(),
+            KernelId::Perror,
+            &Geometry::new(32, 32),
+            &bufs,
+            |d, a| Dispatch::rows(d, a, perror_body(&src, &up, &perr, 32, 32, 32)),
         )
         .unwrap();
         assert_eq!(perr.snapshot(), cpu_err.pixels());

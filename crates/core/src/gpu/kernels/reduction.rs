@@ -24,11 +24,8 @@
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
-use simgpu::error::{Error, Result};
 use simgpu::kernel::{GroupCtx, KernelDesc};
 use simgpu::par::WindowUnits;
-use simgpu::queue::{CommandQueue, Dispatch};
-use simgpu::timing::KernelTime;
 
 use super::sobel::sobel_row;
 use super::{RowWindows, SrcImage};
@@ -55,40 +52,6 @@ pub enum ReductionStrategy {
 /// Number of stage-1 work-groups (= partial sums) for `n` input elements.
 pub fn stage1_groups(n: usize) -> usize {
     n.div_ceil(ELEMS_PER_GROUP)
-}
-
-/// Stage 1: tree-reduce `src[0..n]` into one partial per work-group.
-///
-/// `partials` must hold at least [`stage1_groups`]`(n)` elements.
-pub fn reduction_stage1_kernel(
-    q: &mut CommandQueue,
-    src: &GlobalView<f32>,
-    n: usize,
-    partials: &Buffer<f32>,
-    strategy: ReductionStrategy,
-) -> Result<(usize, KernelTime)> {
-    let groups = stage1_groups(n);
-    if partials.len() < groups {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "reduction_stage1".into(),
-            detail: format!(
-                "partials buffer holds {} elements, {groups} work-groups required",
-                partials.len()
-            ),
-        });
-    }
-    let desc = stage1_desc(n, strategy);
-    let access = stage1_access(
-        &desc,
-        0..desc.total_groups(),
-        &src.info(),
-        &partials.info(),
-        n,
-        strategy,
-    );
-    let body = stage1_body(src, partials, n, strategy);
-    let t = q.dispatch(Dispatch::groups(desc, access, body), &[partials])?;
-    Ok((groups, t))
 }
 
 /// Closed-form access summary of a stage-1 dispatch over a flat group
@@ -185,8 +148,7 @@ pub(crate) fn stage1_window(win: &RowWindows, ws: usize, ns: usize, w: usize) ->
     }
 }
 
-/// The stage-1 dispatch descriptor for `n` input elements — shared by the
-/// kernel and the frame program.
+/// The stage-1 dispatch descriptor for `n` input elements.
 pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
     let name = match strategy {
         ReductionStrategy::NoUnroll => "reduction_stage1",
@@ -196,14 +158,13 @@ pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
     KernelDesc::new_1d(name, stage1_groups(n) * RED_GROUP, RED_GROUP)
 }
 
-/// The stage-2 dispatch descriptor (one `RED_GROUP`-wide work-group) —
-/// shared by the kernel and the frame program.
+/// The stage-2 dispatch descriptor (one `RED_GROUP`-wide work-group).
 pub(crate) fn stage2_desc() -> KernelDesc {
     KernelDesc::new_1d("reduction_stage2", RED_GROUP, RED_GROUP)
 }
 
-/// The stage-1 kernel body: one work-group reduces its `ELEMS_PER_GROUP`
-/// elements to one partial sum.
+/// The stage-1 kernel body: one work-group tree-reduces its
+/// `ELEMS_PER_GROUP` elements of `src[0..n]` to one partial sum.
 pub(crate) fn stage1_body(
     src: &GlobalView<f32>,
     partials: &Buffer<f32>,
@@ -385,21 +346,8 @@ fn group_partial(elems: &[f32; ELEMS_PER_GROUP], len: usize, strategy: Reduction
     }
 }
 
-/// Stage 2 on the device: a single work-group strided-sums the partials
-/// and tree-reduces, writing the total into `result[0]`.
-pub fn reduction_stage2_kernel(
-    q: &mut CommandQueue,
-    partials: &GlobalView<f32>,
-    n_partials: usize,
-    result: &Buffer<f32>,
-) -> Result<KernelTime> {
-    let desc = stage2_desc();
-    let access = stage2_access(&desc, &partials.info(), n_partials, &result.info());
-    let body = stage2_body(partials, n_partials, result);
-    q.dispatch(Dispatch::groups(desc, access, body), &[result])
-}
-
-/// The stage-2 kernel body (one work-group).
+/// The stage-2 kernel body: a single work-group strided-sums the
+/// partials and tree-reduces, writing the total into `result[0]`.
 pub(crate) fn stage2_body(
     partials: &GlobalView<f32>,
     n_partials: usize,
@@ -472,8 +420,11 @@ pub(crate) fn stage2_access(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::kernels::run_declared;
+    use crate::gpu::program::{Buf, Geometry, KernelId};
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+    use simgpu::queue::{CommandQueue, Dispatch};
 
     #[test]
     fn group_splits_declare_the_whole_grid() {
@@ -497,15 +448,54 @@ mod tests {
         }
     }
 
+    /// The geometry of a frame whose pEdge matrix is `n` elements long:
+    /// the reduction kernels' declarations read only `ns`.
+    fn geometry(n: usize) -> Geometry {
+        Geometry {
+            ns: n,
+            ..Geometry::new(n, 1)
+        }
+    }
+
+    /// Runs the program's stage-1 dispatch over the `n`-element `pedge`
+    /// with the plane body.
+    fn stage1(
+        q: &mut CommandQueue,
+        pedge: &Buffer<f32>,
+        n: usize,
+        partials: &Buffer<f32>,
+        strategy: ReductionStrategy,
+    ) {
+        let bufs = [(Buf::PEdge, pedge), (Buf::Partials, partials)];
+        run_declared(
+            q,
+            KernelId::Stage1(strategy),
+            &geometry(n),
+            &bufs,
+            |d, a| Dispatch::groups(d, a, stage1_body(&pedge.view(), partials, n, strategy)),
+        )
+        .unwrap();
+    }
+
+    /// The device sum of `data`: stage 1, then stage 2, on a validated
+    /// context; with the simulated seconds of both.
     fn sum_gpu(data: &[f32], strategy: ReductionStrategy) -> (f32, f64) {
         let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
         let mut q = ctx.queue();
+        let n = data.len();
         let src = ctx.buffer_from("pEdge", data);
-        let partials = ctx.buffer::<f32>("partials", stage1_groups(data.len()).max(1));
-        let (groups, _) =
-            reduction_stage1_kernel(&mut q, &src.view(), data.len(), &partials, strategy).unwrap();
+        let partials = ctx.buffer::<f32>("partials", stage1_groups(n));
+        stage1(&mut q, &src, n, &partials, strategy);
         let result = ctx.buffer::<f32>("mean", 1);
-        reduction_stage2_kernel(&mut q, &partials.view(), groups, &result).unwrap();
+        let bufs = [(Buf::Partials, &partials), (Buf::ReductionOut, &result)];
+        run_declared(&mut q, KernelId::Stage2, &geometry(n), &bufs, |d, a| {
+            Dispatch::groups(
+                d,
+                a,
+                stage2_body(&partials.view(), stage1_groups(n), &result),
+            )
+        })
+        .unwrap();
         (result.snapshot()[0], q.elapsed())
     }
 
@@ -552,12 +542,11 @@ mod tests {
 
     #[test]
     fn rebuilt_partials_match_the_planes() {
-        use crate::gpu::kernels::sobel::sobel_vec4_kernel;
-        use crate::gpu::kernels::KernelTuning;
+        use crate::gpu::kernels::sobel::sobel_vec4_body;
         use imagekit::generate;
         for (w, h) in [(3, 3), (5, 7), (13, 11), (97, 61), (1001, 9), (64, 48)] {
-            let ws = crate::params::device_stride(w);
-            let (pw, n) = (ws + 2, ws * h);
+            let g = Geometry::new(w, h);
+            let (pw, n) = (g.pw, g.ns);
             let img = generate::natural(w, h, 11);
             let mut padded = vec![0.0f32; pw * (h + 2)];
             for y in 0..h {
@@ -574,22 +563,25 @@ mod tests {
                 pad: 1,
             };
             let pedge = ctx.buffer::<f32>("pEdge", n);
-            sobel_vec4_kernel(&mut q, &src, &pedge, w, h, ws, KernelTuning::default()).unwrap();
+            let bufs = [(Buf::Padded, &pbuf), (Buf::PEdge, &pedge)];
+            run_declared(&mut q, KernelId::SobelVec4, &g, &bufs, |d, a| {
+                Dispatch::rows(d, a, sobel_vec4_body(&src, &pedge, w, h, g.ws))
+            })
+            .unwrap();
             for strategy in [
                 ReductionStrategy::NoUnroll,
                 ReductionStrategy::UnrollOne,
                 ReductionStrategy::UnrollTwo,
             ] {
                 let plane = ctx.buffer::<f32>("partials", stage1_groups(n));
-                reduction_stage1_kernel(&mut q, &pedge.view(), n, &plane, strategy).unwrap();
+                stage1(&mut q, &pedge, n, &plane, strategy);
                 let rebuilt = ctx.buffer::<f32>("partials", stage1_groups(n));
-                let desc = stage1_desc(n, strategy);
-                let groups = 0..desc.total_groups();
-                let access =
-                    stage1_access(&desc, groups, &pedge.info(), &rebuilt.info(), n, strategy);
-                let body = stage1_rebuilt_body(&src, &rebuilt, w, h, ws, strategy);
-                q.dispatch(Dispatch::groups(desc, access, body), &[&rebuilt])
-                    .unwrap();
+                let bufs = [(Buf::PEdge, &pedge), (Buf::Partials, &rebuilt)];
+                run_declared(&mut q, KernelId::Stage1(strategy), &g, &bufs, |d, a| {
+                    let body = stage1_rebuilt_body(&src, &rebuilt, w, h, g.ws, strategy);
+                    Dispatch::groups(d, a, body)
+                })
+                .unwrap();
                 let bits =
                     |b: &Buffer<f32>| b.snapshot().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&rebuilt), bits(&plane), "{w}x{h} {strategy:?}");
@@ -603,6 +595,29 @@ mod tests {
         assert_eq!(stage1_groups(ELEMS_PER_GROUP), 1);
         assert_eq!(stage1_groups(ELEMS_PER_GROUP + 1), 2);
         assert_eq!(stage1_groups(10 * ELEMS_PER_GROUP), 10);
+    }
+
+    #[test]
+    fn gpu_tree_reduction_matches_serial_sum() {
+        use imagekit::rng::SplitMix64;
+        let strategies = [
+            ReductionStrategy::NoUnroll,
+            ReductionStrategy::UnrollOne,
+            ReductionStrategy::UnrollTwo,
+        ];
+        for seed in 0..24 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let len = 1 + (rng.next_u64() % 4999) as usize;
+            let data: Vec<f32> = (0..len).map(|_| rng.gen_range(0.0, 255.0)).collect();
+            let strategy = strategies[(rng.next_u64() % 3) as usize];
+            let got = f64::from(sum_gpu(&data, strategy).0);
+            let want: f64 = data.iter().map(|&v| f64::from(v)).sum();
+            let tol = (want.abs() + 1.0) * 1e-5;
+            assert!(
+                (got - want).abs() <= tol,
+                "seed {seed}: got {got}, want {want}"
+            );
+        }
     }
 
     #[test]

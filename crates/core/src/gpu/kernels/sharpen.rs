@@ -11,59 +11,22 @@
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
-use simgpu::error::{Error, Result};
 use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
-use simgpu::queue::{CommandQueue, Dispatch};
-use simgpu::timing::KernelTime;
 
 use super::sobel::EdgeSource;
 use super::upscale::{UpRows, UpSource};
 use super::{
-    body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, unit_rows,
-    vec4_body_columns, KernelTuning, RowSink, RowWindows, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, interior_rows, simd, unit_rows, vec4_body_columns, KernelTuning,
+    RowSink, RowWindows, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
-use crate::params::{SharpnessParams, MIN_DIM};
+use crate::params::SharpnessParams;
 
-/// Unfused preliminary kernel: `prelim = up + strength(pEdge) · pError`.
-/// `ws` is the device row stride of the up/pEdge/pError/prelim buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn preliminary_kernel(
-    q: &mut CommandQueue,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    perr: &GlobalView<f32>,
-    prelim: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    let desc = grid2d("preliminary", w, h);
-    let access = full_grid(&desc, |groups| {
-        preliminary_access(
-            &desc,
-            groups,
-            &up.info(),
-            &pedge.info(),
-            &perr.info(),
-            &prelim.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let up = UpSource::Plane(up.clone(), ws);
-    let body = preliminary_body(&up, pedge, perr, prelim, mean, params, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[prelim])
-}
-
-/// The body of [`preliminary_kernel`], one call per work-group row; it
-/// reads the unit's `up` rows from `up` (a plane, or rebuilt per unit).
+/// The unfused preliminary body, `prelim = up + strength(pEdge) · pError`,
+/// one call per work-group row; it reads the unit's `up` rows from `up`
+/// (a plane, or rebuilt per unit). `ws` is the device row stride of the
+/// up/pEdge/pError/prelim buffers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn preliminary_body(
     up: &UpSource,
@@ -149,41 +112,10 @@ pub(crate) fn preliminary_access(
     s
 }
 
-/// Unfused overshoot kernel (paper Fig. 8): clamps the preliminary matrix
-/// against the 3×3 envelope of the original. `ws` is the device row
-/// stride of the prelim/final buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn overshoot_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    prelim: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    params: SharpnessParams,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    let desc = grid2d("overshoot", w, h);
-    let access = full_grid(&desc, |groups| {
-        overshoot_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            &prelim.info(),
-            &finalbuf.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let body = overshoot_body(src, prelim, RowSink::plane(finalbuf, ws), w, h, ws, params);
-    q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
-}
-
-/// The body of [`overshoot_kernel`], one call per work-group row; it
-/// stores its rows through `out` (the final plane, or the caller's frame).
+/// The unfused overshoot body (paper Fig. 8), one call per work-group
+/// row: it clamps the preliminary matrix against the 3×3 envelope of the
+/// original and stores its rows through `out` (the final plane, or the
+/// caller's frame).
 pub(crate) fn overshoot_body(
     src: &SrcImage,
     prelim: &GlobalView<f32>,
@@ -345,50 +277,11 @@ fn fused_pixel(
     }
 }
 
-/// The fused sharpness kernel (scalar): per pixel, loads the 3×3 original
-/// window, the upscaled value and the pEdge value, and produces the final
-/// sharpened pixel directly.
-#[allow(clippy::too_many_arguments)]
-pub fn sharpness_fused_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    let desc = grid2d("sharpness", w, h);
-    let access = full_grid(&desc, |groups| {
-        sharpness_fused_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            &up.info(),
-            &pedge.info(),
-            &finalbuf.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let (up, out) = (
-        UpSource::Plane(up.clone(), ws),
-        RowSink::plane(finalbuf, ws),
-    );
-    let pedge = EdgeSource::Plane(pedge.clone(), ws);
-    let body = sharpness_fused_body(src, &up, &pedge, out, mean, params, w, h);
-    q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
-}
-
-/// The body of [`sharpness_fused_kernel`], one call per work-group row; it
-/// reads the unit's `up` rows from `up` and its pEdge values from `pedge`
-/// (each a plane, or rebuilt per unit) and stores through `out`.
+/// The fused sharpness body (scalar), one call per work-group row: per
+/// pixel, it loads the 3×3 original window, the upscaled value and the
+/// pEdge value and produces the final sharpened pixel directly. It reads
+/// the unit's `up` rows from `up` and its pEdge values from `pedge` (each
+/// a plane, or rebuilt per unit) and stores through `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_body(
     src: &SrcImage,
@@ -578,68 +471,11 @@ pub(crate) fn sharpness_fused_access(
     s
 }
 
-/// The fused sharpness kernel, vectorized: four adjacent pixels per
-/// thread; the 3×6 original window, upscaled and pEdge quads are loaded
-/// with `vload4` and the result written with one `vstore4`. Requires the
-/// padded source.
-#[allow(clippy::too_many_arguments)]
-pub fn sharpness_fused_vec4_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    if src.pad != 1 {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "sharpness_vec4".into(),
-            detail: "requires the padded source (pad == 1)".into(),
-        });
-    }
-    if w < MIN_DIM || h < MIN_DIM || !ws.is_multiple_of(4) || ws < w || src.pitch != ws + 2 {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "sharpness_vec4".into(),
-            detail: format!(
-                "shape {w}x{h} with stride {ws} (pitch {}): stride must be a \
-                 multiple of 4 covering the width, pitch = stride + 2, and the \
-                 shape at least {MIN_DIM}x{MIN_DIM}",
-                src.pitch
-            ),
-        });
-    }
-    let desc = grid2d("sharpness_vec4", ws / 4, h);
-    let access = full_grid(&desc, |groups| {
-        sharpness_fused_vec4_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            &up.info(),
-            &pedge.info(),
-            &finalbuf.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let (up, out) = (
-        UpSource::Plane(up.clone(), ws),
-        RowSink::plane(finalbuf, ws),
-    );
-    let pedge = EdgeSource::Plane(pedge.clone(), ws);
-    let body = sharpness_fused_vec4_body(src, &up, &pedge, out, mean, params, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[finalbuf])
-}
-
-/// The body of [`sharpness_fused_vec4_kernel`], one call per work-group
-/// row; it reads `up` and pEdge as [`sharpness_fused_body`] does and
-/// stores through `out`.
+/// The fused sharpness body, vectorized, one call per work-group row:
+/// four adjacent pixels per item; the 3×6 window of the padded source,
+/// the upscaled and the pEdge quads are loaded with `vload4` and the
+/// result written with one `vstore4`. It reads `up` and pEdge as
+/// [`sharpness_fused_body`] does and stores through `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sharpness_fused_vec4_body(
     src: &SrcImage,
@@ -853,9 +689,12 @@ pub(crate) fn overshoot_window(win: &RowWindows, h: usize, w: usize) -> WindowUn
 mod tests {
     use super::*;
     use crate::cpu::stages;
+    use crate::gpu::kernels::{grid2d, run_declared};
+    use crate::gpu::program::{Buf, Geometry, KernelId};
     use imagekit::{generate, ImageF32};
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+    use simgpu::queue::{CommandQueue, Dispatch};
 
     #[test]
     fn row_splits_declare_the_whole_grid() {
@@ -929,6 +768,113 @@ mod tests {
         }
     }
 
+    /// The padded source of a frame of geometry `g` in `pbuf`.
+    fn padded(pbuf: &Buffer<f32>, g: &Geometry) -> SrcImage {
+        SrcImage {
+            view: pbuf.view(),
+            pitch: g.pw,
+            pad: 1,
+        }
+    }
+
+    /// Runs the program's preliminary dispatch of a `w × h` frame.
+    #[allow(clippy::too_many_arguments)]
+    fn preliminary(
+        q: &mut CommandQueue,
+        up: &Buffer<f32>,
+        pedge: &Buffer<f32>,
+        perr: &Buffer<f32>,
+        prelim: &Buffer<f32>,
+        mean: f32,
+        p: SharpnessParams,
+        (w, h): (usize, usize),
+    ) {
+        let g = Geometry::new(w, h);
+        let bufs = [
+            (Buf::Up, up),
+            (Buf::PEdge, pedge),
+            (Buf::PError, perr),
+            (Buf::Prelim, prelim),
+        ];
+        let up = UpSource::Plane(up.view(), g.ws);
+        let (pe, pr) = (pedge.view(), perr.view());
+        run_declared(q, KernelId::Preliminary, &g, &bufs, |d, a| {
+            let body = preliminary_body(&up, &pe, &pr, prelim, mean, p, w, h, g.ws);
+            Dispatch::rows(d, a, body)
+        })
+        .unwrap();
+    }
+
+    /// Runs the program's overshoot dispatch of a `w × h` frame from the
+    /// padded source `pbuf`.
+    fn overshoot(
+        q: &mut CommandQueue,
+        pbuf: &Buffer<f32>,
+        prelim: &Buffer<f32>,
+        fin: &Buffer<f32>,
+        p: SharpnessParams,
+        (w, h): (usize, usize),
+    ) {
+        let g = Geometry::new(w, h);
+        let bufs = [
+            (Buf::Padded, pbuf),
+            (Buf::Prelim, prelim),
+            (Buf::Final, fin),
+        ];
+        let src = padded(pbuf, &g);
+        run_declared(q, KernelId::Overshoot, &g, &bufs, |d, a| {
+            let out = RowSink::plane(fin, g.ws);
+            Dispatch::rows(
+                d,
+                a,
+                overshoot_body(&src, &prelim.view(), out, w, h, g.ws, p),
+            )
+        })
+        .unwrap();
+    }
+
+    /// Runs the program's fused sharpness dispatch `id` (scalar or vec4)
+    /// of a `w × h` frame from the padded source `pbuf`.
+    #[allow(clippy::too_many_arguments)]
+    fn fused(
+        q: &mut CommandQueue,
+        id: KernelId,
+        pbuf: &Buffer<f32>,
+        up: &Buffer<f32>,
+        pedge: &Buffer<f32>,
+        fin: &Buffer<f32>,
+        mean: f32,
+        p: SharpnessParams,
+        (w, h): (usize, usize),
+    ) {
+        let g = Geometry::new(w, h);
+        let bufs = [
+            (Buf::Padded, pbuf),
+            (Buf::Up, up),
+            (Buf::PEdge, pedge),
+            (Buf::Final, fin),
+        ];
+        let src = padded(pbuf, &g);
+        let (up, pe) = (
+            UpSource::Plane(up.view(), g.ws),
+            EdgeSource::Plane(pedge.view(), g.ws),
+        );
+        run_declared(q, id, &g, &bufs, |d, a| {
+            let out = RowSink::plane(fin, g.ws);
+            if id == KernelId::SharpnessVec4 {
+                let body = sharpness_fused_vec4_body(&src, &up, &pe, out, mean, p, w, h, g.ws);
+                Dispatch::rows(d, a, body)
+            } else {
+                Dispatch::rows(
+                    d,
+                    a,
+                    sharpness_fused_body(&src, &up, &pe, out, mean, p, w, h),
+                )
+            }
+        })
+        .unwrap();
+    }
+
     #[test]
     fn preliminary_matches_cpu_exactly() {
         let f = fixture(32, 32, 6);
@@ -938,20 +884,8 @@ mod tests {
         let pedge = ctx.buffer_from("pEdge", f.pedge.pixels());
         let perr = ctx.buffer_from("pError", f.perr.pixels());
         let prelim = ctx.buffer::<f32>("prelim", 32 * 32);
-        preliminary_kernel(
-            &mut q,
-            &up.view(),
-            &pedge.view(),
-            &perr.view(),
-            &prelim,
-            f.mean,
-            SharpnessParams::default(),
-            32,
-            32,
-            32,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        let p = SharpnessParams::default();
+        preliminary(&mut q, &up, &pedge, &perr, &prelim, f.mean, p, (32, 32));
         assert_eq!(prelim.snapshot(), f.prelim.pixels());
     }
 
@@ -960,26 +894,17 @@ mod tests {
         let f = fixture(32, 32, 7);
         let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
         let mut q = ctx.queue();
-        let orig = ctx.buffer_from("original", f.img.pixels());
+        let pbuf = ctx.buffer_from("padded", f.img.padded(1, false).pixels());
         let prelim = ctx.buffer_from("prelim", f.prelim.pixels());
         let fin = ctx.buffer::<f32>("final", 32 * 32);
-        let src = SrcImage {
-            view: orig.view(),
-            pitch: 32,
-            pad: 0,
-        };
-        overshoot_kernel(
+        overshoot(
             &mut q,
-            &src,
-            &prelim.view(),
+            &pbuf,
+            &prelim,
             &fin,
-            32,
-            32,
-            32,
             SharpnessParams::default(),
-            KernelTuning::default(),
-        )
-        .unwrap();
+            (32, 32),
+        );
         assert_eq!(fin.snapshot(), f.finalimg.pixels());
     }
 
@@ -988,29 +913,13 @@ mod tests {
         let f = fixture(48, 32, 8);
         let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
         let mut q = ctx.queue();
-        let orig = ctx.buffer_from("original", f.img.pixels());
+        let pbuf = ctx.buffer_from("padded", f.img.padded(1, false).pixels());
         let up = ctx.buffer_from("up", f.up.pixels());
         let pedge = ctx.buffer_from("pEdge", f.pedge.pixels());
         let fin = ctx.buffer::<f32>("final", 48 * 32);
-        let src = SrcImage {
-            view: orig.view(),
-            pitch: 48,
-            pad: 0,
-        };
-        sharpness_fused_kernel(
-            &mut q,
-            &src,
-            &up.view(),
-            &pedge.view(),
-            &fin,
-            f.mean,
-            SharpnessParams::default(),
-            48,
-            32,
-            48,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        let p = SharpnessParams::default();
+        let id = KernelId::Sharpness;
+        fused(&mut q, id, &pbuf, &up, &pedge, &fin, f.mean, p, (48, 32));
         assert_eq!(fin.snapshot(), f.finalimg.pixels());
     }
 
@@ -1019,30 +928,13 @@ mod tests {
         let f = fixture(64, 48, 9);
         let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
         let mut q = ctx.queue();
-        let padded = f.img.padded(1, false);
-        let pbuf = ctx.buffer_from("padded", padded.pixels());
+        let pbuf = ctx.buffer_from("padded", f.img.padded(1, false).pixels());
         let up = ctx.buffer_from("up", f.up.pixels());
         let pedge = ctx.buffer_from("pEdge", f.pedge.pixels());
         let fin = ctx.buffer::<f32>("final", 64 * 48);
-        let src = SrcImage {
-            view: pbuf.view(),
-            pitch: 66,
-            pad: 1,
-        };
-        sharpness_fused_vec4_kernel(
-            &mut q,
-            &src,
-            &up.view(),
-            &pedge.view(),
-            &fin,
-            f.mean,
-            SharpnessParams::default(),
-            64,
-            48,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        let p = SharpnessParams::default();
+        let id = KernelId::SharpnessVec4;
+        fused(&mut q, id, &pbuf, &up, &pedge, &fin, f.mean, p, (64, 48));
         assert_eq!(fin.snapshot(), f.finalimg.pixels());
     }
 
@@ -1051,9 +943,11 @@ mod tests {
         let f = fixture(64, 64, 10);
         let ctx = Context::new(DeviceSpec::firepro_w8000());
         let p = SharpnessParams::default();
-        // Unfused: perror + preliminary + overshoot.
+        // Unfused: perror + preliminary + overshoot, as the base pipeline
+        // declares them (pError reads the raw original).
         let mut q1 = ctx.queue();
         let orig = ctx.buffer_from("original", f.img.pixels());
+        let pbuf = ctx.buffer_from("padded", f.img.padded(1, false).pixels());
         let up = ctx.buffer_from("up", f.up.pixels());
         let pedge = ctx.buffer_from("pEdge", f.pedge.pixels());
         let src = SrcImage {
@@ -1064,43 +958,16 @@ mod tests {
         let perr = ctx.buffer::<f32>("pError", 64 * 64);
         let prelim = ctx.buffer::<f32>("prelim", 64 * 64);
         let fin1 = ctx.buffer::<f32>("final", 64 * 64);
-        super::super::perror::perror_kernel(
-            &mut q1,
-            &src,
-            &up.view(),
-            &perr,
-            64,
-            64,
-            64,
-            KernelTuning::default(),
-        )
+        let g = Geometry::new(64, 64);
+        let bufs = [(Buf::Original, &orig), (Buf::Up, &up), (Buf::PError, &perr)];
+        let up_plane = UpSource::Plane(up.view(), 64);
+        run_declared(&mut q1, KernelId::Perror, &g, &bufs, |d, a| {
+            let body = super::super::perror::perror_body(&src, &up_plane, &perr, 64, 64, 64);
+            Dispatch::rows(d, a, body)
+        })
         .unwrap();
-        preliminary_kernel(
-            &mut q1,
-            &up.view(),
-            &pedge.view(),
-            &perr.view(),
-            &prelim,
-            f.mean,
-            p,
-            64,
-            64,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
-        overshoot_kernel(
-            &mut q1,
-            &src,
-            &prelim.view(),
-            &fin1,
-            64,
-            64,
-            64,
-            p,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        preliminary(&mut q1, &up, &pedge, &perr, &prelim, f.mean, p, (64, 64));
+        overshoot(&mut q1, &pbuf, &prelim, &fin1, p, (64, 64));
         let unfused_bytes: u64 = q1
             .records()
             .iter()
@@ -1111,20 +978,8 @@ mod tests {
         // Fused.
         let mut q2 = ctx.queue();
         let fin2 = ctx.buffer::<f32>("final", 64 * 64);
-        sharpness_fused_kernel(
-            &mut q2,
-            &src,
-            &up.view(),
-            &pedge.view(),
-            &fin2,
-            f.mean,
-            p,
-            64,
-            64,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        let id = KernelId::Sharpness;
+        fused(&mut q2, id, &pbuf, &up, &pedge, &fin2, f.mean, p, (64, 64));
         let fused_bytes: u64 = q2
             .records()
             .iter()

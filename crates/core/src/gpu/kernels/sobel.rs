@@ -6,57 +6,18 @@
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
-use simgpu::error::{Error, Result};
 use simgpu::kernel::{KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
-use simgpu::queue::{CommandQueue, Dispatch};
-use simgpu::timing::KernelTime;
 
 use super::{
-    body_columns, covered_rows, full_grid, grid2d, interior_rows, simd, vec4_body_columns,
-    KernelTuning, RowWindows, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, interior_rows, simd, vec4_body_columns, KernelTuning, RowWindows,
+    SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
-use crate::params::MIN_DIM;
 
-/// Scalar Sobel: each thread computes one pEdge value from eight
-/// neighbour loads; border threads store zero. `ws` is the device row
-/// stride of `pedge` (equal to `w` for multiple-of-4 widths).
-pub fn sobel_scalar_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    if w < MIN_DIM || h < MIN_DIM || ws < w {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "sobel".into(),
-            detail: format!(
-                "shape {w}x{h} (stride {ws}) below the {MIN_DIM}x{MIN_DIM} stencil minimum"
-            ),
-        });
-    }
-    let desc = grid2d("sobel", w, h);
-    let access = full_grid(&desc, |groups| {
-        sobel_scalar_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            &pedge.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let body = sobel_scalar_body(src, pedge, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[pedge])
-}
-
-/// The scalar Sobel body, one call per work-group row.
+/// The scalar Sobel body, one call per work-group row: each item
+/// computes one pEdge value from eight neighbour loads; border items
+/// store zero. `ws` is the device row stride of `pedge`.
 ///
 /// Row-span form: each group handles its 16-column segment of a row
 /// (every image row walked across the row's groups before the next), so
@@ -298,59 +259,12 @@ pub(crate) fn sobel_window(win: &RowWindows, w: usize) -> WindowUnits {
     win.band(w, GROUP_2D[1], 0)
 }
 
-/// Vectorized Sobel (paper Fig. 11): each thread produces four adjacent
-/// pEdge values. Loads the 3×6 source window as three `vload4`s plus six
-/// scalar loads (18 values) and writes with one `vstore4`. Requires the
-/// padded source so that the window loads need no bounds checks. `ws` is
-/// the vec4-aligned device row stride of `pedge`; threads cover the full
-/// stride, writing zero into the padding columns beyond `w`.
-pub fn sobel_vec4_kernel(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    if src.pad != 1 {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "sobel_vec4".into(),
-            detail: "requires the padded source (pad == 1)".into(),
-        });
-    }
-    if w < MIN_DIM || h < MIN_DIM || !ws.is_multiple_of(4) || ws < w || src.pitch != ws + 2 {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "sobel_vec4".into(),
-            detail: format!(
-                "shape {w}x{h} with stride {ws} (pitch {}): stride must be a \
-                 multiple of 4 covering the width, pitch = stride + 2, and the \
-                 shape at least {MIN_DIM}x{MIN_DIM}",
-                src.pitch
-            ),
-        });
-    }
-    let desc = grid2d("sobel_vec4", ws / 4, h);
-    // Charged loads are 18 per thread over (ws/4)·h threads; the summary
-    // declares the halo-slice events actually observed and carries the
-    // exact ratio between the two.
-    let access = full_grid(&desc, |groups| {
-        sobel_vec4_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            &pedge.info(),
-            w,
-            h,
-            ws,
-            tune,
-        )
-    });
-    let body = sobel_vec4_body(src, pedge, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[pedge])
-}
-
-/// The vectorized Sobel body, one call per work-group row.
+/// The vectorized Sobel body (paper Fig. 11), one call per work-group
+/// row: each item produces four adjacent pEdge values from the 3×6 source
+/// window — three `vload4`s plus six scalar loads (18 values) — and one
+/// `vstore4`. It reads the padded source, so the window loads need no
+/// bounds checks; items cover the full vec4-aligned stride `ws`, writing
+/// zero into the padding columns beyond `w`.
 pub(crate) fn sobel_vec4_body(
     src: &SrcImage,
     pedge: &Buffer<f32>,
@@ -446,9 +360,12 @@ pub(crate) fn sobel_vec4_access(
 mod tests {
     use super::*;
     use crate::cpu::stages;
+    use crate::gpu::kernels::{grid2d, run_declared};
+    use crate::gpu::program::{Buf, Geometry, KernelId};
     use imagekit::generate;
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+    use simgpu::queue::{CommandQueue, Dispatch};
 
     #[test]
     fn row_splits_declare_the_whole_grid() {
@@ -474,6 +391,50 @@ mod tests {
         Context::with_validation(DeviceSpec::firepro_w8000())
     }
 
+    /// Runs the program's scalar Sobel dispatch of a `w × h` frame from
+    /// the raw original `orig`.
+    fn sobel_scalar(
+        q: &mut CommandQueue,
+        orig: &Buffer<f32>,
+        pedge: &Buffer<f32>,
+        w: usize,
+        h: usize,
+    ) {
+        let g = Geometry::new(w, h);
+        let src = SrcImage {
+            view: orig.view(),
+            pitch: w,
+            pad: 0,
+        };
+        let bufs = [(Buf::Original, orig), (Buf::PEdge, pedge)];
+        run_declared(q, KernelId::Sobel, &g, &bufs, |d, a| {
+            Dispatch::rows(d, a, sobel_scalar_body(&src, pedge, w, h, g.ws))
+        })
+        .unwrap();
+    }
+
+    /// Runs the program's vectorized Sobel dispatch of a `w × h` frame
+    /// from the padded source `padded`.
+    fn sobel_vec4(
+        q: &mut CommandQueue,
+        padded: &Buffer<f32>,
+        pedge: &Buffer<f32>,
+        w: usize,
+        h: usize,
+    ) {
+        let g = Geometry::new(w, h);
+        let src = SrcImage {
+            view: padded.view(),
+            pitch: g.pw,
+            pad: 1,
+        };
+        let bufs = [(Buf::Padded, padded), (Buf::PEdge, pedge)];
+        run_declared(q, KernelId::SobelVec4, &g, &bufs, |d, a| {
+            Dispatch::rows(d, a, sobel_vec4_body(&src, pedge, w, h, g.ws))
+        })
+        .unwrap();
+    }
+
     #[test]
     fn scalar_matches_cpu_exactly() {
         let img = generate::natural(48, 32, 5);
@@ -482,12 +443,7 @@ mod tests {
         let mut q = ctx.queue();
         let orig = ctx.buffer_from("original", img.pixels());
         let pedge = ctx.buffer::<f32>("pEdge", 48 * 32);
-        let src = SrcImage {
-            view: orig.view(),
-            pitch: 48,
-            pad: 0,
-        };
-        sobel_scalar_kernel(&mut q, &src, &pedge, 48, 32, 48, KernelTuning::default()).unwrap();
+        sobel_scalar(&mut q, &orig, &pedge, 48, 32);
         assert_eq!(pedge.snapshot(), cpu.pixels());
     }
 
@@ -500,12 +456,7 @@ mod tests {
         let padded = img.padded(1, false);
         let pbuf = ctx.buffer_from("padded", padded.pixels());
         let pedge = ctx.buffer::<f32>("pEdge", 64 * 48);
-        let src = SrcImage {
-            view: pbuf.view(),
-            pitch: 66,
-            pad: 1,
-        };
-        sobel_vec4_kernel(&mut q, &src, &pedge, 64, 48, 64, KernelTuning::default()).unwrap();
+        sobel_vec4(&mut q, &pbuf, &pedge, 64, 48);
         assert_eq!(pedge.snapshot(), cpu.pixels());
     }
 
@@ -522,13 +473,7 @@ mod tests {
 
             let orig = ctx.buffer_from("original", img.pixels());
             let scalar_out = ctx.buffer::<f32>("pEdgeS", ws * h);
-            let raw = SrcImage {
-                view: orig.view(),
-                pitch: w,
-                pad: 0,
-            };
-            sobel_scalar_kernel(&mut q, &raw, &scalar_out, w, h, ws, KernelTuning::default())
-                .unwrap();
+            sobel_scalar(&mut q, &orig, &scalar_out, w, h);
 
             // Padded source at the device stride, image rect at (1,1).
             let pw = ws + 2;
@@ -540,12 +485,7 @@ mod tests {
             }
             let pbuf = ctx.buffer_from("padded", &padded);
             let vec_out = ctx.buffer::<f32>("pEdgeV", ws * h);
-            let psrc = SrcImage {
-                view: pbuf.view(),
-                pitch: pw,
-                pad: 1,
-            };
-            sobel_vec4_kernel(&mut q, &psrc, &vec_out, w, h, ws, KernelTuning::default()).unwrap();
+            sobel_vec4(&mut q, &pbuf, &vec_out, w, h);
 
             assert_eq!(vec_out.snapshot(), scalar_out.snapshot(), "{w}x{h}");
             let snap = vec_out.snapshot();
@@ -558,31 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn vec4_rejects_bad_arguments_with_typed_error() {
-        let ctx = gpu_ctx();
-        let mut q = ctx.queue();
-        let pbuf = ctx.buffer::<f32>("padded", 10 * 10);
-        let pedge = ctx.buffer::<f32>("pEdge", 64);
-        let unpadded = SrcImage {
-            view: pbuf.view(),
-            pitch: 8,
-            pad: 0,
-        };
-        let err = sobel_vec4_kernel(&mut q, &unpadded, &pedge, 8, 8, 8, KernelTuning::default())
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidKernelArgs { .. }), "{err}");
-        let padded = SrcImage {
-            view: pbuf.view(),
-            pitch: 10,
-            pad: 1,
-        };
-        // Stride not covering the width.
-        let err = sobel_vec4_kernel(&mut q, &padded, &pedge, 8, 8, 4, KernelTuning::default())
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidKernelArgs { .. }), "{err}");
-    }
-
-    #[test]
     fn vec4_moves_traffic_to_vector_class() {
         let img = generate::natural(64, 64, 2);
         let ctx = Context::new(DeviceSpec::firepro_w8000());
@@ -590,12 +505,7 @@ mod tests {
         let padded = img.padded(1, false);
         let pbuf = ctx.buffer_from("padded", padded.pixels());
         let pedge = ctx.buffer::<f32>("pEdge", 64 * 64);
-        let src = SrcImage {
-            view: pbuf.view(),
-            pitch: 66,
-            pad: 1,
-        };
-        sobel_vec4_kernel(&mut q, &src, &pedge, 64, 64, 64, KernelTuning::default()).unwrap();
+        sobel_vec4(&mut q, &pbuf, &pedge, 64, 64);
         let c = q.records()[0].counters.unwrap();
         assert!(c.global_read_vector > 0);
         assert!(c.global_write_vector > 0);
@@ -612,12 +522,7 @@ mod tests {
         let mut q = ctx.queue();
         let orig = ctx.buffer_from("original", img.pixels());
         let pedge = ctx.buffer::<f32>("pEdge", 32 * 32);
-        let src = SrcImage {
-            view: orig.view(),
-            pitch: 32,
-            pad: 0,
-        };
-        sobel_scalar_kernel(&mut q, &src, &pedge, 32, 32, 32, KernelTuning::default()).unwrap();
+        sobel_scalar(&mut q, &orig, &pedge, 32, 32);
         let c = q.records()[0].counters.unwrap();
         assert_eq!(c.global_read_scalar, 30 * 30 * 8 * 4);
     }

@@ -10,69 +10,33 @@
 use simgpu::access::{AccessSummary, AccessWindow, BufRef};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
-use simgpu::error::{Error, Result};
 use simgpu::kernel::{items, GroupCtx, KernelDesc, RowCtx};
 use simgpu::par::WindowUnits;
-use simgpu::queue::{CommandQueue, Dispatch};
-use simgpu::timing::KernelTime;
 
 use std::cell::RefCell;
 use std::ops::Range;
 
-use super::{covered_rows, full_grid, grid1d, grid2d, simd, KernelTuning, GROUP_2D};
+use super::{covered_rows, grid1d, simd, KernelTuning, GROUP_2D};
 use crate::math;
-use crate::params::{INTERP, MIN_DIM, SCALE};
+use crate::params::{INTERP, SCALE};
 
-/// Validates the shared center-kernel geometry: the downscaled grid must
-/// have at least a 2×2 window somewhere (otherwise there is no interior
-/// and the caller must skip the center dispatch — the border kernels cover
-/// the whole image then).
-fn check_center_args(kernel: &str, w: usize, h: usize, ws: usize) -> Result<(usize, usize)> {
-    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-    if w < MIN_DIM || h < MIN_DIM || ws < w || wd < 2 || hd < 2 {
-        return Err(Error::InvalidKernelArgs {
-            kernel: kernel.into(),
-            detail: format!(
-                "shape {w}x{h} (stride {ws}) has no interior 4x4 blocks; \
-                 the border kernels cover images below 5 pixels per axis"
-            ),
-        });
-    }
-    Ok((wd, hd))
-}
-
-/// Scalar upscale-center kernel: one thread per 4×4 output block,
-/// interpolating its 2×2 downscaled window (paper Figs. 4–5). `ws` is the
-/// device row stride of `up`; writes are clamped to the interior
-/// (`x ≤ w-3`, `y ≤ h-3`), which for multiple-of-4 shapes never fires.
-pub fn upscale_center_scalar_kernel(
-    q: &mut CommandQueue,
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    let (wd, hd) = check_center_args("upscale_center", w, h, ws)?;
-    let desc = grid2d("upscale_center", wd - 1, hd - 1);
-    // Segment form: blocks whose whole 4×4 output tile is interior
-    // (clamp-free) share their downscaled row segments and run through the
-    // interpolation spans ([`simd::interp4_span`] + [`simd::lerp_span`]),
-    // hoisting the column interpolants exactly like the vectorized
-    // variant — the identical multiplies/adds in the identical order, so
-    // identical bits. Clamped edge blocks keep the exact per-block path.
-    // Declared traffic stays the per-block pattern (four scalar loads,
-    // sixteen scalar stores); the fast segment observes `2·(seg+1)` raw
-    // reads against `4·seg` charged, covered by the declared ratio.
-    let access = full_grid(&desc, |groups| {
-        upscale_center_scalar_access(&desc, groups, &down.info(), &up.info(), w, h, ws, tune)
-    });
-    let body = upscale_center_scalar_body(down, up, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[up])
-}
-
-/// The scalar upscale-center body, one call per work-group row.
+/// The scalar upscale-center body, one call per work-group row: one item
+/// per 4×4 output block, interpolating its 2×2 downscaled window (paper
+/// Figs. 4–5). `ws` is the device row stride of `up`; writes are clamped
+/// to the interior (`x ≤ w-3`, `y ≤ h-3`), which for multiple-of-4
+/// shapes never fires. The downscaled grid must be at least 2×2: below
+/// that the frame has no center dispatch, and the border kernels cover
+/// the whole image.
+///
+/// Segment form: blocks whose whole 4×4 output tile is interior
+/// (clamp-free) share their downscaled row segments and run through the
+/// interpolation spans ([`simd::interp4_span`] + [`simd::lerp_span`]),
+/// hoisting the column interpolants exactly like the vectorized variant —
+/// the identical multiplies/adds in the identical order, so identical
+/// bits. Clamped edge blocks keep the exact per-block path. Declared
+/// traffic stays the per-block pattern (four scalar loads, sixteen scalar
+/// stores); the fast segment observes `2·(seg+1)` raw reads against
+/// `4·seg` charged, covered by the declared ratio.
 pub(crate) fn upscale_center_scalar_body(
     down: &GlobalView<f32>,
     up: &Buffer<f32>,
@@ -296,29 +260,10 @@ pub(crate) fn center_window(w: usize) -> WindowUnits {
     }
 }
 
-/// Vectorized upscale-center kernel: one thread per *four horizontally
-/// adjacent* blocks, sharing the downscaled row segments (`vload4`) and
-/// writing each output row with `vstore4` (Section V-D applied to the
-/// center stage).
-pub fn upscale_center_vec4_kernel(
-    q: &mut CommandQueue,
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<KernelTime> {
-    let (wd, hd) = check_center_args("upscale_center_vec4", w, h, ws)?;
-    let desc = grid2d("upscale_center_vec4", (wd - 1).div_ceil(4), hd - 1);
-    let access = full_grid(&desc, |groups| {
-        upscale_center_vec4_access(&desc, groups, &down.info(), &up.info(), w, h, ws, tune)
-    });
-    let body = upscale_center_vec4_body(down, up, w, h, ws);
-    q.dispatch(Dispatch::rows(desc, access, body), &[up])
-}
-
-/// The vectorized upscale-center body, one call per work-group row.
+/// The vectorized upscale-center body, one call per work-group row: one
+/// item per *four horizontally adjacent* blocks, sharing the downscaled
+/// row segments (`vload4`) and writing each output row with `vstore4`
+/// (Section V-D applied to the center stage).
 pub(crate) fn upscale_center_vec4_body(
     down: &GlobalView<f32>,
     up: &Buffer<f32>,
@@ -555,37 +500,6 @@ pub(crate) fn upscale_center_vec4_access(
     s
 }
 
-/// Dispatches the four GPU border kernels (top/bottom rows, left/right
-/// columns), matching the CPU border bit-exactly. `ws` is the device row
-/// stride of `up`. Always four dispatches, for any shape ≥ 3×3: a
-/// single-column downscaled grid replicates its one value across the
-/// border rows, and a single-row grid leaves the vertical column kernels
-/// with no items (the rows cover everything).
-pub fn upscale_border_gpu(
-    q: &mut CommandQueue,
-    down: &GlobalView<f32>,
-    up: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-) -> Result<Vec<KernelTime>> {
-    if w < MIN_DIM || h < MIN_DIM || ws < w {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "upscale_border".into(),
-            detail: format!("shape {w}x{h} (stride {ws}) below the {MIN_DIM}x{MIN_DIM} minimum"),
-        });
-    }
-    border_kernels(w, h)
-        .into_iter()
-        .map(|k| {
-            let access = k.access(&down.info(), &up.info(), w, h, ws, tune);
-            let d = Dispatch::groups(k.desc(w, h), access, k.body(down, up, w, h, ws));
-            q.dispatch(d, &[up])
-        })
-        .collect()
-}
-
 /// One of the four GPU border kernels: it interpolates line `src` of the
 /// downscaled image into line `dst` of `up` and copies it to the
 /// companion line next to it — rows when `row`, columns otherwise.
@@ -598,7 +512,11 @@ pub(crate) struct BorderKernel {
 }
 
 /// The four border kernels of a `w × h` frame in dispatch order: top,
-/// bottom, left, right.
+/// bottom, left, right. Together they match the CPU border bit-exactly.
+/// Always four dispatches, for any shape ≥ 3×3: a single-column
+/// downscaled grid replicates its one value across the border rows, and a
+/// single-row grid leaves the vertical column kernels with no items (the
+/// rows cover everything).
 pub(crate) fn border_kernels(w: usize, h: usize) -> [BorderKernel; 4] {
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let k = |name, row, src, dst| BorderKernel {
@@ -638,7 +556,7 @@ impl BorderKernel {
     }
 
     /// The dispatch's declaration. Like the reduction kernels, the border
-    /// kernels declare without [`full_grid`] and keep the constructor's
+    /// kernels declare without [`super::full_grid`] and keep the constructor's
     /// default ratio: their accounting is exact.
     ///
     /// A row kernel's item `bi` loads the downscaled pair `(bi, bi+1)` of
@@ -981,9 +899,13 @@ fn border_item(tune: KernelTuning) -> OpCounts {
 mod tests {
     use super::*;
     use crate::cpu::stages;
+    use crate::gpu::kernels::{grid2d, run_declared};
+    use crate::gpu::program::{Buf, Geometry, KernelId};
     use imagekit::{generate, ImageF32};
     use simgpu::context::Context;
     use simgpu::device::DeviceSpec;
+    use simgpu::queue::{CommandQueue, Dispatch};
+    use simgpu::timing::KernelTime;
 
     #[test]
     fn row_splits_declare_the_whole_grid() {
@@ -1015,6 +937,51 @@ mod tests {
         (down, up)
     }
 
+    /// Runs the program's center dispatch `id` (scalar or vec4) of a
+    /// `w × h` frame from `down` into `up`.
+    fn center(
+        q: &mut CommandQueue,
+        id: KernelId,
+        down: &Buffer<f32>,
+        up: &Buffer<f32>,
+        w: usize,
+        h: usize,
+    ) {
+        let g = Geometry::new(w, h);
+        let bufs = [(Buf::Down, down), (Buf::Up, up)];
+        run_declared(q, id, &g, &bufs, |d, a| {
+            let body: Box<dyn Fn(&mut RowCtx) + Send + Sync> = if id == KernelId::CenterVec4 {
+                Box::new(upscale_center_vec4_body(&down.view(), up, w, h, g.ws))
+            } else {
+                Box::new(upscale_center_scalar_body(&down.view(), up, w, h, g.ws))
+            };
+            Dispatch::rows(d, a, body)
+        })
+        .unwrap();
+    }
+
+    /// Runs the program's four GPU border dispatches of a `w × h` frame
+    /// from `down` into `up`.
+    fn border(
+        q: &mut CommandQueue,
+        down: &Buffer<f32>,
+        up: &Buffer<f32>,
+        w: usize,
+        h: usize,
+    ) -> Vec<KernelTime> {
+        let g = Geometry::new(w, h);
+        let bufs = [(Buf::Down, down), (Buf::Up, up)];
+        border_kernels(w, h)
+            .into_iter()
+            .map(|k| {
+                run_declared(q, KernelId::Border(k), &g, &bufs, |d, a| {
+                    Dispatch::groups(d, a, k.body(&down.view(), up, w, h, g.ws))
+                })
+                .unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn center_scalar_matches_cpu_exactly() {
         let (down, cpu_up) = setup(64, 48, 3);
@@ -1022,16 +989,7 @@ mod tests {
         let mut q = ctx.queue();
         let dbuf = ctx.buffer_from("down", down.pixels());
         let up = ctx.buffer::<f32>("up", 64 * 48);
-        upscale_center_scalar_kernel(
-            &mut q,
-            &dbuf.view(),
-            &up,
-            64,
-            48,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        center(&mut q, KernelId::Center, &dbuf, &up, 64, 48);
         // Compare interior only (border kernel not dispatched here).
         let got = ImageF32::from_vec(64, 48, up.snapshot());
         for y in 2..=48 - 3 {
@@ -1049,26 +1007,8 @@ mod tests {
         let dbuf = ctx.buffer_from("down", down.pixels());
         let up_a = ctx.buffer::<f32>("upA", 96 * 64);
         let up_b = ctx.buffer::<f32>("upB", 96 * 64);
-        upscale_center_scalar_kernel(
-            &mut q,
-            &dbuf.view(),
-            &up_a,
-            96,
-            64,
-            96,
-            KernelTuning::default(),
-        )
-        .unwrap();
-        upscale_center_vec4_kernel(
-            &mut q,
-            &dbuf.view(),
-            &up_b,
-            96,
-            64,
-            96,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        center(&mut q, KernelId::Center, &dbuf, &up_a, 96, 64);
+        center(&mut q, KernelId::CenterVec4, &dbuf, &up_b, 96, 64);
         assert_eq!(up_a.snapshot(), up_b.snapshot());
     }
 
@@ -1083,26 +1023,8 @@ mod tests {
             let dbuf = ctx.buffer_from("down", down.pixels());
             let up_a = ctx.buffer::<f32>("upA", ws * h);
             let up_b = ctx.buffer::<f32>("upB", ws * h);
-            upscale_center_scalar_kernel(
-                &mut q,
-                &dbuf.view(),
-                &up_a,
-                w,
-                h,
-                ws,
-                KernelTuning::default(),
-            )
-            .unwrap();
-            upscale_center_vec4_kernel(
-                &mut q,
-                &dbuf.view(),
-                &up_b,
-                w,
-                h,
-                ws,
-                KernelTuning::default(),
-            )
-            .unwrap();
+            center(&mut q, KernelId::Center, &dbuf, &up_a, w, h);
+            center(&mut q, KernelId::CenterVec4, &dbuf, &up_b, w, h);
             assert_eq!(up_a.snapshot(), up_b.snapshot(), "{w}x{h}");
         }
     }
@@ -1127,19 +1049,9 @@ mod tests {
             let mut q = ctx.queue();
             let dbuf = ctx.buffer_from("down", down.pixels());
             let up = ctx.buffer::<f32>("up", ws * h);
-            upscale_border_gpu(&mut q, &dbuf.view(), &up, w, h, ws, KernelTuning::default())
-                .unwrap();
+            border(&mut q, &dbuf, &up, w, h);
             if w.div_ceil(SCALE) > 1 && h.div_ceil(SCALE) > 1 {
-                upscale_center_vec4_kernel(
-                    &mut q,
-                    &dbuf.view(),
-                    &up,
-                    w,
-                    h,
-                    ws,
-                    KernelTuning::default(),
-                )
-                .unwrap();
+                center(&mut q, KernelId::CenterVec4, &dbuf, &up, w, h);
             }
             let snap = up.snapshot();
             for y in 0..h {
@@ -1168,10 +1080,9 @@ mod tests {
             let mut q = ctx.queue();
             let dbuf = ctx.buffer_from("down", down.pixels());
             let up = ctx.buffer::<f32>("up", ws * h);
-            let tune = KernelTuning::default();
-            upscale_border_gpu(&mut q, &dbuf.view(), &up, w, h, ws, tune).unwrap();
+            border(&mut q, &dbuf, &up, w, h);
             if w.div_ceil(SCALE) > 1 && h.div_ceil(SCALE) > 1 {
-                upscale_center_vec4_kernel(&mut q, &dbuf.view(), &up, w, h, ws, tune).unwrap();
+                center(&mut q, KernelId::CenterVec4, &dbuf, &up, w, h);
             }
             let plane = up.snapshot();
             let source = UpSource::Rebuilt {
@@ -1203,16 +1114,7 @@ mod tests {
         let mut q = ctx.queue();
         let dbuf = ctx.buffer_from("down", down.pixels());
         let up = ctx.buffer::<f32>("up", 64 * 64);
-        let times = upscale_border_gpu(
-            &mut q,
-            &dbuf.view(),
-            &up,
-            64,
-            64,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        let times = border(&mut q, &dbuf, &up, 64, 64);
         assert_eq!(times.len(), 4);
         let got = ImageF32::from_vec(64, 64, up.snapshot());
         // Border rows (full width).
@@ -1236,26 +1138,8 @@ mod tests {
         let mut q = ctx.queue();
         let dbuf = ctx.buffer_from("down", down.pixels());
         let up = ctx.buffer::<f32>("up", 64 * 48);
-        upscale_border_gpu(
-            &mut q,
-            &dbuf.view(),
-            &up,
-            64,
-            48,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
-        upscale_center_vec4_kernel(
-            &mut q,
-            &dbuf.view(),
-            &up,
-            64,
-            48,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        border(&mut q, &dbuf, &up, 64, 48);
+        center(&mut q, KernelId::CenterVec4, &dbuf, &up, 64, 48);
         assert_eq!(up.snapshot(), cpu_up.pixels());
     }
 
@@ -1266,16 +1150,7 @@ mod tests {
         let mut q = ctx.queue();
         let dbuf = ctx.buffer_from("down", down.pixels());
         let up = ctx.buffer::<f32>("up", 64 * 64);
-        upscale_border_gpu(
-            &mut q,
-            &dbuf.view(),
-            &up,
-            64,
-            64,
-            64,
-            KernelTuning::default(),
-        )
-        .unwrap();
+        border(&mut q, &dbuf, &up, 64, 64);
         assert_eq!(q.records().len(), 4);
         assert!(q
             .records()

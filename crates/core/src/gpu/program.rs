@@ -635,120 +635,118 @@ fn buffer_list(g: &Geometry, opts: &OptConfig, reduction: Reduction) -> Vec<(Buf
         .collect()
 }
 
+/// The descriptor and declaration of kernel `id` in a frame of geometry
+/// `g` under `tune`, from its family's closed-form constructors: what the
+/// program commits for it. `bufs` names every buffer, indexed by [`Buf`];
+/// downscale, scalar Sobel and pError read the raw original when `raw`,
+/// the padded source otherwise.
+pub(crate) fn declare(
+    id: KernelId,
+    g: &Geometry,
+    t: KernelTuning,
+    raw: bool,
+    bufs: &[BufRef; Buf::COUNT],
+) -> StaticDispatch {
+    let Geometry {
+        w,
+        h,
+        ws,
+        ns,
+        wd,
+        hd,
+        ..
+    } = *g;
+    let [padded, original, down, up, pedge, fin, parts, total, perr, prelim] = bufs;
+    let padded = &SrcInfo {
+        buf: padded.clone(),
+        pitch: g.pw,
+        pad: 1,
+    };
+    let main = &if raw {
+        SrcInfo {
+            buf: original.clone(),
+            pitch: w,
+            pad: 0,
+        }
+    } else {
+        padded.clone()
+    };
+    // A row-span kernel over a 2-D grid, declared through `full_grid`.
+    let grid = |name, nx, ny, build: &dyn Fn(&KernelDesc, Range<usize>) -> AccessSummary| {
+        let desc = grid2d(name, nx, ny);
+        let access = full_grid(&desc, |g| build(&desc, g));
+        StaticDispatch { desc, access }
+    };
+    let mut d = match id {
+        KernelId::Downscale => grid("downscale", wd, hd, &|d, g| {
+            downscale_access(d, g, main, down, w, h, t)
+        }),
+        KernelId::Border(k) => StaticDispatch {
+            desc: k.desc(w, h),
+            access: k.access(down, up, w, h, ws, t),
+        },
+        KernelId::Center => grid("upscale_center", wd - 1, hd - 1, &|d, g| {
+            upscale_center_scalar_access(d, g, down, up, w, h, ws, t)
+        }),
+        KernelId::CenterVec4 => grid(
+            "upscale_center_vec4",
+            (wd - 1).div_ceil(4),
+            hd - 1,
+            &|d, g| upscale_center_vec4_access(d, g, down, up, w, h, ws, t),
+        ),
+        KernelId::Sobel => grid("sobel", w, h, &|d, g| {
+            sobel_scalar_access(d, g, main, pedge, w, h, ws, t)
+        }),
+        KernelId::SobelVec4 => grid("sobel_vec4", ws / 4, h, &|d, g| {
+            sobel_vec4_access(d, g, padded, pedge, w, h, ws, t)
+        }),
+        KernelId::Stage1(strategy) => {
+            let desc = stage1_desc(ns, strategy);
+            let groups = 0..desc.total_groups();
+            let access = stage1_access(&desc, groups, pedge, parts, ns, strategy);
+            StaticDispatch { desc, access }
+        }
+        KernelId::Stage2 => {
+            let desc = stage2_desc();
+            let access = stage2_access(&desc, parts, stage1_groups(ns), total);
+            StaticDispatch { desc, access }
+        }
+        KernelId::Sharpness => grid("sharpness", w, h, &|d, g| {
+            sharpness_fused_access(d, g, padded, up, pedge, fin, w, h, ws, t)
+        }),
+        KernelId::SharpnessVec4 => grid("sharpness_vec4", ws / 4, h, &|d, g| {
+            sharpness_fused_vec4_access(d, g, padded, up, pedge, fin, w, h, ws, t)
+        }),
+        KernelId::Perror => grid("perror", w, h, &|d, g| {
+            perror_access(d, g, main, up, perr, w, h, ws, t)
+        }),
+        KernelId::Preliminary => grid("preliminary", w, h, &|d, g| {
+            preliminary_access(d, g, up, pedge, perr, prelim, w, h, ws, t)
+        }),
+        KernelId::Overshoot => grid("overshoot", w, h, &|d, g| {
+            overshoot_access(d, g, padded, prelim, fin, w, h, ws, t)
+        }),
+    };
+    d.desc.item_elems = id.item_elems();
+    d
+}
+
 /// Builds the step list.
 struct Builder {
     g: Geometry,
     opts: OptConfig,
-    tune: KernelTuning,
     /// Every buffer's identity as declarations name it, indexed by [`Buf`].
     bufs: [BufRef; Buf::COUNT],
-    /// The padded source, and what downscale/Sobel/pError read: the raw
-    /// original in the base pipeline, the padded matrix once the upload is
-    /// unified.
-    padded: SrcInfo,
-    main: SrcInfo,
     steps: Vec<Step>,
 }
 
 impl Builder {
     fn new(g: Geometry, opts: &OptConfig) -> Self {
-        let bufs = Buf::ALL.map(|b| BufRef::f32(b.label(), b.len(&g)));
-        let padded = SrcInfo {
-            buf: bufs[Buf::Padded as usize].clone(),
-            pitch: g.pw,
-            pad: 1,
-        };
-        let main = if opts.data_transfer {
-            padded.clone()
-        } else {
-            SrcInfo {
-                buf: bufs[Buf::Original as usize].clone(),
-                pitch: g.w,
-                pad: 0,
-            }
-        };
         Builder {
             g,
             opts: *opts,
-            tune: KernelTuning {
-                others: opts.others,
-            },
-            bufs,
-            padded,
-            main,
+            bufs: Buf::ALL.map(|b| BufRef::f32(b.label(), b.len(&g))),
             steps: Vec::new(),
-        }
-    }
-
-    /// The descriptor and declaration of kernel `id` in this frame, from
-    /// the closed-form constructors the run-now kernels call too.
-    fn declare(&self, id: KernelId) -> StaticDispatch {
-        let Geometry {
-            w,
-            h,
-            ws,
-            ns,
-            wd,
-            hd,
-            ..
-        } = self.g;
-        let (t, padded, main) = (self.tune, &self.padded, &self.main);
-        let [_, _, down, up, pedge, fin, parts, total, perr, prelim] = &self.bufs;
-        // A row-span kernel over a 2-D grid, declared through `full_grid`.
-        let grid = |name, nx, ny, build: &dyn Fn(&KernelDesc, Range<usize>) -> AccessSummary| {
-            let desc = grid2d(name, nx, ny);
-            let access = full_grid(&desc, |g| build(&desc, g));
-            StaticDispatch { desc, access }
-        };
-        match id {
-            KernelId::Downscale => grid("downscale", wd, hd, &|d, g| {
-                downscale_access(d, g, main, down, w, h, t)
-            }),
-            KernelId::Border(k) => StaticDispatch {
-                desc: k.desc(w, h),
-                access: k.access(down, up, w, h, ws, t),
-            },
-            KernelId::Center => grid("upscale_center", wd - 1, hd - 1, &|d, g| {
-                upscale_center_scalar_access(d, g, down, up, w, h, ws, t)
-            }),
-            KernelId::CenterVec4 => grid(
-                "upscale_center_vec4",
-                (wd - 1).div_ceil(4),
-                hd - 1,
-                &|d, g| upscale_center_vec4_access(d, g, down, up, w, h, ws, t),
-            ),
-            KernelId::Sobel => grid("sobel", w, h, &|d, g| {
-                sobel_scalar_access(d, g, main, pedge, w, h, ws, t)
-            }),
-            KernelId::SobelVec4 => grid("sobel_vec4", ws / 4, h, &|d, g| {
-                sobel_vec4_access(d, g, padded, pedge, w, h, ws, t)
-            }),
-            KernelId::Stage1(strategy) => {
-                let desc = stage1_desc(ns, strategy);
-                let groups = 0..desc.total_groups();
-                let access = stage1_access(&desc, groups, pedge, parts, ns, strategy);
-                StaticDispatch { desc, access }
-            }
-            KernelId::Stage2 => {
-                let desc = stage2_desc();
-                let access = stage2_access(&desc, parts, stage1_groups(ns), total);
-                StaticDispatch { desc, access }
-            }
-            KernelId::Sharpness => grid("sharpness", w, h, &|d, g| {
-                sharpness_fused_access(d, g, padded, up, pedge, fin, w, h, ws, t)
-            }),
-            KernelId::SharpnessVec4 => grid("sharpness_vec4", ws / 4, h, &|d, g| {
-                sharpness_fused_vec4_access(d, g, padded, up, pedge, fin, w, h, ws, t)
-            }),
-            KernelId::Perror => grid("perror", w, h, &|d, g| {
-                perror_access(d, g, main, up, perr, w, h, ws, t)
-            }),
-            KernelId::Preliminary => grid("preliminary", w, h, &|d, g| {
-                preliminary_access(d, g, up, pedge, perr, prelim, w, h, ws, t)
-            }),
-            KernelId::Overshoot => grid("overshoot", w, h, &|d, g| {
-                overshoot_access(d, g, padded, prelim, fin, w, h, ws, t)
-            }),
         }
     }
 
@@ -803,8 +801,10 @@ impl Builder {
 
     /// Adds kernel `id`'s dispatch step without a sync; returns its index.
     fn add_kernel(&mut self, id: KernelId) -> usize {
-        let mut d = self.declare(id);
-        d.desc.item_elems = id.item_elems();
+        let tune = KernelTuning {
+            others: self.opts.others,
+        };
+        let d = declare(id, &self.g, tune, !self.opts.data_transfer, &self.bufs);
         self.steps.push(Step::Dispatch(id, d));
         self.steps.len() - 1
     }

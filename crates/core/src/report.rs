@@ -38,24 +38,6 @@ impl RunReport {
         self.stages.iter().map(|s| s.seconds).sum()
     }
 
-    /// Total seconds charged to stages whose name equals `name`.
-    pub fn stage_seconds(&self, name: &str) -> f64 {
-        self.stages
-            .iter()
-            .filter(|s| s.name.as_ref() == name)
-            .map(|s| s.seconds)
-            .sum()
-    }
-
-    /// Fraction of total time spent in `name` (0 if the run is empty).
-    pub fn stage_fraction(&self, name: &str) -> f64 {
-        if self.total_s <= 0.0 {
-            0.0
-        } else {
-            self.stage_seconds(name) / self.total_s
-        }
-    }
-
     /// Aggregates stages into `(category, seconds)` pairs using a
     /// classifier function, preserving first-seen category order. Used to
     /// group fine-grained command records into the paper's Fig. 13 stage
@@ -203,11 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_fractions() {
+    fn stages_total_sums_the_stages() {
         let r = report();
         assert!((r.stages_total() - 1.0).abs() < 1e-12);
-        assert!((r.stage_fraction("sobel") - 0.25).abs() < 1e-12);
-        assert_eq!(r.stage_seconds("nope"), 0.0);
     }
 
     #[test]

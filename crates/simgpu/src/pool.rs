@@ -11,8 +11,7 @@
 //! Recycled slabs are re-zeroed on acquisition, preserving the
 //! freshly-allocated-buffers-are-zero contract, which is still far cheaper
 //! than allocate + zero + first-touch page faults. Hit/miss/return
-//! counters are exported through [`PoolStats`] and can be embedded in
-//! Chrome traces via [`crate::trace::to_chrome_json_with_pool`].
+//! counters are exported through [`PoolStats`].
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;

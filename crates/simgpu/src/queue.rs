@@ -1188,26 +1188,6 @@ impl CommandQueue {
         &self.records
     }
 
-    /// Aggregated `(name, total_seconds)` pairs, in first-seen order.
-    ///
-    /// Names are the queue's interned `Arc<str>`s — aggregation allocates
-    /// no per-record strings, only refcount bumps on the shared names.
-    pub fn time_by_name(&self) -> Vec<(Arc<str>, f64)> {
-        let mut order: Vec<(Arc<str>, f64)> = Vec::new();
-        let mut index: std::collections::HashMap<Arc<str>, usize> =
-            std::collections::HashMap::new();
-        for r in &self.records {
-            match index.get(&r.name) {
-                Some(&i) => order[i].1 += r.duration_s,
-                None => {
-                    index.insert(Arc::clone(&r.name), order.len());
-                    order.push((Arc::clone(&r.name), r.duration_s));
-                }
-            }
-        }
-        order
-    }
-
     /// Clears the clock and records (new measurement run) and drops any
     /// pending bodies. The name interner is kept: subsequent frames reuse
     /// the same `Arc<str>` names.
@@ -1607,23 +1587,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn time_by_name_aggregates() {
-        let ctx = ctx();
-        let mut q = ctx.queue();
-        let buf = ctx.buffer::<f32>("b", 4);
-        q.enqueue_write(&buf, &[1.0; 4]).unwrap();
-        q.enqueue_write(&buf, &[2.0; 4]).unwrap();
-        let agg = q.time_by_name();
-        assert_eq!(agg.len(), 1);
-        assert_eq!(&*agg[0].0, "write:b");
-        // The aggregated name is the interned Arc, not a fresh allocation.
-        assert!(Arc::ptr_eq(&agg[0].0, &q.records()[0].name));
-        let rec_total: f64 = q.records().iter().map(|r| r.duration_s).sum();
-        assert!((agg[0].1 - rec_total).abs() < 1e-15);
-        assert!((q.elapsed() - rec_total).abs() < 1e-15);
     }
 
     #[test]

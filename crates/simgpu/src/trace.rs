@@ -6,7 +6,6 @@
 
 use std::fmt::Write as _;
 
-use crate::pool::PoolStats;
 use crate::queue::{CommandKind, CommandRecord};
 use crate::span::SpanRecord;
 
@@ -101,30 +100,6 @@ pub fn to_chrome_json_with_spans(records: &[CommandRecord], spans: &[SpanRecord]
             s.depth,
         );
     }
-    out.push_str("]}");
-    out
-}
-
-/// Like [`to_chrome_json`], with the buffer pool's hit/miss/live counters
-/// appended as Chrome-trace counter events (`ph: "C"`), so the trace viewer
-/// shows allocator recycling alongside the command timeline.
-pub fn to_chrome_json_with_pool(records: &[CommandRecord], pool: &PoolStats) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let any = write_events(&mut out, records);
-    let end_ts = records
-        .iter()
-        .map(|r| r.start_s + r.duration_s)
-        .fold(0.0, f64::max)
-        * 1e6;
-    if any {
-        out.push(',');
-    }
-    let _ = write!(
-        out,
-        "{{\"name\":\"buffer pool\",\"ph\":\"C\",\"ts\":{end_ts:.3},\"pid\":1,\
-         \"args\":{{\"hits\":{},\"misses\":{},\"returns\":{},\"live\":{},\"pooled\":{}}}}}",
-        pool.hits, pool.misses, pool.returns, pool.live, pool.pooled,
-    );
     out.push_str("]}");
     out
 }
@@ -265,26 +240,6 @@ mod tests {
     #[test]
     fn chrome_json_empty() {
         assert_eq!(to_chrome_json(&[]), "{\"traceEvents\":[]}");
-    }
-
-    #[test]
-    fn chrome_json_with_pool_appends_counter_event() {
-        let stats = PoolStats {
-            hits: 5,
-            misses: 2,
-            returns: 4,
-            live: 3,
-            pooled: 1,
-            ..PoolStats::default()
-        };
-        let j = to_chrome_json_with_pool(&records(), &stats);
-        assert!(j.contains("\"ph\":\"C\""));
-        assert!(j.contains("\"hits\":5"));
-        assert!(j.contains("\"pooled\":1"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        // Counter-only document is still well-formed.
-        let empty = to_chrome_json_with_pool(&[], &stats);
-        assert!(empty.starts_with("{\"traceEvents\":[{\"name\":\"buffer pool\""));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 # workspace root, run twice: default features and `--features simd` (the
 # explicit host-SIMD kernel backends must never change results, so the whole
 # suite is the equivalence oracle). `cargo bench --no-run` keeps the
-# wall-clock benches compiling even though CI boxes are too noisy to gate on
-# their numbers; that a forced SIMD backend is the one the kernel spans
-# dispatch is a deterministic test (tests/simd.rs), not a timing floor.
+# `service_load` and `tune_model` benches compiling even though CI boxes are
+# too noisy to gate on their numbers; that a forced SIMD backend is the one
+# the kernel spans dispatch is a deterministic test (tests/simd.rs), not a
+# timing floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

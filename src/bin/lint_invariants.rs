@@ -17,9 +17,11 @@
 //!    (`math::fmin`/`fmax`/`clampf`), never `f32::min`/`f32::max`/
 //!    `.clamp(` — the std forms branch on NaN semantics and have drifted
 //!    CPU/GPU results before.
-//! 2. Kernel shape preconditions are typed errors, not panics: no
+//! 2. Kernel code never panics on what it is given: no
 //!    `assert!`/`assert_eq!`/`assert_ne!` in non-test kernel code
-//!    (`debug_assert!` on internal invariants stays allowed).
+//!    (`debug_assert!` on internal invariants stays allowed). Shapes are
+//!    checked once, by `FrameProgram::build`, before any kernel is
+//!    declared.
 //! 3. Telemetry is observation-only: the metric/trace recording paths
 //!    never mutate the state they observe.
 //! 4. SIMD stays contained: `std::arch` intrinsics and feature detection
@@ -327,7 +329,7 @@ impl Lint {
         }
     }
 
-    /// Rule 2: kernel preconditions must not panic.
+    /// Rule 2: non-test kernel code must not panic.
     fn rule_no_kernel_asserts(&mut self, kernel_files: &[PathBuf]) {
         for rel in kernel_files {
             let s = self.read(rel);
@@ -338,7 +340,7 @@ impl Lint {
                 })
                 .collect();
             self.fail(
-                "kernel precondition panics (return Error::InvalidKernelArgs instead)",
+                "panicking assert in non-test kernel code (FrameProgram::build checks shapes)",
                 rel,
                 &hits,
             );

@@ -14,6 +14,7 @@ use sharpness_core::gpu::{
 };
 use sharpness_core::params::SharpnessParams;
 use sharpness_core::report::RunReport;
+use sharpness_core::service::ServiceConfig;
 use sharpness_core::telemetry::FrameTelemetry;
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
@@ -238,18 +239,20 @@ pub struct ServeArgs {
 }
 
 /// Parses a `sharpen serve` argument list (without the program name and
-/// without the leading `serve`).
+/// without the leading `serve`). The service options default to
+/// [`ServiceConfig::default`]'s.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
+    let service = ServiceConfig::default();
     let mut sv = ServeArgs {
         requests: 256,
         seed: 2015,
         gap_us: 2000.0,
         device: DevicePreset::W8000,
         opts: OptConfig::all(),
-        queue_cap: 64,
-        max_batch: 16,
-        cache_cap: 8,
-        shards: 4,
+        queue_cap: service.queue_capacity,
+        max_batch: service.max_batch,
+        cache_cap: service.cache_capacity,
+        shards: service.cache_shards,
         selfcheck: false,
         sanitize: false,
         metrics: None,
@@ -298,9 +301,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
 
 /// Executes `sharpen serve`, returning the human-readable summary.
 pub fn run_serve(sv: &ServeArgs) -> Result<String, String> {
-    use sharpness_core::service::{
-        generate_requests, ServiceConfig, SharpenService, TrafficConfig,
-    };
+    use sharpness_core::service::{generate_requests, SharpenService, TrafficConfig};
 
     if sv.no_simd {
         sharpness_core::simd::set_backend(Some(sharpness_core::simd::Backend::Autovec));
@@ -1388,6 +1389,21 @@ mod tests {
         assert!(parse_serve_args(&strs(&["--gap-us", "-1"])).is_err());
         assert!(parse_serve_args(&strs(&["--bogus"])).is_err());
         assert!(parse_serve_args(&strs(&["--max-batch", "0"])).is_err());
+    }
+
+    #[test]
+    fn serve_defaults_are_the_library_defaults() {
+        let sv = parse_serve_args(&[]).unwrap();
+        let lib = ServiceConfig::default();
+        assert_eq!(
+            (sv.queue_cap, sv.max_batch, sv.cache_cap, sv.shards),
+            (
+                lib.queue_capacity,
+                lib.max_batch,
+                lib.cache_capacity,
+                lib.cache_shards
+            )
+        );
     }
 
     #[test]

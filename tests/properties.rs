@@ -8,9 +8,6 @@
 use imagekit::rng::SplitMix64;
 use imagekit::ImageF32;
 use sharpness::core::cpu::stages;
-use sharpness::core::gpu::kernels::reduction::{
-    reduction_stage1_kernel, reduction_stage2_kernel, stage1_groups, ReductionStrategy,
-};
 use sharpness::core::math;
 use sharpness::prelude::*;
 use sharpness::simgpu::cost::CostCounters;
@@ -111,36 +108,6 @@ fn sobel_invariant_under_constant_offset() {
                 "seed {seed}"
             );
         }
-    }
-}
-
-#[test]
-fn gpu_tree_reduction_matches_serial_sum() {
-    let strategies = [
-        ReductionStrategy::NoUnroll,
-        ReductionStrategy::UnrollOne,
-        ReductionStrategy::UnrollTwo,
-    ];
-    for seed in 0..CASES {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let len = 1 + (rng.next_u64() % 4999) as usize;
-        let data: Vec<f32> = (0..len).map(|_| rng.gen_range(0.0, 255.0)).collect();
-        let strategy = strategies[(rng.next_u64() % 3) as usize];
-        let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
-        let mut q = ctx.queue();
-        let src = ctx.buffer_from("pEdge", &data);
-        let partials = ctx.buffer::<f32>("partials", stage1_groups(data.len()));
-        let (groups, _) =
-            reduction_stage1_kernel(&mut q, &src.view(), data.len(), &partials, strategy).unwrap();
-        let result = ctx.buffer::<f32>("reduction_out", 1);
-        reduction_stage2_kernel(&mut q, &partials.view(), groups, &result).unwrap();
-        let got = f64::from(result.snapshot()[0]);
-        let want: f64 = data.iter().map(|&v| f64::from(v)).sum();
-        let tol = (want.abs() + 1.0) * 1e-5;
-        assert!(
-            (got - want).abs() <= tol,
-            "seed {seed}: got {got}, want {want}"
-        );
     }
 }
 
